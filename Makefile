@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt lint ci race bench benchgate clean
+.PHONY: all build test vet fmt lint ci race bench benchgate loc clean
 
 all: build test vet
 
@@ -73,6 +73,11 @@ bench:
 # every push.
 benchgate:
 	scripts/benchgate.sh
+
+# Non-test Go lines per package under internal/ and cmd/ — the
+# simplicity yardstick each change reports before and after.
+loc:
+	@sh scripts/loc.sh
 
 clean:
 	rm -f bench.txt

@@ -8,7 +8,7 @@
 //
 // The passes turn the invariants the test suite enforces at runtime
 // (bit-identical serial≡parallel sweeps, 0 allocs/op hot paths, pooled
-// records that survive Fleet.Reset, Options.Seed-rooted RNG streams)
+// records that survive fleet resets, Options.Seed-rooted RNG streams)
 // into compile-step rejections over the whole module, not just the
 // code paths the tests happen to exercise. See DESIGN.md §12 for the
 // pass-by-pass contract and the //apcvet: annotation grammar.

@@ -24,7 +24,7 @@ import (
 //     may capture only the record itself, and must resolve everything
 //     else — fleet, member, request — through that owner pointer at
 //     call time. Capturing any other variable freezes state from the
-//     record's *first* lifetime: after Fleet.Reset (or pool reissue)
+//     record's *first* lifetime: after a fleet reset (or pool reissue)
 //     the captured pointer is stale while the record lives on. This
 //     is the PR 7 reset contract, now compiler-checked.
 var PoolSafe = &Analyzer{

@@ -227,7 +227,7 @@ type Config struct {
 	// build calls it with the fleet's engine, spec, seed and routing sink
 	// and drives whatever Source it returns through the same Start/drain
 	// window protocol. Trace replay (internal/workload/replay) plugs in
-	// here. The factory runs once per build or Reset — it must return a
+	// here. The factory runs once per build or reset — it must return a
 	// source bound to the engine it is handed, never a stale one — and
 	// the spec should describe the replayed stream (rate, service mean)
 	// since the packing caps are derived from it. Nil keeps the synthetic
@@ -324,7 +324,7 @@ type Fleet struct {
 	flt *faultState
 
 	// meas is the instrumentation scratch Measure reuses across calls
-	// and Reset cycles (see MeasureInto).
+	// and reset cycles (see MeasureInto).
 	meas measScratch
 
 	// onResolve, when non-nil, observes the final resolution of every
@@ -345,7 +345,7 @@ type Fleet struct {
 
 // measScratch holds the per-member instrumentation buffers of one
 // measurement pass. They are fleet-owned and recycled, so a sweep that
-// reuses a fleet (Reuse) pays for instrumentation storage once, not per
+// reuses a fleet (GraphReuse) pays for instrumentation storage once, not per
 // point.
 type measScratch struct {
 	tracers []*trace.Tracer
@@ -405,7 +405,7 @@ func NewOn(eng *sim.Engine, cfg Config, spec workload.Spec, seed uint64) (*Fleet
 
 // validateConfig rejects incoherent fleet configurations and returns the
 // normalized topology (Flat(n) for the zero value). It is the shared
-// front door of New and Reset.
+// front door of NewOn and GraphConfig.validate.
 func validateConfig(cfg Config, spec workload.Spec) (Topology, error) {
 	if len(cfg.Members) == 0 {
 		return Topology{}, fmt.Errorf("cluster: fleet needs at least one member")
@@ -521,72 +521,23 @@ func (m *member) reset() {
 	m.capMax = 0
 }
 
-// Reset rewinds the fleet to the state New(cfg, spec, seed) would have
-// produced, reusing everything whose shape survives: the engine's event
-// arena and queue storage, the member and rack structures, the segment
-// tree, the pooled per-arrival records, the generator's request pool,
-// and the measurement scratch. Only the topology shape is pinned — cfg
-// must keep the member count and rack layout of the original fleet
-// (policy, targets, per-member configs and fault setup may all change,
-// since every derived value is recomputed) — because the balancer's
-// rack wiring is positional. The per-member SoCs and servers are rebuilt
+// resetOn rebuilds the fleet, on its engine, to the state NewOn(eng,
+// cfg, spec, seed) would have produced after the caller rewound the
+// engine (Graph.Reset rewinds the shared engine once, then resets each
+// tier's fleet in order). It reuses everything whose shape survives:
+// the member and rack structures, the segment tree, the pooled
+// per-arrival records, the generator's request pool, and the
+// measurement scratch. Only the topology shape is pinned — cfg must
+// keep the member count and rack layout of the original fleet (policy,
+// targets, per-member configs and fault setup may all change, since
+// every derived value is recomputed) — because the balancer's rack
+// wiring is positional. The per-member SoCs and servers are rebuilt
 // rather than rewound: their device state is deep, and reconstructing
-// them on the reused engine is what the arena makes cheap.
-//
-// A reset fleet is byte-identical to a fresh one
-// (TestFleetResetDeterministic): the engine restarts at time zero with
-// slot numbering matching a fresh engine's, and build reassembles the
-// layers in New's exact order.
-func (f *Fleet) Reset(cfg Config, spec workload.Spec, seed uint64) error {
-	topo, err := validateConfig(cfg, spec)
-	if err != nil {
-		return err
-	}
-	if topo != f.topo || len(cfg.Members) != len(f.members) {
-		return fmt.Errorf("cluster: Reset needs the original topology %v (got %v)", f.topo, topo)
-	}
-	f.eng.Reset()
-	f.build(cfg, topo, spec, seed)
-	return nil
-}
-
-// resetOn is Reset without the engine rewind, for fleets sharing an
-// engine: the graph resets the shared engine exactly once, then rebuilds
-// each tier's fleet in order through this.
-func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) error {
-	topo, err := validateConfig(cfg, spec)
-	if err != nil {
-		return err
-	}
-	if topo != f.topo || len(cfg.Members) != len(f.members) {
-		return fmt.Errorf("cluster: Reset needs the original topology %v (got %v)", f.topo, topo)
-	}
-	f.build(cfg, topo, spec, seed)
-	return nil
-}
-
-// Reuse caches one fleet across the points of a sweep, resetting it
-// when the next point's shape matches and rebuilding only when it
-// cannot. One Reuse serves one sweep worker — it is not safe for
-// concurrent use — and because Reset is byte-identical to a fresh
-// build, sweeps that reuse fleets stay bit-identical at any
-// parallelism. The zero value is ready.
-type Reuse struct {
-	fl *Fleet
-}
-
-// Fleet returns a fleet for (cfg, spec, seed): the cached one reset in
-// place when the topology shape allows, a newly built one otherwise.
-func (r *Reuse) Fleet(cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	if r.fl != nil && r.fl.Reset(cfg, spec, seed) == nil {
-		return r.fl, nil
-	}
-	fl, err := New(cfg, spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	r.fl = fl
-	return fl, nil
+// them on the reused engine is what the arena makes cheap. A reset
+// fleet is byte-identical to a fresh one (TestFleetResetDeterministic).
+// The caller has validated cfg and checked its shape against f's.
+func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) {
+	f.build(cfg, f.topo, spec, seed)
 }
 
 // capFor derives the per-server packing cap each policy bins against.
@@ -1104,7 +1055,7 @@ type Measurement struct {
 // measure sequence the single-server experiments use (warmup first, then
 // tracers and power snapshots attached, then the measured window) and
 // returns the fleet-wide measurement. Call it at most once per fleet
-// build or Reset — the tracers it attaches stay attached. The returned
+// build or reset — the tracers it attaches stay attached. The returned
 // value's slices are freshly allocated, so callers may retain it across
 // further use of the fleet.
 func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {

@@ -81,7 +81,7 @@ func (f *Fleet) initController() {
 	if (f.cfg.Policy != PowerAware && f.cfg.Policy != RackPowerAware) ||
 		(f.cfg.DrainHold == 0 && f.cfg.FeedbackEpoch == 0) {
 		// No controller this build. A previous build (before a
-		// Fleet.Reset) may have left feedback windows behind; drop them
+		// graph Reset) may have left feedback windows behind; drop them
 		// so completions stop recording into them.
 		for _, m := range f.members {
 			m.win = nil
@@ -104,7 +104,7 @@ func (f *Fleet) initController() {
 		if f.ctrl.epoch > 0 {
 			// Reuse the window histogram across fleet resets: the bucket
 			// layout is fixed, and ~2k buckets per member per sweep point
-			// is exactly the churn Fleet.Reset exists to avoid.
+			// is exactly the churn reusing fleets avoids.
 			if m.win == nil {
 				m.win = stats.NewLatencyHistogram()
 			} else {

@@ -305,8 +305,8 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 				return err
 			}
 			t.fl = fl
-		} else if err := t.fl.resetOn(fcfg, tc.Spec, tseed); err != nil {
-			return err
+		} else {
+			t.fl.resetOn(fcfg, tc.Spec, tseed)
 		}
 		if wired {
 			// The hook is what turns completions into lookups; without
@@ -350,10 +350,12 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 }
 
 // Reset rewinds the graph to the state NewGraph(cfg, seed) would have
-// produced, reusing the engine arena, every tier's fleet (under
-// Fleet.Reset's shape rules), the push sources' request pools, the
-// join pool and the pending maps. Mirrors Fleet.Reset: a reset graph
-// is byte-identical to a fresh one.
+// produced, reusing the engine arena (Engine.Reset restarts the clock
+// at zero with slot numbering matching a fresh engine's), every tier's
+// fleet (see Fleet.resetOn), the push sources' request pools, the join
+// pool and the pending maps. Only the shape is pinned: the tier and
+// edge counts and each tier's topology. A reset graph is
+// byte-identical to a fresh one.
 func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -378,9 +380,12 @@ func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	return g.build(cfg, seed)
 }
 
-// GraphReuse caches one graph across the points of a sweep, exactly as
-// Reuse does for fleets: reset in place when the shape matches, rebuilt
-// when it cannot be. The zero value is ready.
+// GraphReuse caches one graph across the points of a sweep: reset in
+// place when the next point's shape matches, rebuilt when it cannot be.
+// A single fleet is a one-tier graph. One GraphReuse serves one sweep
+// worker — it is not safe for concurrent use — and because Reset is
+// byte-identical to a fresh build, sweeps that reuse graphs stay
+// bit-identical at any parallelism. The zero value is ready.
 type GraphReuse struct {
 	g *Graph
 }

@@ -67,12 +67,20 @@ func dirtyConfig(topo Topology) Config {
 	}
 }
 
-// TestFleetResetDeterministic is the Reset contract: a reset fleet is
-// byte-identical to a fresh one. Each case first runs a different
-// same-shape point on the fleet (different policy, spec, seed and
-// controller/fault setup), resets to the target point, and requires the
-// measurement to equal a fresh fleet's exactly — including the reused
-// MeasureInto output buffers.
+// oneTier wraps a fleet configuration as the one-tier graph sweeps
+// reuse it through.
+func oneTier(cfg Config, spec workload.Spec) GraphConfig {
+	return GraphConfig{Tiers: []TierConfig{{Name: "fleet", Cluster: cfg, Spec: spec}}}
+}
+
+// TestFleetResetDeterministic is the reset contract on a single fleet:
+// a reset one-tier graph is byte-identical to a fresh fleet. Each case
+// first runs a different same-shape point (different policy, spec,
+// seed and controller/fault setup), resets to the target point through
+// GraphReuse, and requires the measurement to equal a fresh fleet's
+// exactly. A second fresh fleet measured with MeasureInto into the
+// dirty point's output must equal it too: reused caller-owned
+// Servers/Racks buffers carry nothing over.
 func TestFleetResetDeterministic(t *testing.T) {
 	const warmup, window = 3 * sim.Millisecond, 15 * sim.Millisecond
 	specFn := func() workload.Spec { return workload.MemcachedBursty(40000, 4) }
@@ -85,57 +93,65 @@ func TestFleetResetDeterministic(t *testing.T) {
 		}
 		want := fresh.Measure(warmup, window)
 
-		var r Reuse
-		dirty, err := r.Fleet(dirtyConfig(cfg.Topology), workload.MemcachedBursty(60000, 8), 3)
+		var r GraphReuse
+		dirty, err := r.Graph(oneTier(dirtyConfig(cfg.Topology), workload.MemcachedBursty(60000, 8)), 3)
 		if err != nil {
 			t.Fatalf("%s: dirty point: %v", c.name, err)
 		}
-		var got Measurement
-		dirty.MeasureInto(&got, warmup, window) // dirty the output buffers too
+		dirtyOut := dirty.Measure(warmup, window).Tiers[0].Fleet
 
-		fl, err := r.Fleet(cfg, specFn(), 7)
+		g, err := r.Graph(oneTier(cfg, specFn()), 7)
 		if err != nil {
 			t.Fatalf("%s: reset point: %v", c.name, err)
 		}
-		if fl != dirty {
-			t.Fatalf("%s: Reuse rebuilt instead of resetting a same-shape fleet", c.name)
+		if g != dirty {
+			t.Fatalf("%s: GraphReuse rebuilt instead of resetting a same-shape fleet", c.name)
 		}
-		fl.MeasureInto(&got, warmup, window)
-		if !reflect.DeepEqual(want, got) {
+		if got := g.Measure(warmup, window).Tiers[0].Fleet; !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: reset fleet diverged from fresh fleet:\nfresh: %+v\nreset: %+v",
 				c.name, want, got)
+		}
+
+		again, err := New(cfg, specFn(), 7)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		again.MeasureInto(&dirtyOut, warmup, window)
+		if !reflect.DeepEqual(want, dirtyOut) {
+			t.Errorf("%s: MeasureInto into a used Measurement diverged:\nfresh: %+v\nreused: %+v",
+				c.name, want, dirtyOut)
 		}
 	}
 }
 
-// TestFleetResetShapeGuard pins the one thing Reset refuses: changing
+// TestFleetResetShapeGuard pins the one thing a reset refuses: changing
 // the fleet's topology shape, which the positional rack wiring cannot
 // absorb.
 func TestFleetResetShapeGuard(t *testing.T) {
 	spec := workload.Memcached(10000)
-	fl, err := New(resetConfig(Config{Policy: RoundRobin}), spec, 1)
+	g, err := NewGraph(oneTier(resetConfig(Config{Policy: RoundRobin}), spec), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := Config{
+	bad := oneTier(Config{
 		Policy:   RoundRobin,
 		Topology: Topology{Racks: 2, ServersPerRack: 2},
 		Members:  uniformMembers(4, soc.CPC1A),
-	}
-	if err := fl.Reset(bad, spec, 1); err == nil {
+	}, spec)
+	if err := g.Reset(bad, 1); err == nil {
 		t.Error("Reset accepted a topology reshape")
 	}
-	if err := fl.Reset(resetConfig(Config{Policy: Policy(99)}), spec, 1); err == nil {
+	if err := g.Reset(oneTier(resetConfig(Config{Policy: Policy(99)}), spec), 1); err == nil {
 		t.Error("Reset accepted an invalid config")
 	}
-	// A Reuse falls back to a rebuild for the same reshape.
-	r := Reuse{fl: fl}
-	fl2, err := r.Fleet(bad, spec, 1)
+	// A GraphReuse falls back to a rebuild for the same reshape.
+	r := GraphReuse{g: g}
+	g2, err := r.Graph(bad, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fl2 == fl {
-		t.Error("Reuse handed back the old fleet for a reshaped point")
+	if g2 == g {
+		t.Error("GraphReuse handed back the old graph for a reshaped point")
 	}
 }
 

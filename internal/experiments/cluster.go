@@ -69,7 +69,7 @@ type ClusterPoint struct {
 // machines (rack.go's measureFleet with the trivial topology — an
 // explicit Flat(n) assembles the identical event sequence, which
 // TestFlatTopologyMatchesRackless pins).
-func runFleet(reuse *cluster.Reuse, opt Options, n int, pol cluster.Policy, specFn func() workload.Spec) ClusterPoint {
+func runFleet(reuse *cluster.GraphReuse, opt Options, n int, pol cluster.Policy, specFn func() workload.Spec) ClusterPoint {
 	return ClusterPoint{
 		Servers: n,
 		Policy:  pol.String(),
@@ -126,7 +126,7 @@ func ClusterScaling(opt Options, sizes []int) (*ClusterScalingResult, error) {
 		}
 	}
 	res := &ClusterScalingResult{AggregateQPS: specFn().MeanQPS(), Duration: opt.Duration}
-	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.Reuse, p pt) ClusterPoint {
+	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.GraphReuse, p pt) ClusterPoint {
 		return runFleet(reuse, opt, p.n, p.pol, specFn)
 	})
 	return res, nil
@@ -188,7 +188,7 @@ func ClusterPolicy(opt Options, policies []cluster.Policy) (*ClusterPolicyResult
 		Burstiness:   DefaultClusterPolicyBurstiness,
 		Duration:     opt.Duration,
 	}
-	res.Points = SweepWith(opt, policies, newReuse, func(reuse *cluster.Reuse, pol cluster.Policy) ClusterPoint {
+	res.Points = SweepWith(opt, policies, newReuse, func(reuse *cluster.GraphReuse, pol cluster.Policy) ClusterPoint {
 		return runFleet(reuse, opt, DefaultClusterPolicyServers, pol, specFn)
 	})
 	return res, nil

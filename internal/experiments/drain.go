@@ -131,7 +131,7 @@ func DrainHysteresis(opt Options, holds []sim.Duration) (*DrainHysteresisResult,
 		TorLatency:   DefaultDrainTorLatency,
 		Duration:     opt.Duration,
 	}
-	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.Reuse, p pt) DrainPoint {
+	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.GraphReuse, p pt) DrainPoint {
 		return DrainPoint{
 			Policy: p.pol.String(),
 			HoldUS: p.hold.Seconds() * 1e6,

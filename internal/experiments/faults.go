@@ -139,7 +139,7 @@ func FaultResilience(opt Options, mtbfs []sim.Duration) (*FaultResilienceResult,
 		HedgeDelay:   DefaultFaultHedgeDelay,
 		Duration:     opt.Duration,
 	}
-	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.Reuse, p pt) FaultPoint {
+	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.GraphReuse, p pt) FaultPoint {
 		return FaultPoint{
 			Policy: p.pol.String(),
 			MTBFUS: p.mtbf.Seconds() * 1e6,

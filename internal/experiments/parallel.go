@@ -92,11 +92,11 @@ func Sweep[P, T any](opt Options, points []P, fn func(P) T) []T {
 // SweepWith is Sweep with per-worker scratch: newS runs once per worker
 // goroutine (once total for serial sweeps) and fn receives that
 // worker's scratch alongside each point. The cluster sweeps thread a
-// *cluster.Reuse through here so consecutive points on a worker reset
-// one fleet instead of building a new one; because a reset fleet is
-// byte-identical to a fresh build, every point remains a pure function
-// of (Options, point) and parallel sweeps stay bit-identical to serial
-// ones.
+// *cluster.GraphReuse through here so consecutive points on a worker
+// reset one graph instead of building a new one; because a reset graph
+// is byte-identical to a fresh build, every point remains a pure
+// function of (Options, point) and parallel sweeps stay bit-identical to
+// serial ones.
 func SweepWith[S, P, T any](opt Options, points []P, newS func() S, fn func(S, P) T) []T {
 	return runPoints(opt.parallelism(), len(points), newS, func(s S, i int) T {
 		return fn(s, points[i])

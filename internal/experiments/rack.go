@@ -61,25 +61,35 @@ func init() {
 // topology (Flat(n) for unracked fleets). specFn builds the workload per
 // call: arrival processes (MMPP2) carry mutable phase state, so
 // concurrently-running fleets must never share one spec value. reuse is
-// the calling sweep worker's fleet cache — consecutive points with the
-// same topology shape reset one fleet instead of building a new one.
-// newReuse builds one fleet cache per sweep worker (SweepWith's newS).
-func newReuse() *cluster.Reuse { return new(cluster.Reuse) }
-
-func measureFleet(reuse *cluster.Reuse, opt Options, cfg cluster.Config, specFn func() workload.Spec) cluster.Measurement {
-	members := make([]cluster.MemberConfig, cfg.Topology.Servers())
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = opt.Seed
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	cfg.Members = members
-	fl, err := reuse.Fleet(cfg, specFn(), opt.Seed)
+// the calling sweep worker's graph cache: the fleet runs as a one-tier
+// graph (byte-identical to the bare fleet, TestGraphSingleTierParity),
+// and consecutive points with the same topology shape reset it instead
+// of building a new one.
+func measureFleet(reuse *cluster.GraphReuse, opt Options, cfg cluster.Config, specFn func() workload.Spec) cluster.Measurement {
+	cfg.Members = fleetMembers(cfg.Topology.Servers(), opt.Seed)
+	g, err := reuse.Graph(cluster.GraphConfig{
+		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: specFn()}},
+	}, opt.Seed)
 	if err != nil {
 		// All inputs are compile-time constants; an error is a bug.
 		panic(err)
 	}
-	return fl.Measure(opt.Warmup(), opt.Duration)
+	return g.Measure(opt.Warmup(), opt.Duration).Tiers[0].Fleet
+}
+
+// newReuse builds one graph cache per sweep worker (SweepWith's newS).
+func newReuse() *cluster.GraphReuse { return new(cluster.GraphReuse) }
+
+// fleetMembers builds n default CPC1A machines, the fleet material of
+// every cluster experiment.
+func fleetMembers(n int, seed uint64) []cluster.MemberConfig {
+	members := make([]cluster.MemberConfig, n)
+	for i := range members {
+		scfg := server.DefaultConfig()
+		scfg.Seed = seed
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+	}
+	return members
 }
 
 // RackPoint is one measured (topology, policy) operating point.
@@ -147,7 +157,7 @@ func RackPacking(opt Options, topos []cluster.Topology) (*RackPackingResult, err
 		TorLatency:   DefaultRackTorLatency,
 		Duration:     opt.Duration,
 	}
-	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.Reuse, p pt) RackPoint {
+	res.Points = SweepWith(opt, pts, newReuse, func(reuse *cluster.GraphReuse, p pt) RackPoint {
 		return RackPoint{
 			Topology:       p.topo.String(),
 			Racks:          p.topo.Racks,

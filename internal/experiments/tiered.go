@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"agilepkgc/internal/cluster"
-	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/workload"
@@ -62,18 +61,6 @@ type TieredPoint struct {
 	Client   cluster.ClientStats `json:"client"`
 }
 
-// tieredMembers builds n default CPC1A machines, the same fleet
-// material measureFleet uses.
-func tieredMembers(n int, seed uint64) []cluster.MemberConfig {
-	members := make([]cluster.MemberConfig, n)
-	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = seed
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
-	}
-	return members
-}
-
 // tieredGraphConfig assembles the two-tier graph at one hit ratio. The
 // backend spec's rate is the expected miss stream — it names the
 // operating point; the graph's push source takes its arrival instants
@@ -91,7 +78,7 @@ func tieredGraphConfig(hitRatio float64, seed uint64) cluster.GraphConfig {
 					Policy:    cluster.PowerAware,
 					P99Target: DefaultClusterP99Target,
 					Topology:  cluster.Flat(DefaultTieredCacheServers),
-					Members:   tieredMembers(DefaultTieredCacheServers, seed),
+					Members:   fleetMembers(DefaultTieredCacheServers, seed),
 				},
 				Spec: workload.Memcached(DefaultTieredQPS),
 			},
@@ -101,7 +88,7 @@ func tieredGraphConfig(hitRatio float64, seed uint64) cluster.GraphConfig {
 					Policy:    cluster.PowerAware,
 					P99Target: DefaultTieredBackendP99Target,
 					Topology:  cluster.Flat(DefaultTieredBackendServers),
-					Members:   tieredMembers(DefaultTieredBackendServers, seed),
+					Members:   fleetMembers(DefaultTieredBackendServers, seed),
 				},
 				Spec: backendSpec,
 			},
@@ -141,8 +128,7 @@ func TieredCache(opt Options, hitRatios []float64) (*TieredCacheResult, error) {
 		TTL:            DefaultTieredTTL,
 		Duration:       opt.Duration,
 	}
-	newGraphReuse := func() *cluster.GraphReuse { return new(cluster.GraphReuse) }
-	res.Points = SweepWith(opt, hitRatios, newGraphReuse, func(reuse *cluster.GraphReuse, h float64) TieredPoint {
+	res.Points = SweepWith(opt, hitRatios, newReuse, func(reuse *cluster.GraphReuse, h float64) TieredPoint {
 		g, err := reuse.Graph(tieredGraphConfig(h, opt.Seed), opt.Seed)
 		if err != nil {
 			// All inputs are compile-time constants; an error is a bug.

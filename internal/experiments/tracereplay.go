@@ -74,7 +74,7 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 		P99Target: DefaultClusterP99Target,
 		Topology:  cluster.Topology{Racks: 1, ServersPerRack: DefaultTraceServers},
 	}
-	synth := measureFleet(new(cluster.Reuse), opt, cfg, specFn)
+	synth := measureFleet(new(cluster.GraphReuse), opt, cfg, specFn)
 
 	if _, err := buf.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -94,7 +94,7 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 		}
 		return rp
 	}
-	replayed := measureFleet(new(cluster.Reuse), opt, rcfg, func() workload.Spec { return hdr.Spec() })
+	replayed := measureFleet(new(cluster.GraphReuse), opt, rcfg, func() workload.Spec { return hdr.Spec() })
 
 	return &TraceReplayResult{
 		Workload:     hdr.Name,

@@ -129,6 +129,15 @@ type Result struct {
 // Sweep points fan out exactly like built-in experiment sweeps: each
 // point is a pure function of (options, point), so results are
 // bit-identical at any parallelism.
+//
+// Every open-loop point runs through one wiring, the service graph
+// (runGraph): asGraph turns a point with no block into a one-tier graph
+// of one round_robin server, and a cluster block into the one tier
+// holding it — shapes the parity suites prove byte-identical
+// (TestClusterSingleServerParity, TestTiersSingleTierParity).
+// Closed-loop sysbench is the one exception: its clients bind to one
+// server's Submit, so it keeps the single-machine wiring
+// (runClosedLoop).
 func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -179,127 +188,107 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 			}
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
-		cores := soc.DefaultConfig(kind).CoreCount
-		if pt.Cluster != nil {
-			cores *= pt.Cluster.Servers
-		} else if len(pt.Tiers) > 0 {
-			cores *= pt.Tiers[0].Servers
-		}
+		// Every point validates in tier form, sysbench too — its one
+		// server is the single machine's — but only open-loop points run
+		// in it.
+		g, block := pt.asGraph()
+		cores := soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers
 		if pt.Workload.Service == "trace" {
 			if err := pt.Workload.Trace.preflight(); err != nil {
 				return nil, pointErr(err)
 			}
-		} else if _, _, err := pt.Workload.spec(cores); err != nil {
+		} else if _, err := pt.Workload.spec(cores); err != nil {
 			return nil, pointErr(err)
 		}
-		switch {
-		case pt.Cluster != nil:
-			if err := pt.validateClusterPoint(kind); err != nil {
-				return nil, pointErr(err)
-			}
-		case len(pt.Tiers) > 0:
-			if err := pt.validateTieredPoint(kind); err != nil {
-				return nil, pointErr(err)
-			}
-		default:
-			if pt.Server.TimerTickHz != nil && *pt.Server.TimerTickHz > 0 &&
-				(pt.Server.TickKernelUS == nil || *pt.Server.TickKernelUS <= 0) {
-				return nil, pointErr(fmt.Errorf("timer_tick_hz needs tick_kernel_us > 0"))
-			}
+		if err := g.validateTieredPoint(kind, block); err != nil {
+			return nil, pointErr(err)
+		}
+		if pt.Workload.Service != "sysbench" {
+			pt = g
 		}
 		jobs[i] = job{axis: v, label: label, sc: pt}
 	}
 
 	res := &Result{Scenario: s, Axis: axis}
-	// Each sweep worker carries one fleet cache and one graph cache:
-	// consecutive points that keep the shape (the common case — the axis
-	// sweeps QPS or a policy knob, or an edge's hit ratio) reset one
-	// fleet/graph instead of rebuilding N machines per point. Reset is
-	// byte-identical to a fresh build, so results stay bit-identical at
-	// any parallelism.
+	// Each sweep worker carries one graph cache: consecutive points that
+	// keep the shape (the common case — the axis sweeps QPS or a policy
+	// knob, or an edge's hit ratio) reset one graph instead of rebuilding
+	// N machines per point. Reset is byte-identical to a fresh build, so
+	// results stay bit-identical at any parallelism.
 	res.Points = experiments.SweepWith(opt, jobs,
-		func() *runScratch { return new(runScratch) },
-		func(scratch *runScratch, j job) Point {
-			switch {
-			case j.sc.Cluster != nil:
-				return runClusterOne(j.sc, j.axis, j.label, opt, &scratch.fleet)
-			case len(j.sc.Tiers) > 0:
-				return runTieredOne(j.sc, j.axis, j.label, opt, &scratch.graph)
-			default:
-				return runOne(j.sc, j.axis, opt)
+		func() *cluster.GraphReuse { return new(cluster.GraphReuse) },
+		func(reuse *cluster.GraphReuse, j job) Point {
+			if j.sc.Workload.Service == "sysbench" {
+				return runClosedLoop(j.sc, j.axis, opt)
 			}
+			return runGraph(j.sc, j.axis, j.label, opt, reuse)
 		})
 	return res, nil
 }
 
-// runScratch is one sweep worker's reusable simulation state.
-type runScratch struct {
-	fleet cluster.Reuse
-	graph cluster.GraphReuse
+// asGraph returns an applied open-loop point as the tier list runGraph
+// wires, plus the block its point errors name: no block becomes one
+// tier of one round_robin server (the single machine, block ""), a
+// cluster block becomes the one tier holding it (block "cluster"), and
+// a tiers block stays as it is (block "tiers"). Rendering reads the
+// scenario as written (Result.Scenario), so the rewrite never shows in
+// the output.
+func (s Scenario) asGraph() (Scenario, string) {
+	switch {
+	case s.Cluster != nil:
+		s.Tiers = []Tier{{Cluster: *s.Cluster}}
+		s.Cluster = nil
+		return s, "cluster"
+	case len(s.Tiers) == 0:
+		s.Tiers = []Tier{{Cluster: Cluster{Servers: 1, Policy: "round_robin"}}}
+		return s, ""
+	}
+	return s, "tiers"
 }
 
-// validateClusterPoint checks the parts of a cluster scenario that only
-// exist once the sweep value is applied: the fleet size, that the racks
-// divide it evenly, that every per-server override targets a server that
-// exists, and that each member's merged configuration is coherent.
-func (s *Scenario) validateClusterPoint(kind soc.ConfigKind) error {
-	n := s.Cluster.Servers
-	if n < 1 {
-		return fmt.Errorf("cluster.servers must be at least 1")
-	}
-	if r := s.Cluster.Racks; r > 1 && n%r != 0 {
-		return fmt.Errorf("cluster.racks %d does not divide %d servers into equal racks", r, n)
-	}
-	for _, key := range slices.Sorted(maps.Keys(s.Cluster.ServerOverrides)) {
-		if idx, _ := strconv.Atoi(key); idx >= n {
-			return fmt.Errorf("cluster.server_overrides[%s]: fleet has only %d servers", key, n)
-		}
-	}
-	for i, mc := range s.clusterMembers(kind, 0) {
-		if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
-			return fmt.Errorf("server %d: timer_tick_hz needs tick_kernel_us > 0", i)
-		}
-	}
-	return nil
-}
-
-// validateTieredPoint runs the applied-point checks of
-// validateClusterPoint on every tier of a service graph.
-func (s *Scenario) validateTieredPoint(kind soc.ConfigKind) error {
+// validateTieredPoint checks the parts of a point's tiers that only
+// exist once the sweep value is applied: each tier's size, that its
+// racks divide it evenly, that every per-server override targets a
+// server that exists, and that each member's merged configuration is
+// coherent. Errors name the block asGraph reported, in the words each
+// shape has always used; the single machine (block "") has one fixed
+// server and no overrides, so only its tick knobs can be incoherent.
+func (s *Scenario) validateTieredPoint(kind soc.ConfigKind, block string) error {
 	for ti := range s.Tiers {
 		t := &s.Tiers[ti]
+		name, unit, member := block, "fleet", "server "
+		if block == "tiers" {
+			name, unit = fmt.Sprintf("tiers[%d]", ti), "tier"
+			member = name + " server "
+		}
 		n := t.Servers
 		if n < 1 {
-			return fmt.Errorf("tiers[%d].servers must be at least 1", ti)
+			return fmt.Errorf("%s.servers must be at least 1", name)
 		}
 		if r := t.Racks; r > 1 && n%r != 0 {
-			return fmt.Errorf("tiers[%d].racks %d does not divide %d servers into equal racks", ti, r, n)
+			return fmt.Errorf("%s.racks %d does not divide %d servers into equal racks", name, r, n)
 		}
 		for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
 			if idx, _ := strconv.Atoi(key); idx >= n {
-				return fmt.Errorf("tiers[%d].server_overrides[%s]: tier has only %d servers", ti, key, n)
+				return fmt.Errorf("%s.server_overrides[%s]: %s has only %d servers", name, key, unit, n)
 			}
 		}
 		for i, mc := range s.memberConfigs(&t.Cluster, kind, 0) {
 			if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
-				return fmt.Errorf("tiers[%d] server %d: timer_tick_hz needs tick_kernel_us > 0", ti, i)
+				if block == "" {
+					return fmt.Errorf("timer_tick_hz needs tick_kernel_us > 0")
+				}
+				return fmt.Errorf("%s%d: timer_tick_hz needs tick_kernel_us > 0", member, i)
 			}
 		}
 	}
 	return nil
 }
 
-// clusterMembers builds the per-server configurations of an applied
-// cluster point: evaluation defaults, then the scenario-level Server
-// overrides, then that server's entry in cluster.server_overrides.
-func (s *Scenario) clusterMembers(kind soc.ConfigKind, seed uint64) []cluster.MemberConfig {
-	return s.memberConfigs(s.Cluster, kind, seed)
-}
-
-// memberConfigs builds one fleet-shape block's per-server
-// configurations — the cluster block's or one tier's. The scenario-level
-// Server overrides are the base of every block's servers; the block's
-// own ServerOverrides refine them per server.
+// memberConfigs builds one tier's per-server configurations:
+// evaluation defaults, then the scenario-level Server overrides (the
+// base of every tier's servers), then that server's entry in the tier's
+// ServerOverrides.
 func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind, seed uint64) []cluster.MemberConfig {
 	base := server.DefaultConfig()
 	base.Seed = seed
@@ -313,118 +302,6 @@ func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind, seed uint64) [
 		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(kind), Server: scfg}
 	}
 	return members
-}
-
-// runClusterOne wires one fully-applied cluster point: N systems and
-// servers on one shared engine behind the balancer, measured through the
-// same warmup/window sequence as runOne. With one server and
-// round_robin, the assembled fleet is event-for-event the runOne wiring,
-// so the resulting Point is bit-identical (TestClusterSingleServerParity
-// locks this).
-func runClusterOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.Reuse) Point {
-	kind, _ := soc.ParseConfigKind(sc.Config)
-	pol, _ := cluster.ParsePolicy(sc.Cluster.Policy)
-
-	// A trace point replays a recorded stream instead of a synthetic
-	// generator: the spec comes from the trace header (so packing caps
-	// and report fields match the recorded workload bit for bit) and the
-	// fleet's source factory binds a Replay over the open file. The file
-	// is opened and closed per point — no descriptor outlives the
-	// measurement, and the per-worker fleet cache stays file-agnostic.
-	var spec workload.Spec
-	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
-	if sc.Workload.Service == "trace" {
-		t := sc.Workload.Trace
-		f, err := os.Open(t.Path)
-		if err != nil {
-			// Unreachable after preflight; see the fleet-error panic below.
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		defer f.Close()
-		rd, err := replay.NewReader(f)
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		spec = rd.Header().Spec()
-		rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
-		if err != nil {
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-		newSource = func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
-			if err := rp.Bind(eng, sink); err != nil {
-				panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-			}
-			return rp
-		}
-	} else {
-		spec, _, _ = sc.Workload.spec(sc.Cluster.Servers * soc.DefaultConfig(kind).CoreCount)
-	}
-	// An absent racks field keeps the zero-value topology; an explicit
-	// "racks": 1 goes through the Topology path as Flat(N). Both
-	// assemble the identical event sequence — and therefore identical
-	// output bytes — as the pre-topology cluster layer, which is exactly
-	// what TestRackFlatParity locks by comparing the two.
-	var topo cluster.Topology
-	if r := sc.Cluster.Racks; r >= 1 {
-		topo = cluster.Topology{Racks: r, ServersPerRack: sc.Cluster.Servers / r}
-	}
-	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
-	fl, err := reuse.Fleet(cluster.Config{
-		Policy:        pol,
-		P99Target:     us(sc.Cluster.P99TargetUS),
-		Topology:      topo,
-		TorLatency:    us(sc.Cluster.TorLatencyUS),
-		DrainHold:     us(sc.Cluster.DrainHoldUS),
-		FeedbackEpoch: us(sc.Cluster.FeedbackEpochUS),
-		Faults:        sc.Cluster.Faults.config(),
-		Members:       sc.clusterMembers(kind, opt.Seed),
-		NewSource:     newSource,
-	}, spec, opt.Seed)
-	if err != nil {
-		// Unreachable after Validate + validateClusterPoint; a panic here
-		// is a missing validation rule, not a user error.
-		panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-	}
-	m := fl.Measure(opt.Warmup(), opt.Duration)
-
-	p := Point{
-		Axis:            axisValue,
-		AxisLabel:       axisLabel,
-		Workload:        spec.Name,
-		OfferedQPS:      spec.MeanQPS(),
-		Served:          m.Served,
-		Generated:       m.Generated,
-		Dropped:         m.Dropped,
-		MeanLatency:     m.MeanLatency,
-		P50Latency:      m.P50Latency,
-		P99Latency:      m.P99Latency,
-		SoCWatts:        m.SoCWatts,
-		DRAMWatts:       m.DRAMWatts,
-		TotalWatts:      m.TotalWatts,
-		CC0Residency:    m.CC0Residency,
-		CC1Residency:    m.CC1Residency,
-		AllIdle:         m.AllIdle,
-		AllIdleCensored: m.AllIdleCensored,
-		PC1AResidency:   m.PC1AResidency,
-		PC1AEntries:     m.PC1AEntries,
-		OK:              m.OK,
-		Failed:          m.Failed,
-		Retried:         m.Retried,
-		Hedged:          m.Hedged,
-		Shed:            m.Shed,
-		Crashes:         m.Crashes,
-		Brownouts:       m.Brownouts,
-		Partitions:      m.Partitions,
-		GoodputQPS:      m.GoodputQPS,
-		RecoveryP50:     m.RecoveryP50,
-		RecoveryP99:     m.RecoveryP99,
-		TruncatedDrain:  m.TruncatedDrain,
-	}
-	if sc.Cluster.Servers > 1 {
-		p.Servers = m.Servers
-	}
-	p.Racks = m.Racks
-	return p
 }
 
 // tierSpec synthesizes the workload spec of a backend tier at the
@@ -452,17 +329,52 @@ func tierSpec(service string, rate float64, cores int) workload.Spec {
 	panic(fmt.Sprintf("tierSpec: unknown service %q", service))
 }
 
-// runTieredOne wires one fully-applied service-graph point: every tier
-// a full fleet on one shared engine, edges carrying misses downstream
-// (see cluster.Graph), measured through the same warmup/window sequence
-// as runClusterOne. A one-tier graph assembles event-for-event the
-// cluster-block wiring, so its Point is bit-identical
-// (TestTiersSingleTierParity locks this).
-func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
+// runGraph wires one applied open-loop point, in asGraph's tier-list
+// form: every tier a full fleet on one shared engine, edges carrying
+// misses downstream (see cluster.Graph), measured through the built-in
+// experiments' warmup/window sequence. A one-tier graph of one
+// round_robin server assembles event-for-event the single-machine
+// wiring, so an unswept point with no overrides reproduces the built-in
+// experiments bit for bit (TestScenarioMatchesHandWiredRun).
+func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	cores := soc.DefaultConfig(kind).CoreCount
-	rootSpec, _, _ := sc.Workload.spec(sc.Tiers[0].Servers * cores)
 	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
+	must := func(err error) {
+		if err != nil {
+			// Unreachable after Validate, preflight and
+			// validateTieredPoint; a panic here is a missing validation
+			// rule, not a user error.
+			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
+		}
+	}
+
+	// A trace point replays a recorded stream at the root tier instead
+	// of a synthetic generator: the spec comes from the trace header (so
+	// packing caps and report fields match the recorded workload bit for
+	// bit) and the root tier's source factory binds a Replay over the
+	// open file. The file is opened and closed per point — no descriptor
+	// outlives the measurement, and the per-worker graph cache stays
+	// file-agnostic.
+	var rootSpec workload.Spec
+	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
+	if sc.Workload.Service == "trace" {
+		t := sc.Workload.Trace
+		f, err := os.Open(t.Path)
+		must(err)
+		defer f.Close()
+		rd, err := replay.NewReader(f)
+		must(err)
+		rootSpec = rd.Header().Spec()
+		rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
+		must(err)
+		newSource = func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
+			must(rp.Bind(eng, sink))
+			return rp
+		}
+	} else {
+		rootSpec, _ = sc.Workload.spec(sc.Tiers[0].Servers * cores)
+	}
 
 	names := make(map[string]int, len(sc.Tiers))
 	for i := range sc.Tiers {
@@ -493,6 +405,9 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	for i := range sc.Tiers {
 		t := &sc.Tiers[i]
 		pol, _ := cluster.ParsePolicy(t.Policy)
+		// An absent racks field keeps the zero-value topology; an explicit
+		// "racks": 1 goes through the Topology path as Flat(N). Both
+		// assemble the identical event sequence (TestRackFlatParity).
 		var topo cluster.Topology
 		if r := t.Racks; r >= 1 {
 			topo = cluster.Topology{Racks: r, ServersPerRack: t.Servers / r}
@@ -525,12 +440,9 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 			Fanout:   e.Fanout,
 		}
 	}
+	gcfg.Tiers[0].Cluster.NewSource = newSource
 	g, err := reuse.Graph(gcfg, opt.Seed)
-	if err != nil {
-		// Unreachable after Validate + validateTieredPoint; a panic here
-		// is a missing validation rule, not a user error.
-		panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-	}
+	must(err)
 	gm := g.Measure(opt.Warmup(), opt.Duration)
 
 	p := Point{
@@ -540,8 +452,8 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 		OfferedQPS: rootSpec.MeanQPS(),
 	}
 	if len(gcfg.Edges) == 0 {
-		// One-tier graph: the parity contract — this Point must be
-		// byte-identical to runClusterOne's for the same block.
+		// One-tier graph: the tier's fleet is the whole point, so its
+		// measurement is the aggregate row.
 		m := &gm.Tiers[0].Fleet
 		p.Served = m.Served
 		p.Generated = m.Generated
@@ -642,32 +554,23 @@ func runTieredOne(sc Scenario, axisValue float64, axisLabel string, opt experime
 	return p
 }
 
-// runOne wires one fully-applied scenario point onto a fresh system —
-// the same assembly, warmup and measurement-window sequence the built-in
-// experiments use, so an unswept scenario with no overrides reproduces
-// their numbers bit for bit.
-func runOne(sc Scenario, axisValue float64, opt experiments.Options) Point {
+// runClosedLoop wires one applied sysbench point onto a fresh system —
+// the built-in experiments' assembly, warmup and measurement-window
+// sequence. It is the one point runGraph does not wire: closed-loop
+// clients bind to one server's Submit and would bypass any balancer.
+func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	sys := soc.New(soc.DefaultConfig(kind))
 	scfg := server.DefaultConfig()
 	scfg.Seed = opt.Seed
 	sc.Server.apply(&scfg)
-
-	spec, open, _ := sc.Workload.spec(soc.DefaultConfig(kind).CoreCount)
-	var srv *server.Server
-	var cl *workload.ClosedLoopClient
-	if open {
-		srv = server.New(sys, scfg, spec)
-	} else {
-		srv = server.NewClosedLoop(sys, scfg)
-		cl = workload.SysbenchOLTP(sys.Engine, sc.Workload.Threads,
-			sc.Workload.ThinkMS*1e-3, opt.Seed, srv.Submit)
-		cl.Start()
-	}
+	srv := server.NewClosedLoop(sys, scfg)
+	cl := workload.SysbenchOLTP(sys.Engine, sc.Workload.Threads,
+		sc.Workload.ThinkMS*1e-3, opt.Seed, srv.Submit)
+	cl.Start()
 
 	// Warmup so the measured window starts in steady state — the same
-	// formula as the built-in experiments (Options.Warmup), which the
-	// bit-for-bit parity contract depends on.
+	// formula as the built-in experiments (Options.Warmup).
 	srv.Run(opt.Warmup())
 
 	tr := trace.New(sys.Engine, sys.Cores)
@@ -681,14 +584,13 @@ func runOne(sc Scenario, axisValue float64, opt experiments.Options) Point {
 	}
 	srv.Run(opt.Duration)
 	tr.Finalize()
-	if cl != nil {
-		cl.Stop()
-	}
+	cl.Stop()
 
 	p := Point{
 		Axis:            axisValue,
+		Workload:        fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads),
 		Served:          srv.Served(),
-		Generated:       srv.Generated(),
+		Generated:       cl.Issued(),
 		Dropped:         srv.Dropped(),
 		MeanLatency:     srv.Latencies().Mean(),
 		P50Latency:      srv.Latencies().Quantile(0.50),
@@ -701,13 +603,6 @@ func runOne(sc Scenario, axisValue float64, opt experiments.Options) Point {
 		AllIdle:         tr.AllIdleFraction(),
 		AllIdleCensored: tr.CensoredAllIdleFraction(),
 		TruncatedDrain:  srv.TruncatedDrain(),
-	}
-	if open {
-		p.Workload = spec.Name
-		p.OfferedQPS = spec.MeanQPS()
-	} else {
-		p.Workload = fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads)
-		p.Generated = cl.Issued()
 	}
 	if sys.APMU != nil {
 		residency := 0.0

@@ -981,10 +981,9 @@ func reaches(adj [][]int, start, target int) bool {
 // validateTrace checks the workload.trace block with validateFaults'
 // rigor: every field must be able to act. A trace block on a synthetic
 // service would be silently ignored; a synthetic rate field on the
-// trace service could never act (the stream is recorded); loop and
-// truncate contradict each other; and replay is fleet-only, so a trace
-// without a cluster block has no machine to drive (a 1-server fleet is
-// the single-machine case).
+// trace service could never act (the stream is recorded); and loop and
+// truncate contradict each other. Any open-loop shape can replay: the
+// trace drives the root tier of the point's graph.
 func (s *Scenario) validateTrace() error {
 	t := s.Workload.Trace
 	if s.Workload.Service != "trace" {
@@ -1010,61 +1009,58 @@ func (s *Scenario) validateTrace() error {
 	if t.Loop && t.Truncate {
 		return fmt.Errorf("scenario %q: workload.trace.loop and truncate contradict each other — pick one", s.Name)
 	}
-	if s.Cluster == nil {
-		return fmt.Errorf("scenario %q: the trace service needs a cluster block (use servers: 1 for a single machine)", s.Name)
-	}
 	return nil
 }
 
 // spec builds the workload for one fully-applied scenario point.
-// Closed-loop services (sysbench) return ok=false and are handled by
-// the closed-loop path in run.go.
-func (w Workload) spec(cores int) (spec workload.Spec, open bool, err error) {
+// Closed-loop sysbench has no spec — runClosedLoop drives it — so for
+// it spec only checks the fields and returns the zero Spec.
+func (w Workload) spec(cores int) (spec workload.Spec, err error) {
 	switch w.Service {
 	case "memcached":
 		switch {
 		case w.QPS > 0 && w.Util > 0:
-			return spec, false, fmt.Errorf("memcached: set qps or util, not both")
+			return spec, fmt.Errorf("memcached: set qps or util, not both")
 		case w.QPS > 0:
-			return workload.Memcached(w.QPS), true, nil
+			return workload.Memcached(w.QPS), nil
 		case w.Util > 0:
-			return workload.MemcachedAtUtil(w.Util, cores), true, nil
+			return workload.MemcachedAtUtil(w.Util, cores), nil
 		default:
-			return spec, false, fmt.Errorf("memcached: needs qps or util > 0")
+			return spec, fmt.Errorf("memcached: needs qps or util > 0")
 		}
 	case "memcached-bursty":
 		if w.QPS <= 0 {
-			return spec, false, fmt.Errorf("memcached-bursty: needs qps > 0")
+			return spec, fmt.Errorf("memcached-bursty: needs qps > 0")
 		}
 		b := w.Burstiness
 		if b <= 0 {
-			return spec, false, fmt.Errorf("memcached-bursty: needs burstiness > 0")
+			return spec, fmt.Errorf("memcached-bursty: needs burstiness > 0")
 		}
-		return workload.MemcachedBursty(w.QPS, b), true, nil
+		return workload.MemcachedBursty(w.QPS, b), nil
 	case "mysql":
 		if w.Load <= 0 {
-			return spec, false, fmt.Errorf("mysql: needs load > 0")
+			return spec, fmt.Errorf("mysql: needs load > 0")
 		}
-		return workload.MySQL(w.Load, cores), true, nil
+		return workload.MySQL(w.Load, cores), nil
 	case "kafka":
 		if w.Load <= 0 {
-			return spec, false, fmt.Errorf("kafka: needs load > 0")
+			return spec, fmt.Errorf("kafka: needs load > 0")
 		}
-		return workload.Kafka(w.Load, cores), true, nil
+		return workload.Kafka(w.Load, cores), nil
 	case "sysbench":
 		if w.Threads <= 0 {
-			return spec, false, fmt.Errorf("sysbench: needs threads > 0")
+			return spec, fmt.Errorf("sysbench: needs threads > 0")
 		}
 		if w.ThinkMS < 0 {
-			return spec, false, fmt.Errorf("sysbench: negative think_ms")
+			return spec, fmt.Errorf("sysbench: negative think_ms")
 		}
-		return spec, false, nil
+		return spec, nil
 	case "trace":
 		// The runner resolves trace specs from the trace header before
 		// it ever needs a synthetic spec; reaching this is a bug.
-		return spec, false, fmt.Errorf("trace: spec comes from the trace header, not the workload fields")
+		return spec, fmt.Errorf("trace: spec comes from the trace header, not the workload fields")
 	default:
-		return spec, false, fmt.Errorf("unknown service %q", w.Service)
+		return spec, fmt.Errorf("unknown service %q", w.Service)
 	}
 }
 

@@ -122,8 +122,15 @@ func TestRunRejectsBadPoints(t *testing.T) {
 	sc = Scenario{Name: "ticks", Config: "CPC1A",
 		Workload: Workload{Service: "memcached", QPS: 1000},
 		Server:   Overrides{TimerTickHz: &hz}}
-	if _, err := sc.Run(quickOpt()); err == nil {
-		t.Error("timer_tick_hz without tick_kernel_us accepted")
+	const tickMsg = `scenario "ticks": timer_tick_hz needs tick_kernel_us > 0`
+	if _, err := sc.Run(quickOpt()); err == nil || err.Error() != tickMsg {
+		t.Errorf("timer_tick_hz without tick_kernel_us: got %v, want %q", err, tickMsg)
+	}
+	// Closed-loop sysbench runs on the single machine too, and gets the
+	// same check.
+	sc.Workload = Workload{Service: "sysbench", Threads: 4}
+	if _, err := sc.Run(quickOpt()); err == nil || err.Error() != tickMsg {
+		t.Errorf("sysbench timer_tick_hz without tick_kernel_us: got %v, want %q", err, tickMsg)
 	}
 	// The same scenario is fine once the sweep supplies the rate.
 	sc = Scenario{Name: "sweptrate", Config: "CPC1A",

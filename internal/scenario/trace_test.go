@@ -39,7 +39,8 @@ func traceScenario(path string) Scenario {
 }
 
 // TestTraceValidation pins the trace block's inert-combination rules:
-// every rejected shape is one where a field could never act.
+// every rejected shape is one where a field could never act. A case
+// with an empty wantErr is a shape that must validate.
 func TestTraceValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -62,7 +63,9 @@ func TestTraceValidation(t *testing.T) {
 			s.Workload.Trace.Loop = true
 			s.Workload.Trace.Truncate = true
 		}, "contradict"},
-		{"no cluster block", func(s *Scenario) { s.Cluster = nil }, "needs a cluster block"},
+		// Replay drives the root tier of any open-loop shape, the single
+		// machine included.
+		{"no cluster block", func(s *Scenario) { s.Cluster = nil }, ""},
 		{"workload sweep axis", func(s *Scenario) {
 			s.Sweep = &Sweep{Axis: AxisQPS, Values: []float64{1000, 2000}}
 		}, "ignores sweep axis"},
@@ -75,6 +78,12 @@ func TestTraceValidation(t *testing.T) {
 			sc := traceScenario("whatever.trace")
 			c.mutate(&sc)
 			err := sc.Validate()
+			if c.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Validate rejected a valid shape: %v", err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatal("Validate accepted the scenario")
 			}
@@ -211,5 +220,33 @@ func TestTraceScenarioRuns(t *testing.T) {
 	}
 	if p.Generated == 0 || p.Served == 0 {
 		t.Errorf("trace scenario replayed nothing: generated %d served %d", p.Generated, p.Served)
+	}
+}
+
+// TestTraceShapesParity extends the single-machine and one-tier parity
+// contracts to replay: a trace scenario with no block, and one with a
+// one-tier tiers block, replay byte-identically — report and CSV — to
+// the same trace behind a one-server round_robin cluster block.
+func TestTraceShapesParity(t *testing.T) {
+	opt := experiments.Options{Duration: 10 * sim.Millisecond, Seed: 1, Parallelism: 1}
+	path := writeTestTrace(t, t.TempDir(), workload.MemcachedBursty(20000, 4), opt.Seed, opt.Warmup(), opt.Duration)
+
+	clustered := traceScenario(path)
+	wantRep, wantCSV := runArtifacts(t, clustered, opt)
+	bare := clustered
+	bare.Cluster = nil
+	tiered := bare
+	tiered.Tiers = []Tier{{Name: "fleet", Cluster: *clustered.Cluster}}
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+	}{{"no block", bare}, {"one-tier tiers block", tiered}} {
+		rep, csv := runArtifacts(t, c.sc, opt)
+		if rep != wantRep {
+			t.Errorf("%s: report differs:\ngot:\n%s\nwant (cluster block):\n%s", c.name, rep, wantRep)
+		}
+		if csv != wantCSV {
+			t.Errorf("%s: CSV differs:\ngot:\n%s\nwant (cluster block):\n%s", c.name, csv, wantCSV)
+		}
 	}
 }

@@ -46,6 +46,9 @@ type Tracer struct {
 	// model).
 	activeAfter stats.Summary
 	wakeProbe   sim.Duration
+	// probeFn is probeActive bound once in New, so scheduling the wake
+	// probe at the end of every full-idle period allocates nothing.
+	probeFn func()
 }
 
 // New attaches a tracer to the cores. Call it before driving load so
@@ -61,6 +64,7 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
+	t.probeFn = t.probeActive
 	for i, c := range cores {
 		i := i
 		t.coreState[i] = c.State()
@@ -121,18 +125,22 @@ func (t *Tracer) endAllIdle(now sim.Time) {
 		t.censoredCount++
 	}
 	// Probe how many cores are active shortly after the wake.
-	t.eng.Schedule(t.wakeProbe, func() {
-		active := 0
-		for _, c := range t.cores {
-			if !c.InCC1().Level() {
-				active++
-			}
+	t.eng.Schedule(t.wakeProbe, t.probeFn)
+}
+
+// probeActive records how many cores are active one wake probe after a
+// full-idle period ended.
+func (t *Tracer) probeActive() {
+	active := 0
+	for _, c := range t.cores {
+		if !c.InCC1().Level() {
+			active++
 		}
-		if active == 0 {
-			active = 1 // the waking core already went back to sleep
-		}
-		t.activeAfter.Add(float64(active))
-	})
+	}
+	if active == 0 {
+		active = 1 // the waking core already went back to sleep
+	}
+	t.activeAfter.Add(float64(active))
 }
 
 // Finalize closes open accounting intervals at the current time. Call it

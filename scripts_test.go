@@ -77,3 +77,37 @@ func TestBenchgate(t *testing.T) {
 		}
 	}
 }
+
+// TestLoc pins scripts/loc.sh's yardstick on a fixture tree: one line
+// per package directory under internal/ and cmd/, counting every line
+// of its non-test .go files, with _test.go files and testdata/ trees
+// left out.
+func TestLoc(t *testing.T) {
+	root := t.TempDir()
+	for path, body := range map[string]string{
+		"internal/a/a.go":            "package a\n\nfunc A() {}\n",
+		"internal/a/a_test.go":       "package a\n\n\n\n\n\n\n",
+		"internal/a/testdata/gen.go": "package gen\n\n\n",
+		"internal/a/b/b.go":          "package b\n",
+		"internal/a/b/b_test.go":     "package b\n",
+		"cmd/tool/main.go":           "package main\n\nfunc main() {}\n\n",
+		"cmd/tool/main_test.go":      "package main\n",
+		"docs/notes.go":              "package notes\n",
+	} {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command("sh", "scripts/loc.sh", root).CombinedOutput()
+	if err != nil {
+		t.Fatalf("loc.sh: %v\n%s", err, out)
+	}
+	const want = "      4 cmd/tool\n      3 internal/a\n      1 internal/a/b\n      8 total\n"
+	if string(out) != want {
+		t.Errorf("loc.sh output:\n%s\nwant:\n%s", out, want)
+	}
+}
