@@ -71,6 +71,11 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/workload/replay.(Reader).Next",
 		"agilepkgc/internal/workload/replay.(Reader).decode",
 		"agilepkgc/internal/workload/replay.(Replay).emit",
+		"agilepkgc/internal/sim.(Engine).Schedule",
+		"agilepkgc/internal/sim.(Engine).At",
+		"agilepkgc/internal/sim.(Engine).Step",
+		"agilepkgc/internal/sim.(Engine).Run",
+		"agilepkgc/internal/sim.(Event).Cancel",
 	}
 	for _, key := range noalloc {
 		if !facts.NoAlloc[key] {
@@ -107,6 +112,7 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/cluster",
 		"agilepkgc/internal/workload",
 		"agilepkgc/internal/workload/replay",
+		"agilepkgc/internal/sim",
 	} {
 		if !facts.InNoAllocDomain(pkg) {
 			t.Errorf("package %s dropped out of the noalloc annotation domain", pkg)

@@ -14,22 +14,28 @@
 //
 // # Implementation
 //
-// The queue is an inlined 4-ary min-heap ordered by (time, sequence) over
-// a pooled arena of event nodes: scheduling recycles nodes from a free
-// list, so the steady-state Schedule→fire cycle performs zero heap
-// allocations and no interface boxing. Events scheduled for the current
-// instant bypass the heap entirely through a FIFO ring (the common
-// cascade pattern where an event schedules immediate follow-ups).
-// Cancel releases the node immediately but leaves the heap entry behind
-// as a generation-stale tombstone that the scheduler discards when it
-// surfaces; sift operations therefore never maintain back-pointers into
-// the arena, which keeps them branch- and store-light. Pending() counts
-// only live events. Handles are generation-checked: a stale Event (fired
-// or canceled) can never cancel a recycled node. See DESIGN.md for the
-// full ordering contract.
+// The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// JACM 1990) threaded through a pooled arena of event nodes. Event times
+// never go backwards (At panics on t < now), so every queued event can be
+// filed by the highest bit in which its time differs from last, the time
+// of the last event popped: bucket 0 holds events at exactly last, bucket
+// i holds those differing first at bit i-1. Scheduling appends to a
+// bucket's FIFO list without a single comparison; popping takes the head
+// of bucket 0, refilling it when empty by redistributing the lowest
+// non-empty bucket around that bucket's minimum. Equal times always share
+// a bucket and lists are append-only and relinked stably, so bucket 0
+// pops in exact (time, scheduling order). Cancel unlinks the node: true
+// O(1) removal. Nodes are recycled through a free list, so the
+// steady-state Schedule→fire cycle performs zero heap allocations.
+// Handles are generation-checked: a stale Event (fired or canceled) can
+// never cancel a recycled node. See DESIGN.md for the full ordering
+// contract.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 //
@@ -51,9 +57,13 @@ const (
 )
 
 // Seconds returns the time as a floating-point number of seconds.
+//
+//apcvet:noalloc
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Micros returns the time as a floating-point number of microseconds.
+//
+//apcvet:noalloc
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // String formats the time with an adaptive unit.
@@ -92,6 +102,8 @@ func (ev Event) At() Time { return ev.at }
 // Cancel prevents the event from firing and removes it from the queue.
 // Canceling an already-fired, already-canceled, or zero Event is a no-op.
 // Cancel returns true if the event was pending and is now canceled.
+//
+//apcvet:noalloc
 func (ev Event) Cancel() bool {
 	if ev.eng == nil {
 		return false
@@ -100,6 +112,8 @@ func (ev Event) Cancel() bool {
 }
 
 // Pending reports whether the event is still scheduled to fire.
+//
+//apcvet:noalloc
 func (ev Event) Pending() bool {
 	if ev.eng == nil {
 		return false
@@ -108,63 +122,41 @@ func (ev Event) Pending() bool {
 	return n.gen == ev.gen
 }
 
+// nbuckets is the radix queue's bucket count: bucket 0 for events at
+// exactly last, plus one per bit in which a time can differ from it.
+const nbuckets = 65
+
 // node is one slot of the engine's pooled event arena. A node is live
-// while its event is queued (in the heap or the same-instant ring) and is
-// recycled through the free list once the event fires or is canceled;
-// recycling bumps gen so stale handles — and the canceled event's
-// abandoned heap entry — die. pos records only which queue holds the
-// node, never a position: sift operations would otherwise have to write
-// a back-pointer into the arena on every level they touch.
+// while its event is queued, linked into its bucket's FIFO list through
+// prev/next (-1 ends the list), and is recycled through the free list
+// once the event fires or is canceled; recycling bumps gen so stale
+// handles die.
 type node struct {
-	fn  func()
-	gen uint32
-	pos int32 // posHeap, posRing, or posFree
-}
-
-const (
-	posFree int32 = -1
-	posRing int32 = -2
-	posHeap int32 = -3
-)
-
-// heapItem is one entry of the 4-ary min-heap. The ordering key
-// (at, seq) is stored inline so sift comparisons never chase into the
-// node arena; gen lets the scheduler discard entries whose event was
-// canceled (the node was released, so its generation moved on).
-type heapItem struct {
-	at   Time
-	seq  uint64
-	slot int32
-	gen  uint32
-}
-
-// ringEntry is one entry of the same-instant FIFO ring. seq is stored so
-// the scheduler can interleave ring entries with heap entries that share
-// the current instant; gen detects entries whose event was canceled.
-type ringEntry struct {
-	seq  uint64
-	slot int32
-	gen  uint32
+	fn     func()
+	at     Time
+	gen    uint32
+	prev   int32
+	next   int32
+	bucket uint8
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
 	now Time
-	seq uint64
+	// last is the radix base: the time of the last event popped, or now
+	// when the queue last ran dry. Every queued event is at or after it,
+	// and it never passes a time that can still be scheduled (last <= now).
+	last Time
 
-	heap     []heapItem
-	heapLive int // heap entries whose event is not canceled
-	nodes    []node
-	free     []int32
+	nodes []node
+	free  []int32
 
-	// ring holds events scheduled for exactly the current instant, in
-	// FIFO order; ringHead indexes the next entry, ringLive counts the
-	// non-canceled ones. Every ring entry's time is e.now (time cannot
-	// advance past an instant while events at it remain).
-	ring     []ringEntry
-	ringHead int
-	ringLive int
+	// head/tail are the ends of each bucket's FIFO list; they are
+	// meaningful only while the bucket's bit is set in mask.
+	head, tail [nbuckets]int32
+	mask       uint64
+	live       int
 
 	// Stats
 	fired uint64
@@ -176,54 +168,60 @@ func NewEngine() *Engine {
 }
 
 // Now returns the current virtual time.
+//
+//apcvet:noalloc
 func (e *Engine) Now() Time { return e.now }
 
 // EventsFired returns the total number of events executed so far. It is
 // useful for benchmarking and for asserting that flows have quiesced.
+//
+//apcvet:noalloc
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending returns the number of events currently queued. Canceled events
 // are never counted.
-func (e *Engine) Pending() int { return e.heapLive + e.ringLive }
+//
+//apcvet:noalloc
+func (e *Engine) Pending() int { return e.live }
 
 // Reset returns the engine to its initial state — time zero, empty
-// queue, zero counters — while keeping the node arena and queue storage,
-// so a simulation can be rebuilt on the engine without re-growing any
-// backing array. Every outstanding Event handle goes permanently stale,
-// exactly as if each pending event had been canceled. The free list is
-// stacked so slots are reissued in arena order: a rebuilt simulation
-// sees the same slot numbering a fresh engine would produce, which keeps
-// reset-vs-fresh runs easy to diff event-for-event.
+// queue, zero counters — while keeping the node arena and free-list
+// storage, so a simulation can be rebuilt on the engine without
+// re-growing any backing array. Every outstanding Event handle goes
+// permanently stale, exactly as if each pending event had been canceled.
+// The free list is stacked so slots are reissued in arena order: a
+// rebuilt simulation sees the same slot numbering a fresh engine would
+// produce, which keeps reset-vs-fresh runs easy to diff event-for-event.
 func (e *Engine) Reset() {
-	e.now, e.seq, e.fired = 0, 0, 0
-	e.heap = e.heap[:0]
-	e.heapLive = 0
-	e.ring = e.ring[:0]
-	e.ringHead, e.ringLive = 0, 0
+	e.now, e.last, e.fired = 0, 0, 0
+	e.mask, e.live = 0, 0
 	e.free = e.free[:0]
 	for i := len(e.nodes) - 1; i >= 0; i-- {
 		nd := &e.nodes[i]
 		nd.fn = nil
 		nd.gen++
-		nd.pos = posFree
 		e.free = append(e.free, int32(i))
 	}
 }
 
 // Schedule arranges for fn to run after delay d. A negative delay panics:
 // the hardware being modeled cannot signal into the past.
+//
+//apcvet:noalloc
 func (e *Engine) Schedule(d Duration, fn func()) Event {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
+		panic(fmt.Sprintf("sim: negative delay %d", d)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	return e.At(e.now+d, fn)
 }
 
 // At arranges for fn to run at absolute time t, which must not be in the
 // past. Events scheduled for the same instant run in scheduling order.
+//
+//apcvet:noalloc
 func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	if fn == nil {
 		panic("sim: nil event function")
@@ -231,151 +229,155 @@ func (e *Engine) At(t Time, fn func()) Event {
 	slot := e.alloc()
 	nd := &e.nodes[slot]
 	nd.fn = fn
-	seq := e.seq
-	e.seq++
-	if t == e.now {
-		// Same-instant fast path: FIFO ring, no heap traffic. All ring
-		// entries share time e.now and increasing seq, so ring order is
-		// exactly (time, seq) order.
-		if e.ringHead == len(e.ring) {
-			e.ring = e.ring[:0]
-			e.ringHead = 0
-		}
-		nd.pos = posRing
-		e.ring = append(e.ring, ringEntry{seq: seq, slot: slot, gen: nd.gen})
-		e.ringLive++
-	} else {
-		nd.pos = posHeap
-		e.heapPush(heapItem{at: t, seq: seq, slot: slot, gen: nd.gen})
-		e.heapLive++
-	}
+	nd.at = t
+	e.push(slot)
+	e.live++
 	return Event{eng: e, at: t, gen: nd.gen, slot: slot}
 }
 
 // alloc pops a free node slot, growing the arena when the free list is
 // empty. Node generations start at 1 so a live node never matches a
 // zero handle.
+//
+//apcvet:noalloc
 func (e *Engine) alloc() int32 {
 	if n := len(e.free); n > 0 {
 		slot := e.free[n-1]
 		e.free = e.free[:n-1]
 		return slot
 	}
-	e.nodes = append(e.nodes, node{gen: 1, pos: posFree})
+	e.nodes = append(e.nodes, node{gen: 1})
 	return int32(len(e.nodes) - 1)
 }
 
 // release recycles a node after its event fired or was canceled, bumping
 // the generation so outstanding handles go stale.
+//
+//apcvet:noalloc
 func (e *Engine) release(slot int32) {
 	nd := &e.nodes[slot]
 	nd.fn = nil
 	nd.gen++
-	nd.pos = posFree
 	e.free = append(e.free, slot)
 }
 
-// cancel releases the event in slot if gen still matches. The queue
-// entry itself is left behind; releasing bumps the node's generation, so
-// the entry no longer matches and is skipped when it surfaces.
-func (e *Engine) cancel(slot int32, gen uint32) bool {
+// push appends the node to the tail of the bucket its time falls in
+// relative to last.
+//
+//apcvet:noalloc
+func (e *Engine) push(slot int32) {
 	nd := &e.nodes[slot]
-	if nd.gen != gen {
-		return false
+	b := bits.Len64(uint64(nd.at ^ e.last))
+	nd.bucket = uint8(b)
+	nd.next = -1
+	if e.mask&(1<<b) == 0 {
+		e.mask |= 1 << b
+		e.head[b] = slot
+		nd.prev = -1
+	} else {
+		t := e.tail[b]
+		e.nodes[t].next = slot
+		nd.prev = t
 	}
-	inRing := nd.pos == posRing
-	e.release(slot) // before compaction, so the dead entry no longer matches
-	if inRing {
-		e.ringLive--
-		return true
-	}
-	e.heapLive--
-	// Bound tombstone buildup: park/idle timers in the device models are
-	// canceled far more often than they fire, and letting their dead
-	// entries pile up would deepen every subsequent sift. Compact once
-	// half the heap is dead (the 64 floor keeps tiny heaps out of the
-	// amortization).
-	if len(e.heap) >= 64 && e.heapLive*2 <= len(e.heap) {
-		e.compactHeap()
-	}
-	return true
+	e.tail[b] = slot
 }
 
-// compactHeap drops canceled entries and re-heapifies. The heap order of
-// the surviving events is unchanged — pops depend only on (time, seq),
-// not on array layout — so compaction is invisible to the simulation.
-func (e *Engine) compactHeap() {
-	w := 0
-	for _, it := range e.heap {
-		if e.nodes[it.slot].gen == it.gen {
-			e.heap[w] = it
-			w++
-		}
+// unlink removes the node from its bucket's list.
+//
+//apcvet:noalloc
+func (e *Engine) unlink(slot int32) {
+	nd := &e.nodes[slot]
+	b, prev, next := nd.bucket, nd.prev, nd.next
+	if prev >= 0 {
+		e.nodes[prev].next = next
+	} else {
+		e.head[b] = next
 	}
-	e.heap = e.heap[:w]
-	for i := (w - 2) >> 2; i >= 0; i-- {
-		e.heapDown(i)
+	if next >= 0 {
+		e.nodes[next].prev = prev
+	} else {
+		e.tail[b] = prev
 	}
+	if prev < 0 && next < 0 {
+		e.mask &^= 1 << b
+	}
+}
+
+// cancel removes and releases the event in slot if gen still matches.
+//
+//apcvet:noalloc
+func (e *Engine) cancel(slot int32, gen uint32) bool {
+	if e.nodes[slot].gen != gen {
+		return false
+	}
+	e.unlink(slot)
+	e.release(slot)
+	e.live--
+	return true
 }
 
 // Step executes the next pending event, advancing time to it. It returns
 // false if the queue is empty.
+//
+//apcvet:noalloc
 func (e *Engine) Step() bool {
 	return e.step(1<<63 - 1)
 }
 
-// step fires the earliest event with time <= limit, in exact (time, seq)
-// order across the heap and the same-instant ring. It is the single
+// step fires the earliest event with time <= limit. It is the single
 // scheduling pass shared by Step and Run.
+//
+//apcvet:noalloc
 func (e *Engine) step(limit Time) bool {
-	// Find the live ring head, skipping entries canceled in place.
-	ringSeq, haveRing := uint64(0), false
-	for e.ringHead < len(e.ring) {
-		en := &e.ring[e.ringHead]
-		if e.nodes[en.slot].gen == en.gen {
-			ringSeq, haveRing = en.seq, true
-			break
-		}
-		e.ringHead++
-	}
-	if !haveRing && e.ringHead > 0 {
-		e.ring = e.ring[:0]
-		e.ringHead = 0
-	}
-
-	// Discard canceled entries that have surfaced at the heap top, so the
-	// ring/heap comparison below sees only live events.
-	for len(e.heap) > 0 && e.nodes[e.heap[0].slot].gen != e.heap[0].gen {
-		e.heapPopTop()
-	}
-
-	// Ring entries are at e.now, so they beat any strictly-later heap
-	// entry; a heap entry at the same instant wins on lower seq (it was
-	// scheduled earlier, before time reached this instant).
-	if len(e.heap) > 0 && (!haveRing || (e.heap[0].at == e.now && e.heap[0].seq < ringSeq)) {
-		top := e.heap[0]
-		if top.at > limit {
-			return false
-		}
-		e.heapPopTop()
-		e.heapLive--
-		e.now = top.at
-		e.fire(top.slot)
-		return true
-	}
-	if !haveRing {
+	if e.mask&1 == 0 && !e.refill(limit) {
 		return false
 	}
-	slot := e.ring[e.ringHead].slot
-	e.ringHead++
-	e.ringLive--
+	slot := e.head[0]
+	e.unlink(slot)
+	e.live--
+	e.now = e.last
 	e.fire(slot)
+	return true
+}
+
+// refill moves the earliest events into the empty bucket 0 if they fire
+// no later than limit. It finds the minimum time m of the lowest
+// non-empty bucket, makes m the new radix base, and relinks that bucket's
+// events in list order: each lands in a strictly lower bucket, those at m
+// in bucket 0. Higher buckets keep their index, since m agrees with the
+// old base on every bit above the refilled bucket's. When m is past
+// limit, last stays put: Run is about to stop short, and times in
+// [limit, m) may still be scheduled.
+//
+//apcvet:noalloc
+func (e *Engine) refill(limit Time) bool {
+	if e.mask == 0 {
+		return false
+	}
+	b := bits.TrailingZeros64(e.mask)
+	s := e.head[b]
+	m := e.nodes[s].at
+	for s = e.nodes[s].next; s >= 0; s = e.nodes[s].next {
+		m = min(m, e.nodes[s].at)
+	}
+	if m > limit {
+		return false
+	}
+	e.last = m
+	e.mask &^= 1 << b
+	for s = e.head[b]; s >= 0; {
+		next := e.nodes[s].next
+		e.push(s)
+		s = next
+	}
 	return true
 }
 
 // fire releases the node (so the event's handle is no longer Pending
 // while its callback runs, and the slot can be rescheduled immediately)
 // and runs the callback.
+//
+//apcvet:noalloc
 func (e *Engine) fire(slot int32) {
 	fn := e.nodes[slot].fn
 	e.release(slot)
@@ -386,13 +388,18 @@ func (e *Engine) fire(slot int32) {
 // Run executes events until the queue is empty or the next event is after
 // `until`; it then advances time to exactly `until`. Running to a time in
 // the past panics.
+//
+//apcvet:noalloc
 func (e *Engine) Run(until Time) {
 	if until < e.now {
-		panic(fmt.Sprintf("sim: run until %v before now %v", until, e.now))
+		panic(fmt.Sprintf("sim: run until %v before now %v", until, e.now)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	for e.step(until) {
 	}
 	e.now = until
+	if e.mask == 0 {
+		e.last = until
+	}
 }
 
 // RunUntilQuiescent executes events until none remain or the limit on the
@@ -405,71 +412,4 @@ func (e *Engine) RunUntilQuiescent(maxEvents int) int {
 		n++
 	}
 	return n
-}
-
-// less orders heap items by (time, seq).
-func less(a, b heapItem) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// heapPush inserts an item and sifts it up.
-func (e *Engine) heapPush(it heapItem) {
-	e.heap = append(e.heap, it)
-	e.heapUp(len(e.heap) - 1)
-}
-
-// heapPopTop removes the minimum item (index 0).
-func (e *Engine) heapPopTop() {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.heap[0] = last
-		e.heapDown(0)
-	}
-}
-
-// heapUp sifts the item at index i toward the root of the 4-ary heap.
-func (e *Engine) heapUp(i int) {
-	it := e.heap[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !less(it, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		i = p
-	}
-	e.heap[i] = it
-}
-
-// heapDown sifts the item at index i toward the leaves of the 4-ary heap.
-func (e *Engine) heapDown(i int) {
-	it := e.heap[i]
-	n := len(e.heap)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if less(e.heap[j], e.heap[m]) {
-				m = j
-			}
-		}
-		if !less(e.heap[m], it) {
-			break
-		}
-		e.heap[i] = e.heap[m]
-		i = m
-	}
-	e.heap[i] = it
 }
