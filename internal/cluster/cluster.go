@@ -301,9 +301,12 @@ type Fleet struct {
 	// Incremental policy structures (tree.go): a segment tree over the
 	// members plus per-rack and fleet-level occupancy counters, kept in
 	// sync by touch, so routing and drain decisions stop rescanning the
-	// member list on every arrival.
+	// member list on every arrival. agg says which of them this
+	// configuration reads; touch maintains only those.
+	agg       aggLevel
 	tree      memberTree
 	rackCnt   []rackCounters
+	headroom  int64 // Σ max(cap−load, 0) over eligible members
 	aliveCnt  int
 	aliveLoad int // Σ load over alive members
 	aliveCap  int // Σ max(cap, cores) over alive members
@@ -486,6 +489,7 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 	}
 	f.rr = 0
 	f.ctrl, f.flt = nil, nil
+	f.agg = aggFor(cfg) // before initTree: initFaults attaches the layer only after it
 	f.initTree()
 	f.initController()
 	f.initFaults(seed)

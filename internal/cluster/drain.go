@@ -157,60 +157,76 @@ func (f *Fleet) onComplete(m *member, req *workload.Request) {
 //
 //apcvet:noalloc
 func (f *Fleet) maybeDrain() {
-	if f.cfg.Policy == RackPowerAware && f.maybeDrainWholeRack() {
-		return
+	if f.cfg.Policy == RackPowerAware {
+		if r := f.surplusRack(); r >= 0 {
+			for _, m := range f.byRack[r] {
+				f.drainMember(m)
+			}
+			return
+		}
 	}
-	f.maybeDrainFrontier()
-}
-
-// maybeDrainFrontier is the member-granular drain decision: the
-// highest-indexed active member is drained when the active members
-// below it have cap headroom for its load. Only the frontier's top is a
-// candidate per arrival, so the active set shrinks one member at a time
-// and always from the top — the mirror image of how the packer grows it.
-// Both the candidate and the headroom sum come from the segment tree
-// (tree.go), turning the per-arrival scan into two O(log n) queries.
-//
-//apcvet:noalloc
-func (f *Fleet) maybeDrainFrontier() {
-	i := f.tree.query(1, len(f.members)).maxEligIdx
-	if i < 0 {
-		return
-	}
-	m := f.members[i]
-	below := f.tree.query(0, i)
-	if below.eligCnt > 0 && below.headroom >= int64(m.load) {
+	if m := f.surplusFrontier(); m != nil {
 		f.drainMember(m)
 	}
 }
 
-// maybeDrainWholeRack is the rack-first drain decision: the
-// highest-indexed rack whose members are all active is surplus when the
-// active members of lower racks have cap headroom for its whole load;
-// its members are then drained together so the entire power zone idles
-// as one. It reports whether it drained a rack. Racks already mid-drain
-// (any member draining or held) are skipped — their members re-activate
-// individually as their holds expire.
+// surplusFrontier is the member-granular drain decision: the
+// highest-indexed active member is surplus when the active members
+// below it have cap headroom for its load. Only the frontier's top is a
+// candidate per arrival, so the active set shrinks one member at a time
+// and always from the top — the mirror image of how the packer grows it.
+// It returns the member to drain, or nil.
+//
+// The decision is O(1) arithmetic on the tree root and the fleet
+// headroom counter (DESIGN.md §7). The candidate is the root's highest
+// eligible member i. Every member above i is ineligible and contributes
+// nothing, so the active members below i are all eligible members but
+// i itself: eligCnt − 1 of them, with headroom total − max(cap_i −
+// load_i, 0). Both are integer sums, so the answer equals the scan's
+// exactly. Fewer than two eligible members leaves nothing below a
+// candidate (or no candidate: server 0 alone is never drained).
 //
 //apcvet:noalloc
-func (f *Fleet) maybeDrainWholeRack() bool {
+func (f *Fleet) surplusFrontier() *member {
+	root := f.tree.root()
+	if root.eligCnt < 2 {
+		return nil
+	}
+	m := f.members[root.maxEligIdx]
+	if f.headroom-m.agg.headroom >= int64(m.load) {
+		return m
+	}
+	return nil
+}
+
+// surplusRack is the rack-first drain decision: the highest-indexed
+// rack whose members are all active is surplus when the active members
+// of lower racks have cap headroom for its whole load; its members are
+// then drained together so the entire power zone idles as one. It
+// returns the rack, or -1. Racks already mid-drain (any member draining
+// or held) are skipped — their members re-activate individually as
+// their holds expire. Every member of the candidate rack is eligible,
+// so its counters' load is its whole load, and the lower racks'
+// counters sum to the active members below it: O(racks) per arrival.
+//
+//apcvet:noalloc
+func (f *Fleet) surplusRack() int {
 	for r := len(f.byRack) - 1; r > 0; r-- {
-		rack := f.byRack[r]
-		if f.rackCnt[r].elig != len(rack) {
+		if f.rackCnt[r].elig != len(f.byRack[r]) {
 			continue // not all active: skip, like the scan's break did
 		}
-		lo := r * f.topo.ServersPerRack
-		load := f.tree.query(lo, lo+len(rack)).loadSum
-		below := f.tree.query(0, lo)
-		if below.eligCnt > 0 && below.headroom >= load {
-			for _, m := range rack {
-				f.drainMember(m)
-			}
-			return true
+		var elig int
+		var headroom int64
+		for i := range r {
+			elig += f.rackCnt[i].elig
+			headroom += f.rackCnt[i].headroom
 		}
-		return false
+		if elig > 0 && headroom >= f.rackCnt[r].load {
+			return r
+		}
+		return -1
 	}
-	return false
+	return -1
 }
 
 // drainMember moves an active member into the draining state; a member

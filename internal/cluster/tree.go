@@ -5,15 +5,18 @@ package cluster
 // routing policies and the drain controller stop rescanning the fleet on
 // every arrival.
 //
-// The tree is purely an accelerator: every query is defined as — and
-// tested against (TestTreeMatchesScan) — the index-order scan it
+// The structures are purely an accelerator: every answer is defined as —
+// and tested against (TestTreeMatchesScan) — the index-order scan it
 // replaces, with identical tie-breaking, so goldens and parity suites
 // hold byte-for-byte. Leaves mirror the members in index order; internal
-// nodes aggregate. A member's leaf is recomputed by Fleet.touch whenever
-// any input of a routing decision changes (load, cap, drain state,
-// crash/partition flags) — O(log n) per update — and each policy
-// decision is then O(log n) (or O(racks) for rack selection) instead of
-// O(n), with the drain surplus scan dropping from O(n²) to O(log n).
+// nodes aggregate. Fleet.touch refolds a member whenever any input of a
+// routing decision changes (load, cap, drain state, crash/partition
+// flags) — O(log n) per update — and each policy decision is then
+// O(log n) (or O(racks) for rack selection) instead of O(n). The drain
+// decisions read only the root and the counters (drain.go).
+//
+// touch maintains only what the configuration can read (aggLevel): a
+// fault-free round_robin fleet reads none of it and pays nothing.
 //
 // Aggregates per node, all over *eligible* members only (active in the
 // drain controller's sense and reachable — see member.eligible):
@@ -22,8 +25,6 @@ package cluster
 //	minLoad/minIdx — least-loaded, lowest index on ties (left-first)
 //	hasSpare    — any with load < cap
 //	hasActSpare — any with 0 < load < cap
-//	headroom    — Σ max(cap−load, 0)
-//	loadSum     — Σ load
 //	maxEligIdx  — highest index
 type treeNode struct {
 	eligCnt     int
@@ -32,41 +33,11 @@ type treeNode struct {
 	maxEligIdx  int // -1 when eligCnt == 0
 	hasSpare    bool
 	hasActSpare bool
-	headroom    int64
-	loadSum     int64
 }
 
-// emptyNode is the neutral element of combine.
+// emptyNode is the neutral element of the merge: an ineligible leaf, or
+// an internal node over ineligible leaves.
 var emptyNode = treeNode{minIdx: -1, maxEligIdx: -1}
-
-// combine merges the aggregates of a left and right sibling. Left wins
-// min-load ties, which is what preserves the scans' lowest-index
-// tie-breaking exactly.
-//
-//apcvet:noalloc
-func combine(a, b treeNode) treeNode {
-	n := treeNode{
-		eligCnt:     a.eligCnt + b.eligCnt,
-		hasSpare:    a.hasSpare || b.hasSpare,
-		hasActSpare: a.hasActSpare || b.hasActSpare,
-		headroom:    a.headroom + b.headroom,
-		loadSum:     a.loadSum + b.loadSum,
-	}
-	switch {
-	case a.eligCnt == 0:
-		n.minLoad, n.minIdx = b.minLoad, b.minIdx
-	case b.eligCnt == 0 || a.minLoad <= b.minLoad:
-		n.minLoad, n.minIdx = a.minLoad, a.minIdx
-	default:
-		n.minLoad, n.minIdx = b.minLoad, b.minIdx
-	}
-	if b.maxEligIdx >= 0 {
-		n.maxEligIdx = b.maxEligIdx
-	} else {
-		n.maxEligIdx = a.maxEligIdx
-	}
-	return n
-}
 
 // memberTree is the segment tree. nodes[1] is the root; member i's leaf
 // is nodes[base+i]; leaves beyond the member count stay neutral.
@@ -76,7 +47,10 @@ type memberTree struct {
 	nodes   []treeNode
 }
 
-// build (re)initializes the tree over the given members.
+// build (re)sizes the tree over the given members with every node
+// neutral; the caller folds each member's leaf in with update. An
+// internal node is final once the last leaf below it has been folded,
+// since nothing under it changes afterwards.
 func (t *memberTree) build(members []*member) {
 	t.members = members
 	t.base = 1
@@ -92,12 +66,6 @@ func (t *memberTree) build(members []*member) {
 	for i := range t.nodes {
 		t.nodes[i] = emptyNode
 	}
-	for i, m := range members {
-		t.nodes[t.base+i] = leafFor(m, i)
-	}
-	for i := t.base - 1; i >= 1; i-- {
-		t.nodes[i] = combine(t.nodes[2*i], t.nodes[2*i+1])
-	}
 }
 
 // leafFor derives member idx's leaf from its current routing state.
@@ -108,10 +76,6 @@ func leafFor(m *member, idx int) treeNode {
 		return emptyNode
 	}
 	ld := m.load
-	h := int64(m.cap - ld)
-	if h < 0 {
-		h = 0
-	}
 	return treeNode{
 		eligCnt:     1,
 		minLoad:     ld,
@@ -119,15 +83,14 @@ func leafFor(m *member, idx int) treeNode {
 		maxEligIdx:  idx,
 		hasSpare:    ld < m.cap,
 		hasActSpare: ld > 0 && ld < m.cap,
-		headroom:    h,
-		loadSum:     int64(ld),
 	}
 }
 
-// update recomputes member idx's leaf and its root path. The loop is
-// combine unrolled onto pointers — the tree is written on every load
-// change (twice per request), so the root path must not copy 56-byte
-// nodes through a call boundary the way query's combine does.
+// update recomputes member idx's leaf and its root path. The merge is
+// unrolled onto pointers — the tree is written on every load change
+// (twice per request), so the root path must not copy nodes through a
+// call boundary. Left wins min-load ties, which is what preserves the
+// scans' lowest-index tie-breaking exactly.
 //
 //apcvet:noalloc
 func (t *memberTree) update(idx int) {
@@ -139,8 +102,6 @@ func (t *memberTree) update(idx int) {
 		n.eligCnt = l.eligCnt + r.eligCnt
 		n.hasSpare = l.hasSpare || r.hasSpare
 		n.hasActSpare = l.hasActSpare || r.hasActSpare
-		n.headroom = l.headroom + r.headroom
-		n.loadSum = l.loadSum + r.loadSum
 		switch {
 		case l.eligCnt == 0:
 			n.minLoad, n.minIdx = r.minLoad, r.minIdx
@@ -160,34 +121,7 @@ func (t *memberTree) update(idx int) {
 // root returns the whole-fleet aggregate.
 //
 //apcvet:noalloc
-func (t *memberTree) root() treeNode { return t.nodes[1] }
-
-// query returns the combined aggregate over the index range [lo, hi).
-//
-//apcvet:noalloc
-func (t *memberTree) query(lo, hi int) treeNode {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.base {
-		hi = t.base
-	}
-	if lo >= hi {
-		return emptyNode
-	}
-	left, right := emptyNode, emptyNode
-	for lo, hi = lo+t.base, hi+t.base; lo < hi; lo, hi = lo>>1, hi>>1 {
-		if lo&1 == 1 {
-			left = combine(left, t.nodes[lo])
-			lo++
-		}
-		if hi&1 == 1 {
-			hi--
-			right = combine(t.nodes[hi], right)
-		}
-	}
-	return combine(left, right)
-}
+func (t *memberTree) root() *treeNode { return &t.nodes[1] }
 
 // firstSpare returns the lowest index in [lo, hi) whose member is
 // eligible with load < cap, or -1 — the tree form of the power_aware
@@ -240,13 +174,16 @@ func (t *memberTree) firstIn(node, nodeLo, nodeHi, lo, hi int, pred func(treeNod
 }
 
 // rackCounters is the per-rack occupancy summary the rack policies
-// select racks from in O(1) per rack, maintained by Fleet.touch.
+// select racks from, and the rack-first drain decision sums, in O(1)
+// per rack, maintained by Fleet.touch. Every field counts eligible
+// members only.
 type rackCounters struct {
-	size     int // members in the rack
-	elig     int // eligible members
-	active   int // eligible with load > 0
-	spare    int // eligible with load < cap
-	actSpare int // eligible with 0 < load < cap
+	elig     int   // eligible members
+	active   int   // with load > 0
+	spare    int   // with load < cap
+	actSpare int   // with 0 < load < cap
+	headroom int64 // Σ max(cap−load, 0)
+	load     int64 // Σ load
 }
 
 // memberAgg caches one member's last-applied contribution to the rack
@@ -258,7 +195,8 @@ type memberAgg struct {
 	actSpare bool
 	alive    bool
 	load     int
-	capacity int // max(cap, cores): the shed threshold's capacity
+	headroom int64 // max(cap−load, 0)
+	capacity int   // max(cap, cores): the shed threshold's capacity
 }
 
 // computeAgg derives the member's current contribution.
@@ -274,17 +212,62 @@ func (m *member) computeAgg() memberAgg {
 		a.active = m.load > 0
 		a.spare = m.load < m.cap
 		a.actSpare = m.load > 0 && m.load < m.cap
+		if a.spare {
+			a.headroom = int64(m.cap - m.load)
+		}
 	}
 	return a
 }
 
+// aggLevel says which incremental structures Fleet.touch maintains:
+// exactly those some reader of the fleet's configuration consults. It
+// is derived from the configuration in build, never configured.
+type aggLevel uint8
+
+const (
+	// aggNone: a fault-free round_robin fleet. Its picker reads member
+	// eligibility directly and never falls back, so nothing reads the
+	// tree or the counters.
+	aggNone aggLevel = iota
+	// aggPolicy: the tree, the rack counters and the fleet headroom —
+	// least_loaded, power_aware and the rack policies route from them,
+	// and the drain controller decides from them.
+	aggPolicy
+	// aggAlive: aggPolicy plus the alive counters, which only the fault
+	// layer's shedding valve reads. With a fault layer the round_robin
+	// fallback and recovery's emergency re-admission read the root too.
+	aggAlive
+)
+
+// aggFor derives the level a configuration needs.
+func aggFor(cfg Config) aggLevel {
+	switch {
+	case cfg.Faults.Enabled():
+		return aggAlive
+	case cfg.Policy != RoundRobin:
+		return aggPolicy
+	}
+	return aggNone
+}
+
 // touch folds a member's state change (load, cap, drain state, fault
-// flags) into the tree, its rack's counters, and the fleet-wide alive
-// counters. It must run after every such change and before the next
-// policy decision.
+// flags) into whatever incremental structures the fleet keeps. It must
+// run after every such change and before the next policy decision.
 //
 //apcvet:noalloc
 func (f *Fleet) touch(m *member) {
+	if f.agg != aggNone {
+		f.refold(m)
+	}
+}
+
+// refold is touch's body: it diffs the member's new contribution
+// against the cached one into its rack's counters, the fleet headroom
+// and (with a fault layer) the alive counters, then updates its tree
+// path.
+//
+//apcvet:noalloc
+func (f *Fleet) refold(m *member) {
 	old := m.agg
 	neu := m.computeAgg()
 	m.agg = neu
@@ -294,24 +277,38 @@ func (f *Fleet) touch(m *member) {
 	rc.active += b2i(neu.active) - b2i(old.active)
 	rc.spare += b2i(neu.spare) - b2i(old.spare)
 	rc.actSpare += b2i(neu.actSpare) - b2i(old.actSpare)
-
-	if old.alive {
-		f.aliveCnt--
-		f.aliveLoad -= old.load
-		f.aliveCap -= old.capacity
+	rc.headroom += neu.headroom - old.headroom
+	f.headroom += neu.headroom - old.headroom
+	if old.elig {
+		rc.load -= int64(old.load)
 	}
-	if neu.alive {
-		f.aliveCnt++
-		f.aliveLoad += neu.load
-		f.aliveCap += neu.capacity
+	if neu.elig {
+		rc.load += int64(neu.load)
+	}
+
+	if f.agg == aggAlive {
+		if old.alive {
+			f.aliveCnt--
+			f.aliveLoad -= old.load
+			f.aliveCap -= old.capacity
+		}
+		if neu.alive {
+			f.aliveCnt++
+			f.aliveLoad += neu.load
+			f.aliveCap += neu.capacity
+		}
 	}
 
 	f.tree.update(m.idx)
 }
 
-// initTree builds the incremental structures after the members exist;
-// every member starts eligible, empty and alive.
+// initTree builds the incremental structures the configuration reads
+// after the members exist, folding every member in from a zero
+// contribution. f.agg must already be set.
 func (f *Fleet) initTree() {
+	if f.agg == aggNone {
+		return
+	}
 	f.tree.build(f.members)
 	if cap(f.rackCnt) < f.topo.Racks {
 		f.rackCnt = make([]rackCounters, f.topo.Racks)
@@ -321,11 +318,11 @@ func (f *Fleet) initTree() {
 			f.rackCnt[i] = rackCounters{}
 		}
 	}
+	f.headroom = 0
 	f.aliveCnt, f.aliveLoad, f.aliveCap = 0, 0, 0
 	for _, m := range f.members {
-		f.rackCnt[m.rack].size++
 		m.agg = memberAgg{}
-		f.touch(m)
+		f.refold(m)
 	}
 }
 

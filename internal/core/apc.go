@@ -86,8 +86,8 @@ type APMU struct {
 
 	// Bookkeeping.
 	lastChange   sim.Time
-	residency    map[pmu.PkgState]sim.Duration
-	entries      map[pmu.PkgState]uint64
+	residency    [pmu.NumPkgStates]sim.Duration
+	entries      [pmu.NumPkgStates]uint64
 	lastEntryLat sim.Duration // ACC1(IOs idle) → PC1A
 	lastExitLat  sim.Duration // wake → ACC1 restored
 	exitStart    sim.Time
@@ -98,16 +98,14 @@ type APMU struct {
 // trees over the given cores and links, and hooks every wake source.
 func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM, gpmu *pmu.GPMU) *APMU {
 	a := &APMU{
-		eng:       eng,
-		cfg:       cfg,
-		links:     links,
-		mcs:       mcs,
-		clm:       clm,
-		gpmu:      gpmu,
-		inPC1A:    signal.New("APMU.InPC1A", false),
-		state:     pmu.PC0,
-		residency: make(map[pmu.PkgState]sim.Duration),
-		entries:   make(map[pmu.PkgState]uint64),
+		eng:    eng,
+		cfg:    cfg,
+		links:  links,
+		mcs:    mcs,
+		clm:    clm,
+		gpmu:   gpmu,
+		inPC1A: signal.New("APMU.InPC1A", false),
+		state:  pmu.PC0,
 	}
 
 	coreWires := make([]*signal.Signal, len(cores))
@@ -201,8 +199,12 @@ func (a *APMU) Exiting() bool { return a.exiting }
 // InPC1A returns the status wire to the GPMU.
 func (a *APMU) InPC1A() *signal.Signal { return a.inPC1A }
 
-// Residency returns accumulated time in the given state.
+// Residency returns accumulated time in the given state (0 for a value
+// that names no state).
 func (a *APMU) Residency(s pmu.PkgState) sim.Duration {
+	if uint(s) >= uint(pmu.NumPkgStates) {
+		return 0
+	}
 	r := a.residency[s]
 	if s == a.state {
 		r += a.eng.Now() - a.lastChange
@@ -210,8 +212,14 @@ func (a *APMU) Residency(s pmu.PkgState) sim.Duration {
 	return r
 }
 
-// Entries returns how many times the given state was entered.
-func (a *APMU) Entries(s pmu.PkgState) uint64 { return a.entries[s] }
+// Entries returns how many times the given state was entered (0 for a
+// value that names no state).
+func (a *APMU) Entries(s pmu.PkgState) uint64 {
+	if uint(s) >= uint(pmu.NumPkgStates) {
+		return 0
+	}
+	return a.entries[s]
+}
 
 // LastEntryLatency returns the most recent measured blocking entry
 // latency (all-IOs-idle to PC1A), paper Sec. 5.5.1.

@@ -27,6 +27,10 @@ const (
 	CC1E
 	// CC6: power-gated; caches flushed. ~133 µs transition.
 	CC6
+
+	// NumCStates is the number of core C-states: per-state accounting
+	// is an array indexed by state.
+	NumCStates = int(CC6) + 1
 )
 
 // String names the state.

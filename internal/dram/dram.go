@@ -208,9 +208,7 @@ func NewMC(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, dramCh *p
 			mc.batchQ = mc.batchQ[:0]
 			mc.batchHead = 0
 		}
-		for ; k > 0; k-- {
-			mc.complete(nil)
-		}
+		mc.CompleteN(k)
 	}
 	return mc
 }
@@ -235,6 +233,9 @@ func (mc *MC) InCKEOff() *signal.Signal { return mc.inCKEOff }
 
 // Idle reports whether no transactions are outstanding.
 func (mc *MC) Idle() bool { return mc.outstanding == 0 }
+
+// Outstanding returns how many transactions are in flight.
+func (mc *MC) Outstanding() int { return mc.outstanding }
 
 // CKEEntries returns how many times the channels entered CKE-off.
 func (mc *MC) CKEEntries() uint64 { return mc.ckeEntries }
@@ -357,6 +358,30 @@ func (mc *MC) AccessN(k int) {
 	case k > 1:
 		mc.batchQ = append(mc.batchQ, k)
 		mc.eng.Schedule(mc.params.AccessLatency, mc.batchFn)
+	}
+}
+
+// StartN issues k transactions on an Active channel and schedules
+// nothing: it is AccessN's Active branch without the completion event,
+// for a caller that completes several controllers' batches from one
+// event of its own (soc.System.MemAccess). The caller must call
+// CompleteN(k) exactly AccessLatency later, at the point in the event
+// order where AccessN's completion event would have fired.
+func (mc *MC) StartN(k int) {
+	if mc.mode != Active {
+		panic(fmt.Sprintf("dram: StartN on %s in %v", mc.name, mc.mode))
+	}
+	mc.outstanding += k
+	// An in-flight CKE entry is aborted by traffic.
+	mc.pending.Cancel()
+	mc.pending = sim.Event{}
+}
+
+// CompleteN finishes k transactions back to back — the body of one
+// batch completion event.
+func (mc *MC) CompleteN(k int) {
+	for ; k > 0; k-- {
+		mc.complete(nil)
 	}
 }
 

@@ -37,6 +37,10 @@ const (
 	ACC1
 	// PC1A: APC's agile deep package C-state.
 	PC1A
+
+	// NumPkgStates is the number of package states: per-state
+	// accounting is an array indexed by state.
+	NumPkgStates = int(PC1A) + 1
 )
 
 // String names the state.
@@ -109,8 +113,8 @@ type GPMU struct {
 
 	// Residency bookkeeping.
 	lastChange sim.Time
-	residency  [5]sim.Duration
-	entries    [5]uint64
+	residency  [NumPkgStates]sim.Duration
+	entries    [NumPkgStates]uint64
 	pc6Latency sim.Duration // measured last entry→ready-to-exit→PC0 cost
 }
 

@@ -151,6 +151,15 @@ type System struct {
 	PLLs []*clock.PLL
 
 	rrNext int // round-robin cursor for MC interleaving
+
+	// Fused memory bursts (see MemAccess): memQ holds one (cursor, n)
+	// pair per burst awaiting its completion event, FIFO from memHead;
+	// memLat is the controllers' AccessLatency (all are built from
+	// Config.MCParams, so they share it).
+	memQ      []int
+	memHead   int
+	memLat    sim.Duration
+	memDoneFn func()
 }
 
 // New assembles a system from the configuration on a fresh engine of its
@@ -231,6 +240,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			meter.Channel(fmt.Sprintf("dimm%d", i), power.DRAM))
 		s.MCs = append(s.MCs, mc)
 	}
+	s.memLat, s.memDoneFn = s.MCs[0].Params().AccessLatency, s.memDone
 
 	// CLM with its PLL.
 	clmp := cfg.CLMParams
@@ -251,7 +261,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	s.GPMU = pmu.New(eng, gcfg, s.Cores, s.Links, s.MCs, s.CLM)
 	// PC6 powers off every non-core PLL; the CLM's is handled by the
 	// flow directly, so attach the rest.
-	var extra []*clock.PLL
+	extra := make([]*clock.PLL, 0, len(s.PLLs))
 	for _, p := range s.PLLs {
 		if p != s.CLM.PLL() {
 			extra = append(extra, p)
@@ -283,20 +293,63 @@ func (s *System) NICLink() *ios.Link { return s.Links[0] }
 // evolution — and the cross-controller order of everything the
 // completions schedule — unchanged, while same-instant completions
 // collapse into one engine event per controller.
+//
+// The common burst goes one step further and costs one event for all
+// controllers. When every controller gets at least one access and is
+// Active at issue, each AccessN would only cancel events and schedule its own completion at the same
+// instant, so those completions are adjacent in (time, scheduling
+// order): nothing can be ordered between them. One event that
+// completes each controller's batch in issue order then runs exactly
+// what they would have run, in the same order. A controller that must
+// first leave CKE-off or self-refresh raises signal edges and schedules
+// its exit in between, so such a burst keeps per-controller events
+// (TestMemAccessFusionMatchesPerController).
 func (s *System) MemAccess(n int) {
 	m := len(s.MCs)
 	if n <= 0 || m == 0 {
 		return
 	}
-	base, rem := n/m, n%m
+	fuse := n >= m
+	for _, mc := range s.MCs {
+		fuse = fuse && mc.Mode() == dram.Active
+	}
 	for i := 0; i < m; i++ {
-		k := base
-		if i < rem {
-			k++
+		mc, k := s.MCs[(s.rrNext+i)%m], memShare(n, m, i)
+		if fuse {
+			mc.StartN(k)
+		} else {
+			mc.AccessN(k)
 		}
-		s.MCs[(s.rrNext+i)%m].AccessN(k)
+	}
+	if fuse {
+		s.memQ = append(s.memQ, s.rrNext, n)
+		s.Engine.Schedule(s.memLat, s.memDoneFn)
 	}
 	s.rrNext += n
+}
+
+// memShare is the i-th controller's share, in issue order, of n
+// accesses interleaved round-robin over m controllers.
+func memShare(n, m, i int) int {
+	if i < n%m {
+		return n/m + 1
+	}
+	return n / m
+}
+
+// memDone is a fused burst's completion event: every controller's batch
+// completes, in issue order. Bursts share one latency, so their events
+// fire in issue order and memQ pairs each with its burst.
+func (s *System) memDone() {
+	rr, n := s.memQ[s.memHead], s.memQ[s.memHead+1]
+	s.memHead += 2
+	if s.memHead == len(s.memQ) {
+		s.memQ, s.memHead = s.memQ[:0], 0
+	}
+	m := len(s.MCs)
+	for i := 0; i < m; i++ {
+		s.MCs[(rr+i)%m].CompleteN(memShare(n, m, i))
+	}
 }
 
 // PackageState returns the effective package C-state: the APMU's view on

@@ -2,12 +2,14 @@ package soc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/dram"
 	"agilepkgc/internal/ios"
 	"agilepkgc/internal/pmu"
+	"agilepkgc/internal/power"
 	"agilepkgc/internal/sim"
 )
 
@@ -271,4 +273,112 @@ func TestDisablePkgCStates(t *testing.T) {
 			t.Fatalf("core %d in %v, want CC6", c.ID(), c.State())
 		}
 	}
+}
+
+// TestMemAccessFusionMatchesPerController drives two identical systems
+// through the same script of memory bursts, Allow_CKE_OFF toggles and
+// self-refresh commands: one through MemAccess, the other through one
+// AccessN per controller (MemAccess without fusion). After every event
+// of the fused system — and, for a fused burst completion, after the
+// one reference event per controller it replaces — both must agree on
+// every controller's occupancy, completed accesses, mode and
+// power-state entries, and on the DRAM and package energy bits.
+func TestMemAccessFusionMatchesPerController(t *testing.T) {
+	fused, ref := New(DefaultConfig(Cshallow)), New(DefaultConfig(Cshallow))
+	m := len(fused.MCs)
+	refRR := 0
+	refMemAccess := func(n int) {
+		for i := 0; i < m; i++ {
+			ref.MCs[(refRR+i)%m].AccessN(memShare(n, m, i))
+		}
+		refRR += n
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	at := sim.Time(0)
+	for a := 0; a < 3000; a++ {
+		at += sim.Duration(rng.Intn(150))
+		if rng.Intn(20) == 0 {
+			at += 2*sim.Microsecond + sim.Duration(rng.Intn(6000)) // quiet: lets self-refresh entry finish
+		}
+		j, n := rng.Intn(m), 1+rng.Intn(9)
+		switch k := rng.Intn(10); {
+		case k < 6:
+			fused.Engine.At(at, func() { fused.MemAccess(n) })
+			ref.Engine.At(at, func() { refMemAccess(n) })
+		case k < 8:
+			for _, s := range []*System{fused, ref} {
+				w := s.MCs[j].AllowCKEOff()
+				s.Engine.At(at, func() { w.SetLevel(!w.Level()) })
+			}
+		case k < 9:
+			for _, s := range []*System{fused, ref} {
+				mc := s.MCs[j]
+				s.Engine.At(at, func() {
+					if mc.Idle() && mc.Mode() == dram.Active {
+						mc.EnterSelfRefresh(nil)
+					}
+				})
+			}
+		default:
+			for _, s := range []*System{fused, ref} {
+				mc := s.MCs[j]
+				s.Engine.At(at, func() { mc.ExitSelfRefresh(nil) })
+			}
+		}
+	}
+
+	queued := func() int { return (len(fused.memQ) - fused.memHead) / 2 }
+	fusedBursts := 0
+	for step := 0; ; step++ {
+		q := queued()
+		if !fused.Engine.Step() {
+			break
+		}
+		refSteps := 1
+		if queued() < q {
+			refSteps = m
+			fusedBursts++
+		}
+		for i := 0; i < refSteps; i++ {
+			if !ref.Engine.Step() {
+				t.Fatalf("step %d: reference ran out of events", step)
+			}
+		}
+		if fused.Engine.Now() != ref.Engine.Now() {
+			t.Fatalf("step %d: time %v, reference %v", step, fused.Engine.Now(), ref.Engine.Now())
+		}
+		for i := range fused.MCs {
+			f, r := fused.MCs[i], ref.MCs[i]
+			if f.Outstanding() != r.Outstanding() || f.Accesses() != r.Accesses() || f.Mode() != r.Mode() ||
+				f.CKEEntries() != r.CKEEntries() || f.SREntries() != r.SREntries() {
+				t.Fatalf("step %d at %v: mc%d outstanding/accesses/mode/cke/sr = %d/%d/%v/%d/%d, reference %d/%d/%v/%d/%d",
+					step, fused.Engine.Now(), i,
+					f.Outstanding(), f.Accesses(), f.Mode(), f.CKEEntries(), f.SREntries(),
+					r.Outstanding(), r.Accesses(), r.Mode(), r.CKEEntries(), r.SREntries())
+			}
+		}
+		for _, d := range []power.Domain{power.DRAM, power.Package} {
+			if f, r := fused.Meter.Energy(d), ref.Meter.Energy(d); math.Float64bits(f) != math.Float64bits(r) {
+				t.Fatalf("step %d at %v: %v energy %v, reference %v", step, fused.Engine.Now(), d, f, r)
+			}
+		}
+	}
+	if ref.Engine.Step() {
+		t.Fatal("reference has events left after the fused system drained")
+	}
+	if got, want := ref.Engine.EventsFired()-fused.Engine.EventsFired(), uint64(fusedBursts*(m-1)); got != want {
+		t.Fatalf("reference fired %d more events, want %d (one fewer per controller per fused burst)", got, want)
+	}
+	// The script must exercise both paths: fused bursts, and bursts that
+	// wake a controller out of CKE-off or self-refresh.
+	var cke, sr uint64
+	for _, mc := range fused.MCs {
+		cke += mc.CKEEntries()
+		sr += mc.SREntries()
+	}
+	if fusedBursts == 0 || cke == 0 || sr == 0 {
+		t.Fatalf("script too tame: %d fused bursts, %d CKE-off entries, %d self-refresh entries", fusedBursts, cke, sr)
+	}
+	t.Logf("%d fused bursts, %d CKE-off entries, %d self-refresh entries", fusedBursts, cke, sr)
 }

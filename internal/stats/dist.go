@@ -59,16 +59,33 @@ func (d Uniform) String() string        { return fmt.Sprintf("uniform[%g,%g)", d
 
 // LogNormal is parameterized by its *actual* mean and the sigma of the
 // underlying normal, which is the natural way to express "service time
-// averages 16 µs with moderate skew".
+// averages 16 µs with moderate skew". Build it with NewLogNormal, which
+// computes the underlying normal's mean once; a literal works too but
+// pays a Log per draw.
 type LogNormal struct {
 	MeanV float64 // E[X]
 	Sigma float64 // stddev of log X
+
+	muV   float64 // mean of log X, cached when hasMu
+	hasMu bool
+}
+
+// NewLogNormal returns the log-normal with the given mean and log-space
+// sigma, its underlying normal's mean computed once.
+func NewLogNormal(mean, sigma float64) LogNormal {
+	d := LogNormal{MeanV: mean, Sigma: sigma}
+	d.muV, d.hasMu = d.mu(), true
+	return d
 }
 
 func (d LogNormal) mu() float64 { return math.Log(d.MeanV) - d.Sigma*d.Sigma/2 }
 
 func (d LogNormal) Sample(r *RNG) float64 {
-	return math.Exp(d.mu() + d.Sigma*r.NormFloat64())
+	mu := d.muV
+	if !d.hasMu {
+		mu = d.mu()
+	}
+	return math.Exp(mu + d.Sigma*r.NormFloat64())
 }
 
 func (d LogNormal) Mean() float64 { return d.MeanV }

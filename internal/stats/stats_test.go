@@ -453,3 +453,21 @@ func TestHistogramReset(t *testing.T) {
 		t.Error("reset histogram diverges from a fresh one")
 	}
 }
+
+// TestNewLogNormalMatchesLiteral pins the cached μ to the expression a
+// literal LogNormal evaluates per draw: the same seed gives the same
+// draws, bit for bit.
+func TestNewLogNormalMatchesLiteral(t *testing.T) {
+	for _, p := range [][2]float64{{12e-6, 0.45}, {50e-6, 0.5}, {120e-6, 0.6}, {300e-6, 0.6}, {1, 0}} {
+		lit, ctor := LogNormal{MeanV: p[0], Sigma: p[1]}, NewLogNormal(p[0], p[1])
+		a, b := NewRNG(5), NewRNG(5)
+		for i := 0; i < 10000; i++ {
+			if x, y := lit.Sample(a), ctor.Sample(b); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("%v draw %d: literal %v, constructed %v", ctor, i, x, y)
+			}
+		}
+		if lit.Mean() != ctor.Mean() || lit.String() != ctor.String() {
+			t.Fatalf("%v: mean or name differs from the literal's", ctor)
+		}
+	}
+}

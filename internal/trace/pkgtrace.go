@@ -33,8 +33,11 @@ type PkgTracer struct {
 
 	state     pmu.PkgState
 	since     sim.Time
-	residency map[pmu.PkgState]sim.Duration
-	entries   map[pmu.PkgState]uint64
+	residency [pmu.NumPkgStates]sim.Duration
+	entries   [pmu.NumPkgStates]uint64
+	// seen marks the states whose residency interval has closed at
+	// least once (left, or open at Finalize): the rows Summary prints.
+	seen [pmu.NumPkgStates]bool
 
 	ring    []PkgEvent
 	ringCap int
@@ -48,13 +51,11 @@ func NewPkgTracer(eng *sim.Engine, src PkgStateSource, ringCap int) *PkgTracer {
 		panic("trace: ring capacity must be >= 1")
 	}
 	t := &PkgTracer{
-		eng:       eng,
-		start:     eng.Now(),
-		state:     src.State(),
-		since:     eng.Now(),
-		residency: make(map[pmu.PkgState]sim.Duration),
-		entries:   make(map[pmu.PkgState]uint64),
-		ringCap:   ringCap,
+		eng:     eng,
+		start:   eng.Now(),
+		state:   src.State(),
+		since:   eng.Now(),
+		ringCap: ringCap,
 	}
 	src.OnTransition(func(old, new pmu.PkgState) { t.transition(old, new) })
 	return t
@@ -63,6 +64,7 @@ func NewPkgTracer(eng *sim.Engine, src PkgStateSource, ringCap int) *PkgTracer {
 func (t *PkgTracer) transition(old, new pmu.PkgState) {
 	now := t.eng.Now()
 	t.residency[old] += now - t.since
+	t.seen[old] = true
 	t.since = now
 	t.state = new
 	t.entries[new]++
@@ -82,11 +84,18 @@ func (t *PkgTracer) transition(old, new pmu.PkgState) {
 func (t *PkgTracer) Finalize() {
 	now := t.eng.Now()
 	t.residency[t.state] += now - t.since
+	t.seen[t.state] = true
 	t.since = now
 }
 
-// Residency returns accumulated time in state s (call Finalize first).
-func (t *PkgTracer) Residency(s pmu.PkgState) sim.Duration { return t.residency[s] }
+// Residency returns accumulated time in state s (call Finalize first;
+// 0 for a value that names no state).
+func (t *PkgTracer) Residency(s pmu.PkgState) sim.Duration {
+	if uint(s) >= uint(pmu.NumPkgStates) {
+		return 0
+	}
+	return t.residency[s]
+}
 
 // ResidencyFraction returns the state's share of traced time.
 func (t *PkgTracer) ResidencyFraction(s pmu.PkgState) float64 {
@@ -94,11 +103,17 @@ func (t *PkgTracer) ResidencyFraction(s pmu.PkgState) float64 {
 	if el == 0 {
 		return 0
 	}
-	return float64(t.residency[s]) / float64(el)
+	return float64(t.Residency(s)) / float64(el)
 }
 
-// Entries returns the number of entries into state s.
-func (t *PkgTracer) Entries(s pmu.PkgState) uint64 { return t.entries[s] }
+// Entries returns the number of entries into state s (0 for a value
+// that names no state).
+func (t *PkgTracer) Entries(s pmu.PkgState) uint64 {
+	if uint(s) >= uint(pmu.NumPkgStates) {
+		return 0
+	}
+	return t.entries[s]
+}
 
 // Events returns the retained transition log (oldest first).
 func (t *PkgTracer) Events() []PkgEvent { return t.ring }
@@ -113,12 +128,12 @@ func (t *PkgTracer) Summary() string {
 		f float64
 	}
 	var rows []row
-	//apcvet:ordered the sort below totally orders rows (share desc, state asc on ties)
-	for s := range t.residency {
-		rows = append(rows, row{s, t.ResidencyFraction(s)})
+	for s, seen := range t.seen {
+		if seen {
+			rows = append(rows, row{pmu.PkgState(s), t.ResidencyFraction(pmu.PkgState(s))})
+		}
 	}
-	// Tie-break equal shares by state so the rendering never inherits
-	// map iteration order (two states at 0.00% are common).
+	// Tie-break equal shares by state (two states at 0.00% are common).
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].f != rows[j].f {
 			return rows[i].f > rows[j].f

@@ -128,3 +128,36 @@ func TestIdlePeriodsCSV(t *testing.T) {
 // Keep the apc import honest (the tracer is generic over both PMUs).
 var _ PkgStateSource = (*apc.APMU)(nil)
 var _ PkgStateSource = (*pmu.GPMU)(nil)
+
+// TestPerStateAccountingArrays pins the fixed-array accounting: the
+// summary lists exactly the states whose residency interval closed (a
+// state never occupied is absent, not printed at 0%), and every
+// accessor reads 0 for a value that names no state.
+func TestPerStateAccountingArrays(t *testing.T) {
+	sys := newAPCSystem()
+	pt := NewPkgTracer(sys.Engine, sys.APMU, 1024)
+	tr := New(sys.Engine, sys.Cores)
+	sys.Engine.Run(sim.Millisecond)
+	sys.Cores[0].Enqueue(cpu.Work{Duration: 3 * sim.Microsecond})
+	sys.Engine.Run(2 * sim.Millisecond)
+	pt.Finalize()
+	tr.Finalize()
+	if got, want := pt.Summary(), "PC1A=99.71% PC0=0.29% ACC1=0.00%"; got != want {
+		t.Fatalf("summary %q, want %q", got, want)
+	}
+	for _, s := range []pmu.PkgState{-1, pmu.PkgState(pmu.NumPkgStates), 99} {
+		if pt.Residency(s) != 0 || pt.ResidencyFraction(s) != 0 || pt.Entries(s) != 0 ||
+			sys.APMU.Residency(s) != 0 || sys.APMU.Entries(s) != 0 {
+			t.Errorf("%v: non-zero accounting for a value that names no state", s)
+		}
+	}
+	for _, s := range []cpu.CState{-1, cpu.CState(cpu.NumCStates), 99} {
+		if tr.CoreResidency(0, s) != 0 || tr.MeanResidency(s) != 0 {
+			t.Errorf("%v: non-zero residency for a value that names no state", s)
+		}
+	}
+	if tr.CoreResidency(0, cpu.CC1) == 0 || sys.APMU.Entries(pmu.PC1A) != 2 {
+		t.Errorf("known states lost their accounting: CC1 %v, PC1A entries %d",
+			tr.CoreResidency(0, cpu.CC1), sys.APMU.Entries(pmu.PC1A))
+	}
+}

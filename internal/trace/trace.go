@@ -27,7 +27,7 @@ type Tracer struct {
 	// Per-core residency accounting.
 	coreState  []cpu.CState
 	coreSince  []sim.Time
-	coreRes    []map[cpu.CState]sim.Duration
+	coreRes    [][cpu.NumCStates]sim.Duration
 	transCount uint64
 
 	// Full-idle (all cores in CC1 or deeper) tracking.
@@ -60,7 +60,7 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		start:       eng.Now(),
 		coreState:   make([]cpu.CState, len(cores)),
 		coreSince:   make([]sim.Time, len(cores)),
-		coreRes:     make([]map[cpu.CState]sim.Duration, len(cores)),
+		coreRes:     make([][cpu.NumCStates]sim.Duration, len(cores)),
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
@@ -69,7 +69,6 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		i := i
 		t.coreState[i] = c.State()
 		t.coreSince[i] = eng.Now()
-		t.coreRes[i] = make(map[cpu.CState]sim.Duration)
 		if c.State().Idle() {
 			t.idleCores++
 		}
@@ -167,10 +166,11 @@ func (t *Tracer) Finalize() {
 // Elapsed returns the traced wall time.
 func (t *Tracer) Elapsed() sim.Duration { return t.eng.Now() - t.start }
 
-// CoreResidency returns the fraction of time core i spent in state s.
+// CoreResidency returns the fraction of time core i spent in state s
+// (0 for a value that names no state).
 func (t *Tracer) CoreResidency(i int, s cpu.CState) float64 {
 	el := t.Elapsed()
-	if el == 0 {
+	if el == 0 || uint(s) >= uint(cpu.NumCStates) {
 		return 0
 	}
 	return float64(t.coreRes[i][s]) / float64(el)

@@ -113,8 +113,8 @@ func SysbenchOLTP(eng *sim.Engine, threads int, thinkMean float64, seed uint64,
 	sink func(*Request, func())) *ClosedLoopClient {
 	service := stats.Mixture{
 		Components: []stats.Dist{
-			stats.LogNormal{MeanV: 60e-6, Sigma: 0.5},
-			stats.LogNormal{MeanV: 300e-6, Sigma: 0.6},
+			stats.NewLogNormal(60e-6, 0.5),
+			stats.NewLogNormal(300e-6, 0.6),
 		},
 		Weights: []float64{0.7, 0.3},
 	}

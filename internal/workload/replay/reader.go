@@ -16,6 +16,9 @@ import (
 // materializes more of the file than this.
 const readerBufSize = 64 << 10
 
+// windowBytes is the largest run of whole records one window holds.
+const windowBytes = readerBufSize / RecordSize * RecordSize
+
 // Reader streams records out of a trace. It validates the header on
 // construction, decodes records in place from the bufio window (Peek
 // never copies, Next copies 24 bytes into a stack value), enforces the
@@ -23,6 +26,12 @@ const readerBufSize = 64 << 10
 // verifies the record count, checksum and absence of trailing bytes
 // when the stream ends. Every failure is a located *FormatError; the
 // reader never panics and never reads past the failing field.
+//
+// Records are decoded out of one Peek of up to a window of whole
+// records. The checksum folds each window's consumed records in one
+// call when the window is released (at the next refill or at the end
+// of the stream): CRC64 takes its slicing-by-8 path only for inputs of
+// 64 bytes or more, so a per-record update would run its byte loop.
 //
 // Rewind seeks back to the first record, which is what looping replay
 // and sweep-point reuse are built on; it reuses the bufio window, so a
@@ -34,9 +43,16 @@ type Reader struct {
 
 	dataOff int64    // byte offset of record 0
 	read    uint64   // records consumed
-	crc     uint64   // incremental checksum over consumed records
+	crc     uint64   // checksum over the records consumed before win
 	prevTS  sim.Time // ordering check
 	done    bool     // end-of-stream reached and verified
+
+	// win is the current window: whole records peeked from br, whose
+	// first pos bytes are consumed but not yet checksummed or
+	// discarded. br's read position is win's first byte, and no other
+	// br call is made while win is live.
+	win []byte
+	pos int
 }
 
 // NewReader decodes and validates the header and positions the stream
@@ -140,20 +156,16 @@ func (r *Reader) Peek() (Record, error) {
 	if r.read == r.hdr.Count {
 		return Record{}, r.finish() //apcvet:alloc end-of-stream verification: once per trace, not per record
 	}
-	buf, err := r.br.Peek(RecordSize)
-	if err != nil {
-		//apcvet:alloc cold error path: a truncated trace aborts the run
-		return Record{}, recordErr(r.offset(), int64(r.read), "truncated record (%d of %d declared): %v", r.read, r.hdr.Count, err)
+	if r.pos == len(r.win) {
+		if err := r.refill(); err != nil {
+			return Record{}, err
+		}
 	}
-	rec, err := r.decode(buf)
-	if err != nil {
-		return Record{}, err
-	}
-	return rec, nil
+	return r.decode(r.win[r.pos : r.pos+RecordSize])
 }
 
-// Next consumes and returns the next record, folding its bytes into
-// the incremental checksum. Errors are exactly Peek's.
+// Next consumes and returns the next record; its bytes join the
+// window's checksum run. Errors are exactly Peek's.
 //
 //apcvet:noalloc
 func (r *Reader) Next() (Record, error) {
@@ -161,15 +173,42 @@ func (r *Reader) Next() (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	buf, _ := r.br.Peek(RecordSize) // cannot fail: Peek above succeeded
-	r.crc = crc64.Update(r.crc, crcTable, buf)
-	if _, err := r.br.Discard(RecordSize); err != nil {
-		//apcvet:alloc cold error path: a corrupt trace aborts the run
-		return Record{}, recordErr(r.offset(), int64(r.read), "discard: %v", err)
-	}
+	r.pos += RecordSize
 	r.prevTS = rec.TS
 	r.read++
 	return rec, nil
+}
+
+// release folds the window's consumed records into the checksum in one
+// call and discards them from br, ending the window.
+//
+//apcvet:noalloc
+func (r *Reader) release() {
+	if r.pos > 0 {
+		r.crc = crc64.Update(r.crc, crcTable, r.win[:r.pos])
+		r.br.Discard(r.pos) // cannot fail: the bytes are buffered
+	}
+	r.win, r.pos = nil, 0
+}
+
+// refill releases the current window and peeks the next one: as many
+// whole records as the buffer holds, up to the declared count. A
+// stream that ends inside the next record is a truncated trace.
+//
+//apcvet:noalloc
+func (r *Reader) refill() error {
+	r.release()
+	n := windowBytes
+	if left := (r.hdr.Count - r.read) * RecordSize; left < uint64(n) {
+		n = int(left)
+	}
+	buf, err := r.br.Peek(n)
+	if whole := len(buf) / RecordSize * RecordSize; whole > 0 {
+		r.win = buf[:whole]
+		return nil
+	}
+	//apcvet:alloc cold error path: a truncated trace aborts the run
+	return recordErr(r.offset(), int64(r.read), "truncated record (%d of %d declared): %v", r.read, r.hdr.Count, err)
 }
 
 // decode validates one record's fields against the header and the
@@ -219,6 +258,7 @@ func (r *Reader) decode(buf []byte) (Record, error) {
 // consumed, the checksum matches, the last timestamp matches the
 // header, and nothing trails the records.
 func (r *Reader) finish() error {
+	r.release()
 	off := r.offset()
 	if r.read > 0 && r.prevTS != r.hdr.LastTS {
 		return recordErr(off, int64(r.read)-1, "last timestamp %d != header last %d", r.prevTS, r.hdr.LastTS)
@@ -246,6 +286,7 @@ func (r *Reader) Rewind() error {
 	}
 	r.br.Reset(r.src)
 	r.read, r.crc, r.prevTS, r.done = 0, 0, 0, false
+	r.win, r.pos = nil, 0
 	return nil
 }
 

@@ -75,8 +75,8 @@ func Memcached(qps float64) Spec {
 		Arrivals: stats.Poisson{RateV: qps},
 		Service: stats.Mixture{
 			Components: []stats.Dist{
-				stats.LogNormal{MeanV: 12e-6, Sigma: 0.45}, // GET hits
-				stats.LogNormal{MeanV: 50e-6, Sigma: 0.50}, // multiget/SET
+				stats.NewLogNormal(12e-6, 0.45), // GET hits
+				stats.NewLogNormal(50e-6, 0.50), // multiget/SET
 			},
 			Weights: []float64{0.9, 0.1},
 		},
@@ -111,7 +111,7 @@ func MemcachedBursty(qps, burstiness float64) Spec {
 // core count. Kafka moves batches: fewer, longer requests with bursty
 // producer/consumer cycles.
 func Kafka(load float64, cores int) Spec {
-	service := stats.LogNormal{MeanV: 120e-6, Sigma: 0.6}
+	service := stats.NewLogNormal(120e-6, 0.6)
 	qps := load * float64(cores) / service.MeanV
 	return Spec{
 		Name:        fmt.Sprintf("kafka-%d%%", int(load*100+0.5)),
@@ -132,8 +132,8 @@ func Kafka(load float64, cores int) Spec {
 func MySQL(load float64, cores int) Spec {
 	service := stats.Mixture{
 		Components: []stats.Dist{
-			stats.LogNormal{MeanV: 60e-6, Sigma: 0.5},  // point selects
-			stats.LogNormal{MeanV: 300e-6, Sigma: 0.6}, // read-write txns
+			stats.NewLogNormal(60e-6, 0.5),  // point selects
+			stats.NewLogNormal(300e-6, 0.6), // read-write txns
 		},
 		Weights: []float64{0.7, 0.3},
 	}
