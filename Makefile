@@ -61,7 +61,7 @@ race:
 	$(GO) test -race ./...
 
 # Full benchmark suite: benchstat-comparable text in bench.txt plus a
-# machine-readable snapshot (BENCH_pr14.json by default; pass the next
+# machine-readable snapshot (BENCH_pr18.json by default; pass the next
 # PR's name as the second bench.sh argument) recording the perf
 # trajectory.
 bench:
@@ -69,7 +69,7 @@ bench:
 
 # The alloc-regression gate: reruns the suite into bench-gate.json and
 # fails if any benchmark allocates more per op than the committed
-# BENCH_pr14.json baseline (ns/op drift only warns). CI runs this on
+# BENCH_pr18.json baseline (ns/op drift only warns). CI runs this on
 # every push.
 benchgate:
 	scripts/benchgate.sh

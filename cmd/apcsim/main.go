@@ -22,6 +22,10 @@
 //
 // The experiment set is self-registering: `apcsim list` is the registry,
 // not a hand-maintained table.
+//
+// stdout carries only the reports, so it is byte-deterministic for a
+// given seed and duration at any -parallel setting; the per-run wall
+// times and the "[wrote …]" artifact lines go to stderr.
 package main
 
 import (
@@ -48,7 +52,7 @@ import (
 var errUsage = errors.New("usage")
 
 func main() {
-	if err := run(os.Stdout, os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Stderr, os.Args[1:]); err != nil {
 		if errors.Is(err, errUsage) {
 			os.Exit(2)
 		}
@@ -57,11 +61,11 @@ func main() {
 	}
 }
 
-// run executes the whole command against w, so the CI smoke test can
-// drive it in-process (the same pattern as cmd/apctop); only flag
-// parsing stays in the flag package's hands (ContinueOnError, so bad
-// flags surface as an error, not an exit).
-func run(w io.Writer, args []string) error {
+// run executes the whole command, reports to w and run statistics to
+// log, so the CI smoke test can drive it in-process (the same pattern
+// as cmd/apctop); only flag parsing stays in the flag package's hands
+// (ContinueOnError, so bad flags surface as an error, not an exit).
+func run(w, log io.Writer, args []string) error {
 	fs := flag.NewFlagSet("apcsim", flag.ContinueOnError)
 	fs.SetOutput(w)
 	duration := fs.Duration("duration", 2*time.Second,
@@ -97,7 +101,7 @@ func run(w io.Writer, args []string) error {
 		Seed:        *seed,
 		Parallelism: *parallel,
 	}
-	out := outputs{w: w, csvDir: *csvDir, jsonDir: *jsonDir}
+	out := outputs{log: log, csvDir: *csvDir, jsonDir: *jsonDir}
 	if err := out.prepare(); err != nil {
 		return err
 	}
@@ -218,7 +222,7 @@ func runExperiments(w io.Writer, fs *flag.FlagSet, names []string, opt experimen
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		fmt.Fprintln(w, res.Report())
-		fmt.Fprintf(w, "[%s completed in %v wall time]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out.log, "[%s completed in %v wall time]\n", name, time.Since(start).Round(time.Millisecond))
 		if err := out.write(name, opt, res); err != nil {
 			return err
 		}
@@ -253,7 +257,7 @@ func runScenarios(w io.Writer, files []string, opt experiments.Options, out *out
 			return err
 		}
 		fmt.Fprintln(w, res.Report())
-		fmt.Fprintf(w, "[%s completed in %v wall time]\n\n", sc.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out.log, "[%s completed in %v wall time]\n", sc.Name, time.Since(start).Round(time.Millisecond))
 		// Record the options the scenario actually ran under (its
 		// duration_ms/seed overrides applied), not the CLI defaults.
 		if err := out.write(sanitize(sc.Name), sc.EffectiveOptions(opt), res); err != nil {
@@ -264,9 +268,9 @@ func runScenarios(w io.Writer, files []string, opt experiments.Options, out *out
 }
 
 // outputs writes the optional CSV and JSON artifacts next to the text
-// reports.
+// reports, noting each file it writes on log.
 type outputs struct {
-	w       io.Writer
+	log     io.Writer
 	csvDir  string
 	jsonDir string
 }
@@ -290,7 +294,7 @@ func (o *outputs) write(name string, opt experiments.Options, res experiments.Re
 			if err := writeCSVFile(path, cw); err != nil {
 				return err
 			}
-			fmt.Fprintf(o.w, "[wrote %s]\n\n", path)
+			fmt.Fprintf(o.log, "[wrote %s]\n", path)
 		}
 	}
 	if o.jsonDir != "" {
@@ -298,7 +302,7 @@ func (o *outputs) write(name string, opt experiments.Options, res experiments.Re
 		if err := writeJSONFile(path, name, opt, res); err != nil {
 			return err
 		}
-		fmt.Fprintf(o.w, "[wrote %s]\n\n", path)
+		fmt.Fprintf(o.log, "[wrote %s]\n", path)
 	}
 	return nil
 }

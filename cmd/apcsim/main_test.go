@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 // pattern as cmd/apctop's smoke test.
 func TestSmokeList(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, []string{"list"}); err != nil {
+	if err := run(&b, io.Discard, []string{"list"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"table1", "area", "fault-resilience"} {
@@ -26,7 +27,7 @@ func TestSmokeList(t *testing.T) {
 func TestSmokeRunExperiment(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
-	err := run(&b, []string{"-duration", "10ms", "-json", dir, "run", "area"})
+	err := run(&b, io.Discard, []string{"-duration", "10ms", "-json", dir, "run", "area"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +39,29 @@ func TestSmokeRunExperiment(t *testing.T) {
 	}
 }
 
+// TestStdoutDeterministic: stdout carries only the reports, so the
+// unfiltered output of a sweep is byte-identical at any -parallel
+// setting, while the wall-time lines land on the log writer.
+func TestStdoutDeterministic(t *testing.T) {
+	var outs [2]string
+	for i, par := range []string{"1", "4"} {
+		var stdout, stderr strings.Builder
+		if err := run(&stdout, &stderr, []string{"-duration", "30ms", "-parallel", par, "fig7"}); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(stdout.String(), "wall time") {
+			t.Errorf("-parallel %s: wall time on stdout:\n%s", par, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "[fig7 completed in ") {
+			t.Errorf("-parallel %s: no wall-time line on stderr: %q", par, stderr.String())
+		}
+		outs[i] = stdout.String()
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("stdout differs between -parallel 1 and 4:\n%s\n----\n%s", outs[0], outs[1])
+	}
+}
+
 // TestSmokeScenarioWithProfiles covers the scenario subcommand and the
 // -cpuprofile/-memprofile hooks: a short scenario sweep must succeed
 // and leave non-empty pprof files behind.
@@ -46,7 +70,7 @@ func TestSmokeScenarioWithProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var b strings.Builder
-	err := run(&b, []string{
+	err := run(&b, io.Discard, []string{
 		"-duration", "10ms", "-parallel", "1",
 		"-cpuprofile", cpu, "-memprofile", mem,
 		"scenario", filepath.Join("..", "..", "examples", "scenarios", "tick-rate.json"),
@@ -72,7 +96,7 @@ func TestSmokeScenarioWithProfiles(t *testing.T) {
 // TestHelpIsNotAnError: -h prints usage and succeeds.
 func TestHelpIsNotAnError(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, []string{"-h"}); err != nil {
+	if err := run(&b, io.Discard, []string{"-h"}); err != nil {
 		t.Fatalf("-h returned %v", err)
 	}
 	if !strings.Contains(b.String(), "usage: apcsim") {
@@ -92,7 +116,7 @@ func TestUsageErrors(t *testing.T) {
 		{"no-such-experiment"},
 	} {
 		var b strings.Builder
-		if err := run(&b, args); err == nil {
+		if err := run(&b, io.Discard, args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}

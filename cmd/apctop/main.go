@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/msr"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
@@ -75,12 +76,25 @@ func run(w io.Writer, args []string) error {
 		return fmt.Errorf("interval must be positive (got %v)", *interval)
 	}
 
-	sys := soc.New(soc.DefaultConfig(kind))
-	mon := msr.NewMonitor(sys)
-	var srv *server.Server
+	// Under load the machine is a one-member fleet, whose Run is the
+	// window-then-drain loop; idle, it is a bare system on raw engine
+	// time.
+	var sys *soc.System
+	var f *cluster.Fleet
 	if *qps > 0 {
-		srv = server.New(sys, server.DefaultConfig(), workload.Memcached(*qps))
+		scfg := server.DefaultConfig()
+		var err error
+		f, err = cluster.New(cluster.Config{
+			Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: scfg}},
+		}, workload.Memcached(*qps), scfg.Seed)
+		if err != nil {
+			return err
+		}
+		sys = f.Server(0).System()
+	} else {
+		sys = soc.New(soc.DefaultConfig(kind))
 	}
+	mon := msr.NewMonitor(sys)
 
 	var readErr error
 	read := func(addr uint32, core int) uint64 {
@@ -109,8 +123,8 @@ func run(w io.Writer, args []string) error {
 			pc1a0 = sys.APMU.Residency(pmu.PC1A)
 		}
 
-		if srv != nil {
-			srv.Run(dt)
+		if f != nil {
+			f.Run(dt)
 		} else {
 			sys.Engine.Run(sys.Engine.Now() + dt)
 		}
@@ -134,9 +148,9 @@ func run(w io.Writer, args []string) error {
 			pc1aRes = (sys.APMU.Residency(pmu.PC1A) - pc1a0).Seconds() / wall
 		}
 		served := uint64(0)
-		if srv != nil {
-			served = srv.Served() - servedPrev
-			servedPrev = srv.Served()
+		if f != nil {
+			served = f.Server(0).Served() - servedPrev
+			servedPrev = f.Server(0).Served()
 		}
 		fmt.Fprintf(w, "%-9d  %6.2f   %6.2f   %7.1f    %7.1f    %d\n",
 			i, pkgW, dramW, cc1Res*100, pc1aRes*100, served)

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -21,18 +22,18 @@ func main() {
 	for _, load := range []float64{0.08, 0.16} {
 		spec := workload.Kafka(load, 10)
 
-		shSys := soc.New(soc.DefaultConfig(soc.Cshallow))
-		shSrv := server.New(shSys, server.DefaultConfig(), spec)
+		sh := machine(soc.Cshallow, spec)
+		shSys := sh.Server(0).System()
 		tr := trace.New(shSys.Engine, shSys.Cores)
 		shSnap := shSys.Meter.Snapshot()
-		shSrv.Run(window)
+		sh.Run(window)
 		tr.Finalize()
 		shW := shSnap.AverageTotal()
 
-		apSys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		apSrv := server.New(apSys, server.DefaultConfig(), spec)
+		ap := machine(soc.CPC1A, spec)
+		apSys := ap.Server(0).System()
 		apSnap := apSys.Meter.Snapshot()
-		apSrv.Run(window)
+		ap.Run(window)
 		apW := apSnap.AverageTotal()
 		res := float64(apSys.APMU.Residency(pmu.PC1A)) / float64(apSys.Engine.Now())
 
@@ -41,4 +42,16 @@ func main() {
 			shW, apW, (shW-apW)/shW*100)
 	}
 	fmt.Println("\npaper Fig. 9: PC1A residency 15-47%; power reduction 9-19%")
+}
+
+// machine builds one server of the given kind fed spec: a one-member
+// fleet, whose Run generates the load and then drains it.
+func machine(kind soc.ConfigKind, spec workload.Spec) *cluster.Fleet {
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: server.DefaultConfig()}},
+	}, spec, 1)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }

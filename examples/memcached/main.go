@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -38,26 +39,40 @@ func main() {
 // run serves Memcached at qps on a fresh system and returns average
 // SoC+DRAM watts and mean latency.
 func run(kind soc.ConfigKind, qps float64, window sim.Duration) (watts, meanLat float64) {
-	sys := soc.New(soc.DefaultConfig(kind))
 	if qps == 0 {
+		sys := soc.New(soc.DefaultConfig(kind))
 		snap := sys.Meter.Snapshot()
 		sys.Engine.Run(window)
 		return snap.AverageTotal(), 0
 	}
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(qps))
-	srv.Run(window / 5) // warmup
-	snap := sys.Meter.Snapshot()
-	srv.Run(window)
-	return snap.AverageTotal(), srv.Latencies().Mean()
+	f := machine(kind, qps)
+	f.Run(window / 5) // warmup
+	snap := f.Server(0).System().Meter.Snapshot()
+	f.Run(window)
+	return snap.AverageTotal(), f.Server(0).Latencies().Mean()
 }
 
 func pc1aResidency(qps float64, window sim.Duration) float64 {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	var sys *soc.System
 	if qps > 0 {
-		srv := server.New(sys, server.DefaultConfig(), workload.Memcached(qps))
-		srv.Run(window)
+		f := machine(soc.CPC1A, qps)
+		sys = f.Server(0).System()
+		f.Run(window)
 	} else {
+		sys = soc.New(soc.DefaultConfig(soc.CPC1A))
 		sys.Engine.Run(window)
 	}
 	return float64(sys.APMU.Residency(pmu.PC1A)) / float64(sys.Engine.Now())
+}
+
+// machine builds one server of the given kind fed Memcached at qps: a
+// one-member fleet, whose Run generates the load and then drains it.
+func machine(kind soc.ConfigKind, qps float64) *cluster.Fleet {
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: server.DefaultConfig()}},
+	}, workload.Memcached(qps), 1)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -22,19 +23,19 @@ func main() {
 		spec := workload.MySQL(load, 10)
 
 		// Cshallow baseline with residency tracing.
-		shSys := soc.New(soc.DefaultConfig(soc.Cshallow))
-		shSrv := server.New(shSys, server.DefaultConfig(), spec)
+		sh := machine(soc.Cshallow, spec)
+		shSys := sh.Server(0).System()
 		tr := trace.New(shSys.Engine, shSys.Cores)
 		shSnap := shSys.Meter.Snapshot()
-		shSrv.Run(window)
+		sh.Run(window)
 		tr.Finalize()
 		shW := shSnap.AverageTotal()
 
 		// CPC1A.
-		apSys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		apSrv := server.New(apSys, server.DefaultConfig(), spec)
+		ap := machine(soc.CPC1A, spec)
+		apSys := ap.Server(0).System()
 		apSnap := apSys.Meter.Snapshot()
-		apSrv.Run(window)
+		ap.Run(window)
 		apW := apSnap.AverageTotal()
 
 		fmt.Printf("%4.0f%%  %6.0f  %5.1f%%  %5.1f%%   %6.1f%%    %6.1fW    %6.1fW    %5.1f%%\n",
@@ -43,4 +44,16 @@ func main() {
 			tr.AllIdleFraction()*100, shW, apW, (shW-apW)/shW*100)
 	}
 	fmt.Println("\npaper Fig. 8: all-idle 20-37% across loads; power reduction 7-14%")
+}
+
+// machine builds one server of the given kind fed spec: a one-member
+// fleet, whose Run generates the load and then drains it.
+func machine(kind soc.ConfigKind, spec workload.Spec) *cluster.Fleet {
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: server.DefaultConfig()}},
+	}, spec, 1)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -14,21 +15,32 @@ import (
 )
 
 func main() {
-	// A 10-core Skylake-class server with the APC architecture.
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	// A 10-core Skylake-class server with the APC architecture, fed
+	// Memcached at 50K QPS: a one-member fleet, whose generator only
+	// starts when the fleet runs.
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{
+			SoC:    soc.DefaultConfig(soc.CPC1A),
+			Server: server.DefaultConfig(),
+		}},
+	}, workload.Memcached(50000), 1)
+	if err != nil {
+		panic(err)
+	}
+	srv := f.Server(0)
+	sys := srv.System()
 
 	// Let it idle: all cores sit in CC1, so the APMU drops the package
 	// into PC1A within tens of nanoseconds.
-	sys.Engine.Run(10 * sim.Millisecond)
+	f.Engine().Run(10 * sim.Millisecond)
 	fmt.Printf("after 10ms idle:   state=%-5v  SoC=%5.1fW  DRAM=%4.2fW\n",
 		sys.PackageState(), sys.SoCPower(), sys.DRAMPower())
 	fmt.Printf("PC1A residency so far: %.1f%%\n",
 		100*float64(sys.APMU.Residency(pmu.PC1A))/float64(sys.Engine.Now()))
 
-	// Now serve Memcached at 50K QPS for 200ms of virtual time.
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(50000))
+	// Now serve the load for 200ms of virtual time, then drain.
 	snap := sys.Meter.Snapshot()
-	srv.Run(200 * sim.Millisecond)
+	f.Run(200 * sim.Millisecond)
 
 	fmt.Printf("\nafter 200ms at 50K QPS:\n")
 	fmt.Printf("  served:        %d requests\n", srv.Served())

@@ -26,9 +26,9 @@ func main() {
 
 		cl.Start()
 		snap := sys.Meter.Snapshot()
-		srv.Run(window)
+		sys.Engine.Run(sys.Engine.Now() + window)
 		cl.Stop()
-		srv.Run(20 * sim.Millisecond) // drain
+		sys.Engine.Run(sys.Engine.Now() + 20*sim.Millisecond) // drain
 
 		tps := float64(cl.Completed()) / window.Seconds()
 		res := float64(sys.APMU.Residency(pmu.PC1A)) / float64(sys.Engine.Now())

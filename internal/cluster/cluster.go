@@ -45,10 +45,10 @@
 // per-server meters' energy integrals over the measured window, and each
 // rack additionally aggregates its members into a rack-zone integral
 // (RackStats) — the pool/zone granularity production power tooling
-// manages. A 1-server round_robin fleet is, by construction, byte-for-
-// byte the single-server simulation (the scenario layer's parity test
-// enforces this), which pins the cluster layer as a strict
-// generalization.
+// manages. A one-member round_robin fleet is the single machine: every
+// figure point (experiments.runPoint) and every single-server scenario
+// runs on one, so Run is the simulator's only open-loop
+// window-then-drain loop.
 package cluster
 
 import (
@@ -259,8 +259,8 @@ type member struct {
 	routed  uint64
 	dropped uint64
 	// truncated is the subset of dropped that was still actively
-	// draining when Run's cap tripped (engine had pending events) — the
-	// fleet mirror of server.(*Server).TruncatedDrain.
+	// draining when Run's cap tripped (the engine had pending events);
+	// dropped − truncated leaked forever.
 	truncated uint64
 
 	// Fault-layer state (inert, all zero, without one; see faults.go and
@@ -833,6 +833,9 @@ func (f *Fleet) Engine() *sim.Engine { return f.eng }
 // Servers returns the fleet size.
 func (f *Fleet) Servers() int { return len(f.members) }
 
+// Server returns member i's server; its System is the member's SoC.
+func (f *Fleet) Server(i int) *server.Server { return f.members[i].srv }
+
 // Topology returns the rack shape the fleet was assembled with (Flat(N)
 // when the configuration left it zero).
 func (f *Fleet) Topology() Topology { return f.topo }
@@ -842,7 +845,8 @@ func (f *Fleet) Generated() uint64 { return f.gen.Generated() }
 
 // Dropped returns the fleet-wide leak counter: requests still in flight
 // when the most recent Run call gave up draining (per-server values are
-// in Measurement.Servers). Mirrors server.(*Server).Dropped for a fleet.
+// in Measurement.Servers). It is a snapshot, not an accumulator: a
+// request counted here may still complete during a later Run.
 func (f *Fleet) Dropped() uint64 {
 	var n uint64
 	for _, m := range f.members {
@@ -864,9 +868,8 @@ func (f *Fleet) inFlightTotal() int {
 
 // Run generates aggregate load for d of virtual time, then drains until
 // every in-flight request on every server completes, up to
-// server.DrainCap of extra virtual time — the same window/drain sequence
-// as server.(*Server).Run, which the 1-server parity contract depends
-// on. Requests still in flight when the cap trips are snapshotted into
+// server.DrainCap of extra virtual time, stepping the engine 1 ms at a
+// time. Requests still in flight when the cap trips are snapshotted into
 // the per-member dropped counters.
 func (f *Fleet) Run(d sim.Duration) {
 	stop := f.eng.Now() + d
@@ -876,19 +879,22 @@ func (f *Fleet) Run(d sim.Duration) {
 	for f.inFlightTotal() > 0 && f.eng.Now() < deadline {
 		f.eng.Run(f.eng.Now() + sim.Millisecond)
 	}
-	// Same leaked-vs-truncated discriminator as server.(*Server).Run: a
-	// non-empty event queue means the stragglers are progressing and
-	// merely outlived the cap. The feedback loop's perpetual epoch tick
-	// (and fault-injection timers) keep the queue non-empty, so on those
-	// configurations the discriminator is optimistic, like the
-	// single-server one is under timer ticks.
-	trunc := f.inFlightTotal() > 0 && f.eng.Pending() > 0
+	f.snapshotDropped(f.inFlightTotal() > 0 && f.eng.Pending() > 0)
+}
+
+// snapshotDropped records each member's still-in-flight count as
+// dropped, and as truncated too when trunc is set. A drain loop sets it
+// when the engine still holds events at the cap, so the stragglers are
+// progressing and merely outlived it; with an empty queue nothing can
+// ever complete them, and they leaked. Perpetual timers (the feedback
+// epoch tick, fault injection, a member's timer ticks) keep the queue
+// non-empty, so there the split is optimistic: a leak next to a live
+// timer still reads as truncated.
+func (f *Fleet) snapshotDropped(trunc bool) {
 	for _, m := range f.members {
-		m.dropped = uint64(f.load(m))
+		m.dropped, m.truncated = uint64(f.load(m)), 0
 		if trunc {
 			m.truncated = m.dropped
-		} else {
-			m.truncated = 0
 		}
 	}
 }
@@ -1056,12 +1062,12 @@ type Measurement struct {
 }
 
 // Measure runs the fleet through the standard warmup → instrument →
-// measure sequence the single-server experiments use (warmup first, then
-// tracers and power snapshots attached, then the measured window) and
-// returns the fleet-wide measurement. Call it at most once per fleet
-// build or reset — the tracers it attaches stay attached. The returned
-// value's slices are freshly allocated, so callers may retain it across
-// further use of the fleet.
+// measure sequence (warmup first, then tracers and power snapshots
+// attached, then the measured window) and returns the fleet-wide
+// measurement. Call it at most once per fleet build or reset — the
+// tracers it attaches stay attached. The returned value's slices are
+// freshly allocated, so callers may retain it across further use of the
+// fleet.
 func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
 	var out Measurement
 	f.MeasureInto(&out, warmup, duration)

@@ -7,6 +7,7 @@ import (
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
+	"agilepkgc/internal/stats"
 	"agilepkgc/internal/workload"
 )
 
@@ -195,6 +196,105 @@ func TestDroppedSaturatedServer(t *testing.T) {
 	}
 	if dropped != fl.Dropped() {
 		t.Errorf("Dropped() = %d, per-member sum %d", fl.Dropped(), dropped)
+	}
+}
+
+// oneServer builds a one-member round_robin fleet of kind fed spec —
+// the single machine every figure point runs on.
+func oneServer(t *testing.T, kind soc.ConfigKind, spec workload.Spec) *Fleet {
+	t.Helper()
+	fl, err := New(Config{Members: uniformMembers(1, kind)}, spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fl
+}
+
+// A tail slower than the old fixed 100ms drain cap must still be served:
+// Run drains until every in-flight request completes.
+func TestRunDrainsSlowTails(t *testing.T) {
+	fl := oneServer(t, soc.Cshallow, workload.Spec{
+		Name:        "slow-tail",
+		Arrivals:    stats.Poisson{RateV: 100},
+		Service:     stats.Deterministic{V: 0.15}, // 150ms on-core, per request
+		Connections: 10,
+		MemAccesses: 1,
+	})
+	fl.Run(20 * sim.Millisecond)
+	srv := fl.Server(0)
+	if fl.Generated() == 0 {
+		t.Fatal("no load generated")
+	}
+	if srv.Served() != fl.Generated() {
+		t.Fatalf("served %d != generated %d: slow tail was abandoned", srv.Served(), fl.Generated())
+	}
+	if fl.Dropped() != 0 {
+		t.Fatalf("dropped %d, want 0", fl.Dropped())
+	}
+}
+
+// When the backlog genuinely cannot clear within the drain cap, Run
+// surfaces the leak through Dropped instead of losing it silently.
+func TestRunSurfacesDroppedRequests(t *testing.T) {
+	fl := oneServer(t, soc.Cshallow, workload.Spec{
+		Name:        "stuck",
+		Arrivals:    stats.Poisson{RateV: 10000},
+		Service:     stats.Deterministic{V: 2 * server.DrainCap.Seconds()}, // can never finish draining
+		Connections: 10,
+		MemAccesses: 1,
+	})
+	fl.Run(sim.Millisecond)
+	srv := fl.Server(0)
+	if fl.Dropped() == 0 {
+		t.Fatal("drain cap tripped but Dropped() == 0")
+	}
+	if srv.Served()+fl.Dropped() != fl.Generated() {
+		t.Fatalf("served %d + dropped %d != generated %d",
+			srv.Served(), fl.Dropped(), fl.Generated())
+	}
+	// Dropped is a snapshot of the latest Run, not an accumulator: a
+	// second Run must not double-count the same stuck requests, and the
+	// invariant must keep holding.
+	fl.Run(sim.Millisecond)
+	if srv.Served()+fl.Dropped() != fl.Generated() {
+		t.Fatalf("after second Run: served %d + dropped %d != generated %d",
+			srv.Served(), fl.Dropped(), fl.Generated())
+	}
+}
+
+// The truncated count separates "still draining at the cap" from
+// "leaked forever": a request whose completion event is still queued
+// when the DrainCap trips is truncated, not leaked, and the counter
+// must say so.
+func TestTruncatedDrainDistinguishesSlowFromLeaked(t *testing.T) {
+	fl := oneServer(t, soc.Cshallow, workload.Spec{
+		Name:        "glacial",
+		Arrivals:    stats.Poisson{RateV: 10000},
+		Service:     stats.Deterministic{V: 2 * server.DrainCap.Seconds()}, // outlives the cap
+		Connections: 10,
+		MemAccesses: 1,
+	})
+	fl.Run(sim.Millisecond)
+	if fl.Dropped() == 0 {
+		t.Fatal("drain cap never tripped — test is vacuous")
+	}
+	// The glacial requests' completion events are still pending, so
+	// every dropped request is a truncation, not a leak.
+	if m := fl.members[0]; m.truncated != m.dropped {
+		t.Fatalf("truncated %d != dropped %d: pending completions misread as leaks",
+			m.truncated, m.dropped)
+	}
+}
+
+// A clean drain reports no truncation.
+func TestTruncatedDrainZeroOnCleanRuns(t *testing.T) {
+	fl := oneServer(t, soc.CPC1A, workload.Memcached(20000))
+	fl.Run(10 * sim.Millisecond)
+	if srv := fl.Server(0); srv.Served() != fl.Generated() {
+		t.Fatalf("served %d != generated %d", srv.Served(), fl.Generated())
+	}
+	if trunc := fl.members[0].truncated; trunc != 0 {
+		t.Fatalf("truncated %d on a clean drain", trunc)
 	}
 }
 

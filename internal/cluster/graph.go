@@ -569,14 +569,7 @@ func (g *Graph) Run(d sim.Duration) {
 	}
 	trunc := g.inFlight() > 0 && g.eng.Pending() > 0
 	for _, t := range g.tiers {
-		for _, m := range t.fl.members {
-			m.dropped = uint64(t.fl.load(m))
-			if trunc {
-				m.truncated = m.dropped
-			} else {
-				m.truncated = 0
-			}
-		}
+		t.fl.snapshotDropped(trunc)
 	}
 }
 

@@ -8,6 +8,7 @@ package cpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"agilepkgc/internal/power"
 	"agilepkgc/internal/signal"
@@ -317,7 +318,7 @@ func NewCore(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPolicy, c
 		governor: gov,
 		freq:     freq,
 		state:    CC1,
-		inIdle:   signal.New(fmt.Sprintf("core%d.InCC1", id), true),
+		inIdle:   signal.New("core"+strconv.Itoa(id)+".InCC1", true),
 		ch:       ch,
 	}
 	if ch != nil {

@@ -58,15 +58,15 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	// fractions (vs Cshallow, vs the unbatched epoch) are derived
 	// afterwards in point order.
 	res.Points = Sweep(opt, epochs, func(epoch sim.Duration) BatchingPoint {
-		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 		scfg := server.DefaultConfig()
-		scfg.Seed = opt.Seed
 		scfg.BatchEpoch = epoch
-		srv := server.New(sys, scfg, spec)
-		srv.Run(opt.Duration / 10)
+		f := newMachine(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt)
+		srv := f.Server(0)
+		sys := srv.System()
+		f.Run(opt.Duration / 10)
 		snap := sys.Meter.Snapshot()
 		t0 := sys.Engine.Now()
-		srv.Run(opt.Duration)
+		f.Run(opt.Duration)
 
 		return BatchingPoint{
 			Epoch:       epoch,

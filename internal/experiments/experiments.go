@@ -44,9 +44,9 @@ import (
 	"fmt"
 	"strings"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
-	"agilepkgc/internal/power"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
@@ -86,8 +86,6 @@ type loadedRun struct {
 	srv    *server.Server
 	tracer *trace.Tracer
 
-	avgSoCW   float64
-	avgDRAMW  float64
 	avgTotalW float64
 }
 
@@ -105,34 +103,37 @@ func (o Options) Warmup() sim.Duration {
 }
 
 func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
-	sys := soc.New(soc.DefaultConfig(kind))
-	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
-	srv := server.New(sys, scfg, spec)
+	f := newMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
+	f.Run(opt.Warmup())
 
-	srv.Run(opt.Warmup())
-
+	sys := f.Server(0).System()
 	tr := trace.New(sys.Engine, sys.Cores)
 	snap := sys.Meter.Snapshot()
-	srv.Run(opt.Duration)
+	f.Run(opt.Duration)
 	tr.Finalize()
 
 	return &loadedRun{
 		sys:       sys,
-		srv:       srv,
+		srv:       f.Server(0),
 		tracer:    tr,
-		avgSoCW:   snap.AveragePower(power.Package),
-		avgDRAMW:  snap.AveragePower(power.DRAM),
 		avgTotalW: snap.AverageTotal(),
 	}
 }
 
-// newServerForConfig builds a server on an already-assembled system with
-// the experiment's seed.
-func newServerForConfig(sys *soc.System, opt Options, spec workload.Spec) *server.Server {
-	scfg := server.DefaultConfig()
+// newMachine builds the one-member round_robin fleet every
+// single-machine point runs on: one SoC of cfg behind the server stack
+// scfg, fed by an open-loop generator seeded with the experiment's
+// seed. Fleet.Run is its window-then-drain loop.
+func newMachine(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) *cluster.Fleet {
 	scfg.Seed = opt.Seed
-	return server.New(sys, scfg, spec)
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: cfg, Server: scfg}},
+	}, spec, opt.Seed)
+	if err != nil {
+		// Every caller passes an open-loop spec; an error is a bug.
+		panic(err)
+	}
+	return f
 }
 
 // table builds a simple aligned text table.

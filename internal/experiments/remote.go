@@ -52,20 +52,17 @@ func Remote(opt Options, qps float64, rates []float64) *RemoteResult {
 	sh := runPoint(soc.Cshallow, spec, opt)
 
 	res.Points = Sweep(opt, rates, func(rate float64) RemotePoint {
-		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		scfg := server.DefaultConfig()
-		scfg.Seed = opt.Seed
-		srv := server.New(sys, scfg, spec)
-
+		f := newMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt)
+		sys := f.Server(0).System()
 		if rate > 0 {
 			armSnoops(sys, rate, opt.Seed+99)
 		}
-		srv.Run(opt.Duration / 10)
+		f.Run(opt.Duration / 10)
 		snap := sys.Meter.Snapshot()
 		t0 := sys.Engine.Now()
 		entries0 := sys.APMU.Entries(pmu.PC1A)
 		res0 := sys.APMU.Residency(pmu.PC1A)
-		srv.Run(opt.Duration)
+		f.Run(opt.Duration)
 
 		p := RemotePoint{
 			SnoopRate: rate,

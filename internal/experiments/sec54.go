@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"agilepkgc/internal/clock"
@@ -74,8 +75,8 @@ func Sec54(opt Options) *Sec54Result {
 				pkg += s.Meter.Lookup(l.Name()).Watts()
 			}
 			for i := range s.MCs {
-				pkg += s.Meter.Lookup(fmt.Sprintf("mc%d", i)).Watts()
-				dramW += s.Meter.Lookup(fmt.Sprintf("dimm%d", i)).Watts()
+				pkg += s.Meter.Lookup("mc" + strconv.Itoa(i)).Watts()
+				dramW += s.Meter.Lookup("dimm" + strconv.Itoa(i)).Watts()
 			}
 			return
 		}

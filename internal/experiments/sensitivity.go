@@ -7,6 +7,7 @@ import (
 	apc "agilepkgc/internal/core"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
+	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/workload"
@@ -78,11 +79,10 @@ func Sensitivity(opt Options) *SensitivityResult {
 	refSpec := workload.Memcached(20000)
 	shallowRefW := runPoint(soc.Cshallow, refSpec, opt).avgTotalW
 	loadSavings := func(cfg soc.Config) float64 {
-		s := soc.New(cfg)
-		srv := newServerForConfig(s, opt, refSpec)
-		srv.Run(opt.Duration / 10)
-		snap := s.Meter.Snapshot()
-		srv.Run(opt.Duration)
+		f := newMachine(cfg, server.DefaultConfig(), refSpec, opt)
+		f.Run(opt.Duration / 10)
+		snap := f.Server(0).System().Meter.Snapshot()
+		f.Run(opt.Duration)
 		return (shallowRefW - snap.AverageTotal()) / shallowRefW
 	}
 

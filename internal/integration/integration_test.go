@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"agilepkgc/internal/cluster"
 	apc "agilepkgc/internal/core"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/dram"
@@ -21,6 +22,23 @@ import (
 	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 )
+
+// machine builds one default server of kind fed spec from a generator
+// seeded with seed: the one-member fleet every open-loop single machine
+// runs on. Hooks attached to the returned system before the first
+// f.Run see the whole run.
+func machine(t *testing.T, kind soc.ConfigKind, spec workload.Spec, seed uint64) (*cluster.Fleet, *soc.System) {
+	t.Helper()
+	scfg := server.DefaultConfig()
+	scfg.Seed = seed
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: scfg}},
+	}, spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, f.Server(0).System()
+}
 
 // invariantProbe attaches periodic whole-system checks to a CPC1A run.
 type invariantProbe struct {
@@ -102,25 +120,25 @@ func (p *invariantProbe) check() {
 }
 
 func TestInvariantsUnderMemcached(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(80000), 1)
 	probe := &invariantProbe{t: t, sys: sys}
 	probe.arm(50 * sim.Microsecond)
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(80000))
-	srv.Run(200 * sim.Millisecond)
+	srv := f.Server(0)
+	f.Run(200 * sim.Millisecond)
 	if probe.checks < 1000 {
 		t.Fatalf("probe ran only %d times", probe.checks)
 	}
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("lost requests: %d/%d", srv.Served(), srv.Generated())
+	if srv.Served() != f.Generated() {
+		t.Fatalf("lost requests: %d/%d", srv.Served(), f.Generated())
 	}
 }
 
 func TestInvariantsUnderBurstyKafka(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	f, sys := machine(t, soc.CPC1A, workload.Kafka(0.16, 10), 1)
 	probe := &invariantProbe{t: t, sys: sys}
 	probe.arm(100 * sim.Microsecond)
-	srv := server.New(sys, server.DefaultConfig(), workload.Kafka(0.16, 10))
-	srv.Run(200 * sim.Millisecond)
+	srv := f.Server(0)
+	f.Run(200 * sim.Millisecond)
 	if srv.Served() == 0 {
 		t.Fatal("nothing served")
 	}
@@ -130,12 +148,11 @@ func TestInvariantsUnderBurstyKafka(t *testing.T) {
 // power times elapsed time, and per-domain energies are consistent with
 // snapshots taken mid-run.
 func TestEnergyConservation(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
 	start := sys.Meter.Snapshot()
-	srv.Run(50 * sim.Millisecond)
+	f.Run(50 * sim.Millisecond)
 	mid := sys.Meter.Snapshot()
-	srv.Run(50 * sim.Millisecond)
+	f.Run(50 * sim.Millisecond)
 
 	e1 := start.IntervalEnergy(power.Package) + start.IntervalEnergy(power.DRAM)
 	e2 := mid.IntervalEnergy(power.Package) + mid.IntervalEnergy(power.DRAM)
@@ -156,7 +173,7 @@ func TestEnergyConservation(t *testing.T) {
 // Timer storms (thermal events, tick storms) must never wedge the APMU:
 // fire GPMU wakeups at aggressive rates while load runs.
 func TestTimerStormFailureInjection(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(50000), 1)
 	var storm func()
 	storm = func() {
 		sys.GPMU.FireTimer()
@@ -164,10 +181,10 @@ func TestTimerStormFailureInjection(t *testing.T) {
 	}
 	sys.Engine.Schedule(sim.Microsecond, storm)
 
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(50000))
-	srv.Run(100 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("storm lost requests: %d/%d", srv.Served(), srv.Generated())
+	srv := f.Server(0)
+	f.Run(100 * sim.Millisecond)
+	if srv.Served() != f.Generated() {
+		t.Fatalf("storm lost requests: %d/%d", srv.Served(), f.Generated())
 	}
 	// The system must still be able to reach PC1A afterwards.
 	if sys.PackageState() != pmu.PC1A {
@@ -182,7 +199,7 @@ func TestTimerStormFailureInjection(t *testing.T) {
 // Link flapping: DMA bursts arriving exactly around PC1A entry must
 // never deadlock or corrupt the FSM.
 func TestLinkFlapFailureInjection(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(20000), 1)
 	rng := stats.NewRNG(7)
 	link := sys.Links[1] // not the NIC
 	var flap func()
@@ -195,10 +212,10 @@ func TestLinkFlapFailureInjection(t *testing.T) {
 	}
 	sys.Engine.Schedule(10*sim.Microsecond, flap)
 
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(20000))
-	srv.Run(100 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("flapping lost requests: %d/%d", srv.Served(), srv.Generated())
+	srv := f.Server(0)
+	f.Run(100 * sim.Millisecond)
+	if srv.Served() != f.Generated() {
+		t.Fatalf("flapping lost requests: %d/%d", srv.Served(), f.Generated())
 	}
 	if sys.APMU.Entries(pmu.PC1A) == 0 {
 		t.Fatal("no PC1A entries despite idleness between flaps")
@@ -209,7 +226,7 @@ func TestLinkFlapFailureInjection(t *testing.T) {
 // in CC6 or CC1E, whatever the load pattern.
 func TestNoDeepCoreStatesInShallowConfigs(t *testing.T) {
 	for _, kind := range []soc.ConfigKind{soc.Cshallow, soc.CPC1A} {
-		sys := soc.New(soc.DefaultConfig(kind))
+		f, sys := machine(t, kind, workload.MemcachedBursty(30000, 6), 1)
 		for _, c := range sys.Cores {
 			c.OnTransition(func(old, new cpu.CState) {
 				if new == cpu.CC6 || new == cpu.CC1E {
@@ -217,19 +234,18 @@ func TestNoDeepCoreStatesInShallowConfigs(t *testing.T) {
 				}
 			})
 		}
-		srv := server.New(sys, server.DefaultConfig(), workload.MemcachedBursty(30000, 6))
-		srv.Run(100 * sim.Millisecond)
+		f.Run(100 * sim.Millisecond)
 	}
 }
 
 // Cdeep end-to-end: PC6 residency accrues at idle, and its unwinding
 // always lands back in a servable system.
 func TestCdeepServesAfterPC6(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.Cdeep))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(2000))
-	srv.Run(300 * sim.Millisecond)
-	if srv.Served() != srv.Generated() {
-		t.Fatalf("lost requests: %d/%d", srv.Served(), srv.Generated())
+	f, sys := machine(t, soc.Cdeep, workload.Memcached(2000), 1)
+	srv := f.Server(0)
+	f.Run(300 * sim.Millisecond)
+	if srv.Served() != f.Generated() {
+		t.Fatalf("lost requests: %d/%d", srv.Served(), f.Generated())
 	}
 	if sys.GPMU.Entries(pmu.PC6) == 0 {
 		t.Fatal("2K QPS on Cdeep should reach PC6 between requests")
@@ -246,12 +262,9 @@ func TestPropertyPowerOrdering(t *testing.T) {
 	f := func(seed uint64) bool {
 		qps := 2000 + float64(seed%30000)
 		measure := func(kind soc.ConfigKind) float64 {
-			sys := soc.New(soc.DefaultConfig(kind))
-			scfg := server.DefaultConfig()
-			scfg.Seed = seed
-			srv := server.New(sys, scfg, workload.Memcached(qps))
+			fl, sys := machine(t, kind, workload.Memcached(qps), seed)
 			snap := sys.Meter.Snapshot()
-			srv.Run(30 * sim.Millisecond)
+			fl.Run(30 * sim.Millisecond)
 			return snap.AverageTotal()
 		}
 		shallow := measure(soc.Cshallow)
@@ -267,10 +280,10 @@ func TestPropertyPowerOrdering(t *testing.T) {
 // served counts, latencies, energies and PC1A entry counts.
 func TestWholeSystemDeterminism(t *testing.T) {
 	run := func() (uint64, float64, float64, uint64) {
-		sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-		srv := server.New(sys, server.DefaultConfig(), workload.MemcachedBursty(40000, 4))
+		f, sys := machine(t, soc.CPC1A, workload.MemcachedBursty(40000, 4), 1)
+		srv := f.Server(0)
 		snap := sys.Meter.Snapshot()
-		srv.Run(50 * sim.Millisecond)
+		f.Run(50 * sim.Millisecond)
 		return srv.Served(), srv.Latencies().Mean(), snap.IntervalEnergy(power.Package),
 			sys.APMU.Entries(pmu.PC1A)
 	}
@@ -284,10 +297,9 @@ func TestWholeSystemDeterminism(t *testing.T) {
 // The tracer agrees with the APMU about the PC1A opportunity: on a CPC1A
 // system, PC1A residency ≈ all-idle residency minus transition slivers.
 func TestTracerAPMUAgreement(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
 	tr := trace.New(sys.Engine, sys.Cores)
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
-	srv.Run(200 * sim.Millisecond)
+	f.Run(200 * sim.Millisecond)
 	tr.Finalize()
 
 	allIdle := tr.AllIdleFraction()
@@ -302,10 +314,10 @@ func TestTracerAPMUAgreement(t *testing.T) {
 
 // DRAM access counters line up with the workload's configured accesses.
 func TestMemoryTrafficAccounting(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
 	spec := workload.Memcached(20000)
-	srv := server.New(sys, server.DefaultConfig(), spec)
-	srv.Run(100 * sim.Millisecond)
+	f, sys := machine(t, soc.CPC1A, spec, 1)
+	srv := f.Server(0)
+	f.Run(100 * sim.Millisecond)
 	var accesses uint64
 	for _, mc := range sys.MCs {
 		accesses += mc.Accesses()
@@ -324,9 +336,8 @@ func TestMemoryTrafficAccounting(t *testing.T) {
 // CKE-off must engage only during system idleness, and the self-refresh
 // path must stay untouched on CPC1A systems.
 func TestDRAMModesPerConfig(t *testing.T) {
-	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
-	srv := server.New(sys, server.DefaultConfig(), workload.Memcached(30000))
-	srv.Run(100 * sim.Millisecond)
+	f, sys := machine(t, soc.CPC1A, workload.Memcached(30000), 1)
+	f.Run(100 * sim.Millisecond)
 	for _, mc := range sys.MCs {
 		if mc.SREntries() != 0 {
 			t.Errorf("MC %s entered self-refresh %d times on a CPC1A system", mc.Name(), mc.SREntries())

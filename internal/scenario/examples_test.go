@@ -1,19 +1,37 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+
+	"agilepkgc/internal/experiments"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the example scenarios' hash file")
+
+// exampleFiles returns the shipped examples/scenarios/*.json files.
+func exampleFiles(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
 
 // TestExampleScenariosParse locks the shipped example files to the
 // schema: every examples/scenarios/*.json must load and validate, so a
 // schema change that orphans the documented examples fails `make ci`
 // instead of a reader.
 func TestExampleScenariosParse(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := exampleFiles(t)
 	// Guards against the directory silently moving: the repo ships at
 	// least the tick-rate, batching, and two cluster files.
 	if len(files) < 4 {
@@ -38,5 +56,78 @@ func TestExampleScenariosParse(t *testing.T) {
 				t.Errorf("%s: scenario %q ships without a description", f, sc.Name)
 			}
 		}
+	}
+}
+
+// TestExampleScenariosGoldenHash is the full-precision lock of the
+// shipped examples: every scenario runs at its effective options
+// (QuickOptions with its own duration_ms/seed overrides applied), and
+// the SHA-256 of its result's json.Marshal must match a committed
+// "name hash" line. encoding/json keeps every bit of a float64, so
+// this catches drift the rendered reports round away. Regenerate
+// deliberately with
+//
+//	go test ./internal/scenario/ -run TestExampleScenariosGoldenHash -update
+//
+// The lock holds on amd64 only: other architectures fuse float
+// multiply-adds the amd64 compiler leaves apart, which moves low bits
+// (ROADMAP item 1 removes the fused sites).
+func TestExampleScenariosGoldenHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("full-precision lock is amd64-only until the fused multiply-adds go (ROADMAP item 1); GOARCH=%s", runtime.GOARCH)
+	}
+	var lines []string
+	got := map[string]string{}
+	for _, f := range exampleFiles(t) {
+		scs, err := LoadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scs {
+			res, err := sc.Run(experiments.QuickOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			sum := fmt.Sprintf("%x", sha256.Sum256(data))
+			lines = append(lines, sc.Name+" "+sum)
+			got[sc.Name] = sum
+		}
+	}
+	out := strings.Join(lines, "\n") + "\n"
+	path := filepath.Join("testdata", "examples_quick.sha256")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing hash file (run with -update to create): %v", err)
+	}
+	if out == string(data) {
+		return
+	}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, sum, _ := strings.Cut(l, " ")
+		if got[name] != sum {
+			t.Errorf("%s: result differs from the full-precision lock in %s", name, path)
+		}
+		delete(got, name)
+	}
+	for name := range got {
+		t.Errorf("%s: produced but not in %s", name, path)
+	}
+	gotPath := filepath.Join("testdata", "examples_quick.got.sha256")
+	if err := os.WriteFile(gotPath, []byte(out), 0o644); err != nil {
+		t.Logf("could not write %s: %v", gotPath, err)
+	} else {
+		t.Logf("hashes written to %s", gotPath)
 	}
 }

@@ -554,8 +554,8 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 	return p
 }
 
-// runClosedLoop wires one applied sysbench point onto a fresh system —
-// the built-in experiments' assembly, warmup and measurement-window
+// runClosedLoop wires one applied sysbench point onto a fresh system
+// and runs the built-in experiments' warmup and measurement-window
 // sequence. It is the one point runGraph does not wire: closed-loop
 // clients bind to one server's Submit and would bypass any balancer.
 func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Point {
@@ -570,8 +570,9 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 	cl.Start()
 
 	// Warmup so the measured window starts in steady state — the same
-	// formula as the built-in experiments (Options.Warmup).
-	srv.Run(opt.Warmup())
+	// formula as the built-in experiments (Options.Warmup). Closed-loop
+	// clients issue continuously, so a window is just engine time.
+	sys.Engine.Run(sys.Engine.Now() + opt.Warmup())
 
 	tr := trace.New(sys.Engine, sys.Cores)
 	snap := sys.Meter.Snapshot()
@@ -582,7 +583,7 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 		res0 = sys.APMU.Residency(pmu.PC1A)
 		ent0 = sys.APMU.Entries(pmu.PC1A)
 	}
-	srv.Run(opt.Duration)
+	sys.Engine.Run(sys.Engine.Now() + opt.Duration)
 	tr.Finalize()
 	cl.Stop()
 
@@ -591,7 +592,6 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 		Workload:        fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads),
 		Served:          srv.Served(),
 		Generated:       cl.Issued(),
-		Dropped:         srv.Dropped(),
 		MeanLatency:     srv.Latencies().Mean(),
 		P50Latency:      srv.Latencies().Quantile(0.50),
 		P99Latency:      srv.Latencies().Quantile(0.99),
@@ -602,7 +602,6 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 		CC1Residency:    tr.MeanResidency(cpu.CC1),
 		AllIdle:         tr.AllIdleFraction(),
 		AllIdleCensored: tr.CensoredAllIdleFraction(),
-		TruncatedDrain:  srv.TruncatedDrain(),
 	}
 	if sys.APMU != nil {
 		residency := 0.0

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/experiments"
 	"agilepkgc/internal/power"
 	"agilepkgc/internal/server"
@@ -149,18 +150,20 @@ func TestScenarioMatchesHandWiredRun(t *testing.T) {
 	opt := quickOpt()
 	const qps = 20000
 
-	// Hand-wired: the sequence internal/experiments.runPoint uses.
-	sys := soc.New(soc.DefaultConfig(soc.Cshallow))
+	// Hand-wired: the sequence internal/experiments.runPoint uses — a
+	// one-member round_robin fleet, seeded on the server and the fleet.
 	scfg := server.DefaultConfig()
 	scfg.Seed = opt.Seed
-	srv := server.New(sys, scfg, workload.Memcached(qps))
-	warm := opt.Duration / 10
-	if warm > 50*sim.Millisecond {
-		warm = 50 * sim.Millisecond
+	f, err := cluster.New(cluster.Config{
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(soc.Cshallow), Server: scfg}},
+	}, workload.Memcached(qps), opt.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv.Run(warm)
-	snap := sys.Meter.Snapshot()
-	srv.Run(opt.Duration)
+	srv := f.Server(0)
+	f.Run(opt.Warmup())
+	snap := srv.System().Meter.Snapshot()
+	f.Run(opt.Duration)
 	wantMean := srv.Latencies().Mean()
 	wantP99 := srv.Latencies().Quantile(0.99)
 	wantServed := srv.Served()

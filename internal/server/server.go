@@ -39,7 +39,9 @@ type Config struct {
 	// PC1A opportunity on real machines.
 	TimerTickHz    float64
 	TickKernelTime sim.Duration
-	// Seed makes the request stream deterministic.
+	// Seed records the seed of the request stream the server is fed.
+	// The server draws nothing itself: the stream's seed is the one
+	// given to cluster.New or to a closed-loop client.
 	Seed uint64
 }
 
@@ -53,19 +55,18 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server binds a workload to a system.
+// Server serves the requests submitted to it on one system. An
+// open-loop workload reaches it through a cluster.Fleet (one member for
+// a single machine), a closed-loop client through Submit directly.
 type Server struct {
 	sys *soc.System
 	cfg Config
-	gen *workload.Generator
 
 	// Latencies in seconds, client-observed.
 	lat *stats.Histogram
 
-	served    uint64
-	inFlight  int
-	dropped   uint64
-	truncated uint64
+	served   uint64
+	inFlight int
 
 	batch        []func()
 	batchSpare   []func()
@@ -141,28 +142,16 @@ func (s *Server) newInflight(req *workload.Request, done func()) *inflight {
 	return r
 }
 
-// New creates a server for the given system and workload.
-func New(sys *soc.System, cfg Config, spec workload.Spec) *Server {
-	s := &Server{
-		sys: sys,
-		cfg: cfg,
-		lat: stats.NewLatencyHistogram(),
-	}
-	s.gen = workload.NewGenerator(sys.Engine, spec, cfg.Seed, s.receive)
-	if cfg.TimerTickHz > 0 {
-		s.armTicks()
-	}
-	return s
-}
-
-// NewClosedLoop creates a server driven by a closed-loop client instead
-// of an open-loop generator. The caller builds the client around the
-// returned server's Submit method:
+// NewClosedLoop creates a server with no load of its own: whatever
+// drives it calls Submit. A closed-loop client binds to it directly,
 //
 //	srv := server.NewClosedLoop(sys, cfg)
 //	cl := workload.SysbenchOLTP(sys.Engine, 16, 1e-3, 1, srv.Submit)
 //	cl.Start()
 //	sys.Engine.Run(...)
+//
+// and a cluster.Fleet builds one per member and routes its open-loop
+// arrivals into it.
 func NewClosedLoop(sys *soc.System, cfg Config) *Server {
 	s := &Server{
 		sys: sys,
@@ -191,68 +180,13 @@ func (s *Server) armTicks() {
 	}
 }
 
-// DrainCap bounds how much extra virtual time Run spends draining
-// stragglers after the generator stops. It exists only to bound
+// DrainCap bounds how much extra virtual time the cluster layer's
+// open-loop drain loops (Fleet.Run, Graph.Run) spend draining
+// stragglers after their source stops. It exists only to bound
 // pathological runs (a backlog that cannot clear); anything still in
-// flight when it trips is surfaced via Dropped instead of silently
-// abandoned. Exported because the cluster layer's fleet drain must use
-// the same bound for its 1-server-fleet ≡ single-server parity contract.
+// flight when it trips is reported as dropped instead of silently
+// abandoned.
 const DrainCap = 10 * sim.Second
-
-// Run generates load for the given duration of virtual time and then
-// drains: the engine runs until every in-flight request completes, up to
-// DrainCap of extra virtual time. Requests still in flight when the cap
-// trips are counted in Dropped. On a closed-loop server (no generator)
-// Run only advances time — clients issue continuously, so "drained"
-// is meaningless until the caller stops them; call Run again after
-// ClosedLoopClient.Stop to flush the tail.
-func (s *Server) Run(d sim.Duration) {
-	eng := s.sys.Engine
-	stop := eng.Now() + d
-	if s.gen != nil {
-		s.gen.Start(stop)
-	}
-	eng.Run(stop)
-	if s.gen == nil {
-		return
-	}
-	// Drain stragglers: the generator is stopped, so inFlight can only
-	// fall.
-	deadline := eng.Now() + DrainCap
-	for s.inFlight > 0 && eng.Now() < deadline {
-		eng.Run(eng.Now() + sim.Millisecond)
-	}
-	// Snapshot, not accumulate: a request reported here may still
-	// complete during a later Run call, so summing across calls would
-	// double-count. At any instant served + dropped == generated.
-	s.dropped = uint64(s.inFlight)
-	// Distinguish "still draining at the cap" from "leaked forever":
-	// if the engine still holds pending events the stragglers are making
-	// progress and merely outlived the cap (truncated); an empty queue
-	// means nothing can ever complete them — a genuine leak. On a ticky
-	// server (TimerTickHz > 0) the tick chain keeps the queue non-empty
-	// forever, so the discriminator is optimistic there: a leak that
-	// coexists with an armed tick chain still reads as truncated.
-	if s.inFlight > 0 && eng.Pending() > 0 {
-		s.truncated = uint64(s.inFlight)
-	} else {
-		s.truncated = 0
-	}
-}
-
-// Dropped reports requests that were still in flight when the most
-// recent Run call gave up draining (the DrainCap tripped) — the requests
-// older code silently lost. A non-zero value means latency and
-// throughput figures exclude these requests. Always 0 on closed-loop
-// servers, which do not drain.
-func (s *Server) Dropped() uint64 { return s.dropped }
-
-// TruncatedDrain reports the subset of Dropped that was still actively
-// draining — the engine had pending events — when the most recent Run
-// call's DrainCap tripped. Dropped − TruncatedDrain is the count leaked
-// forever: requests no remaining event can ever complete. Always 0 when
-// the drain finished (or on closed-loop servers, which do not drain).
-func (s *Server) TruncatedDrain() uint64 { return s.truncated }
 
 // Latencies returns the client-observed latency histogram (seconds).
 func (s *Server) Latencies() *stats.Histogram { return s.lat }
@@ -265,26 +199,13 @@ func (s *Server) InFlight() int { return s.inFlight }
 // Served returns the number of completed requests.
 func (s *Server) Served() uint64 { return s.served }
 
-// Generated returns the number of requests emitted by the load
-// generator (0 for closed-loop servers, which count via the client).
-func (s *Server) Generated() uint64 {
-	if s.gen == nil {
-		return 0
-	}
-	return s.gen.Generated()
-}
-
 // System returns the underlying system.
 func (s *Server) System() *soc.System { return s.sys }
 
-// receive models the request's path through the machine.
-func (s *Server) receive(req *workload.Request) { s.submit(req, nil) }
-
 // Submit serves one request and calls done (if non-nil) when the
-// response leaves the NIC — the hook closed-loop clients use.
-func (s *Server) Submit(req *workload.Request, done func()) { s.submit(req, done) }
-
-func (s *Server) submit(req *workload.Request, done func()) {
+// response leaves the NIC — the hook closed-loop clients and the fleet
+// balancer use.
+func (s *Server) Submit(req *workload.Request, done func()) {
 	s.inFlight++
 	r := s.newInflight(req, done)
 	nic := s.sys.NICLink()

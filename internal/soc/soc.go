@@ -17,6 +17,7 @@ package soc
 
 import (
 	"fmt"
+	"strconv"
 
 	"agilepkgc/internal/clock"
 	apc "agilepkgc/internal/core"
@@ -193,7 +194,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			gov = cpu.ShallowGovernor{}
 			freq = cpu.PerformancePolicy{Nominal: cfg.CoreParams.NominalGHz}
 		}
-		ch := meter.Channel(fmt.Sprintf("core%d", i), power.Package)
+		ch := meter.Channel("core"+strconv.Itoa(i), power.Package)
 		s.Cores = append(s.Cores, cpu.NewCore(eng, i, cfg.CoreParams, gov, freq, ch))
 	}
 
@@ -217,13 +218,13 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			meter.Channel(name+".pll", power.Package)))
 	}
 	for i := 0; i < cfg.PCIeCount; i++ {
-		addLink(fmt.Sprintf("pcie%d", i), ios.PCIe, cfg.PCIeWatts)
+		addLink("pcie"+strconv.Itoa(i), ios.PCIe, cfg.PCIeWatts)
 	}
 	for i := 0; i < cfg.DMICount; i++ {
-		addLink(fmt.Sprintf("dmi%d", i), ios.DMI, cfg.DMIWatts)
+		addLink("dmi"+strconv.Itoa(i), ios.DMI, cfg.DMIWatts)
 	}
 	for i := 0; i < cfg.UPICount; i++ {
-		addLink(fmt.Sprintf("upi%d", i), ios.UPI, cfg.UPIWatts)
+		addLink("upi"+strconv.Itoa(i), ios.UPI, cfg.UPIWatts)
 	}
 
 	// Two memory controllers.
@@ -235,9 +236,10 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			mp.CKEExit = 0
 			mp.CKEEntry = 0
 		}
-		mc := dram.NewMC(eng, fmt.Sprintf("mc%d", i), mp, dram.PPD,
-			meter.Channel(fmt.Sprintf("mc%d", i), power.Package),
-			meter.Channel(fmt.Sprintf("dimm%d", i), power.DRAM))
+		name := "mc" + strconv.Itoa(i)
+		mc := dram.NewMC(eng, name, mp, dram.PPD,
+			meter.Channel(name, power.Package),
+			meter.Channel("dimm"+strconv.Itoa(i), power.DRAM))
 		s.MCs = append(s.MCs, mc)
 	}
 	s.memLat, s.memDoneFn = s.MCs[0].Params().AccessLatency, s.memDone

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/stats"
@@ -65,13 +66,19 @@ func (s Spec) String() string {
 		s.Name, s.Arrivals, s.Service, s.Connections, s.MemAccesses)
 }
 
+// formatG renders v as fmt's %g does. Spec constructors name their
+// specs with it and strconv rather than fmt.Sprintf: fmt's printers
+// come from a sync.Pool, which every GC empties, so a constructor that
+// used them would allocate a GC-dependent number of objects.
+func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
 // Memcached returns the mutilate/ETC-style key-value workload at the
 // given request rate. Facebook's ETC is dominated by small GETs with a
 // small population of much larger requests; service times average
 // ~16 µs on the 2.2 GHz SKX cores.
 func Memcached(qps float64) Spec {
 	return Spec{
-		Name:     fmt.Sprintf("memcached-%gqps", qps),
+		Name:     "memcached-" + formatG(qps) + "qps",
 		Arrivals: stats.Poisson{RateV: qps},
 		Service: stats.Mixture{
 			Components: []stats.Dist{
@@ -101,7 +108,7 @@ func MemcachedAtUtil(util float64, cores int) Spec {
 // the bursty on/off load shape user-facing traffic exhibits.
 func MemcachedBursty(qps, burstiness float64) Spec {
 	s := Memcached(qps)
-	s.Name = fmt.Sprintf("memcached-bursty-%gqps", qps)
+	s.Name = "memcached-bursty-" + formatG(qps) + "qps"
 	s.Arrivals = stats.NewMMPP2(qps, burstiness, 2e-3)
 	return s
 }
@@ -114,7 +121,7 @@ func Kafka(load float64, cores int) Spec {
 	service := stats.NewLogNormal(120e-6, 0.6)
 	qps := load * float64(cores) / service.MeanV
 	return Spec{
-		Name:        fmt.Sprintf("kafka-%d%%", int(load*100+0.5)),
+		Name:        "kafka-" + strconv.Itoa(int(load*100+0.5)) + "%",
 		Arrivals:    stats.NewMMPP2(qps, 4, 5e-3),
 		Service:     service,
 		Connections: 48,
@@ -144,7 +151,7 @@ func MySQL(load float64, cores int) Spec {
 	// all-idle time at 42% average utilization.
 	burstiness := 1 + 20*load
 	return Spec{
-		Name:        fmt.Sprintf("mysql-%d%%", int(load*100+0.5)),
+		Name:        "mysql-" + strconv.Itoa(int(load*100+0.5)) + "%",
 		Arrivals:    stats.NewMMPP2(qps, burstiness, 5e-3),
 		Service:     service,
 		Connections: 64,
