@@ -75,7 +75,8 @@ benchgate:
 	scripts/benchgate.sh
 
 # Non-test Go lines per package under internal/ and cmd/ — the
-# simplicity yardstick each change reports before and after.
+# simplicity yardstick each change reports before and after — then the
+# embedded JSON data lines under internal/ on their own line.
 loc:
 	@sh scripts/loc.sh
 

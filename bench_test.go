@@ -216,9 +216,7 @@ func benchmarkFleetRouting(b *testing.B, hold, epoch sim.Duration, faults cluste
 	b.ReportAllocs()
 	members := make([]cluster.MemberConfig, 8)
 	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = 1
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 	}
 	fl, err := cluster.New(cluster.Config{
 		Policy:        cluster.PowerAware,
@@ -279,9 +277,7 @@ func BenchmarkFleetRoutingTiered(b *testing.B) {
 	tier := func(n int, target sim.Duration, spec workload.Spec) cluster.TierConfig {
 		members := make([]cluster.MemberConfig, n)
 		for i := range members {
-			scfg := server.DefaultConfig()
-			scfg.Seed = 1
-			members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+			members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 		}
 		return cluster.TierConfig{
 			Name: spec.Name,
@@ -341,9 +337,7 @@ func BenchmarkFleetRoutingReplay(b *testing.B) {
 	}
 	members := make([]cluster.MemberConfig, 8)
 	for i := range members {
-		scfg := server.DefaultConfig()
-		scfg.Seed = 1
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: scfg}
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 	}
 	fl, err := cluster.New(cluster.Config{
 		Policy:    cluster.PowerAware,

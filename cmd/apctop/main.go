@@ -82,11 +82,10 @@ func run(w io.Writer, args []string) error {
 	var sys *soc.System
 	var f *cluster.Fleet
 	if *qps > 0 {
-		scfg := server.DefaultConfig()
 		var err error
 		f, err = cluster.New(cluster.Config{
-			Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: scfg}},
-		}, workload.Memcached(*qps), scfg.Seed)
+			Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: server.DefaultConfig()}},
+		}, workload.Memcached(*qps), 1)
 		if err != nil {
 			return err
 		}

@@ -7,13 +7,13 @@
 //
 // # The registry contract
 //
-// Every artifact self-registers at init time, in the same file as the
-// code that computes it, via Register or Define under an integer
-// ordinal. Ordinals only fix the canonical order (`apcsim run all`,
-// `apcsim list`, the golden-report file); gaps are fine and duplicates
-// — of a name or an ordinal — panic at init. Nothing outside this
-// package keeps a name list: the CLI, the docs and the tests all
-// enumerate All()/Names(). Each Result must render a Report, marshal
+// Every artifact self-registers at init time, next to the code or data
+// that computes it (package scenario registers the builtin scenario
+// files), via Register or Define under an integer ordinal. Ordinals
+// only fix the canonical order (`apcsim run all`, `apcsim list`, the
+// golden-report file); gaps are fine and duplicates — of a name or an
+// ordinal — panic at init. The CLI, the docs and the tests keep no name
+// list: they all enumerate All()/Names(). Each Result must render a Report, marshal
 // cleanly with encoding/json (the CLI's -json envelope), and may
 // implement CSVWriter for its data series. Results are pure functions
 // of Options: same Options, same bytes, at any Parallelism.
@@ -34,10 +34,11 @@
 //	Sensitivity    — technique ablations, PLL policy, APMU clock, FIVR slew
 //	Batching       — epoch-aligned dispatch extension (Sec. 8)
 //	Remote         — PC1A erosion under peer-socket UPI traffic
-//	ClusterScaling  — fleet watts/latency vs size at fixed aggregate QPS
-//	ClusterPolicy   — routing policies head-to-head on a bursty fleet
-//	RackPacking     — rack_affinity vs power_aware across rack shapes
-//	DrainHysteresis — hysteretic drain hold sweep on the cap policies
+//	TraceReplay    — record a bursty stream, replay it, prove identical bytes
+//
+// The other fleet experiments (cluster-scaling, cluster-policy,
+// rack-packing, drain-hysteresis, fault-resilience, tiered-cache) are
+// scenario files that package scenario embeds and registers here.
 package experiments
 
 import (
@@ -125,7 +126,6 @@ func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
 // scfg, fed by an open-loop generator seeded with the experiment's
 // seed. Fleet.Run is its window-then-drain loop.
 func newMachine(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) *cluster.Fleet {
-	scfg.Seed = opt.Seed
 	f, err := cluster.New(cluster.Config{
 		Members: []cluster.MemberConfig{{SoC: cfg, Server: scfg}},
 	}, spec, opt.Seed)

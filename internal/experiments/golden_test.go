@@ -1,4 +1,4 @@
-package experiments
+package experiments_test
 
 import (
 	"bytes"
@@ -11,6 +11,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"agilepkgc/internal/experiments"
+	_ "agilepkgc/internal/scenario" // registers the builtin scenario experiments
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden report and hash files")
@@ -27,8 +30,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden report and has
 func TestGoldenReports(t *testing.T) {
 	var b strings.Builder
 	var sums []string
-	for _, e := range All() {
-		res, err := e.Run(QuickOptions())
+	for _, e := range experiments.All() {
+		res, err := e.Run(experiments.QuickOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -143,9 +146,9 @@ func checkHashLock(t *testing.T, path string, lines []string) {
 // JSON marshalling: every registered experiment's result must encode to
 // a non-trivial JSON object.
 func TestGoldenResultsMarshalJSON(t *testing.T) {
-	opt := QuickOptions()
+	opt := experiments.QuickOptions()
 	opt.Duration /= 10 // marshalling does not need a stable window
-	for _, e := range All() {
+	for _, e := range experiments.All() {
 		res, err := e.Run(opt)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)

@@ -6,11 +6,12 @@ import (
 )
 
 // This file is the experiment registry. Every paper artifact registers
-// itself from its own file's init (next to the code that computes it)
+// itself from an init next to the code or data that computes it — its
+// own file here, or package scenario for the builtin scenario files —
 // under an ordinal that fixes the canonical report order — the order
-// `apcsim run all` prints and DESIGN.md §3 lists. Nothing outside this
-// package maintains a name list: the CLI, the golden-report test and the
-// docs all enumerate All().
+// `apcsim run all` prints and DESIGN.md §3 lists. The CLI, the
+// golden-report test and the docs keep no name list: they all
+// enumerate All().
 
 // Experiment is one regenerable artifact of the evaluation: a table,
 // figure or study that runs the simulator under Options and renders a

@@ -1,8 +1,11 @@
-package experiments
+package experiments_test
 
 import (
 	"reflect"
 	"testing"
+
+	"agilepkgc/internal/experiments"
+	_ "agilepkgc/internal/scenario" // registers the builtin scenario experiments
 )
 
 // TestRegistryCanonicalOrder pins the registered set and its canonical
@@ -16,17 +19,17 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 		"drain-hysteresis", "fault-resilience", "trace-replay",
 		"tiered-cache",
 	}
-	if got := Names(); !reflect.DeepEqual(got, want) {
+	if got := experiments.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("registry order = %v, want %v", got, want)
 	}
-	if len(All()) != len(want) {
-		t.Fatalf("All() has %d entries, want %d", len(All()), len(want))
+	if len(experiments.All()) != len(want) {
+		t.Fatalf("All() has %d entries, want %d", len(experiments.All()), len(want))
 	}
 }
 
 func TestRegistryLookup(t *testing.T) {
-	for _, e := range All() {
-		got, ok := Lookup(e.Name())
+	for _, e := range experiments.All() {
+		got, ok := experiments.Lookup(e.Name())
 		if !ok || got.Name() != e.Name() {
 			t.Fatalf("Lookup(%q) = %v, %v", e.Name(), got, ok)
 		}
@@ -34,7 +37,7 @@ func TestRegistryLookup(t *testing.T) {
 			t.Errorf("%s has no description", e.Name())
 		}
 	}
-	if _, ok := Lookup("no-such-experiment"); ok {
+	if _, ok := experiments.Lookup("no-such-experiment"); ok {
 		t.Fatal("Lookup invented an experiment")
 	}
 }
@@ -50,12 +53,12 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 		fn()
 	}
 	expectPanic("duplicate name", func() {
-		Define(9999, "table1", "dup", func(Options) (Result, error) { return nil, nil })
+		experiments.Define(9999, "table1", "dup", func(experiments.Options) (experiments.Result, error) { return nil, nil })
 	})
 	expectPanic("duplicate ordinal", func() {
-		Define(10, "unique-name-1", "dup ordinal", func(Options) (Result, error) { return nil, nil })
+		experiments.Define(10, "unique-name-1", "dup ordinal", func(experiments.Options) (experiments.Result, error) { return nil, nil })
 	})
 	expectPanic("empty name", func() {
-		Define(9998, "", "anonymous", func(Options) (Result, error) { return nil, nil })
+		experiments.Define(9998, "", "anonymous", func(experiments.Options) (experiments.Result, error) { return nil, nil })
 	})
 }

@@ -15,7 +15,9 @@ import (
 	"strings"
 
 	"agilepkgc/internal/cluster"
+	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
+	"agilepkgc/internal/soc"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -29,6 +31,9 @@ const (
 	DefaultTraceBurstiness = 8.0
 	// DefaultTraceServers sizes the fleet the stream is balanced over.
 	DefaultTraceServers = 4
+	// DefaultTraceP99Target is the latency budget the power_aware
+	// policy packs against.
+	DefaultTraceP99Target = 300 * sim.Microsecond
 )
 
 func init() {
@@ -71,10 +76,10 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 
 	cfg := cluster.Config{
 		Policy:    cluster.PowerAware,
-		P99Target: DefaultClusterP99Target,
+		P99Target: DefaultTraceP99Target,
 		Topology:  cluster.Topology{Racks: 1, ServersPerRack: DefaultTraceServers},
 	}
-	synth := measureFleet(new(cluster.GraphReuse), opt, cfg, specFn)
+	synth := measureFleet(opt, cfg, specFn())
 
 	if _, err := buf.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -94,7 +99,7 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 		}
 		return rp
 	}
-	replayed := measureFleet(new(cluster.GraphReuse), opt, rcfg, func() workload.Spec { return hdr.Spec() })
+	replayed := measureFleet(opt, rcfg, hdr.Spec())
 
 	return &TraceReplayResult{
 		Workload:     hdr.Name,
@@ -108,6 +113,25 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 		Replayed:     replayed,
 		Identical:    measurementsEqual(synth, replayed),
 	}, nil
+}
+
+// measureFleet builds and measures one fleet of default CPC1A machines:
+// cfg carries everything but the members, which are filled in from the
+// topology. The fleet runs as a one-tier graph, byte-identical to the
+// bare fleet (TestGraphSingleTierParity).
+func measureFleet(opt Options, cfg cluster.Config, spec workload.Spec) cluster.Measurement {
+	cfg.Members = make([]cluster.MemberConfig, cfg.Topology.Servers())
+	for i := range cfg.Members {
+		cfg.Members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
+	}
+	g, err := cluster.NewGraph(cluster.GraphConfig{
+		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: spec}},
+	}, opt.Seed)
+	if err != nil {
+		// All inputs are compile-time constants; an error is a bug.
+		panic(err)
+	}
+	return g.Measure(opt.Warmup(), opt.Duration).Tiers[0].Fleet
 }
 
 // measurementsEqual compares two measurements bit for bit through their
@@ -124,7 +148,7 @@ func measurementsEqual(a, b cluster.Measurement) bool {
 func (r *TraceReplayResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Trace replay: bursty %.0f aggregate QPS %s on %d servers (power_aware, %v p99 target)\n",
-		r.AggregateQPS, r.Workload, r.Servers, DefaultClusterP99Target)
+		r.AggregateQPS, r.Workload, r.Servers, DefaultTraceP99Target)
 	fmt.Fprintf(&b, "(recorded %d arrivals, %d bytes; replayed through an identical fleet)\n",
 		r.Records, r.TraceBytes)
 	t := &table{header: []string{"source", "generated", "served", "dropped", "p50", "p99", "fleet W", "all-idle", "PC1A res"}}
@@ -155,6 +179,15 @@ func (r *TraceReplayResult) Report() string {
 		b.WriteString("replay != synthetic: MEASUREMENTS DIVERGED — replay determinism is broken\n")
 	}
 	return b.String()
+}
+
+// pc1aCell renders a PC1A residency for the CSV: empty on
+// configurations without an APMU.
+func pc1aCell(res *float64) string {
+	if res == nil {
+		return ""
+	}
+	return fmt.Sprintf("%g", *res)
 }
 
 // WriteCSV implements CSVWriter: one row per source.

@@ -29,10 +29,8 @@ import (
 // f.Run see the whole run.
 func machine(t *testing.T, kind soc.ConfigKind, spec workload.Spec, seed uint64) (*cluster.Fleet, *soc.System) {
 	t.Helper()
-	scfg := server.DefaultConfig()
-	scfg.Seed = seed
 	f, err := cluster.New(cluster.Config{
-		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: scfg}},
+		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: server.DefaultConfig()}},
 	}, spec, seed)
 	if err != nil {
 		t.Fatal(err)

@@ -273,7 +273,7 @@ func (s *Scenario) validateTieredPoint(kind soc.ConfigKind, block string) error 
 				return fmt.Errorf("%s.server_overrides[%s]: %s has only %d servers", name, key, unit, n)
 			}
 		}
-		for i, mc := range s.memberConfigs(&t.Cluster, kind, 0) {
+		for i, mc := range s.memberConfigs(&t.Cluster, kind) {
 			if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
 				if block == "" {
 					return fmt.Errorf("timer_tick_hz needs tick_kernel_us > 0")
@@ -289,9 +289,8 @@ func (s *Scenario) validateTieredPoint(kind soc.ConfigKind, block string) error 
 // evaluation defaults, then the scenario-level Server overrides (the
 // base of every tier's servers), then that server's entry in the tier's
 // ServerOverrides.
-func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind, seed uint64) []cluster.MemberConfig {
+func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind) []cluster.MemberConfig {
 	base := server.DefaultConfig()
-	base.Seed = seed
 	s.Server.apply(&base)
 	members := make([]cluster.MemberConfig, c.Servers)
 	for i := range members {
@@ -426,7 +425,7 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 				DrainHold:     us(t.DrainHoldUS),
 				FeedbackEpoch: us(t.FeedbackEpochUS),
 				Faults:        t.Faults.config(),
-				Members:       sc.memberConfigs(&t.Cluster, kind, opt.Seed),
+				Members:       sc.memberConfigs(&t.Cluster, kind),
 			},
 			Spec: spec,
 		}
@@ -562,7 +561,6 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	sys := soc.New(soc.DefaultConfig(kind))
 	scfg := server.DefaultConfig()
-	scfg.Seed = opt.Seed
 	sc.Server.apply(&scfg)
 	srv := server.NewClosedLoop(sys, scfg)
 	cl := workload.SysbenchOLTP(sys.Engine, sc.Workload.Threads,

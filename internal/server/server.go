@@ -39,9 +39,11 @@ type Config struct {
 	// PC1A opportunity on real machines.
 	TimerTickHz    float64
 	TickKernelTime sim.Duration
-	// Seed records the seed of the request stream the server is fed.
-	// The server draws nothing itself: the stream's seed is the one
-	// given to cluster.New or to a closed-loop client.
+	// Seed is read by nothing: the server draws nothing itself, and
+	// the request stream's seed is the one given to cluster.New or to
+	// a closed-loop client. It stays only because the benchmark's
+	// public-API mirror (perfbench/traced.go) still sets it; it goes
+	// with the next change to that mirror.
 	Seed uint64
 }
 
@@ -51,7 +53,6 @@ func DefaultConfig() Config {
 		NetworkLatency: 117 * sim.Microsecond,
 		NICTransfer:    300 * sim.Nanosecond,
 		KernelOverhead: 5 * sim.Microsecond,
-		Seed:           1,
 	}
 }
 

@@ -17,7 +17,7 @@ func machine(t *testing.T, kind soc.ConfigKind, cfg server.Config, spec workload
 	t.Helper()
 	f, err := cluster.New(cluster.Config{
 		Members: []cluster.MemberConfig{{SoC: soc.DefaultConfig(kind), Server: cfg}},
-	}, spec, cfg.Seed)
+	}, spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

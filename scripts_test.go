@@ -81,7 +81,8 @@ func TestBenchgate(t *testing.T) {
 // TestLoc pins scripts/loc.sh's yardstick on a fixture tree: one line
 // per package directory under internal/ and cmd/, counting every line
 // of its non-test .go files, with _test.go files and testdata/ trees
-// left out.
+// left out, then the lines of the .json files under internal/ outside
+// testdata/, kept out of the total.
 func TestLoc(t *testing.T) {
 	root := t.TempDir()
 	for path, body := range map[string]string{
@@ -93,6 +94,10 @@ func TestLoc(t *testing.T) {
 		"cmd/tool/main.go":           "package main\n\nfunc main() {}\n\n",
 		"cmd/tool/main_test.go":      "package main\n",
 		"docs/notes.go":              "package notes\n",
+		"internal/a/s.json":          "[\n  {}\n]\n",
+		"internal/a/b/t.json":        "{}\n",
+		"internal/a/testdata/x.json": "{\n}\n",
+		"cmd/tool/c.json":            "{}\n",
 	} {
 		full := filepath.Join(root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
@@ -106,7 +111,8 @@ func TestLoc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loc.sh: %v\n%s", err, out)
 	}
-	const want = "      4 cmd/tool\n      3 internal/a\n      1 internal/a/b\n      8 total\n"
+	const want = "      4 cmd/tool\n      3 internal/a\n      1 internal/a/b\n      8 total\n" +
+		"      4 json lines under internal/ (not in the total)\n"
 	if string(out) != want {
 		t.Errorf("loc.sh output:\n%s\nwant:\n%s", out, want)
 	}
