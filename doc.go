@@ -57,7 +57,7 @@
 //	                      the same engine
 //	internal/trace        C-state residency tracing, idle-period stats,
 //	                      VCD dump
-//	internal/stats        histograms, P² quantiles, distributions, RNG
+//	internal/stats        histograms, distributions, RNG
 //	internal/experiments  the self-registering registry of paper
 //	                      artifacts plus the parallel sweep runner
 //	internal/scenario     declarative JSON scenarios over all of the

@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +48,102 @@ func TestSelfHost(t *testing.T) {
 	for _, d := range diags {
 		pos := pkgs[0].Fset.Position(d.Pos)
 		t.Errorf("%s: [%s] %s", pos, d.Pass, d.Message)
+	}
+}
+
+// testOnlyAllowed names the exported capabilities under internal/ that
+// only tests reach, each with the reason it stays.
+var testOnlyAllowed = map[string]string{
+	"agilepkgc/internal/stats.ExactQuantile":       "the quantile oracle histogram tests compare against",
+	"agilepkgc/internal/experiments.QuickOptions":  "the short-run preset the experiment tests share",
+	"agilepkgc/internal/workload/replay.Decode":    "the whole-buffer decoder the trace fuzzer drives",
+	"agilepkgc/internal/trace.NewSignalProbe":      "ROADMAP item 5 decides whether apcsim wires it in or it goes",
+	"agilepkgc/internal/trace.NewPkgTracer":        "ROADMAP item 5 decides whether apcsim wires it in or it goes",
+	"agilepkgc/internal/analysis/analysistest.Run": "the fixture driver of a test-support package",
+}
+
+// TestNoTestOnlyExports fails when an exported top-level func or type
+// declared under internal/ is used by no non-test file of the module
+// and named by no selector in perfbench/*.go (a separate module, so
+// scanned syntactically). Such a capability is reached only from its
+// own tests: delete it with them, or allowlist it with a reason.
+// Methods, consts and vars are exempt — tests observe the models
+// through accessors.
+func TestNoTestOnlyExports(t *testing.T) {
+	pkgs := modulePkgs(t)
+	used := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Uses {
+			if obj.Pkg() != nil {
+				used[obj.Pkg().Path()+"."+obj.Name()] = true
+			}
+		}
+	}
+	bench, err := filepath.Glob(filepath.Join("..", "..", "perfbench", "*.go"))
+	if err != nil || len(bench) == 0 {
+		t.Fatalf("no perfbench/*.go files found (err %v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range bench {
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			local := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[imports[x.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var unused []string
+	for _, pkg := range pkgs {
+		if !strings.HasPrefix(pkg.Path, "agilepkgc/internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				var names []*ast.Ident
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names = append(names, d.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							names = append(names, ts.Name)
+						}
+					}
+				}
+				for _, id := range names {
+					key := pkg.Path + "." + id.Name
+					if id.IsExported() && !used[key] && testOnlyAllowed[key] == "" {
+						unused = append(unused, key)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		t.Errorf("%s is exported but reached only from tests: delete it, or allowlist it in testOnlyAllowed with a reason", key)
+	}
+	for key := range testOnlyAllowed {
+		if used[key] {
+			t.Errorf("%s is allowlisted as test-only but a non-test file now uses it: drop it from testOnlyAllowed", key)
+		}
 	}
 }
 

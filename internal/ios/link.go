@@ -152,11 +152,6 @@ type Link struct {
 	// in L0s or deeper, low in L0 or while exiting.
 	inL0s *signal.Signal
 
-	// onWake fires when traffic arrives while the link is in standby or
-	// deeper — the PC1A exit trigger ("as soon as the link starts the
-	// transition from L0s to L0").
-	onWake []func()
-
 	pending  sim.Event // entry/exit completion event
 	onL1Done func()    // completion hook for an in-flight L1 exit
 	ch       *power.Channel
@@ -219,9 +214,6 @@ func (l *Link) AllowL0s() *signal.Signal { return l.allowL0s }
 // InL0s returns the status wire routed to the APMU's AND tree.
 func (l *Link) InL0s() *signal.Signal { return l.inL0s }
 
-// OnWake registers a callback for standby-exit wake events.
-func (l *Link) OnWake(fn func()) { l.onWake = append(l.onWake, fn) }
-
 // Idle reports whether the link has no outstanding transactions.
 func (l *Link) Idle() bool { return l.outstanding == 0 }
 
@@ -282,9 +274,6 @@ func (l *Link) beginStandbyExit(traffic bool) {
 	l.setPower(l.params.ActiveWatts)
 	if traffic {
 		l.wakes++
-		for _, fn := range l.onWake {
-			fn()
-		}
 	}
 	l.pending = l.eng.Schedule(l.params.StandbyExit, l.exitDoneFn)
 }
@@ -395,9 +384,6 @@ func (l *Link) beginL1Exit(traffic bool) {
 	l.setPower(l.params.ActiveWatts)
 	if traffic {
 		l.wakes++
-		for _, fn := range l.onWake {
-			fn()
-		}
 	}
 	l.pending = l.eng.Schedule(l.params.L1ExitLat, func() {
 		l.pending = sim.Event{}

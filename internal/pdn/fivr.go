@@ -2,7 +2,7 @@
 // fully integrated voltage regulators (FIVRs) with finite slew rate,
 // pre-programmed retention voltage (RVID), preemptive voltage commands,
 // and a PwrOk status output — everything the paper's CLMR technique
-// (Sec. 4.3, 5.2) relies on — plus fixed motherboard regulators (MBVRs).
+// (Sec. 4.3, 5.2) relies on.
 package pdn
 
 import (
@@ -147,18 +147,6 @@ func (f *FIVR) UnsetRet() {
 	f.retarget(f.operational)
 }
 
-// SetOperational reprograms the operational voltage (e.g. for a future
-// DVFS extension) and, if not in retention, ramps to it.
-func (f *FIVR) SetOperational(v float64) {
-	if v <= f.retention {
-		panic(fmt.Sprintf("pdn: operational %gV must exceed retention %gV", v, f.retention))
-	}
-	f.operational = v
-	if !f.inRet {
-		f.retarget(v)
-	}
-}
-
 // RampTime returns how long a full swing between retention and
 // operational voltage takes at the configured slew rate.
 func (f *FIVR) RampTime() sim.Duration {
@@ -191,21 +179,3 @@ func (f *FIVR) retarget(v float64) {
 	d := f.rampDuration(cur, v)
 	f.rampDone = f.eng.Schedule(d, f.rampDoneFn)
 }
-
-// MBVR is a motherboard voltage regulator: a fixed rail (e.g. Vccio,
-// Vccsa) that the package C-state flows never change.
-type MBVR struct {
-	name  string
-	volts float64
-}
-
-// NewMBVR creates a fixed rail.
-func NewMBVR(name string, volts float64) *MBVR {
-	return &MBVR{name: name, volts: volts}
-}
-
-// Name returns the rail name.
-func (m *MBVR) Name() string { return m.name }
-
-// Voltage returns the fixed rail voltage.
-func (m *MBVR) Voltage() float64 { return m.volts }

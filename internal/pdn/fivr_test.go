@@ -124,36 +124,6 @@ func TestIdempotentSignals(t *testing.T) {
 	}
 }
 
-func TestSetOperationalWhileActive(t *testing.T) {
-	eng := sim.NewEngine()
-	f := newTestFIVR(eng)
-	f.SetOperational(0.9) // +100 mV → 50 ns ramp
-	eng.Run(25 * sim.Nanosecond)
-	if v := f.Voltage(); !(v > 0.849 && v < 0.851) {
-		t.Fatalf("voltage %v, want ~0.85", v)
-	}
-	eng.Run(60 * sim.Nanosecond)
-	if f.Voltage() != 0.9 {
-		t.Fatalf("voltage %v, want 0.9", f.Voltage())
-	}
-}
-
-func TestSetOperationalDuringRetentionDeferred(t *testing.T) {
-	eng := sim.NewEngine()
-	f := newTestFIVR(eng)
-	f.SetRet()
-	eng.Run(sim.Microsecond)
-	f.SetOperational(0.85) // stored, not applied while in retention
-	if !f.AtRetentionVoltage() {
-		t.Fatal("changing operational VID must not leave retention")
-	}
-	f.UnsetRet()
-	eng.Run(2 * sim.Microsecond)
-	if f.Voltage() != 0.85 {
-		t.Fatalf("voltage %v, want new operational 0.85", f.Voltage())
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, fn := range []func(){
@@ -168,22 +138,6 @@ func TestConstructorValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-	f := newTestFIVR(eng)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetOperational below retention should panic")
-			}
-		}()
-		f.SetOperational(0.4)
-	}()
-}
-
-func TestMBVR(t *testing.T) {
-	r := NewMBVR("vccio", 1.05)
-	if r.Voltage() != 1.05 || r.Name() != "vccio" {
-		t.Fatal("MBVR accessors wrong")
 	}
 }
 

@@ -13,8 +13,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"agilepkgc/internal/sim"
 )
@@ -198,30 +196,3 @@ func (s Snapshot) AverageTotal() float64 {
 
 // Elapsed returns the virtual time since the snapshot.
 func (s Snapshot) Elapsed() sim.Duration { return s.meter.eng.Now() - s.at }
-
-// Breakdown renders per-channel instantaneous power for a domain, sorted
-// by descending draw — handy for debugging calibration.
-func (m *Meter) Breakdown(d Domain) string {
-	type row struct {
-		name  string
-		watts float64
-	}
-	var rows []row
-	for _, c := range m.channels {
-		if c.domain == d {
-			rows = append(rows, row{c.name, c.watts})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].watts != rows[j].watts {
-			return rows[i].watts > rows[j].watts
-		}
-		return rows[i].name < rows[j].name
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s total %.3fW\n", d, m.Power(d))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-28s %8.3fW\n", r.name, r.watts)
-	}
-	return b.String()
-}

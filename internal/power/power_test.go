@@ -175,20 +175,6 @@ func TestLookup(t *testing.T) {
 	}
 }
 
-func TestBreakdownSorted(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng)
-	m.Channel("small", Package).Set(1)
-	m.Channel("big", Package).Set(10)
-	s := m.Breakdown(Package)
-	if !strings.Contains(s, "total 11.000W") {
-		t.Errorf("breakdown missing total: %s", s)
-	}
-	if strings.Index(s, "big") > strings.Index(s, "small") {
-		t.Errorf("breakdown not sorted by power:\n%s", s)
-	}
-}
-
 // Property: total energy equals the sum over channels regardless of the
 // update pattern, and equals watts×time for piecewise-constant schedules.
 func TestPropertyEnergyConservation(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,5 +130,34 @@ func TestExampleScenariosGoldenHash(t *testing.T) {
 		t.Logf("could not write %s: %v", gotPath, err)
 	} else {
 		t.Logf("hashes written to %s", gotPath)
+	}
+}
+
+// TestReadmeListsEveryAxis keeps the `axis` row of README's `sweep`
+// table in step with the axis table: it must name exactly Axes().
+func TestReadmeListsEveryAxis(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, l := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(l, "| `axis` |") {
+			row = l
+		}
+	}
+	cells := strings.Split(row, "|")
+	if len(cells) < 6 {
+		t.Fatalf("README has no `axis` row in its sweep table (found %q)", row)
+	}
+	var listed []string
+	for i, f := range strings.Split(cells[4], "`") {
+		if i%2 == 1 {
+			listed = append(listed, f)
+		}
+	}
+	slices.Sort(listed)
+	if want := Axes(); !slices.Equal(listed, want) {
+		t.Errorf("README's axis row lists %v, want %v", listed, want)
 	}
 }

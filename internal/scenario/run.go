@@ -634,7 +634,7 @@ func (r *Result) effectiveCluster() *Cluster {
 // per-server breakdown.
 func (r *Result) clusterAnnotated() bool {
 	c := r.effectiveCluster()
-	return c != nil && (c.Servers > 1 || clusterAxes[r.Axis])
+	return c != nil && (c.Servers > 1 || axes[r.Axis].block.drivesCluster())
 }
 
 // faultsAnnotated reports whether the rendered output should carry the
@@ -646,7 +646,7 @@ func (r *Result) clusterAnnotated() bool {
 // aggregate row then sums the tiers' counters.
 func (r *Result) faultsAnnotated() bool {
 	if c := r.effectiveCluster(); c != nil {
-		return c.Faults.enabled() || faultAxes[r.Axis]
+		return c.Faults.enabled() || axes[r.Axis].block == faultsBlock
 	}
 	for i := range r.Scenario.Tiers {
 		if r.Scenario.Tiers[i].Faults.enabled() {

@@ -46,7 +46,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 
 	"agilepkgc/internal/cluster"
@@ -391,156 +390,120 @@ const (
 	AxisTTL            = "ttl_us"
 )
 
-var knownAxes = map[string]bool{
-	AxisQPS: true, AxisUtil: true, AxisLoad: true, AxisBurstiness: true,
-	AxisThreads: true, AxisBatchEpochUS: true, AxisTickHz: true,
-	AxisNetworkLatency: true, AxisServers: true, AxisPolicy: true,
-	AxisRacks: true, AxisTorLatency: true, AxisDrainHold: true,
-	AxisFeedbackEpoch: true, AxisMTBF: true, AxisMTTR: true,
-	AxisRequestTimeout: true, AxisMaxRetries: true, AxisHedgeDelay: true,
-	AxisHitRatio: true, AxisFanout: true, AxisTTL: true,
+// axisBlock names the part of a scenario a sweep axis writes.
+type axisBlock uint8
+
+const (
+	workloadBlock axisBlock = iota // workload knobs; only axisSpec.services read them
+	serverBlock                    // server.Config knobs, read by every service
+	clusterBlock                   // the cluster block, which must exist
+	faultsBlock                    // cluster.faults, which must exist with its cluster block
+	edgesBlock                     // every service-graph edge; needs a tiers block with edges
+)
+
+// drivesCluster reports whether an axis of block b writes the cluster
+// block (its faults sub-block included), and so needs one.
+func (b axisBlock) drivesCluster() bool { return b == clusterBlock || b == faultsBlock }
+
+// axisRule is the constraint every value of an axis meets on top of
+// being non-negative.
+type axisRule uint8
+
+const (
+	anyValue axisRule = iota
+	wholeValue
+	countValue // a whole number ≥ 1
+	ratioValue // at most 1
+)
+
+// axisSpec is one row of the sweep-axis table.
+type axisSpec struct {
+	block axisBlock
+	// services lists the services that read a workload axis; sweeping
+	// an axis a service ignores would silently produce N identical
+	// points, so Validate rejects it. A trace's arrival stream is
+	// recorded, so no workload axis lists "trace".
+	services []string
+	rule     axisRule
+	// set returns s with the value applied, cloning any block it
+	// writes so applied points never alias the original scenario's.
+	set func(s Scenario, v float64) Scenario
 }
 
-// serverAxes drive server.Config knobs and apply to every service.
-var serverAxes = map[string]bool{
-	AxisBatchEpochUS: true, AxisTickHz: true, AxisNetworkLatency: true,
-}
-
-// clusterAxes drive the cluster block and require one.
-var clusterAxes = map[string]bool{
-	AxisServers: true, AxisPolicy: true, AxisRacks: true, AxisTorLatency: true,
-	AxisDrainHold: true, AxisFeedbackEpoch: true, AxisMTBF: true, AxisMTTR: true,
-	AxisRequestTimeout: true, AxisMaxRetries: true, AxisHedgeDelay: true,
-}
-
-// faultAxes drive the cluster.faults block and additionally require
-// one — at() writes the value into the block, so an absent block has
-// nowhere to put it.
-var faultAxes = map[string]bool{
-	AxisMTBF: true, AxisMTTR: true, AxisRequestTimeout: true,
-	AxisMaxRetries: true, AxisHedgeDelay: true,
-}
-
-// graphAxes drive the service-graph edges and require a tiers block
-// with at least one edge; each axis value applies to every edge.
-var graphAxes = map[string]bool{
-	AxisHitRatio: true, AxisFanout: true, AxisTTL: true,
-}
-
-// workloadAxes lists which workload-side axes each service actually
-// reads; sweeping an axis a service ignores would silently produce N
-// identical points, so Validate rejects it.
-var workloadAxes = map[string]map[string]bool{
-	"memcached":        {AxisQPS: true, AxisUtil: true},
-	"memcached-bursty": {AxisQPS: true, AxisBurstiness: true},
-	"mysql":            {AxisLoad: true},
-	"kafka":            {AxisLoad: true},
-	"sysbench":         {AxisThreads: true},
-	// A trace's arrival stream is recorded: no workload axis can change
-	// it, so every workload-side sweep is rejected as inert.
-	"trace": {},
-}
-
-// Axes returns the supported sweep axis names, sorted.
-func Axes() []string {
-	out := make([]string, 0, len(knownAxes))
-	//apcvet:ordered the keys are sorted below before anything observes them
-	for a := range knownAxes {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// at returns a copy of the scenario with one axis value applied. For the
-// string-valued policy axis, v is an index into Sweep.Policies. The
-// cluster block is cloned before mutation so applied points never alias
-// the original scenario's block.
-func (s Scenario) at(axis string, v float64) Scenario {
-	switch axis {
-	case AxisQPS:
-		s.Workload.QPS, s.Workload.Util = v, 0
-	case AxisUtil:
-		s.Workload.Util, s.Workload.QPS = v, 0
-	case AxisLoad:
-		s.Workload.Load = v
-	case AxisBurstiness:
-		s.Workload.Burstiness = v
-	case AxisThreads:
-		s.Workload.Threads = int(v)
-	case AxisBatchEpochUS:
-		s.Server.BatchEpochUS = &v
-	case AxisTickHz:
-		s.Server.TimerTickHz = &v
-	case AxisNetworkLatency:
-		s.Server.NetworkLatencyUS = &v
-	case AxisServers:
-		c := *s.Cluster
-		c.Servers = int(v)
-		s.Cluster = &c
-	case AxisRacks:
-		c := *s.Cluster
-		c.Racks = int(v)
-		s.Cluster = &c
-	case AxisTorLatency:
-		c := *s.Cluster
-		c.TorLatencyUS = v
-		s.Cluster = &c
-	case AxisDrainHold:
-		c := *s.Cluster
-		c.DrainHoldUS = v
-		s.Cluster = &c
-	case AxisFeedbackEpoch:
-		c := *s.Cluster
-		c.FeedbackEpochUS = v
-		s.Cluster = &c
-	case AxisPolicy:
+// axes is the sweep-axis table, keyed by axis name.
+var axes = map[string]axisSpec{
+	AxisQPS:            {services: []string{"memcached", "memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.QPS, s.Workload.Util = v, 0; return s }},
+	AxisUtil:           {services: []string{"memcached"}, set: func(s Scenario, v float64) Scenario { s.Workload.Util, s.Workload.QPS = v, 0; return s }},
+	AxisLoad:           {services: []string{"mysql", "kafka"}, set: func(s Scenario, v float64) Scenario { s.Workload.Load = v; return s }},
+	AxisBurstiness:     {services: []string{"memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.Burstiness = v; return s }},
+	AxisThreads:        {services: []string{"sysbench"}, rule: wholeValue, set: func(s Scenario, v float64) Scenario { s.Workload.Threads = int(v); return s }},
+	AxisBatchEpochUS:   {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
+	AxisTickHz:         {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
+	AxisNetworkLatency: {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
+	AxisServers:        {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Servers = int(v) })},
+	AxisRacks:          {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Racks = int(v) })},
+	AxisTorLatency:     {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
+	AxisDrainHold:      {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
+	AxisFeedbackEpoch:  {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
+	AxisMTBF:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
+	AxisMTTR:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
+	AxisRequestTimeout: {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
+	AxisMaxRetries:     {block: faultsBlock, rule: wholeValue, set: atFaults(func(f *Faults, v float64) { f.MaxRetries = int(v) })},
+	AxisHedgeDelay:     {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
+	AxisHitRatio:       {block: edgesBlock, rule: ratioValue, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
+	AxisFanout:         {block: edgesBlock, rule: countValue, set: atEdges(func(e *Edge, v float64) { e.Fanout = int(v) })},
+	AxisTTL:            {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
+	// The string-valued policy axis: v is an index into Sweep.Policies.
+	AxisPolicy: {block: clusterBlock, set: func(s Scenario, v float64) Scenario {
 		c := *s.Cluster
 		c.Policy = s.Sweep.Policies[int(v)]
 		s.Cluster = &c
-	case AxisMTBF:
-		s.atFaults(func(f *Faults) { f.MTBFUS = v })
-	case AxisMTTR:
-		s.atFaults(func(f *Faults) { f.MTTRUS = v })
-	case AxisRequestTimeout:
-		s.atFaults(func(f *Faults) { f.RequestTimeoutUS = v })
-	case AxisMaxRetries:
-		s.atFaults(func(f *Faults) { f.MaxRetries = int(v) })
-	case AxisHedgeDelay:
-		s.atFaults(func(f *Faults) { f.HedgeDelayUS = v })
-	case AxisHitRatio:
-		s.atEdges(func(e *Edge) { e.HitRatio = v })
-	case AxisFanout:
-		s.atEdges(func(e *Edge) { e.Fanout = int(v) })
-	case AxisTTL:
-		s.atEdges(func(e *Edge) { e.TTLUS = v })
-	}
-	return s
+		return s
+	}},
 }
 
-// atEdges applies one edge-axis mutation to every edge, cloning the
-// slice first so applied points never alias the original scenario's
-// edges (Validate guarantees edges exist whenever an edge axis is
-// swept).
-func (s *Scenario) atEdges(mut func(*Edge)) {
-	es := make([]Edge, len(s.Edges))
-	copy(es, s.Edges)
-	for i := range es {
-		mut(&es[i])
+// Axes returns the supported sweep axis names, sorted.
+func Axes() []string { return slices.Sorted(maps.Keys(axes)) }
+
+// at returns a copy of the scenario with one axis value applied.
+func (s Scenario) at(axis string, v float64) Scenario { return axes[axis].set(s, v) }
+
+// atCluster makes a setter that applies mut to a clone of the cluster
+// block (Validate guarantees the block exists whenever a cluster axis
+// is swept).
+func atCluster(mut func(*Cluster, float64)) func(Scenario, float64) Scenario {
+	return func(s Scenario, v float64) Scenario {
+		c := *s.Cluster
+		mut(&c, v)
+		s.Cluster = &c
+		return s
 	}
-	s.Edges = es
 }
 
-// atFaults applies one fault-axis mutation, cloning both the cluster
-// block and its faults block first so applied points never alias the
-// original scenario's blocks (Validate guarantees both exist whenever
-// a fault axis is swept).
-func (s *Scenario) atFaults(mut func(*Faults)) {
-	c := *s.Cluster
-	fc := *c.Faults
-	mut(&fc)
-	c.Faults = &fc
-	s.Cluster = &c
+// atFaults makes a setter that applies mut to clones of both the
+// cluster block and its faults block (Validate guarantees both exist
+// whenever a fault axis is swept).
+func atFaults(mut func(*Faults, float64)) func(Scenario, float64) Scenario {
+	return atCluster(func(c *Cluster, v float64) {
+		fc := *c.Faults
+		mut(&fc, v)
+		c.Faults = &fc
+	})
+}
+
+// atEdges makes a setter that applies mut to every edge of a clone of
+// the edge slice (Validate guarantees edges exist whenever an edge axis
+// is swept).
+func atEdges(mut func(*Edge, float64)) func(Scenario, float64) Scenario {
+	return func(s Scenario, v float64) Scenario {
+		es := make([]Edge, len(s.Edges))
+		copy(es, s.Edges)
+		for i := range es {
+			mut(&es[i], v)
+		}
+		s.Edges = es
+		return s
+	}
 }
 
 // Validate checks the parts of the scenario that do not depend on axis
@@ -565,18 +528,18 @@ func (s *Scenario) Validate() error {
 		return err
 	}
 	if s.Sweep != nil {
-		if !knownAxes[s.Sweep.Axis] {
+		spec, ok := axes[s.Sweep.Axis]
+		if !ok {
 			return fmt.Errorf("scenario %q: unknown sweep axis %q (want one of %v)",
 				s.Name, s.Sweep.Axis, Axes())
 		}
-		if clusterAxes[s.Sweep.Axis] && s.Cluster == nil {
+		if spec.block.drivesCluster() && s.Cluster == nil {
 			return fmt.Errorf("scenario %q: sweep axis %q needs a cluster block", s.Name, s.Sweep.Axis)
 		}
-		if graphAxes[s.Sweep.Axis] && len(s.Edges) == 0 {
+		if spec.block == edgesBlock && len(s.Edges) == 0 {
 			return fmt.Errorf("scenario %q: sweep axis %q needs a tiers block with edges", s.Name, s.Sweep.Axis)
 		}
-		if !serverAxes[s.Sweep.Axis] && !clusterAxes[s.Sweep.Axis] && !graphAxes[s.Sweep.Axis] &&
-			!workloadAxes[s.Workload.Service][s.Sweep.Axis] {
+		if spec.block == workloadBlock && !slices.Contains(spec.services, s.Workload.Service) {
 			return fmt.Errorf("scenario %q: service %q ignores sweep axis %q — every point would be identical",
 				s.Name, s.Workload.Service, s.Sweep.Axis)
 		}
@@ -604,13 +567,13 @@ func (s *Scenario) Validate() error {
 			if v < 0 {
 				return fmt.Errorf("scenario %q: negative %s value %g", s.Name, s.Sweep.Axis, v)
 			}
-			if (s.Sweep.Axis == AxisThreads || s.Sweep.Axis == AxisServers || s.Sweep.Axis == AxisRacks || s.Sweep.Axis == AxisMaxRetries || s.Sweep.Axis == AxisFanout) && v != float64(int(v)) {
+			if (spec.rule == wholeValue || spec.rule == countValue) && v != float64(int(v)) {
 				return fmt.Errorf("scenario %q: %s value %g is not an integer", s.Name, s.Sweep.Axis, v)
 			}
-			if (s.Sweep.Axis == AxisServers || s.Sweep.Axis == AxisRacks || s.Sweep.Axis == AxisFanout) && v < 1 {
+			if spec.rule == countValue && v < 1 {
 				return fmt.Errorf("scenario %q: %s value %g is below 1", s.Name, s.Sweep.Axis, v)
 			}
-			if s.Sweep.Axis == AxisHitRatio && v > 1 {
+			if spec.rule == ratioValue && v > 1 {
 				return fmt.Errorf("scenario %q: %s value %g is outside [0, 1]", s.Name, s.Sweep.Axis, v)
 			}
 		}
@@ -733,7 +696,7 @@ func (s *Scenario) validateClusterBlock(c *Cluster, sweepAxis, label string) err
 func (s *Scenario) validateFaultsBlock(c *Cluster, sweepAxis, label string) error {
 	fc := c.Faults
 	if fc == nil {
-		if faultAxes[sweepAxis] {
+		if axes[sweepAxis].block == faultsBlock {
 			return fmt.Errorf("scenario %q: the %s axis needs a cluster.faults block", s.Name, sweepAxis)
 		}
 		return nil
@@ -833,8 +796,8 @@ func (s *Scenario) validateTiers() error {
 	if s.Sweep != nil {
 		sweepAxis = s.Sweep.Axis
 	}
-	if clusterAxes[sweepAxis] {
-		// Unreachable today (clusterAxes require a cluster block, which
+	if axes[sweepAxis].block.drivesCluster() {
+		// Unreachable today (cluster axes require a cluster block, which
 		// tiers exclude), kept as a guard: tier fields are never
 		// sweep-driven.
 		return fmt.Errorf("scenario %q: sweep axis %q drives the cluster block, which tiers replace", s.Name, sweepAxis)

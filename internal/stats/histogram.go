@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a log-bucketed histogram over positive float64 values,
@@ -226,38 +225,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			}
 		}
 	}
-}
-
-// Percentiles returns a formatted string with the standard percentile
-// set, useful for experiment reports.
-func (h *Histogram) Percentiles() string {
-	var b strings.Builder
-	for _, p := range []float64{0.50, 0.90, 0.95, 0.99, 0.999} {
-		fmt.Fprintf(&b, "p%g=%.4g ", p*100, h.Quantile(p))
-	}
-	return strings.TrimSpace(b.String())
-}
-
-// PercentileOf returns the fraction of observations strictly below x
-// (approximately, at bucket resolution).
-func (h *Histogram) PercentileOf(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var n uint64
-	if x >= h.min {
-		n += h.under
-	}
-	for i := range h.counts {
-		mid := h.min * math.Pow(h.growth, float64(i)) * math.Sqrt(h.growth)
-		if mid < x {
-			n += h.counts[i]
-		}
-	}
-	if x > h.max {
-		n += h.over
-	}
-	return float64(n) / float64(h.total)
 }
 
 // ExactQuantile computes a quantile exactly from a slice (for tests and

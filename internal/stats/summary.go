@@ -82,30 +82,6 @@ func (s *Summary) Max() float64 {
 	return s.max
 }
 
-// Merge folds other into s, as if every observation of other had been
-// Added to s.
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	d := other.mean - s.mean
-	total := n1 + n2
-	s.m2 += other.m2 + d*d*n1*n2/total
-	s.mean += d * n2 / total
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n += other.n
-}
-
 // String renders a one-line human-readable summary.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
