@@ -57,7 +57,6 @@ import (
 	"sort"
 
 	"agilepkgc/internal/cpu"
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/power"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -352,9 +351,7 @@ type Fleet struct {
 // point.
 type measScratch struct {
 	tracers []*trace.Tracer
-	snaps   []power.Snapshot
-	res0    []sim.Duration
-	ent0    []uint64
+	wins    []soc.Window
 	served0 []uint64
 	ok0     uint64
 	merged  *stats.Histogram
@@ -365,20 +362,13 @@ type measScratch struct {
 func (s *measScratch) grow(n int) {
 	if cap(s.tracers) < n {
 		s.tracers = make([]*trace.Tracer, n)
-		s.snaps = make([]power.Snapshot, n)
-		s.res0 = make([]sim.Duration, n)
-		s.ent0 = make([]uint64, n)
+		s.wins = make([]soc.Window, n)
 		s.served0 = make([]uint64, n)
 		return
 	}
 	s.tracers = s.tracers[:n]
-	s.snaps = s.snaps[:n]
-	s.res0 = s.res0[:n]
-	s.ent0 = s.ent0[:n]
+	s.wins = s.wins[:n]
 	s.served0 = s.served0[:n]
-	for i := range s.res0 {
-		s.res0[i], s.ent0[i] = 0, 0
-	}
 }
 
 // New assembles a fleet on a fresh engine: every member's SoC and server
@@ -1084,31 +1074,23 @@ func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
 func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
 	f.Run(warmup)
 	f.measureBegin()
-	t0 := f.eng.Now()
 	f.Run(duration)
-	f.measureCollect(out, f.eng.Now()-t0)
+	f.measureCollect(out)
 }
 
 // measureBegin attaches the per-member tracers and records every
-// baseline (power snapshots, served counts, PC1A residency, fault OKs)
-// at the instant the measured window opens. Split from measureCollect
-// so a multi-fleet driver (Graph.Measure) can open every tier's window,
-// run the shared engine once, and collect each tier against the common
+// baseline (one soc.Window per member, served counts, fault OKs) at the
+// instant the measured window opens. Split from measureCollect so a
+// multi-fleet driver (Graph.Measure) can open every tier's window, run
+// the shared engine once, and collect each tier against the common
 // window.
 func (f *Fleet) measureBegin() {
-	n := len(f.members)
 	s := &f.meas
-	s.grow(n)
-	tracers, snaps := s.tracers, s.snaps
-	res0, ent0, served0 := s.res0, s.ent0, s.served0
+	s.grow(len(f.members))
 	for i, m := range f.members {
-		tracers[i] = trace.New(f.eng, m.sys.Cores)
-		snaps[i] = m.sys.Meter.Snapshot()
-		served0[i] = m.srv.Served()
-		if m.sys.APMU != nil {
-			res0[i] = m.sys.APMU.Residency(pmu.PC1A)
-			ent0[i] = m.sys.APMU.Entries(pmu.PC1A)
-		}
+		s.tracers[i] = trace.New(f.eng, m.sys.Cores)
+		s.wins[i] = m.sys.OpenWindow()
+		s.served0[i] = m.srv.Served()
 	}
 	s.ok0 = 0
 	if f.flt != nil {
@@ -1117,13 +1099,12 @@ func (f *Fleet) measureBegin() {
 }
 
 // measureCollect finalizes the tracers measureBegin attached and folds
-// the window's deltas into *out, exactly as the tail of the historical
-// MeasureInto did.
-func (f *Fleet) measureCollect(out *Measurement, window sim.Duration) {
+// the window's deltas into *out. Every member's window opened at the
+// same instant, so the first one's length is the fleet's.
+func (f *Fleet) measureCollect(out *Measurement) {
 	n := len(f.members)
 	s := &f.meas
-	tracers, snaps := s.tracers, s.snaps
-	res0, ent0, served0 := s.res0, s.ent0, s.served0
+	tracers, wins := s.tracers, s.wins
 	ok0 := s.ok0
 	for _, tr := range tracers {
 		tr.Finalize()
@@ -1131,9 +1112,10 @@ func (f *Fleet) measureCollect(out *Measurement, window sim.Duration) {
 
 	*out = Measurement{Servers: out.Servers[:0], Racks: out.Racks[:0]}
 	out.Generated = f.gen.Generated()
+	window := wins[0].Len()
 	out.Window = window
 	for i, m := range f.members {
-		out.ServedWindow += m.srv.Served() - served0[i]
+		out.ServedWindow += m.srv.Served() - s.served0[i]
 	}
 	if s.merged == nil {
 		s.merged = stats.NewLatencyHistogram()
@@ -1162,20 +1144,15 @@ func (f *Fleet) measureCollect(out *Measurement, window sim.Duration) {
 			Brownouts:       m.brownouts,
 			MeanLatency:     m.srv.Latencies().Mean(),
 			P99Latency:      m.srv.Latencies().Quantile(0.99),
-			SoCWatts:        snaps[i].AveragePower(power.Package),
-			DRAMWatts:       snaps[i].AveragePower(power.DRAM),
-			TotalWatts:      snaps[i].AverageTotal(),
+			SoCWatts:        wins[i].Watts(power.Package),
+			DRAMWatts:       wins[i].Watts(power.DRAM),
+			TotalWatts:      wins[i].TotalWatts(),
 			CC0Residency:    tr.MeanResidency(cpu.CC0),
 			CC1Residency:    tr.MeanResidency(cpu.CC1),
 			AllIdle:         tr.AllIdleFraction(),
 			AllIdleCensored: tr.CensoredAllIdleFraction(),
 		}
-		if m.sys.APMU != nil {
-			r := 0.0
-			if window > 0 {
-				r = float64(m.sys.APMU.Residency(pmu.PC1A)-res0[i]) / float64(window)
-			}
-			e := m.sys.APMU.Entries(pmu.PC1A) - ent0[i]
+		if r, e, ok := wins[i].PC1A(); ok {
 			ss.PC1AResidency, ss.PC1AEntries = &r, &e
 			haveAPMU = true
 			pc1aRes += r

@@ -634,14 +634,12 @@ func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
 	for _, t := range g.tiers {
 		t.fl.measureBegin()
 	}
-	t0 := g.eng.Now()
 	g.Run(duration)
-	window := g.eng.Now() - t0
 
 	out := GraphMeasurement{Tiers: make([]TierMeasurement, len(g.tiers))}
 	for i, t := range g.tiers {
 		out.Tiers[i].Name = t.name
-		t.fl.measureCollect(&out.Tiers[i].Fleet, window)
+		t.fl.measureCollect(&out.Tiers[i].Fleet)
 	}
 	if len(g.edges) > 0 {
 		out.Edges = make([]EdgeStats, len(g.edges))

@@ -52,7 +52,7 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	res := &BatchingResult{QPS: qps}
 
 	sh := runPoint(soc.Cshallow, spec, opt)
-	res.ShallowWatts = sh.avgTotalW
+	res.ShallowWatts = sh.win.TotalWatts()
 
 	// Each epoch point is an independent engine; the cross-point
 	// fractions (vs Cshallow, vs the unbatched epoch) are derived
@@ -63,14 +63,14 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 		f := newMachine(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt)
 		srv := f.Server(0)
 		sys := srv.System()
-		f.Run(opt.Duration / 10)
-		snap := sys.Meter.Snapshot()
+		f.Run(opt.Warmup())
+		win := sys.OpenWindow()
 		t0 := sys.Engine.Now()
 		f.Run(opt.Duration)
 
 		return BatchingPoint{
 			Epoch:       epoch,
-			Watts:       snap.AverageTotal(),
+			Watts:       win.TotalWatts(),
 			MeanLatency: srv.Latencies().Mean(),
 			P99Latency:  srv.Latencies().Quantile(0.99),
 			PC1AResidency: float64(sys.APMU.Residency(pmu.PC1A)) /

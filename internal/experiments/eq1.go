@@ -57,7 +57,7 @@ func Eq1(opt Options) *Eq1Result {
 		run := runPoint(soc.Cshallow, spec, opt)
 		rIdle := run.tracer.AllIdleFraction()
 		rPC0 := 1 - rIdle
-		pAvg := run.avgTotalW
+		pAvg := run.win.TotalWatts()
 		// Decompose the measured average into the two regimes:
 		// pAvg = rPC0·P_PC0 + rIdle·P_idle.
 		pPC0 := pAvg

@@ -80,14 +80,14 @@ func QuickOptions() Options {
 	return Options{Duration: 100 * sim.Millisecond, Seed: 1}
 }
 
-// loadedRun runs one (config, workload) point with a tracer attached and
-// returns the bundle of observations every figure draws from.
+// loadedRun is one (config, workload) point run with a tracer attached:
+// the bundle of observations every figure draws from. Its window closed
+// when the run returned, so its readers report the measured window.
 type loadedRun struct {
 	sys    *soc.System
 	srv    *server.Server
 	tracer *trace.Tracer
-
-	avgTotalW float64
+	win    soc.Window
 }
 
 // Warmup returns the settle window run before measurement starts so the
@@ -109,16 +109,10 @@ func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
 
 	sys := f.Server(0).System()
 	tr := trace.New(sys.Engine, sys.Cores)
-	snap := sys.Meter.Snapshot()
+	win := sys.OpenWindow()
 	f.Run(opt.Duration)
 	tr.Finalize()
-
-	return &loadedRun{
-		sys:       sys,
-		srv:       f.Server(0),
-		tracer:    tr,
-		avgTotalW: snap.AverageTotal(),
-	}
+	return &loadedRun{sys: sys, srv: f.Server(0), tracer: tr, win: win}
 }
 
 // newMachine builds the one-member round_robin fleet every

@@ -88,8 +88,8 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 		elapsed := opt.Duration.Seconds()
 		p := Fig7Point{
 			QPS:          qps,
-			ShallowWatts: sh.avgTotalW,
-			PC1AWatts:    ap.avgTotalW,
+			ShallowWatts: sh.win.TotalWatts(),
+			PC1AWatts:    ap.win.TotalWatts(),
 			ShallowMean:  sh.srv.Latencies().Mean(),
 			PC1AMean:     ap.srv.Latencies().Mean(),
 		}

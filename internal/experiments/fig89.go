@@ -83,8 +83,8 @@ func workloadFigure(opt Options, service string, levels []workloadLevel, mk func
 			CC1Residency:    sh.tracer.MeanResidency(cpu.CC1),
 			AllIdleTrue:     sh.tracer.AllIdleFraction(),
 			AllIdleCensored: sh.tracer.CensoredAllIdleFraction(),
-			ShallowWatts:    sh.avgTotalW,
-			PC1AWatts:       ap.avgTotalW,
+			ShallowWatts:    sh.win.TotalWatts(),
+			PC1AWatts:       ap.win.TotalWatts(),
 		}
 		p.PowerReduction = (p.ShallowWatts - p.PC1AWatts) / p.ShallowWatts
 		p.ImpactFrac = modelImpact(ap, sh.srv.Latencies().Mean())

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"agilepkgc/internal/ios"
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
@@ -49,7 +48,7 @@ func Remote(opt Options, qps float64, rates []float64) *RemoteResult {
 	spec := workload.Memcached(qps)
 	res := &RemoteResult{QPS: qps}
 
-	sh := runPoint(soc.Cshallow, spec, opt)
+	shW := runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
 
 	res.Points = Sweep(opt, rates, func(rate float64) RemotePoint {
 		f := newMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt)
@@ -57,21 +56,13 @@ func Remote(opt Options, qps float64, rates []float64) *RemoteResult {
 		if rate > 0 {
 			armSnoops(sys, rate, opt.Seed+99)
 		}
-		f.Run(opt.Duration / 10)
-		snap := sys.Meter.Snapshot()
-		t0 := sys.Engine.Now()
-		entries0 := sys.APMU.Entries(pmu.PC1A)
-		res0 := sys.APMU.Residency(pmu.PC1A)
+		f.Run(opt.Warmup())
+		win := sys.OpenWindow()
 		f.Run(opt.Duration)
 
-		p := RemotePoint{
-			SnoopRate: rate,
-			Watts:     snap.AverageTotal(),
-			PC1AResidency: float64(sys.APMU.Residency(pmu.PC1A)-res0) /
-				float64(sys.Engine.Now()-t0),
-			PC1AEntries: sys.APMU.Entries(pmu.PC1A) - entries0,
-		}
-		p.SavingsFrac = (sh.avgTotalW - p.Watts) / sh.avgTotalW
+		p := RemotePoint{SnoopRate: rate, Watts: win.TotalWatts()}
+		p.PC1AResidency, p.PC1AEntries, _ = win.PC1A()
+		p.SavingsFrac = (shW - p.Watts) / shW
 		return p
 	})
 	return res

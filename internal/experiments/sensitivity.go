@@ -77,13 +77,13 @@ func Sensitivity(opt Options) *SensitivityResult {
 	// The reference-load Cshallow baseline is shared by every ablation;
 	// run it once instead of once per ablated configuration.
 	refSpec := workload.Memcached(20000)
-	shallowRefW := runPoint(soc.Cshallow, refSpec, opt).avgTotalW
+	shallowRefW := runPoint(soc.Cshallow, refSpec, opt).win.TotalWatts()
 	loadSavings := func(cfg soc.Config) float64 {
 		f := newMachine(cfg, server.DefaultConfig(), refSpec, opt)
-		f.Run(opt.Duration / 10)
-		snap := f.Server(0).System().Meter.Snapshot()
+		f.Run(opt.Warmup())
+		win := f.Server(0).System().OpenWindow()
 		f.Run(opt.Duration)
-		return (shallowRefW - snap.AverageTotal()) / shallowRefW
+		return (shallowRefW - win.TotalWatts()) / shallowRefW
 	}
 
 	r.BaselineIdleW = idleW(soc.DefaultConfig(soc.Cshallow))

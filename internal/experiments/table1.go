@@ -6,6 +6,7 @@ import (
 
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
+	"agilepkgc/internal/power"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 )
@@ -66,10 +67,10 @@ func Table1(opt Options) *Table1Result {
 		}
 		pump()
 		s.Engine.Run(settle)
-		snap := s.Meter.Snapshot()
+		win := s.OpenWindow()
 		s.Engine.Run(s.Engine.Now() + settle)
 		r.PC0SoC = s.SoCPower()
-		r.PC0DRAM = snap.AveragePower(1)
+		r.PC0DRAM = win.Watts(power.DRAM)
 		stop = true
 	}
 

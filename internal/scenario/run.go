@@ -12,7 +12,6 @@ import (
 	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/experiments"
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/power"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -573,14 +572,7 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 	sys.Engine.Run(sys.Engine.Now() + opt.Warmup())
 
 	tr := trace.New(sys.Engine, sys.Cores)
-	snap := sys.Meter.Snapshot()
-	t0 := sys.Engine.Now()
-	var res0 sim.Duration
-	var ent0 uint64
-	if sys.APMU != nil {
-		res0 = sys.APMU.Residency(pmu.PC1A)
-		ent0 = sys.APMU.Entries(pmu.PC1A)
-	}
+	win := sys.OpenWindow()
 	sys.Engine.Run(sys.Engine.Now() + opt.Duration)
 	tr.Finalize()
 	cl.Stop()
@@ -593,21 +585,16 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 		MeanLatency:     srv.Latencies().Mean(),
 		P50Latency:      srv.Latencies().Quantile(0.50),
 		P99Latency:      srv.Latencies().Quantile(0.99),
-		SoCWatts:        snap.AveragePower(power.Package),
-		DRAMWatts:       snap.AveragePower(power.DRAM),
-		TotalWatts:      snap.AverageTotal(),
+		SoCWatts:        win.Watts(power.Package),
+		DRAMWatts:       win.Watts(power.DRAM),
+		TotalWatts:      win.TotalWatts(),
 		CC0Residency:    tr.MeanResidency(cpu.CC0),
 		CC1Residency:    tr.MeanResidency(cpu.CC1),
 		AllIdle:         tr.AllIdleFraction(),
 		AllIdleCensored: tr.CensoredAllIdleFraction(),
 	}
-	if sys.APMU != nil {
-		residency := 0.0
-		if window := sys.Engine.Now() - t0; window > 0 {
-			residency = float64(sys.APMU.Residency(pmu.PC1A)-res0) / float64(window)
-		}
-		entries := sys.APMU.Entries(pmu.PC1A) - ent0
-		p.PC1AResidency, p.PC1AEntries = &residency, &entries
+	if r, e, ok := win.PC1A(); ok {
+		p.PC1AResidency, p.PC1AEntries = &r, &e
 	}
 	return p
 }

@@ -393,3 +393,63 @@ func (s *System) ForceAllCC6() {
 	}
 	s.Engine.Run(s.Engine.Now() + 20*sim.Millisecond)
 }
+
+// Window is one measured interval on a System, opened by OpenWindow:
+// the meter's energy counters and the APMU's PC1A residency and entry
+// counts as they stood at the opening instant. Its readers report the
+// interval from then to the current virtual time, so read them at the
+// instant the window closes — every power and PC1A number an experiment,
+// scenario or fleet reports for a measured window comes from here.
+// Windows are values: opening one allocates nothing, and any number may
+// be open on one system at once.
+type Window struct {
+	sys  *System
+	snap power.Snapshot
+	res0 sim.Duration
+	ent0 uint64
+}
+
+// OpenWindow starts a measured interval now. It flushes the meter's
+// channels at the opening instant, exactly as a bare Meter.Snapshot
+// does.
+func (s *System) OpenWindow() Window {
+	w := Window{sys: s, snap: s.Meter.Snapshot()}
+	if s.APMU != nil {
+		w.res0 = s.APMU.Residency(pmu.PC1A)
+		w.ent0 = s.APMU.Entries(pmu.PC1A)
+	}
+	return w
+}
+
+// Len returns the virtual time since the window opened.
+//
+//apcvet:noalloc
+func (w Window) Len() sim.Duration { return w.snap.Elapsed() }
+
+// Watts returns the mean draw of domain d over the window (the
+// instantaneous draw while the window is empty).
+//
+//apcvet:noalloc
+func (w Window) Watts(d power.Domain) float64 { return w.snap.AveragePower(d) }
+
+// TotalWatts returns the mean SoC+DRAM draw over the window.
+//
+//apcvet:noalloc
+func (w Window) TotalWatts() float64 { return w.snap.AverageTotal() }
+
+// PC1A returns the fraction of the window the package spent in PC1A
+// and how many times it entered PC1A during the window. ok is false on
+// a system without an APMU (Cshallow, Cdeep); residency is 0 for an
+// empty window.
+//
+//apcvet:noalloc
+func (w Window) PC1A() (residency float64, entries uint64, ok bool) {
+	a := w.sys.APMU
+	if a == nil {
+		return 0, 0, false
+	}
+	if n := w.Len(); n > 0 {
+		residency = float64(a.Residency(pmu.PC1A)-w.res0) / float64(n)
+	}
+	return residency, a.Entries(pmu.PC1A) - w.ent0, true
+}
