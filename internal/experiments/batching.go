@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
@@ -51,8 +50,7 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	spec := workload.Memcached(qps)
 	res := &BatchingResult{QPS: qps}
 
-	sh := runPoint(soc.Cshallow, spec, opt)
-	res.ShallowWatts = sh.win.TotalWatts()
+	res.ShallowWatts = runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
 
 	// Each epoch point is an independent engine; the cross-point
 	// fractions (vs Cshallow, vs the unbatched epoch) are derived
@@ -65,17 +63,16 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 		sys := srv.System()
 		f.Run(opt.Warmup())
 		win := sys.OpenWindow()
-		t0 := sys.Engine.Now()
 		f.Run(opt.Duration)
 
-		return BatchingPoint{
+		p := BatchingPoint{
 			Epoch:       epoch,
 			Watts:       win.TotalWatts(),
 			MeanLatency: srv.Latencies().Mean(),
 			P99Latency:  srv.Latencies().Quantile(0.99),
-			PC1AResidency: float64(sys.APMU.Residency(pmu.PC1A)) /
-				float64(sys.Engine.Now()-t0+1),
 		}
+		p.PC1AResidency, _, _ = win.PC1A()
+		return p
 	})
 	for i := range res.Points {
 		p := &res.Points[i]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/workload"
@@ -85,7 +84,6 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 		sh := runPoint(soc.Cshallow, spec, opt)
 		ap := runPoint(soc.CPC1A, spec, opt)
 
-		elapsed := opt.Duration.Seconds()
 		p := Fig7Point{
 			QPS:          qps,
 			ShallowWatts: sh.win.TotalWatts(),
@@ -95,10 +93,7 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 		}
 		p.SavingsFrac = (p.ShallowWatts - p.PC1AWatts) / p.ShallowWatts
 		p.ImpactFrac = (p.PC1AMean - p.ShallowMean) / p.ShallowMean
-		if ap.sys.APMU != nil {
-			p.PC1AEntries = ap.sys.APMU.Entries(pmu.PC1A)
-			p.PC1AResidency = float64(ap.sys.APMU.Residency(pmu.PC1A)) / float64(elapsed*float64(sim.Second))
-		}
+		p.PC1AResidency, p.PC1AEntries, _ = ap.win.PC1A()
 		return p
 	})
 	return res
