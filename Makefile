@@ -48,7 +48,7 @@ lint:
 	fi
 
 # The full CI gate: formatting, static checks, a build of every package
-# (including the examples/ programs, which have no tests), and the test
+# (including examples/quickstart, which has no tests), and the test
 # suite — once natively and once under the race detector, so the
 # parallel-sweep race-cleanliness claim is enforced, not asserted. The
 # test suite also locks the golden reports and parses every

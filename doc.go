@@ -69,8 +69,9 @@
 // (`apcsim list`, `apcsim run all`, `apcsim scenario file.json`),
 // cmd/apctop is a live TUI over a simulated machine's MSR/PMU readout
 // surfaces, and cmd/tracegen authors and inspects the binary arrival
-// traces that scenarios replay (`tracegen synth|convert|dump`). The
-// examples/ directory holds small programmatic drivers.
+// traces that scenarios replay (`tracegen synth|convert|dump`).
+// examples/quickstart is the one programmatic driver of the library,
+// and examples/scenarios holds scenario files for `apcsim scenario`.
 //
 // Every run is reproducible: same seed, bit-identical traces, at any
 // parallelism. README.md is the tour; DESIGN.md documents the engine

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"agilepkgc/internal/cluster"
-	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
@@ -31,22 +30,25 @@ func main() {
 	sys := srv.System()
 
 	// Let it idle: all cores sit in CC1, so the APMU drops the package
-	// into PC1A within tens of nanoseconds.
+	// into PC1A within tens of nanoseconds. A measurement window reads
+	// power and PC1A residency over exactly the interval it spans.
+	idle := sys.OpenWindow()
 	f.Engine().Run(10 * sim.Millisecond)
+	res, _, _ := idle.PC1A()
 	fmt.Printf("after 10ms idle:   state=%-5v  SoC=%5.1fW  DRAM=%4.2fW\n",
 		sys.PackageState(), sys.SoCPower(), sys.DRAMPower())
-	fmt.Printf("PC1A residency so far: %.1f%%\n",
-		100*float64(sys.APMU.Residency(pmu.PC1A))/float64(sys.Engine.Now()))
+	fmt.Printf("PC1A residency so far: %.1f%%\n", 100*res)
 
 	// Now serve the load for 200ms of virtual time, then drain.
-	snap := sys.Meter.Snapshot()
+	load := sys.OpenWindow()
 	f.Run(200 * sim.Millisecond)
+	res, entries, _ := load.PC1A()
 
 	fmt.Printf("\nafter 200ms at 50K QPS:\n")
 	fmt.Printf("  served:        %d requests\n", srv.Served())
 	fmt.Printf("  mean latency:  %.1fus (incl. 117us network)\n", srv.Latencies().Mean()*1e6)
 	fmt.Printf("  p99 latency:   %.1fus\n", srv.Latencies().Quantile(0.99)*1e6)
-	fmt.Printf("  avg power:     %.1fW (SoC+DRAM)\n", snap.AverageTotal())
-	fmt.Printf("  PC1A entries:  %d\n", sys.APMU.Entries(pmu.PC1A))
+	fmt.Printf("  avg power:     %.1fW (SoC+DRAM)\n", load.TotalWatts())
+	fmt.Printf("  PC1A:          %.1f%% residency, %d entries\n", 100*res, entries)
 	fmt.Printf("  state now:     %v (drained back to idle)\n", sys.PackageState())
 }

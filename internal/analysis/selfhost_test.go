@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -145,6 +146,78 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("%s is allowlisted as test-only but a non-test file now uses it: drop it from testOnlyAllowed", key)
 		}
 	}
+}
+
+// windowAllowed names the packages outside internal/soc and
+// internal/power that may take a meter Snapshot or read the APMU's PC1A
+// residency themselves, each with the reason it stays.
+var windowAllowed = map[string]string{
+	"agilepkgc/internal/core": "the APMU's own String reports its lifetime residency",
+	"agilepkgc/cmd/apctop":    "per-interval readout through the emulated MSRs, by design",
+}
+
+// TestOneMeasurementWindow fails when a non-test file outside
+// internal/soc and internal/power calls Meter.Snapshot or reads
+// APMU.Residency(pmu.PC1A): every measured window's watts and PC1A
+// numbers come from soc.Window, so one point gives one answer. Read
+// them from a window, or allowlist the package in windowAllowed with a
+// reason.
+func TestOneMeasurementWindow(t *testing.T) {
+	const (
+		snapshot  = "(*agilepkgc/internal/power.Meter).Snapshot"
+		residency = "(*agilepkgc/internal/core.APMU).Residency"
+	)
+	seen := map[string]bool{}
+	for _, pkg := range modulePkgs(t) {
+		if pkg.Path == "agilepkgc/internal/soc" || pkg.Path == "agilepkgc/internal/power" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+				if !ok {
+					return true
+				}
+				name := fn.FullName()
+				if name != snapshot && (name != residency || len(call.Args) != 1 || !isPC1A(pkg.Info, call.Args[0])) {
+					return true
+				}
+				if windowAllowed[pkg.Path] != "" {
+					seen[pkg.Path] = true
+					return true
+				}
+				t.Errorf("%s: %s reads the measurement directly: use soc.Window (OpenWindow), or allowlist %s in windowAllowed with a reason",
+					pkg.Fset.Position(call.Pos()), sel.Sel.Name, pkg.Path)
+				return true
+			})
+		}
+	}
+	for path := range windowAllowed {
+		if !seen[path] {
+			t.Errorf("%s is allowlisted in windowAllowed but reads no measurement directly: drop it", path)
+		}
+	}
+}
+
+// isPC1A reports whether e names the constant pmu.PC1A.
+func isPC1A(info *types.Info, e ast.Expr) bool {
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		e = sel.Sel
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	c, ok := info.Uses[id].(*types.Const)
+	return ok && c.Pkg().Path() == "agilepkgc/internal/pmu" && c.Name() == "PC1A"
 }
 
 // TestHotPathFactsCoverage pins the annotation rollout: the functions

@@ -472,6 +472,37 @@ func TestRemoteTrafficErosion(t *testing.T) {
 	}
 }
 
+// TestSamePointSameNumbers pins one measurement window behind every
+// figure: an operating point two experiments both run must report the
+// same PC1A residency, entries, watts and latency, bit for bit. Fig 7
+// at 20K QPS is remote's no-snoop point, and Fig 7 at 50K QPS is
+// batching's unbatched point. 600 ms is long enough for the Duration/10
+// warmup to differ from Options.Warmup's 50 ms cap.
+func TestSamePointSameNumbers(t *testing.T) {
+	for _, d := range []sim.Duration{100 * sim.Millisecond, 600 * sim.Millisecond} {
+		opt := QuickOptions()
+		opt.Duration = d
+		f7 := Fig7(opt, []float64{20000, 50000})
+		at20k, at50k := f7.Points[0], f7.Points[1]
+
+		rm := Remote(opt, 20000, []float64{0}).Points[0]
+		if rm.PC1AResidency != at20k.PC1AResidency || rm.PC1AEntries != at20k.PC1AEntries ||
+			rm.Watts != at20k.PC1AWatts {
+			t.Errorf("%v: remote 0/s (residency %v, entries %d, %v W) != fig7 20K (residency %v, entries %d, %v W)",
+				d, rm.PC1AResidency, rm.PC1AEntries, rm.Watts,
+				at20k.PC1AResidency, at20k.PC1AEntries, at20k.PC1AWatts)
+		}
+
+		bt := Batching(opt, 50000, []sim.Duration{0}).Points[0]
+		if bt.PC1AResidency != at50k.PC1AResidency || bt.Watts != at50k.PC1AWatts ||
+			bt.MeanLatency != at50k.PC1AMean {
+			t.Errorf("%v: batching off (residency %v, %v W, mean %v s) != fig7 50K (residency %v, %v W, mean %v s)",
+				d, bt.PC1AResidency, bt.Watts, bt.MeanLatency,
+				at50k.PC1AResidency, at50k.PC1AWatts, at50k.PC1AMean)
+		}
+	}
+}
+
 func TestCSVWriters(t *testing.T) {
 	opt := QuickOptions()
 	cases := []struct {

@@ -382,3 +382,55 @@ func TestMemAccessFusionMatchesPerController(t *testing.T) {
 	}
 	t.Logf("%d fused bursts, %d CKE-off entries, %d self-refresh entries", fusedBursts, cke, sr)
 }
+
+// TestWindow pins the measured-interval contract: PC1A counts only what
+// accrues after OpenWindow, a system without an APMU reports !ok, and
+// the power readers are bit-equal to a meter Snapshot taken at the
+// same instant.
+func TestWindow(t *testing.T) {
+	s := New(DefaultConfig(CPC1A))
+	s.Engine.Run(5 * sim.Millisecond) // idle: PC1A accrues before the window
+	res0, ent0 := s.APMU.Residency(pmu.PC1A), s.APMU.Entries(pmu.PC1A)
+	if res0 < 4*sim.Millisecond || ent0 == 0 {
+		t.Fatalf("idle system should sit in PC1A before the window: %v, %d entries", res0, ent0)
+	}
+
+	w := s.OpenWindow()
+	snap := s.Meter.Snapshot()
+	// One busy millisecond, then idle: one PC1A exit and one re-entry.
+	s.Cores[0].Enqueue(cpu.Work{Duration: sim.Millisecond})
+	s.Engine.Run(s.Engine.Now() + 2*sim.Millisecond)
+
+	if w.Len() != 2*sim.Millisecond {
+		t.Fatalf("Len = %v, want 2ms", w.Len())
+	}
+	r, e, ok := w.PC1A()
+	if !ok {
+		t.Fatal("CPC1A window should report PC1A")
+	}
+	if want := float64(s.APMU.Residency(pmu.PC1A)-res0) / float64(w.Len()); r != want {
+		t.Errorf("residency = %v, want %v (window only)", r, want)
+	}
+	if r <= 0 || r >= 0.6 {
+		t.Errorf("residency = %v, want the idle tail of the window only (~0.5)", r)
+	}
+	if want := s.APMU.Entries(pmu.PC1A) - ent0; e != want || e != 1 {
+		t.Errorf("entries = %d, want %d (one re-entry)", e, want)
+	}
+
+	for _, d := range []power.Domain{power.Package, power.DRAM} {
+		if got, want := w.Watts(d), snap.AveragePower(d); got != want {
+			t.Errorf("Watts(%v) = %v, Snapshot says %v", d, got, want)
+		}
+	}
+	if got, want := w.TotalWatts(), snap.AverageTotal(); got != want {
+		t.Errorf("TotalWatts = %v, Snapshot says %v", got, want)
+	}
+
+	sh := New(DefaultConfig(Cshallow))
+	sw := sh.OpenWindow()
+	sh.Engine.Run(sim.Millisecond)
+	if r, e, ok := sw.PC1A(); ok || r != 0 || e != 0 {
+		t.Errorf("Cshallow PC1A() = (%v, %d, %v), want (0, 0, false)", r, e, ok)
+	}
+}
