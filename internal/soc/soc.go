@@ -401,7 +401,8 @@ func (s *System) ForceAllCC6() {
 // instant the window closes — every power and PC1A number an experiment,
 // scenario or fleet reports for a measured window comes from here.
 // Windows are values: opening one allocates nothing, and any number may
-// be open on one system at once.
+// be open on one system at once. Reading one flushes the system's meter,
+// as reading a Snapshot does, so read a window from one goroutine.
 type Window struct {
 	sys  *System
 	snap power.Snapshot
