@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt lint ci race bench benchgate loc clean
+.PHONY: all build test vet fmt lint ci race perfbench bench benchgate loc clean
 
 all: build test vet
 
@@ -53,15 +53,28 @@ lint:
 # parallel-sweep race-cleanliness claim is enforced, not asserted. The
 # test suite also locks the golden reports and parses every
 # examples/scenarios/*.json (TestExampleScenariosParse), so a schema
-# change that orphans the shipped examples fails here.
-ci: fmt vet lint build test race
+# change that orphans the shipped examples fails here. The benchmark
+# module is vetted and tested last (see perfbench below).
+ci: fmt vet lint build test race perfbench
 
 # The whole module under the race detector (~1 min on one CPU).
 race:
 	$(GO) test -race ./...
 
+# perfbench is its own Go module, so ./... above never builds it, yet it
+# drives the simulator's public API (replay.NewReader, the scenario
+# loader) and TestMirrorParity checks its mirror against scenario.Run.
+# That test loads fleet-replay.json, whose recording the benchmark
+# writes into .bench_build/inputs on its first fleet-replay run, so a
+# fresh checkout makes one short run first (~15 s with a cold build
+# cache; skipped once the recording exists).
+perfbench:
+	@test -f .bench_build/inputs/fleet-replay.trace || \
+		bash perfbench/run.sh --workload fleet-replay --seed 1 --seconds 0.1 --trace 0 >/dev/null
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Full benchmark suite: benchstat-comparable text in bench.txt plus a
-# machine-readable snapshot (BENCH_pr18.json by default; pass the next
+# machine-readable snapshot (BENCH_pr22.json by default; pass the next
 # PR's name as the second bench.sh argument) recording the perf
 # trajectory.
 bench:
@@ -69,7 +82,7 @@ bench:
 
 # The alloc-regression gate: reruns the suite into bench-gate.json and
 # fails if any benchmark allocates more per op than the committed
-# BENCH_pr18.json baseline (ns/op drift only warns). CI runs this on
+# BENCH_pr22.json baseline (ns/op drift only warns). CI runs this on
 # every push.
 benchgate:
 	scripts/benchgate.sh

@@ -18,11 +18,14 @@ package agilepkgc_test
 //	BenchmarkArea    — die-area budget
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/experiments"
+	"agilepkgc/internal/scenario"
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
@@ -360,4 +363,42 @@ func BenchmarkFleetRoutingReplay(b *testing.B) {
 		fl.Run(sim.Millisecond)
 	}
 	b.ReportMetric(float64(fl.Generated())/float64(b.N+1), "req/iter")
+}
+
+// BenchmarkLoadScenarioTrace prices loading a trace scenario: the JSON
+// decode and validation plus the trace preflight, which reads only the
+// header and name of the recording. The scenario mirrors the shape of
+// perfbench's fleet-replay workload (a 2x4 rack_power_aware fleet
+// replaying a bursty Memcached recording).
+func BenchmarkLoadScenarioTrace(b *testing.B) {
+	b.ReportAllocs()
+	dir := b.TempDir()
+	f, err := os.Create(filepath.Join(dir, "bursty.trace"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := replay.Synthesize(f, workload.MemcachedBursty(300000, 8), 1, 0, 20*sim.Millisecond); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(dir, "fleet-replay.json")
+	if err := os.WriteFile(path, []byte(`{
+  "name": "fleet-replay",
+  "config": "CPC1A",
+  "duration_ms": 1000,
+  "workload": {"service": "trace", "trace": {"path": "bursty.trace"}},
+  "cluster": {"servers": 8, "racks": 2, "tor_latency_us": 5,
+              "policy": "rack_power_aware", "p99_target_us": 300,
+              "drain_hold_us": 200, "feedback_epoch_us": 1000}
+}`), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scenario.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

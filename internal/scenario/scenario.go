@@ -1095,7 +1095,9 @@ func (s *Scenario) preflightTrace(baseDir string, data []byte) error {
 
 // preflight verifies the trace file exists and carries a valid,
 // non-empty, loop-compatible header — everything replay needs short of
-// reading the records. The runner repeats it per resolved point so
+// reading the records. It reads the header and name and nothing else;
+// the record-level checks (ordering, count, checksum, trailing bytes)
+// run when the trace replays. The runner repeats it per resolved point so
 // programmatically-built scenarios (which never went through Load) fail
 // before any simulation runs.
 func (t *Trace) preflight() error {
@@ -1104,11 +1106,10 @@ func (t *Trace) preflight() error {
 		return err
 	}
 	defer f.Close()
-	rd, err := replay.NewReader(f)
+	h, err := replay.ReadHeader(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", t.Path, err)
 	}
-	h := rd.Header()
 	if h.Count == 0 {
 		return fmt.Errorf("%s: empty trace — nothing to replay", t.Path)
 	}

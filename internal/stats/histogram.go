@@ -187,12 +187,10 @@ func (h *Histogram) FractionBetween(lo, hi float64) float64 {
 	}
 	for i := range h.counts {
 		bLo := h.min * math.Pow(h.growth, float64(i))
-		bHi := bLo * h.growth
 		mid := bLo * math.Sqrt(h.growth)
 		if mid >= lo && mid < hi {
 			n += h.counts[i]
 		}
-		_ = bHi
 	}
 	if hi > h.max {
 		n += h.over

@@ -229,6 +229,54 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+	// ReadHeader is the only header decoder: every header case fails
+	// through it with NewReader's exact text and offset.
+	for _, c := range cases {
+		if c.record >= 0 {
+			continue
+		}
+		t.Run("ReadHeader/"+c.name, func(t *testing.T) {
+			_, rerr := NewReader(bytes.NewReader(c.data))
+			_, herr := ReadHeader(bytes.NewReader(c.data))
+			var rfe, hfe *FormatError
+			if !errors.As(rerr, &rfe) || !errors.As(herr, &hfe) {
+				t.Fatalf("NewReader error %v / ReadHeader error %v: want two *FormatErrors", rerr, herr)
+			}
+			if *hfe != *rfe {
+				t.Errorf("ReadHeader %+v, NewReader %+v", *hfe, *rfe)
+			}
+		})
+	}
+}
+
+// countingReader counts the bytes its caller consumed.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadHeaderConsumesOnlyHeader pins the preflight's read budget:
+// ReadHeader takes the fixed header and the declared name and not one
+// byte of the records behind them.
+func TestReadHeaderConsumesOnlyHeader(t *testing.T) {
+	data, hdr := buildTrace(t, testMeta, testRecords())
+	cr := &countingReader{r: bytes.NewReader(data)}
+	got, err := ReadHeader(cr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != hdr {
+		t.Errorf("ReadHeader = %+v, want %+v", got, hdr)
+	}
+	if want := headerSize + len(testMeta.Name); cr.n != want {
+		t.Errorf("ReadHeader consumed %d bytes, want %d", cr.n, want)
+	}
 }
 
 func TestDecodeEmptyTrace(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 // *FormatError. It must never panic, never over-read (the input is all
 // there is) and, on success, hand back records that re-encode to an
 // equivalent trace (round-trip closure). The CI fuzz job picks this
-// target up by name discovery (go test -list '^Fuzz').
+// target up by name discovery (go test -list '^Fuzz'). ReadHeader must
+// also return exactly NewReader's header or error on every input.
 func FuzzTraceDecode(f *testing.F) {
 	// Seed corpus: real tracegen-shaped output plus targeted mutations
 	// of every region (magic, lengths, counts, timestamps, checksum).
@@ -40,6 +41,17 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0x00))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The preflight's header-only decode and the streaming reader
+		// agree on every input: the same header or the same error.
+		hh, herr := ReadHeader(bytes.NewReader(data))
+		var rh Header
+		rd, rerr := NewReader(bytes.NewReader(data))
+		if rerr == nil {
+			rh = rd.Header()
+		}
+		if (herr == nil) != (rerr == nil) || herr != nil && herr.Error() != rerr.Error() || hh != rh {
+			t.Fatalf("ReadHeader (%+v, %v) and NewReader (%+v, %v) disagree", hh, herr, rh, rerr)
+		}
 		hdr, recs, err := Decode(data)
 		if err != nil {
 			var fe *FormatError

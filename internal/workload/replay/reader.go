@@ -58,65 +58,71 @@ type Reader struct {
 // NewReader decodes and validates the header and positions the stream
 // at the first record.
 func NewReader(src io.ReadSeeker) (*Reader, error) {
-	r := &Reader{src: src, br: bufio.NewReaderSize(src, readerBufSize)}
-	if err := r.readHeader(); err != nil {
+	br := bufio.NewReaderSize(src, readerBufSize)
+	hdr, err := ReadHeader(br)
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &Reader{src: src, br: br, hdr: hdr, dataOff: int64(headerSize) + int64(len(hdr.Name))}, nil
 }
 
-// readHeader decodes the fixed header and the name that follows it.
-func (r *Reader) readHeader() error {
+// ReadHeader decodes and validates the fixed header and the name that
+// follows it, consuming exactly headerSize+nameLen bytes of src and
+// nothing after them. It is the format's only header decoder: NewReader
+// runs it on its bufio window, and a caller that needs only the header
+// (the scenario loader's preflight) runs it on the file itself without
+// paying for a window.
+func ReadHeader(src io.Reader) (Header, error) {
 	var h [headerSize]byte
-	if _, err := io.ReadFull(r.br, h[:]); err != nil {
-		return headerErr(0, "truncated header: %v", err)
+	if _, err := io.ReadFull(src, h[:]); err != nil {
+		return Header{}, headerErr(0, "truncated header: %v", err)
 	}
 	if !bytes.Equal(h[0:8], []byte(Magic)) {
-		return headerErr(0, "bad magic %q (want %q)", h[0:8], Magic)
+		return Header{}, headerErr(0, "bad magic %q (want %q)", h[0:8], Magic)
 	}
 	le := binary.LittleEndian
 	if v := le.Uint32(h[8:12]); v != Version {
-		return headerErr(8, "unsupported version %d (want %d)", v, Version)
+		return Header{}, headerErr(8, "unsupported version %d (want %d)", v, Version)
 	}
 	nameLen := le.Uint32(h[12:16])
 	if nameLen == 0 || nameLen > maxNameLen {
-		return headerErr(12, "name length %d outside [1, %d]", nameLen, maxNameLen)
+		return Header{}, headerErr(12, "name length %d outside [1, %d]", nameLen, maxNameLen)
 	}
 	count := le.Uint64(h[16:24])
 	first, last := le.Uint64(h[24:32]), le.Uint64(h[32:40])
 	if !validTS(first) || !validTS(last) {
-		return headerErr(24, "timestamp range does not fit a signed time")
+		return Header{}, headerErr(24, "timestamp range does not fit a signed time")
 	}
 	if last < first {
-		return headerErr(32, "last timestamp %d before first %d", last, first)
+		return Header{}, headerErr(32, "last timestamp %d before first %d", last, first)
 	}
 	if count == 0 && (first != 0 || last != 0) {
-		return headerErr(16, "empty trace with a non-zero timestamp range")
+		return Header{}, headerErr(16, "empty trace with a non-zero timestamp range")
 	}
 	if count > math.MaxInt64/RecordSize {
-		return headerErr(16, "record count %d implies an impossible file size", count)
+		return Header{}, headerErr(16, "record count %d implies an impossible file size", count)
 	}
 	meanQPS := math.Float64frombits(le.Uint64(h[40:48]))
 	serviceMean := math.Float64frombits(le.Uint64(h[48:56]))
 	if math.IsNaN(meanQPS) || math.IsInf(meanQPS, 0) || meanQPS < 0 {
-		return headerErr(40, "mean QPS %g is not a finite non-negative rate", meanQPS)
+		return Header{}, headerErr(40, "mean QPS %g is not a finite non-negative rate", meanQPS)
 	}
 	if math.IsNaN(serviceMean) || math.IsInf(serviceMean, 0) || serviceMean < 0 {
-		return headerErr(48, "service mean %g is not a finite non-negative time", serviceMean)
+		return Header{}, headerErr(48, "service mean %g is not a finite non-negative time", serviceMean)
 	}
 	conns := le.Uint32(h[56:60])
 	if conns == 0 || conns > math.MaxInt32 {
-		return headerErr(56, "connection count %d outside [1, %d]", conns, math.MaxInt32)
+		return Header{}, headerErr(56, "connection count %d outside [1, %d]", conns, math.MaxInt32)
 	}
 	mem := le.Uint32(h[60:64])
 	if mem > math.MaxInt32 {
-		return headerErr(60, "mem-access count %d overflows int", mem)
+		return Header{}, headerErr(60, "mem-access count %d overflows int", mem)
 	}
 	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.br, name); err != nil {
-		return headerErr(headerSize, "truncated name (declared %d bytes): %v", nameLen, err)
+	if _, err := io.ReadFull(src, name); err != nil {
+		return Header{}, headerErr(headerSize, "truncated name (declared %d bytes): %v", nameLen, err)
 	}
-	r.hdr = Header{
+	return Header{
 		Name:        string(name),
 		Count:       count,
 		FirstTS:     sim.Time(first),
@@ -126,9 +132,7 @@ func (r *Reader) readHeader() error {
 		Connections: int(conns),
 		MemAccesses: int(mem),
 		CRC:         le.Uint64(h[64:72]),
-	}
-	r.dataOff = int64(headerSize) + int64(nameLen)
-	return nil
+	}, nil
 }
 
 // Header returns the validated header.

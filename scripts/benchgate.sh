@@ -20,12 +20,12 @@
 # With no first argument the suite is run first (scripts/bench.sh all)
 # into bench-gate.json. The baseline defaults to this PR's committed
 # snapshot; after a deliberate perf change, regenerate it with
-# `scripts/bench.sh all BENCH_pr18.json` and commit the diff.
+# `scripts/bench.sh all BENCH_pr22.json` and commit the diff.
 set -e
 cd "$(dirname "$0")/.."
 
 NEW="${1:-}"
-BASE="${2:-BENCH_pr18.json}"
+BASE="${2:-BENCH_pr22.json}"
 
 if [ -z "$NEW" ]; then
 	NEW=bench-gate.json
