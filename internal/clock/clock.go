@@ -61,15 +61,19 @@ type PLL struct {
 	relock sim.Duration
 	ch     *power.Channel
 
-	lockEv   sim.Event
+	lockEv sim.Event
+	// lockFn is locked, bound on the first TurnOn: a PLL that never
+	// powers off pays nothing for it.
+	lockFn   func()
 	onLocked []func()
 }
 
-// NewPLL creates a locked PLL (systems boot with clocks running) and
-// registers its power channel. ch may be nil for tests that do not
-// account power.
-func NewPLL(eng *sim.Engine, name string, relock sim.Duration, ch *power.Channel) *PLL {
-	p := &PLL{eng: eng, name: name, state: PLLLocked, relock: relock, ch: ch}
+// Init builds a locked PLL in place (systems boot with clocks running),
+// sets its power channel's draw, and returns p. ch may be nil for tests
+// that do not account power. Building in place lets a machine allocate
+// its PLLs as one slab.
+func (p *PLL) Init(eng *sim.Engine, name string, relock sim.Duration, ch *power.Channel) *PLL {
+	*p = PLL{eng: eng, name: name, state: PLLLocked, relock: relock, ch: ch}
 	if ch != nil {
 		ch.Set(ADPLLPowerWatts)
 	}
@@ -116,13 +120,19 @@ func (p *PLL) TurnOn() {
 	if p.ch != nil {
 		p.ch.Set(ADPLLPowerWatts)
 	}
-	p.lockEv = p.eng.Schedule(p.relock, func() {
-		p.lockEv = sim.Event{}
-		p.state = PLLLocked
-		for _, fn := range p.onLocked {
-			fn()
-		}
-	})
+	if p.lockFn == nil {
+		p.lockFn = p.locked
+	}
+	p.lockEv = p.eng.Schedule(p.relock, p.lockFn)
+}
+
+// locked completes a TurnOn.
+func (p *PLL) locked() {
+	p.lockEv = sim.Event{}
+	p.state = PLLLocked
+	for _, fn := range p.onLocked {
+		fn()
+	}
 }
 
 // Tree is a clock distribution tree for one domain. Gating stops the

@@ -274,6 +274,8 @@ type member struct {
 	hedged    uint64     // hedged copies routed here
 	crashes   uint64     // crash faults injected
 	brownouts uint64     // brownout faults injected
+	crashFns  faultFns   // crash and repair events, bound once (see faultFns)
+	brownFns  faultFns   // brownout start and end events, bound once
 
 	// Controller state (inert unless the fleet has one; see drain.go).
 	state        memberState
@@ -296,6 +298,9 @@ type Fleet struct {
 	members []*member
 	byRack  [][]*member
 	rr      int
+	// partFns are each rack's partition and heal events, bound once
+	// (see faultFns).
+	partFns []faultFns
 
 	// Incremental policy structures (tree.go): a segment tree over the
 	// members plus per-rack and fleet-level occupancy counters, kept in
@@ -526,8 +531,9 @@ func (m *member) reset() {
 // targets, per-member configs and fault setup may all change, since
 // every derived value is recomputed) — because the balancer's rack
 // wiring is positional. The per-member SoCs and servers are rebuilt
-// rather than rewound: their device state is deep, and reconstructing
-// them on the reused engine is what the arena makes cheap. A reset
+// rather than rewound: their device state is deep, so each point pays
+// a fresh machine assembly (a few slabs per device family; see
+// soc.NewOnEngine) while the engine's arena is reused as is. A reset
 // fleet is byte-identical to a fresh one (TestFleetResetDeterministic).
 // The caller has validated cfg and checked its shape against f's.
 func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) {
@@ -1078,7 +1084,8 @@ func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
 	f.measureCollect(out)
 }
 
-// measureBegin attaches the per-member tracers and records every
+// measureBegin attaches the per-member tracers (re-arming the ones a
+// previous measurement left in the scratch) and records every
 // baseline (one soc.Window per member, served counts, fault OKs) at the
 // instant the measured window opens. Split from measureCollect so a
 // multi-fleet driver (Graph.Measure) can open every tier's window, run
@@ -1088,7 +1095,11 @@ func (f *Fleet) measureBegin() {
 	s := &f.meas
 	s.grow(len(f.members))
 	for i, m := range f.members {
-		s.tracers[i] = trace.New(f.eng, m.sys.Cores)
+		if s.tracers[i] == nil {
+			s.tracers[i] = trace.New(f.eng, m.sys.Cores)
+		} else {
+			s.tracers[i].Rearm(m.sys.Cores)
+		}
 		s.wins[i] = m.sys.OpenWindow()
 		s.served0[i] = m.srv.Served()
 	}

@@ -245,9 +245,21 @@ func (f *Fleet) initFaults(seed uint64) {
 //apcvet:noalloc
 func (m *member) alive() bool { return !m.down && !m.cut }
 
+// faultFns is one fault family's pair of event callbacks for one
+// member (crash and repair, brownout and its end) or one rack
+// (partition and heal). A pair is bound the first time its family is
+// armed and kept across resets: the callbacks reach the fault layer
+// through the fleet when they fire, so they never go stale, and no
+// fault event allocates.
+type faultFns struct{ start, end func() }
+
 // armCrash schedules the member's next crash.
 func (fs *faultState) armCrash(m *member) {
-	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTBF), func() { fs.crash(m) })
+	if m.crashFns.start == nil {
+		f := fs.f
+		m.crashFns = faultFns{func() { f.flt.crash(m) }, func() { f.flt.repair(m) }}
+	}
+	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTBF), m.crashFns.start)
 }
 
 // crash takes the member down: it is unreachable until repair, every
@@ -264,7 +276,7 @@ func (fs *faultState) crash(m *member) {
 	}
 	fs.f.touch(m)
 	fs.failLive(m)
-	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTTR), func() { fs.repair(m) })
+	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTTR), m.crashFns.end)
 }
 
 // repair brings the member back: it is immediately routable again (its
@@ -278,7 +290,11 @@ func (fs *faultState) repair(m *member) {
 
 // armBrownout schedules the member's next brownout.
 func (fs *faultState) armBrownout(m *member) {
-	fs.f.eng.Schedule(expDur(fs.brownRNG, fs.cfg.BrownoutMTBF), func() { fs.brownout(m) })
+	if m.brownFns.start == nil {
+		f := fs.f
+		m.brownFns = faultFns{func() { f.flt.brownout(m) }, func() { f.flt.brownoutEnd(m) }}
+	}
+	fs.f.eng.Schedule(expDur(fs.brownRNG, fs.cfg.BrownoutMTBF), m.brownFns.start)
 }
 
 // brownout degrades the member for the configured duration: requests
@@ -289,15 +305,25 @@ func (fs *faultState) armBrownout(m *member) {
 func (fs *faultState) brownout(m *member) {
 	m.brown = true
 	m.brownouts++
-	fs.f.eng.Schedule(fs.cfg.BrownoutDuration, func() {
-		m.brown = false
-		fs.armBrownout(m)
-	})
+	fs.f.eng.Schedule(fs.cfg.BrownoutDuration, m.brownFns.end)
+}
+
+// brownoutEnd restores the member's speed and draws its next brownout.
+func (fs *faultState) brownoutEnd(m *member) {
+	m.brown = false
+	fs.armBrownout(m)
 }
 
 // armPartition schedules rack r's next ToR partition.
 func (fs *faultState) armPartition(r int) {
-	fs.f.eng.Schedule(expDur(fs.partRNG, fs.cfg.TorPartitionMTBF), func() { fs.partition(r) })
+	f := fs.f
+	if f.partFns == nil {
+		f.partFns = make([]faultFns, f.topo.Racks)
+	}
+	if f.partFns[r].start == nil {
+		f.partFns[r] = faultFns{func() { f.flt.partition(r) }, func() { f.flt.heal(r) }}
+	}
+	f.eng.Schedule(expDur(fs.partRNG, fs.cfg.TorPartitionMTBF), f.partFns[r].start)
 }
 
 // partition cuts rack r's ToR uplink: every member becomes unreachable,
@@ -312,7 +338,7 @@ func (fs *faultState) partition(r int) {
 		fs.f.touch(m)
 		fs.failLive(m)
 	}
-	fs.f.eng.Schedule(fs.cfg.TorPartitionDuration, func() { fs.heal(r) })
+	fs.f.eng.Schedule(fs.cfg.TorPartitionDuration, fs.f.partFns[r].end)
 }
 
 // heal restores rack r's uplink and draws the next partition.
@@ -328,10 +354,12 @@ func (fs *faultState) heal(r int) {
 // failLive loses every outstanding attempt on the member — in flight
 // inside the machine or still riding the ToR hop toward it — in
 // submission order, retrying or failing each logical request at this
-// instant.
+// instant. The member is unreachable by now, so no retry joins its live
+// set while the old entries are lost, and the set keeps its backing
+// array for the next run of submissions.
 func (fs *faultState) failLive(m *member) {
 	pending := m.live
-	m.live = nil
+	m.live = pending[:0]
 	for _, at := range pending {
 		at.liveIdx = -1
 		if at.lost || at.lr.done {

@@ -70,9 +70,10 @@ type logicalReq struct {
 	suffered    bool // lost an attempt or timed out at least once
 	done        bool // resolved (ok or failed)
 
-	live    []*attempt // outstanding copies (at most 2: primary + hedge)
-	timeout sim.Event  // pending per-attempt timeout
-	hedge   sim.Event  // pending hedge trigger
+	live    []*attempt  // outstanding copies, in liveBuf until a third
+	liveBuf [2]*attempt // at most 2 live copies: primary + hedge
+	timeout sim.Event   // pending per-attempt timeout
+	hedge   sim.Event   // pending hedge trigger
 
 	timeoutFn func() // preallocated: fs.timeoutFire(this)
 	hedgeFn   func() // preallocated: fs.hedgeFire(this)
@@ -113,7 +114,8 @@ func (fs *faultState) newLogical() *logicalReq {
 		*lr = logicalReq{fs: lr.fs, live: lr.live[:0], timeoutFn: lr.timeoutFn, hedgeFn: lr.hedgeFn}
 		return lr
 	}
-	lr := &logicalReq{fs: fs}                       //apcvet:alloc pool miss: record + callbacks amortize over every request the record later carries
+	lr := &logicalReq{fs: fs} //apcvet:alloc pool miss: record + callbacks amortize over every request the record later carries
+	lr.live = lr.liveBuf[:0]
 	lr.timeoutFn = func() { lr.fs.timeoutFire(lr) } //apcvet:alloc created once per record at pool miss; reused for every later request
 	lr.hedgeFn = func() { lr.fs.hedgeFire(lr) }     //apcvet:alloc created once per record at pool miss; reused for every later request
 	return lr

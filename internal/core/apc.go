@@ -64,11 +64,13 @@ type APMU struct {
 	clm   *uncore.CLM
 	gpmu  *pmu.GPMU
 
-	inCC1 *signal.Signal // AND over all cores' InCC1 wires
-	inL0s *signal.Signal // AND over all links' InL0s wires
+	cc1Tree signal.AndTree // AND over all cores' InCC1 wires
+	l0sTree signal.AndTree // AND over all links' InL0s wires
+	inCC1   *signal.Signal // cc1Tree's output
+	inL0s   *signal.Signal // l0sTree's output
 
 	// inPC1A is the status wire to the GPMU.
-	inPC1A *signal.Signal
+	inPC1A signal.Signal
 
 	state   pmu.PkgState // PC0, ACC1 or PC1A
 	exiting bool         // PC1A exit flow in flight
@@ -98,27 +100,24 @@ type APMU struct {
 // trees over the given cores and links, and hooks every wake source.
 func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM, gpmu *pmu.GPMU) *APMU {
 	a := &APMU{
-		eng:    eng,
-		cfg:    cfg,
-		links:  links,
-		mcs:    mcs,
-		clm:    clm,
-		gpmu:   gpmu,
-		inPC1A: signal.New("APMU.InPC1A", false),
-		state:  pmu.PC0,
+		eng:   eng,
+		cfg:   cfg,
+		links: links,
+		mcs:   mcs,
+		clm:   clm,
+		gpmu:  gpmu,
+		state: pmu.PC0,
 	}
+	a.inPC1A.Init("APMU.InPC1A", false)
 
-	coreWires := make([]*signal.Signal, len(cores))
-	for i, c := range cores {
-		coreWires[i] = c.InCC1()
+	a.inCC1 = a.cc1Tree.Init("InCC1").Output()
+	for _, c := range cores {
+		a.cc1Tree.Add(c.InCC1())
 	}
-	a.inCC1 = signal.NewAndTree("InCC1", coreWires...).Output()
-
-	linkWires := make([]*signal.Signal, len(links))
-	for i, l := range links {
-		linkWires[i] = l.InL0s()
+	a.inL0s = a.l0sTree.Init("InL0s").Output()
+	for _, l := range links {
+		a.l0sTree.Add(l.InL0s())
 	}
-	a.inL0s = signal.NewAndTree("InL0s", linkWires...).Output()
 
 	a.entryFn = func() {
 		a.entryEv = sim.Event{}
@@ -197,7 +196,7 @@ func (a *APMU) State() pmu.PkgState { return a.state }
 func (a *APMU) Exiting() bool { return a.exiting }
 
 // InPC1A returns the status wire to the GPMU.
-func (a *APMU) InPC1A() *signal.Signal { return a.inPC1A }
+func (a *APMU) InPC1A() *signal.Signal { return &a.inPC1A }
 
 // Residency returns accumulated time in the given state (0 for a value
 // that names no state).

@@ -27,17 +27,17 @@ func newRig(nCores int) *rig {
 	eng := sim.NewEngine()
 	r := &rig{eng: eng}
 	for i := 0; i < nCores; i++ {
-		r.cores = append(r.cores, cpu.NewCore(eng, i, cpu.DefaultParams(),
+		r.cores = append(r.cores, new(cpu.Core).Init(eng, i, cpu.DefaultParams(),
 			cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil))
 	}
 	r.links = []*ios.Link{
-		ios.NewLink(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil),
-		ios.NewLink(eng, "dmi", ios.DefaultParams(ios.DMI, 1.4), nil),
-		ios.NewLink(eng, "upi0", ios.DefaultParams(ios.UPI, 1.7), nil),
+		new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil),
+		new(ios.Link).Init(eng, "dmi", ios.DefaultParams(ios.DMI, 1.4), nil),
+		new(ios.Link).Init(eng, "upi0", ios.DefaultParams(ios.UPI, 1.7), nil),
 	}
 	r.mcs = []*dram.MC{
-		dram.NewMC(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil),
-		dram.NewMC(eng, "mc1", dram.DefaultParams(), dram.PPD, nil, nil),
+		new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil),
+		new(dram.MC).Init(eng, "mc1", dram.DefaultParams(), dram.PPD, nil, nil),
 	}
 	r.clm = uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	r.gpmu = pmu.New(eng, pmu.DefaultConfig(false), r.cores, r.links, r.mcs, r.clm)

@@ -273,15 +273,17 @@ type Core struct {
 	// queue is the run queue with a consumed-head index: dequeuing
 	// advances qHead instead of reslicing, and the backing array is
 	// recycled whenever the queue drains, so steady-state enqueue/dequeue
-	// never allocates.
-	queue []Work
-	qHead int
+	// never allocates. It starts in queueBuf, so a core whose queue never
+	// holds more than two items allocates none.
+	queue    []Work
+	qHead    int
+	queueBuf [2]Work
 	// cur is the work item being executed, read back by workFn.
 	cur Work
 
 	// inIdle is the PMA's InCC1 status wire: high when the core is in
 	// CC1 or deeper. It drops the moment a wake begins.
-	inIdle *signal.Signal
+	inIdle signal.Signal
 
 	idleEntry sim.Event // pending idle-entry (kernel path) event
 	wakeEv    sim.Event // pending C-state exit completion
@@ -300,7 +302,9 @@ type Core struct {
 	workFn func()
 	idleFn func()
 
-	onTransition []func(old, new CState)
+	// onTransition holds the C-state observers: the GPMU, and a tracer
+	// while one is attached.
+	onTransition signal.Listeners[func(old, new CState)]
 
 	// Counters.
 	wakes      [4]uint64 // indexed by the state woken from
@@ -308,19 +312,21 @@ type Core struct {
 	interrupts uint64
 }
 
-// NewCore builds a core idling in CC1 (a freshly booted idle system).
-// ch may be nil.
-func NewCore(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPolicy, ch *power.Channel) *Core {
-	c := &Core{
+// Init builds the core in place, idling in CC1 (a freshly booted idle
+// system), and returns c. ch may be nil. Building in place lets a
+// machine allocate its cores as one slab.
+func (c *Core) Init(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPolicy, ch *power.Channel) *Core {
+	*c = Core{
 		eng:      eng,
 		id:       id,
 		params:   p,
 		governor: gov,
 		freq:     freq,
 		state:    CC1,
-		inIdle:   signal.New("core"+strconv.Itoa(id)+".InCC1", true),
 		ch:       ch,
 	}
+	c.queue = c.queueBuf[:0]
+	c.inIdle.Init("core"+strconv.Itoa(id)+".InCC1", true)
 	if ch != nil {
 		ch.Set(p.CC1Watts)
 	}
@@ -358,7 +364,7 @@ func (c *Core) ID() int { return c.id }
 func (c *Core) State() CState { return c.state }
 
 // InCC1 returns the PMA status wire (high in CC1 or deeper).
-func (c *Core) InCC1() *signal.Signal { return c.inIdle }
+func (c *Core) InCC1() *signal.Signal { return &c.inIdle }
 
 // QueueLen returns the number of queued (not yet started) work items.
 func (c *Core) QueueLen() int { return len(c.queue) - c.qHead }
@@ -379,8 +385,9 @@ func (c *Core) Governor() Governor { return c.governor }
 func (c *Core) FreqPolicy() FreqPolicy { return c.freq }
 
 // OnTransition registers a callback for every C-state change.
+// Callbacks run in registration order.
 func (c *Core) OnTransition(fn func(old, new CState)) {
-	c.onTransition = append(c.onTransition, fn)
+	c.onTransition.Add(fn)
 }
 
 func (c *Core) setState(s CState) {
@@ -398,8 +405,9 @@ func (c *Core) setState(s CState) {
 		c.ch.Set(w)
 	}
 	c.inIdle.SetLevel(s.Idle())
-	for _, fn := range c.onTransition {
-		fn(old, s)
+	n := c.onTransition.Len()
+	for i := 0; i < n; i++ {
+		c.onTransition.At(i)(old, s)
 	}
 }
 

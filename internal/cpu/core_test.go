@@ -8,7 +8,7 @@ import (
 )
 
 func newCore(eng *sim.Engine) *Core {
-	return NewCore(eng, 0, DefaultParams(), ShallowGovernor{},
+	return new(Core).Init(eng, 0, DefaultParams(), ShallowGovernor{},
 		PerformancePolicy{Nominal: 2.2}, nil)
 }
 
@@ -148,7 +148,7 @@ func TestMenuGovernorDeepensOnLongIdles(t *testing.T) {
 func TestCC6WakeCosts133us(t *testing.T) {
 	eng := sim.NewEngine()
 	gov := NewMenuGovernor()
-	c := NewCore(eng, 0, DefaultParams(), gov, PerformancePolicy{Nominal: 2.2}, nil)
+	c := new(Core).Init(eng, 0, DefaultParams(), gov, PerformancePolicy{Nominal: 2.2}, nil)
 	// A long boot idle then one short job: the governor records the long
 	// idle and keeps predicting deep.
 	eng.Run(10 * sim.Millisecond)
@@ -183,7 +183,7 @@ func TestPowerTracksState(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
 	ch := m.Channel("core0", power.Package)
-	c := NewCore(eng, 0, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, ch)
+	c := new(Core).Init(eng, 0, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, ch)
 	if ch.Watts() != 1.25 {
 		t.Fatalf("CC1 power %v", ch.Watts())
 	}
@@ -201,7 +201,7 @@ func TestPowerTracksState(t *testing.T) {
 func TestPowersaveFrequencyScalesServiceTime(t *testing.T) {
 	eng := sim.NewEngine()
 	pol := &PowersavePolicy{Min: 0.8, Max: 3.0}
-	c := NewCore(eng, 0, DefaultParams(), ShallowGovernor{}, pol, nil)
+	c := new(Core).Init(eng, 0, DefaultParams(), ShallowGovernor{}, pol, nil)
 	// With zero utilization history, powersave runs at Min = 0.8 GHz:
 	// a 10us@2.2GHz job takes 27.5us.
 	var doneAt sim.Time = -1
@@ -262,7 +262,7 @@ func TestInCC1TreeAcrossCores(t *testing.T) {
 	eng := sim.NewEngine()
 	cores := make([]*Core, 4)
 	for i := range cores {
-		cores[i] = NewCore(eng, i, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, nil)
+		cores[i] = new(Core).Init(eng, i, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, nil)
 	}
 	// All idle at boot: each InCC1 high.
 	for _, c := range cores {

@@ -134,12 +134,12 @@ type MC struct {
 	// purple): "when this signal is set, the memory controller enters
 	// CKE off mode as soon as it completes all outstanding memory
 	// transactions and returns to the active state when unset."
-	allowCKEOff *signal.Signal
+	allowCKEOff signal.Signal
 
 	// inCKEOff is a status wire: high while the channels are in CKE-off
 	// or deeper. (The paper does not route this to the APMU — CKE entry
 	// is non-blocking — but experiments use it for residency tracking.)
-	inCKEOff *signal.Signal
+	inCKEOff signal.Signal
 
 	pending sim.Event
 
@@ -160,24 +160,33 @@ type MC struct {
 	batchQ    []int
 	batchHead int
 
+	// srEnteredFn completes a self-refresh entry; it is bound on the
+	// first one (only the PC6 flow enters self-refresh). srDone is that
+	// entry's done: pending holds at most one event, so at most one
+	// entry is in flight.
+	srEnteredFn func()
+	srDone      func()
+
 	ckeEntries uint64
 	srEntries  uint64
 	accesses   uint64
 }
 
-// NewMC builds an active controller. Channels may be nil in tests.
-func NewMC(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, dramCh *power.Channel) *MC {
-	mc := &MC{
-		eng:         eng,
-		name:        name,
-		params:      p,
-		kind:        kind,
-		mode:        Active,
-		allowCKEOff: signal.New(name+".Allow_CKE_OFF", false),
-		inCKEOff:    signal.New(name+".InCKEOff", false),
-		mcCh:        mcCh,
-		dramCh:      dramCh,
+// Init builds the controller in place, active, and returns mc.
+// Channels may be nil in tests. Building in place lets a machine
+// allocate its controllers as one slab.
+func (mc *MC) Init(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, dramCh *power.Channel) *MC {
+	*mc = MC{
+		eng:    eng,
+		name:   name,
+		params: p,
+		kind:   kind,
+		mode:   Active,
+		mcCh:   mcCh,
+		dramCh: dramCh,
 	}
+	mc.allowCKEOff.Init(name+".Allow_CKE_OFF", false)
+	mc.inCKEOff.Init(name+".InCKEOff", false)
 	if mcCh != nil {
 		mcCh.Set(p.MCActiveWatts)
 	}
@@ -226,10 +235,10 @@ func (mc *MC) Params() Params { return mc.params }
 func (mc *MC) CKEKind() CKEKind { return mc.kind }
 
 // AllowCKEOff returns the Allow_CKE_OFF control wire.
-func (mc *MC) AllowCKEOff() *signal.Signal { return mc.allowCKEOff }
+func (mc *MC) AllowCKEOff() *signal.Signal { return &mc.allowCKEOff }
 
 // InCKEOff returns the CKE-off status wire.
-func (mc *MC) InCKEOff() *signal.Signal { return mc.inCKEOff }
+func (mc *MC) InCKEOff() *signal.Signal { return &mc.inCKEOff }
 
 // Idle reports whether no transactions are outstanding.
 func (mc *MC) Idle() bool { return mc.outstanding == 0 }
@@ -423,25 +432,33 @@ func (mc *MC) EnterSelfRefresh(done func()) {
 		return
 	}
 	mc.pending.Cancel()
-	mc.pending = mc.eng.Schedule(mc.params.SREntry, func() {
-		mc.pending = sim.Event{}
-		// A transaction racing the entry window aborts it (the event is
-		// also canceled directly by Access); the GPMU retries on its
-		// next pass.
-		if !mc.Idle() || mc.mode != Active {
-			if done != nil {
-				done()
-			}
-			return
-		}
-		mc.mode = SelfRefresh
-		mc.srEntries++
-		mc.setPower()
-		mc.inCKEOff.Set() // self-refresh is CKE-off or deeper
+	if mc.srEnteredFn == nil {
+		mc.srEnteredFn = mc.srEntered
+	}
+	mc.srDone = done
+	mc.pending = mc.eng.Schedule(mc.params.SREntry, mc.srEnteredFn)
+}
+
+// srEntered ends the self-refresh entry window.
+func (mc *MC) srEntered() {
+	done := mc.srDone
+	mc.srDone = nil
+	mc.pending = sim.Event{}
+	// A transaction racing the entry window aborts it (the event is also
+	// canceled directly by Access); the GPMU retries on its next pass.
+	if !mc.Idle() || mc.mode != Active {
 		if done != nil {
 			done()
 		}
-	})
+		return
+	}
+	mc.mode = SelfRefresh
+	mc.srEntries++
+	mc.setPower()
+	mc.inCKEOff.Set() // self-refresh is CKE-off or deeper
+	if done != nil {
+		done()
+	}
 }
 
 // ExitSelfRefresh wakes the devices (GPMU command during PC6 exit); done

@@ -147,36 +147,48 @@ type Link struct {
 	// allowL0s mirrors the AllowL0s control wire (paper Fig. 3, light
 	// blue): the APMU sets it only when all cores are idle, because
 	// datacenter configs otherwise disable L0s entirely.
-	allowL0s *signal.Signal
+	allowL0s signal.Signal
 	// inL0s is the InL0s status wire (orange): high while the LTSSM is
 	// in L0s or deeper, low in L0 or while exiting.
-	inL0s *signal.Signal
+	inL0s signal.Signal
 
-	pending  sim.Event // entry/exit completion event
-	onL1Done func()    // completion hook for an in-flight L1 exit
-	ch       *power.Channel
+	pending sim.Event // entry/exit completion event
+	ch      *power.Channel
 
 	// Preallocated L0s entry/exit completion callbacks: the standby
 	// cycle runs once per idle episode, so it must not allocate.
 	entryDoneFn func()
 	exitDoneFn  func()
 
+	// The L1 flow's completion callbacks, bound on the first L1 entry
+	// or exit (only the PC6 flow uses L1), and their waiters: l1Enter
+	// holds each pending EnterL1's done in call order from l1Head (the
+	// entries share one latency, so they complete in call order), and
+	// l1Exit holds the dones of the exit in flight, in call order.
+	l1EnteredFn func()
+	l1ExitedFn  func()
+	l1Enter     []func()
+	l1Head      int
+	l1Exit      []func()
+
 	// Counters for experiments.
 	standbyEntries uint64
 	wakes          uint64
 }
 
-// NewLink builds a link in L0. ch may be nil to skip power accounting.
-func NewLink(eng *sim.Engine, name string, p Params, ch *power.Channel) *Link {
-	l := &Link{
-		eng:      eng,
-		name:     name,
-		params:   p,
-		state:    L0,
-		allowL0s: signal.New(name+".AllowL0s", false),
-		inL0s:    signal.New(name+".InL0s", false),
-		ch:       ch,
+// Init builds the link in place, in L0, and returns l. ch may be nil
+// to skip power accounting. Building in place lets a machine allocate
+// its links as one slab.
+func (l *Link) Init(eng *sim.Engine, name string, p Params, ch *power.Channel) *Link {
+	*l = Link{
+		eng:    eng,
+		name:   name,
+		params: p,
+		state:  L0,
+		ch:     ch,
 	}
+	l.allowL0s.Init(name+".AllowL0s", false)
+	l.inL0s.Init(name+".InL0s", false)
 	if ch != nil {
 		ch.Set(p.ActiveWatts)
 	}
@@ -209,10 +221,10 @@ func (l *Link) State() LState { return l.state }
 func (l *Link) Params() Params { return l.params }
 
 // AllowL0s returns the control wire; the APMU (or a test) drives it.
-func (l *Link) AllowL0s() *signal.Signal { return l.allowL0s }
+func (l *Link) AllowL0s() *signal.Signal { return &l.allowL0s }
 
 // InL0s returns the status wire routed to the APMU's AND tree.
-func (l *Link) InL0s() *signal.Signal { return l.inL0s }
+func (l *Link) InL0s() *signal.Signal { return &l.inL0s }
 
 // Idle reports whether the link has no outstanding transactions.
 func (l *Link) Idle() bool { return l.outstanding == 0 }
@@ -348,14 +360,32 @@ func (l *Link) EnterL1(done func()) {
 		l.pending.Cancel()
 		l.pending = sim.Event{}
 	}
-	l.eng.Schedule(l.params.L1EntryLat, func() {
-		l.state = L1
-		l.setPower(l.params.L1Watts)
-		l.inL0s.Set() // L1 is deeper than L0s
-		if done != nil {
-			done()
-		}
-	})
+	l.bindL1()
+	l.l1Enter = append(l.l1Enter, done)
+	l.eng.Schedule(l.params.L1EntryLat, l.l1EnteredFn)
+}
+
+// bindL1 binds the L1 flow's completion callbacks once, on first use.
+func (l *Link) bindL1() {
+	if l.l1EnteredFn == nil {
+		l.l1EnteredFn, l.l1ExitedFn = l.l1Entered, l.l1Exited
+	}
+}
+
+// l1Entered completes the oldest pending EnterL1.
+func (l *Link) l1Entered() {
+	done := l.l1Enter[l.l1Head]
+	l.l1Enter[l.l1Head] = nil
+	l.l1Head++
+	if l.l1Head == len(l.l1Enter) {
+		l.l1Enter, l.l1Head = l.l1Enter[:0], 0
+	}
+	l.state = L1
+	l.setPower(l.params.L1Watts)
+	l.inL0s.Set() // L1 is deeper than L0s
+	if done != nil {
+		done()
+	}
 }
 
 // ExitL1 begins the L1→L0 retrain (GPMU command during PC6 exit).
@@ -368,13 +398,7 @@ func (l *Link) ExitL1(done func()) {
 	}
 	l.beginL1Exit(false)
 	if done != nil {
-		prev := l.onL1Done
-		l.onL1Done = func() {
-			if prev != nil {
-				prev()
-			}
-			done()
-		}
+		l.l1Exit = append(l.l1Exit, done)
 	}
 }
 
@@ -385,14 +409,21 @@ func (l *Link) beginL1Exit(traffic bool) {
 	if traffic {
 		l.wakes++
 	}
-	l.pending = l.eng.Schedule(l.params.L1ExitLat, func() {
-		l.pending = sim.Event{}
-		l.state = L0
-		if l.onL1Done != nil {
-			fn := l.onL1Done
-			l.onL1Done = nil
-			fn()
-		}
-		l.maybeArmStandby()
-	})
+	l.bindL1()
+	l.pending = l.eng.Schedule(l.params.L1ExitLat, l.l1ExitedFn)
+}
+
+// l1Exited completes the L1 exit in flight: the link is back in L0,
+// and every ExitL1 waiting on it is told, in call order.
+func (l *Link) l1Exited() {
+	l.pending = sim.Event{}
+	l.state = L0
+	n := len(l.l1Exit)
+	for i := 0; i < n; i++ {
+		fn := l.l1Exit[i]
+		l.l1Exit[i] = nil
+		fn()
+	}
+	l.l1Exit = append(l.l1Exit[:0], l.l1Exit[n:]...)
+	l.maybeArmStandby()
 }

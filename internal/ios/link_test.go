@@ -8,7 +8,7 @@ import (
 )
 
 func newPCIe(eng *sim.Engine) *Link {
-	return NewLink(eng, "pcie0", DefaultParams(PCIe, 1.4), nil)
+	return new(Link).Init(eng, "pcie0", DefaultParams(PCIe, 1.4), nil)
 }
 
 func TestStateAndKindStrings(t *testing.T) {
@@ -172,7 +172,7 @@ func TestAllowL0sDeassertDuringEntry(t *testing.T) {
 
 func TestUPIUsesL0p(t *testing.T) {
 	eng := sim.NewEngine()
-	l := NewLink(eng, "upi0", DefaultParams(UPI, 1.7), nil)
+	l := new(Link).Init(eng, "upi0", DefaultParams(UPI, 1.7), nil)
 	if l.StandbyName() != "L0p" {
 		t.Fatal("UPI standby should be L0p")
 	}
@@ -275,7 +275,7 @@ func TestPowerLadder(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
 	ch := m.Channel("pcie0", power.Package)
-	l := NewLink(eng, "pcie0", DefaultParams(PCIe, 2.0), ch)
+	l := new(Link).Init(eng, "pcie0", DefaultParams(PCIe, 2.0), ch)
 
 	if m.Power(power.Package) != 2.0 {
 		t.Fatalf("L0 power %v", m.Power(power.Package))

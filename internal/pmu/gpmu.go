@@ -103,11 +103,19 @@ type GPMU struct {
 
 	// wakeUp is the WakeUp wire into the APMU (paper Fig. 3): pulsed on
 	// interrupts, timer expirations and thermal events.
-	wakeUp *signal.Signal
+	wakeUp signal.Signal
 
 	hystEv      sim.Event
-	flowActive  bool // an entry/exit flow is running
-	pendingWake bool // wake arrived mid-entry; unwind at next step
+	flowActive  bool     // an entry/exit flow is running
+	pendingWake bool     // wake arrived mid-entry; unwind at next step
+	exitStart   sim.Time // when the running exit flow began
+
+	// The PC6 flow's steps, bound on the first entry attempt (see
+	// bindFlow): a machine that never reaches PC6 pays nothing for
+	// them, and one that cycles through it allocates nothing per cycle.
+	hystFn     func()
+	entryFns   [4]func()
+	exitDoneFn func()
 
 	onTransition []func(old, new PkgState)
 
@@ -121,37 +129,47 @@ type GPMU struct {
 // New creates a GPMU supervising the given devices.
 func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM) *GPMU {
 	g := &GPMU{
-		eng:    eng,
-		cfg:    cfg,
-		cores:  cores,
-		links:  links,
-		mcs:    mcs,
-		clm:    clm,
-		state:  PC0,
-		wakeUp: signal.New("GPMU.WakeUp", false),
+		eng:   eng,
+		cfg:   cfg,
+		cores: cores,
+		links: links,
+		mcs:   mcs,
+		clm:   clm,
+		state: PC0,
 	}
+	g.wakeUp.Init("GPMU.WakeUp", false)
+	// One bound callback of each kind serves every core.
+	onTransition := g.coreTransition
+	onInCC1 := g.inCC1Edge
 	for _, c := range cores {
-		c.OnTransition(g.coreTransition)
+		c.OnTransition(onTransition)
 		if c.State() == cpu.CC6 {
 			g.deepCount++
 		}
-		// The PMA drops InCC1 the moment a wake begins — the GPMU
-		// starts unwinding the package immediately, concurrently with
-		// the core's own (133 µs) CC6 exit. This is why the paper's
-		// Table 1 footnote distinguishes "open the path to memory" from
-		// the full resume latency.
-		c.InCC1().Subscribe(func(level bool) {
-			if !level {
-				g.wakeFromDeep()
-			}
-		})
+		c.InCC1().Subscribe(onInCC1)
 	}
 	return g
 }
 
+// inCC1Edge reacts to any core's InCC1 wire. The PMA drops InCC1 the
+// moment a wake begins — the GPMU starts unwinding the package
+// immediately, concurrently with the core's own (133 µs) CC6 exit.
+// This is why the paper's Table 1 footnote distinguishes "open the
+// path to memory" from the full resume latency.
+func (g *GPMU) inCC1Edge(level bool) {
+	if !level {
+		g.wakeFromDeep()
+	}
+}
+
 // AttachPLLs registers additional PLLs (IO controllers, GPMU clock) to be
-// powered off during PC6 and re-locked on exit.
+// powered off during PC6 and re-locked on exit. The first call keeps
+// plls itself rather than a copy.
 func (g *GPMU) AttachPLLs(plls ...*clock.PLL) {
+	if g.extraPLLs == nil {
+		g.extraPLLs = plls
+		return
+	}
 	g.extraPLLs = append(g.extraPLLs, plls...)
 }
 
@@ -159,7 +177,7 @@ func (g *GPMU) AttachPLLs(plls ...*clock.PLL) {
 func (g *GPMU) State() PkgState { return g.state }
 
 // WakeUp returns the WakeUp wire consumed by the APMU.
-func (g *GPMU) WakeUp() *signal.Signal { return g.wakeUp }
+func (g *GPMU) WakeUp() *signal.Signal { return &g.wakeUp }
 
 // OnTransition registers a package-state-change callback.
 func (g *GPMU) OnTransition(fn func(old, new PkgState)) {
@@ -233,20 +251,36 @@ func (g *GPMU) allDeepAndQuiet() bool {
 	return true
 }
 
+// bindFlow binds the PC6 flow's steps once, on first use. Every flow
+// starts from armEntry, so that is where it is called.
+func (g *GPMU) bindFlow() {
+	if g.hystFn != nil {
+		return
+	}
+	g.hystFn = g.hysteresisDone
+	g.entryFns = [4]func(){g.entryQuiesce, g.entryGate, g.entryRetain, g.entryDone}
+	g.exitDoneFn = g.exitDone
+}
+
 // armEntry schedules the PC6 entry after the hysteresis window.
 func (g *GPMU) armEntry() {
 	if !g.cfg.EnablePC6 || g.state != PC0 || g.flowActive || g.hystEv.Pending() {
 		return
 	}
-	g.hystEv = g.eng.Schedule(g.cfg.Hysteresis, func() {
-		g.hystEv = sim.Event{}
-		if g.allDeepAndQuiet() && g.state == PC0 && !g.flowActive {
-			g.enterPC6()
-		}
-	})
+	g.bindFlow()
+	g.hystEv = g.eng.Schedule(g.cfg.Hysteresis, g.hystFn)
 }
 
-// enterPC6 runs the Fig. 2 entry flow:
+// hysteresisDone starts the entry flow if every core is still settled
+// in CC6 once the hysteresis window has passed.
+func (g *GPMU) hysteresisDone() {
+	g.hystEv = sim.Event{}
+	if g.allDeepAndQuiet() && g.state == PC0 && !g.flowActive {
+		g.enterPC6()
+	}
+}
+
+// enterPC6 runs the Fig. 2 entry flow, one firmware step per event:
 //
 //	PC2 → IOs to L1 + DRAM to self-refresh → clock-gate uncore, PLLs
 //	off → CLM voltage to retention → PC6
@@ -254,62 +288,72 @@ func (g *GPMU) enterPC6() {
 	g.flowActive = true
 	g.pendingWake = false
 	g.setState(PC2)
+	g.eng.Schedule(g.cfg.StepLatency, g.entryFns[0])
+}
 
-	step := g.cfg.StepLatency
-	g.eng.Schedule(step, func() {
-		// IO traffic that arrived during the step (e.g. a NIC DMA that
-		// has not yet raised a core interrupt) blocks the descent: the
-		// firmware unwinds and will retry when the fabric requiesces.
-		if g.ioBusy() {
-			g.pendingWake = true
+// entryQuiesce sends the IOs to L1 and DRAM to self-refresh.
+func (g *GPMU) entryQuiesce() {
+	// IO traffic that arrived during the step (e.g. a NIC DMA that has
+	// not yet raised a core interrupt) blocks the descent: the firmware
+	// unwinds and will retry when the fabric requiesces.
+	if g.ioBusy() {
+		g.pendingWake = true
+	}
+	if g.abortEntry(PC2) {
+		return
+	}
+	// Deep device states, fired in parallel; the firmware then waits
+	// for the slowest plus its own handshake.
+	var maxDev sim.Duration
+	for _, l := range g.links {
+		l.EnterL1(nil)
+		if d := l.Params().L1EntryLat; d > maxDev {
+			maxDev = d
 		}
-		if g.abortEntry(PC2) {
-			return
+	}
+	for _, mc := range g.mcs {
+		mc.EnterSelfRefresh(nil)
+		if d := mc.Params().SREntry; d > maxDev {
+			maxDev = d
 		}
-		// Deep device states, fired in parallel; the firmware then waits
-		// for the slowest plus its own handshake.
-		var maxDev sim.Duration
-		for _, l := range g.links {
-			l.EnterL1(nil)
-			if d := l.Params().L1EntryLat; d > maxDev {
-				maxDev = d
-			}
-		}
-		for _, mc := range g.mcs {
-			mc.EnterSelfRefresh(nil)
-			if d := mc.Params().SREntry; d > maxDev {
-				maxDev = d
-			}
-		}
-		g.eng.Schedule(maxDev+step, func() {
-			if g.abortEntry(PC2) {
-				return
-			}
-			// Clock-gate most of the uncore and turn off most PLLs.
-			g.clm.ClockGate()
-			g.clm.PLL().TurnOff()
-			for _, p := range g.extraPLLs {
-				p.TurnOff()
-			}
-			g.eng.Schedule(step, func() {
-				if g.abortEntry(PC2) {
-					return
-				}
-				// Reduce CLM voltage to retention, wait for the ramp.
-				g.clm.SetRet()
-				g.eng.Schedule(g.clm.RampTime()+step, func() {
-					if g.abortEntry(PC2) {
-						return
-					}
-					g.flowActive = false
-					g.setState(PC6)
-					if g.pendingWake {
-						g.wakeFromDeep()
-					}
-				})
-			})
-		})
-	})
+	}
+	g.eng.Schedule(maxDev+g.cfg.StepLatency, g.entryFns[1])
+}
+
+// entryGate clock-gates most of the uncore and turns off most PLLs.
+func (g *GPMU) entryGate() {
+	if g.abortEntry(PC2) {
+		return
+	}
+	g.clm.ClockGate()
+	g.clm.PLL().TurnOff()
+	for _, p := range g.extraPLLs {
+		p.TurnOff()
+	}
+	g.eng.Schedule(g.cfg.StepLatency, g.entryFns[2])
+}
+
+// entryRetain reduces the CLM voltage to retention and waits for the
+// ramp.
+func (g *GPMU) entryRetain() {
+	if g.abortEntry(PC2) {
+		return
+	}
+	g.clm.SetRet()
+	g.eng.Schedule(g.clm.RampTime()+g.cfg.StepLatency, g.entryFns[3])
+}
+
+// entryDone lands the package in PC6, or unwinds it at once if a wake
+// arrived during the last step.
+func (g *GPMU) entryDone() {
+	if g.abortEntry(PC2) {
+		return
+	}
+	g.flowActive = false
+	g.setState(PC6)
+	if g.pendingWake {
+		g.wakeFromDeep()
+	}
 }
 
 // ioBusy reports whether any link or memory controller has outstanding
@@ -362,8 +406,7 @@ func (g *GPMU) exitDeep() {
 	}
 	g.flowActive = true
 	g.pendingWake = false
-	step := g.cfg.StepLatency
-	t0 := g.eng.Now()
+	g.exitStart = g.eng.Now()
 
 	// Branch 1: CLM voltage up, PLL relock, then ungate.
 	g.clm.UnsetRet()
@@ -395,20 +438,24 @@ func (g *GPMU) exitDeep() {
 	}
 	// Firmware handshakes: one message round per unwind step (mirror of
 	// the four entry steps).
-	wait += 4 * step
-	g.eng.Schedule(wait, func() {
-		if g.clm.Gated() && g.clm.PLL().Locked() {
-			g.clm.ClockUngate()
-		}
-		g.flowActive = false
-		g.pc6Latency = g.eng.Now() - t0
-		g.setState(PC0)
-		// Cores may have re-deepened while we unwound (timer wake with
-		// no work): re-arm entry.
-		if g.allDeepAndQuiet() {
-			g.armEntry()
-		}
-	})
+	wait += 4 * g.cfg.StepLatency
+	g.eng.Schedule(wait, g.exitDoneFn)
+}
+
+// exitDone ungates the uncore and returns the package to PC0 once every
+// device has unwound.
+func (g *GPMU) exitDone() {
+	if g.clm.Gated() && g.clm.PLL().Locked() {
+		g.clm.ClockUngate()
+	}
+	g.flowActive = false
+	g.pc6Latency = g.eng.Now() - g.exitStart
+	g.setState(PC0)
+	// Cores may have re-deepened while we unwound (timer wake with no
+	// work): re-arm entry.
+	if g.allDeepAndQuiet() {
+		g.armEntry()
+	}
 }
 
 // LastExitLatency returns the duration of the most recent deep-state

@@ -30,11 +30,11 @@ func newRig(t *testing.T, enablePC6 bool) *rig {
 		return cpu.ShallowGovernor{}
 	}
 	cores := []*cpu.Core{
-		cpu.NewCore(eng, 0, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
-		cpu.NewCore(eng, 1, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
+		new(cpu.Core).Init(eng, 0, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
+		new(cpu.Core).Init(eng, 1, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
 	}
-	link := ios.NewLink(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
-	mc := dram.NewMC(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
+	link := new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
+	mc := new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
 	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	g := New(eng, DefaultConfig(enablePC6), cores,
 		[]*ios.Link{link}, []*dram.MC{mc}, clm)
@@ -110,10 +110,10 @@ func TestNoPC6WhenCoresOnlyCC1(t *testing.T) {
 	// the exact inefficiency the paper attacks.
 	eng := sim.NewEngine()
 	cores := []*cpu.Core{
-		cpu.NewCore(eng, 0, cpu.DefaultParams(), cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil),
+		new(cpu.Core).Init(eng, 0, cpu.DefaultParams(), cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil),
 	}
-	link := ios.NewLink(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
-	mc := dram.NewMC(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
+	link := new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
+	mc := new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
 	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	g := New(eng, DefaultConfig(true), cores, []*ios.Link{link}, []*dram.MC{mc}, clm)
 	eng.Run(50 * sim.Millisecond)

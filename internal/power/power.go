@@ -44,9 +44,9 @@ func (d Domain) String() string {
 // Channel is one component's contribution to a domain. Channels are
 // created via Meter.Channel and must not be copied.
 type Channel struct {
-	meter *Meter
-	// eng duplicates meter.eng: flush runs on every power transition of
-	// every component, and the direct pointer saves it a dependent load.
+	// eng duplicates the meter's engine: flush runs on every power
+	// transition of every component, and the direct pointer saves it a
+	// dependent load.
 	eng        *sim.Engine
 	name       string
 	domain     Domain
@@ -101,13 +101,20 @@ func (c *Channel) flush() {
 // Meter owns all channels and answers domain-level energy queries.
 type Meter struct {
 	eng      *sim.Engine
-	channels []*Channel
-	byName   map[string]*Channel
+	channels []*Channel // in registration order
+	// slab is the storage Channel hands channels out of. A full slab is
+	// replaced, never grown, so every channel handed out stays put.
+	slab []Channel
 }
+
+// slabChannels is the channel count one slab holds: a whole SoC's (30
+// with the default configuration), so a machine's meter allocates its
+// channels at once.
+const slabChannels = 32
 
 // NewMeter creates a meter bound to the simulation engine.
 func NewMeter(eng *sim.Engine) *Meter {
-	return &Meter{eng: eng, byName: make(map[string]*Channel)}
+	return &Meter{eng: eng}
 }
 
 // Channel registers a new channel with a unique name in the given domain,
@@ -117,17 +124,30 @@ func (m *Meter) Channel(name string, domain Domain) *Channel {
 	if domain < 0 || domain >= numDomains {
 		panic(fmt.Sprintf("power: invalid domain %d", domain))
 	}
-	if _, dup := m.byName[name]; dup {
+	if m.Lookup(name) != nil {
 		panic(fmt.Sprintf("power: duplicate channel %q", name))
 	}
-	c := &Channel{meter: m, eng: m.eng, name: name, domain: domain, lastUpdate: m.eng.Now()}
+	if len(m.slab) == cap(m.slab) {
+		m.slab = make([]Channel, 0, slabChannels)
+		m.channels = append(make([]*Channel, 0, len(m.channels)+slabChannels), m.channels...)
+	}
+	m.slab = m.slab[:len(m.slab)+1]
+	c := &m.slab[len(m.slab)-1]
+	*c = Channel{eng: m.eng, name: name, domain: domain, lastUpdate: m.eng.Now()}
 	m.channels = append(m.channels, c)
-	m.byName[name] = c
 	return c
 }
 
-// Lookup returns the channel with the given name, or nil.
-func (m *Meter) Lookup(name string) *Channel { return m.byName[name] }
+// Lookup returns the channel with the given name, or nil. It scans the
+// channels: a machine has a few dozen, and lookups happen at setup.
+func (m *Meter) Lookup(name string) *Channel {
+	for _, c := range m.channels {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
+}
 
 // Power returns the instantaneous draw of a domain in watts.
 func (m *Meter) Power(d Domain) float64 {

@@ -11,8 +11,9 @@ import (
 // TestOpenLoopAllocsFlatInWindow pins the open-loop run path's steady
 // state: once a point is assembled, simulating more of it allocates
 // nothing per request. Doubling the window of a single-machine point
-// and of a cluster point may add allocations worth under 1% of the
-// extra requests the longer run generates.
+// (shallow, and Cdeep cycling through the PC6 flow), of a cluster point
+// and of a service graph whose backend tier crashes may add allocations
+// worth under 1% of the extra requests the longer run generates.
 func TestOpenLoopAllocsFlatInWindow(t *testing.T) {
 	const window = 100 * sim.Millisecond
 	cases := []struct {
@@ -24,11 +25,27 @@ func TestOpenLoopAllocsFlatInWindow(t *testing.T) {
 			Config:   "CPC1A",
 			Workload: Workload{Service: "memcached", QPS: 50000},
 		}},
+		{"single machine Cdeep", Scenario{
+			Name:     "allocs-single-cdeep",
+			Config:   "Cdeep",
+			Workload: Workload{Service: "memcached", QPS: 4000},
+		}},
 		{"cluster", Scenario{
 			Name:     "allocs-cluster",
 			Config:   "CPC1A",
 			Workload: Workload{Service: "memcached-bursty", QPS: 100000, Burstiness: 4},
 			Cluster:  &Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 300},
+		}},
+		{"fault tier", Scenario{
+			Name:     "allocs-fault-tier",
+			Config:   "CPC1A",
+			Workload: Workload{Service: "memcached-bursty", QPS: 60000, Burstiness: 4},
+			Tiers: []Tier{
+				{Name: "front", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 300}},
+				{Name: "db", Service: "mysql", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 2000,
+					Faults: &Faults{MTBFUS: 50000, MTTRUS: 2000, RequestTimeoutUS: 2000, MaxRetries: 2, HedgeDelayUS: 1000}}},
+			},
+			Edges: []Edge{{From: "front", To: "db", HitRatio: 0.9, TTLUS: 20000, Fanout: 2}},
 		}},
 	}
 	for _, c := range cases {

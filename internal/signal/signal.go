@@ -12,16 +12,20 @@ package signal
 
 import "fmt"
 
-// Signal is a single-driver, many-reader boolean wire.
+// Signal is a single-driver, many-reader boolean wire. Devices embed
+// their wires by value and hand out pointers to them, so a wire costs
+// no allocation of its own; a Signal must not be copied after Init.
 type Signal struct {
 	name  string
 	level bool
-	subs  []func(bool)
+	subs  Listeners[func(bool)]
 }
 
-// New creates a signal with the given initial level.
-func New(name string, initial bool) *Signal {
-	return &Signal{name: name, level: initial}
+// Init names the wire and sets its initial level, dropping any
+// subscribers, and returns s.
+func (s *Signal) Init(name string, initial bool) *Signal {
+	*s = Signal{name: name, level: initial}
+	return s
 }
 
 // Name returns the wire's name.
@@ -31,13 +35,13 @@ func (s *Signal) Name() string { return s.name }
 func (s *Signal) Level() bool { return s.level }
 
 // Subscribe registers fn to run on every level change, with the new
-// level. Subscribers added during a notification do not see that
-// notification.
+// level. Subscribers run in subscription order; those added during a
+// notification do not see that notification.
 func (s *Signal) Subscribe(fn func(level bool)) {
 	if fn == nil {
 		panic(fmt.Sprintf("signal: nil subscriber on %s", s.name))
 	}
-	s.subs = append(s.subs, fn)
+	s.subs.Add(fn)
 }
 
 // Set drives the wire high. No-op if already high.
@@ -53,45 +57,89 @@ func (s *Signal) SetLevel(level bool) {
 		return
 	}
 	s.level = level
-	// Iterate over the current subscriber set by index so that
-	// subscriptions made inside a callback do not receive this edge.
-	n := len(s.subs)
+	// Read the count once, so that subscriptions made inside a callback
+	// do not receive this edge.
+	n := s.subs.Len()
 	for i := 0; i < n; i++ {
-		s.subs[i](level)
+		s.subs.At(i)(level)
 	}
+}
+
+// Listeners is an ordered list of callbacks of type F. Nearly every
+// list in the model — a wire's subscribers, a core's transition hooks —
+// holds one or two entries, so the first two live inline and only a
+// third spills to the heap: adding to a fresh list allocates nothing.
+// The zero value is an empty list; a Listeners must not be copied
+// after its first Add.
+type Listeners[F any] struct {
+	n      int
+	inline [2]F
+	spill  []F
+}
+
+// Add appends fn to the list.
+func (l *Listeners[F]) Add(fn F) {
+	if l.n < len(l.inline) {
+		l.inline[l.n] = fn
+	} else {
+		l.spill = append(l.spill, fn)
+	}
+	l.n++
+}
+
+// Len returns the number of callbacks added.
+func (l *Listeners[F]) Len() int { return l.n }
+
+// At returns the i-th callback added.
+func (l *Listeners[F]) At(i int) F {
+	if i < len(l.inline) {
+		return l.inline[i]
+	}
+	return l.spill[i-len(l.inline)]
 }
 
 // AndTree aggregates many input wires with AND gates into one output
 // wire, mirroring how the paper combines neighbouring cores' InCC1 (and
-// neighbouring IO controllers' InL0s) to save routing resources.
+// neighbouring IO controllers' InL0s) to save routing resources. Like a
+// Signal it is embedded by value and must not be copied after Init.
 type AndTree struct {
-	out  *Signal
-	lows int // number of inputs currently low
+	out     Signal
+	lows    int // number of inputs currently low
+	inputFn func(bool)
 }
 
-// NewAndTree builds the tree over the given inputs. The output level is
-// the AND of all current input levels; with no inputs the output is high
-// (vacuous truth, same as a wired-AND with no pull-downs).
-func NewAndTree(name string, inputs ...*Signal) *AndTree {
-	t := &AndTree{}
-	for _, in := range inputs {
-		if !in.Level() {
-			t.lows++
-		}
-	}
-	t.out = New(name, t.lows == 0)
-	for _, in := range inputs {
-		in.Subscribe(func(level bool) {
-			if level {
-				t.lows--
-			} else {
-				t.lows++
-			}
-			t.out.SetLevel(t.lows == 0)
-		})
-	}
+// Init names the output and starts the tree with no inputs: the output
+// is high (vacuous truth, same as a wired-AND with no pull-downs) until
+// Add feeds it a low input. It returns t.
+func (t *AndTree) Init(name string) *AndTree {
+	t.out.Init(name, true)
+	t.lows = 0
+	t.inputFn = t.onInput
 	return t
 }
 
+// Add feeds one more input wire into the tree; the output becomes the
+// AND of every input's current level. Add the inputs before anything
+// subscribes to the output, or a low input's edge reaches those
+// subscribers.
+func (t *AndTree) Add(in *Signal) {
+	if !in.Level() {
+		t.lows++
+	}
+	t.out.SetLevel(t.lows == 0)
+	in.Subscribe(t.inputFn)
+}
+
+// onInput is every input's subscriber: one bound callback serves all of
+// them, since an edge only moves the count of low inputs.
+func (t *AndTree) onInput(level bool) {
+	if level {
+		t.lows--
+	} else {
+		t.lows++
+	}
+	t.out.SetLevel(t.lows == 0)
+}
+
 // Output returns the aggregated wire.
-func (t *AndTree) Output() *Signal { return t.out }
+func (t *AndTree) Output() *Signal { return &t.out }

@@ -5,8 +5,20 @@ import (
 	"testing/quick"
 )
 
+func newSignal(name string, initial bool) *Signal {
+	return new(Signal).Init(name, initial)
+}
+
+func newAndTree(name string, inputs ...*Signal) *AndTree {
+	t := new(AndTree).Init(name)
+	for _, in := range inputs {
+		t.Add(in)
+	}
+	return t
+}
+
 func TestLevelAndName(t *testing.T) {
-	s := New("InCC1", false)
+	s := newSignal("InCC1", false)
 	if s.Name() != "InCC1" || s.Level() {
 		t.Fatal("initial state wrong")
 	}
@@ -21,7 +33,7 @@ func TestLevelAndName(t *testing.T) {
 }
 
 func TestSubscribeEdgesOnly(t *testing.T) {
-	s := New("x", false)
+	s := newSignal("x", false)
 	var edges []bool
 	s.Subscribe(func(l bool) { edges = append(edges, l) })
 	s.Set()
@@ -35,29 +47,58 @@ func TestSubscribeEdgesOnly(t *testing.T) {
 }
 
 func TestMultipleSubscribersInOrder(t *testing.T) {
-	s := New("x", false)
-	var order []int
-	s.Subscribe(func(bool) { order = append(order, 1) })
-	s.Subscribe(func(bool) { order = append(order, 2) })
-	s.Set()
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v", order)
+	// 1 and 2 subscribers stay inline; 3 and 5 spill past the inline
+	// capacity, and the order must not notice the boundary.
+	for _, n := range []int{1, 2, 3, 5} {
+		s := newSignal("x", false)
+		var order []int
+		for i := 1; i <= n; i++ {
+			s.Subscribe(func(bool) { order = append(order, i) })
+		}
+		s.Set()
+		s.Unset()
+		if len(order) != 2*n {
+			t.Fatalf("%d subscribers: %d calls over two edges, want %d", n, len(order), 2*n)
+		}
+		for i, got := range order {
+			if want := i%n + 1; got != want {
+				t.Fatalf("%d subscribers: order = %v", n, order)
+			}
+		}
 	}
 }
 
 func TestSubscribeDuringNotification(t *testing.T) {
-	s := New("x", false)
-	lateCalls := 0
-	s.Subscribe(func(bool) {
-		s.Subscribe(func(bool) { lateCalls++ })
-	})
-	s.Set()
-	if lateCalls != 0 {
-		t.Fatal("late subscriber saw the edge that created it")
-	}
-	s.Unset()
-	if lateCalls != 1 {
-		t.Fatal("late subscriber should see subsequent edges")
+	// n subscribers are present before the first edge; the last of them
+	// subscribes one more during that edge. With n = 2 the late one is
+	// the first to spill, with n = 1 it fills the inline storage, and
+	// with n = 3 and 5 it joins the spill.
+	for _, n := range []int{1, 2, 3, 5} {
+		s := newSignal("x", false)
+		calls := make([]int, n)
+		lateCalls := 0
+		for i := 0; i < n-1; i++ {
+			s.Subscribe(func(bool) { calls[i]++ })
+		}
+		s.Subscribe(func(bool) {
+			calls[n-1]++
+			if calls[n-1] == 1 {
+				s.Subscribe(func(bool) { lateCalls++ })
+			}
+		})
+		s.Set()
+		if lateCalls != 0 {
+			t.Fatalf("%d subscribers: late subscriber saw the edge that created it", n)
+		}
+		s.Unset()
+		if lateCalls != 1 {
+			t.Fatalf("%d subscribers: late subscriber saw %d later edges, want 1", n, lateCalls)
+		}
+		for i, c := range calls {
+			if c != 2 {
+				t.Fatalf("%d subscribers: subscriber %d ran %d times over two edges, want 2", n, i, c)
+			}
+		}
 	}
 }
 
@@ -67,14 +108,14 @@ func TestNilSubscriberPanics(t *testing.T) {
 			t.Fatal("nil subscriber should panic")
 		}
 	}()
-	New("x", false).Subscribe(nil)
+	newSignal("x", false).Subscribe(nil)
 }
 
 func TestAndTreeBasic(t *testing.T) {
-	a := New("a", true)
-	b := New("b", true)
-	c := New("c", false)
-	tree := NewAndTree("all", a, b, c)
+	a := newSignal("a", true)
+	b := newSignal("b", true)
+	c := newSignal("c", false)
+	tree := newAndTree("all", a, b, c)
 	if tree.Output().Level() {
 		t.Fatal("output should be low with one low input")
 	}
@@ -89,16 +130,16 @@ func TestAndTreeBasic(t *testing.T) {
 }
 
 func TestAndTreeAllHighInitially(t *testing.T) {
-	a := New("a", true)
-	b := New("b", true)
-	tree := NewAndTree("all", a, b)
+	a := newSignal("a", true)
+	b := newSignal("b", true)
+	tree := newAndTree("all", a, b)
 	if !tree.Output().Level() {
 		t.Fatal("output should start high")
 	}
 }
 
 func TestAndTreeEmpty(t *testing.T) {
-	tree := NewAndTree("none")
+	tree := newAndTree("none")
 	if !tree.Output().Level() {
 		t.Fatal("empty AND should be high")
 	}
@@ -110,9 +151,9 @@ func TestAndTreeEdgeNotifications(t *testing.T) {
 	// when the first wakes.
 	cores := make([]*Signal, 10)
 	for i := range cores {
-		cores[i] = New("core", false)
+		cores[i] = newSignal("core", false)
 	}
-	tree := NewAndTree("InCC1", cores...)
+	tree := newAndTree("InCC1", cores...)
 	rises, falls := 0, 0
 	tree.Output().Subscribe(func(l bool) {
 		if l {
@@ -146,9 +187,9 @@ func TestPropertyAndTreeInvariant(t *testing.T) {
 		n := 8
 		ins := make([]*Signal, n)
 		for i := range ins {
-			ins[i] = New("in", i%2 == 0)
+			ins[i] = newSignal("in", i%2 == 0)
 		}
-		tree := NewAndTree("out", ins...)
+		tree := newAndTree("out", ins...)
 		check := func() bool {
 			want := true
 			for _, in := range ins {

@@ -182,20 +182,41 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	}
 	meter := power.NewMeter(eng)
 	s := &System{Cfg: cfg, Engine: eng, Meter: meter}
+	nLinks := max(cfg.PCIeCount, 0) + max(cfg.DMICount, 0) + max(cfg.UPICount, 0)
 
-	// Cores with per-configuration governor and frequency policy.
-	for i := 0; i < cfg.CoreCount; i++ {
-		var gov cpu.Governor
-		var freq cpu.FreqPolicy
+	// Every device family is one slab, and every list is allocated at
+	// its final size.
+	cores := make([]cpu.Core, cfg.CoreCount)
+	links := make([]ios.Link, nLinks)
+	mcs := make([]dram.MC, 2)
+	plls := make([]clock.PLL, nLinks+1) // one per IO link, then the GPMU's
+	s.Cores = make([]*cpu.Core, cfg.CoreCount)
+	s.Links = make([]*ios.Link, 0, nLinks)
+	s.MCs = make([]*dram.MC, len(mcs))
+	s.PLLs = make([]*clock.PLL, 0, len(plls)+1)
+
+	// Cores with per-configuration governor and frequency policy. The
+	// stateless shallow governor and performance policy are shared by
+	// every core; Cdeep's stateful ones are one slab each.
+	var (
+		menus   []cpu.MenuGovernor
+		saves   []cpu.PowersavePolicy
+		shallow cpu.Governor   = cpu.ShallowGovernor{}
+		perf    cpu.FreqPolicy = cpu.PerformancePolicy{Nominal: cfg.CoreParams.NominalGHz}
+	)
+	if cfg.Kind == Cdeep {
+		menus = make([]cpu.MenuGovernor, cfg.CoreCount)
+		saves = make([]cpu.PowersavePolicy, cfg.CoreCount)
+	}
+	for i := range cores {
+		gov, freq := shallow, perf
 		if cfg.Kind == Cdeep {
-			gov = cpu.NewMenuGovernor()
-			freq = &cpu.PowersavePolicy{Min: 0.8, Max: cfg.CoreParams.NominalGHz}
-		} else {
-			gov = cpu.ShallowGovernor{}
-			freq = cpu.PerformancePolicy{Nominal: cfg.CoreParams.NominalGHz}
+			menus[i] = *cpu.NewMenuGovernor()
+			saves[i] = cpu.PowersavePolicy{Min: 0.8, Max: cfg.CoreParams.NominalGHz}
+			gov, freq = &menus[i], &saves[i]
 		}
 		ch := meter.Channel("core"+strconv.Itoa(i), power.Package)
-		s.Cores = append(s.Cores, cpu.NewCore(eng, i, cfg.CoreParams, gov, freq, ch))
+		s.Cores[i] = cores[i].Init(eng, i, cfg.CoreParams, gov, freq, ch)
 	}
 
 	// North-cap base (always on).
@@ -212,9 +233,9 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			p.StandbyExit = 0
 			p.StandbyEntry = 0
 		}
-		l := ios.NewLink(eng, name, p, meter.Channel(name, power.Package))
-		s.Links = append(s.Links, l)
-		s.PLLs = append(s.PLLs, clock.NewPLL(eng, name+".pll", clock.DefaultRelockLatency,
+		i := len(s.Links)
+		s.Links = append(s.Links, links[i].Init(eng, name, p, meter.Channel(name, power.Package)))
+		s.PLLs = append(s.PLLs, plls[i].Init(eng, name+".pll", clock.DefaultRelockLatency,
 			meter.Channel(name+".pll", power.Package)))
 	}
 	for i := 0; i < cfg.PCIeCount; i++ {
@@ -228,7 +249,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	}
 
 	// Two memory controllers.
-	for i := 0; i < 2; i++ {
+	for i := range mcs {
 		mp := cfg.MCParams
 		if cfg.NoCKEOff {
 			mp.MCCKEWatts = mp.MCActiveWatts
@@ -237,10 +258,9 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			mp.CKEEntry = 0
 		}
 		name := "mc" + strconv.Itoa(i)
-		mc := dram.NewMC(eng, name, mp, dram.PPD,
+		s.MCs[i] = mcs[i].Init(eng, name, mp, dram.PPD,
 			meter.Channel(name, power.Package),
 			meter.Channel("dimm"+strconv.Itoa(i), power.DRAM))
-		s.MCs = append(s.MCs, mc)
 	}
 	s.memLat, s.memDoneFn = s.MCs[0].Params().AccessLatency, s.memDone
 
@@ -255,20 +275,18 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	s.PLLs = append(s.PLLs, s.CLM.PLL())
 
 	// GPMU with its PLL.
-	s.PLLs = append(s.PLLs, clock.NewPLL(eng, "gpmu.pll", clock.DefaultRelockLatency,
-		meter.Channel("gpmu.pll", power.Package)))
+	gpmuPLL := plls[len(plls)-1].Init(eng, "gpmu.pll", clock.DefaultRelockLatency,
+		meter.Channel("gpmu.pll", power.Package))
+	s.PLLs = append(s.PLLs, gpmuPLL)
 
 	gcfg := cfg.GPMUConfig
 	gcfg.EnablePC6 = cfg.Kind == Cdeep && !cfg.DisablePkgCStates
 	s.GPMU = pmu.New(eng, gcfg, s.Cores, s.Links, s.MCs, s.CLM)
 	// PC6 powers off every non-core PLL; the CLM's is handled by the
-	// flow directly, so attach the rest.
-	extra := make([]*clock.PLL, 0, len(s.PLLs))
-	for _, p := range s.PLLs {
-		if p != s.CLM.PLL() {
-			extra = append(extra, p)
-		}
-	}
+	// flow directly, so attach the rest: the IO links' and the GPMU's.
+	extra := make([]*clock.PLL, len(plls))
+	copy(extra, s.PLLs[:nLinks])
+	extra[nLinks] = gpmuPLL
 	s.GPMU.AttachPLLs(extra...)
 
 	if cfg.Kind == CPC1A {

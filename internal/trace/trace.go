@@ -7,6 +7,8 @@
 package trace
 
 import (
+	"slices"
+
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/stats"
@@ -49,6 +51,9 @@ type Tracer struct {
 	// probeFn is probeActive bound once in New, so scheduling the wake
 	// probe at the end of every full-idle period allocates nothing.
 	probeFn func()
+	// hooks[i] is core i's transition callback, bound once per index
+	// and kept across Rearm.
+	hooks []func(old, new cpu.CState)
 }
 
 // New attaches a tracer to the cores. Call it before driving load so
@@ -56,29 +61,72 @@ type Tracer struct {
 func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 	t := &Tracer{
 		eng:         eng,
-		cores:       cores,
-		start:       eng.Now(),
-		coreState:   make([]cpu.CState, len(cores)),
-		coreSince:   make([]sim.Time, len(cores)),
-		coreRes:     make([][cpu.NumCStates]sim.Duration, len(cores)),
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
 	t.probeFn = t.probeActive
+	t.attach(cores, true)
+	return t
+}
+
+// Rearm restarts the tracer at the current instant on cores, exactly
+// as New(eng, cores) would, but reusing its storage and its per-core
+// callbacks, so re-arming allocates nothing once the tracer has seen
+// as many cores. cores must be the cores the tracer already observes,
+// which it does not subscribe to again, or cores that replace them:
+// the tracer cannot unsubscribe, so cores it observed before must not
+// change state again (a fleet rebuilds its machines on a rewound
+// engine). A wake probe still pending from before the re-arm lands in
+// the new interval's ActiveCoresAfterIdle.
+func (t *Tracer) Rearm(cores []*cpu.Core) {
+	same := len(cores) == len(t.cores)
+	for i := 0; same && i < len(cores); i++ {
+		same = cores[i] == t.cores[i]
+	}
+	t.idlePeriods.Reset()
+	*t = Tracer{
+		eng:         t.eng,
+		idlePeriods: t.idlePeriods,
+		wakeProbe:   t.wakeProbe,
+		probeFn:     t.probeFn,
+		hooks:       t.hooks,
+		coreState:   t.coreState,
+		coreSince:   t.coreSince,
+		coreRes:     t.coreRes,
+	}
+	t.attach(cores, !same)
+}
+
+// attach starts accounting on cores at the current instant, and
+// subscribes to them when subscribe is set.
+func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
+	n := len(cores)
+	t.cores = cores
+	t.start = t.eng.Now()
+	// Zeroed at length n, reusing their storage when it is large enough.
+	t.coreState = append(t.coreState[:0], make([]cpu.CState, n)...)
+	t.coreSince = append(t.coreSince[:0], make([]sim.Time, n)...)
+	t.coreRes = append(t.coreRes[:0], make([][cpu.NumCStates]sim.Duration, n)...)
+	if n > len(t.hooks) {
+		t.hooks = slices.Grow(t.hooks, n-len(t.hooks))
+	}
+	for i := len(t.hooks); i < n; i++ {
+		t.hooks = append(t.hooks, func(old, new cpu.CState) { t.coreTransition(i, old, new) })
+	}
 	for i, c := range cores {
-		i := i
 		t.coreState[i] = c.State()
-		t.coreSince[i] = eng.Now()
+		t.coreSince[i] = t.start
 		if c.State().Idle() {
 			t.idleCores++
 		}
-		c.OnTransition(func(old, new cpu.CState) { t.coreTransition(i, old, new) })
+		if subscribe {
+			c.OnTransition(t.hooks[i])
+		}
 	}
-	if t.idleCores == len(cores) && len(cores) > 0 {
+	if t.idleCores == n && n > 0 {
 		t.inAllIdle = true
-		t.allIdleSince = eng.Now()
+		t.allIdleSince = t.start
 	}
-	return t
 }
 
 func (t *Tracer) coreTransition(i int, old, new cpu.CState) {

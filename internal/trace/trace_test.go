@@ -11,7 +11,7 @@ import (
 func mkCores(eng *sim.Engine, n int) []*cpu.Core {
 	cores := make([]*cpu.Core, n)
 	for i := range cores {
-		cores[i] = cpu.NewCore(eng, i, cpu.DefaultParams(),
+		cores[i] = new(cpu.Core).Init(eng, i, cpu.DefaultParams(),
 			cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil)
 	}
 	return cores
@@ -177,5 +177,57 @@ func TestResidencySumsToOne(t *testing.T) {
 		if math.Abs(sum-1.0) > 1e-9 {
 			t.Fatalf("core %d residencies sum to %v", i, sum)
 		}
+	}
+}
+
+// TestRearmMatchesNew checks that a re-armed tracer reports exactly
+// what a fresh one attached at the same instant reports, both on the
+// cores it already observed and on cores that replace them, and that
+// re-arming allocates nothing.
+func TestRearmMatchesNew(t *testing.T) {
+	drive := func(eng *sim.Engine, cores []*cpu.Core) {
+		for i := 0; i < 20; i++ {
+			cores[i%len(cores)].Enqueue(cpu.Work{Duration: sim.Duration(5+i) * sim.Microsecond})
+			eng.Run(eng.Now() + sim.Duration(30+7*i)*sim.Microsecond)
+		}
+	}
+	same := func(a, b *Tracer) bool {
+		for s := cpu.CC0; s <= cpu.CC6; s++ {
+			if a.MeanResidency(s) != b.MeanResidency(s) {
+				return false
+			}
+		}
+		return a.AllIdleFraction() == b.AllIdleFraction() &&
+			a.CensoredAllIdleFraction() == b.CensoredAllIdleFraction() &&
+			a.IdlePeriodCount() == b.IdlePeriodCount() &&
+			a.Transitions() == b.Transitions() &&
+			a.IdlePeriods().Count() == b.IdlePeriods().Count() &&
+			a.Elapsed() == b.Elapsed()
+	}
+
+	eng := sim.NewEngine()
+	cores := mkCores(eng, 4)
+	re := New(eng, cores)
+	drive(eng, cores)
+	if n := testing.AllocsPerRun(10, func() { re.Rearm(cores) }); n != 0 {
+		t.Fatalf("Rearm on the same cores allocated %v times", n)
+	}
+	fresh := New(eng, cores)
+	drive(eng, cores)
+	re.Finalize()
+	fresh.Finalize()
+	if !same(re, fresh) {
+		t.Fatal("re-armed tracer differs from a fresh one on the same cores")
+	}
+
+	// Replacement cores: the old ones never run again.
+	next := mkCores(eng, 4)
+	re.Rearm(next)
+	fresh = New(eng, next)
+	drive(eng, next)
+	re.Finalize()
+	fresh.Finalize()
+	if !same(re, fresh) {
+		t.Fatal("re-armed tracer differs from a fresh one on replacement cores")
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 func TestVCDBasic(t *testing.T) {
 	eng := sim.NewEngine()
-	a := signal.New("InCC1", false)
-	b := signal.New("AllowL0s", true)
+	a := new(signal.Signal).Init("InCC1", false)
+	b := new(signal.Signal).Init("AllowL0s", true)
 	p := NewSignalProbe(eng, 1000, a, b)
 
 	eng.Schedule(10, func() { a.Set() })
@@ -48,7 +48,7 @@ func TestVCDBasic(t *testing.T) {
 
 func TestVCDBufferBound(t *testing.T) {
 	eng := sim.NewEngine()
-	s := signal.New("x", false)
+	s := new(signal.Signal).Init("x", false)
 	p := NewSignalProbe(eng, 5, s)
 	for i := 0; i < 20; i++ {
 		s.SetLevel(i%2 == 0)
@@ -63,8 +63,8 @@ func TestVCDBufferBound(t *testing.T) {
 
 func TestVCDDuplicateNamePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	a := signal.New("dup", false)
-	b := signal.New("dup", false)
+	a := new(signal.Signal).Init("dup", false)
+	b := new(signal.Signal).Init("dup", false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate wire names should panic")

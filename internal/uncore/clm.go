@@ -65,7 +65,7 @@ type CLM struct {
 	params Params
 
 	fivr0, fivr1 *pdn.FIVR
-	pll          *clock.PLL
+	pll          clock.PLL
 	tree         *clock.Tree
 
 	ch *power.Channel
@@ -80,21 +80,22 @@ func New(eng *sim.Engine, p Params, clmCh, pllCh *power.Channel) *CLM {
 	c := &CLM{eng: eng, params: p, ch: clmCh}
 	c.fivr0 = pdn.NewFIVR(eng, "Vccclm0", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
 	c.fivr1 = pdn.NewFIVR(eng, "Vccclm1", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
-	c.pll = clock.NewPLL(eng, "clm-pll", p.PLLRelock, pllCh)
-	c.tree = clock.NewTree("clm", c.pll)
+	c.pll.Init(eng, "clm-pll", p.PLLRelock, pllCh)
+	c.tree = clock.NewTree("clm", &c.pll)
 	c.settled = [2]bool{true, true}
 
 	c.fivr0.OnPwrOk(func() { c.fivrSettled(0) })
 	c.fivr1.OnPwrOk(func() { c.fivrSettled(1) })
-	c.fivr0.OnAtRetention(func() { c.updatePower() })
-	c.fivr1.OnAtRetention(func() { c.updatePower() })
+	atRet := c.updatePower
+	c.fivr0.OnAtRetention(atRet)
+	c.fivr1.OnAtRetention(atRet)
 
 	c.updatePower()
 	return c
 }
 
 // PLL returns the CLM PLL (the GPMU turns it off in PC6).
-func (c *CLM) PLL() *clock.PLL { return c.pll }
+func (c *CLM) PLL() *clock.PLL { return &c.pll }
 
 // Params returns the CLM configuration.
 func (c *CLM) Params() Params { return c.params }
