@@ -213,8 +213,14 @@ func declKey(pkgPath string, decl *ast.FuncDecl) string {
 		if star, ok := t.(*ast.StarExpr); ok {
 			t = star.X
 		}
-		// Generic receivers (T[P]) don't occur in this module; plain
-		// idents cover every declared method.
+		// A generic receiver (Pool[T]) keys by its type name, as
+		// FuncKey does for every instantiation.
+		switch ix := t.(type) {
+		case *ast.IndexExpr:
+			t = ix.X
+		case *ast.IndexListExpr:
+			t = ix.X
+		}
 		if id, ok := t.(*ast.Ident); ok {
 			return fmt.Sprintf("%s.(%s).%s", pkgPath, id.Name, decl.Name.Name)
 		}

@@ -67,3 +67,25 @@ func warmup(r *rec) []byte {
 	}
 	return r.buf
 }
+
+// stack is generic: its annotated methods are checked, and calls into
+// them from any instantiation resolve to the same annotation.
+type stack[T any] struct{ items []*T }
+
+//apcvet:noalloc
+func (s *stack[T]) push(x *T) {
+	s.items = append(s.items, x) // amortizing field append: clean
+}
+
+//apcvet:noalloc
+func (s *stack[T]) fresh() *T {
+	return new(T) // want `new allocates`
+}
+
+func (s *stack[T]) unannotated() {}
+
+//apcvet:noalloc
+func useStack(s *stack[rec], r *rec) {
+	s.push(r)       // annotated generic method: clean
+	s.unannotated() // want `call to example\.com/fixture/na\.\(stack\)\.unannotated, which is not annotated`
+}

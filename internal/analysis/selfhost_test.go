@@ -222,10 +222,11 @@ func isPC1A(info *types.Info, e ast.Expr) bool {
 
 // TestHotPathFactsCoverage pins the annotation rollout: the functions
 // the steady-state alloc gates exercise (fleet routing, fault
-// recovery, graph joins, replay decode, pooled sources) must stay
-// marked //apcvet:noalloc, and the pool lifecycle entry points must
-// stay marked pooled/poolput. Deleting an annotation silently shrinks
-// what apcvet checks; this test makes that loud.
+// recovery, graph joins, replay decode, pooled sources, the server's
+// serve path and the generic record pool) must stay marked
+// //apcvet:noalloc, and the pool lifecycle entry points must stay
+// marked pooled/poolput. Deleting an annotation silently shrinks what
+// apcvet checks; this test makes that loud.
 func TestHotPathFactsCoverage(t *testing.T) {
 	facts := analysis.BuildFacts(modulePkgs(t))
 	noalloc := []string{
@@ -248,6 +249,11 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/sim.(Engine).Step",
 		"agilepkgc/internal/sim.(Engine).Run",
 		"agilepkgc/internal/sim.(Event).Cancel",
+		"agilepkgc/internal/sim.(Pool).Get",
+		"agilepkgc/internal/sim.(Pool).Put",
+		"agilepkgc/internal/server.(Server).Submit",
+		"agilepkgc/internal/server.(Server).step",
+		"agilepkgc/internal/server.(Server).recycle",
 	}
 	for _, key := range noalloc {
 		if !facts.NoAlloc[key] {
@@ -260,6 +266,7 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/cluster.attempt",
 		"agilepkgc/internal/cluster.joinReq",
 		"agilepkgc/internal/workload.Request",
+		"agilepkgc/internal/server.inflight",
 	}
 	for _, key := range pooled {
 		if !facts.Pooled[key] {
@@ -274,6 +281,8 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/workload.(Generator).Release",
 		"agilepkgc/internal/workload.(PushSource).Release",
 		"agilepkgc/internal/workload/replay.(Replay).Release",
+		"agilepkgc/internal/sim.(Pool).Put",
+		"agilepkgc/internal/server.(Server).recycle",
 	}
 	for _, key := range poolput {
 		if !facts.PoolPut[key] {
@@ -285,6 +294,7 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/workload",
 		"agilepkgc/internal/workload/replay",
 		"agilepkgc/internal/sim",
+		"agilepkgc/internal/server",
 	} {
 		if !facts.InNoAllocDomain(pkg) {
 			t.Errorf("package %s dropped out of the noalloc annotation domain", pkg)

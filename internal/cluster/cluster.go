@@ -315,9 +315,9 @@ type Fleet struct {
 	aliveLoad int // Σ load over alive members
 	aliveCap  int // Σ max(cap, cores) over alive members
 
-	// freeRouted recycles the fault-free path's per-arrival records so
+	// routed recycles the fault-free path's per-arrival records so
 	// steady-state routing allocates nothing (see routedReq).
-	freeRouted []*routedReq
+	routed sim.Pool[routedReq]
 
 	// ctrl is the balancer-dynamics controller; nil when both DrainHold
 	// and FeedbackEpoch are zero (or the policy derives no cap), which
@@ -639,67 +639,70 @@ func powerAwareCap(mc MemberConfig, spec workload.Spec, target sim.Duration, tor
 //apcvet:noalloc
 func (f *Fleet) load(m *member) int { return m.load }
 
-// routedReq is the pooled per-arrival record of the fault-free path: its
-// two callbacks (ToR transit delivery, completion) are created once when
-// the record is first allocated and reused for every request it later
-// carries, so steady-state routing schedules only preallocated closures.
+// routedReq is the pooled per-arrival record of the fault-free path.
+// Its steps run strictly in sequence — ToR transit delivery, then
+// completion — so one callback, bound when the pool first hands the
+// record out, serves both and switches on transit: a remote-rack
+// arrival fires it once for delivery and once for completion, a local
+// one only for completion.
 //
 //apcvet:pooled
 type routedReq struct {
-	f   *Fleet
-	m   *member
-	req *workload.Request
-
-	doneFn    func()
-	transitFn func()
+	f       *Fleet
+	m       *member
+	req     *workload.Request
+	transit bool // riding the ToR hop; the next call delivers
+	fn      func()
 }
 
-// newRouted takes a record off the free list (or builds one, creating
-// its callbacks) and binds it to this arrival's assignment.
+// newRouted takes a record from the pool (binding its callback on
+// first use) and binds it to this arrival's assignment.
 //
 //apcvet:noalloc
 func (f *Fleet) newRouted(m *member, req *workload.Request) *routedReq {
-	var r *routedReq
-	if n := len(f.freeRouted); n > 0 {
-		r = f.freeRouted[n-1]
-		f.freeRouted = f.freeRouted[:n-1]
-	} else {
-		r = &routedReq{f: f} //apcvet:alloc pool miss: the record and its two callbacks amortize over every request the record later carries
-		//apcvet:alloc created once per record at pool miss; reused for every later request
-		r.doneFn = func() {
-			f, m, req := r.f, r.m, r.req
-			m.load--
-			f.touch(m)
-			if f.ctrl != nil {
-				f.onComplete(m, req)
-			}
-			f.putRouted(r)
-			id, arr, conn := req.ID, req.Arrival, req.Conn
-			f.gen.Release(req)
-			if f.onResolve != nil {
-				f.onResolve(id, arr, conn, true)
-			}
-		}
-		//apcvet:alloc created once per record at pool miss; reused for every later request
-		r.transitFn = func() {
-			r.m.transit--
-			r.m.srv.Submit(r.req, r.doneFn)
-		}
+	r, fresh := f.routed.Get()
+	if fresh {
+		r.f = f
+		r.fn = func() { r.f.routedStep(r) } //apcvet:alloc created once per record; reused for every later request
 	}
 	r.m, r.req = m, req
 	return r
 }
 
-// putRouted unbinds a completed record and returns it to the free
-// list; the caller must have copied any request fields it still needs
-// before calling (the pool may reissue the record at the very next
-// arrival).
+// routedStep is a routed record's callback: the end of its ToR hop
+// (submit to the member) or its completion.
+//
+//apcvet:noalloc
+func (f *Fleet) routedStep(r *routedReq) {
+	m, req := r.m, r.req
+	if r.transit {
+		r.transit = false
+		m.transit--
+		m.srv.Submit(req, r.fn)
+		return
+	}
+	m.load--
+	f.touch(m)
+	if f.ctrl != nil {
+		f.onComplete(m, req)
+	}
+	f.putRouted(r)
+	id, arr, conn := req.ID, req.Arrival, req.Conn
+	f.gen.Release(req)
+	if f.onResolve != nil {
+		f.onResolve(id, arr, conn, true)
+	}
+}
+
+// putRouted unbinds a completed record and returns it to the pool; the
+// caller must have copied any request fields it still needs before
+// calling (the pool may reissue the record at the very next arrival).
 //
 //apcvet:poolput
 //apcvet:noalloc
 func (f *Fleet) putRouted(r *routedReq) {
 	r.m, r.req = nil, nil
-	f.freeRouted = append(f.freeRouted, r)
+	f.routed.Put(r)
 }
 
 // route assigns one arrival to a member according to the policy and
@@ -724,9 +727,10 @@ func (f *Fleet) route(req *workload.Request) {
 	f.touch(m)
 	if m.tor > 0 {
 		m.transit++
-		f.eng.Schedule(m.tor, r.transitFn)
+		r.transit = true
+		f.eng.Schedule(m.tor, r.fn)
 	} else {
-		m.srv.Submit(req, r.doneFn)
+		m.srv.Submit(req, r.fn)
 	}
 	if f.ctrl != nil && f.ctrl.hold > 0 {
 		f.maybeDrain()

@@ -187,8 +187,8 @@ type faultState struct {
 	// Record pools (see recovery.go): steady-state fault-layer routing
 	// reuses logical-request and attempt records instead of allocating
 	// per arrival.
-	freeLR []*logicalReq
-	freeAT []*attempt
+	logicals sim.Pool[logicalReq]
+	attempts sim.Pool[attempt]
 }
 
 // expDur draws one exponential duration with the given mean from the

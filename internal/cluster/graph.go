@@ -187,7 +187,7 @@ func (cfg GraphConfig) validate() error {
 // of its downstream children are still outstanding, whether any part
 // of the subtree failed, and — at the root — the client arrival the
 // end-to-end latency is measured from. Records are pooled
-// (Graph.freeJoin) so steady-state joining allocates nothing.
+// (Graph.joins) so steady-state joining allocates nothing.
 //
 //apcvet:pooled
 type joinReq struct {
@@ -237,7 +237,7 @@ type Graph struct {
 	clientFailed uint64
 	clientLat    *stats.Histogram
 
-	freeJoin []*joinReq
+	joins sim.Pool[joinReq]
 }
 
 // NewGraph assembles a service graph on a fresh engine: each tier's
@@ -414,17 +414,15 @@ func (g *Graph) Tiers() int { return len(g.tiers) }
 // fleet must keep being driven through the graph's Run).
 func (g *Graph) TierFleet(i int) *Fleet { return g.tiers[i].fl }
 
-// newJoin takes a join record off the pool or allocates one.
+// newJoin takes a zeroed join record from the pool.
 //
 //apcvet:noalloc
 func (g *Graph) newJoin() *joinReq {
-	if n := len(g.freeJoin); n > 0 {
-		jr := g.freeJoin[n-1]
-		g.freeJoin = g.freeJoin[:n-1]
+	jr, fresh := g.joins.Get()
+	if !fresh {
 		*jr = joinReq{}
-		return jr
 	}
-	return new(joinReq) //apcvet:alloc pool miss: the record amortizes over every join it later carries
+	return jr
 }
 
 // putJoin returns a closed join record to the pool; the caller must
@@ -433,7 +431,7 @@ func (g *Graph) newJoin() *joinReq {
 //apcvet:poolput
 //apcvet:noalloc
 func (g *Graph) putJoin(jr *joinReq) {
-	g.freeJoin = append(g.freeJoin, jr)
+	g.joins.Put(jr)
 }
 
 // resolve is the onResolve hook of every tier: one request of tier t

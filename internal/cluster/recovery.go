@@ -48,11 +48,13 @@ const maxTimeoutShift = 20
 // logicalReq is one client request as the balancer tracks it: the
 // original arrival plus the retry/hedge bookkeeping. It resolves
 // exactly once (done), as a success, a failure, or — before it is ever
-// created — a shed. Records are pooled (faultState.freeLR): the timeout
-// and hedge callbacks are created once at record birth, and the record
-// returns to the pool at resolution. Zombie attempts may still point at
-// a recycled record, which is why every late reader guards with at.lost
-// before dereferencing lr.
+// created — a shed. Records are pooled (faultState.logicals): the
+// timeout and hedge callbacks are bound when the pool first hands the
+// record out, and the record returns to the pool at resolution. The two
+// timers can be pending at once, so unlike the sequential records each
+// has its own callback. Zombie attempts may still point at a recycled
+// record, which is why every late reader guards with at.lost before
+// dereferencing lr.
 //
 //apcvet:pooled
 type logicalReq struct {
@@ -84,11 +86,12 @@ type logicalReq struct {
 // liveIdx for O(1) detach). A lost attempt's eventual completion inside
 // the machine is ignored — the zombie keeps the machine's power and
 // occupancy honest but produces no client-visible response. Records are
-// pooled (faultState.freeAT) with their delivery/completion callbacks
-// created once at birth; the submitted request itself is the embedded
-// req value, valid until the record is freed — in complete for every
-// attempt the server saw, or at transit arrival for copies dropped on
-// the hop.
+// pooled (faultState.attempts). Delivery and completion run strictly in
+// sequence, so one callback, bound when the pool first hands the record
+// out, serves both and switches on transit. The submitted request
+// itself is the embedded req value, valid until the record is freed —
+// in complete for every attempt the server saw, or at transit arrival
+// for copies dropped on the hop.
 //
 //apcvet:pooled
 type attempt struct {
@@ -97,27 +100,27 @@ type attempt struct {
 	m       *member
 	liveIdx int // index in m.live; -1 once detached
 	lost    bool
+	transit bool // riding the ToR hop; the next call is transitArrive
 
-	req       workload.Request
-	doneFn    func() // preallocated: fs.complete(this)
-	transitFn func() // preallocated: fs.transitArrive(this)
+	req workload.Request
+	fn  func() // transitArrive while transit, then complete
 }
 
-// newLogical takes a record off the pool (resetting it, keeping its
-// identity-bound callbacks and live backing array) or builds one.
+// newLogical takes a record from the pool (binding its callbacks on
+// first use) and resets it, keeping its callbacks and live backing
+// array.
 //
 //apcvet:noalloc
 func (fs *faultState) newLogical() *logicalReq {
-	if n := len(fs.freeLR); n > 0 {
-		lr := fs.freeLR[n-1]
-		fs.freeLR = fs.freeLR[:n-1]
-		*lr = logicalReq{fs: lr.fs, live: lr.live[:0], timeoutFn: lr.timeoutFn, hedgeFn: lr.hedgeFn}
+	lr, fresh := fs.logicals.Get()
+	if fresh {
+		lr.fs = fs
+		lr.live = lr.liveBuf[:0]
+		lr.timeoutFn = func() { lr.fs.timeoutFire(lr) } //apcvet:alloc created once per record; reused for every later request
+		lr.hedgeFn = func() { lr.fs.hedgeFire(lr) }     //apcvet:alloc created once per record; reused for every later request
 		return lr
 	}
-	lr := &logicalReq{fs: fs} //apcvet:alloc pool miss: record + callbacks amortize over every request the record later carries
-	lr.live = lr.liveBuf[:0]
-	lr.timeoutFn = func() { lr.fs.timeoutFire(lr) } //apcvet:alloc created once per record at pool miss; reused for every later request
-	lr.hedgeFn = func() { lr.fs.hedgeFire(lr) }     //apcvet:alloc created once per record at pool miss; reused for every later request
+	*lr = logicalReq{fs: lr.fs, live: lr.live[:0], timeoutFn: lr.timeoutFn, hedgeFn: lr.hedgeFn}
 	return lr
 }
 
@@ -129,25 +132,34 @@ func (fs *faultState) newLogical() *logicalReq {
 //apcvet:poolput
 //apcvet:noalloc
 func (fs *faultState) freeLogical(lr *logicalReq) {
-	fs.freeLR = append(fs.freeLR, lr)
+	fs.logicals.Put(lr)
 }
 
-// newAttempt binds a pooled (or fresh) attempt record to one copy of lr
-// aimed at m.
+// newAttempt takes an attempt record from the pool (binding its
+// callback on first use) and binds it to one copy of lr aimed at m.
 //
 //apcvet:noalloc
 func (fs *faultState) newAttempt(lr *logicalReq, m *member) *attempt {
-	var at *attempt
-	if n := len(fs.freeAT); n > 0 {
-		at = fs.freeAT[n-1]
-		fs.freeAT = fs.freeAT[:n-1]
-	} else {
-		at = &attempt{fs: fs}                             //apcvet:alloc pool miss: record + callbacks amortize over every request the record later carries
-		at.doneFn = func() { at.fs.complete(at) }         //apcvet:alloc created once per record at pool miss; reused for every later request
-		at.transitFn = func() { at.fs.transitArrive(at) } //apcvet:alloc created once per record at pool miss; reused for every later request
+	at, fresh := fs.attempts.Get()
+	if fresh {
+		at.fs = fs
+		at.fn = func() { at.fs.attemptStep(at) } //apcvet:alloc created once per record; reused for every later request
 	}
 	at.lr, at.m, at.lost, at.liveIdx = lr, m, false, -1
 	return at
+}
+
+// attemptStep is an attempt's callback: the end of its ToR hop, or its
+// completion.
+//
+//apcvet:noalloc
+func (fs *faultState) attemptStep(at *attempt) {
+	if at.transit {
+		at.transit = false
+		fs.transitArrive(at)
+		return
+	}
+	fs.complete(at)
 }
 
 // freeAttempt recycles an attempt record once nothing can call back
@@ -158,7 +170,7 @@ func (fs *faultState) newAttempt(lr *logicalReq, m *member) *attempt {
 //apcvet:noalloc
 func (fs *faultState) freeAttempt(at *attempt) {
 	at.lr, at.m = nil, nil
-	fs.freeAT = append(fs.freeAT, at)
+	fs.attempts.Put(at)
 }
 
 // route is the fault layer's arrival path, replacing Fleet.route's body
@@ -306,9 +318,10 @@ func (fs *faultState) submitTo(lr *logicalReq, m *member) {
 	f.touch(m)
 	if m.tor > 0 {
 		m.transit++
-		f.eng.Schedule(m.tor, at.transitFn)
+		at.transit = true
+		f.eng.Schedule(m.tor, at.fn)
 	} else {
-		m.srv.Submit(&at.req, at.doneFn)
+		m.srv.Submit(&at.req, at.fn)
 	}
 	if f.ctrl != nil && f.ctrl.hold > 0 {
 		f.maybeDrain()
@@ -344,7 +357,7 @@ func (fs *faultState) transitArrive(at *attempt) {
 		fs.freeAttempt(at)
 		return
 	}
-	m.srv.Submit(&at.req, at.doneFn)
+	m.srv.Submit(&at.req, at.fn)
 }
 
 // complete observes one attempt's response leaving its member's NIC.

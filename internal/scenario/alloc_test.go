@@ -12,8 +12,9 @@ import (
 // state: once a point is assembled, simulating more of it allocates
 // nothing per request. Doubling the window of a single-machine point
 // (shallow, and Cdeep cycling through the PC6 flow), of a cluster point
-// and of a service graph whose backend tier crashes may add allocations
-// worth under 1% of the extra requests the longer run generates.
+// and of a service graph whose backend tier crashes (now and then, or in
+// a storm) may add allocations worth under 1% of the extra requests the
+// longer run generates.
 func TestOpenLoopAllocsFlatInWindow(t *testing.T) {
 	const window = 100 * sim.Millisecond
 	cases := []struct {
@@ -44,6 +45,20 @@ func TestOpenLoopAllocsFlatInWindow(t *testing.T) {
 				{Name: "front", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 300}},
 				{Name: "db", Service: "mysql", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 2000,
 					Faults: &Faults{MTBFUS: 50000, MTTRUS: 2000, RequestTimeoutUS: 2000, MaxRetries: 2, HedgeDelayUS: 1000}}},
+			},
+			Edges: []Edge{{From: "front", To: "db", HitRatio: 0.9, TTLUS: 20000, Fanout: 2}},
+		}},
+		// A crash storm: the longer window reaches a higher in-flight
+		// high-water mark, so it costs fresh pooled records, each of
+		// which must stay a slab share plus one callback.
+		{"fault tier storm", Scenario{
+			Name:     "allocs-fault-tier-storm",
+			Config:   "CPC1A",
+			Workload: Workload{Service: "memcached-bursty", QPS: 60000, Burstiness: 4},
+			Tiers: []Tier{
+				{Name: "front", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 300}},
+				{Name: "db", Service: "mysql", Cluster: Cluster{Servers: 4, Policy: "power_aware", P99TargetUS: 2000,
+					Faults: &Faults{MTBFUS: 20000, MTTRUS: 2000, RequestTimeoutUS: 2000, MaxRetries: 2, HedgeDelayUS: 1000}}},
 			},
 			Edges: []Edge{{From: "front", To: "db", HitRatio: 0.9, TTLUS: 20000, Fanout: 2}},
 		}},

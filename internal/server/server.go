@@ -75,72 +75,104 @@ type Server struct {
 	batchFlushes uint64
 	batchFn      func()
 
-	// freeList recycles inflight records so steady-state serving does
-	// not allocate per request.
-	freeList []*inflight
+	// pool recycles inflight records so steady-state serving does not
+	// allocate per request.
+	pool sim.Pool[inflight]
 }
 
-// inflight is the pooled per-request record. All five callbacks on a
-// request's path through the machine (NIC in, dispatch, core start, core
-// done, NIC out) are created once when the record is first allocated and
-// reused for every request the record later carries, so the steady-state
-// serve path schedules only preallocated closures.
+// inflight is the pooled per-request record. Its path through the
+// machine is strictly sequential — NIC in, dispatch, core start, core
+// done, NIC out — so one callback, bound when the pool first hands the
+// record out, carries every step: each call runs the step named by
+// stage and advances it. A record costs its slab share and that one
+// closure, amortized over every request it later carries.
+//
+//apcvet:pooled
 type inflight struct {
-	s    *Server
-	req  *workload.Request
-	done func()
-
-	inWireFn  func()
-	execFn    func()
-	startFn   func()
-	onDoneFn  func()
-	outWireFn func()
+	s     *Server
+	req   *workload.Request
+	done  func()
+	stage stage
+	fn    func()
 }
 
-// newInflight takes a record off the free list (or builds one, creating
-// its callbacks) and binds it to a request.
+// stage is the step an inflight record's callback runs next.
+type stage uint8
+
+const (
+	inWire   stage = iota // NIC DMA in finished: dispatch
+	execute               // dispatched: queue on the pinned core
+	started               // the core began the request
+	finished              // the core finished the request
+	outWire               // NIC DMA out finished: respond
+)
+
+// newInflight takes a record from the pool (binding its callback on
+// first use) and binds it to a request.
+//
+//apcvet:noalloc
 func (s *Server) newInflight(req *workload.Request, done func()) *inflight {
-	var r *inflight
-	if n := len(s.freeList); n > 0 {
-		r = s.freeList[n-1]
-		s.freeList = s.freeList[:n-1]
-	} else {
-		r = &inflight{s: s}
-		r.inWireFn = func() {
-			r.s.sys.NICLink().EndTransaction()
-			r.s.dispatch(r.execFn)
-		}
-		r.execFn = func() { r.s.execute(r) }
-		r.startFn = func() {
-			// 3. The request's DRAM traffic (dynamic energy; also wakes
-			// CKE-parked channels).
-			r.s.sys.MemAccess(r.req.MemAccesses)
-		}
-		r.onDoneFn = func() {
-			// 4. NIC DMA out, then the client sees the response one
-			// network latency after arrival processing started.
-			nic := r.s.sys.NICLink()
-			nic.StartTransaction()
-			outWire := nic.ExitDelay() + r.s.cfg.NICTransfer
-			r.s.sys.Engine.Schedule(outWire, r.outWireFn)
-		}
-		r.outWireFn = func() {
-			s := r.s
-			s.sys.NICLink().EndTransaction()
-			e2e := s.sys.Engine.Now() - r.req.Arrival + s.cfg.NetworkLatency
-			s.lat.Add(e2e.Seconds())
-			s.served++
-			s.inFlight--
-			done := r.done
-			r.req, r.done = nil, nil
-			s.freeList = append(s.freeList, r)
-			if done != nil {
-				done()
-			}
+	r, fresh := s.pool.Get()
+	if fresh {
+		r.s = s
+		r.fn = func() { r.s.step(r) } //apcvet:alloc created once per record; reused for every later request
+	}
+	r.req, r.done, r.stage = req, done, inWire
+	return r
+}
+
+// step runs the record's current stage and advances it.
+//
+//apcvet:noalloc
+func (s *Server) step(r *inflight) {
+	switch r.stage {
+	case inWire:
+		s.sys.NICLink().EndTransaction()
+		r.stage = execute
+		s.dispatch(r.fn)
+	case execute:
+		// 2. Kernel + application execution on the pinned core.
+		r.stage = started
+		core := s.sys.Cores[r.req.Conn%len(s.sys.Cores)]
+		core.Enqueue(cpu.Work{
+			Duration: r.req.Service + s.cfg.KernelOverhead,
+			OnStart:  r.fn,
+			OnDone:   r.fn,
+		})
+	case started:
+		// 3. The request's DRAM traffic (dynamic energy; also wakes
+		// CKE-parked channels).
+		r.stage = finished
+		s.sys.MemAccess(r.req.MemAccesses)
+	case finished:
+		// 4. NIC DMA out, then the client sees the response one network
+		// latency after arrival processing started.
+		r.stage = outWire
+		nic := s.sys.NICLink()
+		nic.StartTransaction()
+		s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r.fn)
+	case outWire:
+		s.sys.NICLink().EndTransaction()
+		e2e := s.sys.Engine.Now() - r.req.Arrival + s.cfg.NetworkLatency
+		s.lat.Add(e2e.Seconds())
+		s.served++
+		s.inFlight--
+		done := r.done
+		s.recycle(r)
+		if done != nil {
+			done()
 		}
 	}
-	r.req, r.done = req, done
-	return r
+}
+
+// recycle unbinds a responded record and returns it to the pool; the
+// caller must have copied anything it still needs out of it.
+//
+//apcvet:poolput
+//apcvet:noalloc
+func (s *Server) recycle(r *inflight) {
+	r.req, r.done = nil, nil
+	s.pool.Put(r)
 }
 
 // NewClosedLoop creates a server with no load of its own: whatever
@@ -206,6 +238,8 @@ func (s *Server) System() *soc.System { return s.sys }
 // Submit serves one request and calls done (if non-nil) when the
 // response leaves the NIC — the hook closed-loop clients and the fleet
 // balancer use.
+//
+//apcvet:noalloc
 func (s *Server) Submit(req *workload.Request, done func()) {
 	s.inFlight++
 	r := s.newInflight(req, done)
@@ -214,12 +248,13 @@ func (s *Server) Submit(req *workload.Request, done func()) {
 	// 1. NIC DMA in: the PCIe link wakes if parked (its wake event is
 	// also what triggers the PC1A exit flow for network traffic).
 	nic.StartTransaction()
-	inWire := nic.ExitDelay() + s.cfg.NICTransfer
-	s.sys.Engine.Schedule(inWire, r.inWireFn)
+	s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r.fn)
 }
 
 // dispatch runs fn now, or holds it for the next epoch boundary when
 // batching is enabled.
+//
+//apcvet:noalloc
 func (s *Server) dispatch(fn func()) {
 	if s.cfg.BatchEpoch == 0 {
 		fn()
@@ -233,6 +268,7 @@ func (s *Server) dispatch(fn func()) {
 	eng := s.sys.Engine
 	next := (eng.Now()/s.cfg.BatchEpoch + 1) * s.cfg.BatchEpoch
 	if s.batchFn == nil {
+		//apcvet:alloc created once per server at its first batched dispatch
 		s.batchFn = func() {
 			s.batchArmed = false
 			s.batchFlushes++
@@ -253,14 +289,3 @@ func (s *Server) dispatch(fn func()) {
 
 // BatchFlushes returns how many epoch releases occurred.
 func (s *Server) BatchFlushes() uint64 { return s.batchFlushes }
-
-// execute runs the request on its pinned core and sends the response.
-func (s *Server) execute(r *inflight) {
-	// 2. Kernel + application execution on the pinned core.
-	core := s.sys.Cores[r.req.Conn%len(s.sys.Cores)]
-	core.Enqueue(cpu.Work{
-		Duration: r.req.Service + s.cfg.KernelOverhead,
-		OnStart:  r.startFn,
-		OnDone:   r.onDoneFn,
-	})
-}

@@ -199,3 +199,34 @@ func TestTimerTicksErodePC1A(t *testing.T) {
 		t.Fatalf("tickful residency %v collapsed entirely", tickful)
 	}
 }
+
+// TestSecondWaveAllocFree checks that the per-request records are
+// recycled: once a wave of concurrent requests has been served, an
+// equal wave allocates nothing.
+func TestSecondWaveAllocFree(t *testing.T) {
+	const k = 32
+	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	srv := server.NewClosedLoop(sys, server.DefaultConfig())
+	reqs := make([]workload.Request, k)
+	served := 0
+	done := func() { served++ }
+	wave := func() {
+		for i := range reqs {
+			reqs[i] = workload.Request{
+				ID:          uint64(i),
+				Arrival:     sys.Engine.Now(),
+				Service:     20 * sim.Microsecond,
+				Conn:        i,
+				MemAccesses: 10,
+			}
+			srv.Submit(&reqs[i], done)
+		}
+		sys.Engine.Run(sys.Engine.Now() + 10*sim.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(1, wave); allocs != 0 {
+		t.Errorf("second wave of %d requests: %v allocations, want 0", k, allocs)
+	}
+	if served != 2*k {
+		t.Fatalf("served %d of %d requests", served, 2*k)
+	}
+}

@@ -303,6 +303,8 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 }
 
 // NICLink returns the link NIC traffic uses (the first PCIe interface).
+//
+//apcvet:noalloc
 func (s *System) NICLink() *ios.Link { return s.Links[0] }
 
 // MemAccess performs n interleaved DRAM accesses (round-robin over the
@@ -324,6 +326,8 @@ func (s *System) NICLink() *ios.Link { return s.Links[0] }
 // first leave CKE-off or self-refresh raises signal edges and schedules
 // its exit in between, so such a burst keeps per-controller events
 // (TestMemAccessFusionMatchesPerController).
+//
+//apcvet:noalloc
 func (s *System) MemAccess(n int) {
 	m := len(s.MCs)
 	if n <= 0 || m == 0 {
@@ -350,6 +354,8 @@ func (s *System) MemAccess(n int) {
 
 // memShare is the i-th controller's share, in issue order, of n
 // accesses interleaved round-robin over m controllers.
+//
+//apcvet:noalloc
 func memShare(n, m, i int) int {
 	if i < n%m {
 		return n/m + 1

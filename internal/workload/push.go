@@ -25,7 +25,7 @@ type PushSource struct {
 	sink func(*Request)
 
 	nextID uint64
-	free   []*Request
+	pool   sim.Pool[Request]
 }
 
 // NewPushSource builds a caller-driven source; sink receives each
@@ -41,7 +41,7 @@ func NewPushSource(eng *sim.Engine, spec Spec, seed uint64, sink func(*Request))
 func (p *PushSource) Spec() Spec { return p.spec }
 
 // Reset rewinds the source to its initial state under a (possibly new)
-// spec and seed, keeping the request free list so a reused source emits
+// spec and seed, keeping the request pool so a reused source emits
 // without allocating from the first request on. Mirrors Generator.Reset.
 func (p *PushSource) Reset(spec Spec, seed uint64) {
 	p.rng = stats.NewRNG(seed)
@@ -72,13 +72,7 @@ func (p *PushSource) Generated() uint64 { return p.nextID }
 //apcvet:noalloc
 func (p *PushSource) Emit(conn int) uint64 {
 	svc := p.spec.Service.Sample(p.rng)
-	var req *Request
-	if n := len(p.free); n > 0 {
-		req = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		req = new(Request) //apcvet:alloc pool miss: warm-up until the free list reaches steady-state depth
-	}
+	req, _ := p.pool.Get()
 	id := p.nextID
 	*req = Request{
 		ID:          id,
@@ -98,5 +92,5 @@ func (p *PushSource) Emit(conn int) uint64 {
 //apcvet:poolput
 //apcvet:noalloc
 func (p *PushSource) Release(req *Request) {
-	p.free = append(p.free, req)
+	p.pool.Put(req)
 }

@@ -26,8 +26,8 @@ type Options struct {
 // workload.Source that drives a trace's records into a sink under the
 // engine's window protocol. The steady-state read path allocates
 // nothing — records decode in place out of the reader's bufio window,
-// requests come from a free list, and the single arrival closure is
-// built once at Bind.
+// requests come from a pool, and the single arrival closure is built
+// once at Bind.
 //
 // Stream time maps onto engine time through an offset recomputed at
 // every Start: the engine's clock keeps running between measurement
@@ -68,8 +68,8 @@ type Replay struct {
 	// arriveFn is the single arrival closure, created once at Bind so
 	// the steady-state arrival chain schedules without allocating.
 	arriveFn func()
-	// free holds requests handed back via Release for reuse.
-	free []*workload.Request
+	// pool holds requests handed back via Release for reuse.
+	pool sim.Pool[workload.Request]
 }
 
 // New builds a replay over an open reader. Bind must be called before
@@ -92,8 +92,9 @@ func New(rd *Reader, opts Options) (*Replay, error) {
 func (r *Replay) Header() Header { return r.hdr }
 
 // Bind attaches the replay to an engine and sink and rewinds the trace
-// to record 0, resetting all replay state; the free list survives, so a
-// rebound replay emits without allocating from the first arrival on.
+// to record 0, resetting all replay state; the request pool survives,
+// so a rebound replay emits without allocating from the first arrival
+// on.
 // Bind is the reset path: a fleet rebuilt for the next sweep point
 // rebinds the same Replay against its fresh engine.
 func (r *Replay) Bind(eng *sim.Engine, sink func(*workload.Request)) error {
@@ -200,13 +201,7 @@ func (r *Replay) emit() {
 		// changing underneath the run gets here.
 		panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err))
 	}
-	var req *workload.Request
-	if n := len(r.free); n > 0 {
-		req = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		req = new(workload.Request) //apcvet:alloc pool miss: warm-up until the free list reaches steady-state depth
-	}
+	req, _ := r.pool.Get()
 	*req = workload.Request{
 		ID:          r.nextID,
 		Arrival:     r.eng.Now(),
@@ -225,7 +220,7 @@ func (r *Replay) emit() {
 //apcvet:poolput
 //apcvet:noalloc
 func (r *Replay) Release(req *workload.Request) {
-	r.free = append(r.free, req)
+	r.pool.Put(req)
 }
 
 // scaleTS maps a stream timestamp through the time scale. Scale 1 is

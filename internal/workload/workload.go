@@ -189,9 +189,9 @@ type Generator struct {
 	// arriveFn is the single arrival closure, created once so the
 	// steady-state arrival chain schedules without allocating.
 	arriveFn func()
-	// free holds requests handed back via Release for reuse by later
+	// pool holds requests handed back via Release for reuse by later
 	// arrivals.
-	free []*Request
+	pool sim.Pool[Request]
 }
 
 // NewGenerator builds a generator; sink receives each request at its
@@ -216,8 +216,8 @@ func NewGenerator(eng *sim.Engine, spec Spec, seed uint64, sink func(*Request)) 
 func (g *Generator) Spec() Spec { return g.spec }
 
 // Reset rewinds the generator to its initial state under a (possibly
-// new) spec and seed, keeping the arrival closure and the request free
-// list so a reused generator emits without allocating from the first
+// new) spec and seed, keeping the arrival closure and the request pool
+// so a reused generator emits without allocating from the first
 // arrival on. The caller must have reset (or drained) the engine first:
 // any pending arrival chain died with it, so Reset just forgets the
 // handle. A reset generator is indistinguishable from
@@ -261,13 +261,7 @@ func (g *Generator) scheduleNext() {
 //apcvet:noalloc
 func (g *Generator) emit() {
 	svc := g.spec.Service.Sample(g.rng)
-	var req *Request
-	if n := len(g.free); n > 0 {
-		req = g.free[n-1]
-		g.free = g.free[:n-1]
-	} else {
-		req = new(Request) //apcvet:alloc pool miss: warm-up until the free list reaches steady-state depth
-	}
+	req, _ := g.pool.Get()
 	*req = Request{
 		ID:          g.nextID,
 		Arrival:     g.eng.Now(),
@@ -288,5 +282,5 @@ func (g *Generator) emit() {
 //apcvet:poolput
 //apcvet:noalloc
 func (g *Generator) Release(req *Request) {
-	g.free = append(g.free, req)
+	g.pool.Put(req)
 }
