@@ -74,7 +74,7 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark suite: benchstat-comparable text in bench.txt plus a
-# machine-readable snapshot (BENCH_pr24.json by default; pass the next
+# machine-readable snapshot (BENCH_pr25.json by default; pass the next
 # PR's name as the second bench.sh argument) recording the perf
 # trajectory.
 bench:
@@ -82,7 +82,7 @@ bench:
 
 # The alloc-regression gate: reruns the suite into bench-gate.json and
 # fails if any benchmark allocates more per op than the committed
-# BENCH_pr24.json baseline (ns/op drift only warns). CI runs this on
+# BENCH_pr25.json baseline (ns/op drift only warns). CI runs this on
 # every push.
 benchgate:
 	scripts/benchgate.sh

@@ -1,7 +1,8 @@
 // Package na is the noalloc-pass fixture: annotated hot paths must
 // reject allocating constructs while the amortizing idioms the real
 // hot paths use — field appends, capture-free literals, pooled
-// warm-up branches under //apcvet:alloc — stay clean.
+// warm-up branches under //apcvet:alloc, records and funcs handed to
+// the engine as handlers — stay clean.
 package na
 
 type rec struct {
@@ -88,4 +89,37 @@ func (s *stack[T]) unannotated() {}
 func useStack(s *stack[rec], r *rec) {
 	s.push(r)       // annotated generic method: clean
 	s.unannotated() // want `call to example\.com/fixture/na\.\(stack\)\.unannotated, which is not annotated`
+}
+
+// handler mirrors sim.Handler: the engine fires what it is handed.
+type handler interface{ Fire() }
+
+// fn mirrors sim.Func, adapting a plain func to a handler.
+type fn func()
+
+func (f fn) Fire() { f() }
+
+// timer is a record's second event, a named type over the record.
+type timer rec
+
+func (t *timer) Fire() {}
+
+func (r *rec) Fire() {}
+
+// stamp is a handler held by value.
+type stamp struct{ a, b int64 }
+
+func (s stamp) Fire() {}
+
+//apcvet:noalloc
+func schedule(h handler) {}
+
+//apcvet:noalloc
+func handlers(r *rec, f func(), s stamp) {
+	schedule(r)           // pointer record as its own handler: clean
+	schedule((*timer)(r)) // pointer converted to a second handler type: clean
+	schedule(fn(f))       // existing func adapted to a handler: clean
+	var h handler = fn(f) // func-typed value in the interface word: clean
+	schedule(h)
+	schedule(s) // want `stamp value boxed into interface`
 }

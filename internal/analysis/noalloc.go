@@ -15,10 +15,11 @@ import (
 //     escape-prone) construction. Plain value struct literals are
 //     allowed — they copy on the stack.
 //   - func literals that capture variables: each creation allocates a
-//     closure. (Calling an existing func value is free and allowed;
-//     the PR 7 pattern — closures created once per pooled record,
-//     reused forever — suppresses the creation site with
-//     //apcvet:alloc and keeps the per-request path clean.)
+//     closure. (Calling an existing func value is free and allowed.
+//     Engine events need no closures at all: a record or device is its
+//     own sim.Handler, and converting a pointer — or an existing func
+//     value, as sim.Func does — to an interface stores it in the
+//     interface word without allocating.)
 //   - append to locally-rooted slices: a fresh backing array per call
 //     never amortizes. Appends of the form `x.f = append(x.f, ...)`
 //     onto long-lived storage (a field or package variable, e.g. a
@@ -26,7 +27,8 @@ import (
 //     and are allowed — exactly the semantics the runtime gate
 //     measures after priming.
 //   - conversions that box into an interface (non-pointer-shaped
-//     source) and string([]byte/[]rune) conversions.
+//     source: pointers, funcs, maps and chans are free) and
+//     string([]byte/[]rune) conversions.
 //   - direct calls to functions that are not themselves annotated
 //     //apcvet:noalloc, when the callee's package is in the
 //     annotation domain (declares at least one noalloc function).

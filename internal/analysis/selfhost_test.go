@@ -254,10 +254,63 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/server.(Server).Submit",
 		"agilepkgc/internal/server.(Server).step",
 		"agilepkgc/internal/server.(Server).recycle",
+		// Event handlers: every engine event fires one of these.
+		"agilepkgc/internal/sim.(Func).Fire",
+		"agilepkgc/internal/server.(inflight).Fire",
+		"agilepkgc/internal/server.(batchTimer).Fire",
+		"agilepkgc/internal/cluster.(routedReq).Fire",
+		"agilepkgc/internal/cluster.(attempt).Fire",
+		"agilepkgc/internal/cluster.(timeoutTimer).Fire",
+		"agilepkgc/internal/cluster.(hedgeTimer).Fire",
+		"agilepkgc/internal/cluster.(crashTimer).Fire",
+		"agilepkgc/internal/cluster.(repairTimer).Fire",
+		"agilepkgc/internal/cluster.(brownoutTimer).Fire",
+		"agilepkgc/internal/cluster.(brownoutEndTimer).Fire",
+		"agilepkgc/internal/cluster.(partitionTimer).Fire",
+		"agilepkgc/internal/cluster.(healTimer).Fire",
+		"agilepkgc/internal/cluster.(holdTimer).Fire",
+		"agilepkgc/internal/cluster.(feedbackTimer).Fire",
+		"agilepkgc/internal/workload.(arrivalTimer).Fire",
+		"agilepkgc/internal/workload/replay.(arrivalTimer).Fire",
+		"agilepkgc/internal/cpu.(coreTimer).Fire",
+		"agilepkgc/internal/ios.(standbyEntryTimer).Fire",
+		"agilepkgc/internal/ios.(standbyExitTimer).Fire",
+		"agilepkgc/internal/ios.(l1EntryTimer).Fire",
+		"agilepkgc/internal/ios.(l1ExitTimer).Fire",
+		"agilepkgc/internal/dram.(ckeEntryTimer).Fire",
+		"agilepkgc/internal/dram.(exitTimer).Fire",
+		"agilepkgc/internal/dram.(srEntryTimer).Fire",
+		"agilepkgc/internal/dram.(completeTimer).Fire",
+		"agilepkgc/internal/dram.(batchTimer).Fire",
+		"agilepkgc/internal/pdn.(rampTimer).Fire",
+		"agilepkgc/internal/clock.(lockTimer).Fire",
+		"agilepkgc/internal/core.(entryTimer).Fire",
+		"agilepkgc/internal/core.(wakeTimer).Fire",
+		"agilepkgc/internal/core.(pwrOkTimer).Fire",
+		"agilepkgc/internal/pmu.(flowTimer).Fire",
+		"agilepkgc/internal/soc.(memTimer).Fire",
+		"agilepkgc/internal/trace.(probeTimer).Fire",
 	}
 	for _, key := range noalloc {
 		if !facts.NoAlloc[key] {
 			t.Errorf("hot-path function %s is not annotated //apcvet:noalloc", key)
+		}
+	}
+	// The list above names today's handlers; this catches tomorrow's:
+	// any Fire method declared in the module is an event handler, so it
+	// must be noalloc too.
+	for _, pkg := range modulePkgs(t) {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil || fd.Name.Name != "Fire" {
+					continue
+				}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if ok && !facts.NoAlloc[analysis.FuncKey(fn)] {
+					t.Errorf("event handler %s is not annotated //apcvet:noalloc", analysis.FuncKey(fn))
+				}
+			}
 		}
 	}
 	pooled := []string{
@@ -295,6 +348,15 @@ func TestHotPathFactsCoverage(t *testing.T) {
 		"agilepkgc/internal/workload/replay",
 		"agilepkgc/internal/sim",
 		"agilepkgc/internal/server",
+		"agilepkgc/internal/cpu",
+		"agilepkgc/internal/ios",
+		"agilepkgc/internal/dram",
+		"agilepkgc/internal/pdn",
+		"agilepkgc/internal/clock",
+		"agilepkgc/internal/core",
+		"agilepkgc/internal/pmu",
+		"agilepkgc/internal/soc",
+		"agilepkgc/internal/trace",
 	} {
 		if !facts.InNoAllocDomain(pkg) {
 			t.Errorf("package %s dropped out of the noalloc annotation domain", pkg)

@@ -56,23 +56,29 @@ func (s PLLState) String() string {
 // PLL is an all-digital phase-locked loop.
 type PLL struct {
 	eng    *sim.Engine
-	name   string
+	name   sim.Name
 	state  PLLState
 	relock sim.Duration
 	ch     *power.Channel
 
-	lockEv sim.Event
-	// lockFn is locked, bound on the first TurnOn: a PLL that never
-	// powers off pays nothing for it.
-	lockFn   func()
+	lockEv   sim.Event // pending lock, fired as a lockTimer
 	onLocked []func()
 }
+
+// lockTimer is a PLL's lock event: the PLL itself, seen as a
+// sim.Handler.
+type lockTimer PLL
+
+// Fire completes a TurnOn.
+//
+//apcvet:noalloc
+func (t *lockTimer) Fire() { (*PLL)(t).locked() }
 
 // Init builds a locked PLL in place (systems boot with clocks running),
 // sets its power channel's draw, and returns p. ch may be nil for tests
 // that do not account power. Building in place lets a machine allocate
 // its PLLs as one slab.
-func (p *PLL) Init(eng *sim.Engine, name string, relock sim.Duration, ch *power.Channel) *PLL {
+func (p *PLL) Init(eng *sim.Engine, name sim.Name, relock sim.Duration, ch *power.Channel) *PLL {
 	*p = PLL{eng: eng, name: name, state: PLLLocked, relock: relock, ch: ch}
 	if ch != nil {
 		ch.Set(ADPLLPowerWatts)
@@ -81,15 +87,19 @@ func (p *PLL) Init(eng *sim.Engine, name string, relock sim.Duration, ch *power.
 }
 
 // Name returns the PLL name.
-func (p *PLL) Name() string { return p.name }
+func (p *PLL) Name() string { return p.name.String() }
 
 // State returns the current state.
 func (p *PLL) State() PLLState { return p.state }
 
 // Locked reports whether the output clock is usable.
+//
+//apcvet:noalloc
 func (p *PLL) Locked() bool { return p.state == PLLLocked }
 
 // RelockLatency returns the configured power-on lock time.
+//
+//apcvet:noalloc
 func (p *PLL) RelockLatency() sim.Duration { return p.relock }
 
 // OnLocked registers a callback fired every time the PLL reaches lock.
@@ -98,6 +108,8 @@ func (p *PLL) OnLocked(fn func()) { p.onLocked = append(p.onLocked, fn) }
 // TurnOff powers the PLL down immediately. Its clock consumers must have
 // been gated first; this model does not enforce that ordering, the PMU
 // flows do.
+//
+//apcvet:noalloc
 func (p *PLL) TurnOff() {
 	if p.state == PLLOff {
 		return
@@ -112,6 +124,8 @@ func (p *PLL) TurnOff() {
 
 // TurnOn begins powering up; the PLL reaches lock after its re-lock
 // latency. Turning on a locking or locked PLL is a no-op.
+//
+//apcvet:noalloc
 func (p *PLL) TurnOn() {
 	if p.state != PLLOff {
 		return
@@ -120,13 +134,12 @@ func (p *PLL) TurnOn() {
 	if p.ch != nil {
 		p.ch.Set(ADPLLPowerWatts)
 	}
-	if p.lockFn == nil {
-		p.lockFn = p.locked
-	}
-	p.lockEv = p.eng.Schedule(p.relock, p.lockFn)
+	p.lockEv = p.eng.Schedule(p.relock, (*lockTimer)(p))
 }
 
 // locked completes a TurnOn.
+//
+//apcvet:noalloc
 func (p *PLL) locked() {
 	p.lockEv = sim.Event{}
 	p.state = PLLLocked

@@ -19,7 +19,7 @@ func TestPLLStateString(t *testing.T) {
 
 func TestPLLStartsLocked(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "clm", DefaultRelockLatency, nil)
+	p := new(PLL).Init(eng, sim.Named("clm"), DefaultRelockLatency, nil)
 	if !p.Locked() || p.State() != PLLLocked {
 		t.Fatal("PLL should start locked")
 	}
@@ -33,7 +33,7 @@ func TestPLLStartsLocked(t *testing.T) {
 
 func TestPLLOffOnRelock(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "x", 3*sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("x"), 3*sim.Microsecond, nil)
 	lockedAt := sim.Time(-1)
 	p.OnLocked(func() { lockedAt = eng.Now() })
 
@@ -61,7 +61,7 @@ func TestPLLOffOnRelock(t *testing.T) {
 
 func TestPLLIdempotentTransitions(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "x", sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("x"), sim.Microsecond, nil)
 	locks := 0
 	p.OnLocked(func() { locks++ })
 	p.TurnOn() // already locked: no-op
@@ -81,7 +81,7 @@ func TestPLLIdempotentTransitions(t *testing.T) {
 
 func TestPLLTurnOffDuringLockingCancels(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "x", sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("x"), sim.Microsecond, nil)
 	locks := 0
 	p.OnLocked(func() { locks++ })
 	p.TurnOff()
@@ -97,8 +97,8 @@ func TestPLLTurnOffDuringLockingCancels(t *testing.T) {
 func TestPLLPowerAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
-	ch := m.Channel("pll", power.Package)
-	p := new(PLL).Init(eng, "x", sim.Microsecond, ch)
+	ch := m.Channel(sim.Named("pll"), power.Package)
+	p := new(PLL).Init(eng, sim.Named("x"), sim.Microsecond, ch)
 	if w := m.Power(power.Package); w != ADPLLPowerWatts {
 		t.Fatalf("locked PLL power %v, want %v", w, ADPLLPowerWatts)
 	}
@@ -120,7 +120,7 @@ func TestPLLPowerAccounting(t *testing.T) {
 
 func TestTreeGating(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "clm", sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
 	tr := NewTree("clm", p)
 	if tr.Name() != "clm" {
 		t.Fatal("tree name wrong")
@@ -141,7 +141,7 @@ func TestTreeGating(t *testing.T) {
 
 func TestTreeNotRunningWhenPLLOff(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "clm", sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
 	tr := NewTree("clm", p)
 	p.TurnOff()
 	if tr.Running() {
@@ -151,7 +151,7 @@ func TestTreeNotRunningWhenPLLOff(t *testing.T) {
 
 func TestUngateWithUnlockedPLLPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "clm", sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
 	tr := NewTree("clm", p)
 	tr.Gate()
 	p.TurnOff()
@@ -168,7 +168,7 @@ func TestUngateWithUnlockedPLLPanics(t *testing.T) {
 // saves 7 mW but costs a microsecond-scale relock.
 func TestRelockVsGateAsymmetry(t *testing.T) {
 	eng := sim.NewEngine()
-	p := new(PLL).Init(eng, "clm", 3*sim.Microsecond, nil)
+	p := new(PLL).Init(eng, sim.Named("clm"), 3*sim.Microsecond, nil)
 	tr := NewTree("clm", p)
 
 	// PC1A-style: gate only.

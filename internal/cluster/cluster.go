@@ -240,6 +240,7 @@ type Config struct {
 // the balancer adds only what the server cannot know: its rack, how many
 // arrivals were assigned to it and how many it leaked at drain time.
 type member struct {
+	f       *Fleet // owning fleet, reached by the member's event handlers
 	sys     *soc.System
 	srv     *server.Server
 	idx     int          // position in Fleet.members (tree leaf index)
@@ -274,17 +275,14 @@ type member struct {
 	hedged    uint64     // hedged copies routed here
 	crashes   uint64     // crash faults injected
 	brownouts uint64     // brownout faults injected
-	crashFns  faultFns   // crash and repair events, bound once (see faultFns)
-	brownFns  faultFns   // brownout start and end events, bound once
 
 	// Controller state (inert unless the fleet has one; see drain.go).
-	state        memberState
-	holdStart    sim.Time         // when the current hold began (stale-expiry filter)
-	holdExpireFn func()           // preallocated hold-expiry callback (see holdMember)
-	drains       uint64           // completed drains (entries into the held state)
-	capMax       int              // feedback additive-increase ceiling
-	netLat       sim.Duration     // effective client RTT component (ToR return folded in)
-	win          *stats.Histogram // current-epoch latency window (feedback only)
+	state     memberState
+	holdStart sim.Time         // when the current hold began (stale-expiry filter)
+	drains    uint64           // completed drains (entries into the held state)
+	capMax    int              // feedback additive-increase ceiling
+	netLat    sim.Duration     // effective client RTT component (ToR return folded in)
+	win       *stats.Histogram // current-epoch latency window (feedback only)
 }
 
 // Fleet is N servers behind one load balancer on one engine.
@@ -298,9 +296,6 @@ type Fleet struct {
 	members []*member
 	byRack  [][]*member
 	rr      int
-	// partFns are each rack's partition and heal events, bound once
-	// (see faultFns).
-	partFns []faultFns
 
 	// Incremental policy structures (tree.go): a segment tree over the
 	// members plus per-rack and fleet-level occupancy counters, kept in
@@ -329,13 +324,17 @@ type Fleet struct {
 	// keeps the fault-free fleet byte-identical — routing pays exactly
 	// one nil check. See faults.go and recovery.go.
 	flt *faultState
+	// faults is the fault layer's storage, kept across resets so a
+	// reused faulty fleet keeps its record pools; flt points at it while
+	// the layer is attached.
+	faults *faultState
 
 	// meas is the instrumentation scratch Measure reuses across calls
 	// and reset cycles (see MeasureInto).
 	meas measScratch
 
 	// onResolve, when non-nil, observes the final resolution of every
-	// request the balancer accepted: success (the completion callback
+	// request the balancer accepted: success (the completion handler
 	// fired, or the fault layer recorded an OK) or failure (exhausted
 	// retries, shed). It fires after the fleet's own bookkeeping, with
 	// the request already released, so it receives plain fields. The
@@ -468,7 +467,7 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 		eff.Server.NetworkLatency += tor
 		var m *member
 		if fresh {
-			m = &member{idx: i, rack: rack}
+			m = &member{f: f, idx: i, rack: rack}
 			f.members = append(f.members, m)
 			f.byRack[rack] = append(f.byRack[rack], m)
 		} else {
@@ -505,8 +504,8 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 
 // reset zeroes a member's per-run state ahead of a rebuild. Everything
 // configuration-derived (tor, cap, netLat, the system and server) is
-// overwritten by build, and the controller fields it leaves alone
-// (holdExpireFn, win) are refreshed by initController.
+// overwritten by build, and the controller field it leaves alone (win)
+// is refreshed by initController.
 func (m *member) reset() {
 	m.transit, m.load = 0, 0
 	m.agg = memberAgg{}
@@ -641,36 +640,35 @@ func (f *Fleet) load(m *member) int { return m.load }
 
 // routedReq is the pooled per-arrival record of the fault-free path.
 // Its steps run strictly in sequence — ToR transit delivery, then
-// completion — so one callback, bound when the pool first hands the
-// record out, serves both and switches on transit: a remote-rack
-// arrival fires it once for delivery and once for completion, a local
-// one only for completion.
+// completion — so the record itself is the sim.Handler of both and
+// switches on transit: a remote-rack arrival fires it once for delivery
+// and once for completion, a local one only for completion.
 //
 //apcvet:pooled
 type routedReq struct {
 	f       *Fleet
 	m       *member
 	req     *workload.Request
-	transit bool // riding the ToR hop; the next call delivers
-	fn      func()
+	transit bool // riding the ToR hop; the next Fire delivers
 }
 
-// newRouted takes a record from the pool (binding its callback on
-// first use) and binds it to this arrival's assignment.
+// Fire runs the record's next step.
+//
+//apcvet:noalloc
+func (r *routedReq) Fire() { r.f.routedStep(r) }
+
+// newRouted takes a record from the pool and binds it to this
+// arrival's assignment.
 //
 //apcvet:noalloc
 func (f *Fleet) newRouted(m *member, req *workload.Request) *routedReq {
-	r, fresh := f.routed.Get()
-	if fresh {
-		r.f = f
-		r.fn = func() { r.f.routedStep(r) } //apcvet:alloc created once per record; reused for every later request
-	}
-	r.m, r.req = m, req
+	r, _ := f.routed.Get()
+	r.f, r.m, r.req = f, m, req
 	return r
 }
 
-// routedStep is a routed record's callback: the end of its ToR hop
-// (submit to the member) or its completion.
+// routedStep is a routed record's step: the end of its ToR hop (submit
+// to the member) or its completion.
 //
 //apcvet:noalloc
 func (f *Fleet) routedStep(r *routedReq) {
@@ -678,7 +676,7 @@ func (f *Fleet) routedStep(r *routedReq) {
 	if r.transit {
 		r.transit = false
 		m.transit--
-		m.srv.Submit(req, r.fn)
+		m.srv.Submit(req, r)
 		return
 	}
 	m.load--
@@ -728,9 +726,9 @@ func (f *Fleet) route(req *workload.Request) {
 	if m.tor > 0 {
 		m.transit++
 		r.transit = true
-		f.eng.Schedule(m.tor, r.fn)
+		f.eng.Schedule(m.tor, r)
 	} else {
-		m.srv.Submit(req, r.fn)
+		m.srv.Submit(req, r)
 	}
 	if f.ctrl != nil && f.ctrl.hold > 0 {
 		f.maybeDrain()

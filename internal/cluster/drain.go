@@ -113,13 +113,6 @@ func (f *Fleet) initController() {
 		} else {
 			m.win = nil
 		}
-		m := m
-		m.holdExpireFn = func() {
-			if m.state == stHeld && f.eng.Now() == m.holdStart+f.ctrl.hold {
-				m.state = stActive
-				f.touch(m)
-			}
-		}
 	}
 	if f.ctrl.epoch > 0 {
 		f.armFeedback()
@@ -245,12 +238,12 @@ func (f *Fleet) drainMember(m *member) {
 // DrainHold of virtual time the balancer will not route to it, so the
 // idle period it just entered is at least that long — long enough for
 // the package to sink into PC1A instead of flapping at the frontier.
-// The expiry callback is preallocated per member (initController); the
-// holdStart stamp filters stale expiries, so a member drained again
-// after a crash release or emergency re-admission cannot be woken by an
-// earlier hold's timer (a stale event's fire time no longer equals
-// holdStart + hold; if the re-hold started at the very same instant the
-// two expiries coincide and both are correct).
+// The expiry is the member seen as a holdTimer; the holdStart stamp
+// filters stale expiries, so a member drained again after a crash
+// release or emergency re-admission cannot be woken by an earlier
+// hold's timer (a stale event's fire time no longer equals holdStart +
+// hold; if the re-hold started at the very same instant the two
+// expiries coincide and both are correct).
 //
 //apcvet:noalloc
 func (f *Fleet) holdMember(m *member) {
@@ -258,19 +251,43 @@ func (f *Fleet) holdMember(m *member) {
 	m.drains++
 	m.holdStart = f.eng.Now()
 	f.touch(m)
-	f.eng.Schedule(f.ctrl.hold, m.holdExpireFn)
+	f.eng.Schedule(f.ctrl.hold, (*holdTimer)(m))
+}
+
+// holdTimer is a member's hold expiry: the member seen as a
+// sim.Handler.
+type holdTimer member
+
+// Fire ends the member's hold unless a later hold replaced it.
+//
+//apcvet:noalloc
+func (t *holdTimer) Fire() {
+	m := (*member)(t)
+	f := m.f
+	if m.state == stHeld && f.eng.Now() == m.holdStart+f.ctrl.hold {
+		m.state = stActive
+		f.touch(m)
+	}
+}
+
+// feedbackTimer is the feedback loop's epoch event: the fleet seen as a
+// sim.Handler.
+type feedbackTimer Fleet
+
+// Fire runs one epoch's cap update and schedules the next.
+//
+//apcvet:noalloc
+func (t *feedbackTimer) Fire() {
+	f := (*Fleet)(t)
+	f.recomputeCaps()
+	f.eng.Schedule(f.ctrl.epoch, t)
 }
 
 // armFeedback schedules the SLA feedback loop: one engine event per
 // FeedbackEpoch of virtual time, forever. The recompute cost is paid
 // here — O(members) per epoch — never on the per-request routing path.
 func (f *Fleet) armFeedback() {
-	var tick func()
-	tick = func() {
-		f.recomputeCaps()
-		f.eng.Schedule(f.ctrl.epoch, tick)
-	}
-	f.eng.Schedule(f.ctrl.epoch, tick)
+	f.eng.Schedule(f.ctrl.epoch, (*feedbackTimer)(f))
 }
 
 // recomputeCaps is the per-epoch cap update: AIMD on each member's

@@ -152,7 +152,9 @@ const (
 
 // faultState is the per-fleet fault layer: injection processes plus the
 // request-robustness bookkeeping in recovery.go. Fleet.flt stays nil
-// unless FaultConfig.Enabled() — the parity contract.
+// unless FaultConfig.Enabled() — the parity contract. A fleet keeps its
+// faultState across resets (Fleet.faults) and rewinds it in place, so a
+// reused faulty fleet keeps its record pools and histograms.
 type faultState struct {
 	f   *Fleet
 	cfg FaultConfig
@@ -181,8 +183,9 @@ type faultState struct {
 	hedged  uint64 // hedged copies submitted
 	shed    uint64 // arrivals dropped at the balancer (overload/no capacity)
 
-	partitioned []bool   // per-rack: ToR currently cut
-	partitions  []uint64 // per-rack: partition count
+	partitioned []bool      // per-rack: ToR currently cut
+	partitions  []uint64    // per-rack: partition count
+	racks       []rackFault // per-rack: partition and heal events
 
 	// Record pools (see recovery.go): steady-state fault-layer routing
 	// reuses logical-request and attempt records instead of allocating
@@ -194,6 +197,8 @@ type faultState struct {
 // expDur draws one exponential duration with the given mean from the
 // stream, floored at one engine tick so a pathological draw cannot
 // schedule into the current instant's past.
+//
+//apcvet:noalloc
 func expDur(rng *stats.RNG, mean sim.Duration) sim.Duration {
 	d := sim.Duration(rng.ExpFloat64() * float64(mean))
 	if d < 1 {
@@ -204,22 +209,41 @@ func expDur(rng *stats.RNG, mean sim.Duration) sim.Duration {
 
 // initFaults attaches the fault layer when the configuration asks for
 // one and arms the injection processes. Members are armed in index
-// order and racks in rack order, so stream consumption is fixed.
+// order and racks in rack order, so stream consumption is fixed. The
+// first attachment builds the layer; later ones (a reset fleet) rewind
+// it in place.
 func (f *Fleet) initFaults(seed uint64) {
 	if !f.cfg.Faults.Enabled() {
 		return
 	}
-	fs := &faultState{
-		f:           f,
-		cfg:         f.cfg.Faults,
-		crashRNG:    stats.NewRNG(seed ^ crashSeedSalt),
-		brownRNG:    stats.NewRNG(seed ^ brownSeedSalt),
-		partRNG:     stats.NewRNG(seed ^ partitionSeedSalt),
-		lat:         stats.NewLatencyHistogram(),
-		recovery:    stats.NewLatencyHistogram(),
-		partitioned: make([]bool, f.topo.Racks),
-		partitions:  make([]uint64, f.topo.Racks),
+	fs := f.faults
+	if fs == nil {
+		fs = &faultState{
+			f:           f,
+			crashRNG:    stats.NewRNG(seed ^ crashSeedSalt),
+			brownRNG:    stats.NewRNG(seed ^ brownSeedSalt),
+			partRNG:     stats.NewRNG(seed ^ partitionSeedSalt),
+			lat:         stats.NewLatencyHistogram(),
+			recovery:    stats.NewLatencyHistogram(),
+			partitioned: make([]bool, f.topo.Racks),
+			partitions:  make([]uint64, f.topo.Racks),
+			racks:       make([]rackFault, f.topo.Racks),
+		}
+		for r := range fs.racks {
+			fs.racks[r] = rackFault{fs: fs, r: r}
+		}
+		f.faults = fs
+	} else {
+		fs.crashRNG.Reseed(seed ^ crashSeedSalt)
+		fs.brownRNG.Reseed(seed ^ brownSeedSalt)
+		fs.partRNG.Reseed(seed ^ partitionSeedSalt)
+		fs.lat.Reset()
+		fs.recovery.Reset()
+		fs.ok, fs.failed, fs.retried, fs.hedged, fs.shed = 0, 0, 0, 0, 0
+		clear(fs.partitioned)
+		clear(fs.partitions)
 	}
+	fs.cfg = f.cfg.Faults
 	f.flt = fs
 	if fs.cfg.MTBF > 0 {
 		for _, m := range f.members {
@@ -245,21 +269,65 @@ func (f *Fleet) initFaults(seed uint64) {
 //apcvet:noalloc
 func (m *member) alive() bool { return !m.down && !m.cut }
 
-// faultFns is one fault family's pair of event callbacks for one
-// member (crash and repair, brownout and its end) or one rack
-// (partition and heal). A pair is bound the first time its family is
-// armed and kept across resets: the callbacks reach the fault layer
-// through the fleet when they fire, so they never go stale, and no
-// fault event allocates.
-type faultFns struct{ start, end func() }
+// A member's fault events are the member seen as one sim.Handler per
+// event: crash and repair, brownout and its end. A crash and a brownout
+// can be pending together, so each event has its own type. They reach
+// the fault layer through the fleet when they fire, so they never go
+// stale across resets, and scheduling one allocates nothing.
+type (
+	crashTimer       member
+	repairTimer      member
+	brownoutTimer    member
+	brownoutEndTimer member
+)
+
+// Fire crashes the member.
+//
+//apcvet:noalloc
+func (t *crashTimer) Fire() { m := (*member)(t); m.f.flt.crash(m) }
+
+// Fire repairs the member.
+//
+//apcvet:noalloc
+func (t *repairTimer) Fire() { m := (*member)(t); m.f.flt.repair(m) }
+
+// Fire browns the member out.
+//
+//apcvet:noalloc
+func (t *brownoutTimer) Fire() { m := (*member)(t); m.f.flt.brownout(m) }
+
+// Fire ends the member's brownout.
+//
+//apcvet:noalloc
+func (t *brownoutEndTimer) Fire() { m := (*member)(t); m.f.flt.brownoutEnd(m) }
+
+// rackFault is one rack's partition process; its partition and heal
+// events are the rackFault seen as a sim.Handler of each.
+type rackFault struct {
+	fs *faultState
+	r  int
+}
+
+type (
+	partitionTimer rackFault
+	healTimer      rackFault
+)
+
+// Fire cuts the rack's ToR uplink.
+//
+//apcvet:noalloc
+func (t *partitionTimer) Fire() { t.fs.partition(t.r) }
+
+// Fire restores the rack's ToR uplink.
+//
+//apcvet:noalloc
+func (t *healTimer) Fire() { t.fs.heal(t.r) }
 
 // armCrash schedules the member's next crash.
+//
+//apcvet:noalloc
 func (fs *faultState) armCrash(m *member) {
-	if m.crashFns.start == nil {
-		f := fs.f
-		m.crashFns = faultFns{func() { f.flt.crash(m) }, func() { f.flt.repair(m) }}
-	}
-	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTBF), m.crashFns.start)
+	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTBF), (*crashTimer)(m))
 }
 
 // crash takes the member down: it is unreachable until repair, every
@@ -268,6 +336,8 @@ func (fs *faultState) armCrash(m *member) {
 // decision is void once the machine is gone, and the hold-start stamp
 // keeps the already-scheduled hold expiry from firing on the repaired
 // member's next drain.
+//
+//apcvet:noalloc
 func (fs *faultState) crash(m *member) {
 	m.down = true
 	m.crashes++
@@ -276,12 +346,14 @@ func (fs *faultState) crash(m *member) {
 	}
 	fs.f.touch(m)
 	fs.failLive(m)
-	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTTR), m.crashFns.end)
+	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTTR), (*repairTimer)(m))
 }
 
 // repair brings the member back: it is immediately routable again (its
 // packing cap is unchanged — the feedback loop, if armed, re-learns it)
 // and the next crash is drawn from the same stream.
+//
+//apcvet:noalloc
 func (fs *faultState) repair(m *member) {
 	m.down = false
 	fs.f.touch(m)
@@ -289,12 +361,10 @@ func (fs *faultState) repair(m *member) {
 }
 
 // armBrownout schedules the member's next brownout.
+//
+//apcvet:noalloc
 func (fs *faultState) armBrownout(m *member) {
-	if m.brownFns.start == nil {
-		f := fs.f
-		m.brownFns = faultFns{func() { f.flt.brownout(m) }, func() { f.flt.brownoutEnd(m) }}
-	}
-	fs.f.eng.Schedule(expDur(fs.brownRNG, fs.cfg.BrownoutMTBF), m.brownFns.start)
+	fs.f.eng.Schedule(expDur(fs.brownRNG, fs.cfg.BrownoutMTBF), (*brownoutTimer)(m))
 }
 
 // brownout degrades the member for the configured duration: requests
@@ -302,34 +372,35 @@ func (fs *faultState) armBrownout(m *member) {
 // stays routable — a brownout is a performance fault, not an
 // availability fault — so the cap policies keep packing onto it and
 // pay the tail, which is exactly the production failure mode.
+//
+//apcvet:noalloc
 func (fs *faultState) brownout(m *member) {
 	m.brown = true
 	m.brownouts++
-	fs.f.eng.Schedule(fs.cfg.BrownoutDuration, m.brownFns.end)
+	fs.f.eng.Schedule(fs.cfg.BrownoutDuration, (*brownoutEndTimer)(m))
 }
 
 // brownoutEnd restores the member's speed and draws its next brownout.
+//
+//apcvet:noalloc
 func (fs *faultState) brownoutEnd(m *member) {
 	m.brown = false
 	fs.armBrownout(m)
 }
 
 // armPartition schedules rack r's next ToR partition.
+//
+//apcvet:noalloc
 func (fs *faultState) armPartition(r int) {
-	f := fs.f
-	if f.partFns == nil {
-		f.partFns = make([]faultFns, f.topo.Racks)
-	}
-	if f.partFns[r].start == nil {
-		f.partFns[r] = faultFns{func() { f.flt.partition(r) }, func() { f.flt.heal(r) }}
-	}
-	f.eng.Schedule(expDur(fs.partRNG, fs.cfg.TorPartitionMTBF), f.partFns[r].start)
+	fs.f.eng.Schedule(expDur(fs.partRNG, fs.cfg.TorPartitionMTBF), (*partitionTimer)(&fs.racks[r]))
 }
 
 // partition cuts rack r's ToR uplink: every member becomes unreachable,
 // and every response the rack owed is lost — it cannot cross the cut.
 // Members keep serving their internal backlog; only the client-visible
 // outcome is lost.
+//
+//apcvet:noalloc
 func (fs *faultState) partition(r int) {
 	fs.partitioned[r] = true
 	fs.partitions[r]++
@@ -338,10 +409,12 @@ func (fs *faultState) partition(r int) {
 		fs.f.touch(m)
 		fs.failLive(m)
 	}
-	fs.f.eng.Schedule(fs.cfg.TorPartitionDuration, fs.f.partFns[r].end)
+	fs.f.eng.Schedule(fs.cfg.TorPartitionDuration, (*healTimer)(&fs.racks[r]))
 }
 
 // heal restores rack r's uplink and draws the next partition.
+//
+//apcvet:noalloc
 func (fs *faultState) heal(r int) {
 	fs.partitioned[r] = false
 	for _, m := range fs.f.byRack[r] {
@@ -357,6 +430,8 @@ func (fs *faultState) heal(r int) {
 // instant. The member is unreachable by now, so no retry joins its live
 // set while the old entries are lost, and the set keeps its backing
 // array for the next run of submissions.
+//
+//apcvet:noalloc
 func (fs *faultState) failLive(m *member) {
 	pending := m.live
 	m.live = pending[:0]

@@ -48,13 +48,12 @@ const maxTimeoutShift = 20
 // logicalReq is one client request as the balancer tracks it: the
 // original arrival plus the retry/hedge bookkeeping. It resolves
 // exactly once (done), as a success, a failure, or — before it is ever
-// created — a shed. Records are pooled (faultState.logicals): the
-// timeout and hedge callbacks are bound when the pool first hands the
-// record out, and the record returns to the pool at resolution. The two
-// timers can be pending at once, so unlike the sequential records each
-// has its own callback. Zombie attempts may still point at a recycled
-// record, which is why every late reader guards with at.lost before
-// dereferencing lr.
+// created — a shed. Records are pooled (faultState.logicals) and return
+// to the pool at resolution. The timeout and the hedge can be pending
+// at once, so unlike the sequential records each timer is its own
+// handler type over the record (timeoutTimer, hedgeTimer). Zombie
+// attempts may still point at a recycled record, which is why every
+// late reader guards with at.lost before dereferencing lr.
 //
 //apcvet:pooled
 type logicalReq struct {
@@ -76,9 +75,30 @@ type logicalReq struct {
 	liveBuf [2]*attempt // at most 2 live copies: primary + hedge
 	timeout sim.Event   // pending per-attempt timeout
 	hedge   sim.Event   // pending hedge trigger
+}
 
-	timeoutFn func() // preallocated: fs.timeoutFire(this)
-	hedgeFn   func() // preallocated: fs.hedgeFire(this)
+// timeoutTimer and hedgeTimer are a logical request's two timers: the
+// record seen as a sim.Handler of each, so arming either converts a
+// pointer into the pool's slab and allocates nothing.
+type (
+	timeoutTimer logicalReq
+	hedgeTimer   logicalReq
+)
+
+// Fire expires the outstanding attempt.
+//
+//apcvet:noalloc
+func (t *timeoutTimer) Fire() {
+	lr := (*logicalReq)(t)
+	lr.fs.timeoutFire(lr)
+}
+
+// Fire submits the hedged copy.
+//
+//apcvet:noalloc
+func (t *hedgeTimer) Fire() {
+	lr := (*logicalReq)(t)
+	lr.fs.hedgeFire(lr)
 }
 
 // attempt is one submitted copy of a logical request, tracked on both
@@ -87,8 +107,8 @@ type logicalReq struct {
 // the machine is ignored — the zombie keeps the machine's power and
 // occupancy honest but produces no client-visible response. Records are
 // pooled (faultState.attempts). Delivery and completion run strictly in
-// sequence, so one callback, bound when the pool first hands the record
-// out, serves both and switches on transit. The submitted request
+// sequence, so the record itself is the sim.Handler of both and
+// switches on transit. The submitted request
 // itself is the embedded req value, valid until the record is freed —
 // in complete for every attempt the server saw, or at transit arrival
 // for copies dropped on the hop.
@@ -100,15 +120,13 @@ type attempt struct {
 	m       *member
 	liveIdx int // index in m.live; -1 once detached
 	lost    bool
-	transit bool // riding the ToR hop; the next call is transitArrive
+	transit bool // riding the ToR hop; the next Fire is transitArrive
 
 	req workload.Request
-	fn  func() // transitArrive while transit, then complete
 }
 
-// newLogical takes a record from the pool (binding its callbacks on
-// first use) and resets it, keeping its callbacks and live backing
-// array.
+// newLogical takes a record from the pool and resets it, keeping its
+// live backing array.
 //
 //apcvet:noalloc
 func (fs *faultState) newLogical() *logicalReq {
@@ -116,11 +134,9 @@ func (fs *faultState) newLogical() *logicalReq {
 	if fresh {
 		lr.fs = fs
 		lr.live = lr.liveBuf[:0]
-		lr.timeoutFn = func() { lr.fs.timeoutFire(lr) } //apcvet:alloc created once per record; reused for every later request
-		lr.hedgeFn = func() { lr.fs.hedgeFire(lr) }     //apcvet:alloc created once per record; reused for every later request
 		return lr
 	}
-	*lr = logicalReq{fs: lr.fs, live: lr.live[:0], timeoutFn: lr.timeoutFn, hedgeFn: lr.hedgeFn}
+	*lr = logicalReq{fs: lr.fs, live: lr.live[:0]}
 	return lr
 }
 
@@ -135,31 +151,27 @@ func (fs *faultState) freeLogical(lr *logicalReq) {
 	fs.logicals.Put(lr)
 }
 
-// newAttempt takes an attempt record from the pool (binding its
-// callback on first use) and binds it to one copy of lr aimed at m.
+// newAttempt takes an attempt record from the pool and binds it to one
+// copy of lr aimed at m.
 //
 //apcvet:noalloc
 func (fs *faultState) newAttempt(lr *logicalReq, m *member) *attempt {
-	at, fresh := fs.attempts.Get()
-	if fresh {
-		at.fs = fs
-		at.fn = func() { at.fs.attemptStep(at) } //apcvet:alloc created once per record; reused for every later request
-	}
-	at.lr, at.m, at.lost, at.liveIdx = lr, m, false, -1
+	at, _ := fs.attempts.Get()
+	at.fs, at.lr, at.m, at.lost, at.liveIdx = fs, lr, m, false, -1
 	return at
 }
 
-// attemptStep is an attempt's callback: the end of its ToR hop, or its
+// Fire runs the attempt's next step: the end of its ToR hop, or its
 // completion.
 //
 //apcvet:noalloc
-func (fs *faultState) attemptStep(at *attempt) {
+func (at *attempt) Fire() {
 	if at.transit {
 		at.transit = false
-		fs.transitArrive(at)
+		at.fs.transitArrive(at)
 		return
 	}
-	fs.complete(at)
+	at.fs.complete(at)
 }
 
 // freeAttempt recycles an attempt record once nothing can call back
@@ -201,7 +213,7 @@ func (fs *faultState) route(req *workload.Request) {
 	fs.f.gen.Release(req)
 	fs.dispatch(lr)
 	if fs.cfg.HedgeDelay > 0 && !lr.done {
-		lr.hedge = fs.f.eng.Schedule(fs.cfg.HedgeDelay, lr.hedgeFn)
+		lr.hedge = fs.f.eng.Schedule(fs.cfg.HedgeDelay, (*hedgeTimer)(lr))
 	}
 }
 
@@ -234,7 +246,7 @@ func (fs *faultState) dispatch(lr *logicalReq) {
 			}
 		}
 		lr.timeout.Cancel()
-		lr.timeout = fs.f.eng.Schedule(d, lr.timeoutFn)
+		lr.timeout = fs.f.eng.Schedule(d, (*timeoutTimer)(lr))
 	}
 }
 
@@ -319,9 +331,9 @@ func (fs *faultState) submitTo(lr *logicalReq, m *member) {
 	if m.tor > 0 {
 		m.transit++
 		at.transit = true
-		f.eng.Schedule(m.tor, at.fn)
+		f.eng.Schedule(m.tor, at)
 	} else {
-		m.srv.Submit(&at.req, at.fn)
+		m.srv.Submit(&at.req, at)
 	}
 	if f.ctrl != nil && f.ctrl.hold > 0 {
 		f.maybeDrain()
@@ -357,7 +369,7 @@ func (fs *faultState) transitArrive(at *attempt) {
 		fs.freeAttempt(at)
 		return
 	}
-	m.srv.Submit(&at.req, at.fn)
+	m.srv.Submit(&at.req, at)
 }
 
 // complete observes one attempt's response leaving its member's NIC.

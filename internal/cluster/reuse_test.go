@@ -253,3 +253,62 @@ func TestRouteSteadyStateAllocsTiered(t *testing.T) {
 		t.Errorf("two-tier graph: steady-state Run allocates %.1f times per ms window, want 0", allocs)
 	}
 }
+
+// TestFaultLayerKeptAcrossReset pins that a reset keeps a faulty
+// fleet's fault layer: the records the first point handed back stay in
+// the pools, so the second point's first logical requests and attempts
+// allocate nothing, and the reset point still measures exactly as a
+// fresh fleet.
+func TestFaultLayerKeptAcrossReset(t *testing.T) {
+	const warmup, window = 3 * sim.Millisecond, 15 * sim.Millisecond
+	cfg := resetConfig(resetCases[3].cfg)
+	if !cfg.Faults.Enabled() {
+		t.Fatal("the reset case lost its fault layer")
+	}
+	// A bursty spec carries its arrival state, so every build gets its own.
+	spec := func() workload.Spec { return workload.MemcachedBursty(40000, 4) }
+	g, err := NewGraph(oneTier(cfg, spec()), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Measure(warmup, window)
+	fl := g.tiers[0].fl
+	fs := fl.flt
+	nl, na := fs.logicals.Free(), fs.attempts.Free()
+	if nl < 2 || na < 2 {
+		t.Fatalf("first point left %d logical and %d attempt records in the pools, want several", nl, na)
+	}
+
+	if err := g.Reset(oneTier(cfg, spec()), 7); err != nil {
+		t.Fatal(err)
+	}
+	if fl.flt != fs {
+		t.Fatal("Reset rebuilt the fault layer instead of rewinding it")
+	}
+	// AllocsPerRun calls its function once more to warm up, so each
+	// call draws half of what the pools hold.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < nl/2; i++ {
+			fs.newLogical()
+		}
+		for i := 0; i < na/2; i++ {
+			fs.newAttempt(nil, fl.members[0])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the reset point's first %d logical and %d attempt records allocated %v times, want 0", nl, na, allocs)
+	}
+
+	// The draws above dirtied the pools; a reset point must not care.
+	if err := g.Reset(oneTier(cfg, spec()), 7); err != nil {
+		t.Fatal(err)
+	}
+	got := g.Measure(warmup, window).Tiers[0].Fleet
+	fresh, err := New(cfg, spec(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.Measure(warmup, window); !reflect.DeepEqual(want, got) {
+		t.Errorf("reset faulty fleet diverged from a fresh one:\nfresh: %+v\nreset: %+v", want, got)
+	}
+}

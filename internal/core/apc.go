@@ -49,6 +49,8 @@ func DefaultConfig() Config {
 }
 
 // cycle returns the duration of ActionCycles FSM cycles.
+//
+//apcvet:noalloc
 func (c Config) cycle() sim.Duration {
 	perCycle := 1e9 / c.ClockHz // ns
 	return sim.Duration(float64(c.ActionCycles) * perCycle)
@@ -75,13 +77,7 @@ type APMU struct {
 	state   pmu.PkgState // PC0, ACC1 or PC1A
 	exiting bool         // PC1A exit flow in flight
 
-	entryEv sim.Event
-
-	// Preallocated FSM action callbacks (entry, exit, PwrOk continuation)
-	// so steady-state PC1A cycling schedules without allocating.
-	entryFn      func()
-	wakeFn       func()
-	pwrokFn      func()
+	entryEv      sim.Event
 	entryArmedAt sim.Time
 
 	onTransition []func(old, new pmu.PkgState)
@@ -108,65 +104,15 @@ func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs 
 		gpmu:  gpmu,
 		state: pmu.PC0,
 	}
-	a.inPC1A.Init("APMU.InPC1A", false)
+	a.inPC1A.Init(sim.Named("APMU.InPC1A"), false)
 
-	a.inCC1 = a.cc1Tree.Init("InCC1").Output()
+	a.inCC1 = a.cc1Tree.Init(sim.Named("InCC1")).Output()
 	for _, c := range cores {
 		a.cc1Tree.Add(c.InCC1())
 	}
-	a.inL0s = a.l0sTree.Init("InL0s").Output()
+	a.inL0s = a.l0sTree.Init(sim.Named("InL0s")).Output()
 	for _, l := range links {
 		a.l0sTree.Add(l.InL0s())
-	}
-
-	a.entryFn = func() {
-		a.entryEv = sim.Event{}
-		// Conditions may have decayed during the FSM cycle.
-		if a.state != pmu.ACC1 || !a.inCC1.Level() || !a.inL0s.Level() {
-			return
-		}
-		// Branch (i): ① clock-gate the CLM, ② begin the non-blocking
-		// voltage ramp to retention.
-		a.clm.ClockGate()
-		a.clm.SetRet()
-		// Branch (ii): ③ allow the MCs to enter CKE-off.
-		for _, mc := range a.mcs {
-			mc.AllowCKEOff().Set()
-		}
-		// Set InPC1A: the system is now in PC1A (the voltage ramp
-		// completes in the background).
-		a.inPC1A.Set()
-		a.lastEntryLat = a.eng.Now() - a.entryArmedAt
-		a.pc1aStart = a.eng.Now()
-		a.setState(pmu.PC1A)
-	}
-	a.wakeFn = func() {
-		// Branch (i): ④ unset Ret — CLM FIVRs ramp up; PwrOk continues
-		// the flow.
-		a.clm.UnsetRet()
-		// Branch (ii): ⑥ unset Allow_CKE_OFF — MCs reactivate.
-		for _, mc := range a.mcs {
-			mc.AllowCKEOff().Unset()
-		}
-		a.inPC1A.Unset()
-	}
-	a.pwrokFn = func() {
-		a.clm.ClockUngate()
-		a.exiting = false
-		a.lastExitLat = a.eng.Now() - a.exitStart
-		a.setState(pmu.ACC1)
-		if !a.inCC1.Level() {
-			// Core interrupt: ACC1 → PC0, unset AllowL0s.
-			a.leaveACC1()
-			return
-		}
-		// IO-only or timer wake: cores are still idle. Remain in ACC1;
-		// when the IOs drain back into L0s the AND tree rises and entry
-		// re-arms. If they are somehow already idle and in standby, the
-		// level check below re-arms immediately.
-		if a.inL0s.Level() {
-			a.armEntry()
-		}
 	}
 
 	a.inCC1.Subscribe(a.onInCC1)
@@ -187,6 +133,79 @@ func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs 
 	return a
 }
 
+// The FSM's action slots are the APMU itself seen as one sim.Handler
+// per action: PC1A entry, the exit's signal drive, and the PwrOk
+// continuation. Scheduling one allocates nothing.
+type (
+	entryTimer APMU
+	wakeTimer  APMU
+	pwrOkTimer APMU
+)
+
+// Fire runs the Fig. 4 entry actions.
+//
+//apcvet:noalloc
+func (t *entryTimer) Fire() {
+	a := (*APMU)(t)
+	a.entryEv = sim.Event{}
+	// Conditions may have decayed during the FSM cycle.
+	if a.state != pmu.ACC1 || !a.inCC1.Level() || !a.inL0s.Level() {
+		return
+	}
+	// Branch (i): ① clock-gate the CLM, ② begin the non-blocking
+	// voltage ramp to retention.
+	a.clm.ClockGate()
+	a.clm.SetRet()
+	// Branch (ii): ③ allow the MCs to enter CKE-off.
+	for _, mc := range a.mcs {
+		mc.AllowCKEOff().Set()
+	}
+	// Set InPC1A: the system is now in PC1A (the voltage ramp
+	// completes in the background).
+	a.inPC1A.Set()
+	a.lastEntryLat = a.eng.Now() - a.entryArmedAt
+	a.pc1aStart = a.eng.Now()
+	a.setState(pmu.PC1A)
+}
+
+// Fire drives the exit flow's signals.
+//
+//apcvet:noalloc
+func (t *wakeTimer) Fire() {
+	a := (*APMU)(t)
+	// Branch (i): ④ unset Ret — CLM FIVRs ramp up; PwrOk continues
+	// the flow.
+	a.clm.UnsetRet()
+	// Branch (ii): ⑥ unset Allow_CKE_OFF — MCs reactivate.
+	for _, mc := range a.mcs {
+		mc.AllowCKEOff().Unset()
+	}
+	a.inPC1A.Unset()
+}
+
+// Fire finishes the exit once the CLM rails are back.
+//
+//apcvet:noalloc
+func (t *pwrOkTimer) Fire() {
+	a := (*APMU)(t)
+	a.clm.ClockUngate()
+	a.exiting = false
+	a.lastExitLat = a.eng.Now() - a.exitStart
+	a.setState(pmu.ACC1)
+	if !a.inCC1.Level() {
+		// Core interrupt: ACC1 → PC0, unset AllowL0s.
+		a.leaveACC1()
+		return
+	}
+	// IO-only or timer wake: cores are still idle. Remain in ACC1;
+	// when the IOs drain back into L0s the AND tree rises and entry
+	// re-arms. If they are somehow already idle and in standby, the
+	// level check below re-arms immediately.
+	if a.inL0s.Level() {
+		a.armEntry()
+	}
+}
+
 // State returns the APMU's package state (PC0, ACC1 or PC1A).
 func (a *APMU) State() pmu.PkgState { return a.state }
 
@@ -200,6 +219,8 @@ func (a *APMU) InPC1A() *signal.Signal { return &a.inPC1A }
 
 // Residency returns accumulated time in the given state (0 for a value
 // that names no state).
+//
+//apcvet:noalloc
 func (a *APMU) Residency(s pmu.PkgState) sim.Duration {
 	if uint(s) >= uint(pmu.NumPkgStates) {
 		return 0
@@ -213,6 +234,8 @@ func (a *APMU) Residency(s pmu.PkgState) sim.Duration {
 
 // Entries returns how many times the given state was entered (0 for a
 // value that names no state).
+//
+//apcvet:noalloc
 func (a *APMU) Entries(s pmu.PkgState) uint64 {
 	if uint(s) >= uint(pmu.NumPkgStates) {
 		return 0
@@ -233,6 +256,7 @@ func (a *APMU) OnTransition(fn func(old, new pmu.PkgState)) {
 	a.onTransition = append(a.onTransition, fn)
 }
 
+//apcvet:noalloc
 func (a *APMU) setState(s pmu.PkgState) {
 	if s == a.state {
 		return
@@ -304,6 +328,8 @@ func (a *APMU) enterACC1() {
 
 // leaveACC1: a core interrupt arrived before PC1A was entered. Unset
 // AllowL0s: links return to L0.
+//
+//apcvet:noalloc
 func (a *APMU) leaveACC1() {
 	a.entryEv.Cancel()
 	a.entryEv = sim.Event{}
@@ -314,12 +340,14 @@ func (a *APMU) leaveACC1() {
 }
 
 // armEntry schedules the Fig. 4 entry actions after one FSM action slot.
+//
+//apcvet:noalloc
 func (a *APMU) armEntry() {
 	if a.state != pmu.ACC1 || a.exiting || a.entryEv.Pending() {
 		return
 	}
 	a.entryArmedAt = a.eng.Now()
-	a.entryEv = a.eng.Schedule(a.cfg.cycle(), a.entryFn)
+	a.entryEv = a.eng.Schedule(a.cfg.cycle(), (*entryTimer)(a))
 }
 
 // wake begins the Fig. 4 exit flow. reason is for tracing only.
@@ -331,7 +359,7 @@ func (a *APMU) wake(reason string) {
 	a.exiting = true
 	a.exitStart = a.eng.Now()
 	// One FSM action slot to drive the exit signals.
-	a.eng.Schedule(a.cfg.cycle(), a.wakeFn)
+	a.eng.Schedule(a.cfg.cycle(), (*wakeTimer)(a))
 }
 
 // onPwrOk: ⑤ the CLM rails are back at operational voltage; clock-ungate
@@ -341,7 +369,7 @@ func (a *APMU) onPwrOk() {
 	if !a.exiting {
 		return
 	}
-	a.eng.Schedule(a.cfg.cycle(), a.pwrokFn)
+	a.eng.Schedule(a.cfg.cycle(), (*pwrOkTimer)(a))
 }
 
 // Describe returns a one-line summary for experiment logs.

@@ -31,13 +31,13 @@ func newRig(nCores int) *rig {
 			cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil))
 	}
 	r.links = []*ios.Link{
-		new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil),
-		new(ios.Link).Init(eng, "dmi", ios.DefaultParams(ios.DMI, 1.4), nil),
-		new(ios.Link).Init(eng, "upi0", ios.DefaultParams(ios.UPI, 1.7), nil),
+		new(ios.Link).Init(eng, sim.Named("pcie0"), ios.DefaultParams(ios.PCIe, 1.4), nil),
+		new(ios.Link).Init(eng, sim.Named("dmi"), ios.DefaultParams(ios.DMI, 1.4), nil),
+		new(ios.Link).Init(eng, sim.Named("upi0"), ios.DefaultParams(ios.UPI, 1.7), nil),
 	}
 	r.mcs = []*dram.MC{
-		new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil),
-		new(dram.MC).Init(eng, "mc1", dram.DefaultParams(), dram.PPD, nil, nil),
+		new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil),
+		new(dram.MC).Init(eng, sim.Named("mc1"), dram.DefaultParams(), dram.PPD, nil, nil),
 	}
 	r.clm = uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	r.gpmu = pmu.New(eng, pmu.DefaultConfig(false), r.cores, r.links, r.mcs, r.clm)
@@ -160,9 +160,9 @@ func TestWakeDuringEntryRamp(t *testing.T) {
 	r2.apmu.OnTransition(func(old, new pmu.PkgState) {
 		if new == pmu.PC1A && tEnter < 0 {
 			tEnter = r2.eng.Now()
-			r2.eng.Schedule(40*sim.Nanosecond, func() {
+			r2.eng.Schedule(40*sim.Nanosecond, sim.Func(func() {
 				r2.cores[1].Enqueue(cpu.Work{Duration: sim.Microsecond})
-			})
+			}))
 		}
 	})
 	r2.cores[0].Enqueue(cpu.Work{Duration: sim.Microsecond})

@@ -31,7 +31,7 @@ func TestFuzzAPMURandomEvents(t *testing.T) {
 				if l.Idle() {
 					l.StartTransaction()
 					dur := sim.Duration(rng.Uint64()%500) + 10
-					r.eng.Schedule(dur, l.EndTransaction)
+					r.eng.Schedule(dur, sim.Func(l.EndTransaction))
 				}
 			case 2:
 				r.gpmu.FireTimer()
@@ -96,9 +96,9 @@ func TestWakeInEveryEntryPhase(t *testing.T) {
 		r.apmu.OnTransition(func(old, new pmu.PkgState) {
 			if new == pmu.ACC1 && acc1At < 0 {
 				acc1At = r.eng.Now()
-				r.eng.Schedule(delay, func() {
+				r.eng.Schedule(delay, sim.Func(func() {
 					r.cores[1].Enqueue(cpu.Work{Duration: sim.Microsecond})
-				})
+				}))
 			}
 		})
 		r.cores[0].Enqueue(cpu.Work{Duration: sim.Microsecond})

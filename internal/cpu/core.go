@@ -8,7 +8,6 @@ package cpu
 
 import (
 	"fmt"
-	"strconv"
 
 	"agilepkgc/internal/power"
 	"agilepkgc/internal/signal"
@@ -51,6 +50,8 @@ func (s CState) String() string {
 }
 
 // Idle reports whether the state is an idle state (CC1 or deeper).
+//
+//apcvet:noalloc
 func (s CState) Idle() bool { return s > CC0 }
 
 // Params collects per-core timing and power parameters.
@@ -96,6 +97,8 @@ func DefaultParams() Params {
 }
 
 // ExitLatency returns the exit latency of a state.
+//
+//apcvet:noalloc
 func (p Params) ExitLatency(s CState) sim.Duration {
 	switch s {
 	case CC1:
@@ -110,6 +113,8 @@ func (p Params) ExitLatency(s CState) sim.Duration {
 }
 
 // StateWatts returns the state's power at nominal frequency.
+//
+//apcvet:noalloc
 func (p Params) StateWatts(s CState) float64 {
 	switch s {
 	case CC0:
@@ -256,9 +261,9 @@ type Work struct {
 	Duration sim.Duration
 	// OnStart fires when the core begins executing the work (after any
 	// C-state exit latency).
-	OnStart func()
+	OnStart sim.Handler
 	// OnDone fires when the work completes.
-	OnDone func()
+	OnDone sim.Handler
 }
 
 // Core is one CPU core.
@@ -270,24 +275,32 @@ type Core struct {
 	freq     FreqPolicy
 
 	state CState
-	// queue is the run queue with a consumed-head index: dequeuing
-	// advances qHead instead of reslicing, and the backing array is
-	// recycled whenever the queue drains, so steady-state enqueue/dequeue
-	// never allocates. It starts in queueBuf, so a core whose queue never
-	// holds more than two items allocates none.
+	// queue is the run queue, a FIFO ring of qLen items from qHead. It
+	// grows only when it is full, so its storage tracks the deepest the
+	// queue has been, not how many items passed through it during a busy
+	// period. It starts in queueBuf, so a core whose queue never holds
+	// more than two items allocates none.
 	queue    []Work
 	qHead    int
+	qLen     int
 	queueBuf [2]Work
-	// cur is the work item being executed, read back by workFn.
+	// cur is the work item being executed, read back when it completes.
 	cur Work
 
 	// inIdle is the PMA's InCC1 status wire: high when the core is in
 	// CC1 or deeper. It drops the moment a wake begins.
 	inIdle signal.Signal
 
+	// The core's three events are mutually exclusive (see maybeStart),
+	// so each fires the core as one coreTimer, and next says which.
 	idleEntry sim.Event // pending idle-entry (kernel path) event
 	wakeEv    sim.Event // pending C-state exit completion
 	workEv    sim.Event // pending work completion
+	next      coreEvent
+	// inWork is set while the core fires a work item's OnStart or
+	// OnDone: work those handlers enqueue here waits in the queue for
+	// the core to pick it up, rather than starting beside the item.
+	inWork bool
 
 	idleStart  sim.Time
 	busyStart  sim.Time
@@ -295,12 +308,6 @@ type Core struct {
 	busyInWin  sim.Duration
 
 	ch *power.Channel
-
-	// Preallocated event callbacks: the wake→work→idle cycle schedules
-	// these fixed closures, so a core in steady state allocates nothing.
-	wakeFn func()
-	workFn func()
-	idleFn func()
 
 	// onTransition holds the C-state observers: the GPMU, and a tracer
 	// while one is attached.
@@ -310,6 +317,58 @@ type Core struct {
 	wakes      [4]uint64 // indexed by the state woken from
 	workDone   uint64
 	interrupts uint64
+}
+
+// coreEvent names which of a core's events is pending.
+type coreEvent uint8
+
+const (
+	evWake coreEvent = iota // the C-state exit completes
+	evWork                  // the work item in cur completes
+	evIdle                  // the kernel idle-entry path ends
+)
+
+// coreTimer is the core seen as the sim.Handler of its pending event.
+type coreTimer Core
+
+// Fire runs the core's pending event, named by next.
+//
+//apcvet:noalloc
+func (t *coreTimer) Fire() {
+	c := (*Core)(t)
+	switch c.next {
+	case evWake:
+		c.wakeEv = sim.Event{}
+		c.setState(CC0)
+		c.beginWork()
+	case evWork:
+		w := c.cur
+		c.cur = Work{}
+		c.workEv = sim.Event{}
+		c.workDone++
+		c.noteBusy(c.eng.Now() - c.busyStart)
+		if w.OnDone != nil {
+			c.inWork = true
+			w.OnDone.Fire()
+			c.inWork = false
+		}
+		if c.qLen > 0 {
+			c.beginWork()
+			return
+		}
+		c.armIdleEntry()
+	case evIdle:
+		c.idleEntry = sim.Event{}
+		c.enterIdle()
+	}
+}
+
+// schedule arms the core's event ev after d.
+//
+//apcvet:noalloc
+func (c *Core) schedule(d sim.Duration, ev coreEvent) sim.Event {
+	c.next = ev
+	return c.eng.Schedule(d, (*coreTimer)(c))
 }
 
 // Init builds the core in place, idling in CC1 (a freshly booted idle
@@ -325,34 +384,10 @@ func (c *Core) Init(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPo
 		state:    CC1,
 		ch:       ch,
 	}
-	c.queue = c.queueBuf[:0]
-	c.inIdle.Init("core"+strconv.Itoa(id)+".InCC1", true)
+	c.queue = c.queueBuf[:]
+	c.inIdle.Init(sim.Indexed("core", id).With(".InCC1"), true)
 	if ch != nil {
 		ch.Set(p.CC1Watts)
-	}
-	c.wakeFn = func() {
-		c.wakeEv = sim.Event{}
-		c.setState(CC0)
-		c.beginWork()
-	}
-	c.workFn = func() {
-		w := c.cur
-		c.cur = Work{}
-		c.workEv = sim.Event{}
-		c.workDone++
-		c.noteBusy(c.eng.Now() - c.busyStart)
-		if w.OnDone != nil {
-			w.OnDone()
-		}
-		if len(c.queue) > c.qHead {
-			c.beginWork()
-			return
-		}
-		c.armIdleEntry()
-	}
-	c.idleFn = func() {
-		c.idleEntry = sim.Event{}
-		c.enterIdle()
 	}
 	return c
 }
@@ -364,10 +399,12 @@ func (c *Core) ID() int { return c.id }
 func (c *Core) State() CState { return c.state }
 
 // InCC1 returns the PMA status wire (high in CC1 or deeper).
+//
+//apcvet:noalloc
 func (c *Core) InCC1() *signal.Signal { return &c.inIdle }
 
 // QueueLen returns the number of queued (not yet started) work items.
-func (c *Core) QueueLen() int { return len(c.queue) - c.qHead }
+func (c *Core) QueueLen() int { return c.qLen }
 
 // Busy reports whether the core is executing or waking to execute.
 func (c *Core) Busy() bool { return c.state == CC0 || c.wakeEv.Pending() }
@@ -390,6 +427,7 @@ func (c *Core) OnTransition(fn func(old, new CState)) {
 	c.onTransition.Add(fn)
 }
 
+//apcvet:noalloc
 func (c *Core) setState(s CState) {
 	if s == c.state {
 		return
@@ -414,9 +452,31 @@ func (c *Core) setState(s CState) {
 // Enqueue adds work to the core's run queue, waking it if idle. This is
 // the path a NIC interrupt + softirq takes to hand a request to the
 // pinned application thread.
+//
+//apcvet:noalloc
 func (c *Core) Enqueue(w Work) {
-	c.queue = append(c.queue, w)
+	if c.qLen == len(c.queue) {
+		c.growQueue()
+	}
+	i := c.qHead + c.qLen
+	if i >= len(c.queue) {
+		i -= len(c.queue)
+	}
+	c.queue[i] = w
+	c.qLen++
 	c.maybeStart()
+}
+
+// growQueue quadruples the full run-queue ring, unrolling it to start
+// at index 0. A queue that outgrows its slots is in a burst, and bursts
+// run deep: growing fourfold reaches a burst's depth in few steps.
+//
+//apcvet:noalloc
+func (c *Core) growQueue() {
+	q := make([]Work, 4*len(c.queue)) //apcvet:alloc the ring grows only at a new depth high-water mark
+	n := copy(q, c.queue[c.qHead:])
+	copy(q[n:], c.queue[:c.qHead])
+	c.queue, c.qHead = q, 0
 }
 
 // WakeInterrupt wakes the core with no associated work (timer interrupt,
@@ -429,8 +489,10 @@ func (c *Core) WakeInterrupt(kernelTime sim.Duration) {
 
 // maybeStart begins waking or executing if there is work and the core is
 // not already doing either.
+//
+//apcvet:noalloc
 func (c *Core) maybeStart() {
-	if len(c.queue) == c.qHead || c.workEv.Pending() || c.wakeEv.Pending() {
+	if c.qLen == 0 || c.inWork || c.workEv.Pending() || c.wakeEv.Pending() {
 		return
 	}
 	// Cancel a pending idle entry: the kernel path was preempted before
@@ -447,7 +509,7 @@ func (c *Core) maybeStart() {
 		c.governor.RecordIdle(c.eng.Now() - c.idleStart)
 		c.wakes[from]++
 		c.inIdle.Unset()
-		c.wakeEv = c.eng.Schedule(c.params.ExitLatency(from), c.wakeFn)
+		c.wakeEv = c.schedule(c.params.ExitLatency(from), evWake)
 		return
 	}
 	// Already in CC0 (between work items or in the idle-entry window).
@@ -455,20 +517,24 @@ func (c *Core) maybeStart() {
 }
 
 // beginWork starts the next queued item; the core must be in CC0.
+//
+//apcvet:noalloc
 func (c *Core) beginWork() {
 	if c.state != CC0 {
 		c.setState(CC0)
 	}
 	w := c.queue[c.qHead]
-	c.queue[c.qHead] = Work{} // drop closure references
+	c.queue[c.qHead] = Work{} // drop handler references
 	c.qHead++
 	if c.qHead == len(c.queue) {
-		c.queue = c.queue[:0]
 		c.qHead = 0
 	}
+	c.qLen--
 	c.busyStart = c.eng.Now()
 	if w.OnStart != nil {
-		w.OnStart()
+		c.inWork = true
+		w.OnStart.Fire()
+		c.inWork = false
 	}
 	// Scale duration by current frequency.
 	ghz := c.freq.GHz()
@@ -477,20 +543,24 @@ func (c *Core) beginWork() {
 		c.ch.Set(c.params.CC0Watts * ghz / c.params.NominalGHz)
 	}
 	c.cur = w
-	c.workEv = c.eng.Schedule(scaled, c.workFn)
+	c.workEv = c.schedule(scaled, evWork)
 }
 
 // armIdleEntry schedules the kernel idle-entry path.
+//
+//apcvet:noalloc
 func (c *Core) armIdleEntry() {
 	if c.params.IdleEntryDelay == 0 {
 		c.enterIdle()
 		return
 	}
-	c.idleEntry = c.eng.Schedule(c.params.IdleEntryDelay, c.idleFn)
+	c.idleEntry = c.schedule(c.params.IdleEntryDelay, evIdle)
 }
 
+//
+//apcvet:noalloc
 func (c *Core) enterIdle() {
-	if len(c.queue) > c.qHead {
+	if c.qLen > 0 {
 		c.maybeStart()
 		return
 	}
@@ -501,6 +571,8 @@ func (c *Core) enterIdle() {
 
 // noteBusy updates the utilization estimate fed to the frequency policy,
 // over 1 ms windows.
+//
+//apcvet:noalloc
 func (c *Core) noteBusy(d sim.Duration) {
 	c.busyInWin += d
 	const window = sim.Millisecond

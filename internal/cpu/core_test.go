@@ -51,8 +51,8 @@ func TestWakeRunSleepCycle(t *testing.T) {
 	var startedAt, doneAt sim.Time = -1, -1
 	c.Enqueue(Work{
 		Duration: 10 * sim.Microsecond,
-		OnStart:  func() { startedAt = eng.Now() },
-		OnDone:   func() { doneAt = eng.Now() },
+		OnStart:  sim.Func(func() { startedAt = eng.Now() }),
+		OnDone:   sim.Func(func() { doneAt = eng.Now() }),
 	})
 	// InCC1 must drop immediately (wake begins).
 	if c.InCC1().Level() {
@@ -93,7 +93,7 @@ func TestWorkDuringIdleEntryWindowAvoidsExitCost(t *testing.T) {
 	c.Enqueue(Work{Duration: 10 * sim.Microsecond})
 	eng.Run(12*sim.Microsecond + 200*sim.Nanosecond)
 	var startedAt sim.Time = -1
-	c.Enqueue(Work{Duration: sim.Microsecond, OnStart: func() { startedAt = eng.Now() }})
+	c.Enqueue(Work{Duration: sim.Microsecond, OnStart: sim.Func(func() { startedAt = eng.Now() })})
 	if startedAt != eng.Now() {
 		t.Fatalf("work should start immediately in the idle-entry window, started %v", startedAt)
 	}
@@ -105,7 +105,7 @@ func TestQueueingFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		c.Enqueue(Work{Duration: 5 * sim.Microsecond, OnDone: func() { order = append(order, i) }})
+		c.Enqueue(Work{Duration: 5 * sim.Microsecond, OnDone: sim.Func(func() { order = append(order, i) })})
 	}
 	if c.QueueLen() != 3 { // all still queued: the core is waking
 		t.Fatalf("QueueLen = %d, want 3", c.QueueLen())
@@ -159,7 +159,7 @@ func TestCC6WakeCosts133us(t *testing.T) {
 	}
 	var startedAt sim.Time = -1
 	t0 := eng.Now()
-	c.Enqueue(Work{Duration: sim.Microsecond, OnStart: func() { startedAt = eng.Now() }})
+	c.Enqueue(Work{Duration: sim.Microsecond, OnStart: sim.Func(func() { startedAt = eng.Now() })})
 	eng.Run(eng.Now() + sim.Millisecond)
 	if startedAt-t0 != 133*sim.Microsecond {
 		t.Fatalf("CC6 wake took %v, want 133us", startedAt-t0)
@@ -182,7 +182,7 @@ func TestShallowGovernorNeverDeep(t *testing.T) {
 func TestPowerTracksState(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
-	ch := m.Channel("core0", power.Package)
+	ch := m.Channel(sim.Named("core0"), power.Package)
 	c := new(Core).Init(eng, 0, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, ch)
 	if ch.Watts() != 1.25 {
 		t.Fatalf("CC1 power %v", ch.Watts())
@@ -205,7 +205,7 @@ func TestPowersaveFrequencyScalesServiceTime(t *testing.T) {
 	// With zero utilization history, powersave runs at Min = 0.8 GHz:
 	// a 10us@2.2GHz job takes 27.5us.
 	var doneAt sim.Time = -1
-	c.Enqueue(Work{Duration: 10 * sim.Microsecond, OnDone: func() { doneAt = eng.Now() }})
+	c.Enqueue(Work{Duration: 10 * sim.Microsecond, OnDone: sim.Func(func() { doneAt = eng.Now() })})
 	eng.Run(sim.Millisecond)
 	want := 2*sim.Microsecond + sim.Duration(float64(10*sim.Microsecond)*2.2/0.8)
 	if doneAt != want {
@@ -286,5 +286,96 @@ func TestGovernorAndPolicyStrings(t *testing.T) {
 	}
 	if (PerformancePolicy{Nominal: 2.2}).String() == "" || (&PowersavePolicy{Min: 0.8, Max: 3.0}).String() == "" {
 		t.Fatal("policy strings empty")
+	}
+}
+
+// refill keeps a core busy: each completion feeds the next item while
+// any are left, so the run queue never drains and never holds more than
+// the three items a burst starts with. It feeds from an engine event of
+// its own, as a NIC interrupt would, not from inside the completion.
+type refill struct {
+	c    *Core
+	left int
+}
+
+// Fire feeds the next item.
+func (r *refill) Fire() {
+	if r.left > 0 {
+		r.left--
+		r.c.Enqueue(Work{Duration: sim.Microsecond, OnDone: (*refillDone)(r)})
+	}
+}
+
+// refillDone is an item's completion: it schedules the next feed.
+type refillDone refill
+
+func (d *refillDone) Fire() { d.c.eng.Schedule(0, (*refill)(d)) }
+
+// TestRunQueueGrowsWithDepthOnly pins the run-queue ring: storage grows
+// with the deepest the queue has been, not with how many items pass
+// through one busy period. Once a first burst has outgrown the two
+// inline slots, a core kept busy at depth ≤ 3 for 1,000 items allocates
+// nothing.
+func TestRunQueueGrowsWithDepthOnly(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newCore(eng)
+	r := &refill{c: c}
+	burst := func(items int) {
+		r.left = items - 3
+		for i := 0; i < 3; i++ {
+			c.Enqueue(Work{Duration: sim.Microsecond, OnDone: (*refillDone)(r)})
+		}
+		eng.Run(eng.Now() + sim.Second)
+	}
+	burst(3) // three items outgrow the inline slots: the one growth
+	// Each burst is longer than any before it, so storage sized by the
+	// items a busy period carries would have to grow again: AllocsPerRun
+	// warms up on 500 items and measures 1,000.
+	items := 0
+	if allocs := testing.AllocsPerRun(1, func() { items += 500; burst(items) }); allocs != 0 {
+		t.Errorf("1,000 items at depth ≤ 3 allocated %v times, want 0", allocs)
+	}
+	if c.WorkDone() != 3+500+1000 {
+		t.Fatalf("completed %d items, want %d", c.WorkDone(), 3+500+1000)
+	}
+	if w := c.Wakes(CC1); w != 3 {
+		t.Fatalf("core woke %d times, want once per burst (3): a burst drained the queue", w)
+	}
+}
+
+// TestEnqueueFromOwnHandler pins that work a core's own OnStart or
+// OnDone enqueues runs after the item in hand, not beside it: the core
+// executes one item at a time and does not idle between them.
+func TestEnqueueFromOwnHandler(t *testing.T) {
+	eng := sim.NewEngine()
+	c := newCore(eng)
+	var ends []sim.Time
+	var w Work
+	w = Work{Duration: sim.Microsecond, OnDone: sim.Func(func() {
+		ends = append(ends, eng.Now())
+		if len(ends) < 3 {
+			c.Enqueue(w)
+		}
+	})}
+	started := 0
+	c.Enqueue(Work{Duration: sim.Microsecond, OnStart: sim.Func(func() {
+		started++
+		c.Enqueue(w)
+	})})
+	eng.Run(100 * sim.Microsecond)
+	exit := DefaultParams().CC1Exit
+	ghz := 2.2
+	d := sim.Duration(float64(sim.Microsecond) * ghz / ghz) // one item, scaled as the core scales it
+	want := []sim.Time{exit + 2*d, exit + 3*d, exit + 4*d}
+	if started != 1 || len(ends) != len(want) {
+		t.Fatalf("started %d, completions at %v; want 1 and %v", started, ends, want)
+	}
+	for i := range want {
+		if ends[i] != want[i] {
+			t.Fatalf("completions at %v, want %v: items overlapped or idled", ends, want)
+		}
+	}
+	if c.WorkDone() != 4 || c.Wakes(CC1) != 1 {
+		t.Fatalf("done %d, wakes %d; want 4 and 1", c.WorkDone(), c.Wakes(CC1))
 	}
 }

@@ -123,7 +123,7 @@ func DefaultParams() Params {
 // MC is one memory controller plus its attached DIMMs.
 type MC struct {
 	eng    *sim.Engine
-	name   string
+	name   sim.Name
 	params Params
 	kind   CKEKind
 
@@ -146,36 +146,87 @@ type MC struct {
 	mcCh   *power.Channel // Package domain
 	dramCh *power.Channel // DRAM domain
 
-	// Preallocated event callbacks for the access/CKE cycle, so
-	// steady-state traffic schedules without allocating.
-	ckeEnterFn func()
-	exitDoneFn func()
-	completeFn func() // Access completion for the done==nil fast path
-
-	// batchFn completes one AccessN batch; batchQ holds the per-batch
-	// transaction counts in FIFO order. Batch completions are scheduled
-	// with a fixed relative latency, so they fire in schedule order and a
-	// plain queue pairs each event with its count.
-	batchFn   func()
+	// batchQ holds the per-batch transaction counts of pending AccessN
+	// batches in FIFO order. Batch completions are scheduled with a
+	// fixed relative latency, so they fire in schedule order and a plain
+	// queue pairs each batchTimer event with its count.
 	batchQ    []int
 	batchHead int
 
-	// srEnteredFn completes a self-refresh entry; it is bound on the
-	// first one (only the PC6 flow enters self-refresh). srDone is that
-	// entry's done: pending holds at most one event, so at most one
-	// entry is in flight.
-	srEnteredFn func()
-	srDone      func()
+	// srDone is the done of the self-refresh entry in flight: pending
+	// holds at most one event, so at most one entry is in flight.
+	srDone func()
 
 	ckeEntries uint64
 	srEntries  uint64
 	accesses   uint64
 }
 
+// A controller's events are the controller itself seen as one
+// sim.Handler per timer, so scheduling one allocates nothing. The CKE
+// entry, the exit to Active and the self-refresh entry share the pending
+// slot; access and batch completions can be pending alongside them.
+type (
+	ckeEntryTimer MC
+	exitTimer     MC
+	srEntryTimer  MC
+	completeTimer MC
+	batchTimer    MC
+)
+
+// Fire ends the CKE-off entry window.
+//
+//apcvet:noalloc
+func (t *ckeEntryTimer) Fire() {
+	mc := (*MC)(t)
+	mc.pending = sim.Event{}
+	// Conditions may have changed during the 10 ns entry.
+	if mc.mode != Active || !mc.allowCKEOff.Level() || !mc.Idle() {
+		return
+	}
+	mc.mode = PowerDown
+	mc.ckeEntries++
+	mc.setPower()
+	mc.inCKEOff.Set()
+}
+
+// Fire ends the exit to Active.
+//
+//apcvet:noalloc
+func (t *exitTimer) Fire() {
+	mc := (*MC)(t)
+	mc.pending = sim.Event{}
+	mc.drainOrIdle()
+}
+
+// Fire ends the self-refresh entry window.
+//
+//apcvet:noalloc
+func (t *srEntryTimer) Fire() { (*MC)(t).srEntered() }
+
+// Fire completes one transaction with no callback.
+//
+//apcvet:noalloc
+func (t *completeTimer) Fire() { (*MC)(t).complete(nil) }
+
+// Fire completes the oldest pending AccessN batch.
+//
+//apcvet:noalloc
+func (t *batchTimer) Fire() {
+	mc := (*MC)(t)
+	k := mc.batchQ[mc.batchHead]
+	mc.batchHead++
+	if mc.batchHead == len(mc.batchQ) {
+		mc.batchQ = mc.batchQ[:0]
+		mc.batchHead = 0
+	}
+	mc.CompleteN(k)
+}
+
 // Init builds the controller in place, active, and returns mc.
 // Channels may be nil in tests. Building in place lets a machine
 // allocate its controllers as one slab.
-func (mc *MC) Init(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, dramCh *power.Channel) *MC {
+func (mc *MC) Init(eng *sim.Engine, name sim.Name, p Params, kind CKEKind, mcCh, dramCh *power.Channel) *MC {
 	*mc = MC{
 		eng:    eng,
 		name:   name,
@@ -185,8 +236,8 @@ func (mc *MC) Init(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, d
 		mcCh:   mcCh,
 		dramCh: dramCh,
 	}
-	mc.allowCKEOff.Init(name+".Allow_CKE_OFF", false)
-	mc.inCKEOff.Init(name+".InCKEOff", false)
+	mc.allowCKEOff.Init(name.With(".Allow_CKE_OFF"), false)
+	mc.inCKEOff.Init(name.With(".InCKEOff"), false)
 	if mcCh != nil {
 		mcCh.Set(p.MCActiveWatts)
 	}
@@ -194,53 +245,36 @@ func (mc *MC) Init(eng *sim.Engine, name string, p Params, kind CKEKind, mcCh, d
 		dramCh.Set(p.DRAMActiveWatts)
 	}
 	mc.allowCKEOff.Subscribe(mc.onAllowCKEOff)
-	mc.ckeEnterFn = func() {
-		mc.pending = sim.Event{}
-		// Conditions may have changed during the 10 ns entry.
-		if mc.mode != Active || !mc.allowCKEOff.Level() || !mc.Idle() {
-			return
-		}
-		mc.mode = PowerDown
-		mc.ckeEntries++
-		mc.setPower()
-		mc.inCKEOff.Set()
-	}
-	mc.exitDoneFn = func() {
-		mc.pending = sim.Event{}
-		mc.drainOrIdle()
-	}
-	mc.completeFn = func() { mc.complete(nil) }
-	mc.batchFn = func() {
-		k := mc.batchQ[mc.batchHead]
-		mc.batchHead++
-		if mc.batchHead == len(mc.batchQ) {
-			mc.batchQ = mc.batchQ[:0]
-			mc.batchHead = 0
-		}
-		mc.CompleteN(k)
-	}
 	return mc
 }
 
 // Name returns the controller name.
-func (mc *MC) Name() string { return mc.name }
+func (mc *MC) Name() string { return mc.name.String() }
 
 // Mode returns the current power regime.
+//
+//apcvet:noalloc
 func (mc *MC) Mode() Mode { return mc.mode }
 
 // Params returns the controller's configuration.
+//
+//apcvet:noalloc
 func (mc *MC) Params() Params { return mc.params }
 
 // CKEKind returns the configured power-down flavour.
 func (mc *MC) CKEKind() CKEKind { return mc.kind }
 
 // AllowCKEOff returns the Allow_CKE_OFF control wire.
+//
+//apcvet:noalloc
 func (mc *MC) AllowCKEOff() *signal.Signal { return &mc.allowCKEOff }
 
 // InCKEOff returns the CKE-off status wire.
 func (mc *MC) InCKEOff() *signal.Signal { return &mc.inCKEOff }
 
 // Idle reports whether no transactions are outstanding.
+//
+//apcvet:noalloc
 func (mc *MC) Idle() bool { return mc.outstanding == 0 }
 
 // Outstanding returns how many transactions are in flight.
@@ -255,6 +289,7 @@ func (mc *MC) SREntries() uint64 { return mc.srEntries }
 // Accesses returns the number of completed memory transactions.
 func (mc *MC) Accesses() uint64 { return mc.accesses }
 
+//apcvet:noalloc
 func (mc *MC) setPower() {
 	var mcw, dw float64
 	switch mc.mode {
@@ -283,22 +318,26 @@ func (mc *MC) onAllowCKEOff(level bool) {
 	}
 }
 
+//apcvet:noalloc
 func (mc *MC) maybeEnterCKEOff() {
 	if mc.mode != Active || !mc.allowCKEOff.Level() || !mc.Idle() || mc.pending.Pending() {
 		return
 	}
-	mc.pending = mc.eng.Schedule(mc.params.CKEEntry, mc.ckeEnterFn)
+	mc.pending = mc.eng.Schedule(mc.params.CKEEntry, (*ckeEntryTimer)(mc))
 }
 
 // exitToActive returns to Active after the given latency.
+//
+//apcvet:noalloc
 func (mc *MC) exitToActive(lat sim.Duration) {
 	mc.pending.Cancel()
 	mc.mode = Active
 	mc.inCKEOff.Unset()
 	mc.setPower()
-	mc.pending = mc.eng.Schedule(lat, mc.exitDoneFn)
+	mc.pending = mc.eng.Schedule(lat, (*exitTimer)(mc))
 }
 
+//apcvet:noalloc
 func (mc *MC) drainOrIdle() {
 	if mc.Idle() {
 		mc.maybeEnterCKEOff()
@@ -326,9 +365,9 @@ func (mc *MC) Access(done func()) sim.Duration {
 	}
 	total := penalty + mc.params.AccessLatency
 	if done == nil {
-		mc.eng.Schedule(total, mc.completeFn)
+		mc.eng.Schedule(total, (*completeTimer)(mc))
 	} else {
-		mc.eng.Schedule(total, func() { mc.complete(done) })
+		mc.eng.Schedule(total, sim.Func(func() { mc.complete(done) }))
 	}
 	return total
 }
@@ -342,6 +381,8 @@ func (mc *MC) Access(done func()) sim.Duration {
 // engine event, which runs their complete sequence back to back — the
 // same back-to-back order the per-access events fire in, since their
 // sequence numbers are consecutive.
+//
+//apcvet:noalloc
 func (mc *MC) AccessN(k int) {
 	if k <= 0 {
 		return
@@ -350,11 +391,11 @@ func (mc *MC) AccessN(k int) {
 	switch mc.mode {
 	case PowerDown:
 		mc.exitToActive(mc.params.CKEExit)
-		mc.eng.Schedule(mc.params.CKEExit+mc.params.AccessLatency, mc.completeFn)
+		mc.eng.Schedule(mc.params.CKEExit+mc.params.AccessLatency, (*completeTimer)(mc))
 		k--
 	case SelfRefresh:
 		mc.exitToActive(mc.params.SRExit)
-		mc.eng.Schedule(mc.params.SRExit+mc.params.AccessLatency, mc.completeFn)
+		mc.eng.Schedule(mc.params.SRExit+mc.params.AccessLatency, (*completeTimer)(mc))
 		k--
 	default:
 		// An in-flight CKE entry is aborted by traffic.
@@ -363,10 +404,10 @@ func (mc *MC) AccessN(k int) {
 	}
 	switch {
 	case k == 1:
-		mc.eng.Schedule(mc.params.AccessLatency, mc.completeFn)
+		mc.eng.Schedule(mc.params.AccessLatency, (*completeTimer)(mc))
 	case k > 1:
 		mc.batchQ = append(mc.batchQ, k)
-		mc.eng.Schedule(mc.params.AccessLatency, mc.batchFn)
+		mc.eng.Schedule(mc.params.AccessLatency, (*batchTimer)(mc))
 	}
 }
 
@@ -376,9 +417,11 @@ func (mc *MC) AccessN(k int) {
 // event of its own (soc.System.MemAccess). The caller must call
 // CompleteN(k) exactly AccessLatency later, at the point in the event
 // order where AccessN's completion event would have fired.
+//
+//apcvet:noalloc
 func (mc *MC) StartN(k int) {
 	if mc.mode != Active {
-		panic(fmt.Sprintf("dram: StartN on %s in %v", mc.name, mc.mode))
+		panic(fmt.Sprintf("dram: StartN on %s in %v", mc.name, mc.mode)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	mc.outstanding += k
 	// An in-flight CKE entry is aborted by traffic.
@@ -388,6 +431,8 @@ func (mc *MC) StartN(k int) {
 
 // CompleteN finishes k transactions back to back — the body of one
 // batch completion event.
+//
+//apcvet:noalloc
 func (mc *MC) CompleteN(k int) {
 	for ; k > 0; k-- {
 		mc.complete(nil)
@@ -396,6 +441,8 @@ func (mc *MC) CompleteN(k int) {
 
 // complete finishes one transaction: counters, dynamic energy, the
 // caller's callback, and opportunistic CKE re-entry.
+//
+//apcvet:noalloc
 func (mc *MC) complete(done func()) {
 	mc.outstanding--
 	mc.accesses++
@@ -412,6 +459,8 @@ func (mc *MC) complete(done func()) {
 
 // chargeAccessEnergy deposits the per-access dynamic energy into the
 // DRAM domain as a direct impulse.
+//
+//apcvet:noalloc
 func (mc *MC) chargeAccessEnergy() {
 	if e := mc.params.AccessEnergyJoules; e > 0 {
 		mc.dramCh.AddEnergy(e)
@@ -421,9 +470,11 @@ func (mc *MC) chargeAccessEnergy() {
 // EnterSelfRefresh places the channels in self-refresh (GPMU command
 // during the PC6 entry flow). The controller must be idle. done fires
 // when the devices are self-refreshing.
+//
+//apcvet:noalloc
 func (mc *MC) EnterSelfRefresh(done func()) {
 	if !mc.Idle() {
-		panic(fmt.Sprintf("dram: EnterSelfRefresh on busy controller %s", mc.name))
+		panic(fmt.Sprintf("dram: EnterSelfRefresh on busy controller %s", mc.name)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	if mc.mode == SelfRefresh {
 		if done != nil {
@@ -432,14 +483,13 @@ func (mc *MC) EnterSelfRefresh(done func()) {
 		return
 	}
 	mc.pending.Cancel()
-	if mc.srEnteredFn == nil {
-		mc.srEnteredFn = mc.srEntered
-	}
 	mc.srDone = done
-	mc.pending = mc.eng.Schedule(mc.params.SREntry, mc.srEnteredFn)
+	mc.pending = mc.eng.Schedule(mc.params.SREntry, (*srEntryTimer)(mc))
 }
 
 // srEntered ends the self-refresh entry window.
+//
+//apcvet:noalloc
 func (mc *MC) srEntered() {
 	done := mc.srDone
 	mc.srDone = nil
@@ -463,6 +513,8 @@ func (mc *MC) srEntered() {
 
 // ExitSelfRefresh wakes the devices (GPMU command during PC6 exit); done
 // fires when the channels are active again.
+//
+//apcvet:noalloc
 func (mc *MC) ExitSelfRefresh(done func()) {
 	if mc.mode != SelfRefresh {
 		if done != nil {
@@ -472,6 +524,6 @@ func (mc *MC) ExitSelfRefresh(done func()) {
 	}
 	mc.exitToActive(mc.params.SRExit)
 	if done != nil {
-		mc.eng.Schedule(mc.params.SRExit, done)
+		mc.eng.Schedule(mc.params.SRExit, sim.Func(done))
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func newMC(eng *sim.Engine) *MC {
-	return new(MC).Init(eng, "mc0", DefaultParams(), PPD, nil, nil)
+	return new(MC).Init(eng, sim.Named("mc0"), DefaultParams(), PPD, nil, nil)
 }
 
 func TestModeStrings(t *testing.T) {
@@ -202,7 +202,7 @@ func TestBackgroundPowerLadder(t *testing.T) {
 	m := power.NewMeter(eng)
 	p := DefaultParams()
 	p.AccessEnergyJoules = 0 // background only
-	mc := new(MC).Init(eng, "mc0", p, PPD, m.Channel("mc0", power.Package), m.Channel("dimm0", power.DRAM))
+	mc := new(MC).Init(eng, sim.Named("mc0"), p, PPD, m.Channel(sim.Named("mc0"), power.Package), m.Channel(sim.Named("dimm0"), power.DRAM))
 
 	if m.Power(power.Package) != 0.50 || m.Power(power.DRAM) != 2.75 {
 		t.Fatalf("active power %v/%v", m.Power(power.Package), m.Power(power.DRAM))
@@ -226,7 +226,7 @@ func TestAccessEnergyAccounting(t *testing.T) {
 	p := DefaultParams()
 	p.DRAMActiveWatts = 0 // isolate dynamic energy
 	p.MCActiveWatts = 0
-	mc := new(MC).Init(eng, "mc0", p, PPD, m.Channel("mc0", power.Package), m.Channel("dimm0", power.DRAM))
+	mc := new(MC).Init(eng, sim.Named("mc0"), p, PPD, m.Channel(sim.Named("mc0"), power.Package), m.Channel(sim.Named("dimm0"), power.DRAM))
 
 	n := 100
 	for i := 0; i < n; i++ {

@@ -79,12 +79,13 @@ func armSnoops(sys *soc.System, rate float64, seed uint64) {
 			break
 		}
 	}
-	var next func()
+	end := sim.Func(upi.EndTransaction)
+	var next sim.Func
 	next = func() {
 		upi.StartTransaction()
 		// Snoop service: link transfer plus an LLC/DRAM lookup.
 		sys.MemAccess(1)
-		sys.Engine.Schedule(200*sim.Nanosecond, upi.EndTransaction)
+		sys.Engine.Schedule(200*sim.Nanosecond, end)
 		gap := sim.Duration(rng.ExpFloat64() / rate * float64(sim.Second))
 		sys.Engine.Schedule(gap, next)
 	}

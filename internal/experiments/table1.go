@@ -57,7 +57,7 @@ func Table1(opt Options) *Table1Result {
 			c.Enqueue(cpu.Work{Duration: 100 * sim.Millisecond})
 		}
 		stop := false
-		var pump func()
+		var pump sim.Func
 		pump = func() {
 			if stop {
 				return

@@ -49,9 +49,9 @@ func (p *invariantProbe) arm(period sim.Duration) {
 	var tick func()
 	tick = func() {
 		p.check()
-		p.sys.Engine.Schedule(period, tick)
+		p.sys.Engine.Schedule(period, sim.Func(tick))
 	}
-	p.sys.Engine.Schedule(period, tick)
+	p.sys.Engine.Schedule(period, sim.Func(tick))
 }
 
 func (p *invariantProbe) check() {
@@ -175,9 +175,9 @@ func TestTimerStormFailureInjection(t *testing.T) {
 	var storm func()
 	storm = func() {
 		sys.GPMU.FireTimer()
-		sys.Engine.Schedule(37*sim.Microsecond, storm)
+		sys.Engine.Schedule(37*sim.Microsecond, sim.Func(storm))
 	}
-	sys.Engine.Schedule(sim.Microsecond, storm)
+	sys.Engine.Schedule(sim.Microsecond, sim.Func(storm))
 
 	srv := f.Server(0)
 	f.Run(100 * sim.Millisecond)
@@ -203,12 +203,12 @@ func TestLinkFlapFailureInjection(t *testing.T) {
 	var flap func()
 	flap = func() {
 		link.StartTransaction()
-		sys.Engine.Schedule(sim.Duration(rng.Uint64()%300)+50, func() {
+		sys.Engine.Schedule(sim.Duration(rng.Uint64()%300)+50, sim.Func(func() {
 			link.EndTransaction()
-		})
-		sys.Engine.Schedule(sim.Duration(rng.Uint64()%20000)+100, flap)
+		}))
+		sys.Engine.Schedule(sim.Duration(rng.Uint64()%20000)+100, sim.Func(flap))
 	}
-	sys.Engine.Schedule(10*sim.Microsecond, flap)
+	sys.Engine.Schedule(10*sim.Microsecond, sim.Func(flap))
 
 	srv := f.Server(0)
 	f.Run(100 * sim.Millisecond)

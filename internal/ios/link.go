@@ -138,7 +138,7 @@ func DefaultParams(k Kind, activeWatts float64) Params {
 // Link is one high-speed IO interface: controller + PHY + LTSSM.
 type Link struct {
 	eng    *sim.Engine
-	name   string
+	name   sim.Name
 	params Params
 
 	state       LState
@@ -155,31 +155,66 @@ type Link struct {
 	pending sim.Event // entry/exit completion event
 	ch      *power.Channel
 
-	// Preallocated L0s entry/exit completion callbacks: the standby
-	// cycle runs once per idle episode, so it must not allocate.
-	entryDoneFn func()
-	exitDoneFn  func()
-
-	// The L1 flow's completion callbacks, bound on the first L1 entry
-	// or exit (only the PC6 flow uses L1), and their waiters: l1Enter
-	// holds each pending EnterL1's done in call order from l1Head (the
-	// entries share one latency, so they complete in call order), and
-	// l1Exit holds the dones of the exit in flight, in call order.
-	l1EnteredFn func()
-	l1ExitedFn  func()
-	l1Enter     []func()
-	l1Head      int
-	l1Exit      []func()
+	// The L1 flow's waiters: l1Enter holds each pending EnterL1's done
+	// in call order from l1Head (the entries share one latency, so they
+	// complete in call order), and l1Exit holds the dones of the exit in
+	// flight, in call order.
+	l1Enter []func()
+	l1Head  int
+	l1Exit  []func()
 
 	// Counters for experiments.
 	standbyEntries uint64
 	wakes          uint64
 }
 
+// A link's events are the link itself seen as one sim.Handler per
+// timer: the L0s entry and exit, the L1 entry and the L1 exit. An L1
+// entry can be pending alongside the L1 exit, so each timer has its own
+// type, and scheduling one allocates nothing.
+type (
+	standbyEntryTimer Link
+	standbyExitTimer  Link
+	l1EntryTimer      Link
+	l1ExitTimer       Link
+)
+
+// Fire completes the autonomous L0s (L0p) entry.
+//
+//apcvet:noalloc
+func (t *standbyEntryTimer) Fire() {
+	l := (*Link)(t)
+	l.pending = sim.Event{}
+	l.state = L0s
+	l.standbyEntries++
+	l.setPower(l.params.StandbyWatts)
+	l.inL0s.Set()
+}
+
+// Fire completes the L0s (L0p) exit.
+//
+//apcvet:noalloc
+func (t *standbyExitTimer) Fire() {
+	l := (*Link)(t)
+	l.pending = sim.Event{}
+	l.state = L0
+	l.maybeArmStandby()
+}
+
+// Fire completes the oldest pending EnterL1.
+//
+//apcvet:noalloc
+func (t *l1EntryTimer) Fire() { (*Link)(t).l1Entered() }
+
+// Fire completes the L1 exit in flight.
+//
+//apcvet:noalloc
+func (t *l1ExitTimer) Fire() { (*Link)(t).l1Exited() }
+
 // Init builds the link in place, in L0, and returns l. ch may be nil
 // to skip power accounting. Building in place lets a machine allocate
 // its links as one slab.
-func (l *Link) Init(eng *sim.Engine, name string, p Params, ch *power.Channel) *Link {
+func (l *Link) Init(eng *sim.Engine, name sim.Name, p Params, ch *power.Channel) *Link {
 	*l = Link{
 		eng:    eng,
 		name:   name,
@@ -187,29 +222,17 @@ func (l *Link) Init(eng *sim.Engine, name string, p Params, ch *power.Channel) *
 		state:  L0,
 		ch:     ch,
 	}
-	l.allowL0s.Init(name+".AllowL0s", false)
-	l.inL0s.Init(name+".InL0s", false)
+	l.allowL0s.Init(name.With(".AllowL0s"), false)
+	l.inL0s.Init(name.With(".InL0s"), false)
 	if ch != nil {
 		ch.Set(p.ActiveWatts)
 	}
 	l.allowL0s.Subscribe(l.onAllowL0s)
-	l.entryDoneFn = func() {
-		l.pending = sim.Event{}
-		l.state = L0s
-		l.standbyEntries++
-		l.setPower(l.params.StandbyWatts)
-		l.inL0s.Set()
-	}
-	l.exitDoneFn = func() {
-		l.pending = sim.Event{}
-		l.state = L0
-		l.maybeArmStandby()
-	}
 	return l
 }
 
 // Name returns the link name.
-func (l *Link) Name() string { return l.name }
+func (l *Link) Name() string { return l.name.String() }
 
 // Kind returns the link kind.
 func (l *Link) Kind() Kind { return l.params.Kind }
@@ -218,15 +241,21 @@ func (l *Link) Kind() Kind { return l.params.Kind }
 func (l *Link) State() LState { return l.state }
 
 // Params returns the link's configuration.
+//
+//apcvet:noalloc
 func (l *Link) Params() Params { return l.params }
 
 // AllowL0s returns the control wire; the APMU (or a test) drives it.
+//
+//apcvet:noalloc
 func (l *Link) AllowL0s() *signal.Signal { return &l.allowL0s }
 
 // InL0s returns the status wire routed to the APMU's AND tree.
 func (l *Link) InL0s() *signal.Signal { return &l.inL0s }
 
 // Idle reports whether the link has no outstanding transactions.
+//
+//apcvet:noalloc
 func (l *Link) Idle() bool { return l.outstanding == 0 }
 
 // StandbyEntries returns how many times the link entered L0s/L0p.
@@ -243,6 +272,7 @@ func (l *Link) StandbyName() string {
 	return "L0s"
 }
 
+//apcvet:noalloc
 func (l *Link) setPower(w float64) {
 	if l.ch != nil {
 		l.ch.Set(w)
@@ -268,18 +298,22 @@ func (l *Link) onAllowL0s(level bool) {
 
 // maybeArmStandby schedules autonomous L0s entry if conditions hold:
 // AllowL0s set, link idle, currently in L0.
+//
+//apcvet:noalloc
 func (l *Link) maybeArmStandby() {
 	if l.state != L0 || !l.allowL0s.Level() || !l.Idle() {
 		return
 	}
 	l.state = L0sEntry
-	l.pending = l.eng.Schedule(l.params.StandbyEntry, l.entryDoneFn)
+	l.pending = l.eng.Schedule(l.params.StandbyEntry, (*standbyEntryTimer)(l))
 }
 
 // beginStandbyExit starts the L0s→L0 transition. The InL0s wire drops
 // immediately (the paper: "the IO controller should unset the signal
 // once a wakeup event is detected to allow the other system components to
 // exit ... concurrently"). If traffic is true, this is a wake event.
+//
+//apcvet:noalloc
 func (l *Link) beginStandbyExit(traffic bool) {
 	l.state = L0sExit
 	l.inL0s.Unset()
@@ -287,13 +321,15 @@ func (l *Link) beginStandbyExit(traffic bool) {
 	if traffic {
 		l.wakes++
 	}
-	l.pending = l.eng.Schedule(l.params.StandbyExit, l.exitDoneFn)
+	l.pending = l.eng.Schedule(l.params.StandbyExit, (*standbyExitTimer)(l))
 }
 
 // StartTransaction marks the beginning of a bus transaction. A
 // transaction arriving in standby wakes the link; data moves only once
 // the link is back in L0, so EndTransaction is typically scheduled by the
 // caller after the transfer time.
+//
+//apcvet:noalloc
 func (l *Link) StartTransaction() {
 	l.outstanding++
 	switch l.state {
@@ -312,9 +348,11 @@ func (l *Link) StartTransaction() {
 
 // EndTransaction marks a transaction complete. When the last completes
 // and standby is allowed, the LTSSM re-arms its idle timer.
+//
+//apcvet:noalloc
 func (l *Link) EndTransaction() {
 	if l.outstanding == 0 {
-		panic(fmt.Sprintf("ios: EndTransaction on idle link %s", l.name))
+		panic(fmt.Sprintf("ios: EndTransaction on idle link %s", l.name)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	l.outstanding--
 	if l.outstanding == 0 && l.state == L0 {
@@ -325,6 +363,8 @@ func (l *Link) EndTransaction() {
 // ExitDelay returns the time until the link can move data, given its
 // present state — used by traffic models to delay transfers during
 // wakeups.
+//
+//apcvet:noalloc
 func (l *Link) ExitDelay() sim.Duration {
 	switch l.state {
 	case L0s, L0sExit:
@@ -340,9 +380,11 @@ func (l *Link) ExitDelay() sim.Duration {
 // command, not autonomous). The transition drains for L1EntryLat first.
 // Calling it on a non-idle link panics: the GPMU only runs the PC6 flow
 // with the fabric quiesced.
+//
+//apcvet:noalloc
 func (l *Link) EnterL1(done func()) {
 	if !l.Idle() {
-		panic(fmt.Sprintf("ios: EnterL1 on busy link %s", l.name))
+		panic(fmt.Sprintf("ios: EnterL1 on busy link %s", l.name)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	switch l.state {
 	case L1:
@@ -360,19 +402,13 @@ func (l *Link) EnterL1(done func()) {
 		l.pending.Cancel()
 		l.pending = sim.Event{}
 	}
-	l.bindL1()
 	l.l1Enter = append(l.l1Enter, done)
-	l.eng.Schedule(l.params.L1EntryLat, l.l1EnteredFn)
-}
-
-// bindL1 binds the L1 flow's completion callbacks once, on first use.
-func (l *Link) bindL1() {
-	if l.l1EnteredFn == nil {
-		l.l1EnteredFn, l.l1ExitedFn = l.l1Entered, l.l1Exited
-	}
+	l.eng.Schedule(l.params.L1EntryLat, (*l1EntryTimer)(l))
 }
 
 // l1Entered completes the oldest pending EnterL1.
+//
+//apcvet:noalloc
 func (l *Link) l1Entered() {
 	done := l.l1Enter[l.l1Head]
 	l.l1Enter[l.l1Head] = nil
@@ -389,6 +425,8 @@ func (l *Link) l1Entered() {
 }
 
 // ExitL1 begins the L1→L0 retrain (GPMU command during PC6 exit).
+//
+//apcvet:noalloc
 func (l *Link) ExitL1(done func()) {
 	if l.state != L1 {
 		if done != nil {
@@ -402,6 +440,7 @@ func (l *Link) ExitL1(done func()) {
 	}
 }
 
+//apcvet:noalloc
 func (l *Link) beginL1Exit(traffic bool) {
 	l.state = L1Exit
 	l.inL0s.Unset()
@@ -409,12 +448,13 @@ func (l *Link) beginL1Exit(traffic bool) {
 	if traffic {
 		l.wakes++
 	}
-	l.bindL1()
-	l.pending = l.eng.Schedule(l.params.L1ExitLat, l.l1ExitedFn)
+	l.pending = l.eng.Schedule(l.params.L1ExitLat, (*l1ExitTimer)(l))
 }
 
 // l1Exited completes the L1 exit in flight: the link is back in L0,
 // and every ExitL1 waiting on it is told, in call order.
+//
+//apcvet:noalloc
 func (l *Link) l1Exited() {
 	l.pending = sim.Event{}
 	l.state = L0

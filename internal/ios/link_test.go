@@ -8,7 +8,7 @@ import (
 )
 
 func newPCIe(eng *sim.Engine) *Link {
-	return new(Link).Init(eng, "pcie0", DefaultParams(PCIe, 1.4), nil)
+	return new(Link).Init(eng, sim.Named("pcie0"), DefaultParams(PCIe, 1.4), nil)
 }
 
 func TestStateAndKindStrings(t *testing.T) {
@@ -172,7 +172,7 @@ func TestAllowL0sDeassertDuringEntry(t *testing.T) {
 
 func TestUPIUsesL0p(t *testing.T) {
 	eng := sim.NewEngine()
-	l := new(Link).Init(eng, "upi0", DefaultParams(UPI, 1.7), nil)
+	l := new(Link).Init(eng, sim.Named("upi0"), DefaultParams(UPI, 1.7), nil)
 	if l.StandbyName() != "L0p" {
 		t.Fatal("UPI standby should be L0p")
 	}
@@ -274,8 +274,8 @@ func TestEndTransactionUnderflowPanics(t *testing.T) {
 func TestPowerLadder(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
-	ch := m.Channel("pcie0", power.Package)
-	l := new(Link).Init(eng, "pcie0", DefaultParams(PCIe, 2.0), ch)
+	ch := m.Channel(sim.Named("pcie0"), power.Package)
+	l := new(Link).Init(eng, sim.Named("pcie0"), DefaultParams(PCIe, 2.0), ch)
 
 	if m.Power(power.Package) != 2.0 {
 		t.Fatalf("L0 power %v", m.Power(power.Package))

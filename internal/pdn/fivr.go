@@ -48,10 +48,31 @@ type FIVR struct {
 	retention   float64 // RVID: pre-programmed retention voltage
 	inRet       bool
 
-	rampDone   sim.Event
-	rampDoneFn func() // preallocated ramp-completion callback
-	onPwrOk    func()
-	onAtRet    func()
+	rampDone sim.Event // pending ramp completion, fired as a rampTimer
+	onPwrOk  func()
+	onAtRet  func()
+}
+
+// rampTimer is a regulator's ramp-completion event: the FIVR itself,
+// seen as a sim.Handler.
+type rampTimer FIVR
+
+// Fire completes the ramp in flight: PwrOk after a ramp up, the
+// at-retention notification after a ramp down to retention.
+//
+//apcvet:noalloc
+func (t *rampTimer) Fire() {
+	f := (*FIVR)(t)
+	f.rampDone = sim.Event{}
+	if f.target == f.retention && f.inRet {
+		if f.onAtRet != nil {
+			f.onAtRet()
+		}
+		return
+	}
+	if f.onPwrOk != nil {
+		f.onPwrOk()
+	}
 }
 
 // NewFIVR creates a regulator already settled at the operational voltage.
@@ -70,18 +91,6 @@ func NewFIVR(eng *sim.Engine, name string, operational, retention, slewVoltsPerN
 		target:      operational,
 		operational: operational,
 		retention:   retention,
-	}
-	f.rampDoneFn = func() {
-		f.rampDone = sim.Event{}
-		if f.target == f.retention && f.inRet {
-			if f.onAtRet != nil {
-				f.onAtRet()
-			}
-			return
-		}
-		if f.onPwrOk != nil {
-			f.onPwrOk()
-		}
 	}
 	return f
 }
@@ -177,5 +186,5 @@ func (f *FIVR) retarget(v float64) {
 	f.t0 = f.eng.Now()
 	f.target = v
 	d := f.rampDuration(cur, v)
-	f.rampDone = f.eng.Schedule(d, f.rampDoneFn)
+	f.rampDone = f.eng.Schedule(d, (*rampTimer)(f))
 }

@@ -110,12 +110,10 @@ type GPMU struct {
 	pendingWake bool     // wake arrived mid-entry; unwind at next step
 	exitStart   sim.Time // when the running exit flow began
 
-	// The PC6 flow's steps, bound on the first entry attempt (see
-	// bindFlow): a machine that never reaches PC6 pays nothing for
-	// them, and one that cycles through it allocates nothing per cycle.
-	hystFn     func()
-	entryFns   [4]func()
-	exitDoneFn func()
+	// step is the PC6 flow's pending step. The flow runs one step at a
+	// time, from the hysteresis window through entry or exit, so every
+	// step fires the GPMU as one flowTimer.
+	step flowStep
 
 	onTransition []func(old, new PkgState)
 
@@ -137,7 +135,7 @@ func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs 
 		clm:   clm,
 		state: PC0,
 	}
-	g.wakeUp.Init("GPMU.WakeUp", false)
+	g.wakeUp.Init(sim.Named("GPMU.WakeUp"), false)
 	// One bound callback of each kind serves every core.
 	onTransition := g.coreTransition
 	onInCC1 := g.inCC1Edge
@@ -195,6 +193,7 @@ func (g *GPMU) Residency(s PkgState) sim.Duration {
 // Entries returns how many times the given state was entered.
 func (g *GPMU) Entries(s PkgState) uint64 { return g.entries[s] }
 
+//apcvet:noalloc
 func (g *GPMU) setState(s PkgState) {
 	if s == g.state {
 		return
@@ -239,6 +238,8 @@ func (g *GPMU) coreTransition(old, new cpu.CState) {
 // allDeepAndQuiet reports whether every core is settled in CC6 with no
 // wake in flight (a waking core keeps its CC6 state for the 133 µs exit,
 // but its InCC1 wire is already low).
+//
+//apcvet:noalloc
 func (g *GPMU) allDeepAndQuiet() bool {
 	if g.deepCount != len(g.cores) {
 		return false
@@ -251,28 +252,64 @@ func (g *GPMU) allDeepAndQuiet() bool {
 	return true
 }
 
-// bindFlow binds the PC6 flow's steps once, on first use. Every flow
-// starts from armEntry, so that is where it is called.
-func (g *GPMU) bindFlow() {
-	if g.hystFn != nil {
-		return
+// flowStep names a step of the PC6 flow.
+type flowStep uint8
+
+const (
+	stepHysteresis flowStep = iota // the hysteresis window ends
+	stepQuiesce                    // entry: IOs to L1, DRAM to self-refresh
+	stepGate                       // entry: clock-gate, PLLs off
+	stepRetain                     // entry: CLM voltage to retention
+	stepLand                       // entry: land in PC6
+	stepExit                       // exit: every device has unwound
+)
+
+// flowTimer is the GPMU seen as the sim.Handler of its pending step.
+type flowTimer GPMU
+
+// Fire runs the flow's pending step, named by step.
+//
+//apcvet:noalloc
+func (t *flowTimer) Fire() {
+	g := (*GPMU)(t)
+	switch g.step {
+	case stepHysteresis:
+		g.hysteresisDone()
+	case stepQuiesce:
+		g.entryQuiesce()
+	case stepGate:
+		g.entryGate()
+	case stepRetain:
+		g.entryRetain()
+	case stepLand:
+		g.entryDone()
+	case stepExit:
+		g.exitDone()
 	}
-	g.hystFn = g.hysteresisDone
-	g.entryFns = [4]func(){g.entryQuiesce, g.entryGate, g.entryRetain, g.entryDone}
-	g.exitDoneFn = g.exitDone
+}
+
+// schedule arms the flow's next step after d.
+//
+//apcvet:noalloc
+func (g *GPMU) schedule(d sim.Duration, step flowStep) sim.Event {
+	g.step = step
+	return g.eng.Schedule(d, (*flowTimer)(g))
 }
 
 // armEntry schedules the PC6 entry after the hysteresis window.
+//
+//apcvet:noalloc
 func (g *GPMU) armEntry() {
 	if !g.cfg.EnablePC6 || g.state != PC0 || g.flowActive || g.hystEv.Pending() {
 		return
 	}
-	g.bindFlow()
-	g.hystEv = g.eng.Schedule(g.cfg.Hysteresis, g.hystFn)
+	g.hystEv = g.schedule(g.cfg.Hysteresis, stepHysteresis)
 }
 
 // hysteresisDone starts the entry flow if every core is still settled
 // in CC6 once the hysteresis window has passed.
+//
+//apcvet:noalloc
 func (g *GPMU) hysteresisDone() {
 	g.hystEv = sim.Event{}
 	if g.allDeepAndQuiet() && g.state == PC0 && !g.flowActive {
@@ -284,14 +321,18 @@ func (g *GPMU) hysteresisDone() {
 //
 //	PC2 → IOs to L1 + DRAM to self-refresh → clock-gate uncore, PLLs
 //	off → CLM voltage to retention → PC6
+//
+//apcvet:noalloc
 func (g *GPMU) enterPC6() {
 	g.flowActive = true
 	g.pendingWake = false
 	g.setState(PC2)
-	g.eng.Schedule(g.cfg.StepLatency, g.entryFns[0])
+	g.schedule(g.cfg.StepLatency, stepQuiesce)
 }
 
 // entryQuiesce sends the IOs to L1 and DRAM to self-refresh.
+//
+//apcvet:noalloc
 func (g *GPMU) entryQuiesce() {
 	// IO traffic that arrived during the step (e.g. a NIC DMA that has
 	// not yet raised a core interrupt) blocks the descent: the firmware
@@ -317,10 +358,12 @@ func (g *GPMU) entryQuiesce() {
 			maxDev = d
 		}
 	}
-	g.eng.Schedule(maxDev+g.cfg.StepLatency, g.entryFns[1])
+	g.schedule(maxDev+g.cfg.StepLatency, stepGate)
 }
 
 // entryGate clock-gates most of the uncore and turns off most PLLs.
+//
+//apcvet:noalloc
 func (g *GPMU) entryGate() {
 	if g.abortEntry(PC2) {
 		return
@@ -330,21 +373,25 @@ func (g *GPMU) entryGate() {
 	for _, p := range g.extraPLLs {
 		p.TurnOff()
 	}
-	g.eng.Schedule(g.cfg.StepLatency, g.entryFns[2])
+	g.schedule(g.cfg.StepLatency, stepRetain)
 }
 
 // entryRetain reduces the CLM voltage to retention and waits for the
 // ramp.
+//
+//apcvet:noalloc
 func (g *GPMU) entryRetain() {
 	if g.abortEntry(PC2) {
 		return
 	}
 	g.clm.SetRet()
-	g.eng.Schedule(g.clm.RampTime()+g.cfg.StepLatency, g.entryFns[3])
+	g.schedule(g.clm.RampTime()+g.cfg.StepLatency, stepLand)
 }
 
 // entryDone lands the package in PC6, or unwinds it at once if a wake
 // arrived during the last step.
+//
+//apcvet:noalloc
 func (g *GPMU) entryDone() {
 	if g.abortEntry(PC2) {
 		return
@@ -358,6 +405,8 @@ func (g *GPMU) entryDone() {
 
 // ioBusy reports whether any link or memory controller has outstanding
 // traffic.
+//
+//apcvet:noalloc
 func (g *GPMU) ioBusy() bool {
 	for _, l := range g.links {
 		if !l.Idle() {
@@ -374,6 +423,8 @@ func (g *GPMU) ioBusy() bool {
 
 // abortEntry checks for a wake that arrived mid-entry; if so it unwinds
 // from the current depth.
+//
+//apcvet:noalloc
 func (g *GPMU) abortEntry(at PkgState) bool {
 	if !g.pendingWake {
 		return false
@@ -386,6 +437,8 @@ func (g *GPMU) abortEntry(at PkgState) bool {
 
 // wakeFromDeep begins unwinding whatever deep state the GPMU is in. Safe
 // to call at any time.
+//
+//apcvet:noalloc
 func (g *GPMU) wakeFromDeep() {
 	switch {
 	case g.hystEv.Pending():
@@ -400,6 +453,8 @@ func (g *GPMU) wakeFromDeep() {
 
 // exitDeep runs the Fig. 2 exit flow in reverse: PLLs on + ungate +
 // voltage up, IOs out of L1, DRAM out of self-refresh, then PC0.
+//
+//apcvet:noalloc
 func (g *GPMU) exitDeep() {
 	if g.flowActive {
 		return
@@ -439,11 +494,13 @@ func (g *GPMU) exitDeep() {
 	// Firmware handshakes: one message round per unwind step (mirror of
 	// the four entry steps).
 	wait += 4 * g.cfg.StepLatency
-	g.eng.Schedule(wait, g.exitDoneFn)
+	g.schedule(wait, stepExit)
 }
 
 // exitDone ungates the uncore and returns the package to PC0 once every
 // device has unwound.
+//
+//apcvet:noalloc
 func (g *GPMU) exitDone() {
 	if g.clm.Gated() && g.clm.PLL().Locked() {
 		g.clm.ClockUngate()

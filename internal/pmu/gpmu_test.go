@@ -33,8 +33,8 @@ func newRig(t *testing.T, enablePC6 bool) *rig {
 		new(cpu.Core).Init(eng, 0, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
 		new(cpu.Core).Init(eng, 1, cpu.DefaultParams(), gov(), cpu.PerformancePolicy{Nominal: 2.2}, nil),
 	}
-	link := new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
-	mc := new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
+	link := new(ios.Link).Init(eng, sim.Named("pcie0"), ios.DefaultParams(ios.PCIe, 1.4), nil)
+	mc := new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil)
 	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	g := New(eng, DefaultConfig(enablePC6), cores,
 		[]*ios.Link{link}, []*dram.MC{mc}, clm)
@@ -112,8 +112,8 @@ func TestNoPC6WhenCoresOnlyCC1(t *testing.T) {
 	cores := []*cpu.Core{
 		new(cpu.Core).Init(eng, 0, cpu.DefaultParams(), cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil),
 	}
-	link := new(ios.Link).Init(eng, "pcie0", ios.DefaultParams(ios.PCIe, 1.4), nil)
-	mc := new(dram.MC).Init(eng, "mc0", dram.DefaultParams(), dram.PPD, nil, nil)
+	link := new(ios.Link).Init(eng, sim.Named("pcie0"), ios.DefaultParams(ios.PCIe, 1.4), nil)
+	mc := new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil)
 	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
 	g := New(eng, DefaultConfig(true), cores, []*ios.Link{link}, []*dram.MC{mc}, clm)
 	eng.Run(50 * sim.Millisecond)
@@ -127,7 +127,7 @@ func TestPC6ExitOnCoreWake(t *testing.T) {
 	r.driveAllToCC6(t)
 	t0 := r.eng.Now()
 	var doneAt sim.Time
-	r.cores[0].Enqueue(cpu.Work{Duration: sim.Microsecond, OnDone: func() { doneAt = r.eng.Now() }})
+	r.cores[0].Enqueue(cpu.Work{Duration: sim.Microsecond, OnDone: sim.Func(func() { doneAt = r.eng.Now() })})
 	r.eng.Run(r.eng.Now() + 2*sim.Millisecond)
 	if r.gpmu.State() != PC0 && r.gpmu.State() != PC2 && r.gpmu.State() != PC6 {
 		// After the wake and the work the system re-deepens; just check
@@ -197,9 +197,9 @@ func TestWakeDuringEntryUnwinds(t *testing.T) {
 		if new == PC2 && !entered {
 			entered = true
 			// Inject a wake two steps into the entry.
-			r.eng.Schedule(7*sim.Microsecond, func() {
+			r.eng.Schedule(7*sim.Microsecond, sim.Func(func() {
 				r.cores[0].Enqueue(cpu.Work{Duration: sim.Microsecond})
-			})
+			}))
 		}
 	})
 	r.eng.Run(r.eng.Now() + 50*sim.Millisecond)

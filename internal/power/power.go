@@ -48,7 +48,7 @@ type Channel struct {
 	// transition of every component, and the direct pointer saves it a
 	// dependent load.
 	eng        *sim.Engine
-	name       string
+	name       sim.Name
 	domain     Domain
 	watts      float64
 	lastUpdate sim.Time
@@ -81,7 +81,7 @@ func (c *Channel) AddEnergy(e float64) {
 func (c *Channel) Watts() float64 { return c.watts }
 
 // Name returns the channel's registered name.
-func (c *Channel) Name() string { return c.name }
+func (c *Channel) Name() string { return c.name.String() }
 
 // Energy returns the channel's cumulative energy in joules up to the
 // current virtual time.
@@ -120,12 +120,14 @@ func NewMeter(eng *sim.Engine) *Meter {
 // Channel registers a new channel with a unique name in the given domain,
 // starting at zero watts. Registering a duplicate name panics — the SoC
 // wiring is static and a duplicate indicates a construction bug.
-func (m *Meter) Channel(name string, domain Domain) *Channel {
+func (m *Meter) Channel(name sim.Name, domain Domain) *Channel {
 	if domain < 0 || domain >= numDomains {
 		panic(fmt.Sprintf("power: invalid domain %d", domain))
 	}
-	if m.Lookup(name) != nil {
-		panic(fmt.Sprintf("power: duplicate channel %q", name))
+	for _, c := range m.channels {
+		if c.name.Equal(name) {
+			panic(fmt.Sprintf("power: duplicate channel %q", name))
+		}
 	}
 	if len(m.slab) == cap(m.slab) {
 		m.slab = make([]Channel, 0, slabChannels)
@@ -139,10 +141,11 @@ func (m *Meter) Channel(name string, domain Domain) *Channel {
 }
 
 // Lookup returns the channel with the given name, or nil. It scans the
-// channels: a machine has a few dozen, and lookups happen at setup.
+// channels, matching each stored name without composing it: a machine
+// has a few dozen, and lookups happen at setup.
 func (m *Meter) Lookup(name string) *Channel {
 	for _, c := range m.channels {
-		if c.name == name {
+		if c.name.Is(name) {
 			return c
 		}
 	}

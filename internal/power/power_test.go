@@ -28,10 +28,10 @@ func TestDomainString(t *testing.T) {
 func TestEnergyIntegration(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("core0", Package)
+	c := m.Channel(sim.Named("core0"), Package)
 	c.Set(10) // 10 W from t=0
 
-	eng.Schedule(sim.Second, func() { c.Set(2) }) // 2 W from t=1s
+	eng.Schedule(sim.Second, sim.Func(func() { c.Set(2) })) // 2 W from t=1s
 	eng.Run(3 * sim.Second)
 
 	// 10 W × 1 s + 2 W × 2 s = 14 J
@@ -46,9 +46,9 @@ func TestEnergyIntegration(t *testing.T) {
 func TestInstantaneousPower(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	a := m.Channel("a", Package)
-	b := m.Channel("b", Package)
-	d := m.Channel("d", DRAM)
+	a := m.Channel(sim.Named("a"), Package)
+	b := m.Channel(sim.Named("b"), Package)
+	d := m.Channel(sim.Named("d"), DRAM)
 	a.Set(5)
 	b.Set(7)
 	d.Set(3)
@@ -66,8 +66,8 @@ func TestInstantaneousPower(t *testing.T) {
 func TestDomainsIsolated(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	p := m.Channel("soc", Package)
-	d := m.Channel("dimm", DRAM)
+	p := m.Channel(sim.Named("soc"), Package)
+	d := m.Channel(sim.Named("dimm"), DRAM)
 	p.Set(40)
 	d.Set(5)
 	eng.Run(2 * sim.Second)
@@ -82,12 +82,12 @@ func TestDomainsIsolated(t *testing.T) {
 func TestSnapshotInterval(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("x", Package)
+	c := m.Channel(sim.Named("x"), Package)
 	c.Set(100)
 	eng.Run(sim.Second)
 
 	snap := m.Snapshot()
-	eng.Schedule(sim.Second, func() { c.Set(50) })
+	eng.Schedule(sim.Second, sim.Func(func() { c.Set(50) }))
 	eng.Run(3 * sim.Second) // 2s since snapshot: 100*1 + 50*1 = 150 J
 
 	if got := snap.IntervalEnergy(Package); !almost(got, 150, 1e-12) {
@@ -104,7 +104,7 @@ func TestSnapshotInterval(t *testing.T) {
 func TestSnapshotZeroElapsed(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("x", Package)
+	c := m.Channel(sim.Named("x"), Package)
 	c.Set(33)
 	snap := m.Snapshot()
 	if got := snap.AveragePower(Package); got != 33 {
@@ -115,8 +115,8 @@ func TestSnapshotZeroElapsed(t *testing.T) {
 func TestSnapshotAverageTotal(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	p := m.Channel("soc", Package)
-	d := m.Channel("mem", DRAM)
+	p := m.Channel(sim.Named("soc"), Package)
+	d := m.Channel(sim.Named("mem"), DRAM)
 	p.Set(20)
 	d.Set(4)
 	snap := m.Snapshot()
@@ -129,14 +129,14 @@ func TestSnapshotAverageTotal(t *testing.T) {
 func TestChannelRegistrationErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	m.Channel("dup", Package)
+	m.Channel(sim.Named("dup"), Package)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("duplicate name should panic")
 			}
 		}()
-		m.Channel("dup", DRAM)
+		m.Channel(sim.Named("dup"), DRAM)
 	}()
 	func() {
 		defer func() {
@@ -144,14 +144,14 @@ func TestChannelRegistrationErrors(t *testing.T) {
 				t.Error("invalid domain should panic")
 			}
 		}()
-		m.Channel("bad", Domain(99))
+		m.Channel(sim.Named("bad"), Domain(99))
 	}()
 }
 
 func TestNegativePowerPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("c", Package)
+	c := m.Channel(sim.Named("c"), Package)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative power should panic")
@@ -163,7 +163,7 @@ func TestNegativePowerPanics(t *testing.T) {
 func TestLookup(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("core3", Package)
+	c := m.Channel(sim.Named("core3"), Package)
 	if m.Lookup("core3") != c {
 		t.Fatal("Lookup failed")
 	}
@@ -184,13 +184,13 @@ func TestPropertyEnergyConservation(t *testing.T) {
 		}
 		eng := sim.NewEngine()
 		m := NewMeter(eng)
-		c := m.Channel("c", Package)
+		c := m.Channel(sim.Named("c"), Package)
 		expect := 0.0
 		step := sim.Microsecond
 		for i, lv := range levels {
 			w := float64(lv)
 			at := sim.Time(i) * step
-			eng.At(at, func() { c.Set(w) })
+			eng.At(at, sim.Func(func() { c.Set(w) }))
 			expect += w * step.Seconds()
 		}
 		eng.Run(sim.Time(len(levels)) * step)
@@ -205,7 +205,7 @@ func TestPropertyEnergyConservation(t *testing.T) {
 func TestPropertyEnergyMonotone(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng)
-	c := m.Channel("c", Package)
+	c := m.Channel(sim.Named("c"), Package)
 	prev := 0.0
 	for i := 0; i < 100; i++ {
 		c.Set(float64(i % 7))
@@ -216,4 +216,28 @@ func TestPropertyEnergyMonotone(t *testing.T) {
 		}
 		prev = e
 	}
+}
+
+// TestLookupMatchesComposedNames pins that a channel registered under
+// an indexed name answers to its composed spelling, and that a second
+// spelling of a registered name is still a duplicate.
+func TestLookupMatchesComposedNames(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMeter(eng)
+	c := m.Channel(sim.Indexed("pcie", 2).With(".pll"), Package)
+	if m.Lookup("pcie2.pll") != c || c.Name() != "pcie2.pll" {
+		t.Fatalf("indexed channel not found by its composed name %q", c.Name())
+	}
+	if m.Lookup("pcie2") != nil || m.Lookup("pcie.pll") != nil {
+		t.Fatal("a lookup matched a partial name")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Lookup("pcie2.pll") }); allocs != 0 {
+		t.Errorf("Lookup allocated %v times, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering pcie2.pll under a second spelling did not panic")
+		}
+	}()
+	m.Channel(sim.Named("pcie2.pll"), Package)
 }

@@ -69,11 +69,10 @@ type Server struct {
 	served   uint64
 	inFlight int
 
-	batch        []func()
-	batchSpare   []func()
+	batch        []sim.Handler
+	batchSpare   []sim.Handler
 	batchArmed   bool
 	batchFlushes uint64
-	batchFn      func()
 
 	// pool recycles inflight records so steady-state serving does not
 	// allocate per request.
@@ -82,21 +81,25 @@ type Server struct {
 
 // inflight is the pooled per-request record. Its path through the
 // machine is strictly sequential — NIC in, dispatch, core start, core
-// done, NIC out — so one callback, bound when the pool first hands the
-// record out, carries every step: each call runs the step named by
-// stage and advances it. A record costs its slab share and that one
-// closure, amortized over every request it later carries.
+// done, NIC out — so the record itself is the sim.Handler of every
+// step: each Fire runs the step named by stage and advances it. A
+// record costs only its slab share, amortized over every request it
+// later carries.
 //
 //apcvet:pooled
 type inflight struct {
 	s     *Server
 	req   *workload.Request
-	done  func()
+	done  sim.Handler
 	stage stage
-	fn    func()
 }
 
-// stage is the step an inflight record's callback runs next.
+// Fire runs the record's current step.
+//
+//apcvet:noalloc
+func (r *inflight) Fire() { r.s.step(r) }
+
+// stage is the step an inflight record's Fire runs next.
 type stage uint8
 
 const (
@@ -107,17 +110,12 @@ const (
 	outWire               // NIC DMA out finished: respond
 )
 
-// newInflight takes a record from the pool (binding its callback on
-// first use) and binds it to a request.
+// newInflight takes a record from the pool and binds it to a request.
 //
 //apcvet:noalloc
-func (s *Server) newInflight(req *workload.Request, done func()) *inflight {
-	r, fresh := s.pool.Get()
-	if fresh {
-		r.s = s
-		r.fn = func() { r.s.step(r) } //apcvet:alloc created once per record; reused for every later request
-	}
-	r.req, r.done, r.stage = req, done, inWire
+func (s *Server) newInflight(req *workload.Request, done sim.Handler) *inflight {
+	r, _ := s.pool.Get()
+	r.s, r.req, r.done, r.stage = s, req, done, inWire
 	return r
 }
 
@@ -129,15 +127,15 @@ func (s *Server) step(r *inflight) {
 	case inWire:
 		s.sys.NICLink().EndTransaction()
 		r.stage = execute
-		s.dispatch(r.fn)
+		s.dispatch(r)
 	case execute:
 		// 2. Kernel + application execution on the pinned core.
 		r.stage = started
 		core := s.sys.Cores[r.req.Conn%len(s.sys.Cores)]
 		core.Enqueue(cpu.Work{
 			Duration: r.req.Service + s.cfg.KernelOverhead,
-			OnStart:  r.fn,
-			OnDone:   r.fn,
+			OnStart:  r,
+			OnDone:   r,
 		})
 	case started:
 		// 3. The request's DRAM traffic (dynamic energy; also wakes
@@ -150,7 +148,7 @@ func (s *Server) step(r *inflight) {
 		r.stage = outWire
 		nic := s.sys.NICLink()
 		nic.StartTransaction()
-		s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r.fn)
+		s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r)
 	case outWire:
 		s.sys.NICLink().EndTransaction()
 		e2e := s.sys.Engine.Now() - r.req.Arrival + s.cfg.NetworkLatency
@@ -160,7 +158,7 @@ func (s *Server) step(r *inflight) {
 		done := r.done
 		s.recycle(r)
 		if done != nil {
-			done()
+			done.Fire()
 		}
 	}
 }
@@ -202,7 +200,7 @@ func (s *Server) armTicks() {
 	period := sim.Duration(float64(sim.Second) / s.cfg.TimerTickHz)
 	for i, c := range s.sys.Cores {
 		c := c
-		var tick func()
+		var tick sim.Func
 		tick = func() {
 			c.WakeInterrupt(s.cfg.TickKernelTime)
 			s.sys.Engine.Schedule(period, tick)
@@ -235,12 +233,12 @@ func (s *Server) Served() uint64 { return s.served }
 // System returns the underlying system.
 func (s *Server) System() *soc.System { return s.sys }
 
-// Submit serves one request and calls done (if non-nil) when the
+// Submit serves one request and fires done (if non-nil) when the
 // response leaves the NIC — the hook closed-loop clients and the fleet
 // balancer use.
 //
 //apcvet:noalloc
-func (s *Server) Submit(req *workload.Request, done func()) {
+func (s *Server) Submit(req *workload.Request, done sim.Handler) {
 	s.inFlight++
 	r := s.newInflight(req, done)
 	nic := s.sys.NICLink()
@@ -248,43 +246,49 @@ func (s *Server) Submit(req *workload.Request, done func()) {
 	// 1. NIC DMA in: the PCIe link wakes if parked (its wake event is
 	// also what triggers the PC1A exit flow for network traffic).
 	nic.StartTransaction()
-	s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r.fn)
+	s.sys.Engine.Schedule(nic.ExitDelay()+s.cfg.NICTransfer, r)
 }
 
-// dispatch runs fn now, or holds it for the next epoch boundary when
+// dispatch fires h now, or holds it for the next epoch boundary when
 // batching is enabled.
 //
 //apcvet:noalloc
-func (s *Server) dispatch(fn func()) {
+func (s *Server) dispatch(h sim.Handler) {
 	if s.cfg.BatchEpoch == 0 {
-		fn()
+		h.Fire()
 		return
 	}
-	s.batch = append(s.batch, fn)
+	s.batch = append(s.batch, h)
 	if s.batchArmed {
 		return
 	}
 	s.batchArmed = true
 	eng := s.sys.Engine
 	next := (eng.Now()/s.cfg.BatchEpoch + 1) * s.cfg.BatchEpoch
-	if s.batchFn == nil {
-		//apcvet:alloc created once per server at its first batched dispatch
-		s.batchFn = func() {
-			s.batchArmed = false
-			s.batchFlushes++
-			// Swap buffers rather than discarding: a dispatch during the
-			// flush must land in a fresh batch, but the drained buffer can
-			// be recycled for it.
-			pending := s.batch
-			s.batch = s.batchSpare[:0]
-			for i, f := range pending {
-				pending[i] = nil
-				f()
-			}
-			s.batchSpare = pending[:0]
-		}
+	eng.At(next, (*batchTimer)(s))
+}
+
+// batchTimer is an epoch boundary's event: the server seen as a
+// sim.Handler.
+type batchTimer Server
+
+// Fire releases the held batch.
+//
+//apcvet:noalloc
+func (t *batchTimer) Fire() {
+	s := (*Server)(t)
+	s.batchArmed = false
+	s.batchFlushes++
+	// Swap buffers rather than discarding: a dispatch during the flush
+	// must land in a fresh batch, but the drained buffer can be
+	// recycled for it.
+	pending := s.batch
+	s.batch = s.batchSpare[:0]
+	for i, h := range pending {
+		pending[i] = nil
+		h.Fire()
 	}
-	eng.At(next, s.batchFn)
+	s.batchSpare = pending[:0]
 }
 
 // BatchFlushes returns how many epoch releases occurred.

@@ -209,7 +209,7 @@ func TestSecondWaveAllocFree(t *testing.T) {
 	srv := server.NewClosedLoop(sys, server.DefaultConfig())
 	reqs := make([]workload.Request, k)
 	served := 0
-	done := func() { served++ }
+	done := sim.Func(func() { served++ })
 	wave := func() {
 		for i := range reqs {
 			reqs[i] = workload.Request{

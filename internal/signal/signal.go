@@ -10,26 +10,30 @@
 // order, which keeps flows deterministic.
 package signal
 
-import "fmt"
+import (
+	"fmt"
+
+	"agilepkgc/internal/sim"
+)
 
 // Signal is a single-driver, many-reader boolean wire. Devices embed
 // their wires by value and hand out pointers to them, so a wire costs
 // no allocation of its own; a Signal must not be copied after Init.
 type Signal struct {
-	name  string
+	name  sim.Name
 	level bool
 	subs  Listeners[func(bool)]
 }
 
 // Init names the wire and sets its initial level, dropping any
 // subscribers, and returns s.
-func (s *Signal) Init(name string, initial bool) *Signal {
+func (s *Signal) Init(name sim.Name, initial bool) *Signal {
 	*s = Signal{name: name, level: initial}
 	return s
 }
 
 // Name returns the wire's name.
-func (s *Signal) Name() string { return s.name }
+func (s *Signal) Name() string { return s.name.String() }
 
 // Level returns the current level.
 func (s *Signal) Level() bool { return s.level }
@@ -111,7 +115,7 @@ type AndTree struct {
 // Init names the output and starts the tree with no inputs: the output
 // is high (vacuous truth, same as a wired-AND with no pull-downs) until
 // Add feeds it a low input. It returns t.
-func (t *AndTree) Init(name string) *AndTree {
+func (t *AndTree) Init(name sim.Name) *AndTree {
 	t.out.Init(name, true)
 	t.lows = 0
 	t.inputFn = t.onInput

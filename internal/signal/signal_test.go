@@ -3,14 +3,16 @@ package signal
 import (
 	"testing"
 	"testing/quick"
+
+	"agilepkgc/internal/sim"
 )
 
 func newSignal(name string, initial bool) *Signal {
-	return new(Signal).Init(name, initial)
+	return new(Signal).Init(sim.Named(name), initial)
 }
 
 func newAndTree(name string, inputs ...*Signal) *AndTree {
-	t := new(AndTree).Init(name)
+	t := new(AndTree).Init(sim.Named(name))
 	for _, in := range inputs {
 		t.Add(in)
 	}

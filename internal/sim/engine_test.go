@@ -82,7 +82,7 @@ func TestEquivalenceWithReferenceHeap(t *testing.T) {
 		schedule := func(d Duration) {
 			id := nextID
 			nextID++
-			ev := e.Schedule(d, func() { gotOrder = append(gotOrder, id) })
+			ev := e.Schedule(d, Func(func() { gotOrder = append(gotOrder, id) }))
 			re := &refEvent{at: refNow + d, seq: refSeq, id: id}
 			refSeq++
 			heap.Push(&ref, re)
@@ -215,14 +215,14 @@ func fired(order []int, id int) bool {
 // arena slot is recycled for a new event.
 func TestStaleHandleCannotTouchRecycledSlot(t *testing.T) {
 	e := NewEngine()
-	h1 := e.Schedule(5, func() {})
+	h1 := e.Schedule(5, Func(func() {}))
 	e.Run(10)
 	if h1.Pending() {
 		t.Fatal("fired event still pending")
 	}
 	// The freed slot is recycled by the next Schedule.
 	ran := false
-	h2 := e.Schedule(5, func() { ran = true })
+	h2 := e.Schedule(5, Func(func() { ran = true }))
 	if h1.Pending() {
 		t.Fatal("stale handle reports recycled slot as pending")
 	}
@@ -238,10 +238,10 @@ func TestStaleHandleCannotTouchRecycledSlot(t *testing.T) {
 	}
 
 	// Same via Cancel: cancel, recycle, poke the stale handle.
-	h3 := e.Schedule(5, func() {})
+	h3 := e.Schedule(5, Func(func() {}))
 	h3.Cancel()
 	ran = false
-	h4 := e.Schedule(5, func() { ran = true })
+	h4 := e.Schedule(5, Func(func() { ran = true }))
 	if h3.Pending() || h3.Cancel() {
 		t.Fatal("canceled handle came back to life after slot reuse")
 	}
@@ -259,7 +259,7 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	e := NewEngine()
 	var evs []Event
 	for i := 0; i < 100; i++ {
-		evs = append(evs, e.Schedule(Time(10+i), func() {}))
+		evs = append(evs, e.Schedule(Time(10+i), Func(func() {})))
 	}
 	for i := 0; i < 100; i += 2 {
 		evs[i].Cancel()
@@ -287,13 +287,13 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 func TestSameInstantRingInterleavesWithHeap(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(10, func() { // seq 0, fires first at t=10
+	e.Schedule(10, Func(func() {
 		order = append(order, 0)
-		e.Schedule(0, func() { order = append(order, 3) }) // at T, seq 3
-		e.Schedule(0, func() { order = append(order, 4) }) // at T, seq 4
-	})
-	e.Schedule(10, func() { order = append(order, 1) }) // before T, seq 1
-	e.Schedule(10, func() { order = append(order, 2) }) // before T, seq 2
+		e.Schedule(0, Func(func() { order = append(order, 3) }))
+		e.Schedule(0, Func(func() { order = append(order, 4) }))
+	}))
+	e.Schedule(10, Func(func() { order = append(order, 1) })) // before T, seq 1
+	e.Schedule(10, Func(func() { order = append(order, 2) })) // before T, seq 2
 	e.Run(10)
 	want := []int{0, 1, 2, 3, 4}
 	if len(order) != len(want) {
@@ -311,15 +311,15 @@ func TestSameInstantRingInterleavesWithHeap(t *testing.T) {
 func TestCancelRingEvent(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(10, func() {
-		e.Schedule(0, func() { order = append(order, 1) })
-		bad := e.Schedule(0, func() { t.Fatal("canceled same-instant event ran") })
-		e.Schedule(0, func() { order = append(order, 2) })
+	e.Schedule(10, Func(func() {
+		e.Schedule(0, Func(func() { order = append(order, 1) }))
+		bad := e.Schedule(0, Func(func() { t.Fatal("canceled same-instant event ran") }))
+		e.Schedule(0, Func(func() { order = append(order, 2) }))
 		bad.Cancel()
 		if e.Pending() != 2 {
 			t.Fatalf("Pending = %d inside handler, want 2", e.Pending())
 		}
-	})
+	}))
 	e.Run(20)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", order)
@@ -334,25 +334,25 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
 	for i := 0; i < 1000; i++ { // warm the arena and free list
-		e.Schedule(Duration(i%3), fn)
+		e.Schedule(Duration(i%3), Func(fn))
 	}
 	for e.Step() {
 	}
 
 	if avg := testing.AllocsPerRun(2000, func() {
-		e.Schedule(1, fn)
+		e.Schedule(1, Func(fn))
 		e.Step()
 	}); avg != 0 {
 		t.Errorf("later event: %v allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(2000, func() {
-		e.Schedule(0, fn)
+		e.Schedule(0, Func(fn))
 		e.Step()
 	}); avg != 0 {
 		t.Errorf("same-instant event: %v allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(2000, func() {
-		ev := e.Schedule(5, fn)
+		ev := e.Schedule(5, Func(fn))
 		ev.Cancel()
 	}); avg != 0 {
 		t.Errorf("schedule+cancel: %v allocs/op, want 0", avg)
@@ -370,7 +370,7 @@ func BenchmarkScheduleFireSameInstant(b *testing.B) {
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(0, fn)
+		e.Schedule(0, Func(fn))
 		e.Step()
 	}
 }
@@ -381,7 +381,7 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Duration(i%64)+1, fn).Cancel()
+		e.Schedule(Duration(i%64)+1, Func(fn)).Cancel()
 	}
 }
 
@@ -391,12 +391,12 @@ func BenchmarkChurn1k(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Duration(1+i), fn)
+		e.Schedule(Duration(1+i), Func(fn))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(1025, fn)
+		e.Schedule(1025, Func(fn))
 		e.Step()
 	}
 }
@@ -430,15 +430,15 @@ func newMixedEngine() *Engine {
 		next++
 		if d >= Millisecond {
 			if timer.Cancel() {
-				e.Schedule(90, chain)
+				e.Schedule(90, Func(chain))
 			}
-			timer = e.Schedule(d, chain)
+			timer = e.Schedule(d, Func(chain))
 			return
 		}
-		e.Schedule(d, chain)
+		e.Schedule(d, Func(chain))
 	}
 	for i := 0; i < 32; i++ {
-		e.Schedule(delays[i], chain)
+		e.Schedule(delays[i], Func(chain))
 	}
 	for i := 0; i < 10000; i++ {
 		e.Step()

@@ -8,10 +8,12 @@ package sim
 // N. Records never leave the pool's slabs, so a *T stays valid for the
 // pool's lifetime.
 //
-// A record whose callbacks run strictly one after another binds a
-// single callback when Get reports it fresh and switches on a stage
-// field kept in the record, so a record costs no allocation beyond its
-// slab share and that one closure.
+// A record's events fire it as a Handler: one whose events run
+// strictly one after another implements Fire on a stage field kept in
+// the record, and one with timers that can be pending together gives
+// each timer its own named type over the record. Either way scheduling
+// converts a pointer into the slab, so a record costs no allocation
+// beyond its slab share.
 //
 // The zero value is an empty pool. A Pool is not safe for concurrent
 // use; like the engine it serves, it belongs to one simulation.
@@ -52,3 +54,8 @@ func (p *Pool[T]) Get() (*T, bool) {
 func (p *Pool[T]) Put(r *T) {
 	p.free = append(p.free, r)
 }
+
+// Free returns how many records wait in the free list: the number of
+// Gets that will hand out a recycled record before the pool turns to
+// its slabs.
+func (p *Pool[T]) Free() int { return len(p.free) }

@@ -80,7 +80,27 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a handle to a scheduled callback, returned by Engine.Schedule
+// Handler is what an event does when it fires. Model code implements it
+// on the record or device the event belongs to, usually switching on a
+// stage field the record keeps, or through a small named type per timer
+// where several of a device's events can be pending at once; converting
+// a pointer to a Handler allocates nothing. Func adapts a plain closure,
+// the form tests and cold paths use.
+type Handler interface {
+	Fire()
+}
+
+// Func adapts an ordinary function to a Handler, as http.HandlerFunc
+// does for http.Handler. A func value is pointer-shaped, so the
+// conversion to Handler allocates nothing beyond the closure itself.
+type Func func()
+
+// Fire calls f.
+//
+//apcvet:noalloc
+func (f Func) Fire() { f() }
+
+// Event is a handle to a scheduled handler, returned by Engine.Schedule
 // and Engine.At. It is a small value (copy it freely); the zero Event is
 // valid and permanently not pending, so model structs can hold an Event
 // field and Cancel it unconditionally.
@@ -132,7 +152,7 @@ const nbuckets = 65
 // once the event fires or is canceled; recycling bumps gen so stale
 // handles die.
 type node struct {
-	fn     func()
+	h      Handler
 	at     Time
 	gen    uint32
 	prev   int32
@@ -198,37 +218,37 @@ func (e *Engine) Reset() {
 	e.free = e.free[:0]
 	for i := len(e.nodes) - 1; i >= 0; i-- {
 		nd := &e.nodes[i]
-		nd.fn = nil
+		nd.h = nil
 		nd.gen++
 		e.free = append(e.free, int32(i))
 	}
 }
 
-// Schedule arranges for fn to run after delay d. A negative delay panics:
-// the hardware being modeled cannot signal into the past.
+// Schedule arranges for h to fire after delay d. A negative delay
+// panics: the hardware being modeled cannot signal into the past.
 //
 //apcvet:noalloc
-func (e *Engine) Schedule(d Duration, fn func()) Event {
+func (e *Engine) Schedule(d Duration, h Handler) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
-	return e.At(e.now+d, fn)
+	return e.At(e.now+d, h)
 }
 
-// At arranges for fn to run at absolute time t, which must not be in the
-// past. Events scheduled for the same instant run in scheduling order.
+// At arranges for h to fire at absolute time t, which must not be in the
+// past. Events scheduled for the same instant fire in scheduling order.
 //
 //apcvet:noalloc
-func (e *Engine) At(t Time, fn func()) Event {
+func (e *Engine) At(t Time, h Handler) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
-	if fn == nil {
-		panic("sim: nil event function")
+	if h == nil {
+		panic("sim: nil event handler")
 	}
 	slot := e.alloc()
 	nd := &e.nodes[slot]
-	nd.fn = fn
+	nd.h = h
 	nd.at = t
 	e.push(slot)
 	e.live++
@@ -256,7 +276,7 @@ func (e *Engine) alloc() int32 {
 //apcvet:noalloc
 func (e *Engine) release(slot int32) {
 	nd := &e.nodes[slot]
-	nd.fn = nil
+	nd.h = nil
 	nd.gen++
 	e.free = append(e.free, slot)
 }
@@ -374,15 +394,15 @@ func (e *Engine) refill(limit Time) bool {
 }
 
 // fire releases the node (so the event's handle is no longer Pending
-// while its callback runs, and the slot can be rescheduled immediately)
-// and runs the callback.
+// while its handler runs, and the slot can be rescheduled immediately)
+// and fires the handler.
 //
 //apcvet:noalloc
 func (e *Engine) fire(slot int32) {
-	fn := e.nodes[slot].fn
+	h := e.nodes[slot].h
 	e.release(slot)
 	e.fired++
-	fn()
+	h.Fire()
 }
 
 // Run executes events until the queue is empty or the next event is after

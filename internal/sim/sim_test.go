@@ -42,9 +42,9 @@ func TestTimeString(t *testing.T) {
 func TestScheduleAndRunOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.Schedule(30, Func(func() { order = append(order, 3) }))
+	e.Schedule(10, Func(func() { order = append(order, 1) }))
+	e.Schedule(20, Func(func() { order = append(order, 2) }))
 	e.Run(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events out of order: %v", order)
@@ -59,7 +59,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		e.Schedule(5, Func(func() { order = append(order, i) }))
 	}
 	e.Run(5)
 	for i, v := range order {
@@ -72,10 +72,10 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var hits []Time
-	e.Schedule(10, func() {
+	e.Schedule(10, Func(func() {
 		hits = append(hits, e.Now())
-		e.Schedule(5, func() { hits = append(hits, e.Now()) })
-	})
+		e.Schedule(5, Func(func() { hits = append(hits, e.Now()) }))
+	}))
 	e.Run(100)
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
 		t.Fatalf("nested scheduling wrong: %v", hits)
@@ -85,9 +85,9 @@ func TestNestedScheduling(t *testing.T) {
 func TestScheduleZeroDelay(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(10, func() {
-		e.Schedule(0, func() { ran = true })
-	})
+	e.Schedule(10, Func(func() {
+		e.Schedule(0, Func(func() { ran = true }))
+	}))
 	e.Run(10)
 	if !ran {
 		t.Fatal("zero-delay event did not run within Run(10)")
@@ -97,7 +97,7 @@ func TestScheduleZeroDelay(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	ev := e.Schedule(10, func() { ran = true })
+	ev := e.Schedule(10, Func(func() { ran = true }))
 	if !ev.Pending() {
 		t.Fatal("event should be pending")
 	}
@@ -128,7 +128,7 @@ func TestCancelZeroValue(t *testing.T) {
 
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(1, func() {})
+	ev := e.Schedule(1, Func(func() {}))
 	e.Run(5)
 	if ev.Cancel() {
 		t.Fatal("Cancel after fire should return false")
@@ -138,7 +138,7 @@ func TestCancelAfterFire(t *testing.T) {
 func TestRunDoesNotExecuteFutureEvents(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Schedule(50, func() { ran = true })
+	e.Schedule(50, Func(func() { ran = true }))
 	e.Run(49)
 	if ran {
 		t.Fatal("event at 50 ran during Run(49)")
@@ -155,8 +155,8 @@ func TestRunDoesNotExecuteFutureEvents(t *testing.T) {
 func TestStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Schedule(10, func() { n++ })
-	e.Schedule(20, func() { n++ })
+	e.Schedule(10, Func(func() { n++ }))
+	e.Schedule(20, Func(func() { n++ }))
 	if !e.Step() {
 		t.Fatal("Step should execute first event")
 	}
@@ -173,9 +173,9 @@ func TestStep(t *testing.T) {
 
 func TestStepSkipsCanceled(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(10, func() { t.Fatal("canceled event ran") })
+	ev := e.Schedule(10, Func(func() { t.Fatal("canceled event ran") }))
 	ran := false
-	e.Schedule(20, func() { ran = true })
+	e.Schedule(20, Func(func() { ran = true }))
 	ev.Cancel()
 	if !e.Step() {
 		t.Fatal("Step should find the live event")
@@ -192,10 +192,10 @@ func TestRunUntilQuiescent(t *testing.T) {
 	chain = func() {
 		count++
 		if count < 5 {
-			e.Schedule(1, chain)
+			e.Schedule(1, Func(chain))
 		}
 	}
-	e.Schedule(1, chain)
+	e.Schedule(1, Func(chain))
 	n := e.RunUntilQuiescent(100)
 	if n != 5 || count != 5 {
 		t.Fatalf("RunUntilQuiescent executed %d (count %d), want 5", n, count)
@@ -205,8 +205,8 @@ func TestRunUntilQuiescent(t *testing.T) {
 func TestRunUntilQuiescentLimit(t *testing.T) {
 	e := NewEngine()
 	var loop func()
-	loop = func() { e.Schedule(1, loop) }
-	e.Schedule(1, loop)
+	loop = func() { e.Schedule(1, Func(loop)) }
+	e.Schedule(1, Func(loop))
 	n := e.RunUntilQuiescent(50)
 	if n != 50 {
 		t.Fatalf("limit not respected: %d", n)
@@ -216,7 +216,7 @@ func TestRunUntilQuiescentLimit(t *testing.T) {
 func TestEventsFired(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.Schedule(Time(i), func() {})
+		e.Schedule(Time(i), Func(func() {}))
 	}
 	e.Run(100)
 	if e.EventsFired() != 7 {
@@ -230,19 +230,19 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func() {})
+	NewEngine().Schedule(-1, Func(func() {}))
 }
 
 func TestAtPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.Schedule(10, Func(func() {}))
 	e.Run(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("At in the past did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.At(5, Func(func() {}))
 }
 
 func TestRunPastPanics(t *testing.T) {
@@ -268,7 +268,7 @@ func TestNilFuncPanics(t *testing.T) {
 func TestPendingCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 4; i++ {
-		e.Schedule(Time(10+i), func() {})
+		e.Schedule(Time(10+i), Func(func() {}))
 	}
 	if e.Pending() != 4 {
 		t.Fatalf("Pending = %d, want 4", e.Pending())
@@ -291,12 +291,12 @@ func TestPropertyOrdering(t *testing.T) {
 		var fireTimes []Time
 		for _, d := range delays {
 			d := Time(d)
-			e.At(d, func() {
+			e.At(d, Func(func() {
 				if e.Now() != d {
 					t.Errorf("fired at %v, scheduled %v", e.Now(), d)
 				}
 				fireTimes = append(fireTimes, e.Now())
-			})
+			}))
 		}
 		e.Run(Time(1 << 17))
 		if len(fireTimes) != len(delays) {
@@ -319,7 +319,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		evs := make([]Event, total)
 		for i := 0; i < total; i++ {
 			i := i
-			evs[i] = e.Schedule(Time(rng.Intn(1000)), func() { ran[i] = true })
+			evs[i] = e.Schedule(Time(rng.Intn(1000)), Func(func() { ran[i] = true }))
 		}
 		canceled := make([]bool, total)
 		for i := 0; i < total; i++ {
@@ -351,13 +351,13 @@ func TestDeterminism(t *testing.T) {
 		gen = func() {
 			log = append(log, e.Now())
 			if len(log) < 500 {
-				e.Schedule(Time(rng.Intn(100)), gen)
+				e.Schedule(Time(rng.Intn(100)), Func(gen))
 				if rng.Intn(3) == 0 {
-					e.Schedule(Time(rng.Intn(100)), func() { log = append(log, e.Now()) })
+					e.Schedule(Time(rng.Intn(100)), Func(func() { log = append(log, e.Now()) }))
 				}
 			}
 		}
-		e.Schedule(0, gen)
+		e.Schedule(0, Func(gen))
 		e.RunUntilQuiescent(10000)
 		return log
 	}
@@ -376,7 +376,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(1, func() {})
+		e.Schedule(1, Func(func() {}))
 		e.Step()
 	}
 }
@@ -395,18 +395,18 @@ func TestEngineReset(t *testing.T) {
 		evs := make([]Event, 0, 8)
 		for i := 0; i < 6; i++ {
 			i := i
-			evs = append(evs, e.Schedule(Duration(10*i), func() { log = append(log, fire{e.Now(), i}) }))
+			evs = append(evs, e.Schedule(Duration(10*i), Func(func() { log = append(log, fire{e.Now(), i}) })))
 		}
 		evs[2].Cancel()
 		evs[4].Cancel()
-		e.Schedule(25, func() { log = append(log, fire{e.Now(), 100}) })
+		e.Schedule(25, Func(func() { log = append(log, fire{e.Now(), 100}) }))
 		e.RunUntilQuiescent(100)
 		return log
 	}
 
 	e := NewEngine()
 	first := drive(e)
-	stale := e.Schedule(5, func() { t.Error("pre-reset event fired after Reset") })
+	stale := e.Schedule(5, Func(func() { t.Error("pre-reset event fired after Reset") }))
 
 	e.Reset()
 	if e.Now() != 0 || e.Pending() != 0 || e.EventsFired() != 0 {
@@ -428,5 +428,44 @@ func TestEngineReset(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("replay diverged at %d: %+v vs %+v", i, first[i], second[i])
 		}
+	}
+}
+
+// ticker is a handler held by pointer: the shape every record and
+// device timer in the model takes.
+type ticker struct {
+	e    *Engine
+	left int
+}
+
+func (k *ticker) Fire() {
+	if k.left > 0 {
+		k.left--
+		k.e.Schedule(1, k)
+	}
+}
+
+// TestHandlersScheduleWithoutAllocating pins the point of the Handler
+// interface: scheduling a pointer, or a func adapted by Func, stores it
+// in the node as is.
+func TestHandlersScheduleWithoutAllocating(t *testing.T) {
+	e := NewEngine()
+	k := &ticker{e: e}
+	fired := 0
+	f := Func(func() { fired++ })
+	e.Schedule(0, k)
+	e.Schedule(0, f)
+	e.Run(e.Now() + 10)
+	allocs := testing.AllocsPerRun(100, func() {
+		k.left = 10
+		e.Schedule(0, k)
+		e.Schedule(0, f)
+		e.Run(e.Now() + 100)
+	})
+	if allocs != 0 {
+		t.Errorf("scheduling handlers allocated %v times per run, want 0", allocs)
+	}
+	if fired != 102 {
+		t.Errorf("Func fired %d times, want 102", fired)
 	}
 }

@@ -17,7 +17,6 @@ package soc
 
 import (
 	"fmt"
-	"strconv"
 
 	"agilepkgc/internal/clock"
 	apc "agilepkgc/internal/core"
@@ -157,11 +156,19 @@ type System struct {
 	// pair per burst awaiting its completion event, FIFO from memHead;
 	// memLat is the controllers' AccessLatency (all are built from
 	// Config.MCParams, so they share it).
-	memQ      []int
-	memHead   int
-	memLat    sim.Duration
-	memDoneFn func()
+	memQ    []int
+	memHead int
+	memLat  sim.Duration
 }
+
+// memTimer is a fused burst's completion event: the system seen as a
+// sim.Handler.
+type memTimer System
+
+// Fire completes the oldest fused burst.
+//
+//apcvet:noalloc
+func (t *memTimer) Fire() { (*System)(t).memDone() }
 
 // New assembles a system from the configuration on a fresh engine of its
 // own — the single-machine case every experiment uses.
@@ -215,15 +222,15 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			saves[i] = cpu.PowersavePolicy{Min: 0.8, Max: cfg.CoreParams.NominalGHz}
 			gov, freq = &menus[i], &saves[i]
 		}
-		ch := meter.Channel("core"+strconv.Itoa(i), power.Package)
+		ch := meter.Channel(sim.Indexed("core", i), power.Package)
 		s.Cores[i] = cores[i].Init(eng, i, cfg.CoreParams, gov, freq, ch)
 	}
 
 	// North-cap base (always on).
-	meter.Channel("northcap", power.Package).Set(cfg.NorthCapWatts)
+	meter.Channel(sim.Named("northcap"), power.Package).Set(cfg.NorthCapWatts)
 
 	// High-speed IO links, each with its own PLL.
-	addLink := func(name string, kind ios.Kind, watts float64) {
+	addLink := func(name sim.Name, kind ios.Kind, watts float64) {
 		p := ios.DefaultParams(kind, watts)
 		if cfg.NoIOStandby {
 			// Ablation: standby saves nothing and is never entered; the
@@ -235,17 +242,18 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 		}
 		i := len(s.Links)
 		s.Links = append(s.Links, links[i].Init(eng, name, p, meter.Channel(name, power.Package)))
-		s.PLLs = append(s.PLLs, plls[i].Init(eng, name+".pll", clock.DefaultRelockLatency,
-			meter.Channel(name+".pll", power.Package)))
+		pll := name.With(".pll")
+		s.PLLs = append(s.PLLs, plls[i].Init(eng, pll, clock.DefaultRelockLatency,
+			meter.Channel(pll, power.Package)))
 	}
 	for i := 0; i < cfg.PCIeCount; i++ {
-		addLink("pcie"+strconv.Itoa(i), ios.PCIe, cfg.PCIeWatts)
+		addLink(sim.Indexed("pcie", i), ios.PCIe, cfg.PCIeWatts)
 	}
 	for i := 0; i < cfg.DMICount; i++ {
-		addLink("dmi"+strconv.Itoa(i), ios.DMI, cfg.DMIWatts)
+		addLink(sim.Indexed("dmi", i), ios.DMI, cfg.DMIWatts)
 	}
 	for i := 0; i < cfg.UPICount; i++ {
-		addLink("upi"+strconv.Itoa(i), ios.UPI, cfg.UPIWatts)
+		addLink(sim.Indexed("upi", i), ios.UPI, cfg.UPIWatts)
 	}
 
 	// Two memory controllers.
@@ -257,12 +265,12 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			mp.CKEExit = 0
 			mp.CKEEntry = 0
 		}
-		name := "mc" + strconv.Itoa(i)
+		name := sim.Indexed("mc", i)
 		s.MCs[i] = mcs[i].Init(eng, name, mp, dram.PPD,
 			meter.Channel(name, power.Package),
-			meter.Channel("dimm"+strconv.Itoa(i), power.DRAM))
+			meter.Channel(sim.Indexed("dimm", i), power.DRAM))
 	}
-	s.memLat, s.memDoneFn = s.MCs[0].Params().AccessLatency, s.memDone
+	s.memLat = s.MCs[0].Params().AccessLatency
 
 	// CLM with its PLL.
 	clmp := cfg.CLMParams
@@ -270,13 +278,13 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 		clmp.RetentionWatts = clmp.GatedWatts
 	}
 	s.CLM = uncore.New(eng, clmp,
-		meter.Channel("clm", power.Package),
-		meter.Channel("clm.pll", power.Package))
+		meter.Channel(sim.Named("clm"), power.Package),
+		meter.Channel(sim.Named("clm.pll"), power.Package))
 	s.PLLs = append(s.PLLs, s.CLM.PLL())
 
 	// GPMU with its PLL.
-	gpmuPLL := plls[len(plls)-1].Init(eng, "gpmu.pll", clock.DefaultRelockLatency,
-		meter.Channel("gpmu.pll", power.Package))
+	gpmuPLL := plls[len(plls)-1].Init(eng, sim.Named("gpmu.pll"), clock.DefaultRelockLatency,
+		meter.Channel(sim.Named("gpmu.pll"), power.Package))
 	s.PLLs = append(s.PLLs, gpmuPLL)
 
 	gcfg := cfg.GPMUConfig
@@ -347,7 +355,7 @@ func (s *System) MemAccess(n int) {
 	}
 	if fuse {
 		s.memQ = append(s.memQ, s.rrNext, n)
-		s.Engine.Schedule(s.memLat, s.memDoneFn)
+		s.Engine.Schedule(s.memLat, (*memTimer)(s))
 	}
 	s.rrNext += n
 }
@@ -363,9 +371,11 @@ func memShare(n, m, i int) int {
 	return n / m
 }
 
-// memDone is a fused burst's completion event: every controller's batch
+// memDone is a fused burst's completion: every controller's batch
 // completes, in issue order. Bursts share one latency, so their events
 // fire in issue order and memQ pairs each with its burst.
+//
+//apcvet:noalloc
 func (s *System) memDone() {
 	rr, n := s.memQ[s.memHead], s.memQ[s.memHead+1]
 	s.memHead += 2

@@ -304,26 +304,26 @@ func TestMemAccessFusionMatchesPerController(t *testing.T) {
 		j, n := rng.Intn(m), 1+rng.Intn(9)
 		switch k := rng.Intn(10); {
 		case k < 6:
-			fused.Engine.At(at, func() { fused.MemAccess(n) })
-			ref.Engine.At(at, func() { refMemAccess(n) })
+			fused.Engine.At(at, sim.Func(func() { fused.MemAccess(n) }))
+			ref.Engine.At(at, sim.Func(func() { refMemAccess(n) }))
 		case k < 8:
 			for _, s := range []*System{fused, ref} {
 				w := s.MCs[j].AllowCKEOff()
-				s.Engine.At(at, func() { w.SetLevel(!w.Level()) })
+				s.Engine.At(at, sim.Func(func() { w.SetLevel(!w.Level()) }))
 			}
 		case k < 9:
 			for _, s := range []*System{fused, ref} {
 				mc := s.MCs[j]
-				s.Engine.At(at, func() {
+				s.Engine.At(at, sim.Func(func() {
 					if mc.Idle() && mc.Mode() == dram.Active {
 						mc.EnterSelfRefresh(nil)
 					}
-				})
+				}))
 			}
 		default:
 			for _, s := range []*System{fused, ref} {
 				mc := s.MCs[j]
-				s.Engine.At(at, func() { mc.ExitSelfRefresh(nil) })
+				s.Engine.At(at, sim.Func(func() { mc.ExitSelfRefresh(nil) }))
 			}
 		}
 	}
@@ -432,5 +432,27 @@ func TestWindow(t *testing.T) {
 	sh.Engine.Run(sim.Millisecond)
 	if r, e, ok := sw.PC1A(); ok || r != 0 || e != 0 {
 		t.Errorf("Cshallow PC1A() = (%v, %d, %v), want (0, 0, false)", r, e, ok)
+	}
+}
+
+// TestAssemblyAllocs pins what assembling a default machine allocates,
+// exactly, per kind: the device slabs and lists, the meter's channel
+// slab, the APMU's and GPMU's wiring, and the signal subscribers. No
+// engine event binds a closure and no name is concatenated, so the
+// count moves only when the machine's shape does.
+func TestAssemblyAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	for _, c := range []struct {
+		kind ConfigKind
+		want float64
+	}{
+		{Cshallow, 32},
+		{Cdeep, 34},
+		{CPC1A, 40},
+	} {
+		cfg := DefaultConfig(c.kind)
+		if got := testing.AllocsPerRun(20, func() { NewOnEngine(cfg, eng) }); got != c.want {
+			t.Errorf("%v: NewOnEngine allocated %v times, want %v", c.kind, got, c.want)
+		}
 	}
 }

@@ -11,11 +11,22 @@ import (
 // produce identical streams.
 type RNG struct {
 	*rand.Rand
+	src *rand.PCG
 }
+
+// pcgStream derives the PCG's second seed word from the first.
+const pcgStream = 0x9e3779b97f4a7c15
 
 // NewRNG creates a deterministic generator from a seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	src := rand.NewPCG(seed, seed^pcgStream)
+	return &RNG{rand.New(src), src}
+}
+
+// Reseed restarts the stream in place: afterwards r draws exactly what
+// NewRNG(seed) would, without allocating a new generator.
+func (r *RNG) Reseed(seed uint64) {
+	r.src.Seed(seed, seed^pcgStream)
 }
 
 // Fork derives an independent child stream; successive calls yield

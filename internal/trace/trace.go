@@ -48,9 +48,6 @@ type Tracer struct {
 	// model).
 	activeAfter stats.Summary
 	wakeProbe   sim.Duration
-	// probeFn is probeActive bound once in New, so scheduling the wake
-	// probe at the end of every full-idle period allocates nothing.
-	probeFn func()
 	// hooks[i] is core i's transition callback, bound once per index
 	// and kept across Rearm.
 	hooks []func(old, new cpu.CState)
@@ -64,7 +61,6 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
-	t.probeFn = t.probeActive
 	t.attach(cores, true)
 	return t
 }
@@ -88,7 +84,6 @@ func (t *Tracer) Rearm(cores []*cpu.Core) {
 		eng:         t.eng,
 		idlePeriods: t.idlePeriods,
 		wakeProbe:   t.wakeProbe,
-		probeFn:     t.probeFn,
 		hooks:       t.hooks,
 		coreState:   t.coreState,
 		coreSince:   t.coreSince,
@@ -104,9 +99,9 @@ func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
 	t.cores = cores
 	t.start = t.eng.Now()
 	// Zeroed at length n, reusing their storage when it is large enough.
-	t.coreState = append(t.coreState[:0], make([]cpu.CState, n)...)
-	t.coreSince = append(t.coreSince[:0], make([]sim.Time, n)...)
-	t.coreRes = append(t.coreRes[:0], make([][cpu.NumCStates]sim.Duration, n)...)
+	t.coreState = zeroed(t.coreState, n)
+	t.coreSince = zeroed(t.coreSince, n)
+	t.coreRes = zeroed(t.coreRes, n)
 	if n > len(t.hooks) {
 		t.hooks = slices.Grow(t.hooks, n-len(t.hooks))
 	}
@@ -127,6 +122,14 @@ func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
 		t.inAllIdle = true
 		t.allIdleSince = t.start
 	}
+}
+
+// zeroed returns s resliced to n zero elements, growing its storage
+// only when it holds fewer than n.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 func (t *Tracer) coreTransition(i int, old, new cpu.CState) {
@@ -172,12 +175,19 @@ func (t *Tracer) endAllIdle(now sim.Time) {
 		t.censoredCount++
 	}
 	// Probe how many cores are active shortly after the wake.
-	t.eng.Schedule(t.wakeProbe, t.probeFn)
+	t.eng.Schedule(t.wakeProbe, (*probeTimer)(t))
 }
 
-// probeActive records how many cores are active one wake probe after a
+// probeTimer is the wake probe's event: the tracer seen as a
+// sim.Handler.
+type probeTimer Tracer
+
+// Fire records how many cores are active one wake probe after a
 // full-idle period ended.
-func (t *Tracer) probeActive() {
+//
+//apcvet:noalloc
+func (p *probeTimer) Fire() {
+	t := (*Tracer)(p)
 	active := 0
 	for _, c := range t.cores {
 		if !c.InCC1().Level() {

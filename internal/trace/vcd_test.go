@@ -12,13 +12,13 @@ import (
 
 func TestVCDBasic(t *testing.T) {
 	eng := sim.NewEngine()
-	a := new(signal.Signal).Init("InCC1", false)
-	b := new(signal.Signal).Init("AllowL0s", true)
+	a := new(signal.Signal).Init(sim.Named("InCC1"), false)
+	b := new(signal.Signal).Init(sim.Named("AllowL0s"), true)
 	p := NewSignalProbe(eng, 1000, a, b)
 
-	eng.Schedule(10, func() { a.Set() })
-	eng.Schedule(20, func() { b.Unset() })
-	eng.Schedule(20, func() { a.Unset() })
+	eng.Schedule(10, sim.Func(func() { a.Set() }))
+	eng.Schedule(20, sim.Func(func() { b.Unset() }))
+	eng.Schedule(20, sim.Func(func() { a.Unset() }))
 	eng.Run(100)
 
 	if p.Changes() != 3 {
@@ -48,7 +48,7 @@ func TestVCDBasic(t *testing.T) {
 
 func TestVCDBufferBound(t *testing.T) {
 	eng := sim.NewEngine()
-	s := new(signal.Signal).Init("x", false)
+	s := new(signal.Signal).Init(sim.Named("x"), false)
 	p := NewSignalProbe(eng, 5, s)
 	for i := 0; i < 20; i++ {
 		s.SetLevel(i%2 == 0)
@@ -63,8 +63,8 @@ func TestVCDBufferBound(t *testing.T) {
 
 func TestVCDDuplicateNamePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	a := new(signal.Signal).Init("dup", false)
-	b := new(signal.Signal).Init("dup", false)
+	a := new(signal.Signal).Init(sim.Named("dup"), false)
+	b := new(signal.Signal).Init(sim.Named("dup"), false)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate wire names should panic")

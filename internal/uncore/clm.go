@@ -80,7 +80,7 @@ func New(eng *sim.Engine, p Params, clmCh, pllCh *power.Channel) *CLM {
 	c := &CLM{eng: eng, params: p, ch: clmCh}
 	c.fivr0 = pdn.NewFIVR(eng, "Vccclm0", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
 	c.fivr1 = pdn.NewFIVR(eng, "Vccclm1", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
-	c.pll.Init(eng, "clm-pll", p.PLLRelock, pllCh)
+	c.pll.Init(eng, sim.Named("clm-pll"), p.PLLRelock, pllCh)
 	c.tree = clock.NewTree("clm", &c.pll)
 	c.settled = [2]bool{true, true}
 

@@ -109,7 +109,7 @@ func TestIdempotentRet(t *testing.T) {
 func TestPowerRegimes(t *testing.T) {
 	eng := sim.NewEngine()
 	m := power.NewMeter(eng)
-	ch := m.Channel("clm", power.Package)
+	ch := m.Channel(sim.Named("clm"), power.Package)
 	c := New(eng, DefaultParams(), ch, nil)
 
 	if w := ch.Watts(); w != 18.1 {

@@ -14,7 +14,7 @@ import (
 // load self-throttles under server slowdown — the behaviour that
 // distinguishes benchmark harnesses from production traffic.
 //
-// The server side signals completion by calling the Done function passed
+// The server side signals completion by firing the done handler passed
 // with each request.
 type ClosedLoopClient struct {
 	eng     *sim.Engine
@@ -24,7 +24,7 @@ type ClosedLoopClient struct {
 	threads int
 	memAcc  int
 
-	sink func(*Request, func())
+	sink func(*Request, sim.Handler)
 
 	nextID    uint64
 	completed uint64
@@ -32,10 +32,10 @@ type ClosedLoopClient struct {
 }
 
 // NewClosedLoopClient builds a client with the given thread count. sink
-// receives each request plus a completion callback the server must call
+// receives each request plus a completion handler the server must fire
 // when the response is sent.
 func NewClosedLoopClient(eng *sim.Engine, threads int, service, think stats.Dist,
-	memAccesses int, seed uint64, sink func(*Request, func())) *ClosedLoopClient {
+	memAccesses int, seed uint64, sink func(*Request, sim.Handler)) *ClosedLoopClient {
 	if sink == nil {
 		panic("workload: nil sink")
 	}
@@ -57,7 +57,7 @@ func NewClosedLoopClient(eng *sim.Engine, threads int, service, think stats.Dist
 func (c *ClosedLoopClient) Start() {
 	for i := 0; i < c.threads; i++ {
 		conn := i
-		c.eng.Schedule(c.sampleThink(), func() { c.issue(conn) })
+		c.eng.Schedule(c.sampleThink(), sim.Func(func() { c.issue(conn) }))
 	}
 }
 
@@ -91,13 +91,13 @@ func (c *ClosedLoopClient) issue(conn int) {
 		MemAccesses: c.memAcc,
 	}
 	c.nextID++
-	c.sink(req, func() {
+	c.sink(req, sim.Func(func() {
 		c.completed++
 		if c.stopped {
 			return
 		}
-		c.eng.Schedule(c.sampleThink(), func() { c.issue(conn) })
-	})
+		c.eng.Schedule(c.sampleThink(), sim.Func(func() { c.issue(conn) }))
+	}))
 }
 
 // String describes the client.
@@ -110,7 +110,7 @@ func (c *ClosedLoopClient) String() string {
 // paper's sysbench setup: `threads` synchronous connections running the
 // OLTP mix with a think time that sets the offered load.
 func SysbenchOLTP(eng *sim.Engine, threads int, thinkMean float64, seed uint64,
-	sink func(*Request, func())) *ClosedLoopClient {
+	sink func(*Request, sim.Handler)) *ClosedLoopClient {
 	service := stats.Mixture{
 		Components: []stats.Dist{
 			stats.NewLogNormal(60e-6, 0.5),

@@ -13,12 +13,12 @@ func TestClosedLoopBasics(t *testing.T) {
 	cl := NewClosedLoopClient(eng, 4,
 		stats.Deterministic{V: 10e-6}, stats.Deterministic{V: 90e-6},
 		3, 1,
-		func(r *Request, done func()) {
+		func(r *Request, done sim.Handler) {
 			// Serve instantly after the nominal service time.
-			eng.Schedule(r.Service, func() {
+			eng.Schedule(r.Service, sim.Func(func() {
 				completions++
-				done()
-			})
+				done.Fire()
+			}))
 		})
 	cl.Start()
 	eng.Run(10 * sim.Millisecond)
@@ -42,7 +42,7 @@ func TestClosedLoopSelfThrottles(t *testing.T) {
 		cl := NewClosedLoopClient(eng, 8,
 			stats.Deterministic{V: 10e-6}, stats.Deterministic{V: 50e-6},
 			0, 2,
-			func(r *Request, done func()) {
+			func(r *Request, done sim.Handler) {
 				eng.Schedule(r.Service+serverDelay, done)
 			})
 		cl.Start()
@@ -61,7 +61,7 @@ func TestClosedLoopStop(t *testing.T) {
 	cl := NewClosedLoopClient(eng, 2,
 		stats.Deterministic{V: 5e-6}, stats.Deterministic{V: 5e-6},
 		0, 3,
-		func(r *Request, done func()) { eng.Schedule(r.Service, done) })
+		func(r *Request, done sim.Handler) { eng.Schedule(r.Service, done) })
 	cl.Start()
 	eng.Run(sim.Millisecond)
 	cl.Stop()
@@ -78,7 +78,7 @@ func TestClosedLoopConnStableAcrossThreads(t *testing.T) {
 	cl := NewClosedLoopClient(eng, 5,
 		stats.Deterministic{V: 1e-6}, stats.Deterministic{V: 1e-6},
 		0, 4,
-		func(r *Request, done func()) {
+		func(r *Request, done sim.Handler) {
 			conns[r.Conn] = true
 			eng.Schedule(r.Service, done)
 		})
@@ -97,7 +97,7 @@ func TestClosedLoopPanics(t *testing.T) {
 		},
 		func() {
 			NewClosedLoopClient(eng, 0, stats.Deterministic{V: 1}, stats.Deterministic{V: 1}, 0, 1,
-				func(*Request, func()) {})
+				func(*Request, sim.Handler) {})
 		},
 	} {
 		func() {
@@ -114,7 +114,7 @@ func TestClosedLoopPanics(t *testing.T) {
 func TestSysbenchOLTPShape(t *testing.T) {
 	eng := sim.NewEngine()
 	var svc stats.Summary
-	cl := SysbenchOLTP(eng, 16, 1e-3, 5, func(r *Request, done func()) {
+	cl := SysbenchOLTP(eng, 16, 1e-3, 5, func(r *Request, done sim.Handler) {
 		svc.Add(float64(r.Service) / float64(sim.Second))
 		if r.MemAccesses != 10 {
 			t.Fatal("OLTP mem accesses wrong")

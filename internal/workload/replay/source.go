@@ -65,9 +65,6 @@ type Replay struct {
 	started  bool
 	pending  sim.Event
 
-	// arriveFn is the single arrival closure, created once at Bind so
-	// the steady-state arrival chain schedules without allocating.
-	arriveFn func()
 	// pool holds requests handed back via Release for reuse.
 	pool sim.Pool[workload.Request]
 }
@@ -112,17 +109,19 @@ func (r *Replay) Bind(eng *sim.Engine, sink func(*workload.Request)) error {
 	r.iterBase = 0
 	r.started = false
 	r.pending = sim.Event{}
-	if r.arriveFn == nil {
-		r.arriveFn = r.arrive
-	}
 	return nil
 }
 
-// arrive is the arrival chain: emit the scheduled record unless the
-// window is over, then schedule the next.
+// arrivalTimer is the arrival chain's event: the replay seen as a
+// sim.Handler, so the chain schedules without allocating.
+type arrivalTimer Replay
+
+// Fire emits the scheduled record unless the window is over, then
+// schedules the next.
 //
 //apcvet:noalloc
-func (r *Replay) arrive() {
+func (t *arrivalTimer) Fire() {
+	r := (*Replay)(t)
 	r.pending = sim.Event{}
 	if r.eng.Now() >= r.stopAt {
 		// Window over: leave the record unconsumed for the next one.
@@ -186,7 +185,7 @@ func (r *Replay) scheduleNext() {
 			panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err))
 		}
 		at := r.offset + r.iterBase + r.scaleTS(rec.TS)
-		r.pending = r.eng.At(at, r.arriveFn)
+		r.pending = r.eng.At(at, (*arrivalTimer)(r))
 		return
 	}
 }

@@ -186,9 +186,6 @@ type Generator struct {
 	stopAt  sim.Time
 	pending sim.Event
 
-	// arriveFn is the single arrival closure, created once so the
-	// steady-state arrival chain schedules without allocating.
-	arriveFn func()
 	// pool holds requests handed back via Release for reuse by later
 	// arrivals.
 	pool sim.Pool[Request]
@@ -200,23 +197,32 @@ func NewGenerator(eng *sim.Engine, spec Spec, seed uint64, sink func(*Request)) 
 	if sink == nil {
 		panic("workload: nil sink")
 	}
-	g := &Generator{eng: eng, rng: stats.NewRNG(seed), spec: spec, sink: sink}
-	g.arriveFn = func() {
-		g.pending = sim.Event{}
-		if g.eng.Now() >= g.stopAt {
-			return
-		}
-		g.emit()
-		g.scheduleNext()
+	return &Generator{eng: eng, rng: stats.NewRNG(seed), spec: spec, sink: sink}
+}
+
+// arrivalTimer is the arrival chain's event: the generator seen as a
+// sim.Handler, so the chain schedules without allocating.
+type arrivalTimer Generator
+
+// Fire emits the arrival unless the window is over, then schedules the
+// next.
+//
+//apcvet:noalloc
+func (t *arrivalTimer) Fire() {
+	g := (*Generator)(t)
+	g.pending = sim.Event{}
+	if g.eng.Now() >= g.stopAt {
+		return
 	}
-	return g
+	g.emit()
+	g.scheduleNext()
 }
 
 // Spec returns the generator's workload description.
 func (g *Generator) Spec() Spec { return g.spec }
 
 // Reset rewinds the generator to its initial state under a (possibly
-// new) spec and seed, keeping the arrival closure and the request pool
+// new) spec and seed, keeping the request pool
 // so a reused generator emits without allocating from the first
 // arrival on. The caller must have reset (or drained) the engine first:
 // any pending arrival chain died with it, so Reset just forgets the
@@ -255,7 +261,7 @@ func (g *Generator) scheduleNext() {
 	if d < 0 {
 		d = 0
 	}
-	g.pending = g.eng.Schedule(d, g.arriveFn)
+	g.pending = g.eng.Schedule(d, (*arrivalTimer)(g))
 }
 
 //apcvet:noalloc

@@ -7,7 +7,7 @@
 #                  (benchstat old.txt bench.txt)
 #   snapshot.json  parsed {name, ns_op, b_op, allocs_op} records; the
 #                  second argument names the file (default
-#                  BENCH_pr24.json, this PR's perf-trajectory snapshot —
+#                  BENCH_pr25.json, this PR's perf-trajectory snapshot —
 #                  earlier PRs' snapshots stay committed as
 #                  BENCH_pr<N>.json; bump the default each PR so `make
 #                  bench` never clobbers a previous PR's snapshot)
@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
 OUT=bench.txt
-SNAP="${2:-BENCH_pr24.json}"
+SNAP="${2:-BENCH_pr25.json}"
 
 case "$MODE" in
 sim)
