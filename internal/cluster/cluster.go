@@ -54,7 +54,7 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/power"
@@ -87,51 +87,36 @@ const (
 	RackPowerAware
 )
 
+// policyNames holds each policy's scenario-file spelling, indexed by
+// Policy: the one list of known policies.
+var policyNames = [...]string{"round_robin", "least_loaded", "power_aware", "rack_affinity", "rack_power_aware"}
+
+// known reports whether p is one of the declared policies.
+func (p Policy) known() bool { return p >= 0 && int(p) < len(policyNames) }
+
 // String returns the policy's scenario-file spelling.
 func (p Policy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round_robin"
-	case LeastLoaded:
-		return "least_loaded"
-	case PowerAware:
-		return "power_aware"
-	case RackAffinity:
-		return "rack_affinity"
-	case RackPowerAware:
-		return "rack_power_aware"
-	default:
+	if !p.known() {
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+	return policyNames[p]
 }
+
+// Packs reports whether the policy packs servers against
+// Config.P99Target (power_aware, rack_power_aware): only these need the
+// target, and only on these can a drain hold or feedback epoch act.
+func (p Policy) Packs() bool { return p == PowerAware || p == RackPowerAware }
 
 // ParsePolicy maps a scenario-file spelling to its Policy.
 func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "round_robin":
-		return RoundRobin, nil
-	case "least_loaded":
-		return LeastLoaded, nil
-	case "power_aware":
-		return PowerAware, nil
-	case "rack_affinity":
-		return RackAffinity, nil
-	case "rack_power_aware":
-		return RackPowerAware, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown policy %q (want one of %v)", s, PolicyNames())
+	if i := slices.Index(policyNames[:], s); i >= 0 {
+		return Policy(i), nil
 	}
+	return 0, fmt.Errorf("cluster: unknown policy %q (want one of %v)", s, PolicyNames())
 }
 
 // PolicyNames returns the supported policy spellings, sorted.
-func PolicyNames() []string {
-	names := []string{
-		RoundRobin.String(), LeastLoaded.String(), PowerAware.String(),
-		RackAffinity.String(), RackPowerAware.String(),
-	}
-	sort.Strings(names)
-	return names
-}
+func PolicyNames() []string { return slices.Sorted(slices.Values(policyNames[:])) }
 
 // Topology shapes the fleet into racks: Racks × ServersPerRack members,
 // rack r holding the contiguous server-index block
@@ -159,18 +144,6 @@ func (t Topology) IsFlat() bool { return t.Racks <= 1 }
 
 // String renders the topology as "racks×servers-per-rack".
 func (t Topology) String() string { return fmt.Sprintf("%dx%d", t.Racks, t.ServersPerRack) }
-
-// validate checks the topology against the fleet size.
-func (t Topology) validate(members int) error {
-	if t.Racks < 1 || t.ServersPerRack < 1 {
-		return fmt.Errorf("cluster: topology %s needs at least 1 rack and 1 server per rack", t)
-	}
-	if t.Servers() != members {
-		return fmt.Errorf("cluster: topology %s shapes %d servers but the fleet has %d members",
-			t, t.Servers(), members)
-	}
-	return nil
-}
 
 // MemberConfig configures one server of the fleet.
 type MemberConfig struct {
@@ -391,54 +364,16 @@ func New(cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
 // fleets built on a shared engine must be run through a shared driver
 // (Graph.Run), never their own Run loops concurrently.
 func NewOn(eng *sim.Engine, cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	topo, err := validateConfig(cfg, spec)
+	topo, err := cfg.admit(spec)
+	if err == nil {
+		err = cfg.check()
+	}
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{eng: eng}
 	f.build(cfg, topo, spec, seed)
 	return f, nil
-}
-
-// validateConfig rejects incoherent fleet configurations and returns the
-// normalized topology (Flat(n) for the zero value). It is the shared
-// front door of NewOn and GraphConfig.validate.
-func validateConfig(cfg Config, spec workload.Spec) (Topology, error) {
-	if len(cfg.Members) == 0 {
-		return Topology{}, fmt.Errorf("cluster: fleet needs at least one member")
-	}
-	switch cfg.Policy {
-	case RoundRobin, LeastLoaded, RackAffinity:
-	case PowerAware, RackPowerAware:
-		if cfg.P99Target <= 0 {
-			return Topology{}, fmt.Errorf("cluster: %v needs P99Target > 0", cfg.Policy)
-		}
-	default:
-		return Topology{}, fmt.Errorf("cluster: unknown policy %v", cfg.Policy)
-	}
-	if spec.Arrivals == nil {
-		return Topology{}, fmt.Errorf("cluster: open-loop workload required (spec has no arrival process)")
-	}
-	topo := cfg.Topology
-	if topo == (Topology{}) {
-		topo = Flat(len(cfg.Members))
-	}
-	if err := topo.validate(len(cfg.Members)); err != nil {
-		return Topology{}, err
-	}
-	if cfg.TorLatency < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative TorLatency")
-	}
-	if cfg.DrainHold < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative DrainHold")
-	}
-	if cfg.FeedbackEpoch < 0 {
-		return Topology{}, fmt.Errorf("cluster: negative FeedbackEpoch")
-	}
-	if err := cfg.Faults.validate(topo); err != nil {
-		return Topology{}, err
-	}
-	return topo, nil
 }
 
 // build assembles (or, on a reset fleet, reassembles) every layer of the

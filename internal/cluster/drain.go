@@ -78,7 +78,7 @@ type controller struct {
 // policy sweep can carry the fields without invalidating its non-packing
 // points.
 func (f *Fleet) initController() {
-	if (f.cfg.Policy != PowerAware && f.cfg.Policy != RackPowerAware) ||
+	if !f.cfg.Policy.Packs() ||
 		(f.cfg.DrainHold == 0 && f.cfg.FeedbackEpoch == 0) {
 		// No controller this build. A previous build (before a
 		// graph Reset) may have left feedback windows behind; drop them

@@ -38,8 +38,6 @@ package cluster
 // keeps the stale hold-expiry event from ever resurrecting it.
 
 import (
-	"fmt"
-
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/stats"
 )
@@ -88,8 +86,8 @@ type FaultConfig struct {
 	HedgeDelay sim.Duration
 }
 
-// injecting reports whether any fault-injection process is armed.
-func (fc FaultConfig) injecting() bool {
+// Injecting reports whether any fault-injection process is armed.
+func (fc FaultConfig) Injecting() bool {
 	return fc.MTBF > 0 || fc.BrownoutMTBF > 0 || fc.TorPartitionMTBF > 0
 }
 
@@ -97,48 +95,7 @@ func (fc FaultConfig) injecting() bool {
 // injection process or any request-robustness knob. A disabled config
 // allocates nothing and schedules nothing — the parity contract.
 func (fc FaultConfig) Enabled() bool {
-	return fc.injecting() || fc.RequestTimeout > 0 || fc.MaxRetries > 0 || fc.HedgeDelay > 0
-}
-
-// validate rejects incoherent fault configurations before they reach
-// the engine.
-func (fc FaultConfig) validate(topo Topology) error {
-	// Declared order, not a map walk, so the first offending field
-	// reported is the same on every run.
-	for _, kv := range []struct {
-		name string
-		d    sim.Duration
-	}{
-		{"MTBF", fc.MTBF}, {"MTTR", fc.MTTR},
-		{"BrownoutMTBF", fc.BrownoutMTBF}, {"BrownoutDuration", fc.BrownoutDuration},
-		{"TorPartitionMTBF", fc.TorPartitionMTBF}, {"TorPartitionDuration", fc.TorPartitionDuration},
-		{"RequestTimeout", fc.RequestTimeout}, {"HedgeDelay", fc.HedgeDelay},
-	} {
-		if kv.d < 0 {
-			return fmt.Errorf("cluster: negative Faults.%s", kv.name)
-		}
-	}
-	if fc.MaxRetries < 0 {
-		return fmt.Errorf("cluster: negative Faults.MaxRetries")
-	}
-	if fc.BrownoutFactor < 0 {
-		return fmt.Errorf("cluster: negative Faults.BrownoutFactor")
-	}
-	if fc.MTBF > 0 && fc.MTTR <= 0 {
-		return fmt.Errorf("cluster: Faults.MTBF needs MTTR > 0 — a crash with no repair process never ends")
-	}
-	if fc.BrownoutMTBF > 0 && (fc.BrownoutDuration <= 0 || fc.BrownoutFactor <= 1) {
-		return fmt.Errorf("cluster: Faults.BrownoutMTBF needs BrownoutDuration > 0 and BrownoutFactor > 1")
-	}
-	if fc.TorPartitionMTBF > 0 {
-		if fc.TorPartitionDuration <= 0 {
-			return fmt.Errorf("cluster: Faults.TorPartitionMTBF needs TorPartitionDuration > 0")
-		}
-		if topo.IsFlat() {
-			return fmt.Errorf("cluster: ToR partitions need a multi-rack topology — a flat fleet has no ToR uplink to cut")
-		}
-	}
-	return nil
+	return fc.Injecting() || fc.RequestTimeout > 0 || fc.MaxRetries > 0 || fc.HedgeDelay > 0
 }
 
 // Distinct seeds derive the fault streams from Options.Seed so fault

@@ -96,93 +96,6 @@ type GraphConfig struct {
 	Edges []EdgeConfig
 }
 
-// validate rejects incoherent graphs: per-tier fleet validation, edge
-// indices in range, probabilities in [0,1], fan-out on an edge that
-// can never miss (silently inert configuration, same philosophy as the
-// scenario layer), cycles, and tiers no miss stream can ever reach.
-func (cfg GraphConfig) validate() error {
-	if len(cfg.Tiers) == 0 {
-		return fmt.Errorf("cluster: graph needs at least one tier")
-	}
-	for i, tc := range cfg.Tiers {
-		if i > 0 && tc.Cluster.NewSource != nil {
-			return fmt.Errorf("cluster: tier %d (%s): only the root tier may set NewSource (non-root tiers are driven by upstream misses)", i, tc.Name)
-		}
-		if _, err := validateConfig(tc.Cluster, tc.Spec); err != nil {
-			return fmt.Errorf("tier %d (%s): %w", i, tc.Name, err)
-		}
-	}
-	adj := make([][]int, len(cfg.Tiers))
-	for i, ec := range cfg.Edges {
-		if ec.From < 0 || ec.From >= len(cfg.Tiers) {
-			return fmt.Errorf("cluster: edge %d: from-tier %d out of range", i, ec.From)
-		}
-		if ec.To < 0 || ec.To >= len(cfg.Tiers) {
-			return fmt.Errorf("cluster: edge %d: to-tier %d out of range", i, ec.To)
-		}
-		if ec.From == ec.To {
-			return fmt.Errorf("cluster: edge %d: tier %d feeds itself", i, ec.From)
-		}
-		if ec.To == 0 {
-			return fmt.Errorf("cluster: edge %d: tier 0 is the client-facing tier and cannot be an edge target", i)
-		}
-		if ec.HitRatio < 0 || ec.HitRatio > 1 {
-			return fmt.Errorf("cluster: edge %d: hit ratio %g outside [0, 1]", i, ec.HitRatio)
-		}
-		if ec.TTL < 0 {
-			return fmt.Errorf("cluster: edge %d: negative TTL", i)
-		}
-		if ec.Fanout < 0 {
-			return fmt.Errorf("cluster: edge %d: negative fan-out", i)
-		}
-		if ec.Fanout > 1 && ec.HitRatio >= 1 && ec.TTL == 0 {
-			return fmt.Errorf("cluster: edge %d: fan-out %d on an edge that never misses (hit ratio 1, no TTL)", i, ec.Fanout)
-		}
-		adj[ec.From] = append(adj[ec.From], ec.To)
-	}
-	// Cycle check: a cycle would let one arrival generate unbounded
-	// downstream work. DFS coloring over every tier (cycles among
-	// non-root tiers are unreachable from 0 but just as fatal).
-	color := make([]int, len(cfg.Tiers)) // 0 white, 1 gray, 2 black
-	var dfs func(int) bool
-	dfs = func(u int) bool {
-		color[u] = 1
-		for _, v := range adj[u] {
-			if color[v] == 1 || (color[v] == 0 && dfs(v)) {
-				return true
-			}
-		}
-		color[u] = 2
-		return false
-	}
-	for u := range cfg.Tiers {
-		if color[u] == 0 && dfs(u) {
-			return fmt.Errorf("cluster: graph has a cycle through tier %d", u)
-		}
-	}
-	// Reachability: a non-root tier no edge path reaches from the root
-	// would sit idle forever — a silently inert tier.
-	reached := make([]bool, len(cfg.Tiers))
-	reached[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if !reached[v] {
-				reached[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	for i := range cfg.Tiers {
-		if !reached[i] {
-			return fmt.Errorf("cluster: tier %d (%s) is unreachable from tier 0 (no edge path delivers misses to it)", i, cfg.Tiers[i].Name)
-		}
-	}
-	return nil
-}
-
 // joinReq tracks one request's position in the fan-out tree: how many
 // of its downstream children are still outstanding, whether any part
 // of the subtree failed, and — at the root — the client arrival the
@@ -245,7 +158,7 @@ type Graph struct {
 // single-tier parity anchor — and every later tier with a salted
 // derivative), then the edges are wired in config order.
 func NewGraph(cfg GraphConfig, seed uint64) (*Graph, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	g := &Graph{eng: sim.NewEngine()}
@@ -357,7 +270,7 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 // edge counts and each tier's topology. A reset graph is
 // byte-identical to a fresh one.
 func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if len(cfg.Tiers) != len(g.tiers) || len(cfg.Edges) != len(g.edges) {
@@ -367,10 +280,7 @@ func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	// Pre-check every tier's topology shape so a mismatch is reported
 	// before any state is torn down.
 	for i, tc := range cfg.Tiers {
-		topo := tc.Cluster.Topology
-		if topo == (Topology{}) {
-			topo = Flat(len(tc.Cluster.Members))
-		}
+		topo, _ := tc.Cluster.admit(tc.Spec) // Validate has passed
 		fl := g.tiers[i].fl
 		if topo != fl.topo || len(tc.Cluster.Members) != len(fl.members) {
 			return fmt.Errorf("cluster: graph Reset: tier %d needs the original topology %v (got %v)", i, fl.topo, topo)

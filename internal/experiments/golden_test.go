@@ -19,17 +19,18 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden report and hash files")
 
 // TestGoldenReports locks every registered experiment at QuickOptions
-// twice over. The rendered reports must match a committed golden file
-// byte for byte, and the SHA-256 of each result's json.Marshal must
-// match a committed hash file: the reports round floats to printed
-// precision, the JSON keeps every bit (see checkHashLock). Any change
+// three times over. The rendered reports must match a committed golden
+// file byte for byte, the SHA-256 of each result's json.Marshal must
+// match a committed hash file (the reports round floats to printed
+// precision, the JSON keeps every bit; see checkHashLock), and so must
+// the SHA-256 of each CSVWriter's bytes. Any change
 // to the simulation, the registry or the report rendering that moves a
 // single bit fails here. Regenerate deliberately with
 //
 //	go test ./internal/experiments/ -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
 	var b strings.Builder
-	var sums []string
+	var sums, csvSums []string
 	for _, e := range experiments.All() {
 		res, err := e.Run(experiments.QuickOptions())
 		if err != nil {
@@ -37,8 +38,19 @@ func TestGoldenReports(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "==== %s ====\n%s\n", e.Name(), res.Report())
 		sums = append(sums, hashLine(t, e.Name(), res))
+		if cw, ok := res.(experiments.CSVWriter); ok {
+			var csv bytes.Buffer
+			if err := cw.WriteCSV(&csv); err != nil {
+				t.Fatalf("%s: WriteCSV: %v", e.Name(), err)
+			}
+			csvSums = append(csvSums, fmt.Sprintf("%s %x", e.Name(), sha256.Sum256(csv.Bytes())))
+		}
 	}
 	checkHashLock(t, filepath.Join("testdata", "golden_quick.sha256"), sums)
+	// The CSV series are locked byte for byte too, so a change to a
+	// writer (or to the column table that may one day drive both the
+	// report and the CSV) cannot move a byte unseen.
+	checkHashLock(t, filepath.Join("testdata", "golden_quick_csv.sha256"), csvSums)
 	got := []byte(b.String())
 
 	path := filepath.Join("testdata", "golden_quick.txt")

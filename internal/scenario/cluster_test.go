@@ -206,6 +206,9 @@ func TestClusterValidation(t *testing.T) {
 		{"bad override key", func(s *Scenario) {
 			s.Cluster.ServerOverrides = map[string]Overrides{"x": {}}
 		}},
+		{"zero-padded override key", func(s *Scenario) {
+			s.Cluster.ServerOverrides = map[string]Overrides{"01": {}}
+		}},
 		{"negative override", func(s *Scenario) {
 			bad := -1.0
 			s.Cluster.ServerOverrides = map[string]Overrides{"0": {KernelOverheadUS: &bad}}
@@ -234,6 +237,10 @@ func TestClusterValidation(t *testing.T) {
 		{"servers value below 1", func(s *Scenario) {
 			s.Sweep = &Sweep{Axis: AxisServers, Values: []float64{0}}
 		}},
+		{"sub-nanosecond target", func(s *Scenario) {
+			// 0.0001 µs rounds to a zero target, which the cluster rejects.
+			s.Cluster.Policy, s.Cluster.P99TargetUS = "power_aware", 0.0001
+		}},
 	}
 	for _, c := range cases {
 		sc := base()
@@ -253,6 +260,16 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := sc.Run(quickOpt()); err == nil ||
 		!strings.Contains(err.Error(), "only 2 servers") {
 		t.Errorf("Run should reject out-of-range override index, got %v", err)
+	}
+
+	// Load checks every point's servers: an override index beyond a
+	// swept fleet size fails there, not only in Run.
+	src := `{"name": "v", "config": "CPC1A", "workload": {"service": "memcached", "qps": 1000},
+	  "cluster": {"servers": 2, "policy": "round_robin", "server_overrides": {"3": {}}},
+	  "sweep": {"axis": "servers", "values": [2, 4]}}`
+	if _, err := Load(strings.NewReader(src)); err == nil ||
+		!strings.Contains(err.Error(), "server_overrides[3]: fleet has only 2 servers") {
+		t.Errorf("Load should reject override index 3 on the 2-server point, got %v", err)
 	}
 }
 

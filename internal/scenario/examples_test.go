@@ -64,7 +64,8 @@ func TestExampleScenariosParse(t *testing.T) {
 // shipped examples: every scenario runs at its effective options
 // (QuickOptions with its own duration_ms/seed overrides applied), and
 // the SHA-256 of its result's json.Marshal must match a committed
-// "name hash" line. encoding/json keeps every bit of a float64, so
+// "name hash" line, as must the SHA-256 of its Report() text and of its
+// WriteCSV bytes (examples_quick_output.sha256). encoding/json keeps every bit of a float64, so
 // this catches drift the rendered reports round away. Regenerate
 // deliberately with
 //
@@ -77,8 +78,8 @@ func TestExampleScenariosGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("full-precision lock is amd64-only until the fused multiply-adds go (ROADMAP item 1); GOARCH=%s", runtime.GOARCH)
 	}
-	var lines []string
-	got := map[string]string{}
+	var lines, outputs []string
+	sum := func(data []byte) string { return fmt.Sprintf("%x", sha256.Sum256(data)) }
 	for _, f := range exampleFiles(t) {
 		scs, err := LoadFile(f)
 		if err != nil {
@@ -93,13 +94,26 @@ func TestExampleScenariosGoldenHash(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sc.Name, err)
 			}
-			sum := fmt.Sprintf("%x", sha256.Sum256(data))
-			lines = append(lines, sc.Name+" "+sum)
-			got[sc.Name] = sum
+			lines = append(lines, sc.Name+" "+sum(data))
+			// The rendered outputs: the report text and the CSV bytes.
+			var csv strings.Builder
+			if err := res.WriteCSV(&csv); err != nil {
+				t.Fatalf("%s: WriteCSV: %v", sc.Name, err)
+			}
+			outputs = append(outputs, sc.Name+".report "+sum([]byte(res.Report())),
+				sc.Name+".csv "+sum([]byte(csv.String())))
 		}
 	}
+	checkLock(t, filepath.Join("testdata", "examples_quick.sha256"), lines)
+	checkLock(t, filepath.Join("testdata", "examples_quick_output.sha256"), outputs)
+}
+
+// checkLock compares "name hash" lines against the committed file at
+// path (rewriting it under -update). A mismatch names every diverging
+// line and writes the full got-file next to the lock.
+func checkLock(t *testing.T, path string, lines []string) {
+	t.Helper()
 	out := strings.Join(lines, "\n") + "\n"
-	path := filepath.Join("testdata", "examples_quick.sha256")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -115,17 +129,22 @@ func TestExampleScenariosGoldenHash(t *testing.T) {
 	if out == string(data) {
 		return
 	}
+	got := map[string]string{}
+	for _, l := range lines {
+		name, sum, _ := strings.Cut(l, " ")
+		got[name] = sum
+	}
 	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		name, sum, _ := strings.Cut(l, " ")
 		if got[name] != sum {
-			t.Errorf("%s: result differs from the full-precision lock in %s", name, path)
+			t.Errorf("%s: output differs from the full-precision lock in %s", name, path)
 		}
 		delete(got, name)
 	}
 	for name := range got {
 		t.Errorf("%s: produced but not in %s", name, path)
 	}
-	gotPath := filepath.Join("testdata", "examples_quick.got.sha256")
+	gotPath := strings.TrimSuffix(path, ".sha256") + ".got.sha256"
 	if err := os.WriteFile(gotPath, []byte(out), 0o644); err != nil {
 		t.Logf("could not write %s: %v", gotPath, err)
 	} else {

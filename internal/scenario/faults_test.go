@@ -164,6 +164,11 @@ func TestFaultValidation(t *testing.T) {
 			s.Cluster.Faults = &Faults{}
 			s.Sweep = &Sweep{Axis: AxisMaxRetries, Values: []float64{0, 2}}
 		}, "nothing would ever retry"},
+		{"sub-nanosecond mttr", func(s *Scenario) {
+			// The repair time rounds to 0 ns, so the cluster's own rule
+			// must fire at load, not as a panic mid-run.
+			s.Cluster.Faults = &Faults{MTBFUS: 5000, MTTRUS: 0.0001}
+		}, "needs mttr_us > 0"},
 		{"racks axis spanning flat with partitions", func(s *Scenario) {
 			s.Cluster.Racks, s.Cluster.TorLatencyUS = 0, 5
 			s.Cluster.Faults = &Faults{TorPartitionMTBFUS: 5000, TorPartitionDurationUS: 100}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"agilepkgc/internal/soc"
 )
 
 // FuzzLoadScenario fuzzes the JSON loader: whatever the bytes, Load
@@ -46,6 +48,16 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"t","tiers":[{"name":"a","servers":1,"policy":"round_robin"},{"name":"b","service":"mysql","servers":1,"policy":"round_robin"}],"edges":[{"from":"a","to":"b","hit_ratio":1,"fanout":3}]}`))
 	f.Add([]byte(`{"name":"t","tiers":[{"name":"a","servers":1,"policy":"round_robin"},{"name":"b","service":"mysql","servers":1,"policy":"round_robin"},{"name":"c","service":"mysql","servers":1,"policy":"round_robin"}],"edges":[{"from":"a","to":"b","hit_ratio":0.5},{"from":"b","to":"c","hit_ratio":0.5},{"from":"c","to":"b","hit_ratio":0.5}]}`))
 
+	// Shapes that loaded and then failed in Run: sub-nanosecond values
+	// the cluster reads as zero (a repair time, a P99 target, a TTL on a
+	// fan-out hit edge), racks that do not divide a tier, and an
+	// override index beyond a swept fleet size.
+	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":1000},"cluster":{"servers":2,"policy":"round_robin","faults":{"mtbf_us":5000,"mttr_us":0.0001}}}`))
+	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":1000},"cluster":{"servers":2,"policy":"power_aware","p99_target_us":0.0001}}`))
+	f.Add([]byte(`{"name":"t","config":"CPC1A","workload":{"service":"memcached","qps":1000},"tiers":[{"name":"a","servers":1,"policy":"round_robin"},{"name":"b","service":"mysql","servers":1,"policy":"round_robin"}],"edges":[{"from":"a","to":"b","hit_ratio":1,"ttl_us":0.0001,"fanout":3}]}`))
+	f.Add([]byte(`{"name":"t","config":"CPC1A","workload":{"service":"memcached","qps":1000},"tiers":[{"name":"a","servers":3,"racks":2,"policy":"round_robin"}]}`))
+	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":1000},"cluster":{"servers":2,"policy":"round_robin","server_overrides":{"3":{}}},"sweep":{"axis":"servers","values":[2,4]}}`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scs, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -74,6 +86,52 @@ func FuzzLoadScenario(f *testing.F) {
 			if err := scs[i].Validate(); err != nil {
 				t.Errorf("Load returned scenario %d that fails Validate: %v", i, err)
 			}
+			checkPointGraphs(t, &scs[i])
 		}
 	})
+}
+
+// checkPointGraphs is FuzzLoadScenario's no-panic property: every point
+// of a loaded scenario converts, through the run's own conversion
+// (runConfig), into a graph the cluster layer accepts, so runGraph can
+// never reach its panic. It simulates nothing. Trace points need their
+// recording, sysbench points bypass the cluster, and a point without a
+// rate is Run's to reject. Fleets above maxFuzzServers are skipped:
+// their member configurations alone would not fit in memory.
+func checkPointGraphs(t *testing.T, s *Scenario) {
+	const maxFuzzServers = 256
+	if s.Workload.Service == "trace" || s.Workload.Service == "sysbench" {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("scenario %q: building a point's graph panicked: %v", s.Name, r)
+		}
+	}()
+	kind, _ := soc.ParseConfigKind(s.Config)
+	for _, v := range s.values() {
+		axis := ""
+		if s.Sweep != nil {
+			axis = s.Sweep.Axis
+		}
+		g, _ := s.at(axis, v).asGraph()
+		servers := 0
+		for _, tier := range g.Tiers {
+			servers += tier.Servers
+		}
+		if servers > maxFuzzServers {
+			continue
+		}
+		spec, err := g.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers)
+		if err != nil {
+			continue
+		}
+		gcfg, err := g.runConfig(kind, spec)
+		if err == nil {
+			err = gcfg.Validate()
+		}
+		if err != nil {
+			t.Errorf("scenario %q [%g]: loaded, but the cluster rejects the point: %v", s.Name, v, err)
+		}
+	}
 }

@@ -3,9 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
-	"maps"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -138,69 +136,37 @@ type Result struct {
 // server's Submit, so it keeps the single-machine wiring
 // (runClosedLoop).
 func (s Scenario) Run(opt experiments.Options) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(true); err != nil {
 		return nil, err
 	}
 	opt = s.EffectiveOptions(opt)
-
 	axis := ""
-	values := []float64{0}
-	swept := false
 	if s.Sweep != nil {
-		axis, swept = s.Sweep.Axis, true
-		if axis == AxisPolicy {
-			// String-valued axis: the point values are indices into the
-			// policy list; at() resolves them back to names.
-			values = make([]float64, len(s.Sweep.Policies))
-			for i := range values {
-				values[i] = float64(i)
-			}
-		} else {
-			values = s.Sweep.Values
-		}
+		axis = s.Sweep.Axis
 	}
 
-	// Resolve every point up front so a bad axis value fails before any
-	// simulation runs.
+	// Resolve every point up front so a bad rate or trace fails before
+	// any simulation runs; validate has checked everything else.
 	type job struct {
 		axis  float64
 		label string
 		sc    Scenario
 	}
+	kind, _ := soc.ParseConfigKind(s.Config)
+	values := s.values()
 	jobs := make([]job, len(values))
 	for i, v := range values {
-		pt := s
-		label := ""
-		if swept {
-			pt = s.at(axis, v)
-			if axis == AxisPolicy {
-				label = s.Sweep.Policies[i]
-			}
+		pt, label := s.at(axis, v), ""
+		if axis == AxisPolicy {
+			label = s.Sweep.Policies[i]
 		}
-		kind, err := soc.ParseConfigKind(pt.Config)
-		if err != nil {
-			return nil, err
-		}
-		pointErr := func(err error) error {
-			if swept {
-				return fmt.Errorf("scenario %q [%s=%g]: %w", s.Name, axis, v, err)
-			}
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		// Every point validates in tier form, sysbench too — its one
-		// server is the single machine's — but only open-loop points run
-		// in it.
-		g, block := pt.asGraph()
-		cores := soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers
+		g, _ := pt.asGraph()
 		if pt.Workload.Service == "trace" {
 			if err := pt.Workload.Trace.preflight(); err != nil {
-				return nil, pointErr(err)
+				return nil, s.pointErr(axis, v, err)
 			}
-		} else if _, err := pt.Workload.spec(cores); err != nil {
-			return nil, pointErr(err)
-		}
-		if err := g.validateTieredPoint(kind, block); err != nil {
-			return nil, pointErr(err)
+		} else if _, err := pt.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers); err != nil {
+			return nil, s.pointErr(axis, v, err)
 		}
 		if pt.Workload.Service != "sysbench" {
 			pt = g
@@ -245,86 +211,146 @@ func (s Scenario) asGraph() (Scenario, string) {
 	return s, "tiers"
 }
 
-// validateTieredPoint checks the parts of a point's tiers that only
-// exist once the sweep value is applied: each tier's size, that its
-// racks divide it evenly, that every per-server override targets a
-// server that exists, and that each member's merged configuration is
-// coherent. Errors name the block asGraph reported, in the words each
-// shape has always used; the single machine (block "") has one fixed
-// server and no overrides, so only its tick knobs can be incoherent.
-func (s *Scenario) validateTieredPoint(kind soc.ConfigKind, block string) error {
-	for ti := range s.Tiers {
-		t := &s.Tiers[ti]
-		name, unit, member := block, "fleet", "server "
-		if block == "tiers" {
-			name, unit = fmt.Sprintf("tiers[%d]", ti), "tier"
-			member = name + " server "
+// values returns the sweep's point values: Sweep.Values, or on the
+// policy axis the indices into Sweep.Policies that at resolves. An
+// unswept scenario has the one point 0.
+func (s *Scenario) values() []float64 {
+	switch {
+	case s.Sweep == nil:
+		return []float64{0}
+	case s.Sweep.Axis == AxisPolicy:
+		vs := make([]float64, len(s.Sweep.Policies))
+		for i := range vs {
+			vs[i] = float64(i)
 		}
-		n := t.Servers
-		if n < 1 {
-			return fmt.Errorf("%s.servers must be at least 1", name)
-		}
-		if r := t.Racks; r > 1 && n%r != 0 {
-			return fmt.Errorf("%s.racks %d does not divide %d servers into equal racks", name, r, n)
-		}
-		for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
-			if idx, _ := strconv.Atoi(key); idx >= n {
-				return fmt.Errorf("%s.server_overrides[%s]: %s has only %d servers", name, key, unit, n)
-			}
-		}
-		for i, mc := range s.memberConfigs(&t.Cluster, kind) {
-			if mc.Server.TimerTickHz > 0 && mc.Server.TickKernelTime <= 0 {
-				if block == "" {
-					return fmt.Errorf("timer_tick_hz needs tick_kernel_us > 0")
-				}
-				return fmt.Errorf("%s%d: timer_tick_hz needs tick_kernel_us > 0", member, i)
-			}
-		}
+		return vs
 	}
-	return nil
+	return s.Sweep.Values
 }
 
-// memberConfigs builds one tier's per-server configurations:
-// evaluation defaults, then the scenario-level Server overrides (the
-// base of every tier's servers), then that server's entry in the tier's
-// ServerOverrides.
+// graphConfig converts an applied point in asGraph's tier-list form to
+// the cluster layer's graph configuration: every setting, but no spec,
+// member or source. Validate checks each point through it, and
+// runConfig completes it for the run.
+func (s *Scenario) graphConfig() (cluster.GraphConfig, error) {
+	gcfg := cluster.GraphConfig{
+		Tiers: make([]cluster.TierConfig, len(s.Tiers)),
+		Edges: make([]cluster.EdgeConfig, len(s.Edges)),
+	}
+	for i := range s.Tiers {
+		t := &s.Tiers[i]
+		pol, err := cluster.ParsePolicy(t.Policy)
+		if err != nil {
+			return gcfg, err
+		}
+		// An absent racks field is one rack. The topology is always
+		// explicit, so the cluster checks its shape before any member
+		// exists; Flat(N) assembles exactly what the zero topology does
+		// (TestRackFlatParity).
+		r := t.Racks
+		if r == 0 {
+			r = 1
+		}
+		gcfg.Tiers[i] = cluster.TierConfig{
+			Name: t.Name,
+			Cluster: cluster.Config{
+				Policy:        pol,
+				P99Target:     us(t.P99TargetUS),
+				Topology:      cluster.Topology{Racks: r, ServersPerRack: t.Servers / r},
+				TorLatency:    us(t.TorLatencyUS),
+				DrainHold:     us(t.DrainHoldUS),
+				FeedbackEpoch: us(t.FeedbackEpochUS),
+				Faults:        t.Faults.config(),
+			},
+		}
+	}
+	for i, e := range s.Edges {
+		gcfg.Edges[i] = cluster.EdgeConfig{
+			From:     s.tierIndex(e.From),
+			To:       s.tierIndex(e.To),
+			HitRatio: e.HitRatio,
+			TTL:      us(e.TTLUS),
+			Fanout:   e.Fanout,
+		}
+	}
+	return gcfg, nil
+}
+
+// runConfig completes a point's graphConfig for the run: every tier's
+// members, the root tier's spec rootSpec, and each backend tier's spec
+// sized by the miss rate expected to flow into it.
+func (s *Scenario) runConfig(kind soc.ConfigKind, rootSpec workload.Spec) (cluster.GraphConfig, error) {
+	gcfg, err := s.graphConfig()
+	if err != nil {
+		return gcfg, err
+	}
+	cores := soc.DefaultConfig(kind).CoreCount
+	// Expected per-tier arrival rates: the root rate scaled by each
+	// edge's miss probability and fan-out. The graph is a DAG, so
+	// |tiers| relaxation rounds reach the fixpoint.
+	rates := make([]float64, len(gcfg.Tiers))
+	rates[0] = rootSpec.MeanQPS()
+	for range gcfg.Tiers {
+		next := make([]float64, len(rates))
+		next[0] = rates[0]
+		for _, e := range gcfg.Edges {
+			next[e.To] += rates[e.From] * (1 - e.HitRatio) * float64(max(e.Fanout, 1))
+		}
+		rates = next
+	}
+	for i := range gcfg.Tiers {
+		tc := &gcfg.Tiers[i]
+		tc.Spec = rootSpec
+		if rate := rates[i]; i > 0 {
+			if rate <= 0 {
+				rate = 1 // a hit-ratio-1 point never misses; the rate only names the spec
+			}
+			tc.Spec = tierSpecs[s.Tiers[i].Service](rate, cores)
+		}
+		tc.Cluster.Members = s.memberConfigs(&s.Tiers[i].Cluster, kind)
+	}
+	return gcfg, nil
+}
+
+// serverConfig merges server i's configuration in fleet block c (nil
+// for the single machine): evaluation defaults, then the scenario-level
+// Server overrides (the base of every tier's servers), then server i's
+// entry in c's ServerOverrides.
+func (s *Scenario) serverConfig(c *Cluster, i int) server.Config {
+	cfg := server.DefaultConfig()
+	s.Server.apply(&cfg)
+	if c != nil {
+		if ov, ok := c.ServerOverrides[strconv.Itoa(i)]; ok {
+			ov.apply(&cfg)
+		}
+	}
+	return cfg
+}
+
+// memberConfigs builds one tier's per-server configurations.
 func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind) []cluster.MemberConfig {
-	base := server.DefaultConfig()
-	s.Server.apply(&base)
 	members := make([]cluster.MemberConfig, c.Servers)
 	for i := range members {
-		scfg := base
-		if ov, ok := c.ServerOverrides[strconv.Itoa(i)]; ok {
-			ov.apply(&scfg)
-		}
-		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(kind), Server: scfg}
+		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(kind), Server: s.serverConfig(c, i)}
 	}
 	return members
 }
 
-// tierSpec synthesizes the workload spec of a backend tier at the
-// expected miss rate flowing into it. The graph's push sources never
+// tierSpecs synthesizes, per backend service, the workload spec of a
+// tier at the expected miss rate flowing into it: the one list of the
+// services a backend tier may name. The graph's push sources never
 // sample the arrival process — upstream misses drive emission — but
 // the spec still names the tier's stream, sizes its connections and
 // supplies the service-time distribution the balancer derives packing
 // caps from.
-func tierSpec(service string, rate float64, cores int) workload.Spec {
-	if rate <= 0 {
-		// A hit-ratio-1 point never misses; the rate only names the spec.
-		rate = 1
-	}
-	switch service {
-	case "memcached":
-		return workload.Memcached(rate)
-	case "mysql":
-		probe := workload.MySQL(1, cores)
-		return workload.MySQL(rate*probe.Service.Mean()/float64(cores), cores)
-	case "kafka":
-		probe := workload.Kafka(1, cores)
-		return workload.Kafka(rate*probe.Service.Mean()/float64(cores), cores)
-	}
-	// Unreachable after Validate; a panic here is a missing rule.
-	panic(fmt.Sprintf("tierSpec: unknown service %q", service))
+var tierSpecs = map[string]func(rate float64, cores int) workload.Spec{
+	"memcached": func(rate float64, _ int) workload.Spec { return workload.Memcached(rate) },
+	"mysql": func(rate float64, cores int) workload.Spec {
+		return workload.MySQL(rate*workload.MySQL(1, cores).Service.Mean()/float64(cores), cores)
+	},
+	"kafka": func(rate float64, cores int) workload.Spec {
+		return workload.Kafka(rate*workload.Kafka(1, cores).Service.Mean()/float64(cores), cores)
+	},
 }
 
 // runGraph wires one applied open-loop point, in asGraph's tier-list
@@ -337,12 +363,11 @@ func tierSpec(service string, rate float64, cores int) workload.Spec {
 func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	cores := soc.DefaultConfig(kind).CoreCount
-	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
 	must := func(err error) {
 		if err != nil {
-			// Unreachable after Validate, preflight and
-			// validateTieredPoint; a panic here is a missing validation
-			// rule, not a user error.
+			// Unreachable after Run's checks (validate, preflight, the
+			// rate); a panic here is a missing validation rule, not a
+			// user error.
 			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
 		}
 	}
@@ -374,70 +399,8 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 		rootSpec, _ = sc.Workload.spec(sc.Tiers[0].Servers * cores)
 	}
 
-	names := make(map[string]int, len(sc.Tiers))
-	for i := range sc.Tiers {
-		names[sc.Tiers[i].Name] = i
-	}
-	// Expected per-tier arrival rates — the root rate scaled by each
-	// edge's miss probability and fan-out — size the backend specs. The
-	// graph is a DAG, so |tiers| relaxation rounds reach the fixpoint.
-	rates := make([]float64, len(sc.Tiers))
-	rates[0] = rootSpec.MeanQPS()
-	for range sc.Tiers {
-		next := make([]float64, len(rates))
-		next[0] = rates[0]
-		for _, e := range sc.Edges {
-			fanout := e.Fanout
-			if fanout < 1 {
-				fanout = 1
-			}
-			next[names[e.To]] += rates[names[e.From]] * (1 - e.HitRatio) * float64(fanout)
-		}
-		rates = next
-	}
-
-	gcfg := cluster.GraphConfig{
-		Tiers: make([]cluster.TierConfig, len(sc.Tiers)),
-		Edges: make([]cluster.EdgeConfig, len(sc.Edges)),
-	}
-	for i := range sc.Tiers {
-		t := &sc.Tiers[i]
-		pol, _ := cluster.ParsePolicy(t.Policy)
-		// An absent racks field keeps the zero-value topology; an explicit
-		// "racks": 1 goes through the Topology path as Flat(N). Both
-		// assemble the identical event sequence (TestRackFlatParity).
-		var topo cluster.Topology
-		if r := t.Racks; r >= 1 {
-			topo = cluster.Topology{Racks: r, ServersPerRack: t.Servers / r}
-		}
-		spec := rootSpec
-		if i > 0 {
-			spec = tierSpec(t.Service, rates[i], cores)
-		}
-		gcfg.Tiers[i] = cluster.TierConfig{
-			Name: t.Name,
-			Cluster: cluster.Config{
-				Policy:        pol,
-				P99Target:     us(t.P99TargetUS),
-				Topology:      topo,
-				TorLatency:    us(t.TorLatencyUS),
-				DrainHold:     us(t.DrainHoldUS),
-				FeedbackEpoch: us(t.FeedbackEpochUS),
-				Faults:        t.Faults.config(),
-				Members:       sc.memberConfigs(&t.Cluster, kind),
-			},
-			Spec: spec,
-		}
-	}
-	for i, e := range sc.Edges {
-		gcfg.Edges[i] = cluster.EdgeConfig{
-			From:     names[e.From],
-			To:       names[e.To],
-			HitRatio: e.HitRatio,
-			TTL:      us(e.TTLUS),
-			Fanout:   e.Fanout,
-		}
-	}
+	gcfg, err := sc.runConfig(kind, rootSpec)
+	must(err)
 	gcfg.Tiers[0].Cluster.NewSource = newSource
 	g, err := reuse.Graph(gcfg, opt.Seed)
 	must(err)
@@ -559,9 +522,7 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	sys := soc.New(soc.DefaultConfig(kind))
-	scfg := server.DefaultConfig()
-	sc.Server.apply(&scfg)
-	srv := server.NewClosedLoop(sys, scfg)
+	srv := server.NewClosedLoop(sys, sc.serverConfig(nil, 0))
 	cl := workload.SysbenchOLTP(sys.Engine, sc.Workload.Threads,
 		sc.Workload.ThinkMS*1e-3, opt.Seed, srv.Submit)
 	cl.Start()
@@ -633,10 +594,10 @@ func (r *Result) clusterAnnotated() bool {
 // aggregate row then sums the tiers' counters.
 func (r *Result) faultsAnnotated() bool {
 	if c := r.effectiveCluster(); c != nil {
-		return c.Faults.enabled() || axes[r.Axis].block == faultsBlock
+		return c.Faults.config().Enabled() || axes[r.Axis].block == faultsBlock
 	}
 	for i := range r.Scenario.Tiers {
-		if r.Scenario.Tiers[i].Faults.enabled() {
+		if r.Scenario.Tiers[i].Faults.config().Enabled() {
 			return true
 		}
 	}

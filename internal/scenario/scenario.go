@@ -45,8 +45,10 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 
 	"agilepkgc/internal/cluster"
 	"agilepkgc/internal/experiments"
@@ -218,12 +220,8 @@ type Faults struct {
 	HedgeDelayUS float64 `json:"hedge_delay_us,omitempty"`
 }
 
-// enabled mirrors cluster.FaultConfig.Enabled on the JSON block: it
-// reports whether the block would attach the fault layer at all.
-func (f *Faults) enabled() bool {
-	return f != nil && (f.MTBFUS > 0 || f.BrownoutMTBFUS > 0 || f.TorPartitionMTBFUS > 0 ||
-		f.RequestTimeoutUS > 0 || f.MaxRetries > 0 || f.HedgeDelayUS > 0)
-}
+// us converts scenario microseconds to engine time.
+func us(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
 
 // config converts the block to engine units. A nil block is the zero
 // (disabled) configuration.
@@ -231,7 +229,6 @@ func (f *Faults) config() cluster.FaultConfig {
 	if f == nil {
 		return cluster.FaultConfig{}
 	}
-	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
 	return cluster.FaultConfig{
 		MTBF:                 us(f.MTBFUS),
 		MTTR:                 us(f.MTTRUS),
@@ -332,7 +329,6 @@ func (o Overrides) validate() error {
 }
 
 func (o Overrides) apply(cfg *server.Config) {
-	us := func(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
 	if o.NetworkLatencyUS != nil {
 		cfg.NetworkLatency = us(*o.NetworkLatencyUS)
 	}
@@ -413,7 +409,6 @@ const (
 	anyValue axisRule = iota
 	wholeValue
 	countValue // a whole number ≥ 1
-	ratioValue // at most 1
 )
 
 // axisSpec is one row of the sweep-axis table.
@@ -450,7 +445,7 @@ var axes = map[string]axisSpec{
 	AxisRequestTimeout: {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
 	AxisMaxRetries:     {block: faultsBlock, rule: wholeValue, set: atFaults(func(f *Faults, v float64) { f.MaxRetries = int(v) })},
 	AxisHedgeDelay:     {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
-	AxisHitRatio:       {block: edgesBlock, rule: ratioValue, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
+	AxisHitRatio:       {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
 	AxisFanout:         {block: edgesBlock, rule: countValue, set: atEdges(func(e *Edge, v float64) { e.Fanout = int(v) })},
 	AxisTTL:            {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
 	// The string-valued policy axis: v is an index into Sweep.Policies.
@@ -465,8 +460,14 @@ var axes = map[string]axisSpec{
 // Axes returns the supported sweep axis names, sorted.
 func Axes() []string { return slices.Sorted(maps.Keys(axes)) }
 
-// at returns a copy of the scenario with one axis value applied.
-func (s Scenario) at(axis string, v float64) Scenario { return axes[axis].set(s, v) }
+// at returns a copy of the scenario with one axis value applied; with
+// no axis it is the scenario itself.
+func (s Scenario) at(axis string, v float64) Scenario {
+	if axis == "" {
+		return s
+	}
+	return axes[axis].set(s, v)
+}
 
 // atCluster makes a setter that applies mut to a clone of the cluster
 // block (Validate guarantees the block exists whenever a cluster axis
@@ -506,11 +507,31 @@ func atEdges(mut func(*Edge, float64)) func(Scenario, float64) Scenario {
 	}
 }
 
-// Validate checks the parts of the scenario that do not depend on axis
-// values: the config kind, service name, sweep axis and value list.
-// Per-point rate validation happens when the points are built, after the
-// axis value is applied.
-func (s *Scenario) Validate() error {
+// Validate checks the scenario against every rule a run depends on,
+// short of the workload rates and the points' servers, and each rule
+// has one owner. The scenario owns what the cluster layer cannot see:
+// names, services and the trace block, the sweep list and the blocks
+// its axis needs, tier names and edge endpoints, server_overrides keys,
+// the policy-axis conflict and the inert knobs. The cluster layer owns
+// every fleet and graph rule: Validate converts each applied point as
+// the run does (graphConfig), checks it with cluster.GraphConfig.Check
+// and reports a failure in JSON keys (clusterError). Load and Run also
+// check each point's servers (checkServers); Run alone checks the
+// workload rates, when it builds the points.
+func (s *Scenario) Validate() error { return s.validate(false) }
+
+// validate runs Validate's rules and, with servers set, checkServers on
+// every point.
+func (s *Scenario) validate(servers bool) error {
+	if err := s.validateFields(); err != nil {
+		return err
+	}
+	return s.validatePoints(servers)
+}
+
+// validateFields checks the scenario's own rules on the scenario as
+// written.
+func (s *Scenario) validateFields() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
@@ -527,61 +548,7 @@ func (s *Scenario) Validate() error {
 	if err := s.validateTrace(); err != nil {
 		return err
 	}
-	if s.Sweep != nil {
-		spec, ok := axes[s.Sweep.Axis]
-		if !ok {
-			return fmt.Errorf("scenario %q: unknown sweep axis %q (want one of %v)",
-				s.Name, s.Sweep.Axis, Axes())
-		}
-		if spec.block.drivesCluster() && s.Cluster == nil {
-			return fmt.Errorf("scenario %q: sweep axis %q needs a cluster block", s.Name, s.Sweep.Axis)
-		}
-		if spec.block == edgesBlock && len(s.Edges) == 0 {
-			return fmt.Errorf("scenario %q: sweep axis %q needs a tiers block with edges", s.Name, s.Sweep.Axis)
-		}
-		if spec.block == workloadBlock && !slices.Contains(spec.services, s.Workload.Service) {
-			return fmt.Errorf("scenario %q: service %q ignores sweep axis %q — every point would be identical",
-				s.Name, s.Workload.Service, s.Sweep.Axis)
-		}
-		if s.Sweep.Axis == AxisPolicy {
-			if len(s.Sweep.Values) > 0 {
-				return fmt.Errorf("scenario %q: the policy axis takes sweep.policies, not sweep.values", s.Name)
-			}
-			if len(s.Sweep.Policies) == 0 {
-				return fmt.Errorf("scenario %q: sweep has no policies", s.Name)
-			}
-			for _, p := range s.Sweep.Policies {
-				if _, err := cluster.ParsePolicy(p); err != nil {
-					return fmt.Errorf("scenario %q: %w", s.Name, err)
-				}
-			}
-		} else {
-			if len(s.Sweep.Policies) > 0 {
-				return fmt.Errorf("scenario %q: sweep.policies only applies to the %q axis", s.Name, AxisPolicy)
-			}
-			if len(s.Sweep.Values) == 0 {
-				return fmt.Errorf("scenario %q: sweep has no values", s.Name)
-			}
-		}
-		for _, v := range s.Sweep.Values {
-			if v < 0 {
-				return fmt.Errorf("scenario %q: negative %s value %g", s.Name, s.Sweep.Axis, v)
-			}
-			if (spec.rule == wholeValue || spec.rule == countValue) && v != float64(int(v)) {
-				return fmt.Errorf("scenario %q: %s value %g is not an integer", s.Name, s.Sweep.Axis, v)
-			}
-			if spec.rule == countValue && v < 1 {
-				return fmt.Errorf("scenario %q: %s value %g is below 1", s.Name, s.Sweep.Axis, v)
-			}
-			if spec.rule == ratioValue && v > 1 {
-				return fmt.Errorf("scenario %q: %s value %g is outside [0, 1]", s.Name, s.Sweep.Axis, v)
-			}
-		}
-	}
-	if err := s.validateCluster(); err != nil {
-		return err
-	}
-	if err := s.validateTiers(); err != nil {
+	if err := s.validateSweep(); err != nil {
 		return err
 	}
 	if s.DurationMS < 0 {
@@ -590,195 +557,90 @@ func (s *Scenario) Validate() error {
 	if err := s.Server.validate(); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
+	if s.Workload.Service == "sysbench" && (s.Cluster != nil || len(s.Tiers) > 0) {
+		return fmt.Errorf("scenario %q: a fleet needs an open-loop service — closed-loop sysbench clients bind to one machine and bypass the balancer", s.Name)
+	}
+	if c := s.Cluster; c != nil {
+		if s.Sweep != nil && s.Sweep.Axis == AxisPolicy && c.Policy != "" {
+			return fmt.Errorf("scenario %q: cluster.policy %q conflicts with the policy sweep — leave it empty", s.Name, c.Policy)
+		}
+		if err := s.validateOverrides(c, "cluster"); err != nil {
+			return err
+		}
+	}
+	return s.validateTiers()
+}
+
+// validateSweep checks the sweep list and that the blocks its axis
+// writes exist.
+func (s *Scenario) validateSweep() error {
+	if s.Sweep == nil {
+		return nil
+	}
+	spec, ok := axes[s.Sweep.Axis]
+	switch {
+	case !ok:
+		return fmt.Errorf("scenario %q: unknown sweep axis %q (want one of %v)", s.Name, s.Sweep.Axis, Axes())
+	case spec.block.drivesCluster() && s.Cluster == nil:
+		return fmt.Errorf("scenario %q: sweep axis %q needs a cluster block", s.Name, s.Sweep.Axis)
+	case spec.block == faultsBlock && s.Cluster.Faults == nil:
+		return fmt.Errorf("scenario %q: the %s axis needs a cluster.faults block", s.Name, s.Sweep.Axis)
+	case spec.block == edgesBlock && len(s.Edges) == 0:
+		return fmt.Errorf("scenario %q: sweep axis %q needs a tiers block with edges", s.Name, s.Sweep.Axis)
+	case spec.block == workloadBlock && !slices.Contains(spec.services, s.Workload.Service):
+		return fmt.Errorf("scenario %q: service %q ignores sweep axis %q — every point would be identical",
+			s.Name, s.Workload.Service, s.Sweep.Axis)
+	}
+	if s.Sweep.Axis == AxisPolicy {
+		if len(s.Sweep.Values) > 0 {
+			return fmt.Errorf("scenario %q: the policy axis takes sweep.policies, not sweep.values", s.Name)
+		}
+		if len(s.Sweep.Policies) == 0 {
+			return fmt.Errorf("scenario %q: sweep has no policies", s.Name)
+		}
+		return nil
+	}
+	if len(s.Sweep.Policies) > 0 {
+		return fmt.Errorf("scenario %q: sweep.policies only applies to the %q axis", s.Name, AxisPolicy)
+	}
+	if len(s.Sweep.Values) == 0 {
+		return fmt.Errorf("scenario %q: sweep has no values", s.Name)
+	}
+	for _, v := range s.Sweep.Values {
+		if v < 0 {
+			return fmt.Errorf("scenario %q: negative %s value %g", s.Name, s.Sweep.Axis, v)
+		}
+		if (spec.rule == wholeValue || spec.rule == countValue) && v != float64(int(v)) {
+			return fmt.Errorf("scenario %q: %s value %g is not an integer", s.Name, s.Sweep.Axis, v)
+		}
+		if spec.rule == countValue && v < 1 {
+			return fmt.Errorf("scenario %q: %s value %g is below 1", s.Name, s.Sweep.Axis, v)
+		}
+	}
 	return nil
 }
 
-// validateCluster checks the cluster block's axis-independent parts.
-// Fields a sweep drives (servers, policy) are only required when no
-// sweep supplies them; per-point checks (override indices vs the applied
-// fleet size) happen when the points are built.
-func (s *Scenario) validateCluster() error {
-	c := s.Cluster
-	if c == nil {
-		return nil
-	}
-	sweepAxis := ""
-	if s.Sweep != nil {
-		sweepAxis = s.Sweep.Axis
-	}
-	if s.Workload.Service == "sysbench" {
-		return fmt.Errorf("scenario %q: cluster needs an open-loop service — closed-loop sysbench clients bind to one machine and bypass the balancer", s.Name)
-	}
-	return s.validateClusterBlock(c, sweepAxis, "cluster")
-}
-
-// validateClusterBlock checks one fleet-shape block — the scenario's
-// cluster block (label "cluster", with sweep-driven fields relaxed) or
-// a tier's inlined block (label "tiers[i]", sweepAxis empty: tier
-// fields are never sweep-driven, so every field must be concrete).
-func (s *Scenario) validateClusterBlock(c *Cluster, sweepAxis, label string) error {
-	if c.Servers < 1 && sweepAxis != AxisServers {
-		return fmt.Errorf("scenario %q: %s.servers must be at least 1", s.Name, label)
-	}
-	needsTarget := func(p cluster.Policy) bool {
-		return p == cluster.PowerAware || p == cluster.RackPowerAware
-	}
-	capped := false
-	if sweepAxis == AxisPolicy {
-		if c.Policy != "" {
-			return fmt.Errorf("scenario %q: %s.policy %q conflicts with the policy sweep — leave it empty", s.Name, label, c.Policy)
-		}
-		for _, p := range s.Sweep.Policies {
-			if pol, err := cluster.ParsePolicy(p); err == nil && needsTarget(pol) {
-				capped = true
-			}
-		}
-	} else {
-		pol, err := cluster.ParsePolicy(c.Policy)
-		if err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		capped = needsTarget(pol)
-	}
-	if c.P99TargetUS < 0 {
-		return fmt.Errorf("scenario %q: negative %s.p99_target_us", s.Name, label)
-	}
-	if capped && c.P99TargetUS <= 0 {
-		return fmt.Errorf("scenario %q: power_aware policies need %s.p99_target_us > 0", s.Name, label)
-	}
-	if c.Racks < 0 {
-		return fmt.Errorf("scenario %q: negative %s.racks", s.Name, label)
-	}
-	if c.TorLatencyUS < 0 {
-		return fmt.Errorf("scenario %q: negative %s.tor_latency_us", s.Name, label)
-	}
-	if c.DrainHoldUS < 0 {
-		return fmt.Errorf("scenario %q: negative %s.drain_hold_us", s.Name, label)
-	}
-	if c.FeedbackEpochUS < 0 {
-		return fmt.Errorf("scenario %q: negative %s.feedback_epoch_us", s.Name, label)
-	}
-	// The balancer-dynamics knobs only act on the cap-based packing
-	// policies; anywhere else they would be silently inert, like
-	// sweeping an ignored axis.
-	if (c.DrainHoldUS > 0 || c.FeedbackEpochUS > 0) && !capped {
-		return fmt.Errorf("scenario %q: %s.drain_hold_us/feedback_epoch_us need a power_aware or rack_power_aware policy", s.Name, label)
-	}
-	if (sweepAxis == AxisDrainHold || sweepAxis == AxisFeedbackEpoch) && !capped {
-		return fmt.Errorf("scenario %q: the %s axis needs a power_aware or rack_power_aware policy", s.Name, sweepAxis)
-	}
-	// A ToR hop with nothing non-local to cross would be silently inert,
-	// like sweeping an ignored axis — reject it up front.
-	if c.TorLatencyUS > 0 && c.Racks <= 1 && sweepAxis != AxisRacks {
-		return fmt.Errorf("scenario %q: %s.tor_latency_us needs racks > 1", s.Name, label)
-	}
-	if sweepAxis == AxisTorLatency && c.Racks <= 1 {
-		return fmt.Errorf("scenario %q: the %s axis needs cluster.racks > 1 — a flat fleet pays no ToR hop", s.Name, AxisTorLatency)
-	}
+// validateOverrides checks one fleet block's server_overrides: every
+// key a server index and every entry's knobs non-negative. Whether an
+// index names one of the point's servers is checkServers' rule.
+func (s *Scenario) validateOverrides(c *Cluster, label string) error {
 	for _, key := range slices.Sorted(maps.Keys(c.ServerOverrides)) {
-		idx, err := strconv.Atoi(key)
-		if err != nil || idx < 0 {
+		// A key must be the index's own spelling: the run looks servers
+		// up by strconv.Itoa, so "01" would never apply.
+		if idx, err := strconv.Atoi(key); err != nil || idx < 0 || strconv.Itoa(idx) != key {
 			return fmt.Errorf("scenario %q: %s.server_overrides key %q is not a server index", s.Name, label, key)
 		}
 		if err := c.ServerOverrides[key].validate(); err != nil {
 			return fmt.Errorf("scenario %q: server_overrides[%s]: %w", s.Name, key, err)
 		}
 	}
-	return s.validateFaultsBlock(c, sweepAxis, label)
-}
-
-// validateFaultsBlock checks one faults block (the cluster block's or a
-// tier's): non-negative knobs, the same coherence rules
-// cluster.FaultConfig enforces at assembly (restated here so a bad file
-// fails at load, not mid-run), and the package's "silently inert knob"
-// rule — a field whose mechanism can never fire is a typo, not a
-// configuration.
-func (s *Scenario) validateFaultsBlock(c *Cluster, sweepAxis, label string) error {
-	fc := c.Faults
-	if fc == nil {
-		if axes[sweepAxis].block == faultsBlock {
-			return fmt.Errorf("scenario %q: the %s axis needs a cluster.faults block", s.Name, sweepAxis)
-		}
-		return nil
-	}
-	// Declared order (mirrors the FaultConfig field order), so the
-	// first offending knob reported is deterministic.
-	for _, kv := range []struct {
-		name string
-		v    float64
-	}{
-		{"mtbf_us", fc.MTBFUS}, {"mttr_us", fc.MTTRUS},
-		{"brownout_mtbf_us", fc.BrownoutMTBFUS}, {"brownout_duration_us", fc.BrownoutDurationUS},
-		{"brownout_factor", fc.BrownoutFactor},
-		{"tor_partition_mtbf_us", fc.TorPartitionMTBFUS}, {"tor_partition_duration_us", fc.TorPartitionDurationUS},
-		{"request_timeout_us", fc.RequestTimeoutUS}, {"hedge_delay_us", fc.HedgeDelayUS},
-	} {
-		if kv.v < 0 {
-			return fmt.Errorf("scenario %q: negative %s.faults.%s", s.Name, label, kv.name)
-		}
-	}
-	if fc.MaxRetries < 0 {
-		return fmt.Errorf("scenario %q: negative %s.faults.max_retries", s.Name, label)
-	}
-	// Crash process: a crash with no repair never ends; a repair time
-	// with no crash process never fires. The mtbf_us axis supplies the
-	// crash side per point, so mttr_us alone is fine under it.
-	if (fc.MTBFUS > 0 || sweepAxis == AxisMTBF) && fc.MTTRUS <= 0 && sweepAxis != AxisMTTR {
-		return fmt.Errorf("scenario %q: %s.faults.mtbf_us needs mttr_us > 0", s.Name, label)
-	}
-	if fc.MTTRUS > 0 && fc.MTBFUS <= 0 && sweepAxis != AxisMTBF {
-		return fmt.Errorf("scenario %q: %s.faults.mttr_us needs mtbf_us > 0 (or the %s axis)", s.Name, label, AxisMTBF)
-	}
-	if sweepAxis == AxisMTTR {
-		if fc.MTBFUS <= 0 {
-			return fmt.Errorf("scenario %q: the %s axis needs cluster.faults.mtbf_us > 0", s.Name, AxisMTTR)
-		}
-		for _, v := range s.Sweep.Values {
-			if v <= 0 {
-				return fmt.Errorf("scenario %q: %s value %g — a crash with no repair process never ends", s.Name, AxisMTTR, v)
-			}
-		}
-	}
-	// Brownout process: the three fields only act together.
-	if fc.BrownoutMTBFUS > 0 && (fc.BrownoutDurationUS <= 0 || fc.BrownoutFactor <= 1) {
-		return fmt.Errorf("scenario %q: %s.faults.brownout_mtbf_us needs brownout_duration_us > 0 and brownout_factor > 1", s.Name, label)
-	}
-	if (fc.BrownoutDurationUS > 0 || fc.BrownoutFactor != 0) && fc.BrownoutMTBFUS <= 0 {
-		return fmt.Errorf("scenario %q: %s.faults.brownout_duration_us/brownout_factor need brownout_mtbf_us > 0", s.Name, label)
-	}
-	// Partition process: needs a duration and a ToR to cut.
-	if fc.TorPartitionMTBFUS > 0 {
-		if fc.TorPartitionDurationUS <= 0 {
-			return fmt.Errorf("scenario %q: %s.faults.tor_partition_mtbf_us needs tor_partition_duration_us > 0", s.Name, label)
-		}
-		if c.Racks <= 1 && sweepAxis != AxisRacks {
-			return fmt.Errorf("scenario %q: %s.faults.tor_partition_mtbf_us needs racks > 1 — a flat fleet has no ToR uplink to cut", s.Name, label)
-		}
-		if sweepAxis == AxisRacks {
-			for _, v := range s.Sweep.Values {
-				if v <= 1 {
-					return fmt.Errorf("scenario %q: racks value %g with ToR partition faults — a flat fleet has no ToR uplink to cut", s.Name, v)
-				}
-			}
-		}
-	}
-	if fc.TorPartitionDurationUS > 0 && fc.TorPartitionMTBFUS <= 0 {
-		return fmt.Errorf("scenario %q: %s.faults.tor_partition_duration_us needs tor_partition_mtbf_us > 0", s.Name, label)
-	}
-	// Retries only fire on a timeout or an injected loss; with neither
-	// the budget is inert.
-	injecting := fc.MTBFUS > 0 || fc.BrownoutMTBFUS > 0 || fc.TorPartitionMTBFUS > 0 ||
-		sweepAxis == AxisMTBF
-	if (fc.MaxRetries > 0 || sweepAxis == AxisMaxRetries) &&
-		fc.RequestTimeoutUS <= 0 && sweepAxis != AxisRequestTimeout && !injecting {
-		return fmt.Errorf("scenario %q: %s.faults.max_retries needs request_timeout_us > 0 or a fault-injection process — nothing would ever retry", s.Name, label)
-	}
 	return nil
 }
 
-// validateTiers checks the tiers/edges service-graph blocks. Failures
-// inside one tier or edge are wrapped in a blockError so load can point
-// at the element's line and column in the source file.
+// validateTiers checks the tiers and edges blocks' own rules: names,
+// services and edge endpoints. Failures inside one tier or edge are
+// wrapped in a blockError so load can point at the element's line and
+// column in the source file.
 func (s *Scenario) validateTiers() error {
 	if len(s.Tiers) == 0 {
 		if len(s.Edges) > 0 {
@@ -789,159 +651,261 @@ func (s *Scenario) validateTiers() error {
 	if s.Cluster != nil {
 		return fmt.Errorf("scenario %q: tiers and cluster are mutually exclusive — a one-tier graph is the cluster block", s.Name)
 	}
-	if s.Workload.Service == "sysbench" {
-		return fmt.Errorf("scenario %q: tiers need an open-loop service — closed-loop sysbench clients bind to one machine and bypass the balancer", s.Name)
-	}
-	sweepAxis := ""
-	if s.Sweep != nil {
-		sweepAxis = s.Sweep.Axis
-	}
-	if axes[sweepAxis].block.drivesCluster() {
-		// Unreachable today (cluster axes require a cluster block, which
-		// tiers exclude), kept as a guard: tier fields are never
-		// sweep-driven.
-		return fmt.Errorf("scenario %q: sweep axis %q drives the cluster block, which tiers replace", s.Name, sweepAxis)
-	}
-	names := make(map[string]int, len(s.Tiers))
 	for i := range s.Tiers {
 		t := &s.Tiers[i]
 		if t.Name == "" {
 			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] has no name", s.Name, i))
 		}
-		if j, dup := names[t.Name]; dup {
+		if j := s.tierIndex(t.Name); j < i {
 			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] duplicates tier name %q (tiers[%d])", s.Name, i, t.Name, j))
 		}
-		names[t.Name] = i
 		if i == 0 && t.Service != "" {
 			return blockErr("tiers", 0, fmt.Errorf("scenario %q: tiers[0] (%q) is driven by the scenario workload — drop its service field", s.Name, t.Name))
 		}
-		if i > 0 {
-			switch t.Service {
-			case "memcached", "mysql", "kafka":
-			case "":
+		if _, ok := tierSpecs[t.Service]; i > 0 && !ok {
+			if t.Service == "" {
 				return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) needs a service — the miss stream must know what requests to issue", s.Name, i, t.Name))
-			default:
-				return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) has unknown service %q (want memcached, mysql or kafka)", s.Name, i, t.Name, t.Service))
 			}
+			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) has unknown service %q (want one of %v)", s.Name, i, t.Name, t.Service, slices.Sorted(maps.Keys(tierSpecs))))
 		}
-		if err := s.validateClusterBlock(&t.Cluster, "", fmt.Sprintf("tiers[%d]", i)); err != nil {
+		if err := s.validateOverrides(&t.Cluster, fmt.Sprintf("tiers[%d]", i)); err != nil {
 			return blockErr("tiers", i, err)
 		}
 	}
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		from, ok := names[e.From]
-		if !ok {
+	for i, e := range s.Edges {
+		if s.tierIndex(e.From) < 0 {
 			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d].from names unknown tier %q", s.Name, i, e.From))
 		}
-		to, ok := names[e.To]
-		if !ok {
+		if s.tierIndex(e.To) < 0 {
 			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d].to names unknown tier %q", s.Name, i, e.To))
-		}
-		if from == to {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d] loops tier %q onto itself", s.Name, i, e.From))
-		}
-		if to == 0 {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d] feeds tier %q — tiers[0] is the client-facing tier and takes no in-edges", s.Name, i, e.To))
-		}
-		if e.HitRatio < 0 || e.HitRatio > 1 {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d].hit_ratio %g is outside [0, 1]", s.Name, i, e.HitRatio))
-		}
-		if e.TTLUS < 0 {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: negative edges[%d].ttl_us", s.Name, i))
-		}
-		if e.Fanout < 0 {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: negative edges[%d].fanout", s.Name, i))
-		}
-		// An edge that can never miss makes fan-out (configured or swept)
-		// silently inert — unless the sweep drives the miss model itself.
-		neverMisses := e.HitRatio >= 1 && e.TTLUS == 0 &&
-			sweepAxis != AxisHitRatio && sweepAxis != AxisTTL
-		if e.Fanout > 1 && neverMisses {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d] sets fanout %d on an edge that never misses (hit_ratio 1, no ttl)", s.Name, i, e.Fanout))
-		}
-		if sweepAxis == AxisFanout && neverMisses {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: the %s axis is inert on edges[%d] — it never misses (hit_ratio 1, no ttl)", s.Name, AxisFanout, i))
-		}
-		// A sweep value can recreate the never-miss shape per point:
-		// hit_ratio swept to 1 (or ttl_us to 0) on a fan-out edge.
-		if e.Fanout > 1 {
-			if sweepAxis == AxisHitRatio && e.TTLUS == 0 {
-				for _, v := range s.Sweep.Values {
-					if v >= 1 {
-						return blockErr("edges", i, fmt.Errorf("scenario %q: %s value %g makes edges[%d] never miss — its fanout %d would be silently inert", s.Name, AxisHitRatio, v, i, e.Fanout))
-					}
-				}
-			}
-			if sweepAxis == AxisTTL && e.HitRatio >= 1 {
-				for _, v := range s.Sweep.Values {
-					if v == 0 {
-						return blockErr("edges", i, fmt.Errorf("scenario %q: %s value 0 makes edges[%d] never miss — its fanout %d would be silently inert", s.Name, AxisTTL, i, e.Fanout))
-					}
-				}
-			}
-		}
-	}
-	adj := make([][]int, len(s.Tiers))
-	for _, e := range s.Edges {
-		adj[names[e.From]] = append(adj[names[e.From]], names[e.To])
-	}
-	// An edge closes a cycle exactly when its source is already
-	// reachable from its destination.
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		if reaches(adj, names[e.To], names[e.From]) {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d] (%s -> %s) closes a cycle — the service graph must be acyclic", s.Name, i, e.From, e.To))
-		}
-	}
-	// Every tier must sit on a path from the root, or it simulates
-	// nothing — a silently inert tier, rejected like an ignored axis.
-	seen := make([]bool, len(s.Tiers))
-	seen[0] = true
-	queue := []int{0}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		for _, n := range adj[t] {
-			if !seen[n] {
-				seen[n] = true
-				queue = append(queue, n)
-			}
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) is unreachable from tiers[0] — it would be silently inert", s.Name, i, s.Tiers[i].Name))
 		}
 	}
 	return nil
 }
 
-// reaches reports whether target is reachable from start in adj.
-func reaches(adj [][]int, start, target int) bool {
-	if start == target {
-		return true
+// tierIndex returns the index of the tier named name, or -1.
+func (s *Scenario) tierIndex(name string) int {
+	return slices.IndexFunc(s.Tiers, func(t Tier) bool { return t.Name == name })
+}
+
+// validatePoints checks every applied point: the cluster layer's rules
+// on the point's graph, checkServers when servers is set, and, over all
+// points together, the inert knobs. A workload axis leaves the tier
+// form of every point alone, so such a sweep, like an unswept scenario,
+// is checked once, as written.
+func (s *Scenario) validatePoints(servers bool) error {
+	axis, values := "", []float64{0}
+	if s.Sweep != nil && axes[s.Sweep.Axis].block != workloadBlock {
+		axis, values = s.Sweep.Axis, s.values()
 	}
-	seen := make([]bool, len(adj))
-	seen[start] = true
-	stack := []int{start}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range adj[t] {
-			if n == target {
-				return true
+	var set, acts []uint8 // per tier: inert knobs set on some point, and those that acted
+	block := ""
+	for _, v := range values {
+		var g Scenario
+		g, block = s.at(axis, v).asGraph()
+		gcfg, err := g.graphConfig()
+		if err == nil {
+			err = g.clusterError(gcfg.Check(), block)
+		}
+		if err == nil && servers {
+			err = g.checkServers(gcfg, block)
+		}
+		if err != nil {
+			return s.pointErr(axis, v, err)
+		}
+		if set == nil {
+			set, acts = make([]uint8, len(gcfg.Tiers)), make([]uint8, len(gcfg.Tiers))
+		}
+		for ti := range gcfg.Tiers {
+			st, ac := inertBits(&gcfg.Tiers[ti].Cluster)
+			set[ti], acts[ti] = set[ti]|st, acts[ti]|ac
+		}
+	}
+	return s.inertError(set, acts, block)
+}
+
+// pointErr names the scenario and, on a swept point, the axis value in
+// one point's error.
+func (s *Scenario) pointErr(axis string, v float64, err error) error {
+	switch axis {
+	case "":
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	case AxisPolicy:
+		return fmt.Errorf("scenario %q [%s=%s]: %w", s.Name, axis, s.Sweep.Policies[int(v)], err)
+	}
+	return fmt.Errorf("scenario %q [%s=%g]: %w", s.Name, axis, v, err)
+}
+
+// inBlock tags a failure of tier ti with its element of the tiers block,
+// so load can locate it; other blocks have no element to point at.
+func inBlock(block string, ti int, err error) error {
+	if block == "tiers" {
+		return blockErr("tiers", ti, err)
+	}
+	return err
+}
+
+// tierLabel names tier ti of a point's graph as the JSON block that
+// wrote it (block is asGraph's).
+func tierLabel(block string, ti int) string {
+	if block == "tiers" {
+		return fmt.Sprintf("tiers[%d]", ti)
+	}
+	return block
+}
+
+// clusterKeys maps each cluster.Field a scenario sets to its JSON key
+// below the fleet block or edge.
+var clusterKeys = map[cluster.Field]string{
+	"P99Target": "p99_target_us", "Topology.Racks": "racks", "TorLatency": "tor_latency_us",
+	"DrainHold": "drain_hold_us", "FeedbackEpoch": "feedback_epoch_us",
+	"Faults.MTBF": "faults.mtbf_us", "Faults.MTTR": "faults.mttr_us",
+	"Faults.BrownoutMTBF": "faults.brownout_mtbf_us", "Faults.BrownoutDuration": "faults.brownout_duration_us",
+	"Faults.BrownoutFactor":   "faults.brownout_factor",
+	"Faults.TorPartitionMTBF": "faults.tor_partition_mtbf_us", "Faults.TorPartitionDuration": "faults.tor_partition_duration_us",
+	"Faults.RequestTimeout": "faults.request_timeout_us", "Faults.MaxRetries": "faults.max_retries",
+	"Faults.HedgeDelay": "faults.hedge_delay_us",
+	"HitRatio":          "hit_ratio", "TTL": "ttl_us", "Fanout": "fanout",
+}
+
+func jsonKey(f cluster.Field) string { return clusterKeys[f] }
+
+// clusterError reports a cluster rule failure on a point's graph (s, in
+// asGraph's form) in the scenario's terms: the tier or edge as the JSON
+// element that wrote it, each field as its JSON key. The topology comes
+// from two keys, so its failure names the one at fault.
+func (s *Scenario) clusterError(err error, block string) error {
+	ce, ok := err.(*cluster.ConfigError)
+	if !ok {
+		return err
+	}
+	key, i, label := "edges", ce.Edge, fmt.Sprintf("edges[%d]", ce.Edge)
+	if i < 0 {
+		key, i, label = "tiers", ce.Tier, tierLabel(block, ce.Tier)
+	}
+	subject := label
+	if ce.Field != "" {
+		subject += "." + jsonKey(ce.Field)
+	}
+	msg := ce.Render(subject, jsonKey)
+	if ce.Field == "Topology" {
+		c := &s.Tiers[i].Cluster
+		msg = fmt.Sprintf("%s.racks %d does not divide %d servers into equal racks", label, c.Racks, c.Servers)
+		if c.Servers < 1 {
+			msg = fmt.Sprintf("%s.servers must be at least 1", label)
+		}
+	}
+	if key == "edges" || block == "tiers" {
+		return blockErr(key, i, errors.New(msg))
+	}
+	return errors.New(msg)
+}
+
+// checkServers checks the rules on a point's servers, tier by tier:
+// the topology fits the fleet, each server_overrides key names one of
+// its servers, and each server's tick knobs, merged as the run merges
+// them (memberConfigs), arm no tick without a tick cost.
+func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
+	for ti := range s.Tiers {
+		t, name := &s.Tiers[ti], tierLabel(block, ti)
+		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); err != nil {
+			if ce, ok := err.(*cluster.ConfigError); ok {
+				ce.Tier = ti
 			}
-			if !seen[n] {
-				seen[n] = true
-				stack = append(stack, n)
+			return s.clusterError(err, block)
+		}
+		// The tick rule, on the first server in index order that breaks
+		// it. Servers without an override all run the base configuration,
+		// so the first of them stands for the rest.
+		cand := []int{0}
+		if len(t.ServerOverrides) > 0 {
+			cand = cand[:0]
+			for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
+				idx, _ := strconv.Atoi(key)
+				if idx >= t.Servers {
+					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: fleet has only %d servers", name, key, t.Servers))
+				}
+				cand = append(cand, idx)
+			}
+			for i := range t.Servers {
+				if _, ok := t.ServerOverrides[strconv.Itoa(i)]; !ok {
+					cand = append(cand, i)
+					break
+				}
+			}
+			slices.Sort(cand)
+		}
+		for _, i := range cand {
+			if mc := s.serverConfig(&t.Cluster, i); mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
+				err := errors.New("timer_tick_hz needs tick_kernel_us > 0")
+				if block != "" {
+					err = fmt.Errorf("%s server %d: %w", name, i, err)
+				}
+				return inBlock(block, ti, err)
 			}
 		}
 	}
-	return false
+	return nil
 }
 
-// validateTrace checks the workload.trace block with validateFaults'
+// inertBits reports, one bit per inertKnobs entry, which knobs c sets
+// and which of those act. These settings act only together with
+// another one: a knob set on some point must act on some point, or it
+// is a typo rather than a configuration, like sweeping an axis the
+// service ignores. They read the converted settings, as the run does.
+func inertBits(c *cluster.Config) (set, acts uint8) {
+	f := &c.Faults
+	for k, b := range [...][2]bool{
+		{c.DrainHold > 0 || c.FeedbackEpoch > 0, c.Policy.Packs()},
+		{c.TorLatency > 0, !c.Topology.IsFlat()},
+		{f.MTTR > 0, f.MTBF > 0},
+		{f.BrownoutDuration > 0 || f.BrownoutFactor != 0, f.BrownoutMTBF > 0},
+		{f.TorPartitionDuration > 0, f.TorPartitionMTBF > 0},
+		{f.MaxRetries > 0, f.RequestTimeout > 0 || f.Injecting()},
+	} {
+		if b[0] {
+			set |= 1 << k
+			if b[1] {
+				acts |= 1 << k
+			}
+		}
+	}
+	return set, acts
+}
+
+// inertKnobs names inertBits' knobs: each one's JSON key below the fleet
+// block and its requirement, "{}" standing for the block's key prefix.
+var inertKnobs = [...]struct{ knob, need string }{
+	{"drain_hold_us/feedback_epoch_us", "need a power_aware or rack_power_aware policy"},
+	{"tor_latency_us", "needs {}racks > 1"},
+	{"faults.mttr_us", "needs {}mtbf_us > 0"},
+	{"faults.brownout_duration_us/brownout_factor", "need {}brownout_mtbf_us > 0"},
+	{"faults.tor_partition_duration_us", "needs {}tor_partition_mtbf_us > 0"},
+	{"faults.max_retries", "needs {}request_timeout_us > 0 or a fault-injection process — nothing would ever retry"},
+}
+
+// inertError reports the first knob, tier by tier, that some point set
+// (set[ti]) and no point acted on (acts[ti]). When the knob is the
+// swept axis, the requirement names its block.
+func (s *Scenario) inertError(set, acts []uint8, block string) error {
+	for ti := range set {
+		for k, r := range inertKnobs {
+			if (set[ti]&^acts[ti])&(1<<k) == 0 {
+				continue
+			}
+			label := tierLabel(block, ti)
+			dot := strings.LastIndexByte(r.knob, '.') + 1
+			subject, need := label+"."+r.knob, strings.ReplaceAll(r.need, "{}", "")
+			if s.Sweep != nil && r.knob[dot:] == s.Sweep.Axis {
+				subject, need = "the "+s.Sweep.Axis+" axis", strings.ReplaceAll(r.need, "{}", label+"."+r.knob[:dot])
+			}
+			return inBlock(block, ti, fmt.Errorf("scenario %q: %s %s", s.Name, subject, need))
+		}
+	}
+	return nil
+}
+
+// validateTrace checks the workload.trace block with the inert knobs'
 // rigor: every field must be able to act. A trace block on a synthetic
 // service would be silently ignored; a synthetic rate field on the
 // trace service could never act (the stream is recorded); and loop and
@@ -1063,7 +1027,7 @@ func load(data []byte, baseDir string) ([]Scenario, error) {
 		return nil, fmt.Errorf("scenario: trailing data after the first value — wrap multiple scenarios in a JSON array")
 	}
 	for i := range scs {
-		if err := scs[i].Validate(); err != nil {
+		if err := scs[i].validate(true); err != nil {
 			return nil, locateBlockError(data, err)
 		}
 		if err := scs[i].preflightTrace(baseDir, data); err != nil {
@@ -1150,79 +1114,41 @@ func locateBlockError(data []byte, err error) error {
 	if !ok {
 		return err
 	}
-	prefix := data[:off]
-	line := 1 + bytes.Count(prefix, []byte("\n"))
-	col := off - int64(bytes.LastIndexByte(prefix, '\n'))
-	if col < 1 {
-		col = 1
-	}
-	return fmt.Errorf("line %d, column %d: %w", line, col, err)
+	return located(data, off, err)
 }
 
-// locateArrayElement walks the JSON token stream and returns the byte
-// offset of the opening brace of element `index` of the array keyed by
-// `key`. It reports ok=false when the key's array appears zero times or
-// more than once (ambiguous), or the element is not an object.
+// located prefixes err with the line and column of data[off].
+func located(data []byte, off int64, err error) error {
+	prefix := data[:off]
+	col := max(off-int64(bytes.LastIndexByte(prefix, '\n')), 1)
+	return fmt.Errorf("line %d, column %d: %w", 1+bytes.Count(prefix, []byte("\n")), col, err)
+}
+
+// locateArrayElement returns the byte offset of the opening brace of
+// element index of the array keyed by key. It reports ok=false when
+// the key's array appears zero times or more than once (ambiguous), or
+// the element is not an object. A key cannot match inside a string
+// value, whose quotes are escaped.
 func locateArrayElement(data []byte, key string, index int) (int64, bool) {
-	type frame struct {
-		obj       bool // object frame (vs array)
-		expectKey bool // next string token is an object key
-		matched   bool // array frame holding the keyed elements
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var stack []frame
-	pendingMatch := false // the next '[' is the keyed array's opening
-	var matches [][]int64 // element start offsets, per matched array
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			break
-		}
-		switch t := tok.(type) {
-		case json.Delim:
-			switch t {
-			case '{', '[':
-				if t == '{' && len(stack) > 0 {
-					if top := &stack[len(stack)-1]; !top.obj && top.matched {
-						// A direct element of the keyed array: its '{' is
-						// the byte just consumed.
-						matches[len(matches)-1] = append(matches[len(matches)-1], dec.InputOffset()-1)
-					}
-				}
-				isMatch := t == '[' && pendingMatch
-				if isMatch {
-					matches = append(matches, nil)
-				}
-				stack = append(stack, frame{obj: t == '{', expectKey: t == '{', matched: isMatch})
-				pendingMatch = false
-			case '}', ']':
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					if top := &stack[len(stack)-1]; top.obj {
-						top.expectKey = true
-					}
-				}
-			}
-		default:
-			pendingMatch = false
-			if len(stack) > 0 {
-				if top := &stack[len(stack)-1]; top.obj {
-					if top.expectKey {
-						if s, isStr := tok.(string); isStr && s == key {
-							pendingMatch = true
-						}
-						top.expectKey = false
-					} else {
-						top.expectKey = true
-					}
-				}
-			}
-		}
-	}
-	if len(matches) != 1 || index >= len(matches[0]) {
+	m := regexp.MustCompile(`"`+regexp.QuoteMeta(key)+`"\s*:\s*\[`).FindAllIndex(data, 2)
+	if len(m) != 1 {
 		return 0, false
 	}
-	return matches[0][index], true
+	start := int64(m[0][1] - 1) // the array's '['
+	dec := json.NewDecoder(bytes.NewReader(data[start:]))
+	if _, err := dec.Token(); err != nil {
+		return 0, false
+	}
+	for i := 0; dec.More(); i++ {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return 0, false
+		}
+		if i == index && raw[0] == '{' {
+			return start + dec.InputOffset() - int64(len(raw)), true
+		}
+	}
+	return 0, false
 }
 
 // locatePathError prefixes an error with the line and column of the
@@ -1238,13 +1164,7 @@ func locatePathError(data []byte, value string, err error) error {
 	if idx < 0 || bytes.Index(data[idx+1:], quoted) >= 0 {
 		return err
 	}
-	prefix := data[:idx]
-	line := 1 + bytes.Count(prefix, []byte("\n"))
-	col := int64(idx) - int64(bytes.LastIndexByte(prefix, '\n'))
-	if col < 1 {
-		col = 1
-	}
-	return fmt.Errorf("line %d, column %d: %w", line, col, err)
+	return located(data, int64(idx), err)
 }
 
 // locateJSONError prefixes decoding errors that carry a byte offset

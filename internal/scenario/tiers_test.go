@@ -237,6 +237,16 @@ func TestTiersValidationLocated(t *testing.T) {
 		{"backend tier without service",
 			func(s string) string { return strings.Replace(s, `"db", "service": "mysql",`, `"db",`, 1) },
 			"needs a service", "line 7"},
+		{"sub-nanosecond ttl on a fan-out hit edge",
+			func(s string) string {
+				return strings.Replace(s, `"hit_ratio": 0.5`, `"hit_ratio": 1, "ttl_us": 0.0001, "fanout": 3`, 1)
+			},
+			"never misses", "line 12"},
+		{"racks that do not divide the tier",
+			func(s string) string {
+				return strings.Replace(s, `{"name": "cache", "servers": 2,`, `{"name": "cache", "servers": 3, "racks": 2,`, 1)
+			},
+			"tiers[0].racks 2 does not divide 3 servers", "line 6"},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.mut(tieredJSON)))
