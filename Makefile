@@ -74,16 +74,16 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark suite: benchstat-comparable text in bench.txt plus a
-# machine-readable snapshot (BENCH_pr25.json by default; pass the next
-# PR's name as the second bench.sh argument) recording the perf
-# trajectory.
+# machine-readable snapshot recording the perf trajectory (by default
+# the newest committed BENCH_pr*.json, regenerated in place; pass a new
+# name as the second bench.sh argument to start the next one).
 bench:
 	scripts/bench.sh
 
 # The alloc-regression gate: reruns the suite into bench-gate.json and
-# fails if any benchmark allocates more per op than the committed
-# BENCH_pr25.json baseline (ns/op drift only warns). CI runs this on
-# every push.
+# fails if any benchmark allocates more per op than the newest
+# committed BENCH_pr*.json baseline (ns/op drift only warns). CI runs
+# this on every push.
 benchgate:
 	scripts/benchgate.sh
 

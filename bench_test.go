@@ -16,11 +16,15 @@ package agilepkgc_test
 //	BenchmarkFig8    — MySQL
 //	BenchmarkFig9    — Kafka
 //	BenchmarkArea    — die-area budget
+//
+// plus the harness paths: fleet routing, trace loading and replay, and
+// a swept scenario (BenchmarkScenarioSweep).
 
 import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"agilepkgc/internal/cluster"
@@ -401,4 +405,39 @@ func BenchmarkLoadScenarioTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkScenarioSweep prices a swept scenario end to end: the
+// paper's Fig 7 QPS axis (five points) on one CPC1A machine through
+// scenario.Run, the path `apcsim scenario` and perfbench's
+// paper-memcached workload take. The sweep worker's GraphReuse builds
+// the machine at the first point and rewinds it in place at the other
+// four, so allocs/op gates per-point reuse exactly: a point that
+// reassembled its machine, or regrew a pool or run queue the previous
+// point had grown, would raise it.
+func BenchmarkScenarioSweep(b *testing.B) {
+	b.ReportAllocs()
+	scs, err := scenario.Load(strings.NewReader(`{
+  "name": "sweep",
+  "config": "CPC1A",
+  "duration_ms": 50,
+  "workload": {"service": "memcached"},
+  "sweep": {"axis": "qps", "values": [4000, 10000, 20000, 50000, 100000]}
+}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := experiments.Options{Seed: 1, Parallelism: 1}
+	var served uint64
+	for i := 0; i < b.N; i++ {
+		r, err := scs[0].Run(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		served = 0
+		for _, p := range r.Points {
+			served += p.Served
+		}
+	}
+	b.ReportMetric(float64(served), "req/op")
 }

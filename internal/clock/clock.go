@@ -77,9 +77,11 @@ func (t *lockTimer) Fire() { (*PLL)(t).locked() }
 // Init builds a locked PLL in place (systems boot with clocks running),
 // sets its power channel's draw, and returns p. ch may be nil for tests
 // that do not account power. Building in place lets a machine allocate
-// its PLLs as one slab.
+// its PLLs as one slab; rebuilding one drops its lock callbacks but
+// keeps their storage.
 func (p *PLL) Init(eng *sim.Engine, name sim.Name, relock sim.Duration, ch *power.Channel) *PLL {
-	*p = PLL{eng: eng, name: name, state: PLLLocked, relock: relock, ch: ch}
+	clear(p.onLocked)
+	*p = PLL{eng: eng, name: name, state: PLLLocked, relock: relock, ch: ch, onLocked: p.onLocked[:0]}
 	if ch != nil {
 		ch.Set(ADPLLPowerWatts)
 	}
@@ -159,9 +161,10 @@ type Tree struct {
 	gated bool
 }
 
-// NewTree creates an ungated tree fed by the given PLL.
-func NewTree(name string, pll *PLL) *Tree {
-	return &Tree{name: name, pll: pll}
+// Init builds an ungated tree fed by pll in place, and returns t.
+func (t *Tree) Init(name string, pll *PLL) *Tree {
+	*t = Tree{name: name, pll: pll}
+	return t
 }
 
 // Name returns the tree name.

@@ -96,7 +96,7 @@ func TestPLLTurnOffDuringLockingCancels(t *testing.T) {
 
 func TestPLLPowerAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	ch := m.Channel(sim.Named("pll"), power.Package)
 	p := new(PLL).Init(eng, sim.Named("x"), sim.Microsecond, ch)
 	if w := m.Power(power.Package); w != ADPLLPowerWatts {
@@ -121,7 +121,7 @@ func TestPLLPowerAccounting(t *testing.T) {
 func TestTreeGating(t *testing.T) {
 	eng := sim.NewEngine()
 	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
-	tr := NewTree("clm", p)
+	tr := new(Tree).Init("clm", p)
 	if tr.Name() != "clm" {
 		t.Fatal("tree name wrong")
 	}
@@ -142,7 +142,7 @@ func TestTreeGating(t *testing.T) {
 func TestTreeNotRunningWhenPLLOff(t *testing.T) {
 	eng := sim.NewEngine()
 	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
-	tr := NewTree("clm", p)
+	tr := new(Tree).Init("clm", p)
 	p.TurnOff()
 	if tr.Running() {
 		t.Fatal("tree cannot run without a locked PLL")
@@ -152,7 +152,7 @@ func TestTreeNotRunningWhenPLLOff(t *testing.T) {
 func TestUngateWithUnlockedPLLPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	p := new(PLL).Init(eng, sim.Named("clm"), sim.Microsecond, nil)
-	tr := NewTree("clm", p)
+	tr := new(Tree).Init("clm", p)
 	tr.Gate()
 	p.TurnOff()
 	defer func() {
@@ -169,7 +169,7 @@ func TestUngateWithUnlockedPLLPanics(t *testing.T) {
 func TestRelockVsGateAsymmetry(t *testing.T) {
 	eng := sim.NewEngine()
 	p := new(PLL).Init(eng, sim.Named("clm"), 3*sim.Microsecond, nil)
-	tr := NewTree("clm", p)
+	tr := new(Tree).Init("clm", p)
 
 	// PC1A-style: gate only.
 	tr.Gate()

@@ -265,6 +265,9 @@ type Fleet struct {
 	topo Topology
 	spec workload.Spec
 	gen  workload.Source
+	// sink is route bound to the fleet once: what every source emits
+	// into.
+	sink func(*workload.Request)
 
 	members []*member
 	byRack  [][]*member
@@ -376,11 +379,14 @@ func NewOn(eng *sim.Engine, cfg Config, spec workload.Spec, seed uint64) (*Fleet
 	return f, nil
 }
 
-// build assembles (or, on a reset fleet, reassembles) every layer of the
+// build assembles (or, on a reset fleet, rewinds) every layer of the
 // fleet on f.eng in exactly New's order — members in index order, then
 // the incremental policy structures, controller, fault layer, and
-// generator — so a rebuilt fleet schedules the identical initial event
-// sequence a fresh one would.
+// generator — so a rewound fleet schedules the identical initial event
+// sequence a fresh one would. Both cases run the same assembly: each
+// member's system and server are built in place by their Init methods,
+// into new storage on a fresh fleet and into the old machine's on a
+// reset one.
 func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64) {
 	f.cfg, f.topo, f.spec = cfg, topo, spec
 	fresh := f.members == nil
@@ -402,7 +408,7 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 		eff.Server.NetworkLatency += tor
 		var m *member
 		if fresh {
-			m = &member{f: f, idx: i, rack: rack}
+			m = &member{f: f, idx: i, rack: rack, sys: new(soc.System), srv: new(server.Server)}
 			f.members = append(f.members, m)
 			f.byRack[rack] = append(f.byRack[rack], m)
 		} else {
@@ -412,8 +418,8 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 		m.tor = tor
 		m.cap = capFor(cfg.Policy, mc, spec, cfg.P99Target, 2*tor)
 		m.netLat = eff.Server.NetworkLatency
-		m.sys = soc.NewOnEngine(eff.SoC, f.eng)
-		m.srv = server.NewClosedLoop(m.sys, eff.Server)
+		m.sys.Init(eff.SoC, f.eng)
+		m.srv.Init(m.sys, eff.Server)
 		m.cores = len(m.sys.Cores)
 	}
 	f.rr = 0
@@ -422,9 +428,12 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 	f.initTree()
 	f.initController()
 	f.initFaults(seed)
+	if f.sink == nil {
+		f.sink = f.route
+	}
 	switch {
 	case cfg.NewSource != nil:
-		f.gen = cfg.NewSource(f.eng, spec, seed, f.route)
+		f.gen = cfg.NewSource(f.eng, spec, seed, f.sink)
 	default:
 		// Synthetic path: reuse the cached generator (its arrival closure
 		// and request pool) when the previous point had one; a fleet that
@@ -432,14 +441,14 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 		if g, ok := f.gen.(*workload.Generator); ok {
 			g.Reset(spec, seed)
 		} else {
-			f.gen = workload.NewGenerator(f.eng, spec, seed, f.route)
+			f.gen = workload.NewGenerator(f.eng, spec, seed, f.sink)
 		}
 	}
 }
 
-// reset zeroes a member's per-run state ahead of a rebuild. Everything
+// reset zeroes a member's per-run state ahead of a rewind. Everything
 // configuration-derived (tor, cap, netLat, the system and server) is
-// overwritten by build, and the controller field it leaves alone (win)
+// rebuilt by build, and the controller field it leaves alone (win)
 // is refreshed by initController.
 func (m *member) reset() {
 	m.transit, m.load = 0, 0
@@ -454,22 +463,26 @@ func (m *member) reset() {
 	m.capMax = 0
 }
 
-// resetOn rebuilds the fleet, on its engine, to the state NewOn(eng,
+// resetOn rewinds the fleet, on its engine, to the state NewOn(eng,
 // cfg, spec, seed) would have produced after the caller rewound the
 // engine (Graph.Reset rewinds the shared engine once, then resets each
 // tier's fleet in order). It reuses everything whose shape survives:
 // the member and rack structures, the segment tree, the pooled
-// per-arrival records, the generator's request pool, and the
-// measurement scratch. Only the topology shape is pinned — cfg must
-// keep the member count and rack layout of the original fleet (policy,
-// targets, per-member configs and fault setup may all change, since
-// every derived value is recomputed) — because the balancer's rack
-// wiring is positional. The per-member SoCs and servers are rebuilt
-// rather than rewound: their device state is deep, so each point pays
-// a fresh machine assembly (a few slabs per device family; see
-// soc.NewOnEngine) while the engine's arena is reused as is. A reset
-// fleet is byte-identical to a fresh one (TestFleetResetDeterministic).
-// The caller has validated cfg and checked its shape against f's.
+// per-arrival records, the generator and its request pool, the
+// measurement scratch and its tracers, and every member's machine.
+// Each member's SoC and server are rewound in place (soc.System.Init,
+// server.Server.Init): the devices are rebuilt in their old storage,
+// the server keeps its record pool and latency histogram, and the
+// cores keep their grown run queues, so a machine of the same shape
+// allocates nothing and a busier point grows queues and pools only
+// past the earlier high-water mark. Only the topology shape is pinned
+// — cfg must keep the member count and rack layout of the original
+// fleet (policy, targets, per-member configs and fault setup may all
+// change, since every derived value is recomputed) — because the
+// balancer's rack wiring is positional. A reset fleet is
+// byte-identical to a fresh one (TestFleetResetDeterministic,
+// TestResetEqualsFresh). The caller has validated cfg and checked its
+// shape against f's.
 func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) {
 	f.build(cfg, f.topo, spec, seed)
 }

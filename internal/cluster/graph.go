@@ -121,6 +121,12 @@ type gtier struct {
 	push    *workload.PushSource
 	out     []*gedge
 	pending map[uint64]*joinReq
+
+	// newSource and onResolve are the tier's push-source factory and
+	// resolution hook, bound to the tier once and installed at every
+	// build.
+	newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
+	onResolve func(id uint64, arrival sim.Time, conn int, ok bool)
 }
 
 // gedge is one edge at runtime: its target tier, its dedicated RNG
@@ -203,14 +209,17 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 			tseed = seed ^ (graphTierSeedSalt + uint64(i))
 			// Non-root tiers are fed by upstream misses: install the push
 			// source, reusing its request pool across resets.
-			fcfg.NewSource = func(eng *sim.Engine, spec workload.Spec, s uint64, sink func(*workload.Request)) workload.Source {
-				if t.push == nil {
-					t.push = workload.NewPushSource(eng, spec, s, sink)
-				} else {
-					t.push.Reset(spec, s)
+			if t.newSource == nil {
+				t.newSource = func(eng *sim.Engine, spec workload.Spec, s uint64, sink func(*workload.Request)) workload.Source {
+					if t.push == nil {
+						t.push = workload.NewPushSource(eng, spec, s, sink)
+					} else {
+						t.push.Reset(spec, s)
+					}
+					return t.push
 				}
-				return t.push
 			}
+			fcfg.NewSource = t.newSource
 		}
 		if t.fl == nil {
 			fl, err := NewOn(g.eng, fcfg, tc.Spec, tseed)
@@ -225,10 +234,13 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 			// The hook is what turns completions into lookups; without
 			// edges it stays nil and the tier is a plain fleet, byte for
 			// byte.
-			tier := t
-			t.fl.onResolve = func(id uint64, arrival sim.Time, conn int, ok bool) {
-				g.resolve(tier, id, arrival, conn, ok)
+			if t.onResolve == nil {
+				tier := t
+				t.onResolve = func(id uint64, arrival sim.Time, conn int, ok bool) {
+					g.resolve(tier, id, arrival, conn, ok)
+				}
 			}
+			t.fl.onResolve = t.onResolve
 			if t.pending == nil {
 				t.pending = make(map[uint64]*joinReq)
 			} else {
@@ -246,7 +258,11 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 		}
 		e.cfg, e.fanout = ec, fanout
 		e.to = g.tiers[ec.To]
-		e.rng = stats.NewRNG(seed ^ (graphEdgeSeedSalt + uint64(i)))
+		if eseed := seed ^ (graphEdgeSeedSalt + uint64(i)); e.rng == nil {
+			e.rng = stats.NewRNG(eseed)
+		} else {
+			e.rng.Reseed(eseed)
+		}
 		if e.cfg.TTL > 0 {
 			if e.fill == nil {
 				e.fill = make(map[int]sim.Time)
@@ -265,10 +281,11 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 // Reset rewinds the graph to the state NewGraph(cfg, seed) would have
 // produced, reusing the engine arena (Engine.Reset restarts the clock
 // at zero with slot numbering matching a fresh engine's), every tier's
-// fleet (see Fleet.resetOn), the push sources' request pools, the join
-// pool and the pending maps. Only the shape is pinned: the tier and
-// edge counts and each tier's topology. A reset graph is
-// byte-identical to a fresh one.
+// fleet with its machines rewound in place (see Fleet.resetOn), the
+// push sources and their request pools, the edges' RNGs, the join pool
+// and the pending maps. Only the shape is pinned: the tier and edge
+// counts and each tier's topology. A reset graph is byte-identical to a
+// fresh one.
 func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -292,10 +309,13 @@ func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 
 // GraphReuse caches one graph across the points of a sweep: reset in
 // place when the next point's shape matches, rebuilt when it cannot be.
-// A single fleet is a one-tier graph. One GraphReuse serves one sweep
-// worker — it is not safe for concurrent use — and because Reset is
-// byte-identical to a fresh build, sweeps that reuse graphs stay
-// bit-identical at any parallelism. The zero value is ready.
+// A reset rewinds every member's machine rather than reassembling it,
+// so a same-shape point costs no machine assembly at all
+// (TestGraphReuseRewindAllocs). A single fleet is a one-tier graph. One
+// GraphReuse serves one sweep worker — it is not safe for concurrent
+// use — and because Reset is byte-identical to a fresh build, sweeps
+// that reuse graphs stay bit-identical at any parallelism. The zero
+// value is ready.
 type GraphReuse struct {
 	g *Graph
 }

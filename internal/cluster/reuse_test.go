@@ -312,3 +312,37 @@ func TestFaultLayerKeptAcrossReset(t *testing.T) {
 		t.Errorf("reset faulty fleet diverged from a fresh one:\nfresh: %+v\nreset: %+v", want, got)
 	}
 }
+
+// TestGraphReuseRewindAllocs pins what a second same-shape point costs
+// through GraphReuse: the reset rewinds every member's machine in place
+// (soc.System.Init, server.Server.Init allocate nothing), reuses the
+// generator, push sources, edge RNGs and the tiers' bound hooks, and
+// keeps the fault layer, so what is left is the configuration check's
+// one scratch slice.
+func TestGraphReuseRewindAllocs(t *testing.T) {
+	faulty := resetConfig(resetCases[3].cfg)
+	for _, c := range []struct {
+		name string
+		cfg  GraphConfig
+		want float64
+	}{
+		{"fleet", oneTier(resetConfig(resetCases[1].cfg), workload.MemcachedBursty(40000, 4)), 1},
+		{"faulty fleet", oneTier(faulty, workload.MemcachedBursty(40000, 4)), 1},
+		{"two tiers", twoTierConfig(0.9, 200*sim.Microsecond, 2), 1},
+	} {
+		var r GraphReuse
+		g, err := r.Graph(c.cfg, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g.Measure(sim.Millisecond, 5*sim.Millisecond)
+		got := testing.AllocsPerRun(10, func() {
+			if next, err := r.Graph(c.cfg, 7); err != nil || next != g {
+				t.Fatalf("%s: GraphReuse did not reset the cached graph (%v)", c.name, err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: a same-shape point allocated %v times in GraphReuse.Graph, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -90,19 +90,43 @@ type APMU struct {
 	lastExitLat  sim.Duration // wake → ACC1 restored
 	exitStart    sim.Time
 	pc1aStart    sim.Time
+
+	// bound holds the wake sources' callbacks, bound to the APMU once.
+	bound struct {
+		inCC1, inL0s, wakeUp func(bool)
+		pwrOk                func()
+	}
 }
 
-// New wires an APMU into the system: it builds the InCC1 and InL0s AND
-// trees over the given cores and links, and hooks every wake source.
-func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM, gpmu *pmu.GPMU) *APMU {
-	a := &APMU{
-		eng:   eng,
-		cfg:   cfg,
-		links: links,
-		mcs:   mcs,
-		clm:   clm,
-		gpmu:  gpmu,
-		state: pmu.PC0,
+// Init wires an APMU into the system in place and returns a: it builds
+// the InCC1 and InL0s AND trees over the given cores and links, and
+// hooks every wake source. Building in place lets a machine hold its
+// APMU by value, and rebuilding one allocates nothing: the APMU keeps
+// its trees, wire and observers' storage and its bound callbacks, but
+// drops the observers.
+func (a *APMU) Init(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM, gpmu *pmu.GPMU) *APMU {
+	clear(a.onTransition)
+	*a = APMU{
+		eng:          eng,
+		cfg:          cfg,
+		links:        links,
+		mcs:          mcs,
+		clm:          clm,
+		gpmu:         gpmu,
+		state:        pmu.PC0,
+		cc1Tree:      a.cc1Tree,
+		l0sTree:      a.l0sTree,
+		inPC1A:       a.inPC1A,
+		onTransition: a.onTransition[:0],
+		bound:        a.bound,
+	}
+	if a.bound.pwrOk == nil {
+		a.bound.inCC1, a.bound.inL0s, a.bound.pwrOk = a.onInCC1, a.onInL0s, a.onPwrOk
+		a.bound.wakeUp = func(level bool) {
+			if level {
+				a.wake("gpmu-wakeup")
+			}
+		}
 	}
 	a.inPC1A.Init(sim.Named("APMU.InPC1A"), false)
 
@@ -115,16 +139,12 @@ func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs 
 		a.l0sTree.Add(l.InL0s())
 	}
 
-	a.inCC1.Subscribe(a.onInCC1)
-	a.inL0s.Subscribe(a.onInL0s)
+	a.inCC1.Subscribe(a.bound.inCC1)
+	a.inL0s.Subscribe(a.bound.inL0s)
 	if gpmu != nil {
-		gpmu.WakeUp().Subscribe(func(level bool) {
-			if level {
-				a.wake("gpmu-wakeup")
-			}
-		})
+		gpmu.WakeUp().Subscribe(a.bound.wakeUp)
 	}
-	clm.OnPwrOk(a.onPwrOk)
+	clm.OnPwrOk(a.bound.pwrOk)
 
 	// A freshly built system may already be fully idle.
 	if a.inCC1.Level() {

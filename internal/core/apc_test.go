@@ -39,9 +39,9 @@ func newRig(nCores int) *rig {
 		new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil),
 		new(dram.MC).Init(eng, sim.Named("mc1"), dram.DefaultParams(), dram.PPD, nil, nil),
 	}
-	r.clm = uncore.New(eng, uncore.DefaultParams(), nil, nil)
-	r.gpmu = pmu.New(eng, pmu.DefaultConfig(false), r.cores, r.links, r.mcs, r.clm)
-	r.apmu = New(eng, DefaultConfig(), r.cores, r.links, r.mcs, r.clm, r.gpmu)
+	r.clm = new(uncore.CLM).Init(eng, uncore.DefaultParams(), nil, nil)
+	r.gpmu = new(pmu.GPMU).Init(eng, pmu.DefaultConfig(false), r.cores, r.links, r.mcs, r.clm)
+	r.apmu = new(APMU).Init(eng, DefaultConfig(), r.cores, r.links, r.mcs, r.clm, r.gpmu)
 	return r
 }
 

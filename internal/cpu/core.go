@@ -312,6 +312,8 @@ type Core struct {
 	// onTransition holds the C-state observers: the GPMU, and a tracer
 	// while one is attached.
 	onTransition signal.Listeners[func(old, new CState)]
+	// epoch counts the Inits that built this core (see Epoch).
+	epoch uint64
 
 	// Counters.
 	wakes      [4]uint64 // indexed by the state woken from
@@ -373,18 +375,29 @@ func (c *Core) schedule(d sim.Duration, ev coreEvent) sim.Event {
 
 // Init builds the core in place, idling in CC1 (a freshly booted idle
 // system), and returns c. ch may be nil. Building in place lets a
-// machine allocate its cores as one slab.
+// machine allocate its cores as one slab, and rebuilding one allocates
+// nothing: the core keeps the storage of its run queue (as deep as the
+// queue has ever been), of its InCC1 subscribers and of its transition
+// observers, but drops the subscribers and observers themselves.
 func (c *Core) Init(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPolicy, ch *power.Channel) *Core {
 	*c = Core{
-		eng:      eng,
-		id:       id,
-		params:   p,
-		governor: gov,
-		freq:     freq,
-		state:    CC1,
-		ch:       ch,
+		eng:          eng,
+		id:           id,
+		params:       p,
+		governor:     gov,
+		freq:         freq,
+		state:        CC1,
+		ch:           ch,
+		queue:        c.queue,
+		inIdle:       c.inIdle,
+		onTransition: c.onTransition,
+		epoch:        c.epoch + 1,
 	}
-	c.queue = c.queueBuf[:]
+	if c.queue == nil {
+		c.queue = c.queueBuf[:]
+	}
+	clear(c.queue)
+	c.onTransition.Reset()
 	c.inIdle.Init(sim.Indexed("core", id).With(".InCC1"), true)
 	if ch != nil {
 		ch.Set(p.CC1Watts)
@@ -422,10 +435,15 @@ func (c *Core) Governor() Governor { return c.governor }
 func (c *Core) FreqPolicy() FreqPolicy { return c.freq }
 
 // OnTransition registers a callback for every C-state change.
-// Callbacks run in registration order.
+// Callbacks run in registration order, until the next Init drops them.
 func (c *Core) OnTransition(fn func(old, new CState)) {
 	c.onTransition.Add(fn)
 }
+
+// Epoch counts the Inits that built the core. An observer registered
+// through OnTransition stays registered exactly while the epoch it saw
+// is current, so one that outlives a rebuild knows to register again.
+func (c *Core) Epoch() uint64 { return c.epoch }
 
 //apcvet:noalloc
 func (c *Core) setState(s CState) {

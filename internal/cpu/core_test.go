@@ -181,7 +181,7 @@ func TestShallowGovernorNeverDeep(t *testing.T) {
 
 func TestPowerTracksState(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	ch := m.Channel(sim.Named("core0"), power.Package)
 	c := new(Core).Init(eng, 0, DefaultParams(), ShallowGovernor{}, PerformancePolicy{Nominal: 2.2}, ch)
 	if ch.Watts() != 1.25 {

@@ -157,6 +157,10 @@ type MC struct {
 	// holds at most one event, so at most one entry is in flight.
 	srDone func()
 
+	// onAllow is onAllowCKEOff bound to the controller, once:
+	// Allow_CKE_OFF's subscriber.
+	onAllow func(bool)
+
 	ckeEntries uint64
 	srEntries  uint64
 	accesses   uint64
@@ -225,16 +229,25 @@ func (t *batchTimer) Fire() {
 
 // Init builds the controller in place, active, and returns mc.
 // Channels may be nil in tests. Building in place lets a machine
-// allocate its controllers as one slab.
+// allocate its controllers as one slab, and rebuilding one allocates
+// nothing: the controller keeps its wires' and batch queue's storage
+// and its bound subscriber.
 func (mc *MC) Init(eng *sim.Engine, name sim.Name, p Params, kind CKEKind, mcCh, dramCh *power.Channel) *MC {
 	*mc = MC{
-		eng:    eng,
-		name:   name,
-		params: p,
-		kind:   kind,
-		mode:   Active,
-		mcCh:   mcCh,
-		dramCh: dramCh,
+		eng:         eng,
+		name:        name,
+		params:      p,
+		kind:        kind,
+		mode:        Active,
+		mcCh:        mcCh,
+		dramCh:      dramCh,
+		allowCKEOff: mc.allowCKEOff,
+		inCKEOff:    mc.inCKEOff,
+		batchQ:      mc.batchQ[:0],
+		onAllow:     mc.onAllow,
+	}
+	if mc.onAllow == nil {
+		mc.onAllow = mc.onAllowCKEOff
 	}
 	mc.allowCKEOff.Init(name.With(".Allow_CKE_OFF"), false)
 	mc.inCKEOff.Init(name.With(".InCKEOff"), false)
@@ -244,7 +257,7 @@ func (mc *MC) Init(eng *sim.Engine, name sim.Name, p Params, kind CKEKind, mcCh,
 	if dramCh != nil {
 		dramCh.Set(p.DRAMActiveWatts)
 	}
-	mc.allowCKEOff.Subscribe(mc.onAllowCKEOff)
+	mc.allowCKEOff.Subscribe(mc.onAllow)
 	return mc
 }
 

@@ -199,7 +199,7 @@ func TestSREntryAbortedByRace(t *testing.T) {
 
 func TestBackgroundPowerLadder(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	p := DefaultParams()
 	p.AccessEnergyJoules = 0 // background only
 	mc := new(MC).Init(eng, sim.Named("mc0"), p, PPD, m.Channel(sim.Named("mc0"), power.Package), m.Channel(sim.Named("dimm0"), power.DRAM))
@@ -222,7 +222,7 @@ func TestBackgroundPowerLadder(t *testing.T) {
 
 func TestAccessEnergyAccounting(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	p := DefaultParams()
 	p.DRAMActiveWatts = 0 // isolate dynamic energy
 	p.MCActiveWatts = 0

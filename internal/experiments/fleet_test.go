@@ -221,8 +221,9 @@ func TestFaultResilienceShape(t *testing.T) {
 
 // serialParallelIdentical runs each experiment at -parallel 1 and 4:
 // the reports and the full-precision JSON must match byte for byte.
-// This is what catches shared mutable workload state (an MMPP2 arrival
-// process reused across concurrently-running points).
+// This is what catches shared mutable workload state, such as an
+// arrival law that kept its stream's phase while concurrently-running
+// points shared it.
 func serialParallelIdentical(t *testing.T, opt experiments.Options, names ...string) {
 	t.Helper()
 	for _, name := range names {

@@ -163,6 +163,10 @@ type Link struct {
 	l1Head  int
 	l1Exit  []func()
 
+	// onAllow is onAllowL0s bound to the link, once: AllowL0s's
+	// subscriber.
+	onAllow func(bool)
+
 	// Counters for experiments.
 	standbyEntries uint64
 	wakes          uint64
@@ -213,21 +217,32 @@ func (t *l1ExitTimer) Fire() { (*Link)(t).l1Exited() }
 
 // Init builds the link in place, in L0, and returns l. ch may be nil
 // to skip power accounting. Building in place lets a machine allocate
-// its links as one slab.
+// its links as one slab, and rebuilding one allocates nothing: the link
+// keeps its wires' and L1 waiters' storage and its bound subscriber.
 func (l *Link) Init(eng *sim.Engine, name sim.Name, p Params, ch *power.Channel) *Link {
+	clear(l.l1Enter)
+	clear(l.l1Exit)
 	*l = Link{
-		eng:    eng,
-		name:   name,
-		params: p,
-		state:  L0,
-		ch:     ch,
+		eng:      eng,
+		name:     name,
+		params:   p,
+		state:    L0,
+		ch:       ch,
+		allowL0s: l.allowL0s,
+		inL0s:    l.inL0s,
+		l1Enter:  l.l1Enter[:0],
+		l1Exit:   l.l1Exit[:0],
+		onAllow:  l.onAllow,
+	}
+	if l.onAllow == nil {
+		l.onAllow = l.onAllowL0s
 	}
 	l.allowL0s.Init(name.With(".AllowL0s"), false)
 	l.inL0s.Init(name.With(".InL0s"), false)
 	if ch != nil {
 		ch.Set(p.ActiveWatts)
 	}
-	l.allowL0s.Subscribe(l.onAllowL0s)
+	l.allowL0s.Subscribe(l.onAllow)
 	return l
 }
 

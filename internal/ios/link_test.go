@@ -273,7 +273,7 @@ func TestEndTransactionUnderflowPanics(t *testing.T) {
 
 func TestPowerLadder(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	ch := m.Channel(sim.Named("pcie0"), power.Package)
 	l := new(Link).Init(eng, sim.Named("pcie0"), DefaultParams(PCIe, 2.0), ch)
 

@@ -75,15 +75,17 @@ func (t *rampTimer) Fire() {
 	}
 }
 
-// NewFIVR creates a regulator already settled at the operational voltage.
-func NewFIVR(eng *sim.Engine, name string, operational, retention, slewVoltsPerNs float64) *FIVR {
+// Init builds the regulator in place, settled at the operational
+// voltage with no callbacks, and returns f. Building in place lets the
+// CLM hold its two regulators by value.
+func (f *FIVR) Init(eng *sim.Engine, name string, operational, retention, slewVoltsPerNs float64) *FIVR {
 	if operational <= retention {
 		panic(fmt.Sprintf("pdn: operational %gV must exceed retention %gV", operational, retention))
 	}
 	if slewVoltsPerNs <= 0 {
 		panic("pdn: slew must be positive")
 	}
-	f := &FIVR{
+	*f = FIVR{
 		eng:         eng,
 		name:        name,
 		slew:        slewVoltsPerNs,

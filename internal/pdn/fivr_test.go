@@ -8,7 +8,7 @@ import (
 )
 
 func newTestFIVR(eng *sim.Engine) *FIVR {
-	return NewFIVR(eng, "clm0", DefaultNominalVolts, DefaultRetentionVolts, DefaultSlewVoltsPerNs)
+	return new(FIVR).Init(eng, "clm0", DefaultNominalVolts, DefaultRetentionVolts, DefaultSlewVoltsPerNs)
 }
 
 func TestInitialState(t *testing.T) {
@@ -127,8 +127,8 @@ func TestIdempotentSignals(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, fn := range []func(){
-		func() { NewFIVR(eng, "x", 0.5, 0.8, 0.002) }, // operational <= retention
-		func() { NewFIVR(eng, "x", 0.8, 0.5, 0) },     // zero slew
+		func() { new(FIVR).Init(eng, "x", 0.5, 0.8, 0.002) }, // operational <= retention
+		func() { new(FIVR).Init(eng, "x", 0.8, 0.5, 0) },     // zero slew
 	} {
 		func() {
 			defer func() {

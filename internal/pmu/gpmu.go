@@ -122,29 +122,44 @@ type GPMU struct {
 	residency  [NumPkgStates]sim.Duration
 	entries    [NumPkgStates]uint64
 	pc6Latency sim.Duration // measured last entry→ready-to-exit→PC0 cost
+
+	// bound holds the cores' callbacks, bound to the GPMU once: one of
+	// each kind serves every core.
+	bound struct {
+		transition func(old, new cpu.CState)
+		inCC1      func(bool)
+	}
 }
 
-// New creates a GPMU supervising the given devices.
-func New(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM) *GPMU {
-	g := &GPMU{
-		eng:   eng,
-		cfg:   cfg,
-		cores: cores,
-		links: links,
-		mcs:   mcs,
-		clm:   clm,
-		state: PC0,
+// Init builds a GPMU in place, supervising the given devices, and
+// returns g. Building in place lets a machine hold its GPMU by value,
+// and rebuilding one allocates nothing: the GPMU keeps its wire's and
+// observers' storage and its bound callbacks, but drops the observers
+// and the attached PLLs.
+func (g *GPMU) Init(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios.Link, mcs []*dram.MC, clm *uncore.CLM) *GPMU {
+	clear(g.onTransition)
+	*g = GPMU{
+		eng:          eng,
+		cfg:          cfg,
+		cores:        cores,
+		links:        links,
+		mcs:          mcs,
+		clm:          clm,
+		state:        PC0,
+		wakeUp:       g.wakeUp,
+		onTransition: g.onTransition[:0],
+		bound:        g.bound,
+	}
+	if g.bound.transition == nil {
+		g.bound.transition, g.bound.inCC1 = g.coreTransition, g.inCC1Edge
 	}
 	g.wakeUp.Init(sim.Named("GPMU.WakeUp"), false)
-	// One bound callback of each kind serves every core.
-	onTransition := g.coreTransition
-	onInCC1 := g.inCC1Edge
 	for _, c := range cores {
-		c.OnTransition(onTransition)
+		c.OnTransition(g.bound.transition)
 		if c.State() == cpu.CC6 {
 			g.deepCount++
 		}
-		c.InCC1().Subscribe(onInCC1)
+		c.InCC1().Subscribe(g.bound.inCC1)
 	}
 	return g
 }

@@ -35,8 +35,8 @@ func newRig(t *testing.T, enablePC6 bool) *rig {
 	}
 	link := new(ios.Link).Init(eng, sim.Named("pcie0"), ios.DefaultParams(ios.PCIe, 1.4), nil)
 	mc := new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil)
-	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
-	g := New(eng, DefaultConfig(enablePC6), cores,
+	clm := new(uncore.CLM).Init(eng, uncore.DefaultParams(), nil, nil)
+	g := new(GPMU).Init(eng, DefaultConfig(enablePC6), cores,
 		[]*ios.Link{link}, []*dram.MC{mc}, clm)
 	return &rig{eng: eng, cores: cores, link: link, mc: mc, clm: clm, gpmu: g}
 }
@@ -114,8 +114,8 @@ func TestNoPC6WhenCoresOnlyCC1(t *testing.T) {
 	}
 	link := new(ios.Link).Init(eng, sim.Named("pcie0"), ios.DefaultParams(ios.PCIe, 1.4), nil)
 	mc := new(dram.MC).Init(eng, sim.Named("mc0"), dram.DefaultParams(), dram.PPD, nil, nil)
-	clm := uncore.New(eng, uncore.DefaultParams(), nil, nil)
-	g := New(eng, DefaultConfig(true), cores, []*ios.Link{link}, []*dram.MC{mc}, clm)
+	clm := new(uncore.CLM).Init(eng, uncore.DefaultParams(), nil, nil)
+	g := new(GPMU).Init(eng, DefaultConfig(true), cores, []*ios.Link{link}, []*dram.MC{mc}, clm)
 	eng.Run(50 * sim.Millisecond)
 	if g.State() != PC0 {
 		t.Fatalf("state %v, want PC0: CC1 does not qualify for PC6", g.State())

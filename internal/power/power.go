@@ -112,9 +112,16 @@ type Meter struct {
 // channels at once.
 const slabChannels = 32
 
-// NewMeter creates a meter bound to the simulation engine.
-func NewMeter(eng *sim.Engine) *Meter {
-	return &Meter{eng: eng}
+// Init binds the meter to the simulation engine with no channels, and
+// returns m. The zero Meter is ready for Init. A meter
+// that registered channels before keeps their storage: its next
+// registrations reuse those channels in registration order, so
+// rebuilding a machine of the same shape allocates nothing here. The
+// channels handed out before Init must no longer be used.
+func (m *Meter) Init(eng *sim.Engine) *Meter {
+	m.eng = eng
+	m.channels = m.channels[:0]
+	return m
 }
 
 // Channel registers a new channel with a unique name in the given domain,
@@ -129,12 +136,21 @@ func (m *Meter) Channel(name sim.Name, domain Domain) *Channel {
 			panic(fmt.Sprintf("power: duplicate channel %q", name))
 		}
 	}
-	if len(m.slab) == cap(m.slab) {
-		m.slab = make([]Channel, 0, slabChannels)
-		m.channels = append(make([]*Channel, 0, len(m.channels)+slabChannels), m.channels...)
+	// The list's spare capacity still holds, in order, the channels
+	// registered before the last Init: reuse the next one.
+	n := len(m.channels)
+	var c *Channel
+	if n < cap(m.channels) {
+		c = m.channels[:n+1][n]
 	}
-	m.slab = m.slab[:len(m.slab)+1]
-	c := &m.slab[len(m.slab)-1]
+	if c == nil {
+		if len(m.slab) == cap(m.slab) {
+			m.slab = make([]Channel, 0, slabChannels)
+			m.channels = append(make([]*Channel, 0, n+slabChannels), m.channels...)
+		}
+		m.slab = m.slab[:len(m.slab)+1]
+		c = &m.slab[len(m.slab)-1]
+	}
 	*c = Channel{eng: m.eng, name: name, domain: domain, lastUpdate: m.eng.Now()}
 	m.channels = append(m.channels, c)
 	return c

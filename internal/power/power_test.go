@@ -27,7 +27,7 @@ func TestDomainString(t *testing.T) {
 
 func TestEnergyIntegration(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("core0"), Package)
 	c.Set(10) // 10 W from t=0
 
@@ -45,7 +45,7 @@ func TestEnergyIntegration(t *testing.T) {
 
 func TestInstantaneousPower(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	a := m.Channel(sim.Named("a"), Package)
 	b := m.Channel(sim.Named("b"), Package)
 	d := m.Channel(sim.Named("d"), DRAM)
@@ -65,7 +65,7 @@ func TestInstantaneousPower(t *testing.T) {
 
 func TestDomainsIsolated(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	p := m.Channel(sim.Named("soc"), Package)
 	d := m.Channel(sim.Named("dimm"), DRAM)
 	p.Set(40)
@@ -81,7 +81,7 @@ func TestDomainsIsolated(t *testing.T) {
 
 func TestSnapshotInterval(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("x"), Package)
 	c.Set(100)
 	eng.Run(sim.Second)
@@ -103,7 +103,7 @@ func TestSnapshotInterval(t *testing.T) {
 
 func TestSnapshotZeroElapsed(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("x"), Package)
 	c.Set(33)
 	snap := m.Snapshot()
@@ -114,7 +114,7 @@ func TestSnapshotZeroElapsed(t *testing.T) {
 
 func TestSnapshotAverageTotal(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	p := m.Channel(sim.Named("soc"), Package)
 	d := m.Channel(sim.Named("mem"), DRAM)
 	p.Set(20)
@@ -128,7 +128,7 @@ func TestSnapshotAverageTotal(t *testing.T) {
 
 func TestChannelRegistrationErrors(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	m.Channel(sim.Named("dup"), Package)
 	func() {
 		defer func() {
@@ -150,7 +150,7 @@ func TestChannelRegistrationErrors(t *testing.T) {
 
 func TestNegativePowerPanics(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("c"), Package)
 	defer func() {
 		if recover() == nil {
@@ -162,7 +162,7 @@ func TestNegativePowerPanics(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("core3"), Package)
 	if m.Lookup("core3") != c {
 		t.Fatal("Lookup failed")
@@ -183,7 +183,7 @@ func TestPropertyEnergyConservation(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		m := NewMeter(eng)
+		m := new(Meter).Init(eng)
 		c := m.Channel(sim.Named("c"), Package)
 		expect := 0.0
 		step := sim.Microsecond
@@ -204,7 +204,7 @@ func TestPropertyEnergyConservation(t *testing.T) {
 // Property: energy counters are monotone nondecreasing over time.
 func TestPropertyEnergyMonotone(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Named("c"), Package)
 	prev := 0.0
 	for i := 0; i < 100; i++ {
@@ -223,7 +223,7 @@ func TestPropertyEnergyMonotone(t *testing.T) {
 // spelling of a registered name is still a duplicate.
 func TestLookupMatchesComposedNames(t *testing.T) {
 	eng := sim.NewEngine()
-	m := NewMeter(eng)
+	m := new(Meter).Init(eng)
 	c := m.Channel(sim.Indexed("pcie", 2).With(".pll"), Package)
 	if m.Lookup("pcie2.pll") != c || c.Name() != "pcie2.pll" {
 		t.Fatalf("indexed channel not found by its composed name %q", c.Name())

@@ -146,11 +146,14 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	}
 
 	// Resolve every point up front so a bad rate or trace fails before
-	// any simulation runs; validate has checked everything else.
+	// any simulation runs; validate has checked everything else. A
+	// synthetic point's root spec is built here once and carried to the
+	// run.
 	type job struct {
 		axis  float64
 		label string
 		sc    Scenario
+		spec  workload.Spec
 	}
 	kind, _ := soc.ParseConfigKind(s.Config)
 	values := s.values()
@@ -161,17 +164,21 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 			label = s.Sweep.Policies[i]
 		}
 		g, _ := pt.asGraph()
+		var spec workload.Spec
 		if pt.Workload.Service == "trace" {
 			if err := pt.Workload.Trace.preflight(); err != nil {
 				return nil, s.pointErr(axis, v, err)
 			}
-		} else if _, err := pt.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers); err != nil {
-			return nil, s.pointErr(axis, v, err)
+		} else {
+			var err error
+			if spec, err = pt.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers); err != nil {
+				return nil, s.pointErr(axis, v, err)
+			}
 		}
 		if pt.Workload.Service != "sysbench" {
 			pt = g
 		}
-		jobs[i] = job{axis: v, label: label, sc: pt}
+		jobs[i] = job{axis: v, label: label, sc: pt, spec: spec}
 	}
 
 	res := &Result{Scenario: s, Axis: axis}
@@ -186,7 +193,7 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 			if j.sc.Workload.Service == "sysbench" {
 				return runClosedLoop(j.sc, j.axis, opt)
 			}
-			return runGraph(j.sc, j.axis, j.label, opt, reuse)
+			return runGraph(j.sc, j.spec, j.axis, j.label, opt, reuse)
 		})
 	return res, nil
 }
@@ -354,15 +361,15 @@ var tierSpecs = map[string]func(rate float64, cores int) workload.Spec{
 }
 
 // runGraph wires one applied open-loop point, in asGraph's tier-list
-// form: every tier a full fleet on one shared engine, edges carrying
-// misses downstream (see cluster.Graph), measured through the built-in
-// experiments' warmup/window sequence. A one-tier graph of one
+// form, with spec as the root tier's synthetic workload (unused on a
+// trace point): every tier a full fleet on one shared engine, edges
+// carrying misses downstream (see cluster.Graph), measured through the
+// built-in experiments' warmup/window sequence. A one-tier graph of one
 // round_robin server assembles event-for-event the single-machine
 // wiring, so an unswept point with no overrides reproduces the built-in
 // experiments bit for bit (TestScenarioMatchesHandWiredRun).
-func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
+func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
-	cores := soc.DefaultConfig(kind).CoreCount
 	must := func(err error) {
 		if err != nil {
 			// Unreachable after Run's checks (validate, preflight, the
@@ -379,7 +386,7 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 	// open file. The file is opened and closed per point — no descriptor
 	// outlives the measurement, and the per-worker graph cache stays
 	// file-agnostic.
-	var rootSpec workload.Spec
+	rootSpec := spec
 	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
 	if sc.Workload.Service == "trace" {
 		t := sc.Workload.Trace
@@ -395,8 +402,6 @@ func runGraph(sc Scenario, axisValue float64, axisLabel string, opt experiments.
 			must(rp.Bind(eng, sink))
 			return rp
 		}
-	} else {
-		rootSpec, _ = sc.Workload.spec(sc.Tiers[0].Servers * cores)
 	}
 
 	gcfg, err := sc.runConfig(kind, rootSpec)

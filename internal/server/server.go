@@ -184,10 +184,30 @@ func (s *Server) recycle(r *inflight) {
 // and a cluster.Fleet builds one per member and routes its open-loop
 // arrivals into it.
 func NewClosedLoop(sys *soc.System, cfg Config) *Server {
-	s := &Server{
-		sys: sys,
-		cfg: cfg,
-		lat: stats.NewLatencyHistogram(),
+	return new(Server).Init(sys, cfg)
+}
+
+// Init builds the server in place on sys, exactly as NewClosedLoop
+// does, and returns s. Rebuilding a server rewinds it: it keeps its
+// latency histogram (emptied), its request-record pool and its batch
+// buffers, so a reused server serves without regrowing them. Its old
+// machine must be finished with, as for soc.System.Init.
+func (s *Server) Init(sys *soc.System, cfg Config) *Server {
+	lat := s.lat
+	if lat == nil {
+		lat = stats.NewLatencyHistogram()
+	} else {
+		lat.Reset()
+	}
+	clear(s.batch)
+	clear(s.batchSpare)
+	*s = Server{
+		sys:        sys,
+		cfg:        cfg,
+		lat:        lat,
+		batch:      s.batch[:0],
+		batchSpare: s.batchSpare[:0],
+		pool:       s.pool,
 	}
 	if cfg.TimerTickHz > 0 {
 		s.armTicks()

@@ -26,9 +26,10 @@ type Signal struct {
 }
 
 // Init names the wire and sets its initial level, dropping any
-// subscribers, and returns s.
+// subscribers but keeping their storage, and returns s.
 func (s *Signal) Init(name sim.Name, initial bool) *Signal {
-	*s = Signal{name: name, level: initial}
+	s.name, s.level = name, initial
+	s.subs.Reset()
 	return s
 }
 
@@ -91,6 +92,14 @@ func (l *Listeners[F]) Add(fn F) {
 	l.n++
 }
 
+// Reset empties the list, keeping its spilled storage for the next
+// Adds.
+func (l *Listeners[F]) Reset() {
+	clear(l.inline[:])
+	clear(l.spill)
+	l.n, l.spill = 0, l.spill[:0]
+}
+
 // Len returns the number of callbacks added.
 func (l *Listeners[F]) Len() int { return l.n }
 
@@ -114,11 +123,14 @@ type AndTree struct {
 
 // Init names the output and starts the tree with no inputs: the output
 // is high (vacuous truth, same as a wired-AND with no pull-downs) until
-// Add feeds it a low input. It returns t.
+// Add feeds it a low input. It returns t. The inputs' callback is bound
+// once, so re-initializing a tree allocates nothing.
 func (t *AndTree) Init(name sim.Name) *AndTree {
 	t.out.Init(name, true)
 	t.lows = 0
-	t.inputFn = t.onInput
+	if t.inputFn == nil {
+		t.inputFn = t.onInput
+	}
 	return t
 }
 

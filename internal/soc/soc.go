@@ -159,6 +159,23 @@ type System struct {
 	memQ    []int
 	memHead int
 	memLat  sim.Duration
+
+	// The devices' storage: the single devices by value, every device
+	// family in one slab, and the lists above over them. Init builds
+	// every device in place here, so rebuilding a system reuses all of
+	// it.
+	meter   power.Meter
+	clm     uncore.CLM
+	gpmu    pmu.GPMU
+	apmu    apc.APMU
+	mcs     [2]dram.MC
+	cores   []cpu.Core
+	links   []ios.Link
+	plls    []clock.PLL // one per IO link, then the GPMU's
+	pc6PLLs []*clock.PLL
+	menus   []cpu.MenuGovernor
+	saves   []cpu.PowersavePolicy
+	perf    cpu.PerformancePolicy
 }
 
 // memTimer is a fused burst's completion event: the system seen as a
@@ -184,46 +201,57 @@ func New(cfg Config) *System {
 // systems: any events scheduled while assembling (none today) would
 // interleave in construction order.
 func NewOnEngine(cfg Config, eng *sim.Engine) *System {
+	return new(System).Init(cfg, eng)
+}
+
+// Init assembles the system in place onto eng, exactly as NewOnEngine
+// does, and returns s. Assembling into a system built before rewinds
+// it: every device is rebuilt in its old storage, and the slabs, device
+// lists, meter channels, bound callbacks, run queues and burst queue
+// are all reused, so a system of the same kind and core, link and
+// controller counts allocates nothing (TestAssemblyAllocs). The old
+// machine must be finished with: its engine reset or abandoned, and
+// nothing left that still drives its devices.
+func (s *System) Init(cfg Config, eng *sim.Engine) *System {
 	if cfg.CoreCount <= 0 {
 		panic("soc: CoreCount must be positive")
 	}
-	meter := power.NewMeter(eng)
-	s := &System{Cfg: cfg, Engine: eng, Meter: meter}
+	s.Cfg, s.Engine = cfg, eng
+	meter := s.meter.Init(eng)
+	s.Meter = meter
+	s.rrNext, s.memQ, s.memHead = 0, s.memQ[:0], 0
 	nLinks := max(cfg.PCIeCount, 0) + max(cfg.DMICount, 0) + max(cfg.UPICount, 0)
 
-	// Every device family is one slab, and every list is allocated at
-	// its final size.
-	cores := make([]cpu.Core, cfg.CoreCount)
-	links := make([]ios.Link, nLinks)
-	mcs := make([]dram.MC, 2)
-	plls := make([]clock.PLL, nLinks+1) // one per IO link, then the GPMU's
-	s.Cores = make([]*cpu.Core, cfg.CoreCount)
-	s.Links = make([]*ios.Link, 0, nLinks)
-	s.MCs = make([]*dram.MC, len(mcs))
-	s.PLLs = make([]*clock.PLL, 0, len(plls)+1)
+	// Every device family is one slab, and every list is sized once.
+	s.cores = sized(s.cores, cfg.CoreCount)
+	s.links = sized(s.links, nLinks)
+	s.plls = sized(s.plls, nLinks+1)
+	s.Cores = sized(s.Cores, cfg.CoreCount)
+	s.Links = sized(s.Links, nLinks)[:0]
+	s.MCs = sized(s.MCs, len(s.mcs))
+	s.PLLs = sized(s.PLLs, nLinks+2)[:0]
 
 	// Cores with per-configuration governor and frequency policy. The
 	// stateless shallow governor and performance policy are shared by
 	// every core; Cdeep's stateful ones are one slab each.
+	s.perf = cpu.PerformancePolicy{Nominal: cfg.CoreParams.NominalGHz}
 	var (
-		menus   []cpu.MenuGovernor
-		saves   []cpu.PowersavePolicy
 		shallow cpu.Governor   = cpu.ShallowGovernor{}
-		perf    cpu.FreqPolicy = cpu.PerformancePolicy{Nominal: cfg.CoreParams.NominalGHz}
+		perf    cpu.FreqPolicy = &s.perf
 	)
 	if cfg.Kind == Cdeep {
-		menus = make([]cpu.MenuGovernor, cfg.CoreCount)
-		saves = make([]cpu.PowersavePolicy, cfg.CoreCount)
+		s.menus = sized(s.menus, cfg.CoreCount)
+		s.saves = sized(s.saves, cfg.CoreCount)
 	}
-	for i := range cores {
+	for i := range s.cores {
 		gov, freq := shallow, perf
 		if cfg.Kind == Cdeep {
-			menus[i] = *cpu.NewMenuGovernor()
-			saves[i] = cpu.PowersavePolicy{Min: 0.8, Max: cfg.CoreParams.NominalGHz}
-			gov, freq = &menus[i], &saves[i]
+			s.menus[i] = *cpu.NewMenuGovernor()
+			s.saves[i] = cpu.PowersavePolicy{Min: 0.8, Max: cfg.CoreParams.NominalGHz}
+			gov, freq = &s.menus[i], &s.saves[i]
 		}
 		ch := meter.Channel(sim.Indexed("core", i), power.Package)
-		s.Cores[i] = cores[i].Init(eng, i, cfg.CoreParams, gov, freq, ch)
+		s.Cores[i] = s.cores[i].Init(eng, i, cfg.CoreParams, gov, freq, ch)
 	}
 
 	// North-cap base (always on).
@@ -241,9 +269,9 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			p.StandbyEntry = 0
 		}
 		i := len(s.Links)
-		s.Links = append(s.Links, links[i].Init(eng, name, p, meter.Channel(name, power.Package)))
+		s.Links = append(s.Links, s.links[i].Init(eng, name, p, meter.Channel(name, power.Package)))
 		pll := name.With(".pll")
-		s.PLLs = append(s.PLLs, plls[i].Init(eng, pll, clock.DefaultRelockLatency,
+		s.PLLs = append(s.PLLs, s.plls[i].Init(eng, pll, clock.DefaultRelockLatency,
 			meter.Channel(pll, power.Package)))
 	}
 	for i := 0; i < cfg.PCIeCount; i++ {
@@ -257,7 +285,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	}
 
 	// Two memory controllers.
-	for i := range mcs {
+	for i := range s.mcs {
 		mp := cfg.MCParams
 		if cfg.NoCKEOff {
 			mp.MCCKEWatts = mp.MCActiveWatts
@@ -266,7 +294,7 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 			mp.CKEEntry = 0
 		}
 		name := sim.Indexed("mc", i)
-		s.MCs[i] = mcs[i].Init(eng, name, mp, dram.PPD,
+		s.MCs[i] = s.mcs[i].Init(eng, name, mp, dram.PPD,
 			meter.Channel(name, power.Package),
 			meter.Channel(sim.Indexed("dimm", i), power.DRAM))
 	}
@@ -277,28 +305,27 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 	if cfg.NoCLMRetention {
 		clmp.RetentionWatts = clmp.GatedWatts
 	}
-	s.CLM = uncore.New(eng, clmp,
+	s.CLM = s.clm.Init(eng, clmp,
 		meter.Channel(sim.Named("clm"), power.Package),
 		meter.Channel(sim.Named("clm.pll"), power.Package))
 	s.PLLs = append(s.PLLs, s.CLM.PLL())
 
 	// GPMU with its PLL.
-	gpmuPLL := plls[len(plls)-1].Init(eng, sim.Named("gpmu.pll"), clock.DefaultRelockLatency,
+	gpmuPLL := s.plls[nLinks].Init(eng, sim.Named("gpmu.pll"), clock.DefaultRelockLatency,
 		meter.Channel(sim.Named("gpmu.pll"), power.Package))
 	s.PLLs = append(s.PLLs, gpmuPLL)
 
 	gcfg := cfg.GPMUConfig
 	gcfg.EnablePC6 = cfg.Kind == Cdeep && !cfg.DisablePkgCStates
-	s.GPMU = pmu.New(eng, gcfg, s.Cores, s.Links, s.MCs, s.CLM)
+	s.GPMU = s.gpmu.Init(eng, gcfg, s.Cores, s.Links, s.MCs, s.CLM)
 	// PC6 powers off every non-core PLL; the CLM's is handled by the
 	// flow directly, so attach the rest: the IO links' and the GPMU's.
-	extra := make([]*clock.PLL, len(plls))
-	copy(extra, s.PLLs[:nLinks])
-	extra[nLinks] = gpmuPLL
-	s.GPMU.AttachPLLs(extra...)
+	s.pc6PLLs = append(append(s.pc6PLLs[:0], s.PLLs[:nLinks]...), gpmuPLL)
+	s.GPMU.AttachPLLs(s.pc6PLLs...)
 
+	s.APMU = nil
 	if cfg.Kind == CPC1A {
-		s.APMU = apc.New(eng, cfg.APMUConfig, s.Cores, s.Links, s.MCs, s.CLM, s.GPMU)
+		s.APMU = s.apmu.Init(eng, cfg.APMUConfig, s.Cores, s.Links, s.MCs, s.CLM, s.GPMU)
 		if cfg.PLLsOffInPC1A {
 			// Ablation: emulate PLLs-off by adding the relock penalty to
 			// every PC1A exit — modeled by turning the PLL power down in
@@ -308,6 +335,16 @@ func NewOnEngine(cfg Config, eng *sim.Engine) *System {
 		}
 	}
 	return s
+}
+
+// sized returns s resliced to n elements, reallocating only when its
+// capacity is short. The elements keep whatever they held: the caller
+// builds each one in place.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NICLink returns the link NIC traffic uses (the first PCIe interface).

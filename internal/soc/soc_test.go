@@ -436,23 +436,35 @@ func TestWindow(t *testing.T) {
 }
 
 // TestAssemblyAllocs pins what assembling a default machine allocates,
-// exactly, per kind: the device slabs and lists, the meter's channel
-// slab, the APMU's and GPMU's wiring, and the signal subscribers. No
-// engine event binds a closure and no name is concatenated, so the
-// count moves only when the machine's shape does.
+// exactly, per kind: the system, its device slabs and lists, the meter's
+// channel slab, and the callbacks each device binds once. No engine
+// event binds a closure and no name is concatenated, so the count moves
+// only when the machine's shape does. Rebuilding a machine of the same
+// shape in place (System.Init, the rewind every reused fleet does per
+// sweep point) reuses all of that storage and allocates nothing.
 func TestAssemblyAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	for _, c := range []struct {
 		kind ConfigKind
 		want float64
 	}{
-		{Cshallow, 32},
-		{Cdeep, 34},
-		{CPC1A, 40},
+		{Cshallow, 25},
+		{Cdeep, 27},
+		{CPC1A, 32},
 	} {
 		cfg := DefaultConfig(c.kind)
 		if got := testing.AllocsPerRun(20, func() { NewOnEngine(cfg, eng) }); got != c.want {
 			t.Errorf("%v: NewOnEngine allocated %v times, want %v", c.kind, got, c.want)
+		}
+		sys := NewOnEngine(cfg, eng)
+		sys.ForceAllCC6()
+		sys.MemAccess(8)
+		rewind := func() {
+			eng.Reset()
+			sys.Init(cfg, eng)
+		}
+		if got := testing.AllocsPerRun(20, rewind); got != 0 {
+			t.Errorf("%v: rewinding with Init allocated %v times, want 0", c.kind, got)
 		}
 	}
 }

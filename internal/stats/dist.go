@@ -178,11 +178,14 @@ func (d Shifted) Sample(r *RNG) float64 { return d.Offset + d.Base.Sample(r) }
 func (d Shifted) Mean() float64         { return d.Offset + d.Base.Mean() }
 func (d Shifted) String() string        { return fmt.Sprintf("%v+%g", d.Base, d.Offset) }
 
-// ArrivalProcess produces a stream of inter-arrival gaps. Implementations
+// ArrivalProcess is an arrival law: it produces a stream of
+// inter-arrival gaps. A law is immutable, so one law may feed any
+// number of streams; whatever a modulated law must remember between
+// draws lives in the ArrivalStream its caller owns. Implementations
 // must be deterministic given the RNG stream.
 type ArrivalProcess interface {
-	// NextGap returns the time to the next arrival.
-	NextGap(r *RNG) float64
+	// NextGap returns the time to the next arrival of stream st.
+	NextGap(r *RNG, st *ArrivalStream) float64
 	// Rate returns the long-run average arrival rate (events/second).
 	Rate() float64
 	String() string
@@ -191,9 +194,20 @@ type ArrivalProcess interface {
 // Poisson is a memoryless arrival process with the given rate.
 type Poisson struct{ RateV float64 }
 
-func (p Poisson) NextGap(r *RNG) float64 { return r.ExpFloat64() / p.RateV }
-func (p Poisson) Rate() float64          { return p.RateV }
-func (p Poisson) String() string         { return fmt.Sprintf("poisson(%g/s)", p.RateV) }
+func (p Poisson) NextGap(r *RNG, _ *ArrivalStream) float64 { return r.ExpFloat64() / p.RateV }
+func (p Poisson) Rate() float64                            { return p.RateV }
+func (p Poisson) String() string                           { return fmt.Sprintf("poisson(%g/s)", p.RateV) }
+
+// ArrivalStream is one stream's position in a modulated arrival law:
+// the MMPP2 phase it is in and the time left in that phase. Each
+// source that draws gaps owns one, so two sources fed by the same
+// law never continue each other's phase. The zero value is a stream
+// that has not drawn yet.
+type ArrivalStream struct {
+	started   bool
+	inHigh    bool
+	phaseLeft float64
+}
 
 // MMPP2 is a two-state Markov-modulated Poisson process: a bursty arrival
 // model that alternates between a high-rate and a low-rate phase with
@@ -203,59 +217,56 @@ func (p Poisson) String() string         { return fmt.Sprintf("poisson(%g/s)", p
 type MMPP2 struct {
 	RateHigh, RateLow float64 // arrival rate in each phase
 	MeanHigh, MeanLow float64 // mean phase durations (seconds)
-
-	inHigh    bool
-	phaseLeft float64
-	init      bool
 }
 
 // NewMMPP2 builds a bursty process whose long-run rate equals rate, with
 // burstiness b = RateHigh/RateLow and equal expected arrivals per phase.
-func NewMMPP2(rate, burstiness, meanPhase float64) *MMPP2 {
+func NewMMPP2(rate, burstiness, meanPhase float64) MMPP2 {
 	// Choose phase rates so that time-average rate is `rate` with equal
 	// time in each phase.
 	high := 2 * rate * burstiness / (1 + burstiness)
 	low := 2 * rate / (1 + burstiness)
-	return &MMPP2{RateHigh: high, RateLow: low, MeanHigh: meanPhase, MeanLow: meanPhase}
+	return MMPP2{RateHigh: high, RateLow: low, MeanHigh: meanPhase, MeanLow: meanPhase}
 }
 
-func (p *MMPP2) Rate() float64 {
+func (p MMPP2) Rate() float64 {
 	wh, wl := p.MeanHigh, p.MeanLow
 	return (p.RateHigh*wh + p.RateLow*wl) / (wh + wl)
 }
 
-func (p *MMPP2) String() string {
+func (p MMPP2) String() string {
 	return fmt.Sprintf("mmpp2(high=%g/s low=%g/s)", p.RateHigh, p.RateLow)
 }
 
-// NextGap advances the modulating chain and returns the next gap.
-func (p *MMPP2) NextGap(r *RNG) float64 {
-	if !p.init {
-		p.init = true
-		p.inHigh = r.Float64() < 0.5
-		p.phaseLeft = p.phaseDur(r)
+// NextGap advances stream st's modulating chain and returns its next
+// gap.
+func (p MMPP2) NextGap(r *RNG, st *ArrivalStream) float64 {
+	if !st.started {
+		st.started = true
+		st.inHigh = r.Float64() < 0.5
+		st.phaseLeft = p.phaseDur(r, st.inHigh)
 	}
 	gap := 0.0
 	for {
 		rate := p.RateLow
-		if p.inHigh {
+		if st.inHigh {
 			rate = p.RateHigh
 		}
 		g := r.ExpFloat64() / rate
-		if g <= p.phaseLeft {
-			p.phaseLeft -= g
+		if g <= st.phaseLeft {
+			st.phaseLeft -= g
 			return gap + g
 		}
 		// Phase expires before the next arrival: switch phases and keep
 		// accumulating elapsed time.
-		gap += p.phaseLeft
-		p.inHigh = !p.inHigh
-		p.phaseLeft = p.phaseDur(r)
+		gap += st.phaseLeft
+		st.inHigh = !st.inHigh
+		st.phaseLeft = p.phaseDur(r, st.inHigh)
 	}
 }
 
-func (p *MMPP2) phaseDur(r *RNG) float64 {
-	if p.inHigh {
+func (p MMPP2) phaseDur(r *RNG, high bool) float64 {
+	if high {
 		return r.ExpFloat64() * p.MeanHigh
 	}
 	return r.ExpFloat64() * p.MeanLow

@@ -265,7 +265,7 @@ func TestPoissonRate(t *testing.T) {
 	var total float64
 	n := 100000
 	for i := 0; i < n; i++ {
-		total += p.NextGap(rng)
+		total += p.NextGap(rng, nil)
 	}
 	rate := float64(n) / total
 	if !almost(rate, 5000, 0.02) {
@@ -279,10 +279,11 @@ func TestMMPP2Rate(t *testing.T) {
 		t.Fatalf("analytic rate %v, want 10000", p.Rate())
 	}
 	rng := NewRNG(19)
+	var st ArrivalStream
 	var total float64
 	n := 200000
 	for i := 0; i < n; i++ {
-		g := p.NextGap(rng)
+		g := p.NextGap(rng, &st)
 		if g < 0 {
 			t.Fatal("negative gap")
 		}
@@ -299,9 +300,10 @@ func TestMMPP2Burstiness(t *testing.T) {
 	// inter-arrival gaps than Poisson (CV=1).
 	rng := NewRNG(23)
 	p := NewMMPP2(10000, 10, 0.005)
+	var st ArrivalStream
 	var s Summary
 	for i := 0; i < 100000; i++ {
-		s.Add(p.NextGap(rng))
+		s.Add(p.NextGap(rng, &st))
 	}
 	cv := s.Std() / s.Mean()
 	if cv <= 1.05 {

@@ -49,8 +49,10 @@ type Tracer struct {
 	activeAfter stats.Summary
 	wakeProbe   sim.Duration
 	// hooks[i] is core i's transition callback, bound once per index
-	// and kept across Rearm.
-	hooks []func(old, new cpu.CState)
+	// and kept across Rearm; epochs[i] is the Epoch of cores[i] that
+	// hooks[i] was registered at.
+	hooks  []func(old, new cpu.CState)
+	epochs []uint64
 }
 
 // New attaches a tracer to the cores. Call it before driving load so
@@ -61,40 +63,41 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
-	t.attach(cores, true)
+	t.attach(nil, cores)
 	return t
 }
 
 // Rearm restarts the tracer at the current instant on cores, exactly
 // as New(eng, cores) would, but reusing its storage and its per-core
 // callbacks, so re-arming allocates nothing once the tracer has seen
-// as many cores. cores must be the cores the tracer already observes,
-// which it does not subscribe to again, or cores that replace them:
-// the tracer cannot unsubscribe, so cores it observed before must not
-// change state again (a fleet rebuilds its machines on a rewound
-// engine). A wake probe still pending from before the re-arm lands in
-// the new interval's ActiveCoresAfterIdle.
+// as many cores. cores may be the cores the tracer already observes,
+// those cores rebuilt in place (a fleet rewinds its machines between
+// sweep points, and a rebuilt core drops its observers), or cores that
+// replace them. The tracer registers again on every core whose
+// registration is gone: a new core, or one whose Epoch moved. It
+// cannot unsubscribe, so replaced cores must not change state again. A
+// wake probe still pending from before the re-arm lands in the new
+// interval's ActiveCoresAfterIdle.
 func (t *Tracer) Rearm(cores []*cpu.Core) {
-	same := len(cores) == len(t.cores)
-	for i := 0; same && i < len(cores); i++ {
-		same = cores[i] == t.cores[i]
-	}
+	old := t.cores
 	t.idlePeriods.Reset()
 	*t = Tracer{
 		eng:         t.eng,
 		idlePeriods: t.idlePeriods,
 		wakeProbe:   t.wakeProbe,
 		hooks:       t.hooks,
+		epochs:      t.epochs,
 		coreState:   t.coreState,
 		coreSince:   t.coreSince,
 		coreRes:     t.coreRes,
 	}
-	t.attach(cores, !same)
+	t.attach(old, cores)
 }
 
-// attach starts accounting on cores at the current instant, and
-// subscribes to them when subscribe is set.
-func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
+// attach starts accounting on cores at the current instant. It
+// registers with each core not already observed through old at its
+// current epoch.
+func (t *Tracer) attach(old, cores []*cpu.Core) {
 	n := len(cores)
 	t.cores = cores
 	t.start = t.eng.Now()
@@ -104,9 +107,11 @@ func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
 	t.coreRes = zeroed(t.coreRes, n)
 	if n > len(t.hooks) {
 		t.hooks = slices.Grow(t.hooks, n-len(t.hooks))
+		t.epochs = slices.Grow(t.epochs, n-len(t.epochs))
 	}
 	for i := len(t.hooks); i < n; i++ {
 		t.hooks = append(t.hooks, func(old, new cpu.CState) { t.coreTransition(i, old, new) })
+		t.epochs = append(t.epochs, 0)
 	}
 	for i, c := range cores {
 		t.coreState[i] = c.State()
@@ -114,8 +119,9 @@ func (t *Tracer) attach(cores []*cpu.Core, subscribe bool) {
 		if c.State().Idle() {
 			t.idleCores++
 		}
-		if subscribe {
+		if i >= len(old) || old[i] != c || t.epochs[i] != c.Epoch() {
 			c.OnTransition(t.hooks[i])
+			t.epochs[i] = c.Epoch()
 		}
 	}
 	if t.idleCores == n && n > 0 {

@@ -181,8 +181,9 @@ func TestResidencySumsToOne(t *testing.T) {
 }
 
 // TestRearmMatchesNew checks that a re-armed tracer reports exactly
-// what a fresh one attached at the same instant reports, both on the
-// cores it already observed and on cores that replace them, and that
+// what a fresh one attached at the same instant reports — on the cores
+// it already observed, on those cores rebuilt in place (which drops the
+// tracer's registration), and on cores that replace them — and that
 // re-arming allocates nothing.
 func TestRearmMatchesNew(t *testing.T) {
 	drive := func(eng *sim.Engine, cores []*cpu.Core) {
@@ -218,6 +219,23 @@ func TestRearmMatchesNew(t *testing.T) {
 	fresh.Finalize()
 	if !same(re, fresh) {
 		t.Fatal("re-armed tracer differs from a fresh one on the same cores")
+	}
+
+	// The same cores rebuilt in place on a rewound engine, as a reused
+	// fleet rewinds its machines: Init drops every observer, so the
+	// tracer must register again.
+	eng.Reset()
+	for i, c := range cores {
+		c.Init(eng, i, cpu.DefaultParams(), cpu.ShallowGovernor{}, cpu.PerformancePolicy{Nominal: 2.2}, nil)
+	}
+	re.Rearm(cores)
+	fresh = New(eng, cores)
+	drive(eng, cores)
+	re.Finalize()
+	fresh.Finalize()
+	if !same(re, fresh) || re.Transitions() == 0 {
+		t.Fatalf("re-armed tracer differs from a fresh one on rebuilt cores (%d vs %d transitions)",
+			re.Transitions(), fresh.Transitions())
 	}
 
 	// Replacement cores: the old ones never run again.

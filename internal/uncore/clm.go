@@ -64,31 +64,52 @@ type CLM struct {
 	eng    *sim.Engine
 	params Params
 
-	fivr0, fivr1 *pdn.FIVR
+	fivr0, fivr1 pdn.FIVR
 	pll          clock.PLL
-	tree         *clock.Tree
+	tree         clock.Tree
 
 	ch *power.Channel
 
 	onPwrOk   []func()
 	settled   [2]bool
 	retention bool
+
+	// bound holds the regulators' callbacks, bound to the CLM once.
+	bound struct {
+		settled [2]func()
+		atRet   func()
+	}
 }
 
-// New builds an accessible CLM. clmCh and pllCh may be nil (tests).
-func New(eng *sim.Engine, p Params, clmCh, pllCh *power.Channel) *CLM {
-	c := &CLM{eng: eng, params: p, ch: clmCh}
-	c.fivr0 = pdn.NewFIVR(eng, "Vccclm0", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
-	c.fivr1 = pdn.NewFIVR(eng, "Vccclm1", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
+// Init builds an accessible CLM in place and returns c. clmCh and pllCh
+// may be nil (tests). Building in
+// place lets a machine hold its CLM by value, and rebuilding one
+// allocates nothing: the CLM keeps its PwrOk waiters' storage and its
+// bound regulator callbacks, but drops the waiters themselves.
+func (c *CLM) Init(eng *sim.Engine, p Params, clmCh, pllCh *power.Channel) *CLM {
+	clear(c.onPwrOk)
+	*c = CLM{
+		eng:     eng,
+		params:  p,
+		ch:      clmCh,
+		pll:     c.pll,
+		onPwrOk: c.onPwrOk[:0],
+		settled: [2]bool{true, true},
+		bound:   c.bound,
+	}
+	if c.bound.atRet == nil {
+		c.bound.settled = [2]func(){func() { c.fivrSettled(0) }, func() { c.fivrSettled(1) }}
+		c.bound.atRet = c.updatePower
+	}
+	c.fivr0.Init(eng, "Vccclm0", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
+	c.fivr1.Init(eng, "Vccclm1", p.NominalVolts, p.RetentionVolts, p.SlewVoltsPerNs)
 	c.pll.Init(eng, sim.Named("clm-pll"), p.PLLRelock, pllCh)
-	c.tree = clock.NewTree("clm", &c.pll)
-	c.settled = [2]bool{true, true}
+	c.tree.Init("clm", &c.pll)
 
-	c.fivr0.OnPwrOk(func() { c.fivrSettled(0) })
-	c.fivr1.OnPwrOk(func() { c.fivrSettled(1) })
-	atRet := c.updatePower
-	c.fivr0.OnAtRetention(atRet)
-	c.fivr1.OnAtRetention(atRet)
+	c.fivr0.OnPwrOk(c.bound.settled[0])
+	c.fivr1.OnPwrOk(c.bound.settled[1])
+	c.fivr0.OnAtRetention(c.bound.atRet)
+	c.fivr1.OnAtRetention(c.bound.atRet)
 
 	c.updatePower()
 	return c

@@ -8,7 +8,7 @@ import (
 )
 
 func newCLM(eng *sim.Engine) *CLM {
-	return New(eng, DefaultParams(), nil, nil)
+	return new(CLM).Init(eng, DefaultParams(), nil, nil)
 }
 
 func TestInitialAccessible(t *testing.T) {
@@ -108,9 +108,9 @@ func TestIdempotentRet(t *testing.T) {
 
 func TestPowerRegimes(t *testing.T) {
 	eng := sim.NewEngine()
-	m := power.NewMeter(eng)
+	m := new(power.Meter).Init(eng)
 	ch := m.Channel(sim.Named("clm"), power.Package)
-	c := New(eng, DefaultParams(), ch, nil)
+	c := new(CLM).Init(eng, DefaultParams(), ch, nil)
 
 	if w := ch.Watts(); w != 18.1 {
 		t.Fatalf("accessible power %v, want 18.1", w)

@@ -41,10 +41,12 @@ func NewPushSource(eng *sim.Engine, spec Spec, seed uint64, sink func(*Request))
 func (p *PushSource) Spec() Spec { return p.spec }
 
 // Reset rewinds the source to its initial state under a (possibly new)
-// spec and seed, keeping the request pool so a reused source emits
-// without allocating from the first request on. Mirrors Generator.Reset.
+// spec and seed, keeping its RNG and request pool, so a reused source
+// emits without allocating from the first request on. Mirrors
+// Generator.Reset; a push source draws no arrival gaps, so it has no
+// arrival stream to rewind.
 func (p *PushSource) Reset(spec Spec, seed uint64) {
-	p.rng = stats.NewRNG(seed)
+	p.rng.Reseed(seed)
 	p.spec = spec
 	p.nextID = 0
 }

@@ -157,7 +157,7 @@ func (h Header) Spec() workload.Spec {
 // trace spec leaking into the synthetic generator.
 type traceArrivals struct{ rate float64 }
 
-func (a traceArrivals) NextGap(*stats.RNG) float64 {
+func (a traceArrivals) NextGap(*stats.RNG, *stats.ArrivalStream) float64 {
 	panic("replay: trace-backed spec cannot generate synthetic arrivals")
 }
 func (a traceArrivals) Rate() float64  { return a.rate }

@@ -345,6 +345,6 @@ func TestHeaderSpecPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("Arrivals.NextGap", func() { spec.Arrivals.NextGap(nil) })
+	expectPanic("Arrivals.NextGap", func() { spec.Arrivals.NextGap(nil, nil) })
 	expectPanic("Service.Sample", func() { spec.Service.Sample(nil) })
 }

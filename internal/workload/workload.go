@@ -36,7 +36,9 @@ type Request struct {
 }
 
 // Spec describes one workload: its arrival process, service-time
-// distribution and per-request side effects.
+// distribution and per-request side effects. Every field is an
+// immutable law, so a Spec is a plain value: any number of sources may
+// share one, and each keeps its own stream state.
 type Spec struct {
 	// Name for reports.
 	Name string
@@ -181,6 +183,8 @@ type Generator struct {
 	rng  *stats.RNG
 	spec Spec
 	sink func(*Request)
+	// arr is this generator's position in the spec's arrival law.
+	arr stats.ArrivalStream
 
 	nextID  uint64
 	stopAt  sim.Time
@@ -222,15 +226,15 @@ func (t *arrivalTimer) Fire() {
 func (g *Generator) Spec() Spec { return g.spec }
 
 // Reset rewinds the generator to its initial state under a (possibly
-// new) spec and seed, keeping the request pool
-// so a reused generator emits without allocating from the first
-// arrival on. The caller must have reset (or drained) the engine first:
+// new) spec and seed, keeping its RNG and request pool, so a reused
+// generator emits without allocating from the first arrival on. The caller must have reset (or drained) the engine first:
 // any pending arrival chain died with it, so Reset just forgets the
 // handle. A reset generator is indistinguishable from
 // NewGenerator(eng, spec, seed, sink) on the same engine.
 func (g *Generator) Reset(spec Spec, seed uint64) {
-	g.rng = stats.NewRNG(seed)
+	g.rng.Reseed(seed)
 	g.spec = spec
+	g.arr = stats.ArrivalStream{}
 	g.nextID = 0
 	g.stopAt = 0
 	g.pending = sim.Event{}
@@ -256,7 +260,7 @@ func (g *Generator) Stop() {
 
 //apcvet:noalloc
 func (g *Generator) scheduleNext() {
-	gap := g.spec.Arrivals.NextGap(g.rng)
+	gap := g.spec.Arrivals.NextGap(g.rng, &g.arr)
 	d := sim.Duration(gap * float64(sim.Second))
 	if d < 0 {
 		d = 0

@@ -46,8 +46,9 @@ func TestMemcachedBurstyIsBurstier(t *testing.T) {
 	rng := stats.NewRNG(1)
 	measure := func(p stats.ArrivalProcess) float64 {
 		var s stats.Summary
+		var st stats.ArrivalStream
 		for i := 0; i < 50000; i++ {
-			s.Add(p.NextGap(rng))
+			s.Add(p.NextGap(rng, &st))
 		}
 		return s.Std() / s.Mean()
 	}

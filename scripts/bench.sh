@@ -6,17 +6,22 @@
 #   bench.txt      raw `go test -bench` output, benchstat-comparable
 #                  (benchstat old.txt bench.txt)
 #   snapshot.json  parsed {name, ns_op, b_op, allocs_op} records; the
-#                  second argument names the file (default
-#                  BENCH_pr25.json, this PR's perf-trajectory snapshot —
-#                  earlier PRs' snapshots stay committed as
-#                  BENCH_pr<N>.json; bump the default each PR so `make
-#                  bench` never clobbers a previous PR's snapshot)
+#                  second argument names the file. The default is the
+#                  newest committed snapshot (scripts/latest-bench.sh),
+#                  which a deliberate perf change regenerates in place;
+#                  a change that starts a new perf-trajectory entry
+#                  names its own BENCH_pr<N>.json, and earlier
+#                  snapshots stay committed.
 set -e
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
 OUT=bench.txt
-SNAP="${2:-BENCH_pr25.json}"
+SNAP="${2:-$(scripts/latest-bench.sh)}"
+if [ -z "$SNAP" ]; then
+	echo "bench.sh: no BENCH_pr*.json snapshot to default to; name one" >&2
+	exit 2
+fi
 
 case "$MODE" in
 sim)

@@ -18,14 +18,14 @@
 #     PR that deletes it.
 #
 # With no first argument the suite is run first (scripts/bench.sh all)
-# into bench-gate.json. The baseline defaults to this PR's committed
-# snapshot; after a deliberate perf change, regenerate it with
-# `scripts/bench.sh all BENCH_pr25.json` and commit the diff.
+# into bench-gate.json. The baseline defaults to the newest committed
+# snapshot (scripts/latest-bench.sh); after a deliberate perf change,
+# regenerate it with `scripts/bench.sh all` and commit the diff.
 set -e
 cd "$(dirname "$0")/.."
 
 NEW="${1:-}"
-BASE="${2:-BENCH_pr25.json}"
+BASE="${2:-$(scripts/latest-bench.sh)}"
 
 if [ -z "$NEW" ]; then
 	NEW=bench-gate.json

@@ -117,3 +117,23 @@ func TestLoc(t *testing.T) {
 		t.Errorf("loc.sh output:\n%s\nwant:\n%s", out, want)
 	}
 }
+
+// TestLatestBench pins how the bench scripts pick their default
+// snapshot: the BENCH_pr<N>.json with the numerically highest N, and
+// nothing that merely resembles one.
+func TestLatestBench(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_pr9.json", "BENCH_pr25.json", "BENCH_pr27.json",
+		"BENCH_pr100.json.bak", "BENCH_prx.json", "BENCH_pr3.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("[]\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command("sh", "scripts/latest-bench.sh", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("latest-bench.sh: %v\n%s", err, out)
+	}
+	if got := strings.TrimSpace(string(out)); got != "BENCH_pr27.json" {
+		t.Errorf("latest-bench.sh picked %q, want BENCH_pr27.json", got)
+	}
+}
