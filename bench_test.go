@@ -407,14 +407,16 @@ func BenchmarkLoadScenarioTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioSweep prices a swept scenario end to end: the
+// BenchmarkScenarioSweep prices a warm swept scenario end to end: the
 // paper's Fig 7 QPS axis (five points) on one CPC1A machine through
 // scenario.Run, the path `apcsim scenario` and perfbench's
-// paper-memcached workload take. The sweep worker's GraphReuse builds
-// the machine at the first point and rewinds it in place at the other
-// four, so allocs/op gates per-point reuse exactly: a point that
-// reassembled its machine, or regrew a pool or run queue the previous
-// point had grown, would raise it.
+// paper-memcached workload take. Every iteration after the first draws
+// the machine the previous one left in the process-wide keep and
+// rewinds it in place at all five points, so allocs/op gates per-run
+// reuse exactly: a run that reassembled its machine or tracer, or
+// regrew a pool or run queue an earlier point had grown, would raise
+// it. Cold assembly is pinned by TestAssemblyAllocs (internal/soc) and
+// by TestScenarioRunKeepsMachines' cold runs (internal/scenario).
 func BenchmarkScenarioSweep(b *testing.B) {
 	b.ReportAllocs()
 	scs, err := scenario.Load(strings.NewReader(`{

@@ -39,6 +39,9 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
@@ -283,47 +286,81 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 // at zero with slot numbering matching a fresh engine's), every tier's
 // fleet with its machines rewound in place (see Fleet.resetOn), the
 // push sources and their request pools, the edges' RNGs, the join pool
-// and the pending maps. Only the shape is pinned: the tier and edge
-// counts and each tier's topology. A reset graph is byte-identical to a
-// fresh one.
+// and the pending maps. Only the shape is pinned (see fits). A reset
+// graph is byte-identical to a fresh one.
 func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if len(cfg.Tiers) != len(g.tiers) || len(cfg.Edges) != len(g.edges) {
-		return fmt.Errorf("cluster: graph Reset needs the original shape (%d tiers, %d edges; got %d, %d)",
-			len(g.tiers), len(g.edges), len(cfg.Tiers), len(cfg.Edges))
+	// The shape is checked before any state is torn down.
+	if !g.fits(cfg) {
+		return fmt.Errorf("cluster: graph Reset needs the original shape: %d tiers, %d edges and each tier's topology and member count",
+			len(g.tiers), len(g.edges))
 	}
-	// Pre-check every tier's topology shape so a mismatch is reported
-	// before any state is torn down.
+	g.reset(cfg, seed)
+	return nil
+}
+
+// reset is Reset for a cfg that has passed Validate and fits g.
+func (g *Graph) reset(cfg GraphConfig, seed uint64) {
+	g.eng.Reset()
+	// build fails only when assembling a new tier, and a fitting cfg
+	// has none.
+	_ = g.build(cfg, seed)
+}
+
+// fits reports whether g can be rewound to cfg, which has passed
+// Validate: the same tier and edge counts, and every tier's fleet the
+// same topology and member count, because the balancer's rack wiring is
+// positional. Everything else — policies, targets, per-member configs,
+// fault setups, edge models — is rebuilt by a reset. It is the one rule
+// behind both Reset and the keep's choice of an idle graph.
+func (g *Graph) fits(cfg GraphConfig) bool {
+	if len(cfg.Tiers) != len(g.tiers) || len(cfg.Edges) != len(g.edges) {
+		return false
+	}
 	for i, tc := range cfg.Tiers {
 		topo, _ := tc.Cluster.admit(tc.Spec) // Validate has passed
 		fl := g.tiers[i].fl
 		if topo != fl.topo || len(tc.Cluster.Members) != len(fl.members) {
-			return fmt.Errorf("cluster: graph Reset: tier %d needs the original topology %v (got %v)", i, fl.topo, topo)
+			return false
 		}
 	}
-	g.eng.Reset()
-	return g.build(cfg, seed)
+	return true
 }
 
-// GraphReuse caches one graph across the points of a sweep: reset in
-// place when the next point's shape matches, rebuilt when it cannot be.
-// A reset rewinds every member's machine rather than reassembling it,
-// so a same-shape point costs no machine assembly at all
-// (TestGraphReuseRewindAllocs). A single fleet is a one-tier graph. One
-// GraphReuse serves one sweep worker — it is not safe for concurrent
-// use — and because Reset is byte-identical to a fresh build, sweeps
-// that reuse graphs stay bit-identical at any parallelism. The zero
-// value is ready.
+// GraphReuse draws graphs for the points of a sweep: the graph it holds,
+// reset in place, when the next point's shape fits it; otherwise an idle
+// graph of that shape from the process-wide keep, reset; and only when
+// neither fits, a new build. A reset rewinds every member's machine
+// rather than reassembling it, so a point whose shape some earlier point
+// of this or any earlier sweep has built costs no machine assembly at
+// all (TestGraphReuseRewindAllocs). A single fleet is a one-tier graph.
+// A graph that no longer fits the next point goes back to the keep, and
+// Release hands back the one held. One GraphReuse serves one sweep
+// worker — it is not safe for concurrent use — and because a reset is
+// byte-identical to a fresh build, sweeps that reuse graphs stay
+// bit-identical at any parallelism and whatever ran before them in the
+// process. The zero value is ready.
 type GraphReuse struct {
 	g *Graph
 }
 
-// Graph returns a graph for (cfg, seed): the cached one reset in place
-// when possible, a newly built one otherwise.
+// Graph returns a graph for (cfg, seed), reset or newly built. It
+// invalidates every graph, fleet and machine r returned before.
 func (r *GraphReuse) Graph(cfg GraphConfig, seed uint64) (*Graph, error) {
-	if r.g != nil && r.g.Reset(cfg, seed) == nil {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if r.g == nil || !r.g.fits(cfg) {
+		old := r.g
+		r.g = takeIdle(cfg)
+		if old != nil {
+			keep(old)
+		}
+	}
+	if r.g != nil {
+		r.g.reset(cfg, seed)
 		return r.g, nil
 	}
 	g, err := NewGraph(cfg, seed)
@@ -332,6 +369,57 @@ func (r *GraphReuse) Graph(cfg GraphConfig, seed uint64) (*Graph, error) {
 	}
 	r.g = g
 	return g, nil
+}
+
+// Release hands the graph r holds back to the keep for the next
+// GraphReuse whose point fits it, leaving r empty. Nothing r returned
+// may be used afterwards; results already read out of it (measurements,
+// watts, latencies) are the caller's.
+func (r *GraphReuse) Release() {
+	if r.g != nil {
+		keep(r.g)
+		r.g = nil
+	}
+}
+
+// The keep holds the idle graphs every GraphReuse in the process draws
+// from, oldest first, so a process that runs scenarios or experiments
+// more than once assembles each shape of machine once: a later run
+// rewinds the machines an earlier one left behind. It retains at most
+// keepCap() graphs and drops the oldest when full. A process that runs
+// one sweep once builds exactly what it built without the keep.
+var (
+	idleMu sync.Mutex
+	idle   []*Graph
+)
+
+// keepCap is the most graphs one sweep holds at once: a worker per CPU
+// (Parallelism -1), and two graphs per worker for the points that
+// compare two configurations.
+func keepCap() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// takeIdle removes from the keep, and returns, the most recently kept
+// graph that fits cfg; nil when none does. cfg has passed Validate.
+func takeIdle(cfg GraphConfig) *Graph {
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	for i := len(idle) - 1; i >= 0; i-- {
+		if g := idle[i]; g.fits(cfg) {
+			idle = slices.Delete(idle, i, i+1)
+			return g
+		}
+	}
+	return nil
+}
+
+// keep adds g to the keep, dropping the oldest graphs beyond keepCap.
+func keep(g *Graph) {
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	if n := keepCap(); len(idle) >= n {
+		idle = slices.Delete(idle, 0, len(idle)-n+1)
+	}
+	idle = append(idle, g)
 }
 
 // Engine returns the shared engine (for tests).

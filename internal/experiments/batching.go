@@ -50,20 +50,18 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	spec := workload.Memcached(qps)
 	res := &BatchingResult{QPS: qps}
 
-	res.ShallowWatts = runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
+	res.ShallowWatts = shallowWatts(spec, opt)
 
-	// Each epoch point is an independent engine; the cross-point
+	// Each epoch point is an independent run; the cross-point
 	// fractions (vs Cshallow, vs the unbatched epoch) are derived
 	// afterwards in point order.
-	res.Points = Sweep(opt, epochs, func(epoch sim.Duration) BatchingPoint {
+	res.Points = SweepWith(opt, epochs, newMachine, (*machine).release, func(m *machine, epoch sim.Duration) BatchingPoint {
 		scfg := server.DefaultConfig()
 		scfg.BatchEpoch = epoch
-		f := newMachine(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt)
-		srv := f.Server(0)
-		sys := srv.System()
-		f.Run(opt.Warmup())
-		win := sys.OpenWindow()
-		f.Run(opt.Duration)
+		g, srv := m.fleet(soc.DefaultConfig(soc.CPC1A), scfg, spec, opt)
+		g.Run(opt.Warmup())
+		win := srv.System().OpenWindow()
+		g.Run(opt.Duration)
 
 		p := BatchingPoint{
 			Epoch:       epoch,

@@ -52,9 +52,11 @@ func Eq1(opt Options) *Eq1Result {
 	pIdle := t1.PC0IdleSoC + t1.PC0IdleDRAM
 	pPC1A := t1.PC1ASoC + t1.PC1ADRAM
 
+	var m machine
+	defer m.release()
 	point := func(util float64) Eq1Point {
 		spec := workload.MemcachedAtUtil(util, 10)
-		run := runPoint(soc.Cshallow, spec, opt)
+		run := m.runPoint(soc.Cshallow, spec, opt)
 		rIdle := run.tracer.AllIdleFraction()
 		rPC0 := 1 - rIdle
 		pAvg := run.win.TotalWatts()

@@ -82,7 +82,9 @@ func QuickOptions() Options {
 
 // loadedRun is one (config, workload) point run with a tracer attached:
 // the bundle of observations every figure draws from. Its window closed
-// when the run returned, so its readers report the measured window.
+// when the run returned, so its readers report the measured window. It
+// reads the machine the run left behind, so it is valid only until its
+// machine runs the next point.
 type loadedRun struct {
 	sys    *soc.System
 	srv    *server.Server
@@ -103,31 +105,73 @@ func (o Options) Warmup() sim.Duration {
 	return warm
 }
 
-func runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) *loadedRun {
-	f := newMachine(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
-	f.Run(opt.Warmup())
-
-	sys := f.Server(0).System()
-	tr := trace.New(sys.Engine, sys.Cores)
-	win := sys.OpenWindow()
-	f.Run(opt.Duration)
-	tr.Finalize()
-	return &loadedRun{sys: sys, srv: f.Server(0), tracer: tr, win: win}
+// machine is one sweep worker's single-machine scratch: a graph reuse
+// that rewinds the worker's machine from point to point (and draws it
+// from the process-wide keep at the first), and the tracer runPoint last
+// armed on that machine.
+type machine struct {
+	reuse cluster.GraphReuse
+	g     *cluster.Graph // the graph tr observes
+	tr    *trace.Tracer
 }
 
-// newMachine builds the one-member round_robin fleet every
-// single-machine point runs on: one SoC of cfg behind the server stack
-// scfg, fed by an open-loop generator seeded with the experiment's
-// seed. Fleet.Run is its window-then-drain loop.
-func newMachine(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) *cluster.Fleet {
-	f, err := cluster.New(cluster.Config{
-		Members: []cluster.MemberConfig{{SoC: cfg, Server: scfg}},
-	}, spec, opt.Seed)
+// pair is the scratch of a sweep whose points compare two
+// configurations: each runs on its own machine, so both runs can be
+// read before the next point rewinds either.
+type pair [2]machine
+
+func newMachine() *machine { return new(machine) }
+func newPair() *pair       { return new(pair) }
+
+// release hands the machine back to the keep.
+func (m *machine) release() { m.reuse.Release() }
+
+func (p *pair) release() {
+	p[0].release()
+	p[1].release()
+}
+
+// fleet returns m's machine reset (or, at its first point, drawn or
+// built) as the one-member round_robin fleet every single-machine point
+// runs on: one SoC of cfg behind the server stack scfg, fed by an
+// open-loop generator seeded with the experiment's seed. Graph.Run is
+// its window-then-drain loop.
+func (m *machine) fleet(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) (*cluster.Graph, *server.Server) {
+	g, err := m.reuse.Graph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+		Cluster: cluster.Config{Members: []cluster.MemberConfig{{SoC: cfg, Server: scfg}}},
+		Spec:    spec,
+	}}}, opt.Seed)
 	if err != nil {
 		// Every caller passes an open-loop spec; an error is a bug.
 		panic(err)
 	}
-	return f
+	return g, g.TierFleet(0).Server(0)
+}
+
+// runPoint runs one (config, workload) point on m: the warmup, then the
+// measured window with a tracer attached.
+func (m *machine) runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) loadedRun {
+	g, srv := m.fleet(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
+	g.Run(opt.Warmup())
+
+	sys := srv.System()
+	if m.g != g {
+		m.g, m.tr = g, trace.New(sys.Engine, sys.Cores)
+	} else {
+		m.tr.Rearm(sys.Cores)
+	}
+	win := sys.OpenWindow()
+	g.Run(opt.Duration)
+	m.tr.Finalize()
+	return loadedRun{sys: sys, srv: srv, tracer: m.tr, win: win}
+}
+
+// shallowWatts is the Cshallow machine's power at spec: the reference
+// the fixed-load sweeps report their savings against.
+func shallowWatts(spec workload.Spec, opt Options) float64 {
+	var m machine
+	defer m.release()
+	return m.runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
 }
 
 // table builds a simple aligned text table.

@@ -40,10 +40,10 @@ func init() {
 // request-rate axis (the paper's axis is DefaultFig5QPS).
 func Fig5(opt Options, qpsList []float64) *Fig5Result {
 	res := &Fig5Result{}
-	res.Points = Sweep(opt, qpsList, func(qps float64) Fig5Point {
+	res.Points = SweepWith(opt, qpsList, newPair, (*pair).release, func(m *pair, qps float64) Fig5Point {
 		spec := workload.Memcached(qps)
-		sh := runPoint(soc.Cshallow, spec, opt)
-		dp := runPoint(soc.Cdeep, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt)
+		dp := m[1].runPoint(soc.Cdeep, spec, opt)
 		return Fig5Point{
 			QPS:           qps,
 			ShallowMean:   sh.srv.Latencies().Mean(),

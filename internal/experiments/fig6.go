@@ -46,8 +46,8 @@ func init() {
 // the given request-rate axis.
 func Fig6(opt Options, qpsList []float64) *Fig6Result {
 	res := &Fig6Result{}
-	res.Points = Sweep(opt, qpsList, func(qps float64) Fig6Point {
-		run := runPoint(soc.Cshallow, workload.Memcached(qps), opt)
+	res.Points = SweepWith(opt, qpsList, newMachine, (*machine).release, func(m *machine, qps float64) Fig6Point {
+		run := m.runPoint(soc.Cshallow, workload.Memcached(qps), opt)
 		tr := run.tracer
 		h := tr.IdlePeriods()
 		return Fig6Point{

@@ -79,10 +79,10 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 	res.Idle.SavingsVsShallow = 1 - res.Idle.CPC1A/res.Idle.Cshallow
 
 	// Panels (b) and (c): load sweep.
-	res.Points = Sweep(opt, qpsList, func(qps float64) Fig7Point {
+	res.Points = SweepWith(opt, qpsList, newPair, (*pair).release, func(m *pair, qps float64) Fig7Point {
 		spec := workload.Memcached(qps)
-		sh := runPoint(soc.Cshallow, spec, opt)
-		ap := runPoint(soc.CPC1A, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt)
+		ap := m[1].runPoint(soc.CPC1A, spec, opt)
 
 		p := Fig7Point{
 			QPS:          qps,

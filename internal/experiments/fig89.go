@@ -71,10 +71,10 @@ type workloadLevel struct {
 
 func workloadFigure(opt Options, service string, levels []workloadLevel, mk func(float64) workload.Spec) *WorkloadResult {
 	res := &WorkloadResult{Service: service}
-	res.Points = Sweep(opt, levels, func(lv workloadLevel) WorkloadPoint {
+	res.Points = SweepWith(opt, levels, newPair, (*pair).release, func(m *pair, lv workloadLevel) WorkloadPoint {
 		spec := mk(lv.load)
-		sh := runPoint(soc.Cshallow, spec, opt)
-		ap := runPoint(soc.CPC1A, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt)
+		ap := m[1].runPoint(soc.CPC1A, spec, opt)
 		p := WorkloadPoint{
 			Label:           lv.label,
 			Load:            lv.load,
@@ -87,7 +87,7 @@ func workloadFigure(opt Options, service string, levels []workloadLevel, mk func
 			PC1AWatts:       ap.win.TotalWatts(),
 		}
 		p.PowerReduction = (p.ShallowWatts - p.PC1AWatts) / p.ShallowWatts
-		p.ImpactFrac = modelImpact(ap, sh.srv.Latencies().Mean())
+		p.ImpactFrac = modelImpact(&ap, sh.srv.Latencies().Mean())
 		return p
 	})
 

@@ -8,9 +8,9 @@ import (
 
 // This file is the sweep fan-out layer. Every sweep-style experiment
 // (Fig5–Fig9, Sensitivity, Batching, Remote) evaluates a list of
-// independent (config, load) points, and each point builds its own
-// sim.Engine with its own seed — there is no shared mutable state
-// between points. RunPoints exploits that: it fans the points across a
+// independent (config, load) points, and each point runs on a machine
+// (and engine) reset for it alone, with its own seed — there is no
+// shared mutable state between points. RunPoints exploits that: it fans the points across a
 // bounded worker pool and writes each result into its slot by index, so
 // the returned slice is in deterministic point order regardless of
 // which worker finished first or in what order. Because every point is
@@ -38,21 +38,24 @@ func (o Options) parallelism() int {
 func RunPoints[T any](par, n int, fn func(i int) T) []T {
 	return runPoints(par, n,
 		func() struct{} { return struct{}{} },
+		func(struct{}) {},
 		func(_ struct{}, i int) T { return fn(i) })
 }
 
 // runPoints is the worker-pool core: newS builds one scratch value per
 // worker goroutine (exactly one for serial runs), which fn receives
-// alongside each point index. Scratch reuse is what lets sweeps recycle
-// heavy per-point state (a fleet, its engine arena) without sharing
-// anything between workers.
-func runPoints[S, T any](par, n int, newS func() S, fn func(s S, i int) T) []T {
+// alongside each point index, and release gets it back when the worker
+// runs out of points. Scratch reuse is what lets sweeps recycle heavy
+// per-point state (a fleet, its engine arena) without sharing anything
+// between workers.
+func runPoints[S, T any](par, n int, newS func() S, release func(S), fn func(s S, i int) T) []T {
 	out := make([]T, n)
 	if par <= 1 || n <= 1 {
 		s := newS()
 		for i := range out {
 			out[i] = fn(s, i)
 		}
+		release(s)
 		return out
 	}
 	if par > n {
@@ -68,6 +71,7 @@ func runPoints[S, T any](par, n int, newS func() S, fn func(s S, i int) T) []T {
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
+					release(s)
 					return
 				}
 				out[i] = fn(s, i)
@@ -90,15 +94,18 @@ func Sweep[P, T any](opt Options, points []P, fn func(P) T) []T {
 }
 
 // SweepWith is Sweep with per-worker scratch: newS runs once per worker
-// goroutine (once total for serial sweeps) and fn receives that
-// worker's scratch alongside each point. The cluster sweeps thread a
-// *cluster.GraphReuse through here so consecutive points on a worker
-// reset one graph instead of building a new one; because a reset graph
-// is byte-identical to a fresh build, every point remains a pure
+// goroutine (once total for serial sweeps), fn receives that worker's
+// scratch alongside each point, and release hands the scratch back when
+// the worker runs out of points. The machine sweeps thread
+// *cluster.GraphReuse values through here: a worker's consecutive points
+// reset one graph instead of building a new one, its first point draws a
+// graph an earlier sweep left in the process-wide keep, and release
+// returns the graph to the keep for the next sweep. Because a reset
+// graph is byte-identical to a fresh build, every point remains a pure
 // function of (Options, point) and parallel sweeps stay bit-identical to
 // serial ones.
-func SweepWith[S, P, T any](opt Options, points []P, newS func() S, fn func(S, P) T) []T {
-	return runPoints(opt.parallelism(), len(points), newS, func(s S, i int) T {
+func SweepWith[S, P, T any](opt Options, points []P, newS func() S, release func(S), fn func(S, P) T) []T {
+	return runPoints(opt.parallelism(), len(points), newS, release, func(s S, i int) T {
 		return fn(s, points[i])
 	})
 }

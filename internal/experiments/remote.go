@@ -48,17 +48,17 @@ func Remote(opt Options, qps float64, rates []float64) *RemoteResult {
 	spec := workload.Memcached(qps)
 	res := &RemoteResult{QPS: qps}
 
-	shW := runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
+	shW := shallowWatts(spec, opt)
 
-	res.Points = Sweep(opt, rates, func(rate float64) RemotePoint {
-		f := newMachine(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt)
-		sys := f.Server(0).System()
+	res.Points = SweepWith(opt, rates, newMachine, (*machine).release, func(m *machine, rate float64) RemotePoint {
+		g, srv := m.fleet(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), spec, opt)
+		sys := srv.System()
 		if rate > 0 {
 			armSnoops(sys, rate, opt.Seed+99)
 		}
-		f.Run(opt.Warmup())
+		g.Run(opt.Warmup())
 		win := sys.OpenWindow()
-		f.Run(opt.Duration)
+		g.Run(opt.Duration)
 
 		p := RemotePoint{SnoopRate: rate, Watts: win.TotalWatts()}
 		p.PC1AResidency, p.PC1AEntries, _ = win.PC1A()

@@ -77,12 +77,12 @@ func Sensitivity(opt Options) *SensitivityResult {
 	// The reference-load Cshallow baseline is shared by every ablation;
 	// run it once instead of once per ablated configuration.
 	refSpec := workload.Memcached(20000)
-	shallowRefW := runPoint(soc.Cshallow, refSpec, opt).win.TotalWatts()
-	loadSavings := func(cfg soc.Config) float64 {
-		f := newMachine(cfg, server.DefaultConfig(), refSpec, opt)
-		f.Run(opt.Warmup())
-		win := f.Server(0).System().OpenWindow()
-		f.Run(opt.Duration)
+	shallowRefW := shallowWatts(refSpec, opt)
+	loadSavings := func(m *machine, cfg soc.Config) float64 {
+		g, srv := m.fleet(cfg, server.DefaultConfig(), refSpec, opt)
+		g.Run(opt.Warmup())
+		win := srv.System().OpenWindow()
+		g.Run(opt.Duration)
 		return (shallowRefW - win.TotalWatts()) / shallowRefW
 	}
 
@@ -93,12 +93,12 @@ func Sensitivity(opt Options) *SensitivityResult {
 		name string
 		mut  func(*soc.Config)
 	}
-	r.Ablations = Sweep(opt, []ablation{
+	r.Ablations = SweepWith(opt, []ablation{
 		{"full APC", func(*soc.Config) {}},
 		{"no CLMR", func(c *soc.Config) { c.NoCLMRetention = true }},
 		{"no CKE-off", func(c *soc.Config) { c.NoCKEOff = true }},
 		{"no IO standby", func(c *soc.Config) { c.NoIOStandby = true }},
-	}, func(a ablation) AblationPoint {
+	}, newMachine, (*machine).release, func(m *machine, a ablation) AblationPoint {
 		cfg := soc.DefaultConfig(soc.CPC1A)
 		a.mut(&cfg)
 		w := idleW(cfg)
@@ -106,7 +106,7 @@ func Sensitivity(opt Options) *SensitivityResult {
 			Name:        a.name,
 			IdleW:       w,
 			IdleSavings: 1 - w/r.BaselineIdleW,
-			LoadSavings: loadSavings(cfg),
+			LoadSavings: loadSavings(m, cfg),
 		}
 	})
 

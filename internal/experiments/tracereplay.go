@@ -115,16 +115,19 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 	}, nil
 }
 
-// measureFleet builds and measures one fleet of default CPC1A machines:
-// cfg carries everything but the members, which are filled in from the
+// measureFleet measures one fleet of default CPC1A machines: cfg
+// carries everything but the members, which are filled in from the
 // topology. The fleet runs as a one-tier graph, byte-identical to the
-// bare fleet (TestGraphSingleTierParity).
+// bare fleet (TestGraphSingleTierParity), drawn from the keep like every
+// sweep's machines.
 func measureFleet(opt Options, cfg cluster.Config, spec workload.Spec) cluster.Measurement {
 	cfg.Members = make([]cluster.MemberConfig, cfg.Topology.Servers())
 	for i := range cfg.Members {
 		cfg.Members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(soc.CPC1A), Server: server.DefaultConfig()}
 	}
-	g, err := cluster.NewGraph(cluster.GraphConfig{
+	var r cluster.GraphReuse
+	defer r.Release()
+	g, err := r.Graph(cluster.GraphConfig{
 		Tiers: []cluster.TierConfig{{Cluster: cfg, Spec: spec}},
 	}, opt.Seed)
 	if err != nil {

@@ -182,13 +182,18 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	}
 
 	res := &Result{Scenario: s, Axis: axis}
-	// Each sweep worker carries one graph cache: consecutive points that
+	// Each sweep worker carries one GraphReuse: consecutive points that
 	// keep the shape (the common case — the axis sweeps QPS or a policy
 	// knob, or an edge's hit ratio) reset one graph instead of rebuilding
-	// N machines per point. Reset is byte-identical to a fresh build, so
-	// results stay bit-identical at any parallelism.
+	// N machines per point, the worker's first point draws a graph of its
+	// shape that an earlier run left in the process-wide keep, and the
+	// worker hands its graph back to the keep when the sweep ends, so a
+	// process that runs scenarios repeatedly assembles each shape once.
+	// A reset is byte-identical to a fresh build, so results stay
+	// bit-identical at any parallelism, whatever ran before.
 	res.Points = experiments.SweepWith(opt, jobs,
 		func() *cluster.GraphReuse { return new(cluster.GraphReuse) },
+		(*cluster.GraphReuse).Release,
 		func(reuse *cluster.GraphReuse, j job) Point {
 			if j.sc.Workload.Service == "sysbench" {
 				return runClosedLoop(j.sc, j.axis, opt)
@@ -384,8 +389,8 @@ func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel stri
 	// packing caps and report fields match the recorded workload bit for
 	// bit) and the root tier's source factory binds a Replay over the
 	// open file. The file is opened and closed per point — no descriptor
-	// outlives the measurement, and the per-worker graph cache stays
-	// file-agnostic.
+	// outlives the measurement, and the graphs a worker resets and the
+	// keep retains stay file-agnostic.
 	rootSpec := spec
 	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
 	if sc.Workload.Service == "trace" {

@@ -111,13 +111,6 @@ func (c *ClosedLoopClient) String() string {
 // OLTP mix with a think time that sets the offered load.
 func SysbenchOLTP(eng *sim.Engine, threads int, thinkMean float64, seed uint64,
 	sink func(*Request, sim.Handler)) *ClosedLoopClient {
-	service := stats.Mixture{
-		Components: []stats.Dist{
-			stats.NewLogNormal(60e-6, 0.5),
-			stats.NewLogNormal(300e-6, 0.6),
-		},
-		Weights: []float64{0.7, 0.3},
-	}
-	return NewClosedLoopClient(eng, threads, service,
+	return NewClosedLoopClient(eng, threads, mysqlService,
 		stats.Exponential{MeanV: thinkMean}, 10, seed, sink)
 }

@@ -74,21 +74,40 @@ func (s Spec) String() string {
 // used them would allocate a GC-dependent number of objects.
 func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// The services' service-time laws, built and boxed as stats.Dist once:
+// a law is immutable, so every spec (and every source drawing from one)
+// shares it.
+var (
+	// memcachedService is Facebook's ETC mix: dominated by small GETs
+	// with a small population of much larger requests; service times
+	// average ~16 µs on the 2.2 GHz SKX cores.
+	memcachedService stats.Dist = stats.Mixture{
+		Components: []stats.Dist{
+			stats.NewLogNormal(12e-6, 0.45), // GET hits
+			stats.NewLogNormal(50e-6, 0.50), // multiget/SET
+		},
+		Weights: []float64{0.9, 0.1},
+	}
+	// kafkaService is Kafka's batch handling: fewer, longer requests.
+	kafkaService stats.Dist = stats.NewLogNormal(120e-6, 0.6)
+	// mysqlService is the sysbench OLTP mix: short point reads with
+	// heavier read-write transactions.
+	mysqlService stats.Dist = stats.Mixture{
+		Components: []stats.Dist{
+			stats.NewLogNormal(60e-6, 0.5),  // point selects
+			stats.NewLogNormal(300e-6, 0.6), // read-write txns
+		},
+		Weights: []float64{0.7, 0.3},
+	}
+)
+
 // Memcached returns the mutilate/ETC-style key-value workload at the
-// given request rate. Facebook's ETC is dominated by small GETs with a
-// small population of much larger requests; service times average
-// ~16 µs on the 2.2 GHz SKX cores.
+// given request rate (service law: memcachedService).
 func Memcached(qps float64) Spec {
 	return Spec{
-		Name:     "memcached-" + formatG(qps) + "qps",
-		Arrivals: stats.Poisson{RateV: qps},
-		Service: stats.Mixture{
-			Components: []stats.Dist{
-				stats.NewLogNormal(12e-6, 0.45), // GET hits
-				stats.NewLogNormal(50e-6, 0.50), // multiget/SET
-			},
-			Weights: []float64{0.9, 0.1},
-		},
+		Name:        "memcached-" + formatG(qps) + "qps",
+		Arrivals:    stats.Poisson{RateV: qps},
+		Service:     memcachedService,
 		Connections: 200,
 		MemAccesses: 4,
 	}
@@ -120,12 +139,11 @@ func MemcachedBursty(qps, burstiness float64) Spec {
 // core count. Kafka moves batches: fewer, longer requests with bursty
 // producer/consumer cycles.
 func Kafka(load float64, cores int) Spec {
-	service := stats.NewLogNormal(120e-6, 0.6)
-	qps := load * float64(cores) / service.MeanV
+	qps := load * float64(cores) / kafkaService.Mean()
 	return Spec{
 		Name:        "kafka-" + strconv.Itoa(int(load*100+0.5)) + "%",
 		Arrivals:    stats.NewMMPP2(qps, 4, 5e-3),
-		Service:     service,
+		Service:     kafkaService,
 		Connections: 48,
 		MemAccesses: 12,
 	}
@@ -139,14 +157,7 @@ func Kafka(load float64, cores int) Spec {
 // activity across cores — the reason the paper still measures 20%
 // all-idle time at 42% average load.
 func MySQL(load float64, cores int) Spec {
-	service := stats.Mixture{
-		Components: []stats.Dist{
-			stats.NewLogNormal(60e-6, 0.5),  // point selects
-			stats.NewLogNormal(300e-6, 0.6), // read-write txns
-		},
-		Weights: []float64{0.7, 0.3},
-	}
-	qps := load * float64(cores) / service.Mean()
+	qps := load * float64(cores) / mysqlService.Mean()
 	// Burstiness grows with load: more sysbench threads means more
 	// correlated transaction trains. Near-Poisson at light load, heavily
 	// clustered at 42% — which is how the paper can still measure ~20%
@@ -155,7 +166,7 @@ func MySQL(load float64, cores int) Spec {
 	return Spec{
 		Name:        "mysql-" + strconv.Itoa(int(load*100+0.5)) + "%",
 		Arrivals:    stats.NewMMPP2(qps, burstiness, 5e-3),
-		Service:     service,
+		Service:     mysqlService,
 		Connections: 64,
 		MemAccesses: 10,
 	}
