@@ -487,6 +487,17 @@ func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) {
 	f.build(cfg, f.topo, spec, seed)
 }
 
+// idle drops the fleet's references to its last build's inputs while
+// it waits in the keep (graph.go): the configuration, the spec, and a
+// source that cfg.NewSource supplied. The next resetOn installs all
+// three again; a synthetic generator stays, since resetOn reuses it.
+func (f *Fleet) idle() {
+	if f.cfg.NewSource != nil {
+		f.gen = nil
+	}
+	f.cfg, f.spec = Config{}, workload.Spec{}
+}
+
 // capFor derives the per-server packing cap each policy bins against.
 // rack_affinity uses the server's natural capacity — one in-flight
 // request per core — since it has no latency budget to spend; the

@@ -371,6 +371,17 @@ func (r *GraphReuse) Graph(cfg GraphConfig, seed uint64) (*Graph, error) {
 	return g, nil
 }
 
+// Draw makes r hold the idle graph the keep would hand a point of cfg's
+// shape, if r holds none and one fits; it resets nothing, so the next
+// Graph call rewinds it. A sweep that draws for its workers one after
+// another before they start decides which worker gets which idle graph
+// without regard to thread timing.
+func (r *GraphReuse) Draw(cfg GraphConfig) {
+	if r.g == nil && cfg.Validate() == nil {
+		r.g = takeIdle(cfg)
+	}
+}
+
 // Release hands the graph r holds back to the keep for the next
 // GraphReuse whose point fits it, leaving r empty. Nothing r returned
 // may be used afterwards; results already read out of it (measurements,
@@ -385,26 +396,46 @@ func (r *GraphReuse) Release() {
 // The keep holds the idle graphs every GraphReuse in the process draws
 // from, oldest first, so a process that runs scenarios or experiments
 // more than once assembles each shape of machine once: a later run
-// rewinds the machines an earlier one left behind. It retains at most
-// keepCap() graphs and drops the oldest when full. A process that runs
-// one sweep once builds exactly what it built without the keep.
+// rewinds the machines an earlier one left behind. Two rules bound it.
+// Its graphs hold at most keepMembers() members in all, so a graph
+// larger than that is never kept and a new one pushes out the oldest
+// until it fits; and a graph that keepStale takes in a row passed over
+// is dropped, so a shape the process stopped running does not stay
+// resident. A process that runs one sweep once builds exactly what it
+// built without the keep.
 var (
 	idleMu sync.Mutex
-	idle   []*Graph
+	idle   []idleGraph
+	// takes counts takeIdle calls; each idle graph records the count it
+	// was kept at.
+	takes uint64
 )
 
-// keepCap is the most graphs one sweep holds at once: a worker per CPU
-// (Parallelism -1), and two graphs per worker for the points that
-// compare two configurations.
-func keepCap() int { return 2 * runtime.GOMAXPROCS(0) }
+type idleGraph struct {
+	g       *Graph
+	members int
+	at      uint64
+}
+
+// keepStale is how many takes an idle graph may sit through unmatched.
+const keepStale = 64
+
+// keepMembers is the member budget: room for two 8-member graphs per
+// CPU (a sweep worker per CPU at Parallelism -1, or two one-machine
+// graphs each for the points that compare two configurations). It is a
+// heuristic: a sweep with more workers or larger graphs still runs, and
+// the graphs past the budget are dropped and built again next time.
+func keepMembers() int { return 16 * runtime.GOMAXPROCS(0) }
 
 // takeIdle removes from the keep, and returns, the most recently kept
 // graph that fits cfg; nil when none does. cfg has passed Validate.
 func takeIdle(cfg GraphConfig) *Graph {
 	idleMu.Lock()
 	defer idleMu.Unlock()
+	takes++
+	idle = slices.DeleteFunc(idle, func(e idleGraph) bool { return takes-e.at > keepStale })
 	for i := len(idle) - 1; i >= 0; i-- {
-		if g := idle[i]; g.fits(cfg) {
+		if g := idle[i].g; g.fits(cfg) {
 			idle = slices.Delete(idle, i, i+1)
 			return g
 		}
@@ -412,14 +443,48 @@ func takeIdle(cfg GraphConfig) *Graph {
 	return nil
 }
 
-// keep adds g to the keep, dropping the oldest graphs beyond keepCap.
+// keep adds g to the keep, first dropping the oldest graphs until g fits
+// the member budget; a graph beyond the whole budget is not kept. A kept
+// graph lets go of everything its last run brought in from outside — the
+// configuration, the spec, a source the configuration supplied (a trace
+// replay and its reader) and the engine's pending events — since the
+// reset that takes it out rebuilds them all.
 func keep(g *Graph) {
+	n := g.members()
+	budget := keepMembers()
+	if n > budget {
+		return
+	}
+	g.idle()
 	idleMu.Lock()
 	defer idleMu.Unlock()
-	if n := keepCap(); len(idle) >= n {
-		idle = slices.Delete(idle, 0, len(idle)-n+1)
+	held := n
+	for _, e := range idle {
+		held += e.members
 	}
-	idle = append(idle, g)
+	drop := 0
+	for ; held > budget; drop++ {
+		held -= idle[drop].members
+	}
+	idle = append(slices.Delete(idle, 0, drop), idleGraph{g: g, members: n, at: takes})
+}
+
+// members is the graph's machine count over all tiers.
+func (g *Graph) members() int {
+	n := 0
+	for _, t := range g.tiers {
+		n += len(t.fl.members)
+	}
+	return n
+}
+
+// idle drops g's references to its last run's inputs (see keep).
+func (g *Graph) idle() {
+	g.eng.Reset()
+	g.cfg = GraphConfig{}
+	for _, t := range g.tiers {
+		t.fl.idle()
+	}
 }
 
 // Engine returns the shared engine (for tests).

@@ -106,8 +106,8 @@ func (o Options) Warmup() sim.Duration {
 }
 
 // machine is one sweep worker's single-machine scratch: a graph reuse
-// that rewinds the worker's machine from point to point (and draws it
-// from the process-wide keep at the first), and the tracer runPoint last
+// that rewinds the worker's machine from point to point (drawn from the
+// process-wide keep when the worker starts), and the tracer runPoint last
 // armed on that machine.
 type machine struct {
 	reuse cluster.GraphReuse
@@ -120,27 +120,49 @@ type machine struct {
 // read before the next point rewinds either.
 type pair [2]machine
 
-func newMachine() *machine { return new(machine) }
-func newPair() *pair       { return new(pair) }
+// onePoint is the shape every single-machine point runs as — one tier
+// of one member — which a new machine draws from the keep. Only its
+// shape is read.
+var onePoint = pointGraph(soc.DefaultConfig(soc.CPC1A), server.DefaultConfig(), workload.Memcached(1))
+
+func newMachine() *machine {
+	m := new(machine)
+	m.reuse.Draw(onePoint)
+	return m
+}
+
+func newPair() *pair {
+	p := new(pair)
+	p[0].reuse.Draw(onePoint)
+	p[1].reuse.Draw(onePoint)
+	return p
+}
 
 // release hands the machine back to the keep.
 func (m *machine) release() { m.reuse.Release() }
 
+// release hands both machines back in the reverse of their draw order,
+// so the next pair drawn from the keep gets them in the same places.
 func (p *pair) release() {
-	p[0].release()
 	p[1].release()
+	p[0].release()
 }
 
-// fleet returns m's machine reset (or, at its first point, drawn or
-// built) as the one-member round_robin fleet every single-machine point
-// runs on: one SoC of cfg behind the server stack scfg, fed by an
-// open-loop generator seeded with the experiment's seed. Graph.Run is
-// its window-then-drain loop.
-func (m *machine) fleet(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) (*cluster.Graph, *server.Server) {
-	g, err := m.reuse.Graph(cluster.GraphConfig{Tiers: []cluster.TierConfig{{
+// pointGraph is the one-member round_robin fleet every single-machine
+// point runs on: one SoC of cfg behind the server stack scfg, fed by an
+// open-loop generator of spec.
+func pointGraph(cfg soc.Config, scfg server.Config, spec workload.Spec) cluster.GraphConfig {
+	return cluster.GraphConfig{Tiers: []cluster.TierConfig{{
 		Cluster: cluster.Config{Members: []cluster.MemberConfig{{SoC: cfg, Server: scfg}}},
 		Spec:    spec,
-	}}}, opt.Seed)
+	}}}
+}
+
+// fleet returns m's machine reset (or, at its first point, built when
+// the keep had none) as the pointGraph of (cfg, scfg, spec), seeded with
+// the experiment's seed. Graph.Run is its window-then-drain loop.
+func (m *machine) fleet(cfg soc.Config, scfg server.Config, spec workload.Spec, opt Options) (*cluster.Graph, *server.Server) {
+	g, err := m.reuse.Graph(pointGraph(cfg, scfg, spec), opt.Seed)
 	if err != nil {
 		// Every caller passes an open-loop spec; an error is a bug.
 		panic(err)

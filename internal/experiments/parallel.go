@@ -3,7 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the sweep fan-out layer. Every sweep-style experiment
@@ -43,14 +42,25 @@ func RunPoints[T any](par, n int, fn func(i int) T) []T {
 }
 
 // runPoints is the worker-pool core: newS builds one scratch value per
-// worker goroutine (exactly one for serial runs), which fn receives
-// alongside each point index, and release gets it back when the worker
-// runs out of points. Scratch reuse is what lets sweeps recycle heavy
-// per-point state (a fleet, its engine arena) without sharing anything
-// between workers.
+// worker (exactly one for serial runs), which fn receives alongside each
+// point index, and release gets it back when the sweep ends. Scratch
+// reuse is what lets sweeps recycle heavy per-point state (a fleet, its
+// engine arena) without sharing anything between workers.
+//
+// Worker w runs points w, w+par, w+2·par, …; every scratch is made before
+// any worker starts, in worker order, and released after all finish, in
+// reverse order. So which worker runs which point, and which of the
+// keep's graphs each worker draws, never depends on thread timing, and
+// the next identical sweep draws every worker the graphs it had (the keep
+// hands out the newest first): a machine regrows its pools and run
+// queues only for points larger than it served before, the same ones in
+// every run.
 func runPoints[S, T any](par, n int, newS func() S, release func(S), fn func(s S, i int) T) []T {
 	out := make([]T, n)
-	if par <= 1 || n <= 1 {
+	if par > n {
+		par = n
+	}
+	if par <= 1 {
 		s := newS()
 		for i := range out {
 			out[i] = fn(s, i)
@@ -58,27 +68,25 @@ func runPoints[S, T any](par, n int, newS func() S, release func(S), fn func(s S
 		release(s)
 		return out
 	}
-	if par > n {
-		par = n
+	workers := par // never reassigned, so the goroutines share it off the heap
+	ss := make([]S, workers)
+	for w := range ss {
+		ss[w] = newS()
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
+	wg.Add(workers)
+	for w, s := range ss {
 		go func() {
 			defer wg.Done()
-			s := newS()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					release(s)
-					return
-				}
+			for i := w; i < n; i += workers {
 				out[i] = fn(s, i)
 			}
 		}()
 	}
 	wg.Wait()
+	for w := workers - 1; w >= 0; w-- {
+		release(ss[w])
+	}
 	return out
 }
 
@@ -94,16 +102,16 @@ func Sweep[P, T any](opt Options, points []P, fn func(P) T) []T {
 }
 
 // SweepWith is Sweep with per-worker scratch: newS runs once per worker
-// goroutine (once total for serial sweeps), fn receives that worker's
-// scratch alongside each point, and release hands the scratch back when
-// the worker runs out of points. The machine sweeps thread
-// *cluster.GraphReuse values through here: a worker's consecutive points
-// reset one graph instead of building a new one, its first point draws a
-// graph an earlier sweep left in the process-wide keep, and release
-// returns the graph to the keep for the next sweep. Because a reset
-// graph is byte-identical to a fresh build, every point remains a pure
-// function of (Options, point) and parallel sweeps stay bit-identical to
-// serial ones.
+// (once total for serial sweeps), fn receives that worker's scratch
+// alongside each point, and release hands the scratch back when the
+// sweep ends. The machine sweeps thread *cluster.GraphReuse values
+// through here: a worker's consecutive points reset one graph instead of
+// building a new one, its first graph comes from the process-wide keep
+// when an earlier sweep left one of its shape there, and release returns
+// the graph to the keep for the next sweep. Because a reset graph is
+// byte-identical to a fresh build, every point remains a pure function
+// of (Options, point) and parallel sweeps stay bit-identical to serial
+// ones.
 func SweepWith[S, P, T any](opt Options, points []P, newS func() S, release func(S), fn func(S, P) T) []T {
 	return runPoints(opt.parallelism(), len(points), newS, release, func(s S, i int) T {
 		return fn(s, points[i])

@@ -57,10 +57,9 @@ func loadKeepScenarios(t *testing.T) map[string]Scenario {
 	return byName
 }
 
-// emptyKeep leaves the process-wide keep of idle graphs empty. It floods
-// the keep with more throwaway one-machine graphs than it holds (two per
-// CPU), which pushes every other graph out, then takes each throwaway
-// back out and drops it.
+// emptyKeep leaves the process-wide keep of idle graphs empty. The keep
+// drops a graph that 64 takes in a row passed over, so it draws from it
+// more often than that, holding on to nothing it is handed.
 func emptyKeep() {
 	cfg := cluster.GraphConfig{Tiers: []cluster.TierConfig{{
 		Cluster: cluster.Config{Members: []cluster.MemberConfig{{
@@ -68,19 +67,10 @@ func emptyKeep() {
 		}}},
 		Spec: workload.Memcached(1000),
 	}}}
-	rs := make([]cluster.GraphReuse, 4*runtime.GOMAXPROCS(0)+8)
-	draw := func() {
-		for i := range rs {
-			if _, err := rs[i].Graph(cfg, 1); err != nil {
-				panic(err)
-			}
-		}
+	for range 100 {
+		var r cluster.GraphReuse
+		r.Draw(cfg)
 	}
-	draw()
-	for i := range rs {
-		rs[i].Release()
-	}
-	draw()
 }
 
 // runJSON runs sc and returns its result's JSON bytes.
@@ -163,16 +153,20 @@ func allocSites(f func(), names ...string) map[string]bool {
 func TestScenarioRunKeepsMachines(t *testing.T) {
 	scs := loadKeepScenarios(t)
 
-	// Exact allocation counts at Parallelism 1. A cold run assembles
-	// every machine and tracer; a warm run draws them all from the keep,
-	// so what is left is per-run bookkeeping: validation, the job list,
-	// spec names, the measurements that escape into the Result.
+	// Allocation counts at Parallelism 1. A warm run draws every machine
+	// and tracer from the keep, so what is left is per-run bookkeeping —
+	// validation, the job list, spec names, the measurements that escape
+	// into the Result — pinned exactly. A cold run assembles them all: it
+	// must cost at least the assembly's allocations more. Its own count
+	// is a floor, not a pin, because validation formats with fmt, whose
+	// printers come from a sync.Pool that any GC may empty.
 	for _, c := range []struct {
-		name       string
-		cold, warm float64
+		name     string
+		warm     float64
+		assembly uint64
 	}{
-		{"sweep-pc1a", 160, 61},
-		{"tiered", 544, 63},
+		{"sweep-pc1a", 61, 90},
+		{"tiered", 63, 450},
 	} {
 		sc := scs[c.name]
 		run := func() {
@@ -180,27 +174,16 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Cold runs are averaged like AllocsPerRun averages warm ones, so
-		// the runtime's own odd allocation does not move the count.
-		const colds = 5
-		var coldMallocs uint64
-		for range colds {
-			emptyKeep()
-			// Validation formats with fmt, whose printers a GC frees: start
-			// each cold run with none cached, so it allocates them each time.
-			runtime.GC()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			run()
-			runtime.ReadMemStats(&m1)
-			coldMallocs += m1.Mallocs - m0.Mallocs
-		}
-		cold := float64(coldMallocs / colds)
+		emptyKeep()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		cold := m1.Mallocs - m0.Mallocs
 		warm := testing.AllocsPerRun(10, run)
-		if !raceBuild && (cold != c.cold || warm != c.warm) {
-			t.Errorf("%s: a cold run allocated %v times and a warm one %v, want %v and %v",
-				c.name, cold, warm, c.cold, c.warm)
+		if !raceBuild && (warm != c.warm || cold < uint64(warm)+c.assembly) {
+			t.Errorf("%s: a cold run allocated %d times and a warm one %v, want at least %d more and %v",
+				c.name, cold, warm, c.assembly, c.warm)
 		}
 		assembly := []string{
 			"agilepkgc/internal/trace.New",

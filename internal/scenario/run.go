@@ -188,7 +188,8 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	// N machines per point, the worker's first point draws a graph of its
 	// shape that an earlier run left in the process-wide keep, and the
 	// worker hands its graph back to the keep when the sweep ends, so a
-	// process that runs scenarios repeatedly assembles each shape once.
+	// process that runs scenarios repeatedly assembles each shape once
+	// (within the keep's bounds; see cluster.GraphReuse).
 	// A reset is byte-identical to a fresh build, so results stay
 	// bit-identical at any parallelism, whatever ran before.
 	res.Points = experiments.SweepWith(opt, jobs,
