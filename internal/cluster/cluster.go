@@ -216,7 +216,7 @@ type member struct {
 	f       *Fleet // owning fleet, reached by the member's event handlers
 	sys     *soc.System
 	srv     *server.Server
-	idx     int          // position in Fleet.members (tree leaf index)
+	idx     int          // position in Fleet.members (the scans' tie-break order)
 	rack    int          // topology rack index
 	tor     sim.Duration // one-way ToR hop (0 on the local rack)
 	cap     int          // packing cap (policy-dependent; see capFor)
@@ -225,10 +225,8 @@ type member struct {
 	// load tracks srv.InFlight() + transit incrementally (+1 on every
 	// route/submit, −1 when a response leaves the NIC or a transit copy
 	// is dropped at arrival), so policy reads are O(1) instead of asking
-	// the server. agg caches the contribution last folded into the
-	// incremental policy structures (see tree.go).
+	// the server.
 	load    int
-	agg     memberAgg
 	routed  uint64
 	dropped uint64
 	// truncated is the subset of dropped that was still actively
@@ -272,19 +270,6 @@ type Fleet struct {
 	members []*member
 	byRack  [][]*member
 	rr      int
-
-	// Incremental policy structures (tree.go): a segment tree over the
-	// members plus per-rack and fleet-level occupancy counters, kept in
-	// sync by touch, so routing and drain decisions stop rescanning the
-	// member list on every arrival. agg says which of them this
-	// configuration reads; touch maintains only those.
-	agg       aggLevel
-	tree      memberTree
-	rackCnt   []rackCounters
-	headroom  int64 // Σ max(cap−load, 0) over eligible members
-	aliveCnt  int
-	aliveLoad int // Σ load over alive members
-	aliveCap  int // Σ max(cap, cores) over alive members
 
 	// routed recycles the fault-free path's per-arrival records so
 	// steady-state routing allocates nothing (see routedReq).
@@ -424,8 +409,6 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 	}
 	f.rr = 0
 	f.ctrl, f.flt = nil, nil
-	f.agg = aggFor(cfg) // before initTree: initFaults attaches the layer only after it
-	f.initTree()
 	f.initController()
 	f.initFaults(seed)
 	if f.sink == nil {
@@ -452,7 +435,6 @@ func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64
 // is refreshed by initController.
 func (m *member) reset() {
 	m.transit, m.load = 0, 0
-	m.agg = memberAgg{}
 	m.routed, m.dropped, m.truncated = 0, 0, 0
 	m.down, m.brown, m.cut = false, false, false
 	m.live = m.live[:0]
@@ -467,9 +449,9 @@ func (m *member) reset() {
 // cfg, spec, seed) would have produced after the caller rewound the
 // engine (Graph.Reset rewinds the shared engine once, then resets each
 // tier's fleet in order). It reuses everything whose shape survives:
-// the member and rack structures, the segment tree, the pooled
-// per-arrival records, the generator and its request pool, the
-// measurement scratch and its tracers, and every member's machine.
+// the member and rack structures, the pooled per-arrival records, the
+// generator and its request pool, the measurement scratch and its
+// tracers, and every member's machine.
 // Each member's SoC and server are rewound in place (soc.System.Init,
 // server.Server.Init): the devices are rebuilt in their old storage,
 // the server keeps its record pool and latency histogram, and the
@@ -639,7 +621,6 @@ func (f *Fleet) routedStep(r *routedReq) {
 		return
 	}
 	m.load--
-	f.touch(m)
 	if f.ctrl != nil {
 		f.onComplete(m, req)
 	}
@@ -681,7 +662,6 @@ func (f *Fleet) route(req *workload.Request) {
 	m.routed++
 	r := f.newRouted(m, req)
 	m.load++
-	f.touch(m)
 	if m.tor > 0 {
 		m.transit++
 		r.transit = true
@@ -706,8 +686,8 @@ func (f *Fleet) pick() *member {
 	case LeastLoaded:
 		return f.leastLoaded()
 	case PowerAware:
-		if i := f.tree.firstSpare(0, len(f.members)); i >= 0 {
-			return f.members[i]
+		if m := firstSpare(f.members, false); m != nil {
+			return m
 		}
 		// Every server is at its cap: the latency target is not
 		// holdable at this load, so degrade to least_loaded instead of
@@ -741,32 +721,49 @@ func (f *Fleet) pick() *member {
 //
 //apcvet:noalloc
 func (f *Fleet) rackPick() *member {
-	chosen, chosenActive := -1, false
-	for r := range f.rackCnt {
-		rc := &f.rackCnt[r]
-		if rc.spare == 0 {
+	var chosen []*member
+	for _, rack := range f.byRack {
+		spare, active := false, false
+		for _, m := range rack {
+			if m.eligible() {
+				spare = spare || m.load < m.cap
+				active = active || m.load > 0
+			}
+		}
+		if !spare {
 			continue
 		}
-		if chosen == -1 || (rc.active > 0 && !chosenActive) {
-			chosen, chosenActive = r, rc.active > 0
+		if active {
+			chosen = rack // lowest-indexed active rack with headroom is final
+			break
 		}
-		if chosenActive {
-			break // lowest-indexed active rack with headroom is final
+		if chosen == nil {
+			chosen = rack
 		}
 	}
-	if chosen == -1 {
+	if chosen == nil {
 		return f.leastLoaded()
 	}
-	// Within the chosen rack (a contiguous index block): the lowest-
-	// indexed already-active member below its cap, else the lowest-
-	// indexed member with headroom (necessarily idle — an active one
-	// would have matched the first query).
-	lo := chosen * f.topo.ServersPerRack
-	hi := lo + len(f.byRack[chosen])
-	if i := f.tree.firstActSpare(lo, hi); i >= 0 {
-		return f.members[i]
+	// Within the chosen rack: the lowest-indexed already-active member
+	// below its cap, else the lowest-indexed member with headroom
+	// (necessarily idle — an active one would have matched first).
+	if m := firstSpare(chosen, true); m != nil {
+		return m
 	}
-	return f.members[f.tree.firstSpare(lo, hi)]
+	return firstSpare(chosen, false)
+}
+
+// firstSpare returns the first eligible member below its cap — with
+// active, the first that is also busy — or nil.
+//
+//apcvet:noalloc
+func firstSpare(members []*member, active bool) *member {
+	for _, m := range members {
+		if m.eligible() && m.load < m.cap && (!active || m.load > 0) {
+			return m
+		}
+	}
+	return nil
 }
 
 // leastLoaded returns the eligible member with the fewest
@@ -776,12 +773,18 @@ func (f *Fleet) rackPick() *member {
 //
 //apcvet:noalloc
 func (f *Fleet) leastLoaded() *member {
-	if root := f.tree.root(); root.eligCnt > 0 {
-		return f.members[root.minIdx]
+	var best *member
+	for _, m := range f.members {
+		if m.eligible() && (best == nil || m.load < best.load) {
+			best = m
+		}
 	}
-	// Unreachable (server 0 is never drained); defensively fall back
-	// rather than dropping the request.
-	return f.members[0]
+	if best == nil {
+		// Unreachable (server 0 is never drained); defensively fall back
+		// rather than dropping the request.
+		return f.members[0]
+	}
+	return best
 }
 
 // Engine returns the shared engine all members run on.

@@ -168,26 +168,21 @@ func (f *Fleet) maybeDrain() {
 // below it have cap headroom for its load. Only the frontier's top is a
 // candidate per arrival, so the active set shrinks one member at a time
 // and always from the top — the mirror image of how the packer grows it.
-// It returns the member to drain, or nil.
-//
-// The decision is O(1) arithmetic on the tree root and the fleet
-// headroom counter (DESIGN.md §7). The candidate is the root's highest
-// eligible member i. Every member above i is ineligible and contributes
-// nothing, so the active members below i are all eligible members but
-// i itself: eligCnt − 1 of them, with headroom total − max(cap_i −
-// load_i, 0). Both are integer sums, so the answer equals the scan's
-// exactly. Fewer than two eligible members leaves nothing below a
-// candidate (or no candidate: server 0 alone is never drained).
+// It returns the member to drain, or nil. With fewer than two active
+// members there is nothing below a candidate (server 0 alone is never
+// drained).
 //
 //apcvet:noalloc
 func (f *Fleet) surplusFrontier() *member {
-	root := f.tree.root()
-	if root.eligCnt < 2 {
+	for i := len(f.members) - 1; i > 0; i-- {
+		m := f.members[i]
+		if !m.eligible() {
+			continue
+		}
+		if below, headroom := f.spare(i); below > 0 && headroom >= int64(m.load) {
+			return m
+		}
 		return nil
-	}
-	m := f.members[root.maxEligIdx]
-	if f.headroom-m.agg.headroom >= int64(m.load) {
-		return m
 	}
 	return nil
 }
@@ -198,28 +193,44 @@ func (f *Fleet) surplusFrontier() *member {
 // then drained together so the entire power zone idles as one. It
 // returns the rack, or -1. Racks already mid-drain (any member draining
 // or held) are skipped — their members re-activate individually as
-// their holds expire. Every member of the candidate rack is eligible,
-// so its counters' load is its whole load, and the lower racks'
-// counters sum to the active members below it: O(racks) per arrival.
+// their holds expire.
 //
 //apcvet:noalloc
 func (f *Fleet) surplusRack() int {
 	for r := len(f.byRack) - 1; r > 0; r-- {
-		if f.rackCnt[r].elig != len(f.byRack[r]) {
-			continue // not all active: skip, like the scan's break did
+		rack := f.byRack[r]
+		var load int64
+		all := true
+		for _, m := range rack {
+			all = all && m.eligible()
+			load += int64(m.load)
 		}
-		var elig int
-		var headroom int64
-		for i := range r {
-			elig += f.rackCnt[i].elig
-			headroom += f.rackCnt[i].headroom
+		if !all {
+			continue
 		}
-		if elig > 0 && headroom >= f.rackCnt[r].load {
+		if below, headroom := f.spare(rack[0].idx); below > 0 && headroom >= load {
 			return r
 		}
 		return -1
 	}
 	return -1
+}
+
+// spare sums the active members of f.members[:hi]: how many there are
+// and their cap headroom Σ max(cap−load, 0).
+//
+//apcvet:noalloc
+func (f *Fleet) spare(hi int) (below int, headroom int64) {
+	for _, m := range f.members[:hi] {
+		if !m.eligible() {
+			continue
+		}
+		below++
+		if m.load < m.cap {
+			headroom += int64(m.cap - m.load)
+		}
+	}
+	return below, headroom
 }
 
 // drainMember moves an active member into the draining state; a member
@@ -228,7 +239,6 @@ func (f *Fleet) surplusRack() int {
 //apcvet:noalloc
 func (f *Fleet) drainMember(m *member) {
 	m.state = stDraining
-	f.touch(m)
 	if m.load == 0 {
 		f.holdMember(m)
 	}
@@ -250,7 +260,6 @@ func (f *Fleet) holdMember(m *member) {
 	m.state = stHeld
 	m.drains++
 	m.holdStart = f.eng.Now()
-	f.touch(m)
 	f.eng.Schedule(f.ctrl.hold, (*holdTimer)(m))
 }
 
@@ -266,7 +275,6 @@ func (t *holdTimer) Fire() {
 	f := m.f
 	if m.state == stHeld && f.eng.Now() == m.holdStart+f.ctrl.hold {
 		m.state = stActive
-		f.touch(m)
 	}
 }
 
@@ -313,7 +321,6 @@ func (f *Fleet) recomputeCaps() {
 		} else if m.cap < m.capMax {
 			m.cap++
 		}
-		f.touch(m)
 		m.win.Reset()
 	}
 }

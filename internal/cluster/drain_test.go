@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -258,5 +259,122 @@ func TestPowerAwareCapExtremeTargets(t *testing.T) {
 		(sim.Duration(spec.Service.Mean()*float64(sim.Second))+mc.Server.KernelOverhead))
 	if got := powerAwareCap(mc, spec, 300*sim.Microsecond, 0); got != want {
 		t.Errorf("ordinary target: cap = %d, want legacy %d", got, want)
+	}
+}
+
+// scanBelow sums the eligible members of [0, hi): their count and their
+// cap headroom Σ max(cap−load, 0).
+func scanBelow(members []*member, hi int) (elig int, headroom int64) {
+	for _, m := range members[:hi] {
+		if !m.eligible() {
+			continue
+		}
+		elig++
+		if m.load < m.cap {
+			headroom += int64(m.cap - m.load)
+		}
+	}
+	return elig, headroom
+}
+
+// scanFrontier is the definition of the member-granular drain decision:
+// the highest eligible member above server 0 is surplus when the
+// eligible members below it have headroom for its load.
+func scanFrontier(members []*member) *member {
+	for i := len(members) - 1; i >= 1; i-- {
+		m := members[i]
+		if !m.eligible() {
+			continue
+		}
+		elig, headroom := scanBelow(members, i)
+		if elig > 0 && headroom >= int64(m.load) {
+			return m
+		}
+		return nil
+	}
+	return nil
+}
+
+// scanRack is the definition of the rack-first drain decision: the
+// highest rack above rack 0 whose members are all eligible is surplus
+// when the eligible members of lower racks have headroom for its load.
+func scanRack(byRack [][]*member, members []*member) int {
+	for r := len(byRack) - 1; r > 0; r-- {
+		var load int64
+		all := true
+		for _, m := range byRack[r] {
+			all = all && m.eligible()
+			load += int64(m.load)
+		}
+		if !all {
+			continue
+		}
+		elig, headroom := scanBelow(members, byRack[r][0].idx)
+		if elig > 0 && headroom >= load {
+			return r
+		}
+		return -1
+	}
+	return -1
+}
+
+// memberIdx names a decision's member for failure messages (-1: none).
+func memberIdx(m *member) int {
+	if m == nil {
+		return -1
+	}
+	return m.idx
+}
+
+// TestDrainDecisionsMatchScan pins both drain decisions to their
+// definitions: after every random mutation of a member's load, cap,
+// drain state or fault flags, surplusFrontier and surplusRack must give
+// the answers of the scans above, and the storm must reach each
+// decision's drain answer wherever the shape allows one.
+func TestDrainDecisionsMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	shapes := []Topology{{1, 1}, {1, 2}, {3, 1}, {1, 5}, {2, 4}, {4, 2}, {1, 13}, {13, 1}}
+	for _, topo := range shapes {
+		n := topo.Servers()
+		f := &Fleet{topo: topo, byRack: make([][]*member, topo.Racks)}
+		for i := 0; i < n; i++ {
+			m := &member{idx: i, rack: topo.RackOf(i), cap: 1 + rng.Intn(4), cores: 2}
+			f.members = append(f.members, m)
+			f.byRack[m.rack] = append(f.byRack[m.rack], m)
+		}
+		drains := [2]int{}
+		for step := 0; step < 400; step++ {
+			m := f.members[rng.Intn(n)]
+			switch rng.Intn(6) {
+			case 0:
+				m.load = rng.Intn(6)
+			case 1:
+				m.cap = 1 + rng.Intn(4)
+			case 2:
+				m.state = memberState(rng.Intn(3))
+			case 3:
+				m.down = rng.Intn(2) == 0
+			case 4:
+				m.cut = rng.Intn(2) == 0
+			case 5:
+				m.load = 0
+			}
+			if got, want := f.surplusFrontier(), scanFrontier(f.members); got != want {
+				t.Fatalf("%v step %d: surplusFrontier = %d, scan = %d", topo, step, memberIdx(got), memberIdx(want))
+			} else if got != nil {
+				drains[0]++
+			}
+			if got, want := f.surplusRack(), scanRack(f.byRack, f.members); got != want {
+				t.Fatalf("%v step %d: surplusRack = %d, scan = %d", topo, step, got, want)
+			} else if got >= 0 {
+				drains[1]++
+			}
+		}
+		if n > 1 && drains[0] == 0 {
+			t.Errorf("%s: frontier decision never drained in the storm", topo)
+		}
+		if topo.Racks > 1 && drains[1] == 0 {
+			t.Errorf("%s: rack decision never drained in the storm", topo)
+		}
 	}
 }

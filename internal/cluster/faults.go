@@ -301,7 +301,6 @@ func (fs *faultState) crash(m *member) {
 	if m.state != stActive {
 		m.state = stActive
 	}
-	fs.f.touch(m)
 	fs.failLive(m)
 	fs.f.eng.Schedule(expDur(fs.crashRNG, fs.cfg.MTTR), (*repairTimer)(m))
 }
@@ -313,7 +312,6 @@ func (fs *faultState) crash(m *member) {
 //apcvet:noalloc
 func (fs *faultState) repair(m *member) {
 	m.down = false
-	fs.f.touch(m)
 	fs.armCrash(m)
 }
 
@@ -363,7 +361,6 @@ func (fs *faultState) partition(r int) {
 	fs.partitions[r]++
 	for _, m := range fs.f.byRack[r] {
 		m.cut = true
-		fs.f.touch(m)
 		fs.failLive(m)
 	}
 	fs.f.eng.Schedule(fs.cfg.TorPartitionDuration, (*healTimer)(&fs.racks[r]))
@@ -376,7 +373,6 @@ func (fs *faultState) heal(r int) {
 	fs.partitioned[r] = false
 	for _, m := range fs.f.byRack[r] {
 		m.cut = false
-		fs.f.touch(m)
 	}
 	fs.armPartition(r)
 }

@@ -150,7 +150,6 @@ func TestCrashReleasesDrainHold(t *testing.T) {
 	// Re-drain after the crash (as the controller may) and let the STALE
 	// expiry fire: the member must stay held until its OWN hold elapses.
 	m.down = false
-	fl.touch(m)
 	fl.drainMember(m)
 	if m.state != stHeld {
 		t.Fatalf("re-drain did not hold (state %d)", m.state)
@@ -414,7 +413,6 @@ func TestStaleHoldExpiryDiscarded(t *testing.T) {
 	// eligible member is left), then an immediate re-drain.
 	fl.eng.Run(fl.eng.Now() + hold/2)
 	m.state = stActive
-	fl.touch(m)
 	fl.drainMember(m) // second hold; expiry at now+hold
 	if m.state != stHeld {
 		t.Fatalf("re-drain did not hold (state %d)", m.state)

@@ -257,8 +257,10 @@ func (fs *faultState) dispatch(lr *logicalReq) {
 //
 //apcvet:noalloc
 func (fs *faultState) pickLive() *member {
-	if fs.f.tree.root().eligCnt > 0 {
-		return fs.f.pick()
+	for _, m := range fs.f.members {
+		if m.eligible() {
+			return fs.f.pick()
+		}
 	}
 	return fs.pickLiveAvoid(nil)
 }
@@ -296,7 +298,6 @@ func (fs *faultState) pickLiveAvoid(avoid *member) *member {
 		// Emergency re-admission: the hold is void; a stale hold expiry
 		// no-ops because any future re-hold stamps a new holdStart.
 		best.state = stActive
-		fs.f.touch(best)
 	}
 	return best
 }
@@ -327,7 +328,6 @@ func (fs *faultState) submitTo(lr *logicalReq, m *member) {
 		at.req.Service = sim.Duration(float64(at.req.Service) * fs.cfg.BrownoutFactor)
 	}
 	m.load++
-	f.touch(m)
 	if m.tor > 0 {
 		m.transit++
 		at.transit = true
@@ -353,7 +353,6 @@ func (fs *faultState) transitArrive(at *attempt) {
 	// logical request may already be resolved and recycled.
 	if at.lost || at.lr.done {
 		m.load--
-		fs.f.touch(m)
 		fs.freeAttempt(at)
 		return
 	}
@@ -364,7 +363,6 @@ func (fs *faultState) transitArrive(at *attempt) {
 		fs.detach(at)
 		at.lost = true
 		m.load--
-		fs.f.touch(m)
 		fs.lose(at)
 		fs.freeAttempt(at)
 		return
@@ -382,7 +380,6 @@ func (fs *faultState) transitArrive(at *attempt) {
 func (fs *faultState) complete(at *attempt) {
 	f, m := fs.f, at.m
 	m.load--
-	f.touch(m)
 	// at.lost short-circuits before lr is dereferenced: a zombie's
 	// logical request may already be resolved and recycled.
 	lr := at.lr
@@ -563,9 +560,13 @@ func (fs *faultState) detach(at *attempt) {
 //
 //apcvet:noalloc
 func (fs *faultState) shouldShed() bool {
-	f := fs.f
-	if f.aliveCnt == 0 {
-		return true
+	alive, load, capacity := false, 0, 0
+	for _, m := range fs.f.members {
+		if m.alive() {
+			alive = true
+			load += m.load
+			capacity += max(m.cap, m.cores)
+		}
 	}
-	return f.aliveLoad >= shedSlack*f.aliveCap
+	return !alive || load >= shedSlack*capacity
 }

@@ -85,11 +85,8 @@ func AreaInto(r *AreaResult, m AreaModel) {
 	r.Total = r.IOSMSignals + r.IOSMControllers + r.CLMRSignals + r.APMULogic + r.InCC1Routing
 }
 
-// Report implements Result.
-func (r *AreaResult) Report() string { return r.String() }
-
-// String renders the budget against the paper.
-func (r *AreaResult) String() string {
+// Report renders the budget against the paper. It implements Result.
+func (r *AreaResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sec 5.1-5.3: APC area overhead (%d-bit IO interconnect)\n",
 		r.Model.IOInterconnectWidthBits)

@@ -85,11 +85,8 @@ func Batching(opt Options, qps float64, epochs []sim.Duration) *BatchingResult {
 	return res
 }
 
-// Report implements Result.
-func (r *BatchingResult) Report() string { return r.String() }
-
-// String renders the sweep.
-func (r *BatchingResult) String() string {
+// Report renders the sweep. It implements Result.
+func (r *BatchingResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Extension: epoch-aligned dispatch (active-period sync) at %.0f QPS\n", r.QPS)
 	fmt.Fprintf(&b, "(paper Sec. 8: synchronizing active/idle periods across cores is additive to APC)\n")

@@ -96,11 +96,8 @@ func Eq1(opt Options) *Eq1Result {
 	return r
 }
 
-// Report implements Result.
-func (r *Eq1Result) Report() string { return r.String() }
-
-// String renders the model against the paper's Sec. 2 numbers.
-func (r *Eq1Result) String() string {
+// Report renders the model against the paper's Sec. 2 numbers. It implements Result.
+func (r *Eq1Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Eq. 1: analytic PC1A power-savings model (residencies from Cshallow)\n")
 	t := &table{header: []string{"Load", "QPS", "R_all-idle", "P_PC0", "P_idle", "P_PC1A", "Savings", "Paper"}}

@@ -41,7 +41,7 @@ func TestTable1(t *testing.T) {
 	if r.Speedup() < 250 {
 		t.Errorf("speedup %.0fx, paper says >250x", r.Speedup())
 	}
-	if !strings.Contains(r.String(), "PC1A") {
+	if !strings.Contains(r.Report(), "PC1A") {
 		t.Error("report missing PC1A row")
 	}
 }
@@ -68,7 +68,7 @@ func TestTable2(t *testing.T) {
 		pc1a.UPI != "L0p" || pc1a.DRAM != "CKE off" {
 		t.Errorf("PC1A row wrong: %+v", pc1a)
 	}
-	if !strings.Contains(r.String(), "Table 2") {
+	if !strings.Contains(r.Report(), "Table 2") {
 		t.Error("report header missing")
 	}
 }
@@ -83,7 +83,7 @@ func TestSec54(t *testing.T) {
 	within(t, "Pdram_PC6", r.PdramPC6, PaperPdramPC6, 0.05)
 	within(t, "Psoc_PC1A", r.PsocPC1A, 27.5, 0.02)
 	within(t, "Pdram_PC1A", r.PdramPC1A, 1.6, 0.02)
-	if !strings.Contains(r.String(), "Eq. 2") {
+	if !strings.Contains(r.Report(), "Eq. 2") {
 		t.Error("report missing")
 	}
 }
@@ -108,7 +108,7 @@ func TestSec55(t *testing.T) {
 	if r.Speedup < 250 {
 		t.Errorf("speedup %.0f, want >250", r.Speedup)
 	}
-	if !strings.Contains(r.String(), "Speedup") {
+	if !strings.Contains(r.Report(), "Speedup") {
 		t.Error("report missing")
 	}
 }
@@ -136,7 +136,7 @@ func TestEq1(t *testing.T) {
 		t.Errorf("savings not monotone: idle %v, 5%% %v, 10%% %v",
 			r.Idle.SavingsFrac, r.At5pct.SavingsFrac, r.At10pct.SavingsFrac)
 	}
-	if !strings.Contains(r.String(), "Eq. 1") {
+	if !strings.Contains(r.Report(), "Eq. 1") {
 		t.Error("report missing")
 	}
 }
@@ -167,7 +167,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("at 300K QPS Cdeep mean %v should clearly exceed Cshallow %v",
 			last.DeepMean, last.ShallowMean)
 	}
-	if !strings.Contains(r.String(), "Fig 5") {
+	if !strings.Contains(r.Report(), "Fig 5") {
 		t.Error("report missing")
 	}
 }
@@ -217,7 +217,7 @@ func TestFig6Shape(t *testing.T) {
 	if p4k.FracIn20To200us < 0.3 {
 		t.Errorf("idle periods in 20-200us @4K = %v, paper ~0.6", p4k.FracIn20To200us)
 	}
-	if !strings.Contains(r.String(), "Fig 6(b)") {
+	if !strings.Contains(r.Report(), "Fig 6(b)") {
 		t.Error("report missing")
 	}
 }
@@ -255,7 +255,7 @@ func TestFig7Shape(t *testing.T) {
 			t.Errorf("no PC1A transitions at %.0f QPS", p.QPS)
 		}
 	}
-	if !strings.Contains(r.String(), "Fig 7(a)") {
+	if !strings.Contains(r.Report(), "Fig 7(a)") {
 		t.Error("report missing")
 	}
 }
@@ -284,7 +284,7 @@ func TestFig8MySQL(t *testing.T) {
 		t.Error("reduction should fall from low to high load")
 	}
 	within(t, "idle reduction", r.IdleReduction, 0.41, 0.05)
-	if !strings.Contains(r.String(), "MySQL") {
+	if !strings.Contains(r.Report(), "MySQL") {
 		t.Error("report missing")
 	}
 }
@@ -307,7 +307,7 @@ func TestFig9Kafka(t *testing.T) {
 	if r.Points[0].PowerReduction <= r.Points[1].PowerReduction {
 		t.Error("low-load reduction should exceed high-load")
 	}
-	if !strings.Contains(r.String(), "Kafka") {
+	if !strings.Contains(r.Report(), "Kafka") {
 		t.Error("report missing")
 	}
 }
@@ -335,7 +335,7 @@ func TestArea(t *testing.T) {
 	if Area(wide).IOSMSignals >= r.IOSMSignals {
 		t.Error("512-bit interconnect should cost less per signal")
 	}
-	if !strings.Contains(r.String(), "Total") {
+	if !strings.Contains(r.Report(), "Total") {
 		t.Error("report missing")
 	}
 	// AreaInto must match Area and allocate nothing, so BenchmarkArea
@@ -403,7 +403,7 @@ func TestSensitivity(t *testing.T) {
 		t.Errorf("1mV/ns exit %v, want >=300ns", r.SlewPts[0].Exit)
 	}
 
-	if !strings.Contains(r.String(), "Sensitivity") {
+	if !strings.Contains(r.Report(), "Sensitivity") {
 		t.Error("report missing")
 	}
 }
@@ -434,7 +434,7 @@ func TestBatchingExtension(t *testing.T) {
 	if addedLat <= 0 || addedLat > float64(best.Epoch)/float64(sim.Second) {
 		t.Errorf("latency cost %v s out of (0, epoch] band", addedLat)
 	}
-	if !strings.Contains(r.String(), "Extension") {
+	if !strings.Contains(r.Report(), "Extension") {
 		t.Error("report missing")
 	}
 }
@@ -467,7 +467,7 @@ func TestRemoteTrafficErosion(t *testing.T) {
 	if r.Points[2].SavingsFrac >= r.Points[0].SavingsFrac {
 		t.Error("savings should erode with remote traffic")
 	}
-	if !strings.Contains(r.String(), "Deployment") {
+	if !strings.Contains(r.Report(), "Deployment") {
 		t.Error("report missing")
 	}
 }

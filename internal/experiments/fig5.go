@@ -57,11 +57,8 @@ func Fig5(opt Options, qpsList []float64) *Fig5Result {
 	return res
 }
 
-// Report implements Result.
-func (r *Fig5Result) Report() string { return r.String() }
-
-// String renders the sweep.
-func (r *Fig5Result) String() string {
+// Report renders the sweep. It implements Result.
+func (r *Fig5Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Fig 5: Memcached latency, Cshallow vs Cdeep (paper: Cdeep worse everywhere; spike at >=300K)\n")
 	t := &table{header: []string{"QPS", "Cshallow mean", "Cshallow p99", "Cdeep mean", "Cdeep p99", "Cdeep/Cshallow mean"}}

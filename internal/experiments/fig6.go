@@ -65,11 +65,8 @@ func Fig6(opt Options, qpsList []float64) *Fig6Result {
 	return res
 }
 
-// Report implements Result.
-func (r *Fig6Result) Report() string { return r.String() }
-
-// String renders all three panels.
-func (r *Fig6Result) String() string {
+// Report renders all three panels. It implements Result.
+func (r *Fig6Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Fig 6(a): core C-state residency, Cshallow (paper: CC1 76-98% at <=100K QPS)\n")
 	ta := &table{header: []string{"QPS", "CC0", "CC1"}}

@@ -99,11 +99,8 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 	return res
 }
 
-// Report implements Result.
-func (r *Fig7Result) Report() string { return r.String() }
-
-// String renders the three panels against the paper.
-func (r *Fig7Result) String() string {
+// Report renders the three panels against the paper. It implements Result.
+func (r *Fig7Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Fig 7(a): idle SoC+DRAM power (paper: CPC1A 41% below Cshallow)\n")
 	ta := &table{header: []string{"Config", "Idle power", "Paper"}}

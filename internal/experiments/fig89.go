@@ -102,11 +102,8 @@ func workloadFigure(opt Options, service string, levels []workloadLevel, mk func
 	return res
 }
 
-// Report implements Result.
-func (r *WorkloadResult) Report() string { return r.String() }
-
-// String renders both panels of the figure.
-func (r *WorkloadResult) String() string {
+// Report renders both panels of the figure. It implements Result.
+func (r *WorkloadResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s evaluation (paper Fig. 8/9)\n", r.Service)
 	fmt.Fprintf(&b, "(a) residency, Cshallow baseline:\n")

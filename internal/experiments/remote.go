@@ -92,11 +92,8 @@ func armSnoops(sys *soc.System, rate float64, seed uint64) {
 	sys.Engine.Schedule(sim.Duration(rng.ExpFloat64()/rate*float64(sim.Second)), next)
 }
 
-// Report implements Result.
-func (r *RemoteResult) Report() string { return r.String() }
-
-// String renders the sweep.
-func (r *RemoteResult) String() string {
+// Report renders the sweep. It implements Result.
+func (r *RemoteResult) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Deployment study: PC1A vs peer-socket UPI traffic (local load %.0f QPS)\n", r.QPS)
 	t := &table{header: []string{"Remote rate", "PC1A residency", "PC1A entries", "Power", "Savings vs Cshallow"}}

@@ -127,11 +127,8 @@ func Sec54(opt Options) *Sec54Result {
 	return r
 }
 
-// Report implements Result.
-func (r *Sec54Result) Report() string { return r.String() }
-
-// String renders the decomposition against the paper.
-func (r *Sec54Result) String() string {
+// Report renders the decomposition against the paper. It implements Result.
+func (r *Sec54Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Sec 5.4: PC1A power decomposition (Eq. 2 / Eq. 3)\n")
 	t := &table{header: []string{"Component", "Measured", "Paper"}}

@@ -101,11 +101,8 @@ func Sec55(opt Options) *Sec55Result {
 	return r
 }
 
-// Report implements Result.
-func (r *Sec55Result) Report() string { return r.String() }
-
-// String renders the latency budget against the paper.
-func (r *Sec55Result) String() string {
+// Report renders the latency budget against the paper. It implements Result.
+func (r *Sec55Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Sec 5.5: PC1A transition latency\n")
 	t := &table{header: []string{"Phase", "Measured", "Paper"}}

@@ -162,11 +162,8 @@ func Sensitivity(opt Options) *SensitivityResult {
 	return r
 }
 
-// Report implements Result.
-func (r *SensitivityResult) Report() string { return r.String() }
-
-// String renders the sweep suite.
-func (r *SensitivityResult) String() string {
+// Report renders the sweep suite. It implements Result.
+func (r *SensitivityResult) Report() string {
 	var b strings.Builder
 	b.WriteString("Sensitivity: what each APC design choice buys\n\n")
 	b.WriteString("Technique ablations (idle + 20K QPS Memcached):\n")

@@ -127,11 +127,8 @@ func (r *Table1Result) Speedup() float64 {
 	return float64(r.PC6Latency) / float64(r.PC1ALatency)
 }
 
-// Report implements Result.
-func (r *Table1Result) Report() string { return r.String() }
-
-// String renders the table against the paper's values.
-func (r *Table1Result) String() string {
+// Report renders the table against the paper's values. It implements Result.
+func (r *Table1Result) Report() string {
 	t := &table{header: []string{"Package/cores C-state", "Latency", "SoC power", "DRAM power", "Paper (SoC+DRAM, latency)"}}
 	t.add("PC0 / >=1 CC0", "0ns",
 		fmt.Sprintf("%.1fW", r.PC0SoC), fmt.Sprintf("%.1fW", r.PC0DRAM),

@@ -104,11 +104,8 @@ func Table2(opt Options) *Table2Result {
 	return res
 }
 
-// Report implements Result.
-func (r *Table2Result) Report() string { return r.String() }
-
-// String renders the observed matrix next to the paper's.
-func (r *Table2Result) String() string {
+// Report renders the observed matrix next to the paper's. It implements Result.
+func (r *Table2Result) Report() string {
 	t := &table{header: []string{"PCx", "Cores in CCx", "L3 Cache", "PLLs", "PCIe/DMI", "UPI", "DRAM"}}
 	for _, row := range r.Rows {
 		t.add(row.State, row.CoresIn, row.L3Cache, row.PLLs, row.PCIeDMI, row.UPI, row.DRAM)

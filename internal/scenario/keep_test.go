@@ -166,7 +166,7 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 		assembly uint64
 	}{
 		{"sweep-pc1a", 61, 90},
-		{"tiered", 63, 450},
+		{"tiered", 53, 450},
 	} {
 		sc := scs[c.name]
 		run := func() {

@@ -564,7 +564,7 @@ func (s *Scenario) validateFields() error {
 		if s.Sweep != nil && s.Sweep.Axis == AxisPolicy && c.Policy != "" {
 			return fmt.Errorf("scenario %q: cluster.policy %q conflicts with the policy sweep — leave it empty", s.Name, c.Policy)
 		}
-		if err := s.validateOverrides(c, "cluster"); err != nil {
+		if err := s.validateOverrides(c, "cluster", 0); err != nil {
 			return err
 		}
 	}
@@ -622,13 +622,17 @@ func (s *Scenario) validateSweep() error {
 
 // validateOverrides checks one fleet block's server_overrides: every
 // key a server index and every entry's knobs non-negative. Whether an
-// index names one of the point's servers is checkServers' rule.
-func (s *Scenario) validateOverrides(c *Cluster, label string) error {
+// index names one of the point's servers is checkServers' rule. The
+// block is named as tierLabel(block, ti) names it.
+func (s *Scenario) validateOverrides(c *Cluster, block string, ti int) error {
+	if len(c.ServerOverrides) == 0 {
+		return nil
+	}
 	for _, key := range slices.Sorted(maps.Keys(c.ServerOverrides)) {
 		// A key must be the index's own spelling: the run looks servers
 		// up by strconv.Itoa, so "01" would never apply.
 		if idx, err := strconv.Atoi(key); err != nil || idx < 0 || strconv.Itoa(idx) != key {
-			return fmt.Errorf("scenario %q: %s.server_overrides key %q is not a server index", s.Name, label, key)
+			return fmt.Errorf("scenario %q: %s.server_overrides key %q is not a server index", s.Name, tierLabel(block, ti), key)
 		}
 		if err := c.ServerOverrides[key].validate(); err != nil {
 			return fmt.Errorf("scenario %q: server_overrides[%s]: %w", s.Name, key, err)
@@ -668,7 +672,7 @@ func (s *Scenario) validateTiers() error {
 			}
 			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) has unknown service %q (want one of %v)", s.Name, i, t.Name, t.Service, slices.Sorted(maps.Keys(tierSpecs))))
 		}
-		if err := s.validateOverrides(&t.Cluster, fmt.Sprintf("tiers[%d]", i)); err != nil {
+		if err := s.validateOverrides(&t.Cluster, "tiers", i); err != nil {
 			return blockErr("tiers", i, err)
 		}
 	}
@@ -807,7 +811,7 @@ func (s *Scenario) clusterError(err error, block string) error {
 // them (memberConfigs), arm no tick without a tick cost.
 func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
 	for ti := range s.Tiers {
-		t, name := &s.Tiers[ti], tierLabel(block, ti)
+		t := &s.Tiers[ti]
 		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); err != nil {
 			if ce, ok := err.(*cluster.ConfigError); ok {
 				ce.Tier = ti
@@ -823,7 +827,7 @@ func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
 			for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
 				idx, _ := strconv.Atoi(key)
 				if idx >= t.Servers {
-					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: fleet has only %d servers", name, key, t.Servers))
+					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: fleet has only %d servers", tierLabel(block, ti), key, t.Servers))
 				}
 				cand = append(cand, idx)
 			}
@@ -839,7 +843,7 @@ func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
 			if mc := s.serverConfig(&t.Cluster, i); mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
 				err := errors.New("timer_tick_hz needs tick_kernel_us > 0")
 				if block != "" {
-					err = fmt.Errorf("%s server %d: %w", name, i, err)
+					err = fmt.Errorf("%s server %d: %w", tierLabel(block, ti), i, err)
 				}
 				return inBlock(block, ti, err)
 			}
