@@ -93,11 +93,11 @@ func run(w io.Writer, args []string) error {
 	} else {
 		sys = soc.New(soc.DefaultConfig(kind))
 	}
-	mon := msr.NewMonitor(sys)
+	regs := msr.New(sys)
 
 	var readErr error
 	read := func(addr uint32, core int) uint64 {
-		v, err := mon.Read(addr, core)
+		v, err := regs.Read(addr, core)
 		if err != nil && readErr == nil {
 			readErr = err
 		}

@@ -20,7 +20,8 @@
 //	                      (time, sequence) event order
 //	internal/clock        PLLs and relock latencies
 //	internal/pdn          FIVR power delivery and voltage ramps
-//	internal/cpu          cores, core C-states, idle governors
+//	internal/cpu          cores, core C-states and their residency
+//	                      counters, idle governors
 //	internal/ios          PCIe/DMI/UPI links and their L-states
 //	internal/dram         memory controllers, CKE power-down, self-refresh
 //	internal/uncore       CLM (cache/LLC module) retention
@@ -55,8 +56,7 @@
 //	                      by lossy cache edges (hit ratio, TTL,
 //	                      fan-out) with misses cascading downstream on
 //	                      the same engine
-//	internal/trace        C-state residency tracing, idle-period stats,
-//	                      VCD dump
+//	internal/trace        C-state residency tracing, idle-period stats
 //	internal/stats        histograms, distributions, RNG
 //	internal/experiments  the self-registering registry of paper
 //	                      artifacts plus the parallel sweep runner

@@ -58,8 +58,6 @@ var testOnlyAllowed = map[string]string{
 	"agilepkgc/internal/stats.ExactQuantile":       "the quantile oracle histogram tests compare against",
 	"agilepkgc/internal/experiments.QuickOptions":  "the short-run preset the experiment tests share",
 	"agilepkgc/internal/workload/replay.Decode":    "the whole-buffer decoder the trace fuzzer drives",
-	"agilepkgc/internal/trace.NewSignalProbe":      "ROADMAP item 5 decides whether apcsim wires it in or it goes",
-	"agilepkgc/internal/trace.NewPkgTracer":        "ROADMAP item 5 decides whether apcsim wires it in or it goes",
 	"agilepkgc/internal/analysis/analysistest.Run": "the fixture driver of a test-support package",
 }
 
@@ -67,9 +65,10 @@ var testOnlyAllowed = map[string]string{
 // declared under internal/ is used by no non-test file of the module
 // and named by no selector in perfbench/*.go (a separate module, so
 // scanned syntactically). Such a capability is reached only from its
-// own tests: delete it with them, or allowlist it with a reason.
-// Methods, consts and vars are exempt — tests observe the models
-// through accessors.
+// own tests: delete it with them, or allowlist it with a reason. It
+// also fails on an allowlist entry that names no such declaration, so
+// an entry cannot outlive what it names. Methods, consts and vars are
+// exempt — tests observe the models through accessors.
 func TestNoTestOnlyExports(t *testing.T) {
 	pkgs := modulePkgs(t)
 	used := map[string]bool{}
@@ -109,6 +108,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		})
 	}
 	var unused []string
+	declared := map[string]bool{}
 	for _, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.Path, "agilepkgc/internal/") {
 			continue
@@ -130,6 +130,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				}
 				for _, id := range names {
 					key := pkg.Path + "." + id.Name
+					declared[key] = true
 					if id.IsExported() && !used[key] && testOnlyAllowed[key] == "" {
 						unused = append(unused, key)
 					}
@@ -142,6 +143,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Errorf("%s is exported but reached only from tests: delete it, or allowlist it in testOnlyAllowed with a reason", key)
 	}
 	for key := range testOnlyAllowed {
+		if !declared[key] {
+			t.Errorf("%s is allowlisted as test-only but no top-level func or type under internal/ has that name: drop it from testOnlyAllowed", key)
+		}
 		if used[key] {
 			t.Errorf("%s is allowlisted as test-only but a non-test file now uses it: drop it from testOnlyAllowed", key)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"agilepkgc/internal/sim"
@@ -283,6 +284,23 @@ func TestGraphValidation(t *testing.T) {
 		if _, err := NewGraph(c.cfg, 1); err == nil {
 			t.Errorf("%s: NewGraph accepted an invalid config", c.name)
 		}
+	}
+
+	// More tiers than Check's stack scratch holds: a ten-tier chain
+	// passes, and a back edge along it still closes a cycle.
+	var chain GraphConfig
+	for i := range 10 {
+		chain.Tiers = append(chain.Tiers, tier(string(rune('a'+i)), 1))
+		if i > 0 {
+			chain.Edges = append(chain.Edges, EdgeConfig{From: i - 1, To: i, HitRatio: 0.5})
+		}
+	}
+	if err := chain.Check(); err != nil {
+		t.Errorf("ten-tier chain: %v", err)
+	}
+	chain.Edges = append(chain.Edges, EdgeConfig{From: 9, To: 1, HitRatio: 0.5})
+	if err := chain.Check(); err == nil || !strings.Contains(err.Error(), "closes a cycle") {
+		t.Errorf("ten-tier chain with a back edge: %v, want a cycle", err)
 	}
 }
 

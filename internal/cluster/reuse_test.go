@@ -317,8 +317,8 @@ func TestFaultLayerKeptAcrossReset(t *testing.T) {
 // through GraphReuse: the reset rewinds every member's machine in place
 // (soc.System.Init, server.Server.Init allocate nothing), reuses the
 // generator, push sources, edge RNGs and the tiers' bound hooks, and
-// keeps the fault layer, so what is left is the configuration check's
-// one scratch slice.
+// keeps the fault layer, and the configuration check keeps its scratch
+// on the stack, so nothing is left.
 func TestGraphReuseRewindAllocs(t *testing.T) {
 	faulty := resetConfig(resetCases[3].cfg)
 	for _, c := range []struct {
@@ -326,9 +326,9 @@ func TestGraphReuseRewindAllocs(t *testing.T) {
 		cfg  GraphConfig
 		want float64
 	}{
-		{"fleet", oneTier(resetConfig(resetCases[1].cfg), workload.MemcachedBursty(40000, 4)), 1},
-		{"faulty fleet", oneTier(faulty, workload.MemcachedBursty(40000, 4)), 1},
-		{"two tiers", twoTierConfig(0.9, 200*sim.Microsecond, 2), 1},
+		{"fleet", oneTier(resetConfig(resetCases[1].cfg), workload.MemcachedBursty(40000, 4)), 0},
+		{"faulty fleet", oneTier(faulty, workload.MemcachedBursty(40000, 4)), 0},
+		{"two tiers", twoTierConfig(0.9, 200*sim.Microsecond, 2), 0},
 	} {
 		var r GraphReuse
 		g, err := r.Graph(c.cfg, 3)

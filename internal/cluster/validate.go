@@ -180,7 +180,15 @@ func (cfg GraphConfig) Check() error {
 	// An edge closes a cycle — one arrival would generate unbounded
 	// downstream work — exactly when its source is reachable from its
 	// target. Checking edges in order names the first such edge.
-	seen := make([]bool, len(cfg.Tiers))
+	// seen lives on the stack for up to 8 tiers, so the check every
+	// graph reset repeats allocates nothing.
+	var buf [8]bool
+	seen := buf[:0]
+	if n := len(cfg.Tiers); n <= len(buf) {
+		seen = buf[:n]
+	} else {
+		seen = make([]bool, n)
+	}
 	for i, e := range cfg.Edges {
 		if cfg.reach(e.To, seen); seen[e.From] {
 			return at(ruleErr("", "%s (%s -> %s) closes a cycle — the graph must be acyclic",

@@ -1,9 +1,10 @@
 // Package cpu models the CPU cores of the server SoC: core C-states
 // (CC0 active, CC1/CC1E shallow idle, CC6 deep idle) with their exit
-// latencies and per-state power, the per-core power management agent
-// (PMA) that exposes the InCC1 status wire, OS idle governors (the
-// datacenter shallow-only policy and a Linux-menu-like predictive
-// policy), and P-state/frequency policies (performance vs powersave).
+// latencies, per-state power and residency counters, the per-core
+// power management agent (PMA) that exposes the InCC1 status wire, OS
+// idle governors (the datacenter shallow-only policy and a
+// Linux-menu-like predictive policy), and P-state/frequency policies
+// (performance vs powersave).
 package cpu
 
 import (
@@ -315,6 +316,12 @@ type Core struct {
 	// epoch counts the Inits that built this core (see Epoch).
 	epoch uint64
 
+	// residency[s] is the time spent in s up to since, the instant the
+	// core entered its current state (or was built); the open interval
+	// from since to now belongs to state.
+	residency [NumCStates]sim.Duration
+	since     sim.Time
+
 	// Counters.
 	wakes      [4]uint64 // indexed by the state woken from
 	workDone   uint64
@@ -387,6 +394,7 @@ func (c *Core) Init(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPo
 		governor:     gov,
 		freq:         freq,
 		state:        CC1,
+		since:        eng.Now(),
 		ch:           ch,
 		queue:        c.queue,
 		inIdle:       c.inIdle,
@@ -428,6 +436,23 @@ func (c *Core) WorkDone() uint64 { return c.workDone }
 // Wakes returns the number of wakes from the given state.
 func (c *Core) Wakes(from CState) uint64 { return c.wakes[from] }
 
+// Residency returns the time the core has spent in state s since it
+// was built, the interval it is in now included (0 for a value that
+// names no state). These are the core's C-state residency counters,
+// which MSR_CORE_C1/C6_RESIDENCY expose.
+//
+//apcvet:noalloc
+func (c *Core) Residency(s CState) sim.Duration {
+	if uint(s) >= uint(NumCStates) {
+		return 0
+	}
+	r := c.residency[s]
+	if s == c.state {
+		r += c.eng.Now() - c.since
+	}
+	return r
+}
+
 // Governor returns the core's idle governor.
 func (c *Core) Governor() Governor { return c.governor }
 
@@ -451,6 +476,9 @@ func (c *Core) setState(s CState) {
 		return
 	}
 	old := c.state
+	now := c.eng.Now()
+	c.residency[old] += now - c.since
+	c.since = now
 	c.state = s
 	if c.ch != nil {
 		w := c.params.StateWatts(s)

@@ -379,3 +379,71 @@ func TestEnqueueFromOwnHandler(t *testing.T) {
 		t.Fatalf("done %d, wakes %d; want 4 and 1", c.WorkDone(), c.Wakes(CC1))
 	}
 }
+
+// TestResidencySumsToTimeSinceInit checks the core's residency counters
+// against the clock: at any instant, mid-interval included, a core's
+// per-state residencies sum exactly, in integer nanoseconds, to the time
+// since its Init. It drives a shallow-only core (Cshallow) and a menu
+// core that reaches CC6 (Cdeep), built at a non-zero instant and again
+// rebuilt in place on a rewound engine.
+func TestResidencySumsToTimeSinceInit(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		gov  func() Governor
+		freq func() FreqPolicy
+		deep bool
+	}{
+		{"cshallow", func() Governor { return ShallowGovernor{} },
+			func() FreqPolicy { return PerformancePolicy{Nominal: 2.2} }, false},
+		{"cdeep", func() Governor { return NewMenuGovernor() },
+			func() FreqPolicy { return &PowersavePolicy{Min: 1.0, Max: 2.2} }, true},
+	} {
+		eng := sim.NewEngine()
+		eng.Run(3 * sim.Millisecond)
+		c := new(Core)
+		for _, rebuild := range []string{"first build", "rewind"} {
+			if rebuild == "rewind" {
+				eng.Reset()
+			}
+			built := eng.Now()
+			c.Init(eng, 0, DefaultParams(), cfg.gov(), cfg.freq(), nil)
+			check := func() {
+				t.Helper()
+				var sum sim.Duration
+				for s := CC0; s <= CC6; s++ {
+					sum += c.Residency(s)
+				}
+				if want := eng.Now() - built; sum != want {
+					t.Fatalf("%s, %s: residencies sum to %d ns at %v in %v, want %d",
+						cfg.name, rebuild, sum, eng.Now(), c.State(), want)
+				}
+			}
+			check()
+			for i := 0; i < 40; i++ {
+				c.Enqueue(Work{Duration: sim.Duration(3+i%7) * sim.Microsecond})
+				// Idle gaps alternate short and long, so the menu
+				// governor moves between its states.
+				gap := 37 * sim.Microsecond
+				if i%4 == 3 {
+					gap = 2 * sim.Millisecond
+				}
+				eng.Run(eng.Now() + gap/2)
+				check()
+				eng.Run(eng.Now() + gap - gap/2)
+				check()
+			}
+			if deep := c.Residency(CC6) > 0; deep != cfg.deep {
+				t.Fatalf("%s, %s: CC6 residency %v", cfg.name, rebuild, c.Residency(CC6))
+			}
+			if c.Residency(CC0) == 0 || c.Residency(CC1) == 0 {
+				t.Fatalf("%s, %s: CC0 %v, CC1 %v: the core neither ran nor idled shallow",
+					cfg.name, rebuild, c.Residency(CC0), c.Residency(CC1))
+			}
+			for _, s := range []CState{-1, CState(NumCStates), 99} {
+				if c.Residency(s) != 0 {
+					t.Fatalf("%v: non-zero residency for a value that names no state", s)
+				}
+			}
+		}
+	}
+}

@@ -9,12 +9,13 @@ import (
 // (Fig5–Fig9, Sensitivity, Batching, Remote) evaluates a list of
 // independent (config, load) points, and each point runs on a machine
 // (and engine) reset for it alone, with its own seed — there is no
-// shared mutable state between points. RunPoints exploits that: it fans the points across a
-// bounded worker pool and writes each result into its slot by index, so
-// the returned slice is in deterministic point order regardless of
-// which worker finished first or in what order. Because every point is
-// a pure function of (Options, point), a parallel sweep is bit-identical
-// to the serial one with the same seed.
+// shared mutable state between points. Sweep and SweepWith exploit
+// that: runPoints fans the points across a bounded worker pool and
+// writes each result into its slot by index, so the returned slice is
+// in deterministic point order regardless of which worker finished
+// first or in what order. Because every point is a pure function of
+// (Options, point), a parallel sweep is bit-identical to the serial one
+// with the same seed.
 
 // Parallelism resolves an Options.Parallelism knob to a worker count:
 // values above 1 are used as-is, 0 and 1 mean serial, and negative
@@ -30,20 +31,11 @@ func (o Options) parallelism() int {
 	}
 }
 
-// RunPoints evaluates fn(0..n-1) on at most par concurrent goroutines
-// and returns the results in index order. With par <= 1 it runs inline
-// with no goroutines at all, keeping serial sweeps trivially
-// deterministic and cheap to reason about.
-func RunPoints[T any](par, n int, fn func(i int) T) []T {
-	return runPoints(par, n,
-		func() struct{} { return struct{}{} },
-		func(struct{}) {},
-		func(_ struct{}, i int) T { return fn(i) })
-}
-
-// runPoints is the worker-pool core: newS builds one scratch value per
-// worker (exactly one for serial runs), which fn receives alongside each
-// point index, and release gets it back when the sweep ends. Scratch
+// runPoints evaluates fn for points 0..n-1 on at most par concurrent
+// goroutines and returns the results in index order; with par <= 1 it
+// runs inline with no goroutines at all. newS builds one scratch value
+// per worker (exactly one for serial runs), which fn receives alongside
+// each point index, and release gets it back when the sweep ends. Scratch
 // reuse is what lets sweeps recycle heavy per-point state (a fleet, its
 // engine arena) without sharing anything between workers.
 //
@@ -91,14 +83,15 @@ func runPoints[S, T any](par, n int, newS func() S, release func(S), fn func(s S
 }
 
 // Sweep evaluates fn over points with the parallelism configured in
-// opt, returning results in point order. It is the one-liner every
-// sweep experiment uses:
+// opt, returning results in point order. It is the one-liner for
+// sweeps whose points need no per-worker scratch:
 //
-//	res.Points = Sweep(opt, qpsList, func(qps float64) Fig5Point {...})
+//	r.SlewPts = Sweep(opt, []float64{1, 2, 4, 8}, func(mv float64) SlewPoint {...})
 func Sweep[P, T any](opt Options, points []P, fn func(P) T) []T {
-	return RunPoints(opt.parallelism(), len(points), func(i int) T {
-		return fn(points[i])
-	})
+	return runPoints(opt.parallelism(), len(points),
+		func() struct{} { return struct{}{} },
+		func(struct{}) {},
+		func(_ struct{}, i int) T { return fn(points[i]) })
 }
 
 // SweepWith is Sweep with per-worker scratch: newS runs once per worker

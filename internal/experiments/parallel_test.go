@@ -13,26 +13,35 @@ func fastOptions() Options {
 	return Options{Duration: 20 * sim.Millisecond, Seed: 1}
 }
 
+// TestRunPointsOrderAndCoverage checks that Sweep, through runPoints,
+// returns every point's result in point order at any parallelism.
 func TestRunPointsOrderAndCoverage(t *testing.T) {
+	points := make([]int, 20)
+	for i := range points {
+		points[i] = i
+	}
 	for _, par := range []int{1, 2, 7, 64} {
-		got := RunPoints(par, 20, func(i int) int { return i * i })
+		got := Sweep(Options{Parallelism: par}, points, func(i int) int { return i * i })
+		if len(got) != len(points) {
+			t.Fatalf("par=%d: %d results for %d points", par, len(got), len(points))
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("par=%d: out[%d] = %d, want %d", par, i, v, i*i)
 			}
 		}
 	}
-	if got := RunPoints(4, 0, func(i int) int { return i }); len(got) != 0 {
+	if got := Sweep(Options{Parallelism: 4}, nil, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("n=0 returned %v", got)
 	}
 }
 
-// TestRunPointsBoundedWorkers checks that no more than par points are in
-// flight at once.
+// TestRunPointsBoundedWorkers checks that no more than Parallelism
+// points of a Sweep are in flight at once.
 func TestRunPointsBoundedWorkers(t *testing.T) {
 	const par = 3
 	var inFlight, peak atomic.Int64
-	RunPoints(par, 24, func(i int) struct{} {
+	Sweep(Options{Parallelism: par}, make([]int, 24), func(int) struct{} {
 		n := inFlight.Add(1)
 		for {
 			p := peak.Load()

@@ -9,6 +9,11 @@
 //     package residency counters (MSR_PKG_C2/C6_RESIDENCY), counting at
 //     the TSC rate.
 //
+// Like the hardware registers, a File holds no state of its own: each
+// read converts a counter the models keep (the meter's energy, each
+// cpu.Core's residency, the GPMU's package residency), so a File can be
+// opened at any time and sees every count since the system was built.
+//
 // The package exists so that measurement code in this repository can be
 // written exactly like its real-world counterpart (sample counters,
 // subtract, handle wrap), validating that the simulator's observables
@@ -21,7 +26,6 @@ import (
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/power"
-	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 )
 
@@ -88,67 +92,12 @@ func (f *File) coreResidency(core int, s cpu.CState) (uint64, error) {
 	if core < 0 || core >= len(f.sys.Cores) {
 		return 0, fmt.Errorf("msr: core %d out of range", core)
 	}
-	// cpu.Core does not retain per-state residency; the MSR layer
-	// maintains it via transition subscription — see Attach.
-	return 0, fmt.Errorf("msr: core residency requires an attached Monitor")
+	return uint64(f.sys.Cores[core].Residency(s).Seconds() * TSCHz), nil
 }
 
 func (f *File) pkgResidency(s pmu.PkgState) uint64 {
 	ticks := f.sys.GPMU.Residency(s).Seconds() * TSCHz
 	return uint64(ticks)
-}
-
-// Monitor augments File with per-core residency counters, maintained by
-// subscribing to core transitions. Create it once, before driving load.
-type Monitor struct {
-	*File
-	eng   *sim.Engine
-	state []cpu.CState
-	since []sim.Time
-	resid [][4]sim.Duration
-}
-
-// NewMonitor attaches residency tracking to a fresh system.
-func NewMonitor(sys *soc.System) *Monitor {
-	m := &Monitor{
-		File:  New(sys),
-		eng:   sys.Engine,
-		state: make([]cpu.CState, len(sys.Cores)),
-		since: make([]sim.Time, len(sys.Cores)),
-		resid: make([][4]sim.Duration, len(sys.Cores)),
-	}
-	for i, c := range sys.Cores {
-		i := i
-		m.state[i] = c.State()
-		m.since[i] = sys.Engine.Now()
-		c.OnTransition(func(old, new cpu.CState) {
-			m.resid[i][old] += m.eng.Now() - m.since[i]
-			m.since[i] = m.eng.Now()
-			m.state[i] = new
-		})
-	}
-	return m
-}
-
-// Read implements the full register set including core residencies.
-func (m *Monitor) Read(addr uint32, core int) (uint64, error) {
-	switch addr {
-	case MSRCoreC1Residency, MSRCoreC6Residency:
-		if core < 0 || core >= len(m.state) {
-			return 0, fmt.Errorf("msr: core %d out of range", core)
-		}
-		s := cpu.CC1
-		if addr == MSRCoreC6Residency {
-			s = cpu.CC6
-		}
-		d := m.resid[core][s]
-		if m.state[core] == s {
-			d += m.eng.Now() - m.since[core]
-		}
-		return uint64(d.Seconds() * TSCHz), nil
-	default:
-		return m.File.Read(addr, core)
-	}
 }
 
 // EnergyDelta computes joules between two wrapped energy-counter

@@ -67,7 +67,7 @@ func TestEnergyDeltaWraparound(t *testing.T) {
 
 func TestCoreResidencyCounters(t *testing.T) {
 	sys := soc.New(soc.DefaultConfig(soc.Cshallow))
-	m := NewMonitor(sys)
+	m := New(sys)
 	sys.Cores[0].Enqueue(cpu.Work{Duration: sim.Millisecond})
 	sys.Engine.Run(10 * sim.Millisecond)
 
@@ -94,7 +94,7 @@ func TestCoreResidencyCounters(t *testing.T) {
 
 func TestPkgResidencyCounters(t *testing.T) {
 	sys := soc.New(soc.DefaultConfig(soc.Cdeep))
-	m := NewMonitor(sys)
+	m := New(sys)
 	sys.ForceAllCC6()
 	sys.Engine.Run(sys.Engine.Now() + 50*sim.Millisecond)
 	v, err := m.Read(MSRPkgC6Residency, 0)
@@ -112,16 +112,53 @@ func TestPkgResidencyCounters(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	sys := soc.New(soc.DefaultConfig(soc.Cshallow))
-	m := NewMonitor(sys)
-	if _, err := m.Read(0x123, 0); err == nil {
+	f := New(sys)
+	if _, err := f.Read(0x123, 0); err == nil {
 		t.Fatal("unknown register should error")
 	}
-	if _, err := m.Read(MSRCoreC1Residency, 99); err == nil {
-		t.Fatal("out-of-range core should error")
+	for _, core := range []int{-1, len(sys.Cores), 99} {
+		if _, err := f.Read(MSRCoreC1Residency, core); err == nil {
+			t.Fatalf("out-of-range core %d should error", core)
+		}
 	}
-	f := New(sys)
-	if _, err := f.Read(MSRCoreC1Residency, 0); err == nil {
-		t.Fatal("bare File cannot serve core residency")
+}
+
+// TestCoreResidencyReadsCore checks that the core residency registers
+// are the cores' own counters converted to TSC ticks: a File opened
+// mid-run sees every count since the system was built, on Cshallow
+// (CC1 only) and on Cdeep (CC6).
+func TestCoreResidencyReadsCore(t *testing.T) {
+	for _, kind := range []soc.ConfigKind{soc.Cshallow, soc.Cdeep} {
+		sys := soc.New(soc.DefaultConfig(kind))
+		if kind == soc.Cdeep {
+			sys.ForceAllCC6()
+		}
+		for i := 0; i < 20; i++ {
+			sys.Cores[i%len(sys.Cores)].Enqueue(cpu.Work{Duration: sim.Duration(10+i) * sim.Microsecond})
+			sys.Engine.Run(sys.Engine.Now() + 300*sim.Microsecond)
+		}
+		f := New(sys)
+		var cc6 uint64
+		for i, c := range sys.Cores {
+			for _, r := range []struct {
+				addr uint32
+				s    cpu.CState
+			}{{MSRCoreC1Residency, cpu.CC1}, {MSRCoreC6Residency, cpu.CC6}} {
+				v, err := f.Read(r.addr, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := uint64(c.Residency(r.s).Seconds() * TSCHz); v != want {
+					t.Fatalf("%v core %d: %v register %d, want %d", kind, i, r.s, v, want)
+				}
+				if r.s == cpu.CC6 {
+					cc6 += v
+				}
+			}
+		}
+		if (cc6 > 0) != (kind == soc.Cdeep) {
+			t.Fatalf("%v: CC6 residency %d ticks", kind, cc6)
+		}
 	}
 }
 

@@ -165,8 +165,8 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 		warm     float64
 		assembly uint64
 	}{
-		{"sweep-pc1a", 61, 90},
-		{"tiered", 53, 450},
+		{"sweep-pc1a", 57, 80},
+		{"tiered", 51, 410},
 	} {
 		sc := scs[c.name]
 		run := func() {

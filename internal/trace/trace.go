@@ -1,9 +1,14 @@
 // Package trace is the measurement layer of the evaluation: a
-// SoCWatch-like C-state tracer that records per-core residencies,
-// full-system-idle periods (the PC1A opportunity), and the package
-// C-state residency — including the 10 µs sampling floor of the real
+// SoCWatch-like C-state tracer that reports per-core residencies over
+// the traced span and records full-system-idle periods (the PC1A
+// opportunity) — including the 10 µs sampling floor of the real
 // SoCWatch tool, which the paper notes makes its reported PC1A
 // opportunity an *under*-estimate (Sec. 6).
+//
+// The tracer keeps no residency count of its own: like SoCWatch reading
+// the hardware counters, it samples each cpu.Core's residency counters
+// when it attaches and at Finalize. Package C-state residency is the
+// PMUs' own (pmu.GPMU.Residency, core.APMU.Residency).
 package trace
 
 import (
@@ -26,9 +31,10 @@ type Tracer struct {
 
 	start sim.Time
 
-	// Per-core residency accounting.
-	coreState  []cpu.CState
-	coreSince  []sim.Time
+	// Per-core residency: each core's own counters read when the tracer
+	// attaches (coreBase) and the traced span between that and Finalize
+	// (coreRes).
+	coreBase   [][cpu.NumCStates]sim.Duration
 	coreRes    [][cpu.NumCStates]sim.Duration
 	transCount uint64
 
@@ -48,10 +54,10 @@ type Tracer struct {
 	// model).
 	activeAfter stats.Summary
 	wakeProbe   sim.Duration
-	// hooks[i] is core i's transition callback, bound once per index
-	// and kept across Rearm; epochs[i] is the Epoch of cores[i] that
-	// hooks[i] was registered at.
-	hooks  []func(old, new cpu.CState)
+	// hook is the transition callback every core calls, bound once and
+	// kept across Rearm; epochs[i] is the Epoch of cores[i] that hook
+	// was registered at.
+	hook   func(old, new cpu.CState)
 	epochs []uint64
 }
 
@@ -63,14 +69,15 @@ func New(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 		idlePeriods: stats.NewDurationHistogram(),
 		wakeProbe:   2 * sim.Microsecond,
 	}
+	t.hook = t.coreTransition
 	t.attach(nil, cores)
 	return t
 }
 
 // Rearm restarts the tracer at the current instant on cores, exactly
-// as New(eng, cores) would, but reusing its storage and its per-core
-// callbacks, so re-arming allocates nothing once the tracer has seen
-// as many cores. cores may be the cores the tracer already observes,
+// as New(eng, cores) would, but reusing its storage and its callback,
+// so re-arming allocates nothing once the tracer has seen as many
+// cores. cores may be the cores the tracer already observes,
 // those cores rebuilt in place (a fleet rewinds its machines between
 // sweep points, and a rebuilt core drops its observers), or cores that
 // replace them. The tracer registers again on every core whose
@@ -85,10 +92,9 @@ func (t *Tracer) Rearm(cores []*cpu.Core) {
 		eng:         t.eng,
 		idlePeriods: t.idlePeriods,
 		wakeProbe:   t.wakeProbe,
-		hooks:       t.hooks,
+		hook:        t.hook,
 		epochs:      t.epochs,
-		coreState:   t.coreState,
-		coreSince:   t.coreSince,
+		coreBase:    t.coreBase,
 		coreRes:     t.coreRes,
 	}
 	t.attach(old, cores)
@@ -102,25 +108,18 @@ func (t *Tracer) attach(old, cores []*cpu.Core) {
 	t.cores = cores
 	t.start = t.eng.Now()
 	// Zeroed at length n, reusing their storage when it is large enough.
-	t.coreState = zeroed(t.coreState, n)
-	t.coreSince = zeroed(t.coreSince, n)
+	t.coreBase = zeroed(t.coreBase, n)
 	t.coreRes = zeroed(t.coreRes, n)
-	if n > len(t.hooks) {
-		t.hooks = slices.Grow(t.hooks, n-len(t.hooks))
-		t.epochs = slices.Grow(t.epochs, n-len(t.epochs))
-	}
-	for i := len(t.hooks); i < n; i++ {
-		t.hooks = append(t.hooks, func(old, new cpu.CState) { t.coreTransition(i, old, new) })
-		t.epochs = append(t.epochs, 0)
+	if n > len(t.epochs) {
+		t.epochs = append(t.epochs, make([]uint64, n-len(t.epochs))...)
 	}
 	for i, c := range cores {
-		t.coreState[i] = c.State()
-		t.coreSince[i] = t.start
+		snapshot(&t.coreBase[i], c)
 		if c.State().Idle() {
 			t.idleCores++
 		}
 		if i >= len(old) || old[i] != c || t.epochs[i] != c.Epoch() {
-			c.OnTransition(t.hooks[i])
+			c.OnTransition(t.hook)
 			t.epochs[i] = c.Epoch()
 		}
 	}
@@ -138,12 +137,18 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-func (t *Tracer) coreTransition(i int, old, new cpu.CState) {
+// snapshot reads core c's residency counters into r.
+func snapshot(r *[cpu.NumCStates]sim.Duration, c *cpu.Core) {
+	for s := range r {
+		r[s] = c.Residency(cpu.CState(s))
+	}
+}
+
+// coreTransition tracks the full-idle periods: the cores' own counters
+// keep their residencies.
+func (t *Tracer) coreTransition(old, new cpu.CState) {
 	now := t.eng.Now()
 	t.transCount++
-	t.coreRes[i][old] += now - t.coreSince[i]
-	t.coreSince[i] = now
-	t.coreState[i] = new
 
 	wasAll := t.idleCores == len(t.cores)
 	if old.Idle() && !new.Idle() {
@@ -163,9 +168,10 @@ func (t *Tracer) coreTransition(i int, old, new cpu.CState) {
 }
 
 // Note on wake timing: core InCC1 wires drop at wake *start*, but
-// cpu.Core transitions its state when the exit completes. The tracer uses
-// the state-transition view, which matches hardware residency counters:
-// the exit latency is attributed to the idle state being left.
+// cpu.Core transitions its state when the exit completes. The tracer and
+// the core's residency counters use the state-transition view, which
+// matches hardware residency counters: the exit latency is attributed
+// to the idle state being left.
 
 func (t *Tracer) endAllIdle(now sim.Time) {
 	if !t.inAllIdle {
@@ -206,13 +212,18 @@ func (p *probeTimer) Fire() {
 	t.activeAfter.Add(float64(active))
 }
 
-// Finalize closes open accounting intervals at the current time. Call it
-// once after the run; accessors below assume it has been called.
+// Finalize closes open accounting intervals at the current time: it
+// samples the cores' residency counters again and keeps what accrued
+// since the tracer attached. Call it once after the run; accessors below
+// assume it has been called. A second call at the same instant leaves
+// the residencies unchanged.
 func (t *Tracer) Finalize() {
 	now := t.eng.Now()
-	for i := range t.cores {
-		t.coreRes[i][t.coreState[i]] += now - t.coreSince[i]
-		t.coreSince[i] = now
+	for i, c := range t.cores {
+		snapshot(&t.coreRes[i], c)
+		for s := range t.coreRes[i] {
+			t.coreRes[i][s] -= t.coreBase[i][s]
+		}
 	}
 	if t.inAllIdle {
 		d := now - t.allIdleSince

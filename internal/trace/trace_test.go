@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"agilepkgc/internal/cpu"
+	"agilepkgc/internal/pmu"
 	"agilepkgc/internal/sim"
+	"agilepkgc/internal/soc"
 )
 
 func mkCores(eng *sim.Engine, n int) []*cpu.Core {
@@ -247,5 +249,156 @@ func TestRearmMatchesNew(t *testing.T) {
 	fresh.Finalize()
 	if !same(re, fresh) {
 		t.Fatal("re-armed tracer differs from a fresh one on replacement cores")
+	}
+}
+
+// refResidency is the oracle for the tracer's per-core residencies:
+// time in each state accumulated interval by interval from the cores'
+// transition callbacks, from the instant it attaches.
+type refResidency struct {
+	eng   *sim.Engine
+	start sim.Time
+	cores []*cpu.Core
+	state []cpu.CState
+	since []sim.Time
+	res   [][cpu.NumCStates]sim.Duration
+}
+
+func newRefResidency(eng *sim.Engine, cores []*cpu.Core) *refResidency {
+	n := len(cores)
+	r := &refResidency{
+		eng:   eng,
+		start: eng.Now(),
+		cores: cores,
+		state: make([]cpu.CState, n),
+		since: make([]sim.Time, n),
+		res:   make([][cpu.NumCStates]sim.Duration, n),
+	}
+	for i, c := range cores {
+		r.state[i] = c.State()
+		r.since[i] = r.start
+		c.OnTransition(func(old, new cpu.CState) {
+			now := eng.Now()
+			r.res[i][old] += now - r.since[i]
+			r.since[i] = now
+			r.state[i] = new
+		})
+	}
+	return r
+}
+
+// finalize closes each core's open interval at the current instant.
+func (r *refResidency) finalize() {
+	now := r.eng.Now()
+	for i := range r.cores {
+		r.res[i][r.state[i]] += now - r.since[i]
+		r.since[i] = now
+	}
+}
+
+// check compares the tracer's CoreResidency and MeanResidency with the
+// oracle's, exactly.
+func (r *refResidency) check(t *testing.T, what string, tr *Tracer) {
+	t.Helper()
+	el := float64(r.eng.Now() - r.start)
+	var cc6 sim.Duration
+	for s := cpu.CC0; s <= cpu.CC6; s++ {
+		var sum float64
+		for i := range r.cores {
+			want := float64(r.res[i][s]) / el
+			if got := tr.CoreResidency(i, s); got != want {
+				t.Fatalf("%s: core %d %v residency %v, oracle %v", what, i, s, got, want)
+			}
+			sum += want
+			if s == cpu.CC6 {
+				cc6 += r.res[i][s]
+			}
+		}
+		if got, want := tr.MeanResidency(s), sum/float64(len(r.cores)); got != want {
+			t.Fatalf("%s: mean %v residency %v, oracle %v", what, s, got, want)
+		}
+	}
+	if cc6 == 0 {
+		t.Fatalf("%s: no core reached CC6, so the deep state went unchecked", what)
+	}
+}
+
+// TestResidencyMatchesTransitionOracle checks that the residencies the
+// tracer reads from the cores' counters equal those accumulated from
+// every transition: on cores with history before the tracer attached,
+// on those cores rebuilt in place and re-armed, and after a second
+// Finalize at the same instant.
+func TestResidencyMatchesTransitionOracle(t *testing.T) {
+	build := func(eng *sim.Engine, cores []*cpu.Core) {
+		for i, c := range cores {
+			var gov cpu.Governor = cpu.ShallowGovernor{}
+			if i%2 == 1 {
+				gov = cpu.NewMenuGovernor()
+			}
+			c.Init(eng, i, cpu.DefaultParams(), gov, cpu.PerformancePolicy{Nominal: 2.2}, nil)
+		}
+	}
+	drive := func(eng *sim.Engine, cores []*cpu.Core) {
+		for i := 0; i < 40; i++ {
+			cores[i%len(cores)].Enqueue(cpu.Work{Duration: sim.Duration(5+i%9) * sim.Microsecond})
+			gap := sim.Duration(20+11*(i%5)) * sim.Microsecond
+			if i%8 == 7 {
+				gap = 3 * sim.Millisecond
+			}
+			eng.Run(eng.Now() + gap)
+		}
+	}
+
+	eng := sim.NewEngine()
+	cores := make([]*cpu.Core, 4)
+	for i := range cores {
+		cores[i] = new(cpu.Core)
+	}
+	build(eng, cores)
+	drive(eng, cores) // history the tracer must not count
+	eng.Run(eng.Now() + 7*sim.Microsecond)
+	tr := New(eng, cores)
+	ref := newRefResidency(eng, cores)
+	drive(eng, cores)
+	tr.Finalize()
+	ref.finalize()
+	ref.check(t, "attached mid-run", tr)
+	tr.Finalize()
+	ref.check(t, "finalized twice", tr)
+
+	eng.Reset()
+	build(eng, cores)
+	eng.Run(5 * sim.Microsecond)
+	tr.Rearm(cores)
+	ref = newRefResidency(eng, cores)
+	drive(eng, cores)
+	tr.Finalize()
+	ref.finalize()
+	ref.check(t, "re-armed on rebuilt cores", tr)
+}
+
+// TestPerStateAccountingArrays pins the fixed-array accounting: the
+// tracer's and the APMU's accessors read 0 for a value that names no
+// state, while the states that were occupied keep their counts.
+func TestPerStateAccountingArrays(t *testing.T) {
+	sys := soc.New(soc.DefaultConfig(soc.CPC1A))
+	tr := New(sys.Engine, sys.Cores)
+	sys.Engine.Run(sim.Millisecond)
+	sys.Cores[0].Enqueue(cpu.Work{Duration: 3 * sim.Microsecond})
+	sys.Engine.Run(2 * sim.Millisecond)
+	tr.Finalize()
+	for _, s := range []pmu.PkgState{-1, pmu.PkgState(pmu.NumPkgStates), 99} {
+		if sys.APMU.Residency(s) != 0 || sys.APMU.Entries(s) != 0 {
+			t.Errorf("%v: non-zero APMU accounting for a value that names no state", s)
+		}
+	}
+	for _, s := range []cpu.CState{-1, cpu.CState(cpu.NumCStates), 99} {
+		if tr.CoreResidency(0, s) != 0 || tr.MeanResidency(s) != 0 {
+			t.Errorf("%v: non-zero residency for a value that names no state", s)
+		}
+	}
+	if tr.CoreResidency(0, cpu.CC1) == 0 || sys.APMU.Entries(pmu.PC1A) != 2 {
+		t.Errorf("known states lost their accounting: CC1 %v, PC1A entries %d",
+			tr.CoreResidency(0, cpu.CC1), sys.APMU.Entries(pmu.PC1A))
 	}
 }
