@@ -56,7 +56,7 @@
 //	                      by lossy cache edges (hit ratio, TTL,
 //	                      fan-out) with misses cascading downstream on
 //	                      the same engine
-//	internal/trace        C-state residency tracing, idle-period stats
+//	internal/trace        full-idle period tracing: Fig 6 histogram, wake probe
 //	internal/stats        histograms, distributions, RNG
 //	internal/experiments  the self-registering registry of paper
 //	                      artifacts plus the parallel sweep runner

@@ -211,6 +211,87 @@ func TestOneMeasurementWindow(t *testing.T) {
 	}
 }
 
+// tracerAllowed names the packages outside internal/trace that may
+// attach a trace.Tracer, each with the reason it stays. Residency and
+// the all-idle fractions are soc.Window's; a tracer is for the numbers
+// only the full-idle periods themselves give.
+var tracerAllowed = map[string]string{
+	"agilepkgc/internal/experiments": "Fig 6's idle-period histogram and count, and the wake probe of the Fig 8/9 performance model",
+	"agilepkgc/perfbench":            "the traced run's mirror driver, until the mirror goes (ROADMAP item 6)",
+}
+
+// TestTracerAttachments fails when a non-test file outside
+// internal/trace attaches a tracer (trace.New, Tracer.Init) from a
+// package tracerAllowed does not name, or when an allowlisted package
+// attaches none. perfbench is a separate module, so its files are
+// scanned syntactically for trace.New.
+func TestTracerAttachments(t *testing.T) {
+	const tracePkg = "agilepkgc/internal/trace"
+	attach := map[string]bool{
+		tracePkg + ".New":                 true,
+		"(*" + tracePkg + ".Tracer).Init": true,
+	}
+	seen := map[string]bool{}
+	check := func(path string, pos token.Position) {
+		if tracerAllowed[path] != "" {
+			seen[path] = true
+			return
+		}
+		t.Errorf("%s: %s attaches a tracer: read soc.Window instead, or allowlist it in tracerAllowed with a reason", pos, path)
+	}
+	for _, pkg := range modulePkgs(t) {
+		if pkg.Path == tracePkg {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && attach[fn.FullName()] {
+						check(pkg.Path, pkg.Fset.Position(sel.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	bench, err := filepath.Glob(filepath.Join("..", "..", "perfbench", "*.go"))
+	if err != nil || len(bench) == 0 {
+		t.Fatalf("no perfbench/*.go files found (err %v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range bench {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == tracePkg {
+				local = "trace"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && local != "" && sel.Sel.Name == "New" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					check("agilepkgc/perfbench", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	for path := range tracerAllowed {
+		if !seen[path] {
+			t.Errorf("%s is allowlisted in tracerAllowed but attaches no tracer: drop it", path)
+		}
+	}
+}
+
 // isPC1A reports whether e names the constant pmu.PC1A.
 func isPC1A(info *types.Info, e ast.Expr) bool {
 	if sel, ok := e.(*ast.SelectorExpr); ok {

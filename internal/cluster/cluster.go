@@ -62,7 +62,6 @@ import (
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/stats"
-	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 )
 
@@ -315,7 +314,6 @@ type Fleet struct {
 // reuses a fleet (GraphReuse) pays for instrumentation storage once, not per
 // point.
 type measScratch struct {
-	tracers []*trace.Tracer
 	wins    []soc.Window
 	served0 []uint64
 	ok0     uint64
@@ -325,13 +323,11 @@ type measScratch struct {
 
 // grow resizes every per-member buffer to n, reusing capacity.
 func (s *measScratch) grow(n int) {
-	if cap(s.tracers) < n {
-		s.tracers = make([]*trace.Tracer, n)
+	if cap(s.wins) < n {
 		s.wins = make([]soc.Window, n)
 		s.served0 = make([]uint64, n)
 		return
 	}
-	s.tracers = s.tracers[:n]
 	s.wins = s.wins[:n]
 	s.served0 = s.served0[:n]
 }
@@ -450,8 +446,8 @@ func (m *member) reset() {
 // engine (Graph.Reset rewinds the shared engine once, then resets each
 // tier's fleet in order). It reuses everything whose shape survives:
 // the member and rack structures, the pooled per-arrival records, the
-// generator and its request pool, the measurement scratch and its
-// tracers, and every member's machine.
+// generator and its request pool, the measurement scratch, and every
+// member's machine.
 // Each member's SoC and server are rewound in place (soc.System.Init,
 // server.Server.Init): the devices are rebuilt in their old storage,
 // the server keeps its record pool and latency histogram, and the
@@ -1021,13 +1017,11 @@ type Measurement struct {
 	Racks []RackStats `json:"racks,omitempty"`
 }
 
-// Measure runs the fleet through the standard warmup → instrument →
-// measure sequence (warmup first, then tracers and power snapshots
-// attached, then the measured window) and returns the fleet-wide
-// measurement. Call it at most once per fleet build or reset — the
-// tracers it attaches stay attached. The returned value's slices are
-// freshly allocated, so callers may retain it across further use of the
-// fleet.
+// Measure runs the fleet through the standard warmup → measure
+// sequence (warmup first, then every member's measurement window
+// opened, then the measured window) and returns the fleet-wide
+// measurement. The returned value's slices are freshly allocated, so
+// callers may retain it across further use of the fleet.
 func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
 	var out Measurement
 	f.MeasureInto(&out, warmup, duration)
@@ -1048,22 +1042,15 @@ func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
 	f.measureCollect(out)
 }
 
-// measureBegin attaches the per-member tracers (re-arming the ones a
-// previous measurement left in the scratch) and records every
-// baseline (one soc.Window per member, served counts, fault OKs) at the
-// instant the measured window opens. Split from measureCollect so a
-// multi-fleet driver (Graph.Measure) can open every tier's window, run
-// the shared engine once, and collect each tier against the common
-// window.
+// measureBegin records every baseline (one soc.Window per member,
+// served counts, fault OKs) at the instant the measured window opens.
+// Split from measureCollect so a multi-fleet driver (Graph.Measure) can
+// open every tier's window, run the shared engine once, and collect
+// each tier against the common window.
 func (f *Fleet) measureBegin() {
 	s := &f.meas
 	s.grow(len(f.members))
 	for i, m := range f.members {
-		if s.tracers[i] == nil {
-			s.tracers[i] = trace.New(f.eng, m.sys.Cores)
-		} else {
-			s.tracers[i].Rearm(m.sys.Cores)
-		}
 		s.wins[i] = m.sys.OpenWindow()
 		s.served0[i] = m.srv.Served()
 	}
@@ -1073,17 +1060,14 @@ func (f *Fleet) measureBegin() {
 	}
 }
 
-// measureCollect finalizes the tracers measureBegin attached and folds
-// the window's deltas into *out. Every member's window opened at the
-// same instant, so the first one's length is the fleet's.
+// measureCollect folds the windows measureBegin opened into *out.
+// Every member's window opened at the same instant, so the first one's
+// length is the fleet's.
 func (f *Fleet) measureCollect(out *Measurement) {
 	n := len(f.members)
 	s := &f.meas
-	tracers, wins := s.tracers, s.wins
+	wins := s.wins
 	ok0 := s.ok0
-	for _, tr := range tracers {
-		tr.Finalize()
-	}
 
 	*out = Measurement{Servers: out.Servers[:0], Racks: out.Racks[:0]}
 	out.Generated = f.gen.Generated()
@@ -1102,31 +1086,29 @@ func (f *Fleet) measureCollect(out *Measurement) {
 	pc1aRes := 0.0
 	var pc1aEnt uint64
 	for i, m := range f.members {
-		tr := tracers[i]
 		ss := ServerStats{
-			Index:           i,
-			Rack:            m.rack,
-			Routed:          m.routed,
-			Served:          m.srv.Served(),
-			Dropped:         m.dropped,
-			Drains:          m.drains,
-			TruncatedDrain:  m.truncated,
-			OK:              m.ok,
-			Failed:          m.failed,
-			Retried:         m.retried,
-			Hedged:          m.hedged,
-			Crashes:         m.crashes,
-			Brownouts:       m.brownouts,
-			MeanLatency:     m.srv.Latencies().Mean(),
-			P99Latency:      m.srv.Latencies().Quantile(0.99),
-			SoCWatts:        wins[i].Watts(power.Package),
-			DRAMWatts:       wins[i].Watts(power.DRAM),
-			TotalWatts:      wins[i].TotalWatts(),
-			CC0Residency:    tr.MeanResidency(cpu.CC0),
-			CC1Residency:    tr.MeanResidency(cpu.CC1),
-			AllIdle:         tr.AllIdleFraction(),
-			AllIdleCensored: tr.CensoredAllIdleFraction(),
+			Index:          i,
+			Rack:           m.rack,
+			Routed:         m.routed,
+			Served:         m.srv.Served(),
+			Dropped:        m.dropped,
+			Drains:         m.drains,
+			TruncatedDrain: m.truncated,
+			OK:             m.ok,
+			Failed:         m.failed,
+			Retried:        m.retried,
+			Hedged:         m.hedged,
+			Crashes:        m.crashes,
+			Brownouts:      m.brownouts,
+			MeanLatency:    m.srv.Latencies().Mean(),
+			P99Latency:     m.srv.Latencies().Quantile(0.99),
+			SoCWatts:       wins[i].Watts(power.Package),
+			DRAMWatts:      wins[i].Watts(power.DRAM),
+			TotalWatts:     wins[i].TotalWatts(),
+			CC0Residency:   wins[i].Residency(cpu.CC0),
+			CC1Residency:   wins[i].Residency(cpu.CC1),
 		}
+		ss.AllIdle, ss.AllIdleCensored = wins[i].AllIdle()
 		if r, e, ok := wins[i].PC1A(); ok {
 			ss.PC1AResidency, ss.PC1AEntries = &r, &e
 			haveAPMU = true

@@ -9,9 +9,11 @@ import (
 )
 
 // TestEventsPerRequest pins the engine's event count, and the number of
-// requests that produced it, on two fixed runs: a one-server CPC1A
-// Memcached point and a 2×4 rack_power_aware fleet with drain hold and
-// SLA feedback. Both counts are deterministic for a fixed seed, so a
+// requests that produced it, on three fixed runs: a one-server CPC1A
+// Memcached point, a 2×4 rack_power_aware fleet with drain hold and
+// SLA feedback, and the one-server point again through Measure (its
+// warmup and measured window), which must cost no event beyond the
+// simulation itself. The counts are deterministic for a fixed seed, so a
 // model change that adds (or saves) events shows here as an exact
 // difference. Update the pins only for a change that means to alter the
 // event count, and say by how much per request.
@@ -20,7 +22,7 @@ func TestEventsPerRequest(t *testing.T) {
 		name            string
 		cfg             Config
 		spec            workload.Spec
-		run             sim.Duration
+		warmup, run     sim.Duration // Measure(warmup, run) when warmup is set, else Run(run)
 		events, created uint64
 	}{
 		{
@@ -47,12 +49,25 @@ func TestEventsPerRequest(t *testing.T) {
 			events:  43975,
 			created: 6638,
 		},
+		{
+			name:    "one-server CPC1A memcached, measured",
+			cfg:     Config{Policy: RoundRobin, Members: uniformMembers(1, soc.CPC1A)},
+			spec:    workload.Memcached(50000),
+			warmup:  10 * sim.Millisecond,
+			run:     100 * sim.Millisecond,
+			events:  73887,
+			created: 5517,
+		},
 	} {
 		fl, err := New(tc.cfg, tc.spec, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		fl.Run(tc.run)
+		if tc.warmup > 0 {
+			fl.Measure(tc.warmup, tc.run)
+		} else {
+			fl.Run(tc.run)
+		}
 		events, created := fl.Engine().EventsFired(), fl.Generated()
 		t.Logf("%s: %d events for %d requests (%.3f per request)", tc.name, events, created, float64(events)/float64(created))
 		if events != tc.events || created != tc.created {

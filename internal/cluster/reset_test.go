@@ -14,7 +14,6 @@ import (
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/stats"
-	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -97,7 +96,7 @@ type machineRun struct {
 	WorkDone, Wakes     []uint64
 	StandbyEntries      []uint64
 	MCs                 []uint64  // accesses and CKE-off entries per controller
-	Residency           []float64 // from the tracer, when one is attached
+	Residency           []float64 // the window's mean residencies and all-idle fractions
 	Served              uint64
 	MeanLatency         float64
 	P99Latency          float64
@@ -108,14 +107,11 @@ type machineRun struct {
 // driveMachine runs n rounds of seeded load on sys — work on random
 // cores (several items at once now and then, which grows run queues)
 // and DRAM bursts — inside one measured window, and reports it.
-func driveMachine(sys *soc.System, tr *trace.Tracer, seed uint64, n int) machineRun {
+func driveMachine(sys *soc.System, seed uint64, n int) machineRun {
 	eng := sys.Engine
 	rng := stats.NewRNG(seed)
 	eng.Run(eng.Now() + sim.Millisecond)
 	w := sys.OpenWindow()
-	if tr != nil {
-		tr.Rearm(sys.Cores)
-	}
 	for i := 0; i < n; i++ {
 		c := sys.Cores[rng.Uint64()%uint64(len(sys.Cores))]
 		for k := rng.Uint64() % 12; k > 0; k-- {
@@ -142,13 +138,11 @@ func driveMachine(sys *soc.System, tr *trace.Tracer, seed uint64, n int) machine
 	for _, mc := range sys.MCs {
 		out.MCs = append(out.MCs, mc.Accesses(), mc.CKEEntries())
 	}
-	if tr != nil {
-		tr.Finalize()
-		for s := cpu.CC0; s <= cpu.CC6; s++ {
-			out.Residency = append(out.Residency, tr.MeanResidency(s))
-		}
-		out.Residency = append(out.Residency, tr.AllIdleFraction(), float64(tr.Transitions()))
+	for s := cpu.CC0; s <= cpu.CC6; s++ {
+		out.Residency = append(out.Residency, w.Residency(s))
 	}
+	all, censored := w.AllIdle()
+	out.Residency = append(out.Residency, all, censored)
 	return out
 }
 
@@ -288,26 +282,15 @@ func resetEqualsFreshCases(t *testing.T, specA, specB workload.Spec) []resetCase
 			return poolRun(eng, pool, 7, 100, 2*sim.Millisecond)
 		}},
 		{"System", func(*testing.T) any {
-			return driveMachine(soc.NewOnEngine(cpc1a, sim.NewEngine()), nil, 7, 150)
+			return driveMachine(soc.NewOnEngine(cpc1a, sim.NewEngine()), 7, 150)
 		}, func(*testing.T) any {
 			// B is another kind, so the rewind also changes the shape of
 			// the governors and the package controllers.
 			eng := sim.NewEngine()
 			sys := soc.NewOnEngine(soc.DefaultConfig(soc.Cdeep), eng)
-			driveMachine(sys, nil, 3, 400)
+			driveMachine(sys, 3, 400)
 			eng.Reset()
-			return driveMachine(sys.Init(cpc1a, eng), nil, 7, 150)
-		}},
-		{"Tracer.Rearm", func(*testing.T) any {
-			sys := soc.NewOnEngine(cpc1a, sim.NewEngine())
-			return driveMachine(sys, trace.New(sys.Engine, sys.Cores), 7, 150)
-		}, func(*testing.T) any {
-			eng := sim.NewEngine()
-			sys := soc.NewOnEngine(cpc1a, eng)
-			tr := trace.New(eng, sys.Cores)
-			driveMachine(sys, tr, 3, 400)
-			eng.Reset()
-			return driveMachine(sys.Init(cpc1a, eng), tr, 7, 150)
+			return driveMachine(sys.Init(cpc1a, eng), 7, 150)
 		}},
 		{"Server", func(*testing.T) any {
 			eng := sim.NewEngine()

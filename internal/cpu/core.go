@@ -313,14 +313,14 @@ type Core struct {
 	// onTransition holds the C-state observers: the GPMU, and a tracer
 	// while one is attached.
 	onTransition signal.Listeners[func(old, new CState)]
-	// epoch counts the Inits that built this core (see Epoch).
-	epoch uint64
 
 	// residency[s] is the time spent in s up to since, the instant the
 	// core entered its current state (or was built); the open interval
-	// from since to now belongs to state.
+	// from since to now belongs to state. mark holds the counters as
+	// they stood at the last Mark.
 	residency [NumCStates]sim.Duration
 	since     sim.Time
+	mark      [NumCStates]sim.Duration
 
 	// Counters.
 	wakes      [4]uint64 // indexed by the state woken from
@@ -399,7 +399,6 @@ func (c *Core) Init(eng *sim.Engine, id int, p Params, gov Governor, freq FreqPo
 		queue:        c.queue,
 		inIdle:       c.inIdle,
 		onTransition: c.onTransition,
-		epoch:        c.epoch + 1,
 	}
 	if c.queue == nil {
 		c.queue = c.queueBuf[:]
@@ -453,6 +452,26 @@ func (c *Core) Residency(s CState) sim.Duration {
 	return r
 }
 
+// Mark sets the core's residency mark to its counters now: a
+// measurement window marks every core as it opens.
+func (c *Core) Mark() {
+	for s := range c.mark {
+		c.mark[s] = c.Residency(CState(s))
+	}
+}
+
+// SinceMark returns the time the core has spent in state s since its
+// last Mark, or since it was built if it has not been marked since (0
+// for a value that names no state).
+//
+//apcvet:noalloc
+func (c *Core) SinceMark(s CState) sim.Duration {
+	if uint(s) >= uint(NumCStates) {
+		return 0
+	}
+	return c.Residency(s) - c.mark[s]
+}
+
 // Governor returns the core's idle governor.
 func (c *Core) Governor() Governor { return c.governor }
 
@@ -464,11 +483,6 @@ func (c *Core) FreqPolicy() FreqPolicy { return c.freq }
 func (c *Core) OnTransition(fn func(old, new CState)) {
 	c.onTransition.Add(fn)
 }
-
-// Epoch counts the Inits that built the core. An observer registered
-// through OnTransition stays registered exactly while the epoch it saw
-// is current, so one that outlives a rebuild knows to register again.
-func (c *Core) Epoch() uint64 { return c.epoch }
 
 //apcvet:noalloc
 func (c *Core) setState(s CState) {

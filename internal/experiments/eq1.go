@@ -56,8 +56,8 @@ func Eq1(opt Options) *Eq1Result {
 	defer m.release()
 	point := func(util float64) Eq1Point {
 		spec := workload.MemcachedAtUtil(util, 10)
-		run := m.runPoint(soc.Cshallow, spec, opt)
-		rIdle := run.tracer.AllIdleFraction()
+		run := m.runPoint(soc.Cshallow, spec, opt, false)
+		rIdle, _ := run.win.AllIdle()
 		rPC0 := 1 - rIdle
 		pAvg := run.win.TotalWatts()
 		// Decompose the measured average into the two regimes:

@@ -80,11 +80,12 @@ func QuickOptions() Options {
 	return Options{Duration: 100 * sim.Millisecond, Seed: 1}
 }
 
-// loadedRun is one (config, workload) point run with a tracer attached:
-// the bundle of observations every figure draws from. Its window closed
-// when the run returned, so its readers report the measured window. It
-// reads the machine the run left behind, so it is valid only until its
-// machine runs the next point.
+// loadedRun is one (config, workload) point run: the bundle of
+// observations every figure draws from. Its window closed when the run
+// returned, so its readers report the measured window; tracer, set on
+// a traced run only, observed the same window. It reads the machine
+// the run left behind, so it is valid only until its machine runs the
+// next point.
 type loadedRun struct {
 	sys    *soc.System
 	srv    *server.Server
@@ -107,12 +108,11 @@ func (o Options) Warmup() sim.Duration {
 
 // machine is one sweep worker's single-machine scratch: a graph reuse
 // that rewinds the worker's machine from point to point (drawn from the
-// process-wide keep when the worker starts), and the tracer runPoint last
-// armed on that machine.
+// process-wide keep when the worker starts), and the tracer a traced
+// runPoint attaches to it, kept so re-attaching reuses its storage.
 type machine struct {
 	reuse cluster.GraphReuse
-	g     *cluster.Graph // the graph tr observes
-	tr    *trace.Tracer
+	tr    trace.Tracer
 }
 
 // pair is the scratch of a sweep whose points compare two
@@ -171,21 +171,26 @@ func (m *machine) fleet(cfg soc.Config, scfg server.Config, spec workload.Spec, 
 }
 
 // runPoint runs one (config, workload) point on m: the warmup, then the
-// measured window with a tracer attached.
-func (m *machine) runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options) loadedRun {
+// measured window. traced attaches a tracer to the window too, for the
+// figures that read the full-idle periods themselves (Fig. 6's
+// histogram, the performance model's wake probe). Every point rebuilds
+// the machine, dropping the observers of the last, so the tracer
+// registers anew.
+func (m *machine) runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options, traced bool) loadedRun {
 	g, srv := m.fleet(soc.DefaultConfig(kind), server.DefaultConfig(), spec, opt)
 	g.Run(opt.Warmup())
 
 	sys := srv.System()
-	if m.g != g {
-		m.g, m.tr = g, trace.New(sys.Engine, sys.Cores)
-	} else {
-		m.tr.Rearm(sys.Cores)
+	var tr *trace.Tracer
+	if traced {
+		tr = m.tr.Init(sys.Engine, sys.Cores)
 	}
 	win := sys.OpenWindow()
 	g.Run(opt.Duration)
-	m.tr.Finalize()
-	return loadedRun{sys: sys, srv: srv, tracer: m.tr, win: win}
+	if tr != nil {
+		tr.Finalize()
+	}
+	return loadedRun{sys: sys, srv: srv, tracer: tr, win: win}
 }
 
 // shallowWatts is the Cshallow machine's power at spec: the reference
@@ -193,7 +198,7 @@ func (m *machine) runPoint(kind soc.ConfigKind, spec workload.Spec, opt Options)
 func shallowWatts(spec workload.Spec, opt Options) float64 {
 	var m machine
 	defer m.release()
-	return m.runPoint(soc.Cshallow, spec, opt).win.TotalWatts()
+	return m.runPoint(soc.Cshallow, spec, opt, false).win.TotalWatts()
 }
 
 // table builds a simple aligned text table.

@@ -42,8 +42,8 @@ func Fig5(opt Options, qpsList []float64) *Fig5Result {
 	res := &Fig5Result{}
 	res.Points = SweepWith(opt, qpsList, newPair, (*pair).release, func(m *pair, qps float64) Fig5Point {
 		spec := workload.Memcached(qps)
-		sh := m[0].runPoint(soc.Cshallow, spec, opt)
-		dp := m[1].runPoint(soc.Cdeep, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt, false)
+		dp := m[1].runPoint(soc.Cdeep, spec, opt, false)
 		return Fig5Point{
 			QPS:           qps,
 			ShallowMean:   sh.srv.Latencies().Mean(),

@@ -47,20 +47,19 @@ func init() {
 func Fig6(opt Options, qpsList []float64) *Fig6Result {
 	res := &Fig6Result{}
 	res.Points = SweepWith(opt, qpsList, newMachine, (*machine).release, func(m *machine, qps float64) Fig6Point {
-		run := m.runPoint(soc.Cshallow, workload.Memcached(qps), opt)
-		tr := run.tracer
-		h := tr.IdlePeriods()
-		return Fig6Point{
+		run := m.runPoint(soc.Cshallow, workload.Memcached(qps), opt, true)
+		h := run.tracer.IdlePeriods()
+		p := Fig6Point{
 			QPS:             qps,
-			CC0Residency:    tr.MeanResidency(cpu.CC0),
-			CC1Residency:    tr.MeanResidency(cpu.CC1),
-			AllIdleTrue:     tr.AllIdleFraction(),
-			AllIdleCensored: tr.CensoredAllIdleFraction(),
-			IdlePeriods:     tr.IdlePeriodCount(),
+			CC0Residency:    run.win.Residency(cpu.CC0),
+			CC1Residency:    run.win.Residency(cpu.CC1),
+			IdlePeriods:     run.tracer.IdlePeriodCount(),
 			FracIn20To200us: h.FractionBetween(20e-6, 200e-6),
 			IdleP50:         h.Quantile(0.50),
 			IdleP90:         h.Quantile(0.90),
 		}
+		p.AllIdleTrue, p.AllIdleCensored = run.win.AllIdle()
+		return p
 	})
 	return res
 }

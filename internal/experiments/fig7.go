@@ -81,8 +81,8 @@ func Fig7(opt Options, qpsList []float64) *Fig7Result {
 	// Panels (b) and (c): load sweep.
 	res.Points = SweepWith(opt, qpsList, newPair, (*pair).release, func(m *pair, qps float64) Fig7Point {
 		spec := workload.Memcached(qps)
-		sh := m[0].runPoint(soc.Cshallow, spec, opt)
-		ap := m[1].runPoint(soc.CPC1A, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt, false)
+		ap := m[1].runPoint(soc.CPC1A, spec, opt, false)
 
 		p := Fig7Point{
 			QPS:          qps,

@@ -73,19 +73,18 @@ func workloadFigure(opt Options, service string, levels []workloadLevel, mk func
 	res := &WorkloadResult{Service: service}
 	res.Points = SweepWith(opt, levels, newPair, (*pair).release, func(m *pair, lv workloadLevel) WorkloadPoint {
 		spec := mk(lv.load)
-		sh := m[0].runPoint(soc.Cshallow, spec, opt)
-		ap := m[1].runPoint(soc.CPC1A, spec, opt)
+		sh := m[0].runPoint(soc.Cshallow, spec, opt, false)
+		ap := m[1].runPoint(soc.CPC1A, spec, opt, true)
 		p := WorkloadPoint{
-			Label:           lv.label,
-			Load:            lv.load,
-			QPS:             spec.MeanQPS(),
-			CC0Residency:    sh.tracer.MeanResidency(cpu.CC0),
-			CC1Residency:    sh.tracer.MeanResidency(cpu.CC1),
-			AllIdleTrue:     sh.tracer.AllIdleFraction(),
-			AllIdleCensored: sh.tracer.CensoredAllIdleFraction(),
-			ShallowWatts:    sh.win.TotalWatts(),
-			PC1AWatts:       ap.win.TotalWatts(),
+			Label:        lv.label,
+			Load:         lv.load,
+			QPS:          spec.MeanQPS(),
+			CC0Residency: sh.win.Residency(cpu.CC0),
+			CC1Residency: sh.win.Residency(cpu.CC1),
+			ShallowWatts: sh.win.TotalWatts(),
+			PC1AWatts:    ap.win.TotalWatts(),
 		}
+		p.AllIdleTrue, p.AllIdleCensored = sh.win.AllIdle()
 		p.PowerReduction = (p.ShallowWatts - p.PC1AWatts) / p.ShallowWatts
 		p.ImpactFrac = modelImpact(&ap, sh.srv.Latencies().Mean())
 		return p

@@ -123,6 +123,10 @@ type GPMU struct {
 	entries    [NumPkgStates]uint64
 	pc6Latency sim.Duration // measured last entry→ready-to-exit→PC0 cost
 
+	// fullIdle counts the cores' full-idle periods, the PC1A
+	// opportunity, from the transitions the GPMU observes anyway.
+	fullIdle cpu.FullIdle
+
 	// bound holds the cores' callbacks, bound to the GPMU once: one of
 	// each kind serves every core.
 	bound struct {
@@ -154,6 +158,7 @@ func (g *GPMU) Init(eng *sim.Engine, cfg Config, cores []*cpu.Core, links []*ios
 		g.bound.transition, g.bound.inCC1 = g.coreTransition, g.inCC1Edge
 	}
 	g.wakeUp.Init(sim.Named("GPMU.WakeUp"), false)
+	g.fullIdle.Init(cores, eng.Now())
 	for _, c := range cores {
 		c.OnTransition(g.bound.transition)
 		if c.State() == cpu.CC6 {
@@ -205,6 +210,11 @@ func (g *GPMU) Residency(s PkgState) sim.Duration {
 	return g.residency[s]
 }
 
+// FullIdle returns the counters of the cores' full-idle periods.
+//
+//apcvet:noalloc
+func (g *GPMU) FullIdle() *cpu.FullIdle { return &g.fullIdle }
+
 // Entries returns how many times the given state was entered.
 func (g *GPMU) Entries(s PkgState) uint64 { return g.entries[s] }
 
@@ -232,8 +242,10 @@ func (g *GPMU) FireTimer() {
 	g.wakeFromDeep()
 }
 
-// coreTransition tracks CC6 occupancy and reacts to core activity.
+// coreTransition counts full-idle time, tracks CC6 occupancy and
+// reacts to core activity.
 func (g *GPMU) coreTransition(old, new cpu.CState) {
+	g.fullIdle.Transition(old, new, g.eng.Now())
 	if old == cpu.CC6 {
 		g.deepCount--
 	}

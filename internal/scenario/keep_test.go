@@ -146,15 +146,15 @@ func allocSites(f func(), names ...string) map[string]bool {
 
 // TestScenarioRunKeepsMachines pins what the process-wide keep buys a
 // process that runs scenarios more than once: a warm run rewinds the
-// machines the previous run left behind instead of assembling new ones
-// and their tracers, and its bytes equal a cold run's whatever ran in
+// machines the previous run left behind instead of assembling new
+// ones, and its bytes equal a cold run's whatever ran in
 // between — a same-shape run on another config, or a run whose sweep
 // changes shape.
 func TestScenarioRunKeepsMachines(t *testing.T) {
 	scs := loadKeepScenarios(t)
 
 	// Allocation counts at Parallelism 1. A warm run draws every machine
-	// and tracer from the keep, so what is left is per-run bookkeeping —
+	// from the keep, so what is left is per-run bookkeeping —
 	// validation, the job list, spec names, the measurements that escape
 	// into the Result — pinned exactly. A cold run assembles them all: it
 	// must cost at least the assembly's allocations more. Its own count
@@ -165,8 +165,8 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 		warm     float64
 		assembly uint64
 	}{
-		{"sweep-pc1a", 57, 80},
-		{"tiered", 51, 410},
+		{"sweep-pc1a", 57, 72},
+		{"tiered", 51, 380},
 	} {
 		sc := scs[c.name]
 		run := func() {
@@ -186,7 +186,6 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 				c.name, cold, warm, c.assembly, c.warm)
 		}
 		assembly := []string{
-			"agilepkgc/internal/trace.New",
 			"agilepkgc/internal/cluster.NewGraph",
 			"agilepkgc/internal/cluster.NewOn",
 		}

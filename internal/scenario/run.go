@@ -14,7 +14,6 @@ import (
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
-	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -543,28 +542,25 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 	// clients issue continuously, so a window is just engine time.
 	sys.Engine.Run(sys.Engine.Now() + opt.Warmup())
 
-	tr := trace.New(sys.Engine, sys.Cores)
 	win := sys.OpenWindow()
 	sys.Engine.Run(sys.Engine.Now() + opt.Duration)
-	tr.Finalize()
 	cl.Stop()
 
 	p := Point{
-		Axis:            axisValue,
-		Workload:        fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads),
-		Served:          srv.Served(),
-		Generated:       cl.Issued(),
-		MeanLatency:     srv.Latencies().Mean(),
-		P50Latency:      srv.Latencies().Quantile(0.50),
-		P99Latency:      srv.Latencies().Quantile(0.99),
-		SoCWatts:        win.Watts(power.Package),
-		DRAMWatts:       win.Watts(power.DRAM),
-		TotalWatts:      win.TotalWatts(),
-		CC0Residency:    tr.MeanResidency(cpu.CC0),
-		CC1Residency:    tr.MeanResidency(cpu.CC1),
-		AllIdle:         tr.AllIdleFraction(),
-		AllIdleCensored: tr.CensoredAllIdleFraction(),
+		Axis:         axisValue,
+		Workload:     fmt.Sprintf("sysbench-%dthr", sc.Workload.Threads),
+		Served:       srv.Served(),
+		Generated:    cl.Issued(),
+		MeanLatency:  srv.Latencies().Mean(),
+		P50Latency:   srv.Latencies().Quantile(0.50),
+		P99Latency:   srv.Latencies().Quantile(0.99),
+		SoCWatts:     win.Watts(power.Package),
+		DRAMWatts:    win.Watts(power.DRAM),
+		TotalWatts:   win.TotalWatts(),
+		CC0Residency: win.Residency(cpu.CC0),
+		CC1Residency: win.Residency(cpu.CC1),
 	}
+	p.AllIdle, p.AllIdleCensored = win.AllIdle()
 	if r, e, ok := win.PC1A(); ok {
 		p.PC1AResidency, p.PC1AEntries = &r, &e
 	}

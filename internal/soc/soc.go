@@ -152,6 +152,10 @@ type System struct {
 
 	rrNext int // round-robin cursor for MC interleaving
 
+	// windows counts the windows opened and the builds: the open
+	// window is the one whose seq matches (see Window).
+	windows uint64
+
 	// Fused memory bursts (see MemAccess): memQ holds one (cursor, n)
 	// pair per burst awaiting its completion event, FIFO from memHead;
 	// memLat is the controllers' AccessLatency (all are built from
@@ -217,6 +221,7 @@ func (s *System) Init(cfg Config, eng *sim.Engine) *System {
 		panic("soc: CoreCount must be positive")
 	}
 	s.Cfg, s.Engine = cfg, eng
+	s.windows++
 	meter := s.meter.Init(eng)
 	s.Meter = meter
 	s.rrNext, s.memQ, s.memHead = 0, s.memQ[:0], 0
@@ -465,27 +470,42 @@ func (s *System) ForceAllCC6() {
 	s.Engine.Run(s.Engine.Now() + 20*sim.Millisecond)
 }
 
-// Window is one measured interval on a System, opened by OpenWindow:
-// the meter's energy counters and the APMU's PC1A residency and entry
-// counts as they stood at the opening instant. Its readers report the
-// interval from then to the current virtual time, so read them at the
-// instant the window closes — every power and PC1A number an experiment,
-// scenario or fleet reports for a measured window comes from here.
-// Windows are values: opening one allocates nothing, and any number may
-// be open on one system at once. Reading one flushes the system's meter,
-// as reading a Snapshot does, so read a window from one goroutine.
+// Window is the measured interval on a System, opened by OpenWindow:
+// the meter's energy counters, the APMU's PC1A counts and the GPMU's
+// full-idle counters as they stood at the opening instant, and a
+// residency mark on every core. Its readers report the interval from
+// then to the current virtual time, so read them at the instant the
+// window closes — every power, residency and PC1A number an
+// experiment, scenario or fleet reports for a measured window comes
+// from here. Opening a window allocates nothing.
+//
+// A window is a mark on its system, so one is open per system at a
+// time: opening the next, or rebuilding the system, supersedes it, and
+// reading a superseded window panics. Reading one flushes the system's
+// meter, as reading a Snapshot does, so read a window from one
+// goroutine.
 type Window struct {
-	sys  *System
-	snap power.Snapshot
-	res0 sim.Duration
-	ent0 uint64
+	sys          *System
+	seq          uint64
+	snap         power.Snapshot
+	res0         sim.Duration
+	ent0         uint64
+	idle0, cens0 sim.Duration
 }
 
 // OpenWindow starts a measured interval now. It flushes the meter's
-// channels at the opening instant, exactly as a bare Meter.Snapshot
-// does.
+// channels, exactly as a bare Meter.Snapshot does, marks every core,
+// and splits a full-idle period open now, so the SoCWatch floor judges
+// the part inside the window on its own length.
 func (s *System) OpenWindow() Window {
-	w := Window{sys: s, snap: s.Meter.Snapshot()}
+	s.windows++
+	w := Window{sys: s, seq: s.windows, snap: s.Meter.Snapshot()}
+	for _, c := range s.Cores {
+		c.Mark()
+	}
+	now, fi := s.Engine.Now(), s.GPMU.FullIdle()
+	fi.Split(now)
+	w.idle0, w.cens0 = fi.Time(now)
 	if s.APMU != nil {
 		w.res0 = s.APMU.Residency(pmu.PC1A)
 		w.ent0 = s.APMU.Entries(pmu.PC1A)
@@ -493,21 +513,27 @@ func (s *System) OpenWindow() Window {
 	return w
 }
 
-// Len returns the virtual time since the window opened.
+// Len returns the virtual time since the window opened. Every reader
+// goes through it, so every reader panics on a superseded window.
 //
 //apcvet:noalloc
-func (w Window) Len() sim.Duration { return w.snap.Elapsed() }
+func (w Window) Len() sim.Duration {
+	if w.seq != w.sys.windows {
+		panic("soc: read through a superseded window")
+	}
+	return w.snap.Elapsed()
+}
 
 // Watts returns the mean draw of domain d over the window (the
 // instantaneous draw while the window is empty).
 //
 //apcvet:noalloc
-func (w Window) Watts(d power.Domain) float64 { return w.snap.AveragePower(d) }
+func (w Window) Watts(d power.Domain) float64 { w.Len(); return w.snap.AveragePower(d) }
 
 // TotalWatts returns the mean SoC+DRAM draw over the window.
 //
 //apcvet:noalloc
-func (w Window) TotalWatts() float64 { return w.snap.AverageTotal() }
+func (w Window) TotalWatts() float64 { w.Len(); return w.snap.AverageTotal() }
 
 // PC1A returns the fraction of the window the package spent in PC1A
 // and how many times it entered PC1A during the window. ok is false on
@@ -516,12 +542,45 @@ func (w Window) TotalWatts() float64 { return w.snap.AverageTotal() }
 //
 //apcvet:noalloc
 func (w Window) PC1A() (residency float64, entries uint64, ok bool) {
-	a := w.sys.APMU
+	n, a := w.Len(), w.sys.APMU
 	if a == nil {
 		return 0, 0, false
 	}
-	if n := w.Len(); n > 0 {
+	if n > 0 {
 		residency = float64(a.Residency(pmu.PC1A)-w.res0) / float64(n)
 	}
 	return residency, a.Entries(pmu.PC1A) - w.ent0, true
+}
+
+// Residency returns the mean over cores of the fraction of the window
+// each spent in state s — paper Fig. 6(a)'s metric; 0 for an empty
+// window or a value that names no state. The fractions are summed in
+// core order, then divided.
+//
+//apcvet:noalloc
+func (w Window) Residency(s cpu.CState) float64 {
+	n := w.Len()
+	if n == 0 {
+		return 0
+	}
+	var sum float64
+	for _, c := range w.sys.Cores {
+		sum += float64(c.SinceMark(s)) / float64(n)
+	}
+	return sum / float64(len(w.sys.Cores))
+}
+
+// AllIdle returns the fraction of the window in which every core was
+// idle at once — the physical PC1A opportunity — and the fraction in
+// such periods of at least cpu.SoCWatchFloor, as the paper's SoCWatch
+// measures it (Fig. 6(b)). A period open now counts up to now.
+//
+//apcvet:noalloc
+func (w Window) AllIdle() (all, censored float64) {
+	n := w.Len()
+	if n == 0 {
+		return 0, 0
+	}
+	total, cens := w.sys.GPMU.FullIdle().Time(w.sys.Engine.Now())
+	return float64(total-w.idle0) / float64(n), float64(cens-w.cens0) / float64(n)
 }
