@@ -14,6 +14,7 @@ import (
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 	"agilepkgc/internal/stats"
+	"agilepkgc/internal/trace"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -97,6 +98,7 @@ type machineRun struct {
 	StandbyEntries      []uint64
 	MCs                 []uint64  // accesses and CKE-off entries per controller
 	Residency           []float64 // the window's mean residencies and all-idle fractions
+	Tracer              []float64 // from the tracer, when one is attached
 	Served              uint64
 	MeanLatency         float64
 	P99Latency          float64
@@ -106,12 +108,16 @@ type machineRun struct {
 
 // driveMachine runs n rounds of seeded load on sys — work on random
 // cores (several items at once now and then, which grows run queues)
-// and DRAM bursts — inside one measured window, and reports it.
-func driveMachine(sys *soc.System, seed uint64, n int) machineRun {
+// and DRAM bursts — inside one measured window, and reports it. A
+// non-nil tr is attached (Init) as the window opens.
+func driveMachine(sys *soc.System, tr *trace.Tracer, seed uint64, n int) machineRun {
 	eng := sys.Engine
 	rng := stats.NewRNG(seed)
 	eng.Run(eng.Now() + sim.Millisecond)
 	w := sys.OpenWindow()
+	if tr != nil {
+		tr.Init(eng, sys.Cores)
+	}
 	for i := 0; i < n; i++ {
 		c := sys.Cores[rng.Uint64()%uint64(len(sys.Cores))]
 		for k := rng.Uint64() % 12; k > 0; k-- {
@@ -143,6 +149,12 @@ func driveMachine(sys *soc.System, seed uint64, n int) machineRun {
 	}
 	all, censored := w.AllIdle()
 	out.Residency = append(out.Residency, all, censored)
+	if tr != nil {
+		tr.Finalize()
+		h, a := tr.IdlePeriods(), tr.ActiveCoresAfterIdle()
+		out.Tracer = append(out.Tracer, tr.AllIdleFraction(), float64(tr.IdlePeriodCount()),
+			h.Sum(), h.Quantile(0.5), h.Quantile(0.9), float64(a.Count()), a.Mean())
+	}
 	return out
 }
 
@@ -282,15 +294,28 @@ func resetEqualsFreshCases(t *testing.T, specA, specB workload.Spec) []resetCase
 			return poolRun(eng, pool, 7, 100, 2*sim.Millisecond)
 		}},
 		{"System", func(*testing.T) any {
-			return driveMachine(soc.NewOnEngine(cpc1a, sim.NewEngine()), 7, 150)
+			return driveMachine(soc.NewOnEngine(cpc1a, sim.NewEngine()), nil, 7, 150)
 		}, func(*testing.T) any {
 			// B is another kind, so the rewind also changes the shape of
 			// the governors and the package controllers.
 			eng := sim.NewEngine()
 			sys := soc.NewOnEngine(soc.DefaultConfig(soc.Cdeep), eng)
-			driveMachine(sys, 3, 400)
+			driveMachine(sys, nil, 3, 400)
 			eng.Reset()
-			return driveMachine(sys.Init(cpc1a, eng), 7, 150)
+			return driveMachine(sys.Init(cpc1a, eng), nil, 7, 150)
+		}},
+		{"Tracer.Rearm", func(*testing.T) any {
+			sys := soc.NewOnEngine(cpc1a, sim.NewEngine())
+			return driveMachine(sys, new(trace.Tracer), 7, 150)
+		}, func(*testing.T) any {
+			// One tracer kept across the rewind and re-armed on the
+			// rebuilt cores, as a sweep keeps its tracer between points.
+			eng := sim.NewEngine()
+			sys := soc.NewOnEngine(cpc1a, eng)
+			tr := new(trace.Tracer)
+			driveMachine(sys, tr, 3, 400)
+			eng.Reset()
+			return driveMachine(sys.Init(cpc1a, eng), tr, 7, 150)
 		}},
 		{"Server", func(*testing.T) any {
 			eng := sim.NewEngine()

@@ -6,6 +6,7 @@ import (
 
 	"agilepkgc/internal/cpu"
 	"agilepkgc/internal/sim"
+	"agilepkgc/internal/soc"
 )
 
 func mkCores(eng *sim.Engine, n int) []*cpu.Core {
@@ -70,6 +71,47 @@ func TestSingleBusyEpisode(t *testing.T) {
 	}
 }
 
+// TestCensoringDropsShortPeriods checks what Fig. 6 reads from a tracer
+// and a window together: the tracer's histogram keeps the full-idle
+// periods under the SoCWatch floor, and the window's censored all-idle
+// fraction drops exactly their time.
+func TestCensoringDropsShortPeriods(t *testing.T) {
+	sys := soc.New(soc.DefaultConfig(soc.Cshallow))
+	eng := sys.Engine
+	w := sys.OpenWindow()
+	tr := New(eng, sys.Cores)
+	// Alternate: 3us busy, ~5us idle (below the 10us floor), many times;
+	// then one long 100ms idle tail.
+	for i := 0; i < 100; i++ {
+		eng.Run(eng.Now() + 5*sim.Microsecond)
+		sys.Cores[0].Enqueue(cpu.Work{Duration: 3 * sim.Microsecond})
+		eng.Run(eng.Now() + 6*sim.Microsecond)
+	}
+	eng.Run(eng.Now() + 100*sim.Millisecond)
+	tr.Finalize()
+
+	all, censored := w.AllIdle()
+	if all != tr.AllIdleFraction() {
+		t.Fatalf("window all-idle %v, tracer %v", all, tr.AllIdleFraction())
+	}
+	if censored >= all {
+		t.Fatalf("censored %v must be < true %v when short gaps exist", censored, all)
+	}
+	h := tr.IdlePeriods()
+	floor := cpu.SoCWatchFloor.Seconds()
+	short := math.Round(h.FractionBetween(0, floor) * float64(h.Count()))
+	if short < 90 {
+		t.Fatalf("%v of %d idle periods under the floor, want about the 100 short gaps", short, h.Count())
+	}
+	el := tr.Elapsed().Seconds()
+	if math.Abs(h.Sum()-all*el) > 1e-12 {
+		t.Fatalf("histogram holds %vs of full-idle time, window %vs", h.Sum(), all*el)
+	}
+	if dropped := (all - censored) * el; dropped <= 0 || dropped >= short*floor {
+		t.Fatalf("censoring dropped %vs, want the short periods' time, under %v periods × the floor", dropped, short)
+	}
+}
+
 func TestIdlePeriodHistogram(t *testing.T) {
 	eng := sim.NewEngine()
 	cores := mkCores(eng, 1)
@@ -121,12 +163,12 @@ func TestElapsed(t *testing.T) {
 	}
 }
 
-// TestInitMatchesNew checks that a tracer re-attached with Init reports
+// TestRearmMatchesNew checks that a tracer re-armed with Init reports
 // exactly what a fresh one attached at the same instant reports — on
 // its cores rebuilt in place (which drops the tracer's registration)
 // and on cores that replace them — and that re-attaching allocates
 // nothing.
-func TestInitMatchesNew(t *testing.T) {
+func TestRearmMatchesNew(t *testing.T) {
 	drive := func(eng *sim.Engine, cores []*cpu.Core) {
 		for i := 0; i < 20; i++ {
 			cores[i%len(cores)].Enqueue(cpu.Work{Duration: sim.Duration(5+i) * sim.Microsecond})
@@ -183,4 +225,138 @@ func TestInitMatchesNew(t *testing.T) {
 	if !same(re, fresh) {
 		t.Fatal("re-attached tracer differs from a fresh one on replacement cores")
 	}
+}
+
+// TestTransitionsCounted checks that every transition that ends a
+// full-idle period is counted once: as one period in the histogram and
+// as one wake probe.
+func TestTransitionsCounted(t *testing.T) {
+	eng := sim.NewEngine()
+	cores := mkCores(eng, 2)
+	tr := New(eng, cores)
+	for i := 0; i < 10; i++ {
+		cores[i%2].Enqueue(cpu.Work{Duration: 5 * sim.Microsecond})
+		eng.Run(eng.Now() + 100*sim.Microsecond)
+	}
+	tr.Finalize()
+	// Ten wakes end ten periods; Finalize closes the eleventh.
+	if tr.IdlePeriodCount() != 11 {
+		t.Fatalf("idle periods = %d, want 11", tr.IdlePeriodCount())
+	}
+	if n := tr.ActiveCoresAfterIdle().Count(); n != 10 {
+		t.Fatalf("wake probes = %d, want 10", n)
+	}
+}
+
+// idleOracle accumulates the full-idle periods of cores from every
+// transition, from the instant it attaches (a period open there is
+// clipped there).
+type idleOracle struct {
+	eng       *sim.Engine
+	start     sim.Time
+	idle, n   int
+	idleSince sim.Time
+	periods   []sim.Duration
+}
+
+func newIdleOracle(eng *sim.Engine, cores []*cpu.Core) *idleOracle {
+	o := &idleOracle{eng: eng, start: eng.Now(), n: len(cores), idleSince: eng.Now()}
+	for _, c := range cores {
+		if c.State().Idle() {
+			o.idle++
+		}
+		c.OnTransition(func(old, new cpu.CState) {
+			was := o.idle == o.n
+			if old.Idle() && !new.Idle() {
+				o.idle--
+			} else if !old.Idle() && new.Idle() {
+				o.idle++
+			}
+			switch is := o.idle == o.n; {
+			case was && !is:
+				o.periods = append(o.periods, o.eng.Now()-o.idleSince)
+			case !was && is:
+				o.idleSince = o.eng.Now()
+			}
+		})
+	}
+	return o
+}
+
+// check compares tr with the oracle at the current instant, the open
+// period counted as ending now.
+func (o *idleOracle) check(t *testing.T, what string, tr *Tracer) {
+	t.Helper()
+	ps := o.periods
+	if o.idle == o.n {
+		ps = append(ps[:len(ps):len(ps)], o.eng.Now()-o.idleSince)
+	}
+	var total sim.Duration
+	var secs float64
+	for _, d := range ps {
+		total += d
+		secs += d.Seconds()
+	}
+	want := float64(total) / float64(o.eng.Now()-o.start)
+	if got := tr.AllIdleFraction(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%s: AllIdleFraction %v, oracle %v", what, got, want)
+	}
+	if got := tr.IdlePeriodCount(); got != uint64(len(ps)) {
+		t.Errorf("%s: %d idle periods, oracle %d", what, got, len(ps))
+	}
+	if got := tr.IdlePeriods().Sum(); math.Abs(got-secs) > 1e-12 {
+		t.Errorf("%s: histogram holds %vs, oracle %vs", what, got, secs)
+	}
+}
+
+// TestResidencyMatchesTransitionOracle checks that the all-idle
+// residency and the full-idle periods a tracer reports equal those
+// accumulated from every transition: on cores with history before the
+// tracer attached, after a second Finalize at the same instant, and on
+// those cores rebuilt in place and re-armed.
+func TestResidencyMatchesTransitionOracle(t *testing.T) {
+	build := func(eng *sim.Engine, cores []*cpu.Core) {
+		for i, c := range cores {
+			var gov cpu.Governor = cpu.ShallowGovernor{}
+			if i%2 == 1 {
+				gov = cpu.NewMenuGovernor()
+			}
+			c.Init(eng, i, cpu.DefaultParams(), gov, cpu.PerformancePolicy{Nominal: 2.2}, nil)
+		}
+	}
+	drive := func(eng *sim.Engine, cores []*cpu.Core) {
+		for i := 0; i < 40; i++ {
+			cores[i%len(cores)].Enqueue(cpu.Work{Duration: sim.Duration(5+i%9) * sim.Microsecond})
+			gap := sim.Duration(20+11*(i%5)) * sim.Microsecond
+			if i%8 == 7 {
+				gap = 3 * sim.Millisecond
+			}
+			eng.Run(eng.Now() + gap)
+		}
+	}
+
+	eng := sim.NewEngine()
+	cores := make([]*cpu.Core, 4)
+	for i := range cores {
+		cores[i] = new(cpu.Core)
+	}
+	build(eng, cores)
+	drive(eng, cores) // history the tracer must not count
+	eng.Run(eng.Now() + 7*sim.Microsecond)
+	tr := New(eng, cores)
+	ref := newIdleOracle(eng, cores)
+	drive(eng, cores)
+	tr.Finalize()
+	ref.check(t, "attached mid-run", tr)
+	tr.Finalize()
+	ref.check(t, "finalized twice", tr)
+
+	eng.Reset()
+	build(eng, cores)
+	eng.Run(5 * sim.Microsecond)
+	tr.Init(eng, cores)
+	ref = newIdleOracle(eng, cores)
+	drive(eng, cores)
+	tr.Finalize()
+	ref.check(t, "re-armed on rebuilt cores", tr)
 }
