@@ -3,9 +3,9 @@
 //
 //	determinism  no wall-clock, global-RNG, env reads, or
 //	             order-dependent map iteration in internal packages
-//	noalloc      //apcvet:noalloc hot paths contain no allocating
-//	             constructs (the compile-time face of the runtime
-//	             alloc gate)
+//	noalloc      //apcvet:noalloc hot paths contain no heap
+//	             allocation by the compiler's escape analysis (the
+//	             compile-time face of the runtime alloc gate)
 //	poolsafe     //apcvet:pooled records are never touched after
 //	             release, and their callbacks capture only the record
 //	seededrng    every RNG stream is Options.Seed-rooted with a

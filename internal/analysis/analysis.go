@@ -6,6 +6,10 @@
 // self-contained: the container this repo grows in has no module
 // cache, so the suite depends on nothing outside the standard library.
 //
+// The noalloc pass takes its allocation verdicts from the compiler:
+// LoadModule's `go list` call also prints the toolchain's escape
+// analysis (-gcflags=-m), so the build that runs the code judges it.
+//
 // The passes turn the invariants the test suite enforces at runtime
 // (bit-identical serial≡parallel sweeps, 0 allocs/op hot paths, pooled
 // records that survive fleet resets, Options.Seed-rooted RNG streams)
@@ -49,7 +53,8 @@ type Pass struct {
 	// against the callee's own annotations.
 	Facts *Facts
 
-	report func(Diagnostic)
+	escapes map[string][]heapEscape
+	report  func(Diagnostic)
 }
 
 // Reportf records one diagnostic at pos.
@@ -78,6 +83,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	Ann   *Annotations
+
+	// escapes is the compiler's module-wide heap-escape report, by
+	// absolute file name (see parseEscapes).
+	escapes map[string][]heapEscape
 }
 
 // Run applies each analyzer to each package and returns every
@@ -100,6 +109,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Info:     pkg.Info,
 				Ann:      pkg.Ann,
 				Facts:    facts,
+				escapes:  pkg.escapes,
 				report:   func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
@@ -165,13 +175,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isConversion reports whether the call expression is a type
-// conversion rather than a function call.
-func isConversion(info *types.Info, call *ast.CallExpr) bool {
-	tv, ok := info.Types[ast.Unparen(call.Fun)]
-	return ok && tv.IsType()
 }
 
 // builtinName returns the builtin's name when the call targets a
@@ -258,14 +261,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// pointerShaped reports whether values of t convert to an interface
-// without allocating (the payload already fits the interface word).
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	}
-	return false
 }

@@ -15,26 +15,15 @@
 // fixture locks both that violations are caught and that clean idioms
 // stay clean.
 //
-// Fixtures may import standard-library packages only; export data is
-// resolved through `go list -export`, exactly like the real loader
-// (load.go), so the tests run offline.
+// Fixtures load through analysis.LoadModule, exactly like the module
+// itself, so they type-check against `go list -export` data and the
+// noalloc fixture is judged by the same compiler escape report; the
+// tests run offline. A fixture may import the standard library only.
 package analysistest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -46,35 +35,29 @@ import (
 // either a double-quoted Go string or a raw backquoted regexp.
 var wantRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// Run analyzes the fixture package in dir under the given import path
-// (the path matters: the determinism pass scopes itself to paths with
-// an "internal" element) and checks diagnostics against the fixture's
-// `// want` expectations.
-func Run(t *testing.T, dir, pkgPath string, analyzers []*analysis.Analyzer) {
+// Run loads the fixture package in dir through the module loader and
+// checks the analyzers' diagnostics against the fixture's `// want`
+// expectations. The fixture's import path is its module path, so the
+// determinism fixture sits under an internal/ element as that pass
+// requires.
+func Run(t *testing.T, dir string, analyzers []*analysis.Analyzer) {
 	t.Helper()
-	fset := token.NewFileSet()
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no fixture files in %s (%v)", dir, err)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	wants := map[string]map[int][]*expectation{}
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		files = append(files, f)
-		wants[name] = parseWants(t, name)
-	}
-	pkg, err := analysis.CheckPackage(fset, pkgPath, files, stdImporter(t, fset, files))
+	pkgs, err := analysis.LoadModule(dir, ".")
 	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", dir, err)
+		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded %d module packages, want 1 (a fixture may import the standard library only)", dir, len(pkgs))
+	}
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers over %s: %v", dir, err)
+	}
+	fset := pkgs[0].Fset
+	wants := map[string]map[int][]*expectation{}
+	for _, f := range pkgs[0].Files {
+		name := fset.File(f.Pos()).Name()
+		wants[name] = parseWants(t, name)
 	}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -143,53 +126,4 @@ func parseWants(t *testing.T, filename string) map[int][]*expectation {
 		}
 	}
 	return out
-}
-
-// stdImporter resolves the fixture's standard-library imports through
-// `go list -export`, mirroring the module loader.
-func stdImporter(t *testing.T, fset *token.FileSet, files []*ast.File) types.Importer {
-	t.Helper()
-	seen := map[string]bool{}
-	var paths []string
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			p, err := strconv.Unquote(spec.Path.Value)
-			if err != nil || seen[p] {
-				continue
-			}
-			seen[p] = true
-			paths = append(paths, p)
-		}
-	}
-	exports := map[string]string{}
-	if len(paths) > 0 {
-		sort.Strings(paths)
-		args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, paths...)
-		cmd := exec.Command("go", args...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("go list %v: %v\n%s", paths, err, stderr.Bytes())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var p struct{ ImportPath, Export string }
-			if err := dec.Decode(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("go list decode: %v", err)
-			}
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q (fixtures may import the standard library only)", path)
-		}
-		return os.Open(f)
-	})
 }

@@ -8,20 +8,21 @@ import (
 
 // The fixture suites: each directory exercises one pass — violations
 // the pass must catch, suppressions it must honor, and clean idioms it
-// must leave alone. The import paths are deliberate: the determinism
-// pass scopes itself to packages under an internal/ element.
+// must leave alone. Each fixture's import path is its module path,
+// which has the internal/ element the determinism pass scopes itself
+// to.
 func TestDeterminismFixture(t *testing.T) {
-	Run(t, "testdata/determinism", "example.com/fixture/internal/det", []*analysis.Analyzer{analysis.Determinism})
+	Run(t, "testdata/determinism", []*analysis.Analyzer{analysis.Determinism})
 }
 
 func TestNoAllocFixture(t *testing.T) {
-	Run(t, "testdata/noalloc", "example.com/fixture/na", []*analysis.Analyzer{analysis.NoAlloc})
+	Run(t, "testdata/noalloc", []*analysis.Analyzer{analysis.NoAlloc})
 }
 
 func TestPoolSafeFixture(t *testing.T) {
-	Run(t, "testdata/poolsafe", "example.com/fixture/pool", []*analysis.Analyzer{analysis.PoolSafe})
+	Run(t, "testdata/poolsafe", []*analysis.Analyzer{analysis.PoolSafe})
 }
 
 func TestSeededRNGFixture(t *testing.T) {
-	Run(t, "testdata/seededrng", "example.com/fixture/rng", []*analysis.Analyzer{analysis.SeededRNG})
+	Run(t, "testdata/seededrng", []*analysis.Analyzer{analysis.SeededRNG})
 }

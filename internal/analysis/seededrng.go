@@ -294,3 +294,19 @@ func render(fset *token.FileSet, e ast.Expr) string {
 		return fmt.Sprintf("<expr@%v>", fset.Position(e.Pos()).Line)
 	}
 }
+
+// typeOf is Info.Types lookup tolerating missing entries.
+func (p *Pass) typeOf(e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok {
+		return tv.Type
+	}
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if obj := p.Info.Uses[id]; obj != nil {
+			return obj.Type()
+		}
+		if obj := p.Info.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
+}

@@ -176,13 +176,13 @@ func (r *Replay) scheduleNext() {
 			}
 			//apcvet:alloc loop wraparound: once per trace iteration, not per record
 			if rerr := r.rd.Rewind(); rerr != nil {
-				panic(fmt.Sprintf("replay: rewind for loop: %v", rerr))
+				panic(fmt.Sprintf("replay: rewind for loop: %v", rerr)) //apcvet:alloc panic path: the message is built only when the program is about to die
 			}
 			r.iterBase += r.scaleTS(r.hdr.LastTS)
 			continue
 		}
 		if err != nil {
-			panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err))
+			panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err)) //apcvet:alloc panic path: the message is built only when the program is about to die
 		}
 		at := r.offset + r.iterBase + r.scaleTS(rec.TS)
 		r.pending = r.eng.At(at, (*arrivalTimer)(r))
@@ -198,7 +198,7 @@ func (r *Replay) emit() {
 	if err != nil {
 		// scheduleNext peeked this record successfully; only the stream
 		// changing underneath the run gets here.
-		panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err))
+		panic(fmt.Sprintf("replay: trace corrupted after validation: %v", err)) //apcvet:alloc panic path: the message is built only when the program is about to die
 	}
 	req, _ := r.pool.Get()
 	*req = workload.Request{
