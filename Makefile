@@ -89,7 +89,8 @@ benchgate:
 
 # Non-test Go lines per package under internal/ and cmd/ — the
 # simplicity yardstick each change reports before and after — then the
-# embedded JSON data lines under internal/ on their own line.
+# embedded JSON data lines under internal/ on their own line, then the
+# total without blank and //-comment lines.
 loc:
 	@sh scripts/loc.sh
 

@@ -132,6 +132,10 @@ func TestConvertRejects(t *testing.T) {
 		{"short row", csvHeader + "\n1,2,3\n", "want 4"},
 		{"negative ts", csvHeader + "\n-1,2,3,4\n", "malformed"},
 		{"unsorted", csvHeader + "\n10,2,0,0\n5,2,0,0\n", "sorted"},
+		// 1e16 µs overflows int64 nanoseconds; unchecked, the wrapped
+		// values surfaced as an unsorted log or a replay error.
+		{"ts overflow", csvHeader + "\n1,1,0,0\n1e16,1,0,0\n", "line 3: malformed record"},
+		{"service overflow", csvHeader + "\n1,1e16,0,0\n", "line 2: malformed record"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

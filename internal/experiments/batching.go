@@ -96,8 +96,8 @@ func (r *BatchingResult) Report() string {
 		if p.Epoch > 0 {
 			name = p.Epoch.String()
 		}
-		t.add(name, fmt.Sprintf("%.1fW", p.Watts), pct(p.SavingsFrac), pct(p.PC1AResidency),
-			us(p.MeanLatency), us(p.P99Latency), fmt.Sprintf("%+.1f%%", p.LatencyCost*100))
+		t.add(name, Watts(p.Watts), Pct(p.SavingsFrac), Pct(p.PC1AResidency),
+			Micros(p.MeanLatency), Micros(p.P99Latency), fmt.Sprintf("%+.1f%%", p.LatencyCost*100))
 	}
 	b.WriteString(t.String())
 	return b.String()

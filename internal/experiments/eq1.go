@@ -102,9 +102,9 @@ func (r *Eq1Result) Report() string {
 	b.WriteString("Eq. 1: analytic PC1A power-savings model (residencies from Cshallow)\n")
 	t := &table{header: []string{"Load", "QPS", "R_all-idle", "P_PC0", "P_idle", "P_PC1A", "Savings", "Paper"}}
 	add := func(p Eq1Point, paperSave, paperIdle string) {
-		t.add(pct(p.Util), fmt.Sprintf("%.0f", p.QPS), pct(p.RPC0Idle),
-			fmt.Sprintf("%.1fW", p.PPC0), fmt.Sprintf("%.1fW", p.PPC0Idle),
-			fmt.Sprintf("%.1fW", p.PPC1A), pct(p.SavingsFrac),
+		t.add(Pct(p.Util), fmt.Sprintf("%.0f", p.QPS), Pct(p.RPC0Idle),
+			Watts(p.PPC0), Watts(p.PPC0Idle),
+			Watts(p.PPC1A), Pct(p.SavingsFrac),
 			fmt.Sprintf("save %s, idle %s", paperSave, paperIdle))
 	}
 	add(r.At5pct, "23%", "~57%")

@@ -249,8 +249,35 @@ func RenderTable(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// pct formats a fraction as a percentage string.
-func pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+// Micros formats seconds as microseconds. Micros, Watts, Pct and
+// PC1APct are the cell formatters every report table shares.
+func Micros(sec float64) string { return fmt.Sprintf("%.1fus", sec*1e6) }
+
+// Watts formats a power in watts.
+func Watts(w float64) string { return fmt.Sprintf("%.1fW", w) }
+
+// Pct formats a fraction as a percentage.
+func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+
+// PC1APct formats a PC1A residency: "-" on configurations without an
+// APMU.
+func PC1APct(res *float64) string {
+	if res == nil {
+		return "-"
+	}
+	return Pct(*res)
+}
+
+// Cells renders report cells in fmt's default format, the CSV
+// writer's: integers print as %d and pre-formatted strings pass
+// through.
+func Cells(vals ...any) []string {
+	cells := make([]string, len(vals))
+	for i, v := range vals {
+		cells[i] = fmt.Sprint(v)
+	}
+	return cells
+}
 
 // cpuBusyWork returns a long-running work item that keeps a core in CC0
 // for the duration of a characterization measurement.

@@ -64,13 +64,10 @@ func (r *Fig5Result) Report() string {
 	t := &table{header: []string{"QPS", "Cshallow mean", "Cshallow p99", "Cdeep mean", "Cdeep p99", "Cdeep/Cshallow mean"}}
 	for _, p := range r.Points {
 		t.add(fmt.Sprintf("%.0fK", p.QPS/1000),
-			us(p.ShallowMean), us(p.ShallowP99),
-			us(p.DeepMean), us(p.DeepP99),
+			Micros(p.ShallowMean), Micros(p.ShallowP99),
+			Micros(p.DeepMean), Micros(p.DeepP99),
 			fmt.Sprintf("%.2fx", p.DeepMean/p.ShallowMean))
 	}
 	b.WriteString(t.String())
 	return b.String()
 }
-
-// us formats seconds as microseconds.
-func us(sec float64) string { return fmt.Sprintf("%.1fus", sec*1e6) }

@@ -70,14 +70,14 @@ func (r *Fig6Result) Report() string {
 	b.WriteString("Fig 6(a): core C-state residency, Cshallow (paper: CC1 76-98% at <=100K QPS)\n")
 	ta := &table{header: []string{"QPS", "CC0", "CC1"}}
 	for _, p := range r.Points {
-		ta.add(fmt.Sprintf("%.0fK", p.QPS/1000), pct(p.CC0Residency), pct(p.CC1Residency))
+		ta.add(fmt.Sprintf("%.0fK", p.QPS/1000), Pct(p.CC0Residency), Pct(p.CC1Residency))
 	}
 	b.WriteString(ta.String())
 
 	b.WriteString("\nFig 6(b): PC1A residency opportunity (paper, censored: 77% @4K, 20% @50K, >=12% @<=100K)\n")
 	tb := &table{header: []string{"QPS", "all-idle (true)", "all-idle (SoCWatch >=10us)", "idle periods"}}
 	for _, p := range r.Points {
-		tb.add(fmt.Sprintf("%.0fK", p.QPS/1000), pct(p.AllIdleTrue), pct(p.AllIdleCensored),
+		tb.add(fmt.Sprintf("%.0fK", p.QPS/1000), Pct(p.AllIdleTrue), Pct(p.AllIdleCensored),
 			fmt.Sprintf("%d", p.IdlePeriods))
 	}
 	b.WriteString(tb.String())
@@ -85,8 +85,8 @@ func (r *Fig6Result) Report() string {
 	b.WriteString("\nFig 6(c): fully-idle period lengths (paper: at low load ~60% in 20-200us)\n")
 	tc := &table{header: []string{"QPS", "frac 20-200us", "p50", "p90"}}
 	for _, p := range r.Points {
-		tc.add(fmt.Sprintf("%.0fK", p.QPS/1000), pct(p.FracIn20To200us),
-			us(p.IdleP50), us(p.IdleP90))
+		tc.add(fmt.Sprintf("%.0fK", p.QPS/1000), Pct(p.FracIn20To200us),
+			Micros(p.IdleP50), Micros(p.IdleP90))
 	}
 	b.WriteString(tc.String())
 	return b.String()

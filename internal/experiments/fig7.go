@@ -104,18 +104,18 @@ func (r *Fig7Result) Report() string {
 	var b strings.Builder
 	b.WriteString("Fig 7(a): idle SoC+DRAM power (paper: CPC1A 41% below Cshallow)\n")
 	ta := &table{header: []string{"Config", "Idle power", "Paper"}}
-	ta.add("Cshallow", fmt.Sprintf("%.1fW", r.Idle.Cshallow), "49.5W")
-	ta.add("Cdeep", fmt.Sprintf("%.1fW", r.Idle.Cdeep), "12.5W")
-	ta.add("C_PC1A", fmt.Sprintf("%.1fW", r.Idle.CPC1A), "29.1W")
+	ta.add("Cshallow", Watts(r.Idle.Cshallow), "49.5W")
+	ta.add("Cdeep", Watts(r.Idle.Cdeep), "12.5W")
+	ta.add("C_PC1A", Watts(r.Idle.CPC1A), "29.1W")
 	b.WriteString(ta.String())
-	fmt.Fprintf(&b, "C_PC1A saves %s vs Cshallow (paper: 41%%)\n", pct(r.Idle.SavingsVsShallow))
+	fmt.Fprintf(&b, "C_PC1A saves %s vs Cshallow (paper: 41%%)\n", Pct(r.Idle.SavingsVsShallow))
 
 	b.WriteString("\nFig 7(b): power vs request rate (paper: 37% @4K, 14% @50K)\n")
 	tb := &table{header: []string{"QPS", "Cshallow", "C_PC1A", "Savings", "PC1A residency"}}
 	for _, p := range r.Points {
 		tb.add(fmt.Sprintf("%.0fK", p.QPS/1000),
-			fmt.Sprintf("%.1fW", p.ShallowWatts), fmt.Sprintf("%.1fW", p.PC1AWatts),
-			pct(p.SavingsFrac), pct(p.PC1AResidency))
+			Watts(p.ShallowWatts), Watts(p.PC1AWatts),
+			Pct(p.SavingsFrac), Pct(p.PC1AResidency))
 	}
 	b.WriteString(tb.String())
 
@@ -123,7 +123,7 @@ func (r *Fig7Result) Report() string {
 	tc := &table{header: []string{"QPS", "Cshallow mean", "C_PC1A mean", "Impact", "PC1A transitions"}}
 	for _, p := range r.Points {
 		tc.add(fmt.Sprintf("%.0fK", p.QPS/1000),
-			us(p.ShallowMean), us(p.PC1AMean),
+			Micros(p.ShallowMean), Micros(p.PC1AMean),
 			fmt.Sprintf("%+.4f%%", p.ImpactFrac*100),
 			fmt.Sprintf("%d", p.PC1AEntries))
 	}

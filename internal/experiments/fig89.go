@@ -108,22 +108,22 @@ func (r *WorkloadResult) Report() string {
 	fmt.Fprintf(&b, "(a) residency, Cshallow baseline:\n")
 	ta := &table{header: []string{"Load", "QPS", "CC0", "CC1", "all-idle (true)", "all-idle (censored)"}}
 	for _, p := range r.Points {
-		ta.add(fmt.Sprintf("%s (%s)", p.Label, pct(p.Load)),
+		ta.add(fmt.Sprintf("%s (%s)", p.Label, Pct(p.Load)),
 			fmt.Sprintf("%.0f", p.QPS),
-			pct(p.CC0Residency), pct(p.CC1Residency),
-			pct(p.AllIdleTrue), pct(p.AllIdleCensored))
+			Pct(p.CC0Residency), Pct(p.CC1Residency),
+			Pct(p.AllIdleTrue), Pct(p.AllIdleCensored))
 	}
 	b.WriteString(ta.String())
 
 	fmt.Fprintf(&b, "\n(b) average power reduction of C_PC1A vs Cshallow:\n")
 	tb := &table{header: []string{"Load", "Cshallow", "C_PC1A", "Reduction", "Latency impact"}}
 	for _, p := range r.Points {
-		tb.add(fmt.Sprintf("%s (%s)", p.Label, pct(p.Load)),
-			fmt.Sprintf("%.1fW", p.ShallowWatts), fmt.Sprintf("%.1fW", p.PC1AWatts),
-			pct(p.PowerReduction), fmt.Sprintf("%+.4f%%", p.ImpactFrac*100))
+		tb.add(fmt.Sprintf("%s (%s)", p.Label, Pct(p.Load)),
+			Watts(p.ShallowWatts), Watts(p.PC1AWatts),
+			Pct(p.PowerReduction), fmt.Sprintf("%+.4f%%", p.ImpactFrac*100))
 	}
 	b.WriteString(tb.String())
-	fmt.Fprintf(&b, "fully idle server reduction: %s (paper: 41%%)\n", pct(r.IdleReduction))
+	fmt.Fprintf(&b, "fully idle server reduction: %s (paper: 41%%)\n", Pct(r.IdleReduction))
 	if r.Service == "MySQL" {
 		b.WriteString("paper: all-idle 20-37%, power reduction 7-14%\n")
 	} else {

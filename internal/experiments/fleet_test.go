@@ -290,9 +290,8 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// csvPropagatesWriterErrors fails each write of each experiment's CSV
-// in turn — every scenario's tables and the blank lines between them:
-// each failure must propagate, not truncate silently.
+// csvPropagatesWriterErrors runs each named experiment and drills its
+// CSV writer (drillCSV).
 func csvPropagatesWriterErrors(t *testing.T, names ...string) {
 	t.Helper()
 	for _, name := range names {
@@ -301,18 +300,26 @@ func csvPropagatesWriterErrors(t *testing.T, names ...string) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cw := &writeCounter{}
-		if err := res.(experiments.CSVWriter).WriteCSV(cw); err != nil {
-			t.Fatal(err)
-		}
-		if cw.writes < 3 {
-			t.Fatalf("%s: expected at least 3 writes, got %d", name, cw.writes)
-		}
-		sentinel := errors.New("disk full")
-		for n := 0; n < cw.writes; n++ {
-			if err := res.(experiments.CSVWriter).WriteCSV(&failAt{n: n, err: sentinel}); !errors.Is(err, sentinel) {
-				t.Errorf("%s: failure of write %d was swallowed: got %v", name, n, err)
-			}
+		drillCSV(t, name, res.(experiments.CSVWriter))
+	}
+}
+
+// drillCSV fails each write of a CSV writer in turn — every table's
+// header, every row and the blank lines between tables: each failure
+// must propagate, not truncate silently.
+func drillCSV(t *testing.T, name string, w experiments.CSVWriter) {
+	t.Helper()
+	cw := &writeCounter{}
+	if err := w.WriteCSV(cw); err != nil {
+		t.Fatal(err)
+	}
+	if cw.writes < 3 {
+		t.Fatalf("%s: expected at least 3 writes, got %d", name, cw.writes)
+	}
+	sentinel := errors.New("disk full")
+	for n := 0; n < cw.writes; n++ {
+		if err := w.WriteCSV(&failAt{n: n, err: sentinel}); !errors.Is(err, sentinel) {
+			t.Errorf("%s: failure of write %d was swallowed: got %v", name, n, err)
 		}
 	}
 }

@@ -23,7 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden report and has
 // file byte for byte, the SHA-256 of each result's json.Marshal must
 // match a committed hash file (the reports round floats to printed
 // precision, the JSON keeps every bit; see checkHashLock), and so must
-// the SHA-256 of each CSVWriter's bytes. Any change
+// the SHA-256 of each CSVWriter's bytes; each CSVWriter is also
+// drilled with a writer failing at every write (drillCSV). Any change
 // to the simulation, the registry or the report rendering that moves a
 // single bit fails here. Regenerate deliberately with
 //
@@ -44,12 +45,13 @@ func TestGoldenReports(t *testing.T) {
 				t.Fatalf("%s: WriteCSV: %v", e.Name(), err)
 			}
 			csvSums = append(csvSums, fmt.Sprintf("%s %x", e.Name(), sha256.Sum256(csv.Bytes())))
+			drillCSV(t, e.Name(), cw)
 		}
 	}
 	checkHashLock(t, filepath.Join("testdata", "golden_quick.sha256"), sums)
 	// The CSV series are locked byte for byte too, so a change to a
-	// writer (or to the column table that may one day drive both the
-	// report and the CSV) cannot move a byte unseen.
+	// writer or to WriteCSVTable, which renders every table, cannot move
+	// a byte unseen.
 	checkHashLock(t, filepath.Join("testdata", "golden_quick_csv.sha256"), csvSums)
 	got := []byte(b.String())
 

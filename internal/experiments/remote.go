@@ -98,8 +98,8 @@ func (r *RemoteResult) Report() string {
 	fmt.Fprintf(&b, "Deployment study: PC1A vs peer-socket UPI traffic (local load %.0f QPS)\n", r.QPS)
 	t := &table{header: []string{"Remote rate", "PC1A residency", "PC1A entries", "Power", "Savings vs Cshallow"}}
 	for _, p := range r.Points {
-		t.add(fmt.Sprintf("%.0f/s", p.SnoopRate), pct(p.PC1AResidency),
-			fmt.Sprintf("%d", p.PC1AEntries), fmt.Sprintf("%.1fW", p.Watts), pct(p.SavingsFrac))
+		t.add(fmt.Sprintf("%.0f/s", p.SnoopRate), Pct(p.PC1AResidency),
+			fmt.Sprintf("%d", p.PC1AEntries), Watts(p.Watts), Pct(p.SavingsFrac))
 	}
 	b.WriteString(t.String())
 	b.WriteString("PC1A needs whole-socket IO quiescence, but each wake costs only ~0.5us,\n")

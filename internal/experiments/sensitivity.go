@@ -169,7 +169,7 @@ func (r *SensitivityResult) Report() string {
 	b.WriteString("Technique ablations (idle + 20K QPS Memcached):\n")
 	t := &table{header: []string{"Configuration", "Idle power", "Idle savings", "Savings @20K"}}
 	for _, a := range r.Ablations {
-		t.add(a.Name, fmt.Sprintf("%.1fW", a.IdleW), pct(a.IdleSavings), pct(a.LoadSavings))
+		t.add(a.Name, Watts(a.IdleW), Pct(a.IdleSavings), Pct(a.LoadSavings))
 	}
 	b.WriteString(t.String())
 

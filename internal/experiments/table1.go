@@ -131,16 +131,16 @@ func (r *Table1Result) Speedup() float64 {
 func (r *Table1Result) Report() string {
 	t := &table{header: []string{"Package/cores C-state", "Latency", "SoC power", "DRAM power", "Paper (SoC+DRAM, latency)"}}
 	t.add("PC0 / >=1 CC0", "0ns",
-		fmt.Sprintf("%.1fW", r.PC0SoC), fmt.Sprintf("%.1fW", r.PC0DRAM),
+		Watts(r.PC0SoC), Watts(r.PC0DRAM),
 		"<=85W + 7W, 0ns")
 	t.add("PC0idle / all CC1", "0ns",
-		fmt.Sprintf("%.1fW", r.PC0IdleSoC), fmt.Sprintf("%.1fW", r.PC0IdleDRAM),
+		Watts(r.PC0IdleSoC), Watts(r.PC0IdleDRAM),
 		"44W + 5.5W, 0ns")
 	t.add("PC6 / all CC6", r.PC6Latency.String(),
-		fmt.Sprintf("%.1fW", r.PC6SoC), fmt.Sprintf("%.1fW", r.PC6DRAM),
+		Watts(r.PC6SoC), Watts(r.PC6DRAM),
 		"12W + 0.5W, >50us")
 	t.add("PC1A / all CC1", r.PC1ALatency.String(),
-		fmt.Sprintf("%.1fW", r.PC1ASoC), fmt.Sprintf("%.1fW", r.PC1ADRAM),
+		Watts(r.PC1ASoC), Watts(r.PC1ADRAM),
 		"27.5W + 1.6W, <200ns")
 	var b strings.Builder
 	b.WriteString("Table 1: power and transition latency per package C-state\n")

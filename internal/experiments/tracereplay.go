@@ -155,25 +155,9 @@ func (r *TraceReplayResult) Report() string {
 	fmt.Fprintf(&b, "(recorded %d arrivals, %d bytes; replayed through an identical fleet)\n",
 		r.Records, r.TraceBytes)
 	t := &table{header: []string{"source", "generated", "served", "dropped", "p50", "p99", "fleet W", "all-idle", "PC1A res"}}
-	for _, row := range []struct {
-		name string
-		m    cluster.Measurement
-	}{{"synthetic", r.Synthetic}, {"replayed", r.Replayed}} {
-		pc1a := "-"
-		if row.m.PC1AResidency != nil {
-			pc1a = pct(*row.m.PC1AResidency)
-		}
-		t.add(
-			row.name,
-			fmt.Sprintf("%d", row.m.Generated),
-			fmt.Sprintf("%d", row.m.Served),
-			fmt.Sprintf("%d", row.m.Dropped),
-			fmt.Sprintf("%.1fus", row.m.P50Latency*1e6),
-			fmt.Sprintf("%.1fus", row.m.P99Latency*1e6),
-			fmt.Sprintf("%.1fW", row.m.TotalWatts),
-			pct(row.m.AllIdle),
-			pc1a,
-		)
+	for i, m := range [2]cluster.Measurement{r.Synthetic, r.Replayed} {
+		t.add(Cells(traceSources[i], m.Generated, m.Served, m.Dropped, Micros(m.P50Latency), Micros(m.P99Latency),
+			Watts(m.TotalWatts), Pct(m.AllIdle), PC1APct(m.PC1AResidency))...)
 	}
 	b.WriteString(t.String())
 	if r.Identical {
@@ -184,31 +168,17 @@ func (r *TraceReplayResult) Report() string {
 	return b.String()
 }
 
-// pc1aCell renders a PC1A residency for the CSV: empty on
-// configurations without an APMU.
-func pc1aCell(res *float64) string {
-	if res == nil {
-		return ""
-	}
-	return fmt.Sprintf("%g", *res)
-}
+// traceSources names the table rows: the synthetic fleet, then the
+// replayed one.
+var traceSources = [2]string{"synthetic", "replayed"}
 
 // WriteCSV implements CSVWriter: one row per source.
 func (r *TraceReplayResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "source,generated,served,dropped,mean_s,p50_s,p99_s,p999_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,identical"); err != nil {
-		return err
+	var rows [][]any
+	for i, m := range [2]cluster.Measurement{r.Synthetic, r.Replayed} {
+		rows = append(rows, []any{traceSources[i], m.Generated, m.Served, m.Dropped,
+			m.MeanLatency, m.P50Latency, m.P99Latency, m.P999Latency, m.SoCWatts, m.DRAMWatts, m.TotalWatts,
+			m.AllIdle, Opt(m.PC1AResidency), r.Identical})
 	}
-	for _, row := range []struct {
-		name string
-		m    cluster.Measurement
-	}{{"synthetic", r.Synthetic}, {"replayed", r.Replayed}} {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%g,%g,%g,%g,%g,%g,%g,%g,%s,%t\n",
-			row.name, row.m.Generated, row.m.Served, row.m.Dropped,
-			row.m.MeanLatency, row.m.P50Latency, row.m.P99Latency, row.m.P999Latency,
-			row.m.SoCWatts, row.m.DRAMWatts, row.m.TotalWatts,
-			row.m.AllIdle, pc1aCell(row.m.PC1AResidency), r.Identical); err != nil {
-			return err
-		}
-	}
-	return nil
+	return WriteCSVTable(w, "source,generated,served,dropped,mean_s,p50_s,p99_s,p999_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,identical", rows)
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -23,7 +22,9 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 // TestWriteCSVPropagatesWriterErrors drives WriteCSV into a writer that
 // fails at the header and at each data row: every failure point must
-// surface the writer's error, never a silent short file.
+// surface the writer's error, never a silent short file. The swept
+// single machine writes the aggregate table alone; the two-tier graph
+// with a faults block adds the tier, edge and fault tables.
 func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
 	sc := Scenario{
 		Name:     "errprop",
@@ -31,29 +32,38 @@ func TestWriteCSVPropagatesWriterErrors(t *testing.T) {
 		Workload: Workload{Service: "memcached", QPS: 10000},
 		Sweep:    &Sweep{Axis: AxisQPS, Values: []float64{5000, 10000}},
 	}
-	res, err := sc.Run(quickOpt())
-	if err != nil {
-		t.Fatal(err)
+	graph := tieredScenario()
+	graph.Tiers[1].Faults = &Faults{RequestTimeoutUS: 2000, MaxRetries: 1}
+	for _, c := range []struct {
+		sc     Scenario
+		writes int
+	}{
+		{sc, 3},    // header + 2 sweep rows
+		{graph, 9}, // 4 headers + 1 aggregate, 2 tier, 1 edge and 1 fault row
+	} {
+		res, err := c.sc.Run(quickOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		drillWriteCSV(t, res, c.writes)
 	}
+}
 
-	// Count how many writes a clean run performs, then fail at every
-	// prefix length.
-	var ok strings.Builder
-	if err := res.WriteCSV(&ok); err != nil {
-		t.Fatal(err)
-	}
+// drillWriteCSV counts the writes of a clean WriteCSV, at least min,
+// then fails the writer after each prefix of them.
+func drillWriteCSV(t *testing.T, res *Result, min int) {
+	t.Helper()
 	cw := &countingWriter{}
 	if err := res.WriteCSV(cw); err != nil {
 		t.Fatal(err)
 	}
-	total := cw.writes
-	if total < 3 { // header + 2 sweep rows
-		t.Fatalf("expected at least 3 writes, got %d", total)
+	if cw.writes < min {
+		t.Fatalf("%s: expected at least %d writes, got %d", res.Scenario.Name, min, cw.writes)
 	}
 	sentinel := errors.New("disk full")
-	for n := 0; n < total; n++ {
+	for n := 0; n < cw.writes; n++ {
 		if err := res.WriteCSV(&failWriter{n: n, err: sentinel}); !errors.Is(err, sentinel) {
-			t.Errorf("failure after %d writes was swallowed: got %v", n, err)
+			t.Errorf("%s: failure after %d writes was swallowed: got %v", res.Scenario.Name, n, err)
 		}
 	}
 }
@@ -77,18 +87,6 @@ func TestWriteCSVPropagatesWriterErrorsRacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := &countingWriter{}
-	if err := res.WriteCSV(cw); err != nil {
-		t.Fatal(err)
-	}
 	// 2 headers + 2 aggregate rows + 2 points × 2 racks.
-	if want := 8; cw.writes < want {
-		t.Fatalf("expected at least %d writes, got %d", want, cw.writes)
-	}
-	sentinel := errors.New("disk full")
-	for n := 0; n < cw.writes; n++ {
-		if err := res.WriteCSV(&failWriter{n: n, err: sentinel}); !errors.Is(err, sentinel) {
-			t.Errorf("failure after %d writes was swallowed: got %v", n, err)
-		}
-	}
+	drillWriteCSV(t, res, 8)
 }

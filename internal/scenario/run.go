@@ -659,156 +659,77 @@ func (r *Result) Report() string {
 	header := []string{axisHdr, "workload", "served", "mean", "p99", "SoC", "DRAM", "total", "all-idle", "PC1A res", "dropped"}
 	rows := make([][]string, 0, len(r.Points))
 	for _, p := range r.Points {
-		pc1a := "-"
-		if p.PC1AResidency != nil {
-			pc1a = fmt.Sprintf("%.1f%%", *p.PC1AResidency*100)
-		}
-		rows = append(rows, []string{
-			p.axisCell(),
-			p.Workload,
-			fmt.Sprintf("%d", p.Served),
-			fmt.Sprintf("%.1fus", p.MeanLatency*1e6),
-			fmt.Sprintf("%.1fus", p.P99Latency*1e6),
-			fmt.Sprintf("%.1fW", p.SoCWatts),
-			fmt.Sprintf("%.2fW", p.DRAMWatts),
-			fmt.Sprintf("%.1fW", p.TotalWatts),
-			fmt.Sprintf("%.1f%%", p.AllIdle*100),
-			pc1a,
-			fmt.Sprintf("%d", p.Dropped),
-		})
+		rows = append(rows, experiments.Cells(p.axisCell(), p.Workload, p.Served,
+			experiments.Micros(p.MeanLatency), experiments.Micros(p.P99Latency), experiments.Watts(p.SoCWatts),
+			fmt.Sprintf("%.2fW", p.DRAMWatts), experiments.Watts(p.TotalWatts), experiments.Pct(p.AllIdle),
+			experiments.PC1APct(p.PC1AResidency), p.Dropped))
 	}
 	b.WriteString(experiments.RenderTable(header, rows))
 
-	// Per-server breakdowns, one block per multi-server point — the
-	// fleet story (which servers soaked the load, which ones idled into
-	// PC1A) lives here, not in the aggregate row.
-	for _, p := range r.Points {
-		if len(p.Servers) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\nper-server [%s=%s]:\n", axisHdr, p.axisCell())
-		srows := make([][]string, 0, len(p.Servers))
-		for _, ss := range p.Servers {
-			pc1a := "-"
-			if ss.PC1AResidency != nil {
-				pc1a = fmt.Sprintf("%.1f%%", *ss.PC1AResidency*100)
+	// breakdown renders one titled block per point with a non-empty
+	// breakdown; the fleet, rack, tier and graph stories live in these
+	// blocks, not in the aggregate row.
+	breakdown := func(title string, header []string, rows func(p Point) [][]string) {
+		for _, p := range r.Points {
+			if rs := rows(p); len(rs) > 0 {
+				fmt.Fprintf(&b, "\n%s [%s=%s]:\n", title, axisHdr, p.axisCell())
+				b.WriteString(experiments.RenderTable(header, rs))
 			}
-			srows = append(srows, []string{
-				fmt.Sprintf("%d", ss.Index),
-				fmt.Sprintf("%d", ss.Routed),
-				fmt.Sprintf("%d", ss.Served),
-				fmt.Sprintf("%.1fus", ss.MeanLatency*1e6),
-				fmt.Sprintf("%.1fus", ss.P99Latency*1e6),
-				fmt.Sprintf("%.1fW", ss.TotalWatts),
-				fmt.Sprintf("%.1f%%", ss.AllIdle*100),
-				pc1a,
-				fmt.Sprintf("%d", ss.Dropped),
-			})
 		}
-		b.WriteString(experiments.RenderTable(
-			[]string{"server", "routed", "served", "mean", "p99", "total", "all-idle", "PC1A res", "dropped"},
-			srows))
 	}
-
-	// Per-rack power zones, one block per multi-rack point — whether
-	// packing kept whole racks dark is the rack story, and it is only
-	// visible at zone granularity.
-	for _, p := range r.Points {
-		if len(p.Racks) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\nper-rack [%s=%s]:\n", axisHdr, p.axisCell())
-		rrows := make([][]string, 0, len(p.Racks))
-		for _, rs := range p.Racks {
-			local := ""
-			if rs.Local {
-				local = "*"
+	// Per-server: which servers soaked the load, which ones idled into
+	// PC1A.
+	breakdown("per-server", []string{"server", "routed", "served", "mean", "p99", "total", "all-idle", "PC1A res", "dropped"},
+		func(p Point) (rows [][]string) {
+			for _, ss := range p.Servers {
+				rows = append(rows, experiments.Cells(ss.Index, ss.Routed, ss.Served,
+					experiments.Micros(ss.MeanLatency), experiments.Micros(ss.P99Latency), experiments.Watts(ss.TotalWatts),
+					experiments.Pct(ss.AllIdle), experiments.PC1APct(ss.PC1AResidency), ss.Dropped))
 			}
-			pc1a := "-"
-			if rs.PC1AResidency != nil {
-				pc1a = fmt.Sprintf("%.1f%%", *rs.PC1AResidency*100)
+			return rows
+		})
+	// Per-rack power zones: whether packing kept whole racks dark is
+	// only visible at zone granularity.
+	breakdown("per-rack", []string{"rack", "active", "routed", "served", "mean", "p99", "zone W", "all-idle", "PC1A res", "dropped"},
+		func(p Point) (rows [][]string) {
+			for _, rs := range p.Racks {
+				local := ""
+				if rs.Local {
+					local = "*"
+				}
+				rows = append(rows, experiments.Cells(fmt.Sprintf("%d%s", rs.Index, local),
+					fmt.Sprintf("%d/%d", rs.ActiveServers, rs.Servers), rs.Routed, rs.Served,
+					experiments.Micros(rs.MeanLatency), experiments.Micros(rs.P99Latency), experiments.Watts(rs.TotalWatts),
+					experiments.Pct(rs.AllIdle), experiments.PC1APct(rs.PC1AResidency), rs.Dropped))
 			}
-			rrows = append(rrows, []string{
-				fmt.Sprintf("%d%s", rs.Index, local),
-				fmt.Sprintf("%d/%d", rs.ActiveServers, rs.Servers),
-				fmt.Sprintf("%d", rs.Routed),
-				fmt.Sprintf("%d", rs.Served),
-				fmt.Sprintf("%.1fus", rs.MeanLatency*1e6),
-				fmt.Sprintf("%.1fus", rs.P99Latency*1e6),
-				fmt.Sprintf("%.1fW", rs.TotalWatts),
-				fmt.Sprintf("%.1f%%", rs.AllIdle*100),
-				pc1a,
-				fmt.Sprintf("%d", rs.Dropped),
-			})
-		}
-		b.WriteString(experiments.RenderTable(
-			[]string{"rack", "active", "routed", "served", "mean", "p99", "zone W", "all-idle", "PC1A res", "dropped"},
-			rrows))
-	}
-
-	// Per-tier breakdowns, one block per multi-tier point — which tier
-	// soaked the work and which one idled into PC1A is the service-graph
-	// story, invisible in the client-view aggregate row.
-	for _, p := range r.Points {
-		if len(p.Tiers) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\nper-tier [%s=%s]:\n", axisHdr, p.axisCell())
-		trows := make([][]string, 0, len(p.Tiers))
-		for _, tm := range p.Tiers {
-			m := tm.Fleet
-			pc1a := "-"
-			if m.PC1AResidency != nil {
-				pc1a = fmt.Sprintf("%.1f%%", *m.PC1AResidency*100)
+			return rows
+		})
+	// Per-tier: which tier soaked the work and which one idled into
+	// PC1A, invisible in the client-view aggregate row.
+	breakdown("per-tier", []string{"tier", "arrivals", "served", "mean", "p99", "total", "all-idle", "PC1A res", "dropped"},
+		func(p Point) (rows [][]string) {
+			for _, tm := range p.Tiers {
+				m := tm.Fleet
+				rows = append(rows, experiments.Cells(tm.Name, m.Generated, m.Served,
+					experiments.Micros(m.MeanLatency), experiments.Micros(m.P99Latency), experiments.Watts(m.TotalWatts),
+					experiments.Pct(m.AllIdle), experiments.PC1APct(m.PC1AResidency), m.Dropped))
 			}
-			trows = append(trows, []string{
-				tm.Name,
-				fmt.Sprintf("%d", m.Generated),
-				fmt.Sprintf("%d", m.Served),
-				fmt.Sprintf("%.1fus", m.MeanLatency*1e6),
-				fmt.Sprintf("%.1fus", m.P99Latency*1e6),
-				fmt.Sprintf("%.1fW", m.TotalWatts),
-				fmt.Sprintf("%.1f%%", m.AllIdle*100),
-				pc1a,
-				fmt.Sprintf("%d", m.Dropped),
-			})
-		}
-		b.WriteString(experiments.RenderTable(
-			[]string{"tier", "arrivals", "served", "mean", "p99", "total", "all-idle", "PC1A res", "dropped"},
-			trows))
-	}
-
-	// Per-edge cache accounting, one block per point with edges — the
-	// miss stream each edge fed downstream, against its configured hit
-	// ratio.
-	for _, p := range r.Points {
-		if len(p.Edges) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\nedges [%s=%s]:\n", axisHdr, p.axisCell())
-		erows := make([][]string, 0, len(p.Edges))
-		for _, es := range p.Edges {
-			ttl := "-"
-			if es.TTL > 0 {
-				ttl = fmt.Sprintf("%.0fus", float64(es.TTL)/float64(sim.Microsecond))
+			return rows
+		})
+	// Per-edge cache accounting: the miss stream each edge fed
+	// downstream, against its configured hit ratio.
+	breakdown("edges", []string{"edge", "hit", "measured", "ttl", "fanout", "lookups", "hits", "misses", "ttl-miss", "issued"},
+		func(p Point) (rows [][]string) {
+			for _, es := range p.Edges {
+				ttl := "-"
+				if es.TTL > 0 {
+					ttl = fmt.Sprintf("%.0fus", float64(es.TTL)/float64(sim.Microsecond))
+				}
+				rows = append(rows, experiments.Cells(es.From+"->"+es.To, fmt.Sprintf("%.2f", es.HitRatio),
+					fmt.Sprintf("%.3f", es.MeasuredHitRate), ttl, es.Fanout, es.Lookups, es.Hits, es.Misses, es.TTLMisses, es.Issued))
 			}
-			erows = append(erows, []string{
-				fmt.Sprintf("%s->%s", es.From, es.To),
-				fmt.Sprintf("%.2f", es.HitRatio),
-				fmt.Sprintf("%.3f", es.MeasuredHitRate),
-				ttl,
-				fmt.Sprintf("%d", es.Fanout),
-				fmt.Sprintf("%d", es.Lookups),
-				fmt.Sprintf("%d", es.Hits),
-				fmt.Sprintf("%d", es.Misses),
-				fmt.Sprintf("%d", es.TTLMisses),
-				fmt.Sprintf("%d", es.Issued),
-			})
-		}
-		b.WriteString(experiments.RenderTable(
-			[]string{"edge", "hit", "measured", "ttl", "fanout", "lookups", "hits", "misses", "ttl-miss", "issued"},
-			erows))
-	}
+			return rows
+		})
 
 	// Fault outcomes, one row per point — what the injected failures
 	// cost (failed, shed) and what the robustness mechanisms bought
@@ -819,21 +740,10 @@ func (r *Result) Report() string {
 		for _, p := range r.Points {
 			rec := "-"
 			if p.RecoveryP99 > 0 {
-				rec = fmt.Sprintf("%.1fus", p.RecoveryP99*1e6)
+				rec = experiments.Micros(p.RecoveryP99)
 			}
-			frows = append(frows, []string{
-				p.axisCell(),
-				fmt.Sprintf("%.0f", p.GoodputQPS),
-				fmt.Sprintf("%d", p.OK),
-				fmt.Sprintf("%d", p.Failed),
-				fmt.Sprintf("%d", p.Retried),
-				fmt.Sprintf("%d", p.Hedged),
-				fmt.Sprintf("%d", p.Shed),
-				fmt.Sprintf("%d", p.Crashes),
-				fmt.Sprintf("%d", p.Brownouts),
-				fmt.Sprintf("%d", p.Partitions),
-				rec,
-			})
+			frows = append(frows, experiments.Cells(p.axisCell(), fmt.Sprintf("%.0f", p.GoodputQPS), p.OK, p.Failed,
+				p.Retried, p.Hedged, p.Shed, p.Crashes, p.Brownouts, p.Partitions, rec))
 		}
 		b.WriteString(experiments.RenderTable(
 			[]string{axisHdr, "goodput", "ok", "failed", "retried", "hedged", "shed", "crashes", "brownouts", "partitions", "rec p99"},
@@ -855,135 +765,55 @@ func (p Point) axisCell() string {
 // (identical in shape to single-machine rows — the parity contract);
 // per-server series are in the -json output, not duplicated here. The
 // axis_label column is empty except on the string-valued policy axis.
-// Multi-rack points additionally emit a second, blank-line-separated
-// rack-zone table; flat fleets emit nothing extra, so their CSV stays
-// byte-identical to the pre-topology format (TestRackFlatParity).
+// Each further table follows after a blank line, and only when shown:
+// the rack-zone table when some point is multi-rack
+// (TestRackFlatParity), the tier and edge tables when some point is a
+// multi-tier graph (TestTiersSingleTierParity), and the fault-outcome
+// table with an enabled faults block or a fault axis
+// (TestFaultsZeroParity). A scenario without them keeps the CSV bytes
+// of the format that predates them.
 func (r *Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "axis,axis_label,workload,offered_qps,served,generated,dropped,mean_s,p50_s,p99_s,soc_w,dram_w,total_w,cc0,cc1,all_idle,all_idle_censored,pc1a_residency,pc1a_entries"); err != nil {
-		return err
-	}
-	haveRacks := false
+	var agg, racks, tiers, edges, faults [][]any
 	for _, p := range r.Points {
-		if len(p.Racks) > 0 {
-			haveRacks = true
-		}
-		// PC1A cells stay empty on configurations without an APMU.
-		pc1aRes, pc1aEnt := "", ""
-		if p.PC1AResidency != nil {
-			pc1aRes = fmt.Sprintf("%g", *p.PC1AResidency)
-		}
-		if p.PC1AEntries != nil {
-			pc1aEnt = fmt.Sprintf("%d", *p.PC1AEntries)
-		}
-		if _, err := fmt.Fprintf(w, "%g,%s,%s,%g,%d,%d,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%s,%s\n",
-			p.Axis, p.AxisLabel, p.Workload, p.OfferedQPS, p.Served, p.Generated, p.Dropped,
-			p.MeanLatency, p.P50Latency, p.P99Latency,
-			p.SoCWatts, p.DRAMWatts, p.TotalWatts,
+		agg = append(agg, []any{p.Axis, p.AxisLabel, p.Workload, p.OfferedQPS, p.Served, p.Generated, p.Dropped,
+			p.MeanLatency, p.P50Latency, p.P99Latency, p.SoCWatts, p.DRAMWatts, p.TotalWatts,
 			p.CC0Residency, p.CC1Residency, p.AllIdle, p.AllIdleCensored,
-			pc1aRes, pc1aEnt); err != nil {
-			return err
+			experiments.Opt(p.PC1AResidency), experiments.Opt(p.PC1AEntries)})
+		for _, rs := range p.Racks {
+			racks = append(racks, []any{p.Axis, p.AxisLabel, rs.Index, rs.Local, rs.Servers, rs.ActiveServers,
+				rs.Routed, rs.Served, rs.Dropped, rs.MeanLatency, rs.P99Latency,
+				rs.SoCWatts, rs.DRAMWatts, rs.TotalWatts, rs.AllIdle,
+				experiments.Opt(rs.PC1AResidency), experiments.Opt(rs.PC1AEntries)})
 		}
-	}
-	if haveRacks {
-		if _, err := fmt.Fprintln(w, "\naxis,axis_label,rack,local,servers,active_servers,routed,served,dropped,mean_s,p99_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,pc1a_entries"); err != nil {
-			return err
-		}
-		for _, p := range r.Points {
-			for _, rs := range p.Racks {
-				pc1aRes, pc1aEnt := "", ""
-				if rs.PC1AResidency != nil {
-					pc1aRes = fmt.Sprintf("%g", *rs.PC1AResidency)
-				}
-				if rs.PC1AEntries != nil {
-					pc1aEnt = fmt.Sprintf("%d", *rs.PC1AEntries)
-				}
-				if _, err := fmt.Fprintf(w, "%g,%s,%d,%t,%d,%d,%d,%d,%d,%g,%g,%g,%g,%g,%g,%s,%s\n",
-					p.Axis, p.AxisLabel, rs.Index, rs.Local, rs.Servers, rs.ActiveServers,
-					rs.Routed, rs.Served, rs.Dropped,
-					rs.MeanLatency, rs.P99Latency,
-					rs.SoCWatts, rs.DRAMWatts, rs.TotalWatts,
-					rs.AllIdle, pc1aRes, pc1aEnt); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := r.writeTiersCSV(w); err != nil {
-		return err
-	}
-	return r.writeFaultsCSV(w)
-}
-
-// writeTiersCSV emits the blank-line-separated per-tier and per-edge
-// tables of multi-tier points. Nothing is written for cluster,
-// single-machine or one-tier scenarios, so their CSV stays
-// byte-identical to the pre-graph format (TestTiersSingleTierParity).
-func (r *Result) writeTiersCSV(w io.Writer) error {
-	haveTiers := false
-	for _, p := range r.Points {
-		if len(p.Tiers) > 0 {
-			haveTiers = true
-			break
-		}
-	}
-	if !haveTiers {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "\naxis,axis_label,tier,served,generated,dropped,mean_s,p50_s,p99_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,pc1a_entries"); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
 		for _, tm := range p.Tiers {
 			m := tm.Fleet
-			pc1aRes, pc1aEnt := "", ""
-			if m.PC1AResidency != nil {
-				pc1aRes = fmt.Sprintf("%g", *m.PC1AResidency)
-			}
-			if m.PC1AEntries != nil {
-				pc1aEnt = fmt.Sprintf("%d", *m.PC1AEntries)
-			}
-			if _, err := fmt.Fprintf(w, "%g,%s,%s,%d,%d,%d,%g,%g,%g,%g,%g,%g,%g,%s,%s\n",
-				p.Axis, p.AxisLabel, tm.Name, m.Served, m.Generated, m.Dropped,
-				m.MeanLatency, m.P50Latency, m.P99Latency,
-				m.SoCWatts, m.DRAMWatts, m.TotalWatts,
-				m.AllIdle, pc1aRes, pc1aEnt); err != nil {
-				return err
-			}
+			tiers = append(tiers, []any{p.Axis, p.AxisLabel, tm.Name, m.Served, m.Generated, m.Dropped,
+				m.MeanLatency, m.P50Latency, m.P99Latency, m.SoCWatts, m.DRAMWatts, m.TotalWatts, m.AllIdle,
+				experiments.Opt(m.PC1AResidency), experiments.Opt(m.PC1AEntries)})
 		}
-	}
-	if _, err := fmt.Fprintln(w, "\naxis,axis_label,edge_from,edge_to,hit_ratio,ttl_us,fanout,lookups,hits,misses,ttl_misses,issued,measured_hit_rate"); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
 		for _, es := range p.Edges {
-			if _, err := fmt.Fprintf(w, "%g,%s,%s,%s,%g,%g,%d,%d,%d,%d,%d,%d,%g\n",
-				p.Axis, p.AxisLabel, es.From, es.To, es.HitRatio,
-				float64(es.TTL)/float64(sim.Microsecond), es.Fanout,
-				es.Lookups, es.Hits, es.Misses, es.TTLMisses, es.Issued,
-				es.MeasuredHitRate); err != nil {
-				return err
-			}
+			edges = append(edges, []any{p.Axis, p.AxisLabel, es.From, es.To, es.HitRatio,
+				float64(es.TTL) / float64(sim.Microsecond), es.Fanout,
+				es.Lookups, es.Hits, es.Misses, es.TTLMisses, es.Issued, es.MeasuredHitRate})
 		}
+		faults = append(faults, []any{p.Axis, p.AxisLabel, p.GoodputQPS, p.OK, p.Failed, p.Retried, p.Hedged, p.Shed,
+			p.Crashes, p.Brownouts, p.Partitions, p.RecoveryP50, p.RecoveryP99, p.TruncatedDrain})
 	}
-	return nil
-}
-
-// writeFaultsCSV emits the blank-line-separated fault-outcome table.
-// Nothing is written without an enabled faults block (or a fault
-// axis), so fault-free CSV stays byte-identical to the pre-fault
-// format (TestFaultsZeroParity).
-func (r *Result) writeFaultsCSV(w io.Writer) error {
-	if !r.faultsAnnotated() {
-		return nil
-	}
-	if _, err := fmt.Fprintln(w, "\naxis,axis_label,goodput_qps,ok,failed,retried,hedged,shed,crashes,brownouts,partitions,recovery_p50_s,recovery_p99_s,truncated_drain"); err != nil {
-		return err
-	}
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(w, "%g,%s,%g,%d,%d,%d,%d,%d,%d,%d,%d,%g,%g,%d\n",
-			p.Axis, p.AxisLabel, p.GoodputQPS, p.OK, p.Failed, p.Retried, p.Hedged, p.Shed,
-			p.Crashes, p.Brownouts, p.Partitions,
-			p.RecoveryP50, p.RecoveryP99, p.TruncatedDrain); err != nil {
+	for _, t := range []struct {
+		shown  bool
+		header string
+		rows   [][]any
+	}{
+		{true, "axis,axis_label,workload,offered_qps,served,generated,dropped,mean_s,p50_s,p99_s,soc_w,dram_w,total_w,cc0,cc1,all_idle,all_idle_censored,pc1a_residency,pc1a_entries", agg},
+		{len(racks) > 0, "\naxis,axis_label,rack,local,servers,active_servers,routed,served,dropped,mean_s,p99_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,pc1a_entries", racks},
+		{len(tiers) > 0, "\naxis,axis_label,tier,served,generated,dropped,mean_s,p50_s,p99_s,soc_w,dram_w,total_w,all_idle,pc1a_residency,pc1a_entries", tiers},
+		{len(tiers) > 0, "\naxis,axis_label,edge_from,edge_to,hit_ratio,ttl_us,fanout,lookups,hits,misses,ttl_misses,issued,measured_hit_rate", edges},
+		{r.faultsAnnotated(), "\naxis,axis_label,goodput_qps,ok,failed,retried,hedged,shed,crashes,brownouts,partitions,recovery_p50_s,recovery_p99_s,truncated_drain", faults},
+	} {
+		if !t.shown {
+			continue
+		}
+		if err := experiments.WriteCSVTable(w, t.header, t.rows); err != nil {
 			return err
 		}
 	}

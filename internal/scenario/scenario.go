@@ -313,19 +313,32 @@ func (o Overrides) validate() error {
 	for _, kv := range []struct {
 		name string
 		v    *float64
+		unit sim.Duration // 0: not a duration
 	}{
-		{"network_latency_us", o.NetworkLatencyUS},
-		{"nic_transfer_ns", o.NICTransferNS},
-		{"kernel_overhead_us", o.KernelOverheadUS},
-		{"batch_epoch_us", o.BatchEpochUS},
-		{"timer_tick_hz", o.TimerTickHz},
-		{"tick_kernel_us", o.TickKernelUS},
+		{"network_latency_us", o.NetworkLatencyUS, sim.Microsecond},
+		{"nic_transfer_ns", o.NICTransferNS, sim.Nanosecond},
+		{"kernel_overhead_us", o.KernelOverheadUS, sim.Microsecond},
+		{"batch_epoch_us", o.BatchEpochUS, sim.Microsecond},
+		{"timer_tick_hz", o.TimerTickHz, 0},
+		{"tick_kernel_us", o.TickKernelUS, sim.Microsecond},
 	} {
-		if kv.v != nil && *kv.v < 0 {
+		switch {
+		case kv.v == nil:
+		case *kv.v < 0:
 			return fmt.Errorf("server.%s must not be negative (got %g)", kv.name, *kv.v)
+		case kv.unit != 0 && !sim.Fits(*kv.v, kv.unit):
+			return rangeErr("server."+kv.name, *kv.v)
 		}
 	}
 	return nil
+}
+
+// rangeErr rejects setting key = v, whose nanoseconds overflow
+// sim.Duration (!sim.Fits). Go leaves that float conversion
+// implementation-dependent, so unchecked, a huge value would run as a
+// negative or a saturated duration depending on the machine.
+func rangeErr(key string, v float64) error {
+	return fmt.Errorf("%s %g is out of range — its nanoseconds overflow the engine's 64-bit time", key, v)
 }
 
 func (o Overrides) apply(cfg *server.Config) {
@@ -409,6 +422,7 @@ const (
 	anyValue axisRule = iota
 	wholeValue
 	countValue // a whole number ≥ 1
+	usValue    // microseconds whose nanoseconds fit sim.Duration
 )
 
 // axisSpec is one row of the sweep-axis table.
@@ -432,22 +446,22 @@ var axes = map[string]axisSpec{
 	AxisLoad:           {services: []string{"mysql", "kafka"}, set: func(s Scenario, v float64) Scenario { s.Workload.Load = v; return s }},
 	AxisBurstiness:     {services: []string{"memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.Burstiness = v; return s }},
 	AxisThreads:        {services: []string{"sysbench"}, rule: wholeValue, set: func(s Scenario, v float64) Scenario { s.Workload.Threads = int(v); return s }},
-	AxisBatchEpochUS:   {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
+	AxisBatchEpochUS:   {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
 	AxisTickHz:         {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
-	AxisNetworkLatency: {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
+	AxisNetworkLatency: {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
 	AxisServers:        {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Servers = int(v) })},
 	AxisRacks:          {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Racks = int(v) })},
-	AxisTorLatency:     {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
-	AxisDrainHold:      {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
-	AxisFeedbackEpoch:  {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
-	AxisMTBF:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
-	AxisMTTR:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
-	AxisRequestTimeout: {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
+	AxisTorLatency:     {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
+	AxisDrainHold:      {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
+	AxisFeedbackEpoch:  {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
+	AxisMTBF:           {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
+	AxisMTTR:           {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
+	AxisRequestTimeout: {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
 	AxisMaxRetries:     {block: faultsBlock, rule: wholeValue, set: atFaults(func(f *Faults, v float64) { f.MaxRetries = int(v) })},
-	AxisHedgeDelay:     {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
+	AxisHedgeDelay:     {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
 	AxisHitRatio:       {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
 	AxisFanout:         {block: edgesBlock, rule: countValue, set: atEdges(func(e *Edge, v float64) { e.Fanout = int(v) })},
-	AxisTTL:            {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
+	AxisTTL:            {block: edgesBlock, rule: usValue, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
 	// The string-valued policy axis: v is an index into Sweep.Policies.
 	AxisPolicy: {block: clusterBlock, set: func(s Scenario, v float64) Scenario {
 		c := *s.Cluster
@@ -564,7 +578,7 @@ func (s *Scenario) validateFields() error {
 		if s.Sweep != nil && s.Sweep.Axis == AxisPolicy && c.Policy != "" {
 			return fmt.Errorf("scenario %q: cluster.policy %q conflicts with the policy sweep — leave it empty", s.Name, c.Policy)
 		}
-		if err := s.validateOverrides(c, "cluster", 0); err != nil {
+		if err := s.validateBlock(c, "cluster", 0); err != nil {
 			return err
 		}
 	}
@@ -616,17 +630,42 @@ func (s *Scenario) validateSweep() error {
 		if spec.rule == countValue && v < 1 {
 			return fmt.Errorf("scenario %q: %s value %g is below 1", s.Name, s.Sweep.Axis, v)
 		}
+		if spec.rule == usValue && !sim.Fits(v, sim.Microsecond) {
+			return fmt.Errorf("scenario %q: %w", s.Name, rangeErr(s.Sweep.Axis+" value", v))
+		}
 	}
 	return nil
 }
 
-// validateOverrides checks one fleet block's server_overrides: every
-// key a server index and every entry's knobs non-negative. Whether an
-// index names one of the point's servers is checkServers' rule. The
-// block is named as tierLabel(block, ti) names it.
-func (s *Scenario) validateOverrides(c *Cluster, block string, ti int) error {
+// validateBlock checks one fleet block's own settings: every µs field
+// in range, and its server_overrides — every key a server index and
+// every entry's knobs valid. The cluster layer rejects negative fields,
+// but it sees them only after conversion, when an out-of-range value
+// has already wrapped. Whether an override index names one of the
+// point's servers is checkServers' rule. The block is named as
+// tierLabel(block, ti) names it.
+func (s *Scenario) validateBlock(c *Cluster, block string, ti int) error {
+	f := c.Faults
+	if f == nil {
+		f = &Faults{}
+	}
+	for _, kv := range []struct {
+		key string
+		v   float64
+	}{
+		{"p99_target_us", c.P99TargetUS}, {"tor_latency_us", c.TorLatencyUS},
+		{"drain_hold_us", c.DrainHoldUS}, {"feedback_epoch_us", c.FeedbackEpochUS},
+		{"faults.mtbf_us", f.MTBFUS}, {"faults.mttr_us", f.MTTRUS},
+		{"faults.brownout_mtbf_us", f.BrownoutMTBFUS}, {"faults.brownout_duration_us", f.BrownoutDurationUS},
+		{"faults.tor_partition_mtbf_us", f.TorPartitionMTBFUS}, {"faults.tor_partition_duration_us", f.TorPartitionDurationUS},
+		{"faults.request_timeout_us", f.RequestTimeoutUS}, {"faults.hedge_delay_us", f.HedgeDelayUS},
+	} {
+		if !sim.Fits(kv.v, sim.Microsecond) {
+			return fmt.Errorf("scenario %q: %w", s.Name, rangeErr(tierLabel(block, ti)+"."+kv.key, kv.v))
+		}
+	}
 	if len(c.ServerOverrides) == 0 {
-		return nil
+		return nil // without the key walk, which allocates
 	}
 	for _, key := range slices.Sorted(maps.Keys(c.ServerOverrides)) {
 		// A key must be the index's own spelling: the run looks servers
@@ -672,7 +711,7 @@ func (s *Scenario) validateTiers() error {
 			}
 			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) has unknown service %q (want one of %v)", s.Name, i, t.Name, t.Service, slices.Sorted(maps.Keys(tierSpecs))))
 		}
-		if err := s.validateOverrides(&t.Cluster, "tiers", i); err != nil {
+		if err := s.validateBlock(&t.Cluster, "tiers", i); err != nil {
 			return blockErr("tiers", i, err)
 		}
 	}
@@ -682,6 +721,9 @@ func (s *Scenario) validateTiers() error {
 		}
 		if s.tierIndex(e.To) < 0 {
 			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d].to names unknown tier %q", s.Name, i, e.To))
+		}
+		if !sim.Fits(e.TTLUS, sim.Microsecond) {
+			return blockErr("edges", i, fmt.Errorf("scenario %q: %w", s.Name, rangeErr(fmt.Sprintf("edges[%d].ttl_us", i), e.TTLUS)))
 		}
 	}
 	return nil

@@ -102,6 +102,10 @@ func TestValidate(t *testing.T) {
 		// Negative values would panic the scheduler or corrupt histograms.
 		{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1}, Sweep: &Sweep{Axis: AxisBatchEpochUS, Values: []float64{-20}}},
 		{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1}, Server: Overrides{NetworkLatencyUS: ptr(-5.0)}},
+		// Values whose nanoseconds overflow sim.Duration would run as
+		// whatever the machine's float conversion makes of them.
+		{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1}, Server: Overrides{NetworkLatencyUS: ptr(1e17)}},
+		{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1}, Sweep: &Sweep{Axis: AxisBatchEpochUS, Values: []float64{10, 1e17}}},
 		// Fractional thread counts truncate into duplicate points.
 		{Name: "x", Config: "CPC1A", Workload: Workload{Service: "sysbench"}, Sweep: &Sweep{Axis: AxisThreads, Values: []float64{4.2, 4.7}}},
 	}
@@ -109,6 +113,14 @@ func TestValidate(t *testing.T) {
 		if err := sc.Validate(); err == nil {
 			t.Errorf("bad scenario %d accepted: %+v", i, sc)
 		}
+	}
+	// An overflowing cluster field is out of range, not negative: on
+	// amd64 the unchecked conversion wraps it to MinInt64.
+	tor := Scenario{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1},
+		Cluster: &Cluster{Servers: 4, Policy: "round_robin", Racks: 2, TorLatencyUS: 1e17}}
+	if err := tor.Validate(); err == nil || strings.Contains(err.Error(), "negative") ||
+		!strings.Contains(err.Error(), "cluster.tor_latency_us 1e+17 is out of range") {
+		t.Errorf("tor_latency_us 1e17: got %v, want an out-of-range error", err)
 	}
 }
 

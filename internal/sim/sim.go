@@ -34,6 +34,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -55,6 +56,16 @@ const (
 	Millisecond Duration = 1000 * Microsecond
 	Second      Duration = 1000 * Millisecond
 )
+
+// Fits reports whether v units of time fit a Duration in nanoseconds.
+// Go leaves an out-of-range float-to-integer conversion
+// implementation-dependent (amd64 yields MinInt64, arm64 saturates), so
+// code that converts float time from its input checks here first. NaN
+// and the infinities do not fit.
+func Fits(v float64, unit Duration) bool {
+	ns := v * float64(unit)
+	return ns >= math.MinInt64 && ns < math.MaxInt64
+}
 
 // Seconds returns the time as a floating-point number of seconds.
 //

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -19,6 +20,34 @@ func TestTimeUnits(t *testing.T) {
 	}
 	if got := (5 * Microsecond).Micros(); got != 5.0 {
 		t.Errorf("Micros() = %v, want 5", got)
+	}
+}
+
+// TestFits pins the range edge: 2^63 ns is the first value that does
+// not fit, and NaN and the infinities never do.
+func TestFits(t *testing.T) {
+	cases := []struct {
+		v    float64
+		unit Duration
+		want bool
+	}{
+		{0, Microsecond, true},
+		{-1e9, Second, true},
+		{9.2e15, Microsecond, true},
+		{1e16, Microsecond, false},
+		{1e17, Microsecond, false},
+		{-1e17, Microsecond, false},
+		{math.Ldexp(1, 63), Nanosecond, false},
+		{math.Ldexp(1, 62), Nanosecond, true},
+		{-math.Ldexp(1, 63), Nanosecond, true},
+		{math.NaN(), Microsecond, false},
+		{math.Inf(1), Nanosecond, false},
+		{math.Inf(-1), Nanosecond, false},
+	}
+	for _, c := range cases {
+		if got := Fits(c.v, c.unit); got != c.want {
+			t.Errorf("Fits(%g, %d) = %v, want %v", c.v, c.unit, got, c.want)
+		}
 	}
 }
 

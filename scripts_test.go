@@ -90,6 +90,7 @@ func TestLoc(t *testing.T) {
 		"internal/a/a_test.go":       "package a\n\n\n\n\n\n\n",
 		"internal/a/testdata/gen.go": "package gen\n\n\n",
 		"internal/a/b/b.go":          "package b\n",
+		"internal/a/doc.go":          "// Package a is a fixture.\n\t// indented\npackage a // trailing\n",
 		"internal/a/b/b_test.go":     "package b\n",
 		"cmd/tool/main.go":           "package main\n\nfunc main() {}\n\n",
 		"cmd/tool/main_test.go":      "package main\n",
@@ -111,8 +112,9 @@ func TestLoc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loc.sh: %v\n%s", err, out)
 	}
-	const want = "      4 cmd/tool\n      3 internal/a\n      1 internal/a/b\n      8 total\n" +
-		"      4 json lines under internal/ (not in the total)\n"
+	const want = "      4 cmd/tool\n      6 internal/a\n      1 internal/a/b\n     11 total\n" +
+		"      4 json lines under internal/ (not in the total)\n" +
+		"      6 total without blank and //-comment lines\n"
 	if string(out) != want {
 		t.Errorf("loc.sh output:\n%s\nwant:\n%s", out, want)
 	}
