@@ -17,10 +17,12 @@ package agilepkgc_test
 //	BenchmarkFig9    — Kafka
 //	BenchmarkArea    — die-area budget
 //
-// plus the harness paths: fleet routing, trace loading and replay, and
-// a swept scenario (BenchmarkScenarioSweep).
+// plus the harness paths: fleet routing, trace loading and replay, a
+// swept scenario (BenchmarkScenarioSweep), and one latency into a
+// histogram (BenchmarkHistogramAdd, BenchmarkHistogramAddDuration).
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,6 +35,7 @@ import (
 	"agilepkgc/internal/server"
 	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
+	"agilepkgc/internal/stats"
 	"agilepkgc/internal/workload"
 	"agilepkgc/internal/workload/replay"
 )
@@ -442,4 +445,43 @@ func BenchmarkScenarioSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(served), "req/op")
+}
+
+// histogramInputs are 4096 latencies, log-uniform from 10 µs to 10 ms
+// (the span the scenarios' request latencies fall in), shared by the
+// two histogram benchmarks so they price one bucketing against the
+// other on the same values.
+func histogramInputs() []sim.Duration {
+	rng := stats.NewRNG(1)
+	ds := make([]sim.Duration, 4096)
+	lo, hi := math.Log(10e3), math.Log(10e6)
+	for i := range ds {
+		ds[i] = sim.Duration(math.Exp(lo + (hi-lo)*rng.Float64()))
+	}
+	return ds
+}
+
+// BenchmarkHistogramAdd prices one latency through the float path:
+// Add(d.Seconds()), with math.Log finding the bucket.
+func BenchmarkHistogramAdd(b *testing.B) {
+	ds := histogramInputs()
+	h := stats.NewLatencyHistogram()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(ds[i&4095].Seconds())
+	}
+}
+
+// BenchmarkHistogramAddDuration prices the same latencies through
+// AddDuration, whose integer-nanosecond index finds the same buckets
+// without math.Log.
+func BenchmarkHistogramAddDuration(b *testing.B) {
+	ds := histogramInputs()
+	h := stats.NewLatencyHistogram()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.AddDuration(ds[i&4095])
+	}
 }

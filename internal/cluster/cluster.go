@@ -319,17 +319,30 @@ type measScratch struct {
 	ok0     uint64
 	merged  *stats.Histogram
 	rackH   []*stats.Histogram
+	// pc1a holds the values a collected measurement's PC1A pointers
+	// point at: one cell per member, then the fleet's, then one per
+	// rack.
+	pc1a []pc1aCell
 }
 
-// grow resizes every per-member buffer to n, reusing capacity.
-func (s *measScratch) grow(n int) {
-	if cap(s.wins) < n {
-		s.wins = make([]soc.Window, n)
-		s.served0 = make([]uint64, n)
-		return
-	}
-	s.wins = s.wins[:n]
-	s.served0 = s.served0[:n]
+// pc1aCell is the storage behind one pair of PC1A pointers.
+type pc1aCell struct {
+	res  float64
+	ents uint64
+}
+
+// set stores a PC1A residency and entry count in c and points at them.
+func (c *pc1aCell) set(res float64, ents uint64) (*float64, *uint64) {
+	c.res, c.ents = res, ents
+	return &c.res, &c.ents
+}
+
+// grow resizes every buffer to n members and racks racks, reusing
+// capacity.
+func (s *measScratch) grow(n, racks int) {
+	s.wins = slices.Grow(s.wins[:0], n)[:n]
+	s.served0 = slices.Grow(s.served0[:0], n)[:n]
+	s.pc1a = slices.Grow(s.pc1a[:0], n+1+racks)[:n+1+racks]
 }
 
 // New assembles a fleet on a fresh engine: every member's SoC and server
@@ -1020,21 +1033,23 @@ type Measurement struct {
 // Measure runs the fleet through the standard warmup → measure
 // sequence (warmup first, then every member's measurement window
 // opened, then the measured window) and returns the fleet-wide
-// measurement. The returned value's slices are freshly allocated, so
-// callers may retain it across further use of the fleet.
+// measurement. It is copied out of the fleet's scratch into storage of
+// its own, so callers may retain it across further use of the fleet.
 func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
 	var out Measurement
 	f.MeasureInto(&out, warmup, duration)
-	return out
+	s := MakeSlab(f.slabSize())
+	return s.fleet(&out)
 }
 
 // MeasureInto is Measure writing into a caller-owned Measurement: out's
 // Servers and Racks backing arrays are reused across calls (everything
 // else in *out is overwritten), and all per-member instrumentation
-// state comes from the fleet's reusable scratch. Callers that retain
-// measurements across sweep points want Measure; callers that consume
-// them point-by-point use this and allocate nothing but the histograms'
-// first growth.
+// state, the PC1A values included, comes from the fleet's reusable
+// scratch, so its PC1A pointers hold only until the fleet measures
+// again. Callers that retain measurements across sweep points want
+// Measure; callers that consume them point-by-point use this and
+// allocate nothing but the histograms' first growth.
 func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
 	f.Run(warmup)
 	f.measureBegin()
@@ -1049,7 +1064,7 @@ func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
 // each tier against the common window.
 func (f *Fleet) measureBegin() {
 	s := &f.meas
-	s.grow(len(f.members))
+	s.grow(len(f.members), f.topo.Racks)
 	for i, m := range f.members {
 		s.wins[i] = m.sys.OpenWindow()
 		s.served0[i] = m.srv.Served()
@@ -1110,7 +1125,7 @@ func (f *Fleet) measureCollect(out *Measurement) {
 		}
 		ss.AllIdle, ss.AllIdleCensored = wins[i].AllIdle()
 		if r, e, ok := wins[i].PC1A(); ok {
-			ss.PC1AResidency, ss.PC1AEntries = &r, &e
+			ss.PC1AResidency, ss.PC1AEntries = s.pc1a[i].set(r, e)
 			haveAPMU = true
 			pc1aRes += r
 			pc1aEnt += e
@@ -1141,8 +1156,7 @@ func (f *Fleet) measureCollect(out *Measurement) {
 	out.P99Latency = merged.Quantile(0.99)
 	out.P999Latency = merged.Quantile(0.999)
 	if haveAPMU {
-		pc1aRes /= fn
-		out.PC1AResidency, out.PC1AEntries = &pc1aRes, &pc1aEnt
+		out.PC1AResidency, out.PC1AEntries = s.pc1a[n].set(pc1aRes/fn, pc1aEnt)
 	}
 	if fs := f.flt; fs != nil {
 		// The fleet-level counters are authoritative: the per-member
@@ -1185,6 +1199,7 @@ func (f *Fleet) rackStats(servers []ServerStats, racks []RackStats) []RackStats 
 	nr := f.topo.Racks
 	out := racks[:0]
 	s := &f.meas
+	cells := s.pc1a[len(f.members)+1:]
 	if cap(s.rackH) < nr {
 		s.rackH = make([]*stats.Histogram, nr)
 	} else {
@@ -1219,8 +1234,7 @@ func (f *Fleet) rackStats(servers []ServerStats, racks []RackStats) []RackStats 
 		rs.AllIdle += ss.AllIdle
 		if ss.PC1AResidency != nil {
 			if rs.PC1AResidency == nil {
-				rs.PC1AResidency = new(float64)
-				rs.PC1AEntries = new(uint64)
+				rs.PC1AResidency, rs.PC1AEntries = cells[ss.Rack].set(0, 0)
 			}
 			*rs.PC1AResidency += *ss.PC1AResidency
 			*rs.PC1AEntries += *ss.PC1AEntries

@@ -130,7 +130,7 @@ func (f *Fleet) initController() {
 func (f *Fleet) onComplete(m *member, req *workload.Request) {
 	if m.win != nil {
 		e2e := f.eng.Now() - req.Arrival + m.netLat
-		m.win.Add(e2e.Seconds())
+		m.win.AddDuration(e2e)
 	}
 	if f.ctrl.hold > 0 && m.state == stDraining && m.load == 0 {
 		f.holdMember(m)

@@ -42,6 +42,12 @@ import (
 	"agilepkgc/internal/stats"
 )
 
+// MaxBrownoutFactor is the ceiling on FaultConfig.BrownoutFactor. A
+// member slowed more than a thousandfold is down, which the crash
+// knobs model; and the ceiling keeps every slowed service time far
+// inside the engine's 64-bit nanoseconds.
+const MaxBrownoutFactor = 1000
+
 // FaultConfig parameterizes fault injection and request robustness.
 // The zero value disables everything; see Enabled.
 type FaultConfig struct {
@@ -60,7 +66,8 @@ type FaultConfig struct {
 	// BrownoutDuration is how long each brownout lasts.
 	BrownoutDuration sim.Duration
 	// BrownoutFactor scales the service time of requests assigned to a
-	// browned-out server (2 = half speed).
+	// browned-out server (2 = half speed). It is at most
+	// MaxBrownoutFactor.
 	BrownoutFactor float64
 
 	// TorPartitionMTBF is each non-local rack's mean time between ToR

@@ -160,6 +160,10 @@ type Graph struct {
 	clientLat    *stats.Histogram
 
 	joins sim.Pool[joinReq]
+
+	// meas is the scratch every measurement is collected into before
+	// it is copied out (see Slab).
+	meas GraphMeasurement
 }
 
 // NewGraph assembles a service graph on a fresh engine: each tier's
@@ -604,7 +608,7 @@ func (g *Graph) finish(jr *joinReq) {
 				g.clientFailed++
 			} else {
 				g.clientServed++
-				g.clientLat.Add((g.eng.Now() - jr.arrival).Seconds())
+				g.clientLat.AddDuration(g.eng.Now() - jr.arrival)
 			}
 			g.putJoin(jr)
 			return
@@ -709,23 +713,35 @@ type GraphMeasurement struct {
 // measure sequence: warmup once, every tier's instrumentation attached
 // at the same instant, one shared measured window, every tier
 // collected against it. On a one-tier graph this is exactly
-// Fleet.Measure. Call at most once per build or Reset.
+// Fleet.Measure. Call at most once per build or Reset. The result has
+// storage of its own, so it outlives the graph's next use.
 func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
+	s := MakeSlab(g.slabSize())
+	return g.MeasureIn(&s, warmup, duration)
+}
+
+// MeasureIn is Measure copying the result into s rather than into
+// storage of its own: a sweep that sizes one Slab for all its points
+// measures each of them without allocating.
+func (g *Graph) MeasureIn(s *Slab, warmup, duration sim.Duration) GraphMeasurement {
 	g.Run(warmup)
 	for _, t := range g.tiers {
 		t.fl.measureBegin()
 	}
 	g.Run(duration)
 
-	out := GraphMeasurement{Tiers: make([]TierMeasurement, len(g.tiers))}
+	out := &g.meas
+	out.Tiers = slices.Grow(out.Tiers[:0], len(g.tiers))[:len(g.tiers)]
 	for i, t := range g.tiers {
 		out.Tiers[i].Name = t.name
 		t.fl.measureCollect(&out.Tiers[i].Fleet)
 	}
+	// A graph keeps its edge count across resets, so a Client it
+	// allocated once serves every later measurement.
+	out.Edges = out.Edges[:0]
 	if len(g.edges) > 0 {
-		out.Edges = make([]EdgeStats, len(g.edges))
-		for i, e := range g.edges {
-			out.Edges[i] = EdgeStats{
+		for _, e := range g.edges {
+			es := EdgeStats{
 				From:      g.tiers[e.cfg.From].name,
 				To:        e.to.name,
 				HitRatio:  e.cfg.HitRatio,
@@ -738,10 +754,14 @@ func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
 				Issued:    e.issued,
 			}
 			if e.lookups > 0 {
-				out.Edges[i].MeasuredHitRate = float64(e.lookups-e.misses) / float64(e.lookups)
+				es.MeasuredHitRate = float64(e.lookups-e.misses) / float64(e.lookups)
 			}
+			out.Edges = append(out.Edges, es)
 		}
-		cs := &ClientStats{
+		if out.Client == nil {
+			out.Client = new(ClientStats)
+		}
+		*out.Client = ClientStats{
 			Served:      g.clientServed,
 			Failed:      g.clientFailed,
 			MeanLatency: g.clientLat.Mean(),
@@ -749,7 +769,6 @@ func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
 			P99Latency:  g.clientLat.Quantile(0.99),
 			P999Latency: g.clientLat.Quantile(0.999),
 		}
-		out.Client = cs
 	}
-	return out
+	return s.graph(out)
 }

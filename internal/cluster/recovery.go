@@ -390,7 +390,7 @@ func (fs *faultState) complete(at *attempt) {
 			// the member that produced it — the signal the feedback loop
 			// packs against.
 			e2e := f.eng.Now() - lr.arrival + m.netLat
-			m.win.Add(e2e.Seconds())
+			m.win.AddDuration(e2e)
 		}
 		if f.ctrl.hold > 0 && m.state == stDraining && m.load == 0 {
 			f.holdMember(m)
@@ -413,10 +413,9 @@ func (fs *faultState) complete(at *attempt) {
 	}
 	lr.live = lr.live[:0]
 	e2e := f.eng.Now() - lr.arrival + m.netLat
-	sec := e2e.Seconds()
-	fs.lat.Add(sec)
+	fs.lat.AddDuration(e2e)
 	if lr.suffered {
-		fs.recovery.Add(sec)
+		fs.recovery.AddDuration(e2e)
 	}
 	m.ok++
 	fs.ok++

@@ -147,6 +147,9 @@ func (fc FaultConfig) validate(topo Topology) error {
 		return ruleErr("Faults.MaxRetries", "negative %s")
 	case fc.BrownoutFactor < 0:
 		return ruleErr("Faults.BrownoutFactor", "negative %s")
+	case fc.BrownoutFactor > MaxBrownoutFactor:
+		return ruleErr("Faults.BrownoutFactor", "%s %g is above the ceiling %d — a member slowed more than that is down, which the crash knobs model",
+			fc.BrownoutFactor, MaxBrownoutFactor)
 	case fc.MTBF > 0 && fc.MTTR <= 0:
 		return ruleErr("Faults.MTBF", "%s needs %s > 0 — a crash with no repair process never ends", Field("Faults.MTTR"))
 	case fc.BrownoutMTBF > 0 && (fc.BrownoutDuration <= 0 || fc.BrownoutFactor <= 1):

@@ -111,8 +111,8 @@ func hashLine(t *testing.T, name string, res any) string {
 // checkHashLock compares "name hash" lines against the committed file
 // at path (rewriting it under -update). A mismatch names every
 // diverging result and writes the full got-file next to the golden.
-// The lock holds on amd64 only: other architectures fuse float
-// multiply-adds the amd64 compiler leaves apart, which moves low bits
+// The lock holds on amd64 and 386, whose compilers fuse no float
+// multiply-adds; other architectures fuse some, which moves low bits
 // (ROADMAP item 1 removes the fused sites).
 func checkHashLock(t *testing.T, path string, lines []string) {
 	t.Helper()
@@ -122,8 +122,8 @@ func checkHashLock(t *testing.T, path string, lines []string) {
 			t.Fatal(err)
 		}
 	}
-	if runtime.GOARCH != "amd64" {
-		t.Logf("skipping the full-precision lock on %s: fused multiply-adds move low bits off amd64 (ROADMAP item 1)", runtime.GOARCH)
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Logf("skipping the full-precision lock on %s: fused multiply-adds move low bits off amd64 and 386 (ROADMAP item 1)", runtime.GOARCH)
 		return
 	}
 	data, err := os.ReadFile(path)

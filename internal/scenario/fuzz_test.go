@@ -114,7 +114,8 @@ func checkPointGraphs(t *testing.T, s *Scenario) {
 		if s.Sweep != nil {
 			axis = s.Sweep.Axis
 		}
-		g, _ := s.at(axis, v).asGraph()
+		var one [1]Tier
+		g, _ := s.at(axis, v).asGraph(&one)
 		servers := 0
 		for _, tier := range g.Tiers {
 			servers += tier.Servers
@@ -126,9 +127,10 @@ func checkPointGraphs(t *testing.T, s *Scenario) {
 		if err != nil {
 			continue
 		}
-		gcfg, err := g.runConfig(kind, spec)
+		var w worker
+		err = w.runConfig(&g, kind, spec)
 		if err == nil {
-			err = gcfg.Validate()
+			err = w.gcfg.Validate()
 		}
 		if err != nil {
 			t.Errorf("scenario %q [%g]: loaded, but the cluster rejects the point: %v", s.Name, v, err)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,8 +166,8 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 		warm     float64
 		assembly uint64
 	}{
-		{"sweep-pc1a", 57, 72},
-		{"tiered", 51, 380},
+		{"sweep-pc1a", 22, 72},
+		{"tiered", 30, 380},
 	} {
 		sc := scs[c.name]
 		run := func() {
@@ -250,6 +251,81 @@ func TestScenarioRunKeepConcurrent(t *testing.T) {
 			if got[g][i] != want[i] {
 				t.Errorf("goroutine %d: %s at Parallelism 2 diverged from the serial run", g, scs[i].Name)
 			}
+		}
+	}
+}
+
+// TestWarmPointAllocs pins what a warm point allocates. A point draws
+// its graph from the worker and its configuration from the worker's
+// scratch, and measures into the run's one slab, so a point of a
+// one-machine QPS sweep allocates only its workload spec: the name its
+// Point keeps, and the boxed arrival law. Doubling the sweep's points
+// costs exactly that per added point. A one-point two-tier graph with a
+// faulty backend is pinned whole: the run's bookkeeping, its slab, and
+// the backend tier's spec.
+func TestWarmPointAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race runtime allocates on its own schedule")
+	}
+	scs := loadKeepScenarios(t)
+	warm := func(sc Scenario) float64 {
+		run := func() {
+			if _, err := sc.Run(experiments.Options{Seed: 1, Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+
+	sweep := scs["sweep-pc1a"]
+	sweep.DurationMS = 5
+	n := len(sweep.Sweep.Values)
+	base := warm(sweep)
+	doubled := sweep
+	doubled.Sweep = &Sweep{Axis: AxisQPS, Values: append(slices.Clone(sweep.Sweep.Values), sweep.Sweep.Values...)}
+	perPoint := (warm(doubled) - base) / float64(n)
+	if perPoint != 2 || base != 22 {
+		t.Errorf("one-machine sweep: %v allocations for %d points and %v per added point, want 22 and 2", base, n, perPoint)
+	}
+
+	if got := warm(scs["tiered"]); got != 30 {
+		t.Errorf("two-tier graph: a warm one-point run allocated %v times, want 30", got)
+	}
+}
+
+// TestResultOwnsItsStorage runs scenarios whose Points hold every kind
+// of storage a measurement is copied into — PC1A values, per-server and
+// per-rack rows, tier measurements, edges and the client view — then
+// runs them again at another seed, which rewinds the same graphs and
+// rewrites the same worker scratch. The first Result must marshal to
+// the bytes it had: nothing it holds is storage a later run reuses.
+func TestResultOwnsItsStorage(t *testing.T) {
+	scs := loadKeepScenarios(t)
+	racked, err := Load(strings.NewReader(`{"name": "racked", "config": "CPC1A", "duration_ms": 20,
+ "workload": {"service": "memcached-bursty", "qps": 40000, "burstiness": 4},
+ "cluster": {"servers": 4, "racks": 2, "tor_latency_us": 5, "policy": "rack_power_aware", "p99_target_us": 300}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []Scenario{scs["sweep-pc1a"], racked[0], scs["tiered"]} {
+		first, err := sc.Run(experiments.Options{Seed: 1, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.Run(experiments.Options{Seed: 2, Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: the first Result changed when the scenario ran again:\n got %s\nwant %s", sc.Name, got, want)
 		}
 	}
 }

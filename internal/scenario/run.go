@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -147,22 +148,29 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	// Resolve every point up front so a bad rate or trace fails before
 	// any simulation runs; validate has checked everything else. A
 	// synthetic point's root spec is built here once and carried to the
-	// run.
+	// run. A point with no tiers block keeps asGraph's one tier in its
+	// job, and what its Point keeps comes from one slab for the whole
+	// run, so no point's Point shares storage with a worker's scratch or
+	// with a later run.
 	type job struct {
 		axis  float64
 		label string
 		sc    Scenario
 		spec  workload.Spec
+		tier  [1]Tier
+		slab  cluster.Slab
 	}
 	kind, _ := soc.ParseConfigKind(s.Config)
 	values := s.values()
 	jobs := make([]job, len(values))
+	var size cluster.SlabSize
 	for i, v := range values {
+		j := &jobs[i]
 		pt, label := s.at(axis, v), ""
 		if axis == AxisPolicy {
 			label = s.Sweep.Policies[i]
 		}
-		g, _ := pt.asGraph()
+		g, _ := pt.asGraph(&j.tier)
 		var spec workload.Spec
 		if pt.Workload.Service == "trace" {
 			if err := pt.Workload.Trace.preflight(); err != nil {
@@ -177,7 +185,12 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 		if pt.Workload.Service != "sysbench" {
 			pt = g
 		}
-		jobs[i] = job{axis: v, label: label, sc: pt, spec: spec}
+		j.axis, j.label, j.sc, j.spec = v, label, pt, spec
+		size = size.Add(pt.slabSize())
+	}
+	slab := cluster.MakeSlab(size)
+	for i := range jobs {
+		jobs[i].slab = slab.Take(jobs[i].sc.slabSize())
 	}
 
 	res := &Result{Scenario: s, Axis: axis}
@@ -192,35 +205,71 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 	// A reset is byte-identical to a fresh build, so results stay
 	// bit-identical at any parallelism, whatever ran before.
 	res.Points = experiments.SweepWith(opt, jobs,
-		func() *cluster.GraphReuse { return new(cluster.GraphReuse) },
-		(*cluster.GraphReuse).Release,
-		func(reuse *cluster.GraphReuse, j job) Point {
+		func() *worker { return new(worker) },
+		func(w *worker) { w.reuse.Release() },
+		func(w *worker, j job) Point {
 			if j.sc.Workload.Service == "sysbench" {
-				return runClosedLoop(j.sc, j.axis, opt)
+				return runClosedLoop(&j.sc, j.axis, opt, &j.slab)
 			}
-			return runGraph(j.sc, j.spec, j.axis, j.label, opt, reuse)
+			return w.runGraph(&j.sc, j.spec, j.axis, j.label, opt, &j.slab)
 		})
 	return res, nil
+}
+
+// worker is one sweep worker's scratch: the GraphReuse its points draw
+// graphs from, and the graph configuration every point rewrites in
+// place. A graph reads its configuration only while it is built or
+// reset, so the next point may overwrite it.
+type worker struct {
+	reuse       cluster.GraphReuse
+	gcfg        cluster.GraphConfig
+	rates, next []float64
 }
 
 // asGraph returns an applied open-loop point as the tier list runGraph
 // wires, plus the block its point errors name: no block becomes one
 // tier of one round_robin server (the single machine, block ""), a
 // cluster block becomes the one tier holding it (block "cluster"), and
-// a tiers block stays as it is (block "tiers"). Rendering reads the
-// scenario as written (Result.Scenario), so the rewrite never shows in
-// the output.
-func (s Scenario) asGraph() (Scenario, string) {
+// a tiers block stays as it is (block "tiers"). The one tier of the
+// first two is written to *one. Rendering reads the scenario as written
+// (Result.Scenario), so the rewrite never shows in the output.
+func (s Scenario) asGraph(one *[1]Tier) (Scenario, string) {
 	switch {
 	case s.Cluster != nil:
-		s.Tiers = []Tier{{Cluster: *s.Cluster}}
+		one[0] = Tier{Cluster: *s.Cluster}
+		s.Tiers = one[:]
 		s.Cluster = nil
 		return s, "cluster"
 	case len(s.Tiers) == 0:
-		s.Tiers = []Tier{{Cluster: Cluster{Servers: 1, Policy: "round_robin"}}}
+		one[0] = Tier{Cluster: Cluster{Servers: 1, Policy: "round_robin"}}
+		s.Tiers = one[:]
 		return s, ""
 	}
 	return s, "tiers"
+}
+
+// slabSize is what a point keeps by reference: for an open-loop point,
+// in asGraph's form, its graph's whole measurement (cluster.Slab) plus,
+// on a multi-tier graph, the aggregate row's PC1A values; for a
+// sysbench point, just those.
+func (s *Scenario) slabSize() cluster.SlabSize {
+	if s.Workload.Service == "sysbench" {
+		return cluster.SlabSize{PC1A: 1}
+	}
+	n := cluster.SlabSize{Tiers: len(s.Tiers), Edges: len(s.Edges)}
+	if len(s.Edges) > 0 {
+		n.Clients, n.PC1A = 1, 1
+	}
+	for i := range s.Tiers {
+		t := &s.Tiers[i]
+		n.Servers += t.Servers
+		n.PC1A += 1 + t.Servers
+		if t.Racks > 1 {
+			n.Racks += t.Racks
+			n.PC1A += t.Racks
+		}
+	}
+	return n
 }
 
 // values returns the sweep's point values: Sweep.Values, or on the
@@ -241,19 +290,18 @@ func (s *Scenario) values() []float64 {
 }
 
 // graphConfig converts an applied point in asGraph's tier-list form to
-// the cluster layer's graph configuration: every setting, but no spec,
-// member or source. Validate checks each point through it, and
-// runConfig completes it for the run.
-func (s *Scenario) graphConfig() (cluster.GraphConfig, error) {
-	gcfg := cluster.GraphConfig{
-		Tiers: make([]cluster.TierConfig, len(s.Tiers)),
-		Edges: make([]cluster.EdgeConfig, len(s.Edges)),
-	}
+// the cluster layer's graph configuration in *gcfg, reusing its arrays
+// (each tier's Members array too, emptied for runConfig to fill): every
+// setting, but no spec, member or source. Validate checks each point
+// through it, and runConfig completes it for the run.
+func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig) error {
+	gcfg.Tiers = slices.Grow(gcfg.Tiers[:0], len(s.Tiers))[:len(s.Tiers)]
+	gcfg.Edges = slices.Grow(gcfg.Edges[:0], len(s.Edges))[:len(s.Edges)]
 	for i := range s.Tiers {
 		t := &s.Tiers[i]
 		pol, err := cluster.ParsePolicy(t.Policy)
 		if err != nil {
-			return gcfg, err
+			return err
 		}
 		// An absent racks field is one rack. The topology is always
 		// explicit, so the cluster checks its shape before any member
@@ -273,6 +321,7 @@ func (s *Scenario) graphConfig() (cluster.GraphConfig, error) {
 				DrainHold:     us(t.DrainHoldUS),
 				FeedbackEpoch: us(t.FeedbackEpochUS),
 				Faults:        t.Faults.config(),
+				Members:       gcfg.Tiers[i].Cluster.Members[:0],
 			},
 		}
 	}
@@ -285,31 +334,34 @@ func (s *Scenario) graphConfig() (cluster.GraphConfig, error) {
 			Fanout:   e.Fanout,
 		}
 	}
-	return gcfg, nil
+	return nil
 }
 
-// runConfig completes a point's graphConfig for the run: every tier's
-// members, the root tier's spec rootSpec, and each backend tier's spec
-// sized by the miss rate expected to flow into it.
-func (s *Scenario) runConfig(kind soc.ConfigKind, rootSpec workload.Spec) (cluster.GraphConfig, error) {
-	gcfg, err := s.graphConfig()
-	if err != nil {
-		return gcfg, err
+// runConfig completes a point's graphConfig, in w's scratch, for the
+// run: every tier's members, the root tier's spec rootSpec, and each
+// backend tier's spec sized by the miss rate expected to flow into it.
+func (w *worker) runConfig(s *Scenario, kind soc.ConfigKind, rootSpec workload.Spec) error {
+	gcfg := &w.gcfg
+	if err := s.graphConfig(gcfg); err != nil {
+		return err
 	}
 	cores := soc.DefaultConfig(kind).CoreCount
 	// Expected per-tier arrival rates: the root rate scaled by each
 	// edge's miss probability and fan-out. The graph is a DAG, so
 	// |tiers| relaxation rounds reach the fixpoint.
-	rates := make([]float64, len(gcfg.Tiers))
+	n := len(gcfg.Tiers)
+	rates, next := slices.Grow(w.rates[:0], n)[:n], slices.Grow(w.next[:0], n)[:n]
+	clear(rates)
 	rates[0] = rootSpec.MeanQPS()
 	for range gcfg.Tiers {
-		next := make([]float64, len(rates))
+		clear(next)
 		next[0] = rates[0]
 		for _, e := range gcfg.Edges {
 			next[e.To] += rates[e.From] * (1 - e.HitRatio) * float64(max(e.Fanout, 1))
 		}
-		rates = next
+		rates, next = next, rates
 	}
+	w.rates, w.next = rates, next
 	for i := range gcfg.Tiers {
 		tc := &gcfg.Tiers[i]
 		tc.Spec = rootSpec
@@ -319,9 +371,9 @@ func (s *Scenario) runConfig(kind soc.ConfigKind, rootSpec workload.Spec) (clust
 			}
 			tc.Spec = tierSpecs[s.Tiers[i].Service](rate, cores)
 		}
-		tc.Cluster.Members = s.memberConfigs(&s.Tiers[i].Cluster, kind)
+		tc.Cluster.Members = s.memberConfigs(tc.Cluster.Members, &s.Tiers[i].Cluster, kind)
 	}
-	return gcfg, nil
+	return nil
 }
 
 // serverConfig merges server i's configuration in fleet block c (nil
@@ -339,9 +391,10 @@ func (s *Scenario) serverConfig(c *Cluster, i int) server.Config {
 	return cfg
 }
 
-// memberConfigs builds one tier's per-server configurations.
-func (s *Scenario) memberConfigs(c *Cluster, kind soc.ConfigKind) []cluster.MemberConfig {
-	members := make([]cluster.MemberConfig, c.Servers)
+// memberConfigs builds one tier's per-server configurations into
+// members' array.
+func (s *Scenario) memberConfigs(members []cluster.MemberConfig, c *Cluster, kind soc.ConfigKind) []cluster.MemberConfig {
+	members = slices.Grow(members[:0], c.Servers)[:c.Servers]
 	for i := range members {
 		members[i] = cluster.MemberConfig{SoC: soc.DefaultConfig(kind), Server: s.serverConfig(c, i)}
 	}
@@ -365,56 +418,59 @@ var tierSpecs = map[string]func(rate float64, cores int) workload.Spec{
 	},
 }
 
+// mustRun panics on an error Run's checks (validate, preflight, the
+// rate) have ruled out: it is a missing validation rule, not a user
+// error.
+func mustRun(name string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("scenario %q: %v", name, err))
+	}
+}
+
+// openTrace opens a trace point's recording for runGraph: the root
+// tier's spec comes from the trace header (so packing caps and report
+// fields match the recorded workload bit for bit), and the source
+// factory binds a Replay over the open file. The caller closes the file
+// after the point, so no descriptor outlives the measurement, and the
+// graphs a worker resets and the keep retains stay file-agnostic.
+func openTrace(sc *Scenario) (*os.File, workload.Spec, func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source) {
+	t, name := sc.Workload.Trace, sc.Name
+	f, err := os.Open(t.Path)
+	mustRun(name, err)
+	rd, err := replay.NewReader(f)
+	mustRun(name, err)
+	rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
+	mustRun(name, err)
+	return f, rd.Header().Spec(), func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
+		mustRun(name, rp.Bind(eng, sink))
+		return rp
+	}
+}
+
 // runGraph wires one applied open-loop point, in asGraph's tier-list
 // form, with spec as the root tier's synthetic workload (unused on a
-// trace point): every tier a full fleet on one shared engine, edges
-// carrying misses downstream (see cluster.Graph), measured through the
-// built-in experiments' warmup/window sequence. A one-tier graph of one
-// round_robin server assembles event-for-event the single-machine
+// trace point, which replays its recording instead; see openTrace):
+// every tier a full fleet on one shared engine, edges carrying misses
+// downstream (see cluster.Graph), measured through the built-in
+// experiments' warmup/window sequence into slab. A one-tier graph of
+// one round_robin server assembles event-for-event the single-machine
 // wiring, so an unswept point with no overrides reproduces the built-in
 // experiments bit for bit (TestScenarioMatchesHandWiredRun).
-func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel string, opt experiments.Options, reuse *cluster.GraphReuse) Point {
+func (w *worker) runGraph(sc *Scenario, spec workload.Spec, axisValue float64, axisLabel string, opt experiments.Options, slab *cluster.Slab) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
-	must := func(err error) {
-		if err != nil {
-			// Unreachable after Run's checks (validate, preflight, the
-			// rate); a panic here is a missing validation rule, not a
-			// user error.
-			panic(fmt.Sprintf("scenario %q: %v", sc.Name, err))
-		}
-	}
-
-	// A trace point replays a recorded stream at the root tier instead
-	// of a synthetic generator: the spec comes from the trace header (so
-	// packing caps and report fields match the recorded workload bit for
-	// bit) and the root tier's source factory binds a Replay over the
-	// open file. The file is opened and closed per point — no descriptor
-	// outlives the measurement, and the graphs a worker resets and the
-	// keep retains stay file-agnostic.
 	rootSpec := spec
 	var newSource func(*sim.Engine, workload.Spec, uint64, func(*workload.Request)) workload.Source
 	if sc.Workload.Service == "trace" {
-		t := sc.Workload.Trace
-		f, err := os.Open(t.Path)
-		must(err)
+		var f *os.File
+		f, rootSpec, newSource = openTrace(sc)
 		defer f.Close()
-		rd, err := replay.NewReader(f)
-		must(err)
-		rootSpec = rd.Header().Spec()
-		rp, err := replay.New(rd, replay.Options{TimeScale: t.TimeScale, Loop: t.Loop})
-		must(err)
-		newSource = func(eng *sim.Engine, _ workload.Spec, _ uint64, sink func(*workload.Request)) workload.Source {
-			must(rp.Bind(eng, sink))
-			return rp
-		}
 	}
 
-	gcfg, err := sc.runConfig(kind, rootSpec)
-	must(err)
-	gcfg.Tiers[0].Cluster.NewSource = newSource
-	g, err := reuse.Graph(gcfg, opt.Seed)
-	must(err)
-	gm := g.Measure(opt.Warmup(), opt.Duration)
+	mustRun(sc.Name, w.runConfig(sc, kind, rootSpec))
+	w.gcfg.Tiers[0].Cluster.NewSource = newSource
+	g, err := w.reuse.Graph(w.gcfg, opt.Seed)
+	mustRun(sc.Name, err)
+	gm := g.MeasureIn(slab, opt.Warmup(), opt.Duration)
 
 	p := Point{
 		Axis:       axisValue,
@@ -422,7 +478,7 @@ func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel stri
 		Workload:   rootSpec.Name,
 		OfferedQPS: rootSpec.MeanQPS(),
 	}
-	if len(gcfg.Edges) == 0 {
+	if len(gm.Edges) == 0 {
 		// One-tier graph: the tier's fleet is the whole point, so its
 		// measurement is the aggregate row.
 		m := &gm.Tiers[0].Fleet
@@ -516,8 +572,7 @@ func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel stri
 	p.AllIdle /= float64(totalServers)
 	p.AllIdleCensored /= float64(totalServers)
 	if havePC1A {
-		res := pc1aSum / float64(pc1aServers)
-		p.PC1AResidency, p.PC1AEntries = &res, &pc1aEntries
+		p.PC1AResidency, p.PC1AEntries = slab.PC1A(pc1aSum/float64(pc1aServers), pc1aEntries)
 	}
 	p.Tiers = gm.Tiers
 	p.Edges = gm.Edges
@@ -529,7 +584,7 @@ func runGraph(sc Scenario, spec workload.Spec, axisValue float64, axisLabel stri
 // and runs the built-in experiments' warmup and measurement-window
 // sequence. It is the one point runGraph does not wire: closed-loop
 // clients bind to one server's Submit and would bypass any balancer.
-func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Point {
+func runClosedLoop(sc *Scenario, axisValue float64, opt experiments.Options, slab *cluster.Slab) Point {
 	kind, _ := soc.ParseConfigKind(sc.Config)
 	sys := soc.New(soc.DefaultConfig(kind))
 	srv := server.NewClosedLoop(sys, sc.serverConfig(nil, 0))
@@ -562,7 +617,7 @@ func runClosedLoop(sc Scenario, axisValue float64, opt experiments.Options) Poin
 	}
 	p.AllIdle, p.AllIdleCensored = win.AllIdle()
 	if r, e, ok := win.PC1A(); ok {
-		p.PC1AResidency, p.PC1AEntries = &r, &e
+		p.PC1AResidency, p.PC1AEntries = slab.PC1A(r, e)
 	}
 	return p
 }

@@ -201,7 +201,8 @@ type Faults struct {
 	// BrownoutDurationUS is how long each brownout lasts (µs).
 	BrownoutDurationUS float64 `json:"brownout_duration_us,omitempty"`
 	// BrownoutFactor scales the service time of requests assigned to a
-	// browned-out server (2 = half speed).
+	// browned-out server (2 = half speed); at most 1000
+	// (cluster.MaxBrownoutFactor).
 	BrownoutFactor float64 `json:"brownout_factor,omitempty"`
 	// TorPartitionMTBFUS is each non-local rack's mean time between ToR
 	// partitions (µs, exponential). Non-zero requires
@@ -313,7 +314,7 @@ func (o Overrides) validate() error {
 	for _, kv := range []struct {
 		name string
 		v    *float64
-		unit sim.Duration // 0: not a duration
+		unit sim.Duration // 0: a rate in Hz
 	}{
 		{"network_latency_us", o.NetworkLatencyUS, sim.Microsecond},
 		{"nic_transfer_ns", o.NICTransferNS, sim.Nanosecond},
@@ -328,9 +329,28 @@ func (o Overrides) validate() error {
 			return fmt.Errorf("server.%s must not be negative (got %g)", kv.name, *kv.v)
 		case kv.unit != 0 && !sim.Fits(*kv.v, kv.unit):
 			return rangeErr("server."+kv.name, *kv.v)
+		case kv.unit == 0 && !tickFits(*kv.v):
+			return tickErr("server."+kv.name, *kv.v)
 		}
 	}
 	return nil
+}
+
+// tickFits reports whether a timer tick rate of hz (0: no tick) arms a
+// period the engine can schedule: 1/hz seconds must fit sim.Duration
+// and be at least 1 ns, since a zero period would fire forever at one
+// instant.
+func tickFits(hz float64) bool {
+	if hz == 0 {
+		return true
+	}
+	period := 1 / hz
+	return sim.Fits(period, sim.Second) && period*float64(sim.Second) >= 1
+}
+
+// tickErr rejects a tick rate whose period tickFits refuses.
+func tickErr(key string, hz float64) error {
+	return fmt.Errorf("%s %g is out of range — its tick period 1/hz must be at least 1 ns and fit the engine's 64-bit time", key, hz)
 }
 
 // rangeErr rejects setting key = v, whose nanoseconds overflow
@@ -423,6 +443,7 @@ const (
 	wholeValue
 	countValue // a whole number ≥ 1
 	usValue    // microseconds whose nanoseconds fit sim.Duration
+	hzValue    // a tick rate whose period tickFits accepts
 )
 
 // axisSpec is one row of the sweep-axis table.
@@ -447,7 +468,7 @@ var axes = map[string]axisSpec{
 	AxisBurstiness:     {services: []string{"memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.Burstiness = v; return s }},
 	AxisThreads:        {services: []string{"sysbench"}, rule: wholeValue, set: func(s Scenario, v float64) Scenario { s.Workload.Threads = int(v); return s }},
 	AxisBatchEpochUS:   {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
-	AxisTickHz:         {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
+	AxisTickHz:         {block: serverBlock, rule: hzValue, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
 	AxisNetworkLatency: {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
 	AxisServers:        {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Servers = int(v) })},
 	AxisRacks:          {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Racks = int(v) })},
@@ -568,6 +589,12 @@ func (s *Scenario) validateFields() error {
 	if s.DurationMS < 0 {
 		return fmt.Errorf("scenario %q: negative duration_ms", s.Name)
 	}
+	// A run's clock covers the window, its warmup (at most a tenth of
+	// it) and a drain tail after each, which must all fit the engine's
+	// time.
+	if d := s.DurationMS; !sim.Fits(d+d/10+2*float64(server.DrainCap/sim.Millisecond), sim.Millisecond) {
+		return fmt.Errorf("scenario %q: %w", s.Name, rangeErr("duration_ms", d))
+	}
 	if err := s.Server.validate(); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
@@ -632,6 +659,9 @@ func (s *Scenario) validateSweep() error {
 		}
 		if spec.rule == usValue && !sim.Fits(v, sim.Microsecond) {
 			return fmt.Errorf("scenario %q: %w", s.Name, rangeErr(s.Sweep.Axis+" value", v))
+		}
+		if spec.rule == hzValue && !tickFits(v) {
+			return fmt.Errorf("scenario %q: %w", s.Name, tickErr(s.Sweep.Axis+" value", v))
 		}
 	}
 	return nil
@@ -748,8 +778,10 @@ func (s *Scenario) validatePoints(servers bool) error {
 	block := ""
 	for _, v := range values {
 		var g Scenario
-		g, block = s.at(axis, v).asGraph()
-		gcfg, err := g.graphConfig()
+		var one [1]Tier
+		var gcfg cluster.GraphConfig
+		g, block = s.at(axis, v).asGraph(&one)
+		err := g.graphConfig(&gcfg)
 		if err == nil {
 			err = g.clusterError(gcfg.Check(), block)
 		}

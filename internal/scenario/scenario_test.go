@@ -122,6 +122,39 @@ func TestValidate(t *testing.T) {
 		!strings.Contains(err.Error(), "cluster.tor_latency_us 1e+17 is out of range") {
 		t.Errorf("tor_latency_us 1e17: got %v, want an out-of-range error", err)
 	}
+	// Hz, ms and factor knobs that once loaded and then panicked inside
+	// the engine: a tick period of 1e12 s, a window of 1e17 ms, and
+	// service times slowed 1e30-fold. Each is rejected by its key.
+	mc := Workload{Service: "memcached", QPS: 1000}
+	tick := Overrides{TimerTickHz: ptr(1e-12), TickKernelUS: ptr(1.0)}
+	for _, c := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Server: tick}, "server.timer_tick_hz 1e-12 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TickKernelUS: ptr(1.0)},
+			Sweep: &Sweep{Axis: AxisTickHz, Values: []float64{100, 1e-12}}}, "tick_hz value 1e-12 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TimerTickHz: ptr(2e9), TickKernelUS: ptr(1.0)}},
+			"server.timer_tick_hz 2e+09 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, DurationMS: 1e17}, "duration_ms 1e+17 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+			Faults: &Faults{BrownoutMTBFUS: 5000, BrownoutDurationUS: 5000, BrownoutFactor: 1e30}}},
+			"faults.brownout_factor 1e+30 is above the ceiling 1000"},
+	} {
+		if err := c.sc.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got %v, want an error containing %q", err, c.want)
+		}
+	}
+	// The ceilings themselves still load.
+	for _, sc := range []Scenario{
+		{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TimerTickHz: ptr(1e9), TickKernelUS: ptr(1.0)}},
+		{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+			Faults: &Faults{BrownoutMTBFUS: 5000, BrownoutDurationUS: 5000, BrownoutFactor: 1000}}},
+	} {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("a knob at its ceiling was rejected: %v", err)
+		}
+	}
 }
 
 func TestRunRejectsBadPoints(t *testing.T) {

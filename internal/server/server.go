@@ -152,7 +152,7 @@ func (s *Server) step(r *inflight) {
 	case outWire:
 		s.sys.NICLink().EndTransaction()
 		e2e := s.sys.Engine.Now() - r.req.Arrival + s.cfg.NetworkLatency
-		s.lat.Add(e2e.Seconds())
+		s.lat.AddDuration(e2e)
 		s.served++
 		s.inFlight--
 		done := r.done

@@ -2,9 +2,16 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"agilepkgc/internal/sim"
 )
+
+// raceBuild is set under the race detector, which slows the exhaustive
+// index checks about tenfold; they then sample fewer inputs.
+var raceBuild bool
 
 func almost(a, b, tol float64) bool {
 	if a == b {
@@ -395,5 +402,64 @@ func TestNewLogNormalMatchesLiteral(t *testing.T) {
 		if lit.Mean() != ctor.Mean() || lit.String() != ctor.String() {
 			t.Fatalf("%v: mean or name differs from the literal's", ctor)
 		}
+	}
+}
+
+// TestHistogramAddDuration holds the integer-nanosecond index of both
+// standard layouts to the float path it replaces: at every boundary
+// and 3 ns either side, and at 20M log-uniform durations from 0.1 ns
+// to 1000 s, AddDuration(d) lands where Add(d.Seconds()) does, and two
+// histograms fed the same inputs through each agree in every bucket,
+// underflow, overflow, sum, minimum and maximum.
+func TestHistogramAddDuration(t *testing.T) {
+	n := 20_000_000
+	if testing.Short() || raceBuild {
+		n = 1_000_000
+	}
+	for _, c := range []struct {
+		name string
+		new  func() *Histogram
+	}{
+		{"latency", NewLatencyHistogram},
+		{"duration", NewDurationHistogram},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			viaFloat, viaDur := c.new(), c.new()
+			x := viaDur.durs
+			check := func(d sim.Duration) {
+				if want, got := viaFloat.bucket(d.Seconds()), x.bucket(int64(d)); got != want {
+					t.Fatalf("%dns: index bucket %d, float path %d", d, got, want)
+				}
+				viaFloat.Add(d.Seconds())
+				viaDur.AddDuration(d)
+			}
+			for _, b := range x.bound {
+				for d := b - 3; d <= b+3; d++ {
+					check(sim.Duration(d))
+				}
+			}
+			for _, d := range []sim.Duration{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+				check(d)
+			}
+			rng := NewRNG(1)
+			lo, hi := math.Log(0.1), math.Log(1e12)
+			for range n {
+				check(sim.Duration(math.Exp(lo + (hi-lo)*rng.Float64())))
+			}
+			if !reflect.DeepEqual(viaFloat, viaDur) {
+				t.Errorf("histograms differ:\nAdd:         count %d under %d over %d sum %v min %v max %v\nAddDuration: count %d under %d over %d sum %v min %v max %v",
+					viaFloat.total, viaFloat.under, viaFloat.over, viaFloat.sum, viaFloat.exactMin, viaFloat.exactMax,
+					viaDur.total, viaDur.under, viaDur.over, viaDur.sum, viaDur.exactMin, viaDur.exactMax)
+			}
+			if viaDur.under == 0 || viaDur.over == 0 {
+				t.Errorf("inputs missed a range end: under %d, over %d", viaDur.under, viaDur.over)
+			}
+		})
+	}
+	// Other layouts keep the float path.
+	h := NewHistogram(1e-6, 1, 0.05)
+	h.AddDuration(3 * sim.Microsecond)
+	if h.durs != nil || h.Count() != 1 || h.Max() != (3*sim.Microsecond).Seconds() {
+		t.Errorf("a custom layout's AddDuration: index %v, count %d, max %v", h.durs, h.Count(), h.Max())
 	}
 }

@@ -74,7 +74,7 @@ func (t *Tracer) Init(eng *sim.Engine, cores []*cpu.Core) *Tracer {
 // coreTransition records a full-idle period as it ends.
 func (t *Tracer) coreTransition(old, new cpu.CState) {
 	if d, ok := t.idle.Transition(old, new, t.eng.Now()); ok {
-		t.idlePeriods.Add(d.Seconds())
+		t.idlePeriods.AddDuration(d)
 		// Probe how many cores are active shortly after the wake.
 		t.eng.Schedule(wakeProbe, (*probeTimer)(t))
 	}
@@ -119,7 +119,7 @@ func (t *Tracer) Finalize() {
 	}
 	t.finalized = true
 	if d, ok := t.idle.Split(t.eng.Now()); ok {
-		t.idlePeriods.Add(d.Seconds())
+		t.idlePeriods.AddDuration(d)
 	}
 }
 

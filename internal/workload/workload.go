@@ -68,11 +68,17 @@ func (s Spec) String() string {
 		s.Name, s.Arrivals, s.Service, s.Connections, s.MemAccesses)
 }
 
-// formatG renders v as fmt's %g does. Spec constructors name their
-// specs with it and strconv rather than fmt.Sprintf: fmt's printers
-// come from a sync.Pool, which every GC empties, so a constructor that
-// used them would allocate a GC-dependent number of objects.
-func formatG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// specName renders prefix, v as fmt's %g does, and suffix as one
+// string. Spec constructors name their specs with it rather than
+// fmt.Sprintf: fmt's printers come from a sync.Pool, which every GC
+// empties, so a constructor that used them would allocate a
+// GC-dependent number of objects. The name is assembled on the stack,
+// so it costs the one allocation the spec keeps.
+func specName(prefix string, v float64, suffix string) string {
+	var buf [64]byte
+	b := strconv.AppendFloat(append(buf[:0], prefix...), v, 'g', -1, 64)
+	return string(append(b, suffix...))
+}
 
 // The services' service-time laws, built and boxed as stats.Dist once:
 // a law is immutable, so every spec (and every source drawing from one)
@@ -105,7 +111,7 @@ var (
 // given request rate (service law: memcachedService).
 func Memcached(qps float64) Spec {
 	return Spec{
-		Name:        "memcached-" + formatG(qps) + "qps",
+		Name:        specName("memcached-", qps, "qps"),
 		Arrivals:    stats.Poisson{RateV: qps},
 		Service:     memcachedService,
 		Connections: 200,
@@ -129,7 +135,7 @@ func MemcachedAtUtil(util float64, cores int) Spec {
 // the bursty on/off load shape user-facing traffic exhibits.
 func MemcachedBursty(qps, burstiness float64) Spec {
 	s := Memcached(qps)
-	s.Name = "memcached-bursty-" + formatG(qps) + "qps"
+	s.Name = specName("memcached-bursty-", qps, "qps")
 	s.Arrivals = stats.NewMMPP2(qps, burstiness, 2e-3)
 	return s
 }
