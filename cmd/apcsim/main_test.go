@@ -121,3 +121,41 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRejectsUnrunnableInputs: each of these scenarios once
+// loaded and then panicked inside the engine. Each must now fail at
+// load with an error naming its key, never a panic: a tick period of
+// 1e12 s (as a knob and as a sweep value), a window of 1e17 ms, service
+// times slowed 1e30-fold, and two delays that fit int64 but not once
+// added to now, a doubled retry timeout and a hedge delay.
+func TestScenarioRejectsUnrunnableInputs(t *testing.T) {
+	const mc = `"config": "CPC1A", "workload": {"service": "memcached", "qps": 20000}`
+	for _, c := range []struct{ json, key string }{
+		{`{"name": "x", ` + mc + `, "server": {"timer_tick_hz": 1e-12, "tick_kernel_us": 1}}`, "server.timer_tick_hz"},
+		{`{"name": "x", ` + mc + `, "server": {"tick_kernel_us": 1}, "sweep": {"axis": "tick_hz", "values": [100, 1e-12]}}`, "tick_hz value"},
+		{`{"name": "x", ` + mc + `, "duration_ms": 1e17}`, "duration_ms"},
+		{`{"name": "x", ` + mc + `, "cluster": {"servers": 2, "policy": "round_robin",
+		   "faults": {"brownout_mtbf_us": 5000, "brownout_duration_us": 5000, "brownout_factor": 1e30}}}`, "faults.brownout_factor"},
+		{`{"name": "x", "config": "CPC1A", "duration_ms": 20, "workload": {"service": "memcached", "qps": 200000},
+		   "cluster": {"servers": 4, "policy": "round_robin",
+		   "faults": {"mtbf_us": 2000, "mttr_us": 1000, "request_timeout_us": 5e15, "max_retries": 2}}}`, "faults.request_timeout_us"},
+		{`{"name": "x", ` + mc + `, "cluster": {"servers": 2, "policy": "round_robin",
+		   "faults": {"hedge_delay_us": 9.22337203685e15}}}`, "faults.hedge_delay_us"},
+	} {
+		path := filepath.Join(t.TempDir(), "s.json")
+		if err := os.WriteFile(path, []byte(c.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.key, r)
+				}
+			}()
+			err := run(io.Discard, io.Discard, []string{"-duration", "30ms", "-parallel", "1", "scenario", path})
+			if err == nil || !strings.Contains(err.Error(), c.key) {
+				t.Errorf("%s: got %v, want an error naming the key", c.key, err)
+			}
+		}()
+	}
+}

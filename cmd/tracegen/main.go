@@ -293,10 +293,10 @@ func readCSV(r io.Reader, name string) ([]replay.Record, replay.Meta, error) {
 		svcUS, err2 := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
 		conn, err3 := strconv.ParseUint(strings.TrimSpace(fields[2]), 10, 32)
 		mem, err4 := strconv.ParseUint(strings.TrimSpace(fields[3]), 10, 32)
-		// sim.Fits also rejects NaN, the infinities and values whose
-		// nanoseconds overflow the engine's time.
+		// sim.InHorizon also rejects NaN, the infinities and values
+		// beyond the engine's horizon, which no run could reach.
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || tsUS < 0 || svcUS < 0 ||
-			!sim.Fits(tsUS, sim.Microsecond) || !sim.Fits(svcUS, sim.Microsecond) {
+			!sim.InHorizon(tsUS, sim.Microsecond) || !sim.InHorizon(svcUS, sim.Microsecond) {
 			return nil, replay.Meta{}, fmt.Errorf("line %d: malformed record %q", line, text)
 		}
 		rec := replay.Record{

@@ -160,15 +160,16 @@ type faultState struct {
 
 // expDur draws one exponential duration with the given mean from the
 // stream, floored at one engine tick so a pathological draw cannot
-// schedule into the current instant's past.
+// schedule into the current instant's past, and capped at sim.Horizon,
+// which a draw from a mean near it can pass.
 //
 //apcvet:noalloc
 func expDur(rng *stats.RNG, mean sim.Duration) sim.Duration {
-	d := sim.Duration(rng.ExpFloat64() * float64(mean))
-	if d < 1 {
-		d = 1
+	x := rng.ExpFloat64() * float64(mean)
+	if x >= float64(sim.Horizon) {
+		return sim.Horizon
 	}
-	return d
+	return max(sim.Duration(x), 1)
 }
 
 // initFaults attaches the fault layer when the configuration asks for

@@ -50,6 +50,10 @@ func TestFaultConfigValidation(t *testing.T) {
 		{"partition without duration", FaultConfig{TorPartitionMTBF: sim.Millisecond}},
 		{"partition on flat fleet", FaultConfig{TorPartitionMTBF: sim.Millisecond,
 			TorPartitionDuration: sim.Millisecond}},
+		// Armed at some time of a run, a delay beyond the horizon could
+		// pass the engine's time.
+		{"timeout beyond the horizon", FaultConfig{RequestTimeout: sim.Horizon + 1}},
+		{"hedge delay beyond the horizon", FaultConfig{HedgeDelay: sim.Horizon + 1}},
 	}
 	for _, tc := range cases {
 		cfg := base()
@@ -262,6 +266,37 @@ func TestTimeoutExhaustsRetryBudget(t *testing.T) {
 	}
 	if got := m.OK + m.Failed + m.Shed; got != m.Generated {
 		t.Errorf("ok+failed+shed %d != generated %d", got, m.Generated)
+	}
+}
+
+// TestRetryBackoffSaturatesAtHorizon: the longest timeout the rules
+// allow, doubled for a retry, waits sim.Horizon, not a span that would
+// wrap the engine's time once added to now. Crashes lose attempts, so
+// retries arm the doubled timeout within the window.
+func TestRetryBackoffSaturatesAtHorizon(t *testing.T) {
+	fl, err := New(Config{
+		Policy: RoundRobin,
+		Faults: FaultConfig{MTBF: 2 * sim.Millisecond, MTTR: sim.Millisecond,
+			RequestTimeout: sim.Horizon, MaxRetries: 2},
+		Members: uniformMembers(4, soc.CPC1A),
+	}, workload.Memcached(200000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := fl.Measure(0, 20*sim.Millisecond); m.Retried == 0 {
+		t.Fatal("no request was retried — the backoff was never armed")
+	}
+}
+
+// TestExpDurWithinHorizon: an injected fault's delay stays within the
+// horizon even when its mean sits at it, where about a third of the
+// draws land beyond it and some beyond int64.
+func TestExpDurWithinHorizon(t *testing.T) {
+	rng := stats.NewRNG(1)
+	for range 1000 {
+		if d := expDur(rng, sim.Horizon); d < 1 || d > sim.Horizon {
+			t.Fatalf("expDur drew %d, outside [1, %d]", d, sim.Horizon)
+		}
 	}
 }
 

@@ -41,8 +41,10 @@ import (
 // unbounded queueing.
 const shedSlack = 4
 
-// maxTimeoutShift bounds the exponential-backoff exponent so a large
-// MaxRetries cannot shift the timeout past the int64 horizon.
+// maxTimeoutShift caps the exponential-backoff exponent: from the 21st
+// attempt on, each waits RequestTimeout·2²⁰. The wait itself saturates
+// at sim.Horizon (dispatch), which is what keeps a timeout armed at any
+// time of a run inside the engine's time.
 const maxTimeoutShift = 20
 
 // logicalReq is one client request as the balancer tracks it: the
@@ -239,8 +241,8 @@ func (fs *faultState) dispatch(lr *logicalReq) {
 			if shift > maxTimeoutShift {
 				shift = maxTimeoutShift
 			}
-			if d > maxDuration>>shift {
-				d = maxDuration
+			if d > sim.Horizon>>shift {
+				d = sim.Horizon
 			} else {
 				d <<= sim.Duration(shift)
 			}

@@ -67,18 +67,23 @@ func (e *ConfigError) Render(subject string, name func(Field) string) string {
 	return fmt.Sprintf(e.Format, args...)
 }
 
-// setting pairs a duration with its field, for the negative checks.
+// setting pairs a duration with its field, for the range checks.
 type setting struct {
 	field Field
 	d     sim.Duration
 }
 
-// firstNegative rejects the first negative setting, in the order given,
-// so the field reported is the same on every run.
-func firstNegative(ss ...setting) error {
+// firstOutOfRange rejects the first setting, in the order given, that is
+// negative or longer than sim.Horizon, so the field reported is the same
+// on every run. A run ends by the horizon, so a delay within it, armed at
+// any time of the run, still fits the engine's time.
+func firstOutOfRange(ss ...setting) error {
 	for _, s := range ss {
-		if s.d < 0 {
+		switch {
+		case s.d < 0:
 			return ruleErr(s.field, "negative %s")
+		case s.d > sim.Horizon:
+			return ruleErr(s.field, "%s %v is beyond the engine's horizon %v", s.d, sim.Horizon)
 		}
 	}
 	return nil
@@ -99,7 +104,7 @@ func (t Topology) Fits(n int) error {
 // check validates the fleet's settings, reading neither its Members
 // nor a spec.
 func (cfg Config) check() error {
-	if err := firstNegative(setting{"P99Target", cfg.P99Target}, setting{"TorLatency", cfg.TorLatency},
+	if err := firstOutOfRange(setting{"P99Target", cfg.P99Target}, setting{"TorLatency", cfg.TorLatency},
 		setting{"DrainHold", cfg.DrainHold}, setting{"FeedbackEpoch", cfg.FeedbackEpoch}); err != nil {
 		return err
 	}
@@ -134,7 +139,7 @@ func (cfg Config) admit(spec workload.Spec) (Topology, error) {
 // validate rejects incoherent fault configurations before they reach
 // the engine.
 func (fc FaultConfig) validate(topo Topology) error {
-	if err := firstNegative(
+	if err := firstOutOfRange(
 		setting{"Faults.MTBF", fc.MTBF}, setting{"Faults.MTTR", fc.MTTR},
 		setting{"Faults.BrownoutMTBF", fc.BrownoutMTBF}, setting{"Faults.BrownoutDuration", fc.BrownoutDuration},
 		setting{"Faults.TorPartitionMTBF", fc.TorPartitionMTBF}, setting{"Faults.TorPartitionDuration", fc.TorPartitionDuration},
@@ -223,6 +228,8 @@ func (cfg GraphConfig) checkEdge(e EdgeConfig) error {
 		return ruleErr("HitRatio", "%s %g is outside [0, 1]", e.HitRatio)
 	case e.TTL < 0:
 		return ruleErr("TTL", "negative %s")
+	case e.TTL > sim.Horizon:
+		return ruleErr("TTL", "%s %v is beyond the engine's horizon %v", e.TTL, sim.Horizon)
 	case e.Fanout < 0:
 		return ruleErr("Fanout", "negative %s")
 	case e.Fanout > 1 && e.HitRatio >= 1 && e.TTL == 0:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"agilepkgc/internal/experiments"
+	"agilepkgc/internal/server"
 )
 
 // runArtifacts renders the full output surface of one scenario run so
@@ -276,8 +277,9 @@ func TestClusterValidation(t *testing.T) {
 // TestOverridesValidateReportsFirstDeclaredField locks the validation
 // error's determinism: with several negative knobs, the one reported
 // follows Overrides' declared field order on every run (the loop
-// iterates a slice, not a map — the apcvet determinism pass rejects
-// error text born from map iteration).
+// iterates an array, not a map — the apcvet determinism pass rejects
+// error text born from map iteration). The check is the conversion
+// itself, apply.
 func TestOverridesValidateReportsFirstDeclaredField(t *testing.T) {
 	bad := -1.0
 	o := Overrides{
@@ -285,11 +287,11 @@ func TestOverridesValidateReportsFirstDeclaredField(t *testing.T) {
 		KernelOverheadUS: &bad,
 		TickKernelUS:     &bad,
 	}
-	err := o.validate()
+	err := o.apply(new(server.Config))
 	if err == nil {
 		t.Fatal("negative overrides must not validate")
 	}
 	if want := "server.network_latency_us"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("validate reported %q; want the first declared field (%q)", err, want)
+		t.Fatalf("apply reported %q; want the first declared field (%q)", err, want)
 	}
 }

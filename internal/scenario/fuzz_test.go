@@ -9,6 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"agilepkgc/internal/cluster"
+	"agilepkgc/internal/experiments"
+	"agilepkgc/internal/server"
+	"agilepkgc/internal/sim"
 	"agilepkgc/internal/soc"
 )
 
@@ -58,6 +62,14 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"t","config":"CPC1A","workload":{"service":"memcached","qps":1000},"tiers":[{"name":"a","servers":3,"racks":2,"policy":"round_robin"}]}`))
 	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":1000},"cluster":{"servers":2,"policy":"round_robin","server_overrides":{"3":{}}},"sweep":{"axis":"servers","values":[2,4]}}`))
 
+	// Shapes that loaded and then panicked in the engine: delays that fit
+	// int64 but wrap it once added to now — a retry timeout whose
+	// doubling saturated past the engine's time, a hedge delay — and a
+	// tick period so long that staggering the cores across it wrapped.
+	f.Add([]byte(`{"name":"x","config":"CPC1A","duration_ms":20,"workload":{"service":"memcached","qps":200000},"cluster":{"servers":4,"policy":"round_robin","faults":{"mtbf_us":2000,"mttr_us":1000,"request_timeout_us":5e15,"max_retries":2}}}`))
+	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":20000},"cluster":{"servers":2,"policy":"round_robin","faults":{"hedge_delay_us":9.22337203685e15}}}`))
+	f.Add([]byte(`{"name":"x","config":"CPC1A","workload":{"service":"memcached","qps":20000},"server":{"timer_tick_hz":2.2e-10,"tick_kernel_us":1}}`))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scs, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -86,45 +98,68 @@ func FuzzLoadScenario(f *testing.F) {
 			if err := scs[i].Validate(); err != nil {
 				t.Errorf("Load returned scenario %d that fails Validate: %v", i, err)
 			}
-			checkPointGraphs(t, &scs[i])
+			checkPointsRun(t, &scs[i])
 		}
 	})
 }
 
-// checkPointGraphs is FuzzLoadScenario's no-panic property: every point
-// of a loaded scenario converts, through the run's own conversion
-// (runConfig), into a graph the cluster layer accepts, so runGraph can
-// never reach its panic. It simulates nothing. Trace points need their
-// recording, sysbench points bypass the cluster, and a point without a
-// rate is Run's to reject. Fleets above maxFuzzServers are skipped:
-// their member configurations alone would not fit in memory.
-func checkPointGraphs(t *testing.T, s *Scenario) {
-	const maxFuzzServers = 256
-	if s.Workload.Service == "trace" || s.Workload.Service == "sysbench" {
+// Bounds on the run each fuzzed point gets. The window reaches past
+// the instant (5.03 ms) at which the seed corpus's hedge delay wrapped
+// the engine's time. A point is skipped when its run would cost more
+// than a fuzz input should: above maxFuzzServers servers, more than
+// maxFuzzRequests expected requests in the window, more than
+// maxFuzzThreads closed-loop clients, or a periodic process (timer
+// tick, feedback epoch, injected fault) firing more often than every
+// minFuzzPeriod.
+const (
+	fuzzWindow      = 6 * sim.Millisecond
+	maxFuzzServers  = 8
+	maxFuzzRequests = 2000
+	maxFuzzThreads  = 64
+	minFuzzPeriod   = 10 * sim.Microsecond
+)
+
+// checkPointsRun is FuzzLoadScenario's no-panic property: a scenario
+// that loads also runs. Every point converts through the run's own
+// conversion (runConfig) into a graph the cluster layer accepts, and
+// then runs for fuzzWindow, with no warmup, under recover. Trace points
+// need their recording and a point without a rate is Run's to reject,
+// so neither runs; a sysbench point runs the closed loop, with its own
+// warmup.
+func checkPointsRun(t *testing.T, s *Scenario) {
+	if s.Workload.Service == "trace" {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			t.Errorf("scenario %q: building a point's graph panicked: %v", s.Name, r)
+			t.Errorf("scenario %q: running a point panicked: %v", s.Name, r)
 		}
 	}()
 	kind, _ := soc.ParseConfigKind(s.Config)
+	axis := ""
+	if s.Sweep != nil {
+		axis = s.Sweep.Axis
+	}
 	for _, v := range s.values() {
-		axis := ""
-		if s.Sweep != nil {
-			axis = s.Sweep.Axis
-		}
 		var one [1]Tier
-		g, _ := s.at(axis, v).asGraph(&one)
+		pt := s.at(axis, v)
+		g, _ := pt.asGraph(&one)
+		spec, err := g.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers)
+		if err != nil {
+			continue
+		}
+		if s.Workload.Service == "sysbench" {
+			if pt.Workload.Threads <= maxFuzzThreads && tickCheap(pt.serverConfig(nil, 0), soc.DefaultConfig(kind).CoreCount) {
+				slab := cluster.MakeSlab(pt.slabSize())
+				runClosedLoop(&pt, v, experiments.Options{Duration: fuzzWindow, Seed: 1}, &slab)
+			}
+			continue
+		}
 		servers := 0
 		for _, tier := range g.Tiers {
 			servers += tier.Servers
 		}
 		if servers > maxFuzzServers {
-			continue
-		}
-		spec, err := g.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers)
-		if err != nil {
 			continue
 		}
 		var w worker
@@ -134,6 +169,47 @@ func checkPointGraphs(t *testing.T, s *Scenario) {
 		}
 		if err != nil {
 			t.Errorf("scenario %q [%g]: loaded, but the cluster rejects the point: %v", s.Name, v, err)
+			continue
+		}
+		if fuzzCheap(&w) {
+			gr, err := w.reuse.Graph(w.gcfg, 1)
+			if err != nil {
+				t.Errorf("scenario %q [%g]: loaded, but the graph does not build: %v", s.Name, v, err)
+				continue
+			}
+			gr.Measure(0, fuzzWindow)
 		}
 	}
+}
+
+// fuzzCheap reports whether the point in w's scratch (runConfig's)
+// stays within the fuzz run's bounds.
+func fuzzCheap(w *worker) bool {
+	requests := 0.0
+	for _, r := range w.rates {
+		requests += r * fuzzWindow.Seconds()
+	}
+	if requests > maxFuzzRequests {
+		return false
+	}
+	for _, tc := range w.gcfg.Tiers {
+		c := &tc.Cluster
+		for _, d := range []sim.Duration{c.FeedbackEpoch, c.Faults.MTBF, c.Faults.BrownoutMTBF, c.Faults.TorPartitionMTBF} {
+			if d > 0 && d < minFuzzPeriod {
+				return false
+			}
+		}
+		for _, m := range c.Members {
+			if !tickCheap(m.Server, m.SoC.CoreCount) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tickCheap reports whether a server's timer ticks, one per core per
+// period, fire no more often than every minFuzzPeriod on the whole.
+func tickCheap(cfg server.Config, cores int) bool {
+	return cfg.TimerTickHz*float64(cores)*minFuzzPeriod.Seconds() <= 1
 }

@@ -293,8 +293,9 @@ func (s *Scenario) values() []float64 {
 // the cluster layer's graph configuration in *gcfg, reusing its arrays
 // (each tier's Members array too, emptied for runConfig to fill): every
 // setting, but no spec, member or source. Validate checks each point
-// through it, and runConfig completes it for the run.
-func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig) error {
+// through it, and runConfig completes it for the run. A failed
+// conversion names its key, tiers labelled as block (asGraph's) does.
+func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig, block string) error {
 	gcfg.Tiers = slices.Grow(gcfg.Tiers[:0], len(s.Tiers))[:len(s.Tiers)]
 	gcfg.Edges = slices.Grow(gcfg.Edges[:0], len(s.Edges))[:len(s.Edges)]
 	for i := range s.Tiers {
@@ -311,27 +312,39 @@ func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig) error {
 		if r == 0 {
 			r = 1
 		}
+		var c conv
 		gcfg.Tiers[i] = cluster.TierConfig{
 			Name: t.Name,
 			Cluster: cluster.Config{
 				Policy:        pol,
-				P99Target:     us(t.P99TargetUS),
+				P99Target:     c.us("p99_target_us", t.P99TargetUS),
 				Topology:      cluster.Topology{Racks: r, ServersPerRack: t.Servers / r},
-				TorLatency:    us(t.TorLatencyUS),
-				DrainHold:     us(t.DrainHoldUS),
-				FeedbackEpoch: us(t.FeedbackEpochUS),
-				Faults:        t.Faults.config(),
+				TorLatency:    c.us("tor_latency_us", t.TorLatencyUS),
+				DrainHold:     c.us("drain_hold_us", t.DrainHoldUS),
+				FeedbackEpoch: c.us("feedback_epoch_us", t.FeedbackEpochUS),
+				Faults:        t.Faults.config(&c),
 				Members:       gcfg.Tiers[i].Cluster.Members[:0],
 			},
 		}
+		if c.err != nil {
+			ke := c.err.(*knobError)
+			ke.key = tierLabel(block, i) + "." + ke.key
+			return inBlock(block, i, ke)
+		}
 	}
 	for i, e := range s.Edges {
+		var c conv
 		gcfg.Edges[i] = cluster.EdgeConfig{
 			From:     s.tierIndex(e.From),
 			To:       s.tierIndex(e.To),
 			HitRatio: e.HitRatio,
-			TTL:      us(e.TTLUS),
+			TTL:      c.us("ttl_us", e.TTLUS),
 			Fanout:   e.Fanout,
+		}
+		if c.err != nil {
+			ke := c.err.(*knobError)
+			ke.key = fmt.Sprintf("edges[%d].%s", i, ke.key)
+			return blockErr("edges", i, ke)
 		}
 	}
 	return nil
@@ -342,7 +355,7 @@ func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig) error {
 // backend tier's spec sized by the miss rate expected to flow into it.
 func (w *worker) runConfig(s *Scenario, kind soc.ConfigKind, rootSpec workload.Spec) error {
 	gcfg := &w.gcfg
-	if err := s.graphConfig(gcfg); err != nil {
+	if err := s.graphConfig(gcfg, "tiers"); err != nil {
 		return err
 	}
 	cores := soc.DefaultConfig(kind).CoreCount
@@ -382,11 +395,14 @@ func (w *worker) runConfig(s *Scenario, kind soc.ConfigKind, rootSpec workload.S
 // entry in c's ServerOverrides.
 func (s *Scenario) serverConfig(c *Cluster, i int) server.Config {
 	cfg := server.DefaultConfig()
-	s.Server.apply(&cfg)
-	if c != nil {
+	err := s.Server.apply(&cfg)
+	if c != nil && err == nil {
 		if ov, ok := c.ServerOverrides[strconv.Itoa(i)]; ok {
-			ov.apply(&cfg)
+			err = ov.apply(&cfg)
 		}
+	}
+	if err != nil {
+		panic(err) // Validate converts every override first: a missing validation rule
 	}
 	return cfg
 }
@@ -656,10 +672,10 @@ func (r *Result) clusterAnnotated() bool {
 // aggregate row then sums the tiers' counters.
 func (r *Result) faultsAnnotated() bool {
 	if c := r.effectiveCluster(); c != nil {
-		return c.Faults.config().Enabled() || axes[r.Axis].block == faultsBlock
+		return c.Faults.config(new(conv)).Enabled() || axes[r.Axis].block == faultsBlock
 	}
 	for i := range r.Scenario.Tiers {
-		if r.Scenario.Tiers[i].Faults.config().Enabled() {
+		if r.Scenario.Tiers[i].Faults.config(new(conv)).Enabled() {
 			return true
 		}
 	}

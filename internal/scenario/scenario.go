@@ -221,26 +221,23 @@ type Faults struct {
 	HedgeDelayUS float64 `json:"hedge_delay_us,omitempty"`
 }
 
-// us converts scenario microseconds to engine time.
-func us(v float64) sim.Duration { return sim.Duration(v * float64(sim.Microsecond)) }
-
-// config converts the block to engine units. A nil block is the zero
-// (disabled) configuration.
-func (f *Faults) config() cluster.FaultConfig {
+// config converts the block to engine units through c. A nil block is
+// the zero (disabled) configuration.
+func (f *Faults) config(c *conv) cluster.FaultConfig {
 	if f == nil {
 		return cluster.FaultConfig{}
 	}
 	return cluster.FaultConfig{
-		MTBF:                 us(f.MTBFUS),
-		MTTR:                 us(f.MTTRUS),
-		BrownoutMTBF:         us(f.BrownoutMTBFUS),
-		BrownoutDuration:     us(f.BrownoutDurationUS),
+		MTBF:                 c.us("faults.mtbf_us", f.MTBFUS),
+		MTTR:                 c.us("faults.mttr_us", f.MTTRUS),
+		BrownoutMTBF:         c.us("faults.brownout_mtbf_us", f.BrownoutMTBFUS),
+		BrownoutDuration:     c.us("faults.brownout_duration_us", f.BrownoutDurationUS),
 		BrownoutFactor:       f.BrownoutFactor,
-		TorPartitionMTBF:     us(f.TorPartitionMTBFUS),
-		TorPartitionDuration: us(f.TorPartitionDurationUS),
-		RequestTimeout:       us(f.RequestTimeoutUS),
+		TorPartitionMTBF:     c.us("faults.tor_partition_mtbf_us", f.TorPartitionMTBFUS),
+		TorPartitionDuration: c.us("faults.tor_partition_duration_us", f.TorPartitionDurationUS),
+		RequestTimeout:       c.us("faults.request_timeout_us", f.RequestTimeoutUS),
 		MaxRetries:           f.MaxRetries,
-		HedgeDelay:           us(f.HedgeDelayUS),
+		HedgeDelay:           c.us("faults.hedge_delay_us", f.HedgeDelayUS),
 	}
 }
 
@@ -304,83 +301,73 @@ type Overrides struct {
 	TickKernelUS     *float64 `json:"tick_kernel_us,omitempty"`
 }
 
-// validate rejects physically meaningless knob settings before they
-// reach the engine (negative durations panic the scheduler; negative
-// latencies silently corrupt histograms).
-func (o Overrides) validate() error {
-	// Declared order, not a map walk: with several negative knobs the
-	// reported one must be the same on every run (the determinism
-	// pass rejects error text born from map iteration).
-	for _, kv := range []struct {
-		name string
-		v    *float64
-		unit sim.Duration // 0: a rate in Hz
-	}{
-		{"network_latency_us", o.NetworkLatencyUS, sim.Microsecond},
-		{"nic_transfer_ns", o.NICTransferNS, sim.Nanosecond},
-		{"kernel_overhead_us", o.KernelOverheadUS, sim.Microsecond},
-		{"batch_epoch_us", o.BatchEpochUS, sim.Microsecond},
-		{"timer_tick_hz", o.TimerTickHz, 0},
-		{"tick_kernel_us", o.TickKernelUS, sim.Microsecond},
-	} {
-		switch {
-		case kv.v == nil:
-		case *kv.v < 0:
-			return fmt.Errorf("server.%s must not be negative (got %g)", kv.name, *kv.v)
-		case kv.unit != 0 && !sim.Fits(*kv.v, kv.unit):
-			return rangeErr("server."+kv.name, *kv.v)
-		case kv.unit == 0 && !tickFits(*kv.v):
-			return tickErr("server."+kv.name, *kv.v)
-		}
-	}
-	return nil
-}
-
-// tickFits reports whether a timer tick rate of hz (0: no tick) arms a
-// period the engine can schedule: 1/hz seconds must fit sim.Duration
-// and be at least 1 ns, since a zero period would fire forever at one
-// instant.
-func tickFits(hz float64) bool {
-	if hz == 0 {
-		return true
-	}
-	period := 1 / hz
-	return sim.Fits(period, sim.Second) && period*float64(sim.Second) >= 1
-}
-
-// tickErr rejects a tick rate whose period tickFits refuses.
-func tickErr(key string, hz float64) error {
-	return fmt.Errorf("%s %g is out of range — its tick period 1/hz must be at least 1 ns and fit the engine's 64-bit time", key, hz)
-}
-
-// rangeErr rejects setting key = v, whose nanoseconds overflow
-// sim.Duration (!sim.Fits). Go leaves that float conversion
-// implementation-dependent, so unchecked, a huge value would run as a
-// negative or a saturated duration depending on the machine.
-func rangeErr(key string, v float64) error {
-	return fmt.Errorf("%s %g is out of range — its nanoseconds overflow the engine's 64-bit time", key, v)
-}
-
-func (o Overrides) apply(cfg *server.Config) {
-	if o.NetworkLatencyUS != nil {
-		cfg.NetworkLatency = us(*o.NetworkLatencyUS)
-	}
-	if o.NICTransferNS != nil {
-		cfg.NICTransfer = sim.Duration(*o.NICTransferNS * float64(sim.Nanosecond))
-	}
-	if o.KernelOverheadUS != nil {
-		cfg.KernelOverhead = us(*o.KernelOverheadUS)
-	}
-	if o.BatchEpochUS != nil {
-		cfg.BatchEpoch = us(*o.BatchEpochUS)
-	}
+// apply converts the knobs set onto cfg (conv.knob), in declared
+// order: with several bad knobs the one reported must be the same on
+// every run (the determinism pass rejects error text born from map
+// iteration). The rate is checked by its period, but cfg keeps the
+// rate: the server derives the period itself.
+func (o Overrides) apply(cfg *server.Config) error {
+	var c conv
+	c.knob(&cfg.NetworkLatency, "server.network_latency_us", o.NetworkLatencyUS, sim.Microsecond)
+	c.knob(&cfg.NICTransfer, "server.nic_transfer_ns", o.NICTransferNS, sim.Nanosecond)
+	c.knob(&cfg.KernelOverhead, "server.kernel_overhead_us", o.KernelOverheadUS, sim.Microsecond)
+	c.knob(&cfg.BatchEpoch, "server.batch_epoch_us", o.BatchEpochUS, sim.Microsecond)
+	c.knob(new(sim.Duration), "server.timer_tick_hz", o.TimerTickHz, 0)
+	c.knob(&cfg.TickKernelTime, "server.tick_kernel_us", o.TickKernelUS, sim.Microsecond)
 	if o.TimerTickHz != nil {
 		cfg.TimerTickHz = *o.TimerTickHz
 	}
-	if o.TickKernelUS != nil {
-		cfg.TickKernelTime = us(*o.TickKernelUS)
+	return c.err
+}
+
+// conv converts scenario values to engine values, keeping the first failure.
+type conv struct{ err error }
+
+// dur is the one conversion of a dimensioned scenario value: v in unit
+// (ns, µs or ms) becomes a sim.Duration, and a rate in Hz (unit 0) its
+// tick period, which must also be at least 1 ns. Every value must lie
+// within ±sim.Horizon, so that a delay armed at any time of a run,
+// which ends by the horizon too, still fits the engine's time. A value
+// that fails is recorded under key and converts to 0.
+func (c *conv) dur(key string, v float64, unit sim.Duration) sim.Duration {
+	x, u := v, unit
+	if unit == 0 && v != 0 {
+		x, u = 1/v, sim.Second
+	}
+	if ns := x * float64(u); sim.InHorizon(x, u) && (unit != 0 || v == 0 || ns >= 1) {
+		return sim.Duration(ns)
+	}
+	why := "is out of range — its nanoseconds must lie within the engine's horizon, ±2⁶² (about 146 years)"
+	if unit == 0 {
+		why = "is out of range — its tick period 1/hz must be at least 1 ns and within the engine's horizon, 2⁶² ns (about 146 years)"
+	}
+	if c.err == nil {
+		c.err = &knobError{key, why, v}
+	}
+	return 0
+}
+
+// knob converts an optional server knob onto *dst. A negative one fails:
+// it would panic the scheduler or silently corrupt a latency histogram.
+func (c *conv) knob(dst *sim.Duration, key string, v *float64, unit sim.Duration) {
+	switch {
+	case v == nil || c.err != nil:
+	case *v < 0:
+		c.err = &knobError{key, "must not be negative", *v}
+	default:
+		*dst = c.dur(key, *v, unit)
 	}
 }
+
+func (c *conv) us(key string, v float64) sim.Duration { return c.dur(key, v, sim.Microsecond) }
+
+// knobError rejects a scenario value: key names it as the JSON does.
+type knobError struct {
+	key, why string
+	v        float64
+}
+
+func (e *knobError) Error() string { return fmt.Sprintf("%s %g %s", e.key, e.v, e.why) }
 
 // Sweep evaluates the scenario at each value of one axis.
 type Sweep struct {
@@ -442,8 +429,6 @@ const (
 	anyValue axisRule = iota
 	wholeValue
 	countValue // a whole number ≥ 1
-	usValue    // microseconds whose nanoseconds fit sim.Duration
-	hzValue    // a tick rate whose period tickFits accepts
 )
 
 // axisSpec is one row of the sweep-axis table.
@@ -467,22 +452,22 @@ var axes = map[string]axisSpec{
 	AxisLoad:           {services: []string{"mysql", "kafka"}, set: func(s Scenario, v float64) Scenario { s.Workload.Load = v; return s }},
 	AxisBurstiness:     {services: []string{"memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.Burstiness = v; return s }},
 	AxisThreads:        {services: []string{"sysbench"}, rule: wholeValue, set: func(s Scenario, v float64) Scenario { s.Workload.Threads = int(v); return s }},
-	AxisBatchEpochUS:   {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
-	AxisTickHz:         {block: serverBlock, rule: hzValue, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
-	AxisNetworkLatency: {block: serverBlock, rule: usValue, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
+	AxisBatchEpochUS:   {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
+	AxisTickHz:         {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
+	AxisNetworkLatency: {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
 	AxisServers:        {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Servers = int(v) })},
 	AxisRacks:          {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Racks = int(v) })},
-	AxisTorLatency:     {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
-	AxisDrainHold:      {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
-	AxisFeedbackEpoch:  {block: clusterBlock, rule: usValue, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
-	AxisMTBF:           {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
-	AxisMTTR:           {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
-	AxisRequestTimeout: {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
+	AxisTorLatency:     {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
+	AxisDrainHold:      {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
+	AxisFeedbackEpoch:  {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
+	AxisMTBF:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
+	AxisMTTR:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
+	AxisRequestTimeout: {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
 	AxisMaxRetries:     {block: faultsBlock, rule: wholeValue, set: atFaults(func(f *Faults, v float64) { f.MaxRetries = int(v) })},
-	AxisHedgeDelay:     {block: faultsBlock, rule: usValue, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
+	AxisHedgeDelay:     {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
 	AxisHitRatio:       {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
 	AxisFanout:         {block: edgesBlock, rule: countValue, set: atEdges(func(e *Edge, v float64) { e.Fanout = int(v) })},
-	AxisTTL:            {block: edgesBlock, rule: usValue, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
+	AxisTTL:            {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
 	// The string-valued policy axis: v is an index into Sweep.Policies.
 	AxisPolicy: {block: clusterBlock, set: func(s Scenario, v float64) Scenario {
 		c := *s.Cluster
@@ -547,16 +532,17 @@ func atEdges(mut func(*Edge, float64)) func(Scenario, float64) Scenario {
 // has one owner. The scenario owns what the cluster layer cannot see:
 // names, services and the trace block, the sweep list and the blocks
 // its axis needs, tier names and edge endpoints, server_overrides keys,
-// the policy-axis conflict and the inert knobs. The cluster layer owns
-// every fleet and graph rule: Validate converts each applied point as
-// the run does (graphConfig), checks it with cluster.GraphConfig.Check
-// and reports a failure in JSON keys (clusterError). Load and Run also
+// the policy-axis conflict, the inert knobs, and whether a value has an
+// engine value (conv). The cluster layer owns every fleet and graph
+// rule: Validate converts each applied point as the run does
+// (Overrides.apply, graphConfig), checks it with GraphConfig.Check and
+// reports a failure in JSON keys (clusterError). Load and Run also
 // check each point's servers (checkServers); Run alone checks the
 // workload rates, when it builds the points.
 func (s *Scenario) Validate() error { return s.validate(false) }
 
-// validate runs Validate's rules and, with servers set, checkServers on
-// every point.
+// validate runs Validate's rules and, with servers set, the server rules
+// of checkServers on every point.
 func (s *Scenario) validate(servers bool) error {
 	if err := s.validateFields(); err != nil {
 		return err
@@ -590,24 +576,16 @@ func (s *Scenario) validateFields() error {
 		return fmt.Errorf("scenario %q: negative duration_ms", s.Name)
 	}
 	// A run's clock covers the window, its warmup (at most a tenth of
-	// it) and a drain tail after each, which must all fit the engine's
-	// time.
-	if d := s.DurationMS; !sim.Fits(d+d/10+2*float64(server.DrainCap/sim.Millisecond), sim.Millisecond) {
-		return fmt.Errorf("scenario %q: %w", s.Name, rangeErr("duration_ms", d))
-	}
-	if err := s.Server.validate(); err != nil {
-		return fmt.Errorf("scenario %q: %w", s.Name, err)
+	// it) and a drain tail after each, which must all end by the
+	// engine's horizon, the bound every delay keeps too (conv.dur).
+	if d := s.DurationMS; !sim.InHorizon(d+d/10+2*float64(server.DrainCap/sim.Millisecond), sim.Millisecond) {
+		return fmt.Errorf("scenario %q: %w", s.Name, &knobError{"duration_ms", "is out of range — the run must end within the engine's horizon, 2⁶² ns (about 146 years)", d})
 	}
 	if s.Workload.Service == "sysbench" && (s.Cluster != nil || len(s.Tiers) > 0) {
 		return fmt.Errorf("scenario %q: a fleet needs an open-loop service — closed-loop sysbench clients bind to one machine and bypass the balancer", s.Name)
 	}
-	if c := s.Cluster; c != nil {
-		if s.Sweep != nil && s.Sweep.Axis == AxisPolicy && c.Policy != "" {
-			return fmt.Errorf("scenario %q: cluster.policy %q conflicts with the policy sweep — leave it empty", s.Name, c.Policy)
-		}
-		if err := s.validateBlock(c, "cluster", 0); err != nil {
-			return err
-		}
+	if c := s.Cluster; c != nil && s.Sweep != nil && s.Sweep.Axis == AxisPolicy && c.Policy != "" {
+		return fmt.Errorf("scenario %q: cluster.policy %q conflicts with the policy sweep — leave it empty", s.Name, c.Policy)
 	}
 	return s.validateTiers()
 }
@@ -657,55 +635,6 @@ func (s *Scenario) validateSweep() error {
 		if spec.rule == countValue && v < 1 {
 			return fmt.Errorf("scenario %q: %s value %g is below 1", s.Name, s.Sweep.Axis, v)
 		}
-		if spec.rule == usValue && !sim.Fits(v, sim.Microsecond) {
-			return fmt.Errorf("scenario %q: %w", s.Name, rangeErr(s.Sweep.Axis+" value", v))
-		}
-		if spec.rule == hzValue && !tickFits(v) {
-			return fmt.Errorf("scenario %q: %w", s.Name, tickErr(s.Sweep.Axis+" value", v))
-		}
-	}
-	return nil
-}
-
-// validateBlock checks one fleet block's own settings: every µs field
-// in range, and its server_overrides — every key a server index and
-// every entry's knobs valid. The cluster layer rejects negative fields,
-// but it sees them only after conversion, when an out-of-range value
-// has already wrapped. Whether an override index names one of the
-// point's servers is checkServers' rule. The block is named as
-// tierLabel(block, ti) names it.
-func (s *Scenario) validateBlock(c *Cluster, block string, ti int) error {
-	f := c.Faults
-	if f == nil {
-		f = &Faults{}
-	}
-	for _, kv := range []struct {
-		key string
-		v   float64
-	}{
-		{"p99_target_us", c.P99TargetUS}, {"tor_latency_us", c.TorLatencyUS},
-		{"drain_hold_us", c.DrainHoldUS}, {"feedback_epoch_us", c.FeedbackEpochUS},
-		{"faults.mtbf_us", f.MTBFUS}, {"faults.mttr_us", f.MTTRUS},
-		{"faults.brownout_mtbf_us", f.BrownoutMTBFUS}, {"faults.brownout_duration_us", f.BrownoutDurationUS},
-		{"faults.tor_partition_mtbf_us", f.TorPartitionMTBFUS}, {"faults.tor_partition_duration_us", f.TorPartitionDurationUS},
-		{"faults.request_timeout_us", f.RequestTimeoutUS}, {"faults.hedge_delay_us", f.HedgeDelayUS},
-	} {
-		if !sim.Fits(kv.v, sim.Microsecond) {
-			return fmt.Errorf("scenario %q: %w", s.Name, rangeErr(tierLabel(block, ti)+"."+kv.key, kv.v))
-		}
-	}
-	if len(c.ServerOverrides) == 0 {
-		return nil // without the key walk, which allocates
-	}
-	for _, key := range slices.Sorted(maps.Keys(c.ServerOverrides)) {
-		// A key must be the index's own spelling: the run looks servers
-		// up by strconv.Itoa, so "01" would never apply.
-		if idx, err := strconv.Atoi(key); err != nil || idx < 0 || strconv.Itoa(idx) != key {
-			return fmt.Errorf("scenario %q: %s.server_overrides key %q is not a server index", s.Name, tierLabel(block, ti), key)
-		}
-		if err := c.ServerOverrides[key].validate(); err != nil {
-			return fmt.Errorf("scenario %q: server_overrides[%s]: %w", s.Name, key, err)
-		}
 	}
 	return nil
 }
@@ -741,9 +670,6 @@ func (s *Scenario) validateTiers() error {
 			}
 			return blockErr("tiers", i, fmt.Errorf("scenario %q: tiers[%d] (%q) has unknown service %q (want one of %v)", s.Name, i, t.Name, t.Service, slices.Sorted(maps.Keys(tierSpecs))))
 		}
-		if err := s.validateBlock(&t.Cluster, "tiers", i); err != nil {
-			return blockErr("tiers", i, err)
-		}
 	}
 	for i, e := range s.Edges {
 		if s.tierIndex(e.From) < 0 {
@@ -751,9 +677,6 @@ func (s *Scenario) validateTiers() error {
 		}
 		if s.tierIndex(e.To) < 0 {
 			return blockErr("edges", i, fmt.Errorf("scenario %q: edges[%d].to names unknown tier %q", s.Name, i, e.To))
-		}
-		if !sim.Fits(e.TTLUS, sim.Microsecond) {
-			return blockErr("edges", i, fmt.Errorf("scenario %q: %w", s.Name, rangeErr(fmt.Sprintf("edges[%d].ttl_us", i), e.TTLUS)))
 		}
 	}
 	return nil
@@ -764,11 +687,11 @@ func (s *Scenario) tierIndex(name string) int {
 	return slices.IndexFunc(s.Tiers, func(t Tier) bool { return t.Name == name })
 }
 
-// validatePoints checks every applied point: the cluster layer's rules
-// on the point's graph, checkServers when servers is set, and, over all
-// points together, the inert knobs. A workload axis leaves the tier
-// form of every point alone, so such a sweep, like an unswept scenario,
-// is checked once, as written.
+// validatePoints checks every applied point: its conversion, the
+// cluster layer's rules on its graph, its servers (checkServers) and,
+// over all points together, the inert knobs. A workload axis leaves the
+// tier form of every point alone, so such a sweep, like an unswept
+// scenario, is checked once, as written.
 func (s *Scenario) validatePoints(servers bool) error {
 	axis, values := "", []float64{0}
 	if s.Sweep != nil && axes[s.Sweep.Axis].block != workloadBlock {
@@ -781,12 +704,15 @@ func (s *Scenario) validatePoints(servers bool) error {
 		var one [1]Tier
 		var gcfg cluster.GraphConfig
 		g, block = s.at(axis, v).asGraph(&one)
-		err := g.graphConfig(&gcfg)
+		err := g.Server.apply(new(server.Config))
+		if err == nil {
+			err = g.graphConfig(&gcfg, block)
+		}
 		if err == nil {
 			err = g.clusterError(gcfg.Check(), block)
 		}
-		if err == nil && servers {
-			err = g.checkServers(gcfg, block)
+		if err == nil {
+			err = g.checkServers(gcfg, block, servers)
 		}
 		if err != nil {
 			return s.pointErr(axis, v, err)
@@ -803,13 +729,18 @@ func (s *Scenario) validatePoints(servers bool) error {
 }
 
 // pointErr names the scenario and, on a swept point, the axis value in
-// one point's error.
+// one point's error; a failed conversion of the swept knob itself (named
+// after the axis, holding v) names the value as the sweep writes it.
 func (s *Scenario) pointErr(axis string, v float64, err error) error {
-	switch axis {
-	case "":
+	var ke *knobError
+	switch {
+	case axis == "":
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	case AxisPolicy:
+	case axis == AxisPolicy:
 		return fmt.Errorf("scenario %q [%s=%s]: %w", s.Name, axis, s.Sweep.Policies[int(v)], err)
+	case errors.As(err, &ke) && ke.v == v && strings.HasSuffix(ke.key, axis):
+		ke.key = axis + " value"
+		return fmt.Errorf("scenario %q: %w", s.Name, ke)
 	}
 	return fmt.Errorf("scenario %q [%s=%g]: %w", s.Name, axis, v, err)
 }
@@ -879,14 +810,16 @@ func (s *Scenario) clusterError(err error, block string) error {
 	return errors.New(msg)
 }
 
-// checkServers checks the rules on a point's servers, tier by tier:
-// the topology fits the fleet, each server_overrides key names one of
-// its servers, and each server's tick knobs, merged as the run merges
-// them (memberConfigs), arm no tick without a tick cost.
-func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
+// checkServers checks a point's servers, tier by tier: every
+// server_overrides key is a server index whose knobs convert
+// (Overrides.apply), and, with servers set, the topology fits the
+// fleet, each key names one of its servers, and each server's tick
+// knobs, merged as the run merges them (memberConfigs), arm no tick
+// without a tick cost.
+func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string, servers bool) error {
 	for ti := range s.Tiers {
 		t := &s.Tiers[ti]
-		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); err != nil {
+		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); servers && err != nil {
 			if ce, ok := err.(*cluster.ConfigError); ok {
 				ce.Tier = ti
 			}
@@ -899,9 +832,18 @@ func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
 		if len(t.ServerOverrides) > 0 {
 			cand = cand[:0]
 			for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
-				idx, _ := strconv.Atoi(key)
-				if idx >= t.Servers {
-					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: fleet has only %d servers", tierLabel(block, ti), key, t.Servers))
+				// A key must be the index's own spelling: the run looks
+				// servers up by strconv.Itoa, so "01" would never apply.
+				idx, err := strconv.Atoi(key)
+				if err != nil || idx < 0 || strconv.Itoa(idx) != key {
+					return inBlock(block, ti, fmt.Errorf("%s.server_overrides key %q is not a server index", tierLabel(block, ti), key))
+				}
+				err = t.ServerOverrides[key].apply(new(server.Config))
+				if err == nil && servers && idx >= t.Servers {
+					err = fmt.Errorf("fleet has only %d servers", t.Servers)
+				}
+				if err != nil {
+					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: %w", tierLabel(block, ti), key, err))
 				}
 				cand = append(cand, idx)
 			}
@@ -914,7 +856,7 @@ func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string) error {
 			slices.Sort(cand)
 		}
 		for _, i := range cand {
-			if mc := s.serverConfig(&t.Cluster, i); mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
+			if mc := s.serverConfig(&t.Cluster, i); servers && mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
 				err := errors.New("timer_tick_hz needs tick_kernel_us > 0")
 				if block != "" {
 					err = fmt.Errorf("%s server %d: %w", tierLabel(block, ti), i, err)

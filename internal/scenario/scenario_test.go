@@ -140,13 +140,31 @@ func TestValidate(t *testing.T) {
 		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
 			Faults: &Faults{BrownoutMTBFUS: 5000, BrownoutDurationUS: 5000, BrownoutFactor: 1e30}}},
 			"faults.brownout_factor 1e+30 is above the ceiling 1000"},
+		// Delays that fit int64 on their own but not once added to now:
+		// a doubled retry timeout and a hedge delay, both beyond the
+		// engine's horizon, and the same timeout as a sweep value.
+		{Scenario{Name: "x", Config: "CPC1A", DurationMS: 20, Workload: Workload{Service: "memcached", QPS: 200000},
+			Cluster: &Cluster{Servers: 4, Policy: "round_robin",
+				Faults: &Faults{MTBFUS: 2000, MTTRUS: 1000, RequestTimeoutUS: 5e15, MaxRetries: 2}}},
+			"cluster.faults.request_timeout_us 5e+15 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+			Faults: &Faults{HedgeDelayUS: 9.22337203685e15}}},
+			"cluster.faults.hedge_delay_us 9.22337203685e+15 is out of range"},
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+			Faults: &Faults{MTBFUS: 2000, MTTRUS: 1000}},
+			Sweep: &Sweep{Axis: AxisRequestTimeout, Values: []float64{100, 5e15}}},
+			"request_timeout_us value 5e+15 is out of range"},
 	} {
 		if err := c.sc.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("got %v, want an error containing %q", err, c.want)
 		}
 	}
-	// The ceilings themselves still load.
+	// The ceilings themselves still load, the horizon's included: a
+	// timeout just inside it and a tick period as long.
 	for _, sc := range []Scenario{
+		{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+			Faults: &Faults{RequestTimeoutUS: 4.6e15, MaxRetries: 2}}},
+		{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TimerTickHz: ptr(2.2e-10), TickKernelUS: ptr(1.0)}},
 		{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TimerTickHz: ptr(1e9), TickKernelUS: ptr(1.0)}},
 		{Name: "x", Config: "CPC1A", Workload: mc, Cluster: &Cluster{Servers: 2, Policy: "round_robin",
 			Faults: &Faults{BrownoutMTBFUS: 5000, BrownoutDurationUS: 5000, BrownoutFactor: 1000}}},

@@ -225,8 +225,10 @@ func (s *Server) armTicks() {
 			c.WakeInterrupt(s.cfg.TickKernelTime)
 			s.sys.Engine.Schedule(period, tick)
 		}
-		// Stagger cores across the period so ticks do not align.
-		offset := period * sim.Duration(i) / sim.Duration(len(s.sys.Cores))
+		// Stagger cores across the period so ticks do not align: offset
+		// is ⌊period·i/n⌋, split so that no product can overflow.
+		n := sim.Duration(len(s.sys.Cores))
+		offset := period/n*sim.Duration(i) + period%n*sim.Duration(i)/n
 		s.sys.Engine.Schedule(offset+1, tick)
 	}
 }

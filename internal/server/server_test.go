@@ -200,6 +200,20 @@ func TestTimerTicksErodePC1A(t *testing.T) {
 	}
 }
 
+// TestLongTickPeriodArms: a tick period as long as the engine's
+// horizon still staggers the cores across it. The stagger offsets
+// period·i/n, whose product would wrap int64, stay inside the period.
+func TestLongTickPeriodArms(t *testing.T) {
+	cfg := server.DefaultConfig()
+	cfg.TimerTickHz = float64(sim.Second) / float64(sim.Horizon)
+	cfg.TickKernelTime = 5 * sim.Microsecond
+	f := machine(t, soc.CPC1A, cfg, workload.Memcached(10000))
+	f.Run(10 * sim.Millisecond)
+	if f.Server(0).Served() == 0 {
+		t.Fatal("nothing served")
+	}
+}
+
 // TestSecondWaveAllocFree checks that the per-request records are
 // recycled: once a wave of concurrent requests has been served, an
 // equal wave allocates nothing.

@@ -57,14 +57,20 @@ const (
 	Second      Duration = 1000 * Millisecond
 )
 
-// Fits reports whether v units of time fit a Duration in nanoseconds.
-// Go leaves an out-of-range float-to-integer conversion
+// Horizon bounds a run: it ends by Horizon, and no single delay it
+// schedules exceeds Horizon, so now + delay never wraps the engine's
+// int64 time. It is half the engine's range, about 146 years.
+const Horizon = Duration(math.MaxInt64 / 2)
+
+// InHorizon reports whether v units of time lie within ±Horizon as
+// nanoseconds, and so convert to a Duration a run can schedule. Go
+// leaves an out-of-range float-to-integer conversion
 // implementation-dependent (amd64 yields MinInt64, arm64 saturates), so
 // code that converts float time from its input checks here first. NaN
 // and the infinities do not fit.
-func Fits(v float64, unit Duration) bool {
-	ns := v * float64(unit)
-	return ns >= math.MinInt64 && ns < math.MaxInt64
+func InHorizon(v float64, unit Duration) bool {
+	// float64(Horizon) rounds up to 2⁶², so the comparison is strict.
+	return math.Abs(v*float64(unit)) < float64(Horizon)
 }
 
 // Seconds returns the time as a floating-point number of seconds.

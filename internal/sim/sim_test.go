@@ -23,9 +23,10 @@ func TestTimeUnits(t *testing.T) {
 	}
 }
 
-// TestFits pins the range edge: 2^63 ns is the first value that does
-// not fit, and NaN and the infinities never do.
-func TestFits(t *testing.T) {
+// TestInHorizon pins the range edge: 2⁶² ns, the horizon rounded to a
+// float, is the first magnitude outside it, and NaN and the infinities
+// never lie inside.
+func TestInHorizon(t *testing.T) {
 	cases := []struct {
 		v    float64
 		unit Duration
@@ -33,21 +34,28 @@ func TestFits(t *testing.T) {
 	}{
 		{0, Microsecond, true},
 		{-1e9, Second, true},
-		{9.2e15, Microsecond, true},
-		{1e16, Microsecond, false},
+		{4.6e15, Microsecond, true},
+		{4.7e15, Microsecond, false},
+		{9.2e15, Microsecond, false},
 		{1e17, Microsecond, false},
 		{-1e17, Microsecond, false},
-		{math.Ldexp(1, 63), Nanosecond, false},
-		{math.Ldexp(1, 62), Nanosecond, true},
-		{-math.Ldexp(1, 63), Nanosecond, true},
+		{math.Ldexp(1, 62), Nanosecond, false},
+		{-math.Ldexp(1, 62), Nanosecond, false},
+		{math.Nextafter(math.Ldexp(1, 62), 0), Nanosecond, true},
+		{-math.Nextafter(math.Ldexp(1, 62), 0), Nanosecond, true},
 		{math.NaN(), Microsecond, false},
 		{math.Inf(1), Nanosecond, false},
 		{math.Inf(-1), Nanosecond, false},
 	}
 	for _, c := range cases {
-		if got := Fits(c.v, c.unit); got != c.want {
-			t.Errorf("Fits(%g, %d) = %v, want %v", c.v, c.unit, got, c.want)
+		if got := InHorizon(c.v, c.unit); got != c.want {
+			t.Errorf("InHorizon(%g, %d) = %v, want %v", c.v, c.unit, got, c.want)
 		}
+	}
+	// What passes converts to at most Horizon, so now + delay, both
+	// within it, fits the engine's time.
+	if d := Duration(math.Nextafter(math.Ldexp(1, 62), 0)); d > Horizon || d+Horizon < 0 {
+		t.Errorf("the largest value inside converts to %d, beyond Horizon %d", d, Horizon)
 	}
 }
 
