@@ -276,10 +276,10 @@ func TestClusterValidation(t *testing.T) {
 
 // TestOverridesValidateReportsFirstDeclaredField locks the validation
 // error's determinism: with several negative knobs, the one reported
-// follows Overrides' declared field order on every run (the loop
-// iterates an array, not a map — the apcvet determinism pass rejects
-// error text born from map iteration). The check is the conversion
-// itself, apply.
+// follows Overrides' declared field order on every run (apply converts
+// the knobs in that order, one straight-line call each — the apcvet
+// determinism pass rejects error text born from map iteration). The
+// check is the conversion itself, apply.
 func TestOverridesValidateReportsFirstDeclaredField(t *testing.T) {
 	bad := -1.0
 	o := Overrides{

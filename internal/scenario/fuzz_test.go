@@ -103,15 +103,19 @@ func FuzzLoadScenario(f *testing.F) {
 	})
 }
 
-// Bounds on the run each fuzzed point gets. The window reaches past
-// the instant (5.03 ms) at which the seed corpus's hedge delay wrapped
-// the engine's time. A point is skipped when its run would cost more
-// than a fuzz input should: above maxFuzzServers servers, more than
-// maxFuzzRequests expected requests in the window, more than
-// maxFuzzThreads closed-loop clients, or a periodic process (timer
-// tick, feedback epoch, injected fault) firing more often than every
-// minFuzzPeriod.
+// Bounds on what each fuzzed point gets. A point above
+// maxFuzzBuildServers servers is neither built nor run: its member
+// configurations alone would not fit in memory. The run's window
+// reaches past the instant (5.03 ms) at which the seed corpus's hedge
+// delay wrapped the engine's time. A built point is not run when its
+// run would cost more than a fuzz input should: above maxFuzzServers
+// servers, more than maxFuzzRequests expected requests in the window,
+// more than maxFuzzThreads closed-loop clients, or a periodic process
+// (timer tick, feedback epoch, injected fault) firing more often than
+// every minFuzzPeriod.
 const (
+	maxFuzzBuildServers = 256
+
 	fuzzWindow      = 6 * sim.Millisecond
 	maxFuzzServers  = 8
 	maxFuzzRequests = 2000
@@ -121,11 +125,11 @@ const (
 
 // checkPointsRun is FuzzLoadScenario's no-panic property: a scenario
 // that loads also runs. Every point converts through the run's own
-// conversion (runConfig) into a graph the cluster layer accepts, and
-// then runs for fuzzWindow, with no warmup, under recover. Trace points
-// need their recording and a point without a rate is Run's to reject,
-// so neither runs; a sysbench point runs the closed loop, with its own
-// warmup.
+// conversion (runConfig) into a graph the cluster layer accepts, and a
+// small one (fuzzCheap) then runs for fuzzWindow, with no warmup,
+// under recover. Trace points need their recording and a point without
+// a rate is Run's to reject, so neither runs; a sysbench point runs the
+// closed loop, with its own warmup.
 func checkPointsRun(t *testing.T, s *Scenario) {
 	if s.Workload.Service == "trace" {
 		return
@@ -159,7 +163,7 @@ func checkPointsRun(t *testing.T, s *Scenario) {
 		for _, tier := range g.Tiers {
 			servers += tier.Servers
 		}
-		if servers > maxFuzzServers {
+		if servers > maxFuzzBuildServers {
 			continue
 		}
 		var w worker
@@ -185,6 +189,13 @@ func checkPointsRun(t *testing.T, s *Scenario) {
 // fuzzCheap reports whether the point in w's scratch (runConfig's)
 // stays within the fuzz run's bounds.
 func fuzzCheap(w *worker) bool {
+	servers := 0
+	for _, tc := range w.gcfg.Tiers {
+		servers += len(tc.Cluster.Members)
+	}
+	if servers > maxFuzzServers {
+		return false
+	}
 	requests := 0.0
 	for _, r := range w.rates {
 		requests += r * fuzzWindow.Seconds()

@@ -140,6 +140,9 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 		return nil, err
 	}
 	opt = s.EffectiveOptions(opt)
+	if d := opt.Duration; d > sim.Horizon-opt.Warmup()-2*server.DrainCap { // duration_ms's rule, for any window
+		return nil, fmt.Errorf("scenario %q: run window %v must end within the engine's horizon, 2⁶² ns (about 146 years)", s.Name, d)
+	}
 	axis := ""
 	if s.Sweep != nil {
 		axis = s.Sweep.Axis
@@ -171,16 +174,14 @@ func (s Scenario) Run(opt experiments.Options) (*Result, error) {
 			label = s.Sweep.Policies[i]
 		}
 		g, _ := pt.asGraph(&j.tier)
-		var spec workload.Spec
+		spec, err := workload.Spec{}, error(nil)
 		if pt.Workload.Service == "trace" {
-			if err := pt.Workload.Trace.preflight(); err != nil {
-				return nil, s.pointErr(axis, v, err)
-			}
+			err = pt.Workload.Trace.preflight()
 		} else {
-			var err error
-			if spec, err = pt.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers); err != nil {
-				return nil, s.pointErr(axis, v, err)
-			}
+			spec, err = pt.Workload.spec(soc.DefaultConfig(kind).CoreCount * g.Tiers[0].Servers)
+		}
+		if err != nil {
+			return nil, s.pointErr(axis, v, err)
 		}
 		if pt.Workload.Service != "sysbench" {
 			pt = g
@@ -328,7 +329,7 @@ func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig, block string) error {
 		}
 		if c.err != nil {
 			ke := c.err.(*knobError)
-			ke.key = tierLabel(block, i) + "." + ke.key
+			ke.at = tierLabel(block, i) + "."
 			return inBlock(block, i, ke)
 		}
 	}
@@ -343,7 +344,7 @@ func (s *Scenario) graphConfig(gcfg *cluster.GraphConfig, block string) error {
 		}
 		if c.err != nil {
 			ke := c.err.(*knobError)
-			ke.key = fmt.Sprintf("edges[%d].%s", i, ke.key)
+			ke.at = fmt.Sprintf("edges[%d].", i)
 			return blockErr("edges", i, ke)
 		}
 	}

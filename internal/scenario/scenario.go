@@ -342,7 +342,7 @@ func (c *conv) dur(key string, v float64, unit sim.Duration) sim.Duration {
 		why = "is out of range — its tick period 1/hz must be at least 1 ns and within the engine's horizon, 2⁶² ns (about 146 years)"
 	}
 	if c.err == nil {
-		c.err = &knobError{key, why, v}
+		c.err = &knobError{key: key, why: why, v: v}
 	}
 	return 0
 }
@@ -353,7 +353,7 @@ func (c *conv) knob(dst *sim.Duration, key string, v *float64, unit sim.Duration
 	switch {
 	case v == nil || c.err != nil:
 	case *v < 0:
-		c.err = &knobError{key, "must not be negative", *v}
+		c.err = &knobError{key: key, why: "must not be negative", v: *v}
 	default:
 		*dst = c.dur(key, *v, unit)
 	}
@@ -361,13 +361,14 @@ func (c *conv) knob(dst *sim.Duration, key string, v *float64, unit sim.Duration
 
 func (c *conv) us(key string, v float64) sim.Duration { return c.dur(key, v, sim.Microsecond) }
 
-// knobError rejects a scenario value: key names it as the JSON does.
+// knobError rejects a scenario value: key names it as the JSON does
+// below the element at ("cluster.", "edges[0].", or "" at the top).
 type knobError struct {
-	key, why string
-	v        float64
+	at, key, why string
+	v            float64
 }
 
-func (e *knobError) Error() string { return fmt.Sprintf("%s %g %s", e.key, e.v, e.why) }
+func (e *knobError) Error() string { return fmt.Sprintf("%s%s %g %s", e.at, e.key, e.v, e.why) }
 
 // Sweep evaluates the scenario at each value of one axis.
 type Sweep struct {
@@ -440,6 +441,7 @@ type axisSpec struct {
 	// recorded, so no workload axis lists "trace".
 	services []string
 	rule     axisRule
+	key      string // the field the axis sets, as conv names it, if conv converts it
 	// set returns s with the value applied, cloning any block it
 	// writes so applied points never alias the original scenario's.
 	set func(s Scenario, v float64) Scenario
@@ -452,22 +454,22 @@ var axes = map[string]axisSpec{
 	AxisLoad:           {services: []string{"mysql", "kafka"}, set: func(s Scenario, v float64) Scenario { s.Workload.Load = v; return s }},
 	AxisBurstiness:     {services: []string{"memcached-bursty"}, set: func(s Scenario, v float64) Scenario { s.Workload.Burstiness = v; return s }},
 	AxisThreads:        {services: []string{"sysbench"}, rule: wholeValue, set: func(s Scenario, v float64) Scenario { s.Workload.Threads = int(v); return s }},
-	AxisBatchEpochUS:   {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
-	AxisTickHz:         {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
-	AxisNetworkLatency: {block: serverBlock, set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
+	AxisBatchEpochUS:   {block: serverBlock, key: "server.batch_epoch_us", set: func(s Scenario, v float64) Scenario { s.Server.BatchEpochUS = &v; return s }},
+	AxisTickHz:         {block: serverBlock, key: "server.timer_tick_hz", set: func(s Scenario, v float64) Scenario { s.Server.TimerTickHz = &v; return s }},
+	AxisNetworkLatency: {block: serverBlock, key: "server.network_latency_us", set: func(s Scenario, v float64) Scenario { s.Server.NetworkLatencyUS = &v; return s }},
 	AxisServers:        {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Servers = int(v) })},
 	AxisRacks:          {block: clusterBlock, rule: countValue, set: atCluster(func(c *Cluster, v float64) { c.Racks = int(v) })},
-	AxisTorLatency:     {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
-	AxisDrainHold:      {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
-	AxisFeedbackEpoch:  {block: clusterBlock, set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
-	AxisMTBF:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
-	AxisMTTR:           {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
-	AxisRequestTimeout: {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
+	AxisTorLatency:     {block: clusterBlock, key: "tor_latency_us", set: atCluster(func(c *Cluster, v float64) { c.TorLatencyUS = v })},
+	AxisDrainHold:      {block: clusterBlock, key: "drain_hold_us", set: atCluster(func(c *Cluster, v float64) { c.DrainHoldUS = v })},
+	AxisFeedbackEpoch:  {block: clusterBlock, key: "feedback_epoch_us", set: atCluster(func(c *Cluster, v float64) { c.FeedbackEpochUS = v })},
+	AxisMTBF:           {block: faultsBlock, key: "faults.mtbf_us", set: atFaults(func(f *Faults, v float64) { f.MTBFUS = v })},
+	AxisMTTR:           {block: faultsBlock, key: "faults.mttr_us", set: atFaults(func(f *Faults, v float64) { f.MTTRUS = v })},
+	AxisRequestTimeout: {block: faultsBlock, key: "faults.request_timeout_us", set: atFaults(func(f *Faults, v float64) { f.RequestTimeoutUS = v })},
 	AxisMaxRetries:     {block: faultsBlock, rule: wholeValue, set: atFaults(func(f *Faults, v float64) { f.MaxRetries = int(v) })},
-	AxisHedgeDelay:     {block: faultsBlock, set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
+	AxisHedgeDelay:     {block: faultsBlock, key: "faults.hedge_delay_us", set: atFaults(func(f *Faults, v float64) { f.HedgeDelayUS = v })},
 	AxisHitRatio:       {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.HitRatio = v })},
 	AxisFanout:         {block: edgesBlock, rule: countValue, set: atEdges(func(e *Edge, v float64) { e.Fanout = int(v) })},
-	AxisTTL:            {block: edgesBlock, set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
+	AxisTTL:            {block: edgesBlock, key: "ttl_us", set: atEdges(func(e *Edge, v float64) { e.TTLUS = v })},
 	// The string-valued policy axis: v is an index into Sweep.Policies.
 	AxisPolicy: {block: clusterBlock, set: func(s Scenario, v float64) Scenario {
 		c := *s.Cluster
@@ -541,15 +543,6 @@ func atEdges(mut func(*Edge, float64)) func(Scenario, float64) Scenario {
 // workload rates, when it builds the points.
 func (s *Scenario) Validate() error { return s.validate(false) }
 
-// validate runs Validate's rules and, with servers set, the server rules
-// of checkServers on every point.
-func (s *Scenario) validate(servers bool) error {
-	if err := s.validateFields(); err != nil {
-		return err
-	}
-	return s.validatePoints(servers)
-}
-
 // validateFields checks the scenario's own rules on the scenario as
 // written.
 func (s *Scenario) validateFields() error {
@@ -579,7 +572,7 @@ func (s *Scenario) validateFields() error {
 	// it) and a drain tail after each, which must all end by the
 	// engine's horizon, the bound every delay keeps too (conv.dur).
 	if d := s.DurationMS; !sim.InHorizon(d+d/10+2*float64(server.DrainCap/sim.Millisecond), sim.Millisecond) {
-		return fmt.Errorf("scenario %q: %w", s.Name, &knobError{"duration_ms", "is out of range — the run must end within the engine's horizon, 2⁶² ns (about 146 years)", d})
+		return fmt.Errorf("scenario %q: %w", s.Name, &knobError{key: "duration_ms", why: "is out of range — the run must end within the engine's horizon, 2⁶² ns (about 146 years)", v: d})
 	}
 	if s.Workload.Service == "sysbench" && (s.Cluster != nil || len(s.Tiers) > 0) {
 		return fmt.Errorf("scenario %q: a fleet needs an open-loop service — closed-loop sysbench clients bind to one machine and bypass the balancer", s.Name)
@@ -687,12 +680,16 @@ func (s *Scenario) tierIndex(name string) int {
 	return slices.IndexFunc(s.Tiers, func(t Tier) bool { return t.Name == name })
 }
 
-// validatePoints checks every applied point: its conversion, the
-// cluster layer's rules on its graph, its servers (checkServers) and,
-// over all points together, the inert knobs. A workload axis leaves the
-// tier form of every point alone, so such a sweep, like an unswept
-// scenario, is checked once, as written.
-func (s *Scenario) validatePoints(servers bool) error {
+// validate runs Validate's rules: the scenario's own (validateFields),
+// then on every applied point its conversion, the cluster layer's rules
+// on its graph, its servers (checkServers, the server rules only with
+// servers set) and, over all points together, the inert knobs. A
+// workload axis leaves the tier form of every point alone, so such a
+// sweep, like an unswept scenario, is checked once, as written.
+func (s *Scenario) validate(servers bool) error {
+	if err := s.validateFields(); err != nil {
+		return err
+	}
 	axis, values := "", []float64{0}
 	if s.Sweep != nil && axes[s.Sweep.Axis].block != workloadBlock {
 		axis, values = s.Sweep.Axis, s.values()
@@ -707,6 +704,11 @@ func (s *Scenario) validatePoints(servers bool) error {
 		err := g.Server.apply(new(server.Config))
 		if err == nil {
 			err = g.graphConfig(&gcfg, block)
+		}
+		if err != nil { // the knob the sweep sets is named as the sweep writes it
+			if ke := (*knobError)(nil); errors.As(err, &ke) && ke.key == axes[axis].key {
+				return fmt.Errorf("scenario %q: %w", s.Name, &knobError{key: axis + " value", why: ke.why, v: v})
+			}
 		}
 		if err == nil {
 			err = g.clusterError(gcfg.Check(), block)
@@ -729,18 +731,13 @@ func (s *Scenario) validatePoints(servers bool) error {
 }
 
 // pointErr names the scenario and, on a swept point, the axis value in
-// one point's error; a failed conversion of the swept knob itself (named
-// after the axis, holding v) names the value as the sweep writes it.
+// one point's error.
 func (s *Scenario) pointErr(axis string, v float64, err error) error {
-	var ke *knobError
-	switch {
-	case axis == "":
+	switch axis {
+	case "":
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
-	case axis == AxisPolicy:
+	case AxisPolicy:
 		return fmt.Errorf("scenario %q [%s=%s]: %w", s.Name, axis, s.Sweep.Policies[int(v)], err)
-	case errors.As(err, &ke) && ke.v == v && strings.HasSuffix(ke.key, axis):
-		ke.key = axis + " value"
-		return fmt.Errorf("scenario %q: %w", s.Name, ke)
 	}
 	return fmt.Errorf("scenario %q [%s=%g]: %w", s.Name, axis, v, err)
 }
@@ -819,18 +816,11 @@ func (s *Scenario) clusterError(err error, block string) error {
 func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string, servers bool) error {
 	for ti := range s.Tiers {
 		t := &s.Tiers[ti]
-		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); servers && err != nil {
-			if ce, ok := err.(*cluster.ConfigError); ok {
-				ce.Tier = ti
-			}
-			return s.clusterError(err, block)
-		}
-		// The tick rule, on the first server in index order that breaks
-		// it. Servers without an override all run the base configuration,
-		// so the first of them stands for the rest.
-		cand := []int{0}
+		// The tick rule's servers: each one with an override, in key
+		// order, and (below) the first without, which stands for the
+		// rest: they all run the base configuration.
+		cand := make([]int, 0, 1)
 		if len(t.ServerOverrides) > 0 {
-			cand = cand[:0]
 			for _, key := range slices.Sorted(maps.Keys(t.ServerOverrides)) {
 				// A key must be the index's own spelling: the run looks
 				// servers up by strconv.Itoa, so "01" would never apply.
@@ -838,25 +828,36 @@ func (s *Scenario) checkServers(gcfg cluster.GraphConfig, block string, servers 
 				if err != nil || idx < 0 || strconv.Itoa(idx) != key {
 					return inBlock(block, ti, fmt.Errorf("%s.server_overrides key %q is not a server index", tierLabel(block, ti), key))
 				}
-				err = t.ServerOverrides[key].apply(new(server.Config))
-				if err == nil && servers && idx >= t.Servers {
-					err = fmt.Errorf("fleet has only %d servers", t.Servers)
-				}
-				if err != nil {
+				if err := t.ServerOverrides[key].apply(new(server.Config)); err != nil {
 					return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%s]: %w", tierLabel(block, ti), key, err))
 				}
 				cand = append(cand, idx)
 			}
-			for i := range t.Servers {
-				if _, ok := t.ServerOverrides[strconv.Itoa(i)]; !ok {
-					cand = append(cand, i)
-					break
-				}
+		}
+		if !servers {
+			continue
+		}
+		if err := gcfg.Tiers[ti].Cluster.Topology.Fits(t.Servers); err != nil {
+			if ce, ok := err.(*cluster.ConfigError); ok {
+				ce.Tier = ti
 			}
-			slices.Sort(cand)
+			return s.clusterError(err, block)
 		}
 		for _, i := range cand {
-			if mc := s.serverConfig(&t.Cluster, i); servers && mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
+			if i >= t.Servers {
+				return inBlock(block, ti, fmt.Errorf("%s.server_overrides[%d]: fleet has only %d servers", tierLabel(block, ti), i, t.Servers))
+			}
+		}
+		for i := range t.Servers {
+			if _, ok := t.ServerOverrides[strconv.Itoa(i)]; !ok {
+				cand = append(cand, i)
+				break
+			}
+		}
+		// The tick rule, on the first server in index order that breaks it.
+		slices.Sort(cand)
+		for _, i := range cand {
+			if mc := s.serverConfig(&t.Cluster, i); mc.TimerTickHz > 0 && mc.TickKernelTime <= 0 {
 				err := errors.New("timer_tick_hz needs tick_kernel_us > 0")
 				if block != "" {
 					err = fmt.Errorf("%s server %d: %w", tierLabel(block, ti), i, err)

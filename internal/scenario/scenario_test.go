@@ -154,6 +154,13 @@ func TestValidate(t *testing.T) {
 			Faults: &Faults{MTBFUS: 2000, MTTRUS: 1000}},
 			Sweep: &Sweep{Axis: AxisRequestTimeout, Values: []float64{100, 5e15}}},
 			"request_timeout_us value 5e+15 is out of range"},
+		// Under a sweep of the same knob, a server override's failure
+		// is the override's, not the sweep value's.
+		{Scenario{Name: "x", Config: "CPC1A", Workload: mc, Server: Overrides{TickKernelUS: ptr(1.0)},
+			Cluster: &Cluster{Servers: 2, Policy: "round_robin",
+				ServerOverrides: map[string]Overrides{"1": {TimerTickHz: ptr(1e-12)}}},
+			Sweep: &Sweep{Axis: AxisTickHz, Values: []float64{100}}},
+			`[tick_hz=100]: cluster.server_overrides[1]: server.timer_tick_hz 1e-12 is out of range`},
 	} {
 		if err := c.sc.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("got %v, want an error containing %q", err, c.want)
@@ -202,6 +209,17 @@ func TestRunRejectsBadPoints(t *testing.T) {
 		Sweep:    &Sweep{Axis: AxisQPS, Values: []float64{1000, 2000}}}
 	if _, err := sc.Run(quickOpt()); err != nil {
 		t.Errorf("sweep-supplied qps rejected: %v", err)
+	}
+}
+
+// TestRunWindowWithinHorizon: a run window from the caller's options,
+// not only duration_ms, must end by the engine's horizon, or a delay
+// the point arms late in the run could wrap its time.
+func TestRunWindowWithinHorizon(t *testing.T) {
+	sc := Scenario{Name: "x", Config: "CPC1A", Workload: Workload{Service: "memcached", QPS: 1000}}
+	_, err := sc.Run(experiments.Options{Duration: sim.Horizon, Seed: 1})
+	if want := "run window 4611686018.427s must end within the engine's horizon"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("got %v, want an error containing %q", err, want)
 	}
 }
 
