@@ -47,8 +47,9 @@
 // (RackStats) — the pool/zone granularity production power tooling
 // manages. A one-member round_robin fleet is the single machine: every
 // figure point (experiments.runPoint) and every single-server scenario
-// runs on one, so Run is the simulator's only open-loop
-// window-then-drain loop.
+// runs on one. Every fleet is a tier of a service graph (graph.go) — New
+// builds a one-tier graph — so Graph.Run is the simulator's only
+// open-loop window-then-drain loop.
 package cluster
 
 import (
@@ -257,6 +258,7 @@ type member struct {
 
 // Fleet is N servers behind one load balancer on one engine.
 type Fleet struct {
+	g    *Graph // the graph the fleet is a tier of
 	eng  *sim.Engine
 	cfg  Config
 	topo Topology
@@ -289,8 +291,7 @@ type Fleet struct {
 	// the layer is attached.
 	faults *faultState
 
-	// meas is the instrumentation scratch Measure reuses across calls
-	// and reset cycles (see MeasureInto).
+	// meas is the instrumentation scratch every measurement reuses.
 	meas measScratch
 
 	// onResolve, when non-nil, observes the final resolution of every
@@ -319,68 +320,40 @@ type measScratch struct {
 	ok0     uint64
 	merged  *stats.Histogram
 	rackH   []*stats.Histogram
-	// pc1a holds the values a collected measurement's PC1A pointers
-	// point at: one cell per member, then the fleet's, then one per
-	// rack.
-	pc1a []pc1aCell
 }
 
-// pc1aCell is the storage behind one pair of PC1A pointers.
-type pc1aCell struct {
-	res  float64
-	ents uint64
-}
-
-// set stores a PC1A residency and entry count in c and points at them.
-func (c *pc1aCell) set(res float64, ents uint64) (*float64, *uint64) {
-	c.res, c.ents = res, ents
-	return &c.res, &c.ents
-}
-
-// grow resizes every buffer to n members and racks racks, reusing
-// capacity.
-func (s *measScratch) grow(n, racks int) {
-	s.wins = slices.Grow(s.wins[:0], n)[:n]
-	s.served0 = slices.Grow(s.served0[:0], n)[:n]
-	s.pc1a = slices.Grow(s.pc1a[:0], n+1+racks)[:n+1+racks]
-}
-
-// New assembles a fleet on a fresh engine: every member's SoC and server
-// are built in index order on the shared engine, then one aggregate
-// generator (seeded with seed) feeds the balancer. The workload must be
-// open-loop: closed-loop clients bind to a single server's Submit and
-// bypass the balancer entirely.
+// New assembles a fleet as the one tier of a new graph (NewGraph): every
+// member's SoC and server are built in index order on the graph's
+// engine, then one aggregate generator (seeded with seed) feeds the
+// balancer. The workload must be open-loop: closed-loop clients bind to
+// a single server's Submit and bypass the balancer entirely.
 func New(cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	return NewOn(sim.NewEngine(), cfg, spec, seed)
-}
-
-// NewOn assembles a fleet on a caller-supplied engine, so several
-// fleets can share one deterministic event order — the service-graph
-// layer (graph.go) builds each tier this way, and New is exactly
-// NewOn(sim.NewEngine(), ...). The caller owns the engine's clock:
-// fleets built on a shared engine must be run through a shared driver
-// (Graph.Run), never their own Run loops concurrently.
-func NewOn(eng *sim.Engine, cfg Config, spec workload.Spec, seed uint64) (*Fleet, error) {
-	topo, err := cfg.admit(spec)
-	if err == nil {
-		err = cfg.check()
-	}
+	g, err := NewGraph(GraphConfig{Tiers: []TierConfig{{Cluster: cfg, Spec: spec}}}, seed)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{eng: eng}
-	f.build(cfg, topo, spec, seed)
-	return f, nil
+	return g.tiers[0].fl, nil
 }
 
 // build assembles (or, on a reset fleet, rewinds) every layer of the
-// fleet on f.eng in exactly New's order — members in index order, then
-// the incremental policy structures, controller, fault layer, and
+// fleet on f.eng in a fixed order — members in index order, then the
+// incremental policy structures, controller, fault layer, and
 // generator — so a rewound fleet schedules the identical initial event
-// sequence a fresh one would. Both cases run the same assembly: each
-// member's system and server are built in place by their Init methods,
-// into new storage on a fresh fleet and into the old machine's on a
-// reset one.
+// sequence a fresh one would, once the caller has rewound the engine
+// (Graph.reset). Both cases run the same assembly: each member's system
+// and server are built in place by their Init methods, into new storage
+// on a fresh fleet and into the old machine's on a reset one. A rewind
+// reuses everything whose shape survives: the member and rack
+// structures, the pooled per-arrival records, the generator and its
+// request pool, the measurement scratch, and every machine — the
+// devices are rebuilt in their old storage, the server keeps its record
+// pool and latency histogram, and the cores keep their grown run
+// queues, so a machine of the same shape allocates nothing and a busier
+// point grows queues and pools only past the earlier high-water mark.
+// Only the topology shape is pinned, because the balancer's rack wiring
+// is positional (Graph.fits); every derived value is recomputed. A reset
+// fleet is byte-identical to a fresh one (TestFleetResetDeterministic,
+// TestResetEqualsFresh).
 func (f *Fleet) build(cfg Config, topo Topology, spec workload.Spec, seed uint64) {
 	f.cfg, f.topo, f.spec = cfg, topo, spec
 	fresh := f.members == nil
@@ -454,34 +427,10 @@ func (m *member) reset() {
 	m.capMax = 0
 }
 
-// resetOn rewinds the fleet, on its engine, to the state NewOn(eng,
-// cfg, spec, seed) would have produced after the caller rewound the
-// engine (Graph.Reset rewinds the shared engine once, then resets each
-// tier's fleet in order). It reuses everything whose shape survives:
-// the member and rack structures, the pooled per-arrival records, the
-// generator and its request pool, the measurement scratch, and every
-// member's machine.
-// Each member's SoC and server are rewound in place (soc.System.Init,
-// server.Server.Init): the devices are rebuilt in their old storage,
-// the server keeps its record pool and latency histogram, and the
-// cores keep their grown run queues, so a machine of the same shape
-// allocates nothing and a busier point grows queues and pools only
-// past the earlier high-water mark. Only the topology shape is pinned
-// — cfg must keep the member count and rack layout of the original
-// fleet (policy, targets, per-member configs and fault setup may all
-// change, since every derived value is recomputed) — because the
-// balancer's rack wiring is positional. A reset fleet is
-// byte-identical to a fresh one (TestFleetResetDeterministic,
-// TestResetEqualsFresh). The caller has validated cfg and checked its
-// shape against f's.
-func (f *Fleet) resetOn(cfg Config, spec workload.Spec, seed uint64) {
-	f.build(cfg, f.topo, spec, seed)
-}
-
 // idle drops the fleet's references to its last build's inputs while
 // it waits in the keep (graph.go): the configuration, the spec, and a
-// source that cfg.NewSource supplied. The next resetOn installs all
-// three again; a synthetic generator stays, since resetOn reuses it.
+// source that cfg.NewSource supplied. The next build installs all
+// three again; a synthetic generator stays, since build reuses it.
 func (f *Fleet) idle() {
 	if f.cfg.NewSource != nil {
 		f.gen = nil
@@ -835,21 +784,9 @@ func (f *Fleet) inFlightTotal() int {
 	return n
 }
 
-// Run generates aggregate load for d of virtual time, then drains until
-// every in-flight request on every server completes, up to
-// server.DrainCap of extra virtual time, stepping the engine 1 ms at a
-// time. Requests still in flight when the cap trips are snapshotted into
-// the per-member dropped counters.
-func (f *Fleet) Run(d sim.Duration) {
-	stop := f.eng.Now() + d
-	f.gen.Start(stop)
-	f.eng.Run(stop)
-	deadline := f.eng.Now() + server.DrainCap
-	for f.inFlightTotal() > 0 && f.eng.Now() < deadline {
-		f.eng.Run(f.eng.Now() + sim.Millisecond)
-	}
-	f.snapshotDropped(f.inFlightTotal() > 0 && f.eng.Pending() > 0)
-}
+// Run runs the fleet's graph for d of virtual time (Graph.Run): on the
+// one-tier graph New builds, aggregate load for d, then the drain.
+func (f *Fleet) Run(d sim.Duration) { f.g.Run(d) }
 
 // snapshotDropped records each member's still-in-flight count as
 // dropped, and as truncated too when trunc is set. A drain loop sets it
@@ -1030,41 +967,26 @@ type Measurement struct {
 	Racks []RackStats `json:"racks,omitempty"`
 }
 
-// Measure runs the fleet through the standard warmup → measure
-// sequence (warmup first, then every member's measurement window
-// opened, then the measured window) and returns the fleet-wide
-// measurement. It is copied out of the fleet's scratch into storage of
-// its own, so callers may retain it across further use of the fleet.
+// Measure measures the fleet's graph (Graph.Measure) and returns tier
+// 0's measurement: on the one-tier graph New builds, the fleet's own.
+// The result has storage of its own.
 func (f *Fleet) Measure(warmup, duration sim.Duration) Measurement {
-	var out Measurement
-	f.MeasureInto(&out, warmup, duration)
-	s := MakeSlab(f.slabSize())
-	return s.fleet(&out)
+	return f.g.Measure(warmup, duration).Tiers[0].Fleet
 }
 
-// MeasureInto is Measure writing into a caller-owned Measurement: out's
-// Servers and Racks backing arrays are reused across calls (everything
-// else in *out is overwritten), and all per-member instrumentation
-// state, the PC1A values included, comes from the fleet's reusable
-// scratch, so its PC1A pointers hold only until the fleet measures
-// again. Callers that retain measurements across sweep points want
-// Measure; callers that consume them point-by-point use this and
-// allocate nothing but the histograms' first growth.
+// MeasureInto is Measure writing into *out.
 func (f *Fleet) MeasureInto(out *Measurement, warmup, duration sim.Duration) {
-	f.Run(warmup)
-	f.measureBegin()
-	f.Run(duration)
-	f.measureCollect(out)
+	*out = f.Measure(warmup, duration)
 }
 
 // measureBegin records every baseline (one soc.Window per member,
-// served counts, fault OKs) at the instant the measured window opens.
-// Split from measureCollect so a multi-fleet driver (Graph.Measure) can
-// open every tier's window, run the shared engine once, and collect
-// each tier against the common window.
+// served counts, fault OKs) at the instant the measured window opens,
+// so Graph.MeasureIn can open every tier's window, run the shared
+// engine once, and collect each tier against the common window.
 func (f *Fleet) measureBegin() {
 	s := &f.meas
-	s.grow(len(f.members), f.topo.Racks)
+	s.wins = slices.Grow(s.wins[:0], len(f.members))[:len(f.members)]
+	s.served0 = slices.Grow(s.served0[:0], len(f.members))[:len(f.members)]
 	for i, m := range f.members {
 		s.wins[i] = m.sys.OpenWindow()
 		s.served0[i] = m.srv.Served()
@@ -1075,17 +997,17 @@ func (f *Fleet) measureBegin() {
 	}
 }
 
-// measureCollect folds the windows measureBegin opened into *out.
-// Every member's window opened at the same instant, so the first one's
-// length is the fleet's.
-func (f *Fleet) measureCollect(out *Measurement) {
+// measureCollect folds the windows measureBegin opened into *out,
+// taking its server and rack rows and its PC1A values from slab. Every
+// member's window opened at the same instant, so the first one's length
+// is the fleet's.
+func (f *Fleet) measureCollect(out *Measurement, slab *Slab) {
 	n := len(f.members)
 	s := &f.meas
 	wins := s.wins
 	ok0 := s.ok0
 
-	*out = Measurement{Servers: out.Servers[:0], Racks: out.Racks[:0]}
-	out.Generated = f.gen.Generated()
+	*out = Measurement{Generated: f.gen.Generated(), Servers: take(&slab.servers, n)}
 	window := wins[0].Len()
 	out.Window = window
 	for i, m := range f.members {
@@ -1101,7 +1023,8 @@ func (f *Fleet) measureCollect(out *Measurement) {
 	pc1aRes := 0.0
 	var pc1aEnt uint64
 	for i, m := range f.members {
-		ss := ServerStats{
+		ss := &out.Servers[i]
+		*ss = ServerStats{
 			Index:          i,
 			Rack:           m.rack,
 			Routed:         m.routed,
@@ -1125,12 +1048,11 @@ func (f *Fleet) measureCollect(out *Measurement) {
 		}
 		ss.AllIdle, ss.AllIdleCensored = wins[i].AllIdle()
 		if r, e, ok := wins[i].PC1A(); ok {
-			ss.PC1AResidency, ss.PC1AEntries = s.pc1a[i].set(r, e)
+			ss.PC1AResidency, ss.PC1AEntries = slab.PC1A(r, e)
 			haveAPMU = true
 			pc1aRes += r
 			pc1aEnt += e
 		}
-		out.Servers = append(out.Servers, ss)
 		out.Served += ss.Served
 		out.Dropped += ss.Dropped
 		out.Drains += ss.Drains
@@ -1156,7 +1078,7 @@ func (f *Fleet) measureCollect(out *Measurement) {
 	out.P99Latency = merged.Quantile(0.99)
 	out.P999Latency = merged.Quantile(0.999)
 	if haveAPMU {
-		out.PC1AResidency, out.PC1AEntries = s.pc1a[n].set(pc1aRes/fn, pc1aEnt)
+		out.PC1AResidency, out.PC1AEntries = slab.PC1A(pc1aRes/fn, pc1aEnt)
 	}
 	if fs := f.flt; fs != nil {
 		// The fleet-level counters are authoritative: the per-member
@@ -1188,18 +1110,17 @@ func (f *Fleet) measureCollect(out *Measurement) {
 		out.P999Latency = fs.lat.Quantile(0.999)
 	}
 	if !f.topo.IsFlat() {
-		out.Racks = f.rackStats(out.Servers, out.Racks)
+		out.Racks = f.rackStats(out.Servers, slab)
 	}
 }
 
-// rackStats folds the per-server stats into per-rack power zones,
-// reusing the racks slice's capacity and the fleet's per-rack histogram
-// scratch.
-func (f *Fleet) rackStats(servers []ServerStats, racks []RackStats) []RackStats {
+// rackStats folds the per-server stats into per-rack power zones, taking
+// the rows and their PC1A values from slab and reusing the fleet's
+// per-rack histogram scratch.
+func (f *Fleet) rackStats(servers []ServerStats, slab *Slab) []RackStats {
 	nr := f.topo.Racks
-	out := racks[:0]
+	out := take(&slab.racks, nr)
 	s := &f.meas
-	cells := s.pc1a[len(f.members)+1:]
 	if cap(s.rackH) < nr {
 		s.rackH = make([]*stats.Histogram, nr)
 	} else {
@@ -1207,7 +1128,7 @@ func (f *Fleet) rackStats(servers []ServerStats, racks []RackStats) []RackStats 
 	}
 	hists := s.rackH
 	for r := 0; r < nr; r++ {
-		out = append(out, RackStats{Index: r, Local: r == 0, Servers: len(f.byRack[r])})
+		out[r] = RackStats{Index: r, Local: r == 0, Servers: len(f.byRack[r])}
 		if f.flt != nil {
 			out[r].Partitions = f.flt.partitions[r]
 		}
@@ -1234,7 +1155,7 @@ func (f *Fleet) rackStats(servers []ServerStats, racks []RackStats) []RackStats 
 		rs.AllIdle += ss.AllIdle
 		if ss.PC1AResidency != nil {
 			if rs.PC1AResidency == nil {
-				rs.PC1AResidency, rs.PC1AEntries = cells[ss.Rack].set(0, 0)
+				rs.PC1AResidency, rs.PC1AEntries = slab.PC1A(0, 0)
 			}
 			*rs.PC1AResidency += *ss.PC1AResidency
 			*rs.PC1AEntries += *ss.PC1AEntries

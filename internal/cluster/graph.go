@@ -30,12 +30,13 @@ package cluster
 // exactly the sum of Issued over its incoming edges. At the client,
 // Served + Failed + still-pending joins = root Generated.
 //
-// The defining contract, as with every optional layer before it: a
-// one-tier graph builds its fleet with the caller's seed on a fresh
-// engine and drives it through the exact Run/Measure sequence Fleet
-// uses, and with no edges the onResolve hook stays nil — so a
-// single-tier graph is byte-identical to the plain cluster fleet
-// (TestGraphSingleTierParity).
+// Every fleet is a tier of a graph: New builds a one-tier graph and
+// hands out its fleet, whose Run and Measure are the graph's. So Run is
+// the package's one window-then-drain loop and MeasureIn its one
+// warmup → window → collect sequence. Tier 0 takes the caller's seed,
+// and without edges the onResolve hook stays nil and the measurement
+// carries no Edges or Client, so a one-tier graph adds nothing to the
+// fleet it holds (TestGraphSingleTierParity).
 
 import (
 	"fmt"
@@ -51,8 +52,8 @@ import (
 
 // Seed salts for the graph's dedicated RNG streams, following the
 // fault-layer convention (faults.go): non-root tiers and edges derive
-// their seeds from the caller's, so tier 0 sees exactly the seed a
-// plain fleet would.
+// their seeds from the caller's, so tier 0 sees exactly the caller's
+// seed.
 const (
 	graphTierSeedSalt = 0xc4a51dead00d0010 // + tier index, non-root tier fleets
 	graphEdgeSeedSalt = 0xc4a51dead00d0020 // + edge index, per-edge hit/miss RNG
@@ -160,31 +161,26 @@ type Graph struct {
 	clientLat    *stats.Histogram
 
 	joins sim.Pool[joinReq]
-
-	// meas is the scratch every measurement is collected into before
-	// it is copied out (see Slab).
-	meas GraphMeasurement
 }
 
 // NewGraph assembles a service graph on a fresh engine: each tier's
-// fleet is built in tier order (tier 0 with the caller's seed — the
-// single-tier parity anchor — and every later tier with a salted
-// derivative), then the edges are wired in config order.
+// fleet is built in tier order (tier 0 with the caller's seed, every
+// later tier with a salted derivative), then the edges are wired in
+// config order.
 func NewGraph(cfg GraphConfig, seed uint64) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	g := &Graph{eng: sim.NewEngine()}
-	if err := g.build(cfg, seed); err != nil {
-		return nil, err
-	}
+	g.build(cfg, seed)
 	return g, nil
 }
 
 // build assembles (or, on Reset, reassembles) the graph in a fixed
 // order — tiers first, in index order, then edges — so a rebuilt graph
-// schedules the identical initial event sequence a fresh one would.
-func (g *Graph) build(cfg GraphConfig, seed uint64) error {
+// schedules the identical initial event sequence a fresh one would. cfg
+// has passed Validate, and on a reset fits g.
+func (g *Graph) build(cfg GraphConfig, seed uint64) {
 	g.cfg = cfg
 	fresh := g.tiers == nil
 	if fresh {
@@ -229,18 +225,13 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 			fcfg.NewSource = t.newSource
 		}
 		if t.fl == nil {
-			fl, err := NewOn(g.eng, fcfg, tc.Spec, tseed)
-			if err != nil {
-				return err
-			}
-			t.fl = fl
-		} else {
-			t.fl.resetOn(fcfg, tc.Spec, tseed)
+			t.fl = &Fleet{g: g, eng: g.eng}
 		}
+		topo, _ := fcfg.admit(tc.Spec) // Validate has passed
+		t.fl.build(fcfg, topo, tc.Spec, tseed)
 		if wired {
 			// The hook is what turns completions into lookups; without
-			// edges it stays nil and the tier is a plain fleet, byte for
-			// byte.
+			// edges it stays nil.
 			if t.onResolve == nil {
 				tier := t
 				t.onResolve = func(id uint64, arrival sim.Time, conn int, ok bool) {
@@ -282,13 +273,12 @@ func (g *Graph) build(cfg GraphConfig, seed uint64) error {
 		e.lookups, e.misses, e.ttlMisses, e.issued = 0, 0, 0, 0
 		g.tiers[ec.From].out = append(g.tiers[ec.From].out, e)
 	}
-	return nil
 }
 
 // Reset rewinds the graph to the state NewGraph(cfg, seed) would have
 // produced, reusing the engine arena (Engine.Reset restarts the clock
 // at zero with slot numbering matching a fresh engine's), every tier's
-// fleet with its machines rewound in place (see Fleet.resetOn), the
+// fleet with its machines rewound in place (see Fleet.build), the
 // push sources and their request pools, the edges' RNGs, the join pool
 // and the pending maps. Only the shape is pinned (see fits). A reset
 // graph is byte-identical to a fresh one.
@@ -308,9 +298,7 @@ func (g *Graph) Reset(cfg GraphConfig, seed uint64) error {
 // reset is Reset for a cfg that has passed Validate and fits g.
 func (g *Graph) reset(cfg GraphConfig, seed uint64) {
 	g.eng.Reset()
-	// build fails only when assembling a new tier, and a fitting cfg
-	// has none.
-	_ = g.build(cfg, seed)
+	g.build(cfg, seed)
 }
 
 // fits reports whether g can be rewound to cfg, which has passed
@@ -491,7 +479,7 @@ func (g *Graph) idle() {
 	}
 }
 
-// Engine returns the shared engine (for tests).
+// Engine returns the shared engine all tiers run on.
 func (g *Graph) Engine() *sim.Engine { return g.eng }
 
 // Tiers returns the tier count.
@@ -636,12 +624,13 @@ func (g *Graph) inFlight() int {
 }
 
 // Run generates root-tier load for d of virtual time, then drains every
-// tier, mirroring Fleet.Run event for event — the sequence the
-// single-tier parity contract depends on. Non-root sources have no
-// arrival chain to start, so the Start loop degenerates to the fleet's
-// single Start on one-tier graphs. Misses discovered during the drain
+// tier until nothing is in flight, up to server.DrainCap of extra
+// virtual time, stepping the engine 1 ms at a time. Non-root sources
+// have no arrival chain to start. Misses discovered during the drain
 // still issue their backend requests: the drain loop keeps going until
-// every tier is empty or the cap trips.
+// every tier is empty or the cap trips. Requests still in flight when
+// the cap trips are snapshotted into the per-member dropped counters
+// (Fleet.snapshotDropped).
 func (g *Graph) Run(d sim.Duration) {
 	stop := g.eng.Now() + d
 	for _, t := range g.tiers {
@@ -701,8 +690,8 @@ type ClientStats struct {
 }
 
 // GraphMeasurement is the graph-wide outcome of one measured window.
-// Edges and Client are nil on edgeless (single-tier) graphs,
-// preserving the parity contract in the marshalled form too.
+// Edges and Client are nil on edgeless (single-tier) graphs, so those
+// marshal as their tiers alone.
 type GraphMeasurement struct {
 	Tiers  []TierMeasurement `json:"tiers"`
 	Edges  []EdgeStats       `json:"edges,omitempty"`
@@ -712,15 +701,14 @@ type GraphMeasurement struct {
 // Measure runs the graph through the standard warmup → instrument →
 // measure sequence: warmup once, every tier's instrumentation attached
 // at the same instant, one shared measured window, every tier
-// collected against it. On a one-tier graph this is exactly
-// Fleet.Measure. Call at most once per build or Reset. The result has
-// storage of its own, so it outlives the graph's next use.
+// collected against it. Call at most once per build or Reset. The
+// result has storage of its own, so it outlives the graph's next use.
 func (g *Graph) Measure(warmup, duration sim.Duration) GraphMeasurement {
 	s := MakeSlab(g.slabSize())
 	return g.MeasureIn(&s, warmup, duration)
 }
 
-// MeasureIn is Measure copying the result into s rather than into
+// MeasureIn is Measure collecting the result into s rather than into
 // storage of its own: a sweep that sizes one Slab for all its points
 // measures each of them without allocating.
 func (g *Graph) MeasureIn(s *Slab, warmup, duration sim.Duration) GraphMeasurement {
@@ -730,45 +718,40 @@ func (g *Graph) MeasureIn(s *Slab, warmup, duration sim.Duration) GraphMeasureme
 	}
 	g.Run(duration)
 
-	out := &g.meas
-	out.Tiers = slices.Grow(out.Tiers[:0], len(g.tiers))[:len(g.tiers)]
+	out := GraphMeasurement{Tiers: take(&s.tiers, len(g.tiers)), Edges: take(&s.edges, len(g.edges))}
 	for i, t := range g.tiers {
 		out.Tiers[i].Name = t.name
-		t.fl.measureCollect(&out.Tiers[i].Fleet)
+		t.fl.measureCollect(&out.Tiers[i].Fleet, s)
 	}
-	// A graph keeps its edge count across resets, so a Client it
-	// allocated once serves every later measurement.
-	out.Edges = out.Edges[:0]
-	if len(g.edges) > 0 {
-		for _, e := range g.edges {
-			es := EdgeStats{
-				From:      g.tiers[e.cfg.From].name,
-				To:        e.to.name,
-				HitRatio:  e.cfg.HitRatio,
-				TTL:       e.cfg.TTL,
-				Fanout:    e.fanout,
-				Lookups:   e.lookups,
-				Hits:      e.lookups - e.misses,
-				Misses:    e.misses,
-				TTLMisses: e.ttlMisses,
-				Issued:    e.issued,
-			}
-			if e.lookups > 0 {
-				es.MeasuredHitRate = float64(e.lookups-e.misses) / float64(e.lookups)
-			}
-			out.Edges = append(out.Edges, es)
+	if len(g.edges) == 0 {
+		return out
+	}
+	for i, e := range g.edges {
+		es := &out.Edges[i]
+		*es = EdgeStats{
+			From:      g.tiers[e.cfg.From].name,
+			To:        e.to.name,
+			HitRatio:  e.cfg.HitRatio,
+			TTL:       e.cfg.TTL,
+			Fanout:    e.fanout,
+			Lookups:   e.lookups,
+			Hits:      e.lookups - e.misses,
+			Misses:    e.misses,
+			TTLMisses: e.ttlMisses,
+			Issued:    e.issued,
 		}
-		if out.Client == nil {
-			out.Client = new(ClientStats)
-		}
-		*out.Client = ClientStats{
-			Served:      g.clientServed,
-			Failed:      g.clientFailed,
-			MeanLatency: g.clientLat.Mean(),
-			P50Latency:  g.clientLat.Quantile(0.50),
-			P99Latency:  g.clientLat.Quantile(0.99),
-			P999Latency: g.clientLat.Quantile(0.999),
+		if e.lookups > 0 {
+			es.MeasuredHitRate = float64(e.lookups-e.misses) / float64(e.lookups)
 		}
 	}
-	return s.graph(out)
+	out.Client = &take(&s.clients, 1)[0]
+	*out.Client = ClientStats{
+		Served:      g.clientServed,
+		Failed:      g.clientFailed,
+		MeanLatency: g.clientLat.Mean(),
+		P50Latency:  g.clientLat.Quantile(0.50),
+		P99Latency:  g.clientLat.Quantile(0.99),
+		P999Latency: g.clientLat.Quantile(0.999),
+	}
+	return out
 }

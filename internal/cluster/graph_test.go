@@ -38,10 +38,11 @@ func twoTierConfig(hitRatio float64, ttl sim.Duration, fanout int) GraphConfig {
 	}
 }
 
-// TestGraphSingleTierParity is the defining contract: a one-tier graph
-// — no edges, no hook, the caller's seed on tier 0 — must measure
-// byte-identically to the plain fleet it wraps, structure for
-// structure, across policies and with the fault layer attached.
+// TestGraphSingleTierParity pins what makes a fleet a one-tier graph,
+// across policies, racks and the fault layer: the fleet New returns is
+// the only tier of its graph, driven on the graph's engine, and a
+// one-tier measurement carries no graph-only state — nil Edges and
+// Client — so it marshals as the fleet alone.
 func TestGraphSingleTierParity(t *testing.T) {
 	specs := []struct {
 		name string
@@ -66,27 +67,19 @@ func TestGraphSingleTierParity(t *testing.T) {
 			Members: uniformMembers(3, soc.CPC1A),
 		}},
 	}
-	spec := workload.Memcached(80000)
 	for _, c := range specs {
 		t.Run(c.name, func(t *testing.T) {
-			fl, err := New(c.cfg, spec, 7)
+			fl, err := New(c.cfg, workload.Memcached(80000), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := fl.Measure(2*sim.Millisecond, 20*sim.Millisecond)
-
-			g, err := NewGraph(GraphConfig{
-				Tiers: []TierConfig{{Name: "only", Cluster: c.cfg, Spec: spec}},
-			}, 7)
-			if err != nil {
-				t.Fatal(err)
+			g := fl.g
+			if g.Tiers() != 1 || g.TierFleet(0) != fl || g.Engine() != fl.Engine() {
+				t.Fatalf("New's fleet is not the one tier of its graph: %d tiers", g.Tiers())
 			}
 			gm := g.Measure(2*sim.Millisecond, 20*sim.Millisecond)
 			if len(gm.Tiers) != 1 || gm.Edges != nil || gm.Client != nil {
 				t.Fatalf("one-tier graph measurement carries graph-only state: %+v", gm)
-			}
-			if !reflect.DeepEqual(gm.Tiers[0].Fleet, want) {
-				t.Errorf("one-tier graph diverges from the plain fleet:\ngraph: %+v\nfleet: %+v", gm.Tiers[0].Fleet, want)
 			}
 		})
 	}

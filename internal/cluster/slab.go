@@ -1,13 +1,11 @@
 package cluster
 
-// A measurement is collected into scratch that the fleet or graph
-// rewrites at its next measurement, and a graph that goes back to the
-// keep (graph.go) takes its scratch along to whichever sweep draws it
-// next. What a caller keeps is therefore copied out into a Slab: storage
-// handed out in order from one backing array per kind, so a caller that
-// sizes one Slab for many measurements pays a fixed handful of
-// allocations for all of them, and a copy shares nothing with any
-// scratch.
+// A measurement is collected straight into a Slab: storage handed out
+// in order from one backing array per kind, so a caller that sizes one
+// Slab for many measurements pays a fixed handful of allocations for
+// all of them, and a measurement shares nothing with the graph's
+// scratch, which a graph that goes back to the keep (graph.go) takes
+// along to whichever sweep draws it next.
 
 // SlabSize counts what a Slab holds: tier measurements, server and rack
 // rows, edge rows, client views, and PC1A cells (one per pair of PC1A
@@ -22,7 +20,7 @@ func (n SlabSize) Add(o SlabSize) SlabSize {
 		n.Edges + o.Edges, n.Clients + o.Clients, n.PC1A + o.PC1A}
 }
 
-// Slab is storage that measurements are copied into. Each kind is
+// Slab is storage that measurements are collected into. Each kind is
 // taken in order from its own array; a kind that runs short gets a new
 // array of just what was asked for, never an element already handed
 // out, so a miscounted Slab costs allocations, not correctness. The
@@ -77,60 +75,26 @@ func take[T any](buf *[]T, n int) []T {
 
 // PC1A stores a PC1A residency and entry count in s and points at them.
 func (s *Slab) PC1A(res float64, ents uint64) (*float64, *uint64) {
-	return take(&s.pc1a, 1)[0].set(res, ents)
+	c := &take(&s.pc1a, 1)[0]
+	c.res, c.ents = res, ents
+	return &c.res, &c.ents
 }
 
-// copyPC1A copies a pair of PC1A pointers' values into s; nil stays
-// nil.
-func (s *Slab) copyPC1A(res *float64, ents *uint64) (*float64, *uint64) {
-	if res == nil {
-		return nil, nil
-	}
-	return s.PC1A(*res, *ents)
+// pc1aCell is the storage behind one pair of PC1A pointers.
+type pc1aCell struct {
+	res  float64
+	ents uint64
 }
 
-// fleet copies m into s.
-func (s *Slab) fleet(m *Measurement) Measurement {
-	out := *m
-	out.PC1AResidency, out.PC1AEntries = s.copyPC1A(m.PC1AResidency, m.PC1AEntries)
-	out.Servers = take(&s.servers, len(m.Servers))
-	for i := range out.Servers {
-		ss := &out.Servers[i]
-		*ss = m.Servers[i]
-		ss.PC1AResidency, ss.PC1AEntries = s.copyPC1A(ss.PC1AResidency, ss.PC1AEntries)
-	}
-	out.Racks = take(&s.racks, len(m.Racks))
-	for i := range out.Racks {
-		rs := &out.Racks[i]
-		*rs = m.Racks[i]
-		rs.PC1AResidency, rs.PC1AEntries = s.copyPC1A(rs.PC1AResidency, rs.PC1AEntries)
-	}
-	return out
-}
-
-// graph copies gm into s.
-func (s *Slab) graph(gm *GraphMeasurement) GraphMeasurement {
-	out := GraphMeasurement{
-		Tiers: take(&s.tiers, len(gm.Tiers)),
-		Edges: take(&s.edges, len(gm.Edges)),
-	}
-	for i := range out.Tiers {
-		out.Tiers[i] = TierMeasurement{Name: gm.Tiers[i].Name, Fleet: s.fleet(&gm.Tiers[i].Fleet)}
-	}
-	copy(out.Edges, gm.Edges)
-	if gm.Client != nil {
-		out.Client = &take(&s.clients, 1)[0]
-		*out.Client = *gm.Client
-	}
-	return out
-}
-
-// slabSize is what the fleet's measurement holds.
-func (f *Fleet) slabSize() SlabSize {
-	n := SlabSize{Servers: len(f.members), PC1A: 1 + len(f.members)}
-	if !f.topo.IsFlat() {
-		n.Racks = f.topo.Racks
-		n.PC1A += f.topo.Racks
+// FleetSize is what the measurement of a fleet of servers members in
+// racks racks holds: a row and a PC1A cell per member, a PC1A cell for
+// the fleet, and, on more than one rack, a row and a PC1A cell per
+// rack.
+func FleetSize(servers, racks int) SlabSize {
+	n := SlabSize{Servers: servers, PC1A: 1 + servers}
+	if racks > 1 {
+		n.Racks = racks
+		n.PC1A += racks
 	}
 	return n
 }
@@ -142,7 +106,7 @@ func (g *Graph) slabSize() SlabSize {
 		n.Clients = 1
 	}
 	for _, t := range g.tiers {
-		n = n.Add(t.fl.slabSize())
+		n = n.Add(FleetSize(len(t.fl.members), t.fl.topo.Racks))
 	}
 	return n
 }

@@ -122,9 +122,9 @@ func (cfg Config) check() error {
 	return cfg.Faults.validate(cfg.Topology)
 }
 
-// admit validates what NewOn reads beyond the settings — the spec and
-// the members' fit to the topology — and returns the topology, Flat(n)
-// standing for the zero value.
+// admit validates what building a fleet reads beyond the settings —
+// the spec and the members' fit to the topology — and returns the
+// topology, Flat(n) standing for the zero value.
 func (cfg Config) admit(spec workload.Spec) (Topology, error) {
 	if spec.Arrivals == nil {
 		return Topology{}, ruleErr("Spec", "%s needs an arrival process — a fleet takes open-loop workloads only")

@@ -117,9 +117,8 @@ func TraceReplay(opt Options) (*TraceReplayResult, error) {
 
 // measureFleet measures one fleet of default CPC1A machines: cfg
 // carries everything but the members, which are filled in from the
-// topology. The fleet runs as a one-tier graph, byte-identical to the
-// bare fleet (TestGraphSingleTierParity), drawn from the keep like every
-// sweep's machines.
+// topology. The fleet runs as a one-tier graph, as every fleet does,
+// drawn from the keep like every sweep's machines.
 func measureFleet(opt Options, cfg cluster.Config, spec workload.Spec) cluster.Measurement {
 	cfg.Members = make([]cluster.MemberConfig, cfg.Topology.Servers())
 	for i := range cfg.Members {

@@ -186,11 +186,7 @@ func TestScenarioRunKeepsMachines(t *testing.T) {
 			t.Errorf("%s: a cold run allocated %d times and a warm one %v, want at least %d more and %v",
 				c.name, cold, warm, c.assembly, c.warm)
 		}
-		assembly := []string{
-			"agilepkgc/internal/cluster.NewGraph",
-			"agilepkgc/internal/cluster.NewOn",
-		}
-		for name := range allocSites(run, assembly...) {
+		for name := range allocSites(run, "agilepkgc/internal/cluster.NewGraph") {
 			t.Errorf("%s: a warm run reached %s", c.name, name)
 		}
 	}

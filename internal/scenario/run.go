@@ -262,13 +262,7 @@ func (s *Scenario) slabSize() cluster.SlabSize {
 		n.Clients, n.PC1A = 1, 1
 	}
 	for i := range s.Tiers {
-		t := &s.Tiers[i]
-		n.Servers += t.Servers
-		n.PC1A += 1 + t.Servers
-		if t.Racks > 1 {
-			n.Racks += t.Racks
-			n.PC1A += t.Racks
-		}
+		n = n.Add(cluster.FleetSize(s.Tiers[i].Servers, s.Tiers[i].Racks))
 	}
 	return n
 }

@@ -234,7 +234,7 @@ func (s *Server) armTicks() {
 }
 
 // DrainCap bounds how much extra virtual time the cluster layer's
-// open-loop drain loops (Fleet.Run, Graph.Run) spend draining
+// open-loop drain loop (Graph.Run) spends draining
 // stragglers after their source stops. It exists only to bound
 // pathological runs (a backlog that cannot clear); anything still in
 // flight when it trips is reported as dropped instead of silently
